@@ -7,10 +7,10 @@
 //! from each due time.
 
 use crate::common::{
-    median, micros, percentile, segment_base, segments, subseed, timed_builds, window_rates,
-    windowed_percentile, HwCost, Metrics, Outcome, Tally, LATENCY_WINDOW, RATE_WINDOW,
+    closed_rate, median, micros, pairs, percentile, subseed, threads, timed_builds, HwCost,
+    Metrics, Outcome, Tally, SEGMENT,
 };
-use crate::trace::{split_windows, toggle_windows, Tracer};
+use crate::trace::Tracer;
 use maddpipe_nn::network::Network;
 use maddpipe_runtime::prelude::*;
 use std::collections::VecDeque;
@@ -30,7 +30,7 @@ const UNIQUE_IMAGES: usize = 1024;
 const REPLICAS: usize = 2;
 const IN_FLIGHT: usize = 16;
 /// Open-loop arrivals per second: under a tenth of the graph's capacity,
-/// and enough for ten samples beyond the p99 of each 1 s window.
+/// and enough for ten samples beyond the p99 of each 1 s segment.
 const OPEN_RATE: f64 = 1000.0;
 /// Per-hop queue credit: a refusal at the open-loop rate would need a
 /// stall of over 250 ms.
@@ -141,7 +141,8 @@ fn closed_phase(
             }
             (done, tally)
         });
-        let threads = toggle_windows(start, end, tracer);
+        std::thread::sleep(duration / 2);
+        let threads = threads();
         let (done, tally) = submitter.join().expect("submitter thread");
         Closed {
             done,
@@ -153,7 +154,7 @@ fn closed_phase(
 
 #[derive(Default)]
 struct Open {
-    latency_us: Vec<(Duration, f64)>,
+    latency_us: Vec<f64>,
     late_us: Vec<f64>,
     tally: Tally,
 }
@@ -167,13 +168,11 @@ impl Open {
 }
 
 /// Open loop: one generator submits on a fixed schedule; this thread
-/// collects replies in order and times each from its due time. Latency
-/// samples are keyed by due time, offset by `base`.
+/// collects replies in order and times each from its due time.
 fn open_phase(
     graph: &PipelineGraph,
     inputs: &Inputs,
     duration: Duration,
-    base: Duration,
     tracer: Option<&Arc<Tracer>>,
 ) -> Open {
     let n = (duration.as_secs_f64() * OPEN_RATE) as usize;
@@ -215,8 +214,7 @@ fn open_phase(
             match reply {
                 Ok(r) if same(&r.outputs, &inputs.expected[idx]) => {
                     open.tally.ok();
-                    open.latency_us
-                        .push((base + (due - start), micros(done - due)));
+                    open.latency_us.push(micros(done - due));
                 }
                 Ok(_) => open.tally.wrong(),
                 Err(_) => open.tally.fail(),
@@ -291,75 +289,76 @@ fn modelled(inputs: &Inputs, tally: &mut Tally) -> HwCost {
     cost
 }
 
-/// One run of `seconds`, alternating closed-loop and open-loop segments.
-/// Set-up is timed at the start and again after every segment pair.
+/// One run of `seconds`, alternating 1 s closed-loop and open-loop
+/// segments; the rate and the latency percentiles are medians over
+/// segments. Set-up is timed at the start and again after every segment
+/// pair. A traced run records spans in odd pairs only, so even pairs give
+/// its untraced figures.
 pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
     let inputs = Inputs::generate(seed);
     let build = || build_graph(&inputs.net);
     let mut setup = Vec::new();
     let graph = timed_builds(&mut setup, SETUP_REPS, build);
-    let (pairs, segment) = segments(seconds);
+    let pairs = pairs(seconds);
 
     let mut tally = Tally::default();
-    let mut rates = Vec::new();
+    // One figure per segment: closed-loop token rates of untraced and
+    // traced pairs, and open-loop latency percentiles.
+    let (mut rates, mut traced_rates) = (Vec::new(), Vec::new());
+    let (mut p50, mut p99) = (Vec::new(), Vec::new());
     let mut threads = f64::NAN;
     let mut busy = vec![Duration::ZERO; STAGES.len()];
     let mut open = Open::default();
     for i in 0..pairs {
-        let before = graph.stats();
-        let closed = closed_phase(&graph, &inputs, segment, tracer);
-        let after = graph.stats();
+        let traced = tracer.is_some() && i % 2 == 1;
+        if let Some(t) = tracer {
+            t.set_enabled(traced);
+        }
+        let stats0 = graph.stats();
+        let closed = closed_phase(&graph, &inputs, SEGMENT, tracer);
+        let stats1 = graph.stats();
         for ((b, p0), p1) in busy
             .iter_mut()
-            .zip(before.stage_profiles())
-            .zip(after.stage_profiles())
+            .zip(stats0.stage_profiles())
+            .zip(stats1.stage_profiles())
         {
             *b += p1.busy().saturating_sub(p0.busy());
         }
-        rates.extend(
-            window_rates(&closed.done, segment, RATE_WINDOW)
-                .iter()
-                .map(|r| r * TOKENS_PER_IMAGE as f64),
-        );
+        let rate = closed_rate(&closed.done, SEGMENT) * TOKENS_PER_IMAGE as f64;
+        if traced {
+            traced_rates.push(rate);
+        } else {
+            rates.push(rate);
+        }
         tally.add(closed.tally);
         if threads.is_nan() {
             threads = closed.threads;
         }
-        open.absorb(open_phase(
-            &graph,
-            &inputs,
-            segment,
-            segment_base(i, segment),
-            tracer,
-        ));
+        let segment = open_phase(&graph, &inputs, SEGMENT, tracer);
+        if !traced {
+            p50.push(percentile(&segment.latency_us, 50.0));
+            p99.push(percentile(&segment.latency_us, 99.0));
+        }
+        open.absorb(segment);
         drop(timed_builds(&mut setup, SETUP_REPS, build));
+    }
+    if let Some(t) = tracer {
+        t.set_enabled(true);
     }
     let stats = graph.shutdown();
     tally.add(open.tally);
 
     let mut m = Metrics::default();
     m.set("setup_s", median(&setup), "s");
-    m.set(
-        "request_p50_us",
-        windowed_percentile(&open.latency_us, LATENCY_WINDOW, 50.0),
-        "us",
-    );
-    m.set(
-        "request_p99_us",
-        windowed_percentile(&open.latency_us, LATENCY_WINDOW, 99.0),
-        "us",
-    );
+    m.set("tokens_per_s", median(&rates), "1/s");
+    m.set("request_p50_us", median(&p50), "us");
+    m.set("request_p99_us", median(&p99), "us");
     modelled(&inputs, &mut tally).report(&mut m);
     if tracer.is_some() {
-        let (off, on) = split_windows(&rates);
-        m.set("tokens_per_s", median(&off), "1/s");
-        m.set("trace.tokens_per_s", median(&on), "1/s");
-        m.set(
-            "trace.overhead_share",
-            1.0 - median(&on) / median(&off),
-            "share",
-        );
-        let closed_s = segment.as_secs_f64() * pairs as f64;
+        let on = median(&traced_rates);
+        m.set("trace.tokens_per_s", on, "1/s");
+        m.set("trace.overhead_share", 1.0 - on / median(&rates), "share");
+        let closed_s = SEGMENT.as_secs_f64() * pairs as f64;
         for ((name, profile), busy) in STAGES.iter().zip(stats.stage_profiles()).zip(busy) {
             assert_eq!(profile.name(), *name, "stage order of the demo network");
             let us = |d: Option<Duration>| d.map_or(f64::NAN, micros);
@@ -386,8 +385,6 @@ pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
         }
         m.set("loadgen.late_p99_us", percentile(&open.late_us, 99.0), "us");
         m.set("process.threads", threads, "count");
-    } else {
-        m.set("tokens_per_s", median(&rates), "1/s");
     }
     Outcome { tally, metrics: m }
 }

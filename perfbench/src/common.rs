@@ -1,34 +1,99 @@
 //! Shared plumbing: seeded input generation, outcome tallies, metric maps,
-//! order statistics and process probes.
+//! order statistics, the host-speed gauge and process probes.
 
 use maddpipe_core::config::SUBVECTOR_LEN;
 use maddpipe_runtime::{BatchResult, Token, TokenBatch};
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-/// Closed-loop throughput is counted per window of this length.
-pub const RATE_WINDOW: Duration = Duration::from_millis(250);
-/// Open-loop latency percentiles are taken per window of this length.
-pub const LATENCY_WINDOW: Duration = Duration::from_secs(1);
-/// Longest closed or open segment. A run alternates closed and open
-/// segments, so that each phase samples the whole span of the run: on a
-/// shared host, CPU speed drifts over seconds.
-pub const SEGMENT: Duration = Duration::from_secs(4);
+/// Length of one closed-loop or one open-loop segment. A run alternates
+/// them, so that both phases sample the whole run: on a shared host the
+/// CPU speed changes over seconds.
+pub const SEGMENT: Duration = Duration::from_secs(1);
+/// Completions in the first part of a closed segment, while the loop
+/// fills up, are not counted.
+pub const WARM_UP: Duration = Duration::from_millis(100);
 
-/// How a run of `seconds` splits into closed/open segment pairs: the
-/// number of pairs and the length of each segment.
-pub fn segments(seconds: f64) -> (usize, Duration) {
-    let pairs = (seconds / (2.0 * SEGMENT.as_secs_f64())).ceil().max(1.0);
-    (
-        pairs as usize,
-        Duration::from_secs_f64(seconds / (2.0 * pairs)),
-    )
+/// Closed/open segment pairs in a run of `seconds`; at least two, so a
+/// traced run has both a traced and an untraced pair.
+pub fn pairs(seconds: f64) -> usize {
+    ((seconds / (2.0 * SEGMENT.as_secs_f64())).floor() as usize).max(2)
 }
 
-/// Offset that keeps segment `i`'s latency windows apart from the others'.
-pub fn segment_base(i: usize, segment: Duration) -> Duration {
-    let windows = (segment.as_secs_f64() / LATENCY_WINDOW.as_secs_f64()).ceil() as u32;
-    LATENCY_WINDOW * windows * i as u32
+/// Work per second in a closed segment of `duration`, from
+/// `(completion offset, units)` records, after the warm-up.
+pub fn closed_rate(done: &[(Duration, u64)], duration: Duration) -> f64 {
+    let units: u64 = done
+        .iter()
+        .filter(|(at, _)| *at >= WARM_UP && *at <= duration)
+        .map(|(_, u)| u)
+        .sum();
+    units as f64 / (duration - WARM_UP).as_secs_f64()
+}
+
+/// Rounds of the reference computation in one reading of the host speed.
+const REFERENCE_ROUNDS: usize = 1_000_000;
+/// CPU seconds one reading takes on an unloaded host (a 2-vCPU x86-64 VM).
+const REFERENCE_S: f64 = 2.0e-3;
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+/// CPU time the calling thread has received so far, in seconds. Time the
+/// thread waited for a CPU, or a hypervisor stole, is not in it.
+fn thread_cpu_s() -> f64 {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: clock_gettime only writes one timespec through a pointer to
+    // a live local of the C layout.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "the thread CPU clock is readable");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// A fixed computation owned by the benchmark, independent of the code
+/// under test: read-modify-writes at random places of a 512-byte table,
+/// so it runs from L1 and its speed is the core's. Returns how many times
+/// slower than on the unloaded host it ran, in the calling thread's CPU
+/// time.
+fn reference() -> f64 {
+    let t0 = thread_cpu_s();
+    let mut table = [0u64; 64];
+    let mut rng = SplitMix::new(black_box(7));
+    for _ in 0..REFERENCE_ROUNDS {
+        let x = rng.next_u64();
+        let i = (x & 63) as usize;
+        let j = ((x >> 32) & 63) as usize;
+        table[i] = table[i].wrapping_add(table[j] ^ x).rotate_left(7);
+    }
+    black_box(&table);
+    (thread_cpu_s() - t0) / REFERENCE_S
+}
+
+/// How many times slower than the unloaded host the calling thread's CPU
+/// runs right now: one run of the reference.
+///
+/// A virtual CPU of a shared machine runs up to half again slower for
+/// seconds at a time when its neighbours are busy, which would otherwise
+/// swamp any change to the code under test. Set-up builds and simulated
+/// batches are therefore timed right after a reading on the same thread
+/// and divided by it. Serving rates and latencies are not scaled: their
+/// threads hand work across both CPUs, and no reading on one thread
+/// followed their drift.
+pub fn slowdown() -> f64 {
+    reference()
 }
 
 /// splitmix64: a tiny, fully specified generator, so the inputs depend on
@@ -54,6 +119,10 @@ pub fn subseed(seed: u64, stream: u64) -> u64 {
     SplitMix::new(seed ^ stream.wrapping_mul(0xD605_BBB5_8C8A_BBB5)).next_u64()
 }
 
+/// Seed of the flagship program. It is fixed, so that every seed runs the
+/// same program and the seed changes only the tokens it is fed.
+pub const PROGRAM_SEED: u64 = 1;
+
 /// `count` tokens of `ns` INT8 subvectors, values in `-127..=127` (the
 /// range a float encode with unit scale reproduces exactly).
 pub fn tokens(rng: &mut SplitMix, ns: usize, count: usize) -> Vec<Token> {
@@ -74,7 +143,10 @@ pub fn tokens(rng: &mut SplitMix, ns: usize, count: usize) -> Vec<Token> {
 }
 
 /// The scalar-spec outputs of every token of `batch`, flattened token-major.
-pub fn reference(program: &maddpipe_core::macro_rtl::MacroProgram, batch: &TokenBatch) -> Vec<i16> {
+pub fn reference_outputs(
+    program: &maddpipe_core::macro_rtl::MacroProgram,
+    batch: &TokenBatch,
+) -> Vec<i16> {
     batch
         .tokens()
         .iter()
@@ -201,42 +273,6 @@ pub fn micros(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
-/// Work completed per second in each whole `window` of a phase, from
-/// `(completion offset, units)` records; the first window is warm-up and
-/// is dropped, as is the last partial one.
-pub fn window_rates(done: &[(Duration, u64)], phase: Duration, window: Duration) -> Vec<f64> {
-    let n = (phase.as_secs_f64() / window.as_secs_f64()).floor() as usize;
-    let mut units = vec![0u64; n];
-    for &(at, u) in done {
-        let w = (at.as_secs_f64() / window.as_secs_f64()) as usize;
-        if w < n {
-            units[w] += u;
-        }
-    }
-    units
-        .iter()
-        .skip(1)
-        .map(|&u| u as f64 / window.as_secs_f64())
-        .collect()
-}
-
-/// Per-window percentile `p` of `(offset, value)` samples, then the
-/// median across windows holding at least 100 samples — one stalled
-/// window cannot move it.
-pub fn windowed_percentile(samples: &[(Duration, f64)], window: Duration, p: f64) -> f64 {
-    let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    for &(at, v) in samples {
-        let w = (at.as_secs_f64() / window.as_secs_f64()) as u64;
-        buckets.entry(w).or_default().push(v);
-    }
-    let per_window: Vec<f64> = buckets
-        .values()
-        .filter(|b| b.len() >= 100)
-        .map(|b| percentile(b, p))
-        .collect();
-    median(&per_window)
-}
-
 /// A `/proc/self/status` field in its first unit (kB for memory fields).
 fn status_field(field: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
@@ -260,16 +296,17 @@ pub fn threads() -> f64 {
     status_field("Threads:")
 }
 
-/// Times `reps` constructions of a program into `times` and returns the
-/// last one built. Each earlier instance is dropped before the next
-/// build is timed.
+/// Times `reps` constructions of a program into `times`, each divided by
+/// a [`slowdown`] reading taken just before it, and returns the last one
+/// built. Each earlier instance is dropped before the next build.
 pub fn timed_builds<T>(times: &mut Vec<f64>, reps: usize, mut build: impl FnMut() -> T) -> T {
     let mut last = None;
     for _ in 0..reps.max(1) {
         drop(last.take());
-        let t0 = std::time::Instant::now();
+        let slow = slowdown();
+        let t0 = Instant::now();
         let built = build();
-        times.push(t0.elapsed().as_secs_f64());
+        times.push(t0.elapsed().as_secs_f64() / slow);
         last = Some(built);
     }
     last.expect("at least one build")

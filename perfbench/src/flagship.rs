@@ -6,11 +6,10 @@
 //! well under capacity) measure request latency from each due time.
 
 use crate::common::{
-    matches, median, micros, percentile, reference, segment_base, segments, subseed, timed_builds,
-    tokens, window_rates, windowed_percentile, HwCost, Metrics, Outcome, SplitMix, Tally,
-    LATENCY_WINDOW, RATE_WINDOW,
+    closed_rate, matches, median, micros, pairs, percentile, reference_outputs, subseed, threads,
+    timed_builds, tokens, HwCost, Metrics, Outcome, SplitMix, Tally, PROGRAM_SEED, SEGMENT,
 };
-use crate::trace::{split_windows, toggle_windows, Tap, TapCounters, Tracer};
+use crate::trace::{Tap, TapCounters, Tracer};
 use maddpipe_core::prelude::{MacroConfig, MacroProgram};
 use maddpipe_runtime::prelude::*;
 use std::collections::VecDeque;
@@ -41,7 +40,7 @@ pub struct Inputs {
 impl Inputs {
     pub fn generate(seed: u64, count: usize) -> Inputs {
         let cfg = MacroConfig::paper_flagship();
-        let program = MacroProgram::random(cfg.ndec, cfg.ns, subseed(seed, 1));
+        let program = MacroProgram::random(cfg.ndec, cfg.ns, PROGRAM_SEED);
         let mut rng = SplitMix::new(subseed(seed, 2));
         let requests: Vec<TokenBatch> = (0..count)
             .map(|_| {
@@ -49,7 +48,10 @@ impl Inputs {
                     .expect("requests are non-empty")
             })
             .collect();
-        let expected = requests.iter().map(|r| reference(&program, r)).collect();
+        let expected = requests
+            .iter()
+            .map(|r| reference_outputs(&program, r))
+            .collect();
         Inputs {
             cfg,
             program,
@@ -169,7 +171,7 @@ fn submitter(
 }
 
 /// Closed loop: each submitter keeps `IN_FLIGHT` requests outstanding for
-/// `duration`. When traced, recording is switched on in odd windows only.
+/// `duration`; the thread count is sampled midway.
 fn closed_phase(
     pool: &ReplicaPool,
     inputs: &Inputs,
@@ -182,11 +184,11 @@ fn closed_phase(
         let handles: Vec<_> = (0..SUBMITTERS)
             .map(|k| s.spawn(move || submitter(pool, inputs, k, start, end, tracer)))
             .collect();
-        let threads = toggle_windows(start, end, tracer);
+        std::thread::sleep(duration / 2);
         let mut closed = Closed {
             done: Vec::new(),
             tally: Tally::default(),
-            threads,
+            threads: threads(),
         };
         for h in handles {
             let (done, tally) = h.join().expect("submitter thread");
@@ -200,7 +202,7 @@ fn closed_phase(
 /// What the open-loop phase observed.
 #[derive(Default)]
 struct Open {
-    latency_us: Vec<(Duration, f64)>,
+    latency_us: Vec<f64>,
     late_us: Vec<f64>,
     submit_us: Vec<f64>,
     queue_wait_us: Vec<f64>,
@@ -222,13 +224,11 @@ impl Open {
 }
 
 /// Open loop: one generator submits on a fixed schedule; this thread
-/// collects replies in order and times each from its due time. Latency
-/// samples are keyed by due time, offset by `base`.
+/// collects replies in order and times each from its due time.
 fn open_phase(
     pool: &ReplicaPool,
     inputs: &Inputs,
     duration: Duration,
-    base: Duration,
     tracer: Option<&Arc<Tracer>>,
 ) -> Open {
     let n = (duration.as_secs_f64() * OPEN_RATE) as usize;
@@ -271,8 +271,7 @@ fn open_phase(
             match reply {
                 Ok(r) if matches(&r.result, &inputs.expected[idx]) => {
                     open.tally.ok();
-                    open.latency_us
-                        .push((base + (due - start), micros(done - due)));
+                    open.latency_us.push(micros(done - due));
                     open.queue_wait_us.push(micros(r.queue_wait));
                     open.service_us.push(micros(r.service));
                     open.handoff_us
@@ -299,8 +298,11 @@ fn modelled(inputs: &Inputs) -> HwCost {
     cost
 }
 
-/// One run of `seconds`, alternating closed-loop and open-loop segments.
-/// Set-up is timed at the start and again after every segment pair.
+/// One run of `seconds`, alternating 1 s closed-loop and open-loop
+/// segments; the rate and the latency percentiles are medians over
+/// segments. Set-up is timed at the start and again after every segment
+/// pair. A traced run records spans in odd pairs only, so even pairs give
+/// its untraced figures.
 pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
     let inputs = Inputs::generate(seed, UNIQUE_REQUESTS);
     let counters = Arc::new(TapCounters::default());
@@ -308,61 +310,63 @@ pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
     let build = || build_pool(&inputs.cfg, &inputs.program, REPLICAS, serve_policy(), tap);
     let mut setup = Vec::new();
     let pool = timed_builds(&mut setup, SETUP_REPS, build);
-    let (pairs, segment) = segments(seconds);
+    let pairs = pairs(seconds);
 
     let mut tally = Tally::default();
-    let mut rates = Vec::new();
+    // One figure per segment: closed-loop rates of untraced and traced
+    // pairs, and open-loop latency percentiles.
+    let (mut rates, mut traced_rates) = (Vec::new(), Vec::new());
+    let (mut p50, mut p99) = (Vec::new(), Vec::new());
     let mut threads = f64::NAN;
     let (mut tap_delta, mut busy) = ((0, 0, 0), Duration::ZERO);
     let mut open = Open::default();
     for i in 0..pairs {
+        let traced = tracer.is_some() && i % 2 == 1;
+        if let Some(t) = tracer {
+            t.set_enabled(traced);
+        }
         let busy0: Duration = pool.stats().replica_busy().iter().sum();
         let tap0 = counters.snapshot();
-        let closed = closed_phase(&pool, &inputs, segment, tracer);
+        let closed = closed_phase(&pool, &inputs, SEGMENT, tracer);
         let tap1 = counters.snapshot();
         busy += pool.stats().replica_busy().iter().sum::<Duration>() - busy0;
         tap_delta.0 += tap1.0 - tap0.0;
         tap_delta.1 += tap1.1 - tap0.1;
         tap_delta.2 += tap1.2 - tap0.2;
-        rates.extend(window_rates(&closed.done, segment, RATE_WINDOW));
+        let rate = closed_rate(&closed.done, SEGMENT);
+        if traced {
+            traced_rates.push(rate);
+        } else {
+            rates.push(rate);
+        }
         tally.add(closed.tally);
         if threads.is_nan() {
             threads = closed.threads;
         }
-        open.absorb(open_phase(
-            &pool,
-            &inputs,
-            segment,
-            segment_base(i, segment),
-            tracer,
-        ));
+        let segment = open_phase(&pool, &inputs, SEGMENT, tracer);
+        if !traced {
+            p50.push(percentile(&segment.latency_us, 50.0));
+            p99.push(percentile(&segment.latency_us, 99.0));
+        }
+        open.absorb(segment);
         drop(timed_builds(&mut setup, SETUP_REPS, build));
+    }
+    if let Some(t) = tracer {
+        t.set_enabled(true);
     }
     pool.shutdown();
     tally.add(open.tally);
 
     let mut m = Metrics::default();
     m.set("setup_s", median(&setup), "s");
-    m.set(
-        "request_p50_us",
-        windowed_percentile(&open.latency_us, LATENCY_WINDOW, 50.0),
-        "us",
-    );
-    m.set(
-        "request_p99_us",
-        windowed_percentile(&open.latency_us, LATENCY_WINDOW, 99.0),
-        "us",
-    );
+    m.set("tokens_per_s", median(&rates), "1/s");
+    m.set("request_p50_us", median(&p50), "us");
+    m.set("request_p99_us", median(&p99), "us");
     modelled(&inputs).report(&mut m);
     if tracer.is_some() {
-        let (off, on) = split_windows(&rates);
-        m.set("tokens_per_s", median(&off), "1/s");
-        m.set("trace.tokens_per_s", median(&on), "1/s");
-        m.set(
-            "trace.overhead_share",
-            1.0 - median(&on) / median(&off),
-            "share",
-        );
+        let on = median(&traced_rates);
+        m.set("trace.tokens_per_s", on, "1/s");
+        m.set("trace.overhead_share", 1.0 - on / median(&rates), "share");
         let (calls, tokens, busy_ns) = tap_delta;
         m.set("functional.calls", calls as f64, "count");
         m.set(
@@ -377,7 +381,7 @@ pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
         );
         m.set(
             "pool.replica_utilisation",
-            busy.as_secs_f64() / (segment.as_secs_f64() * (pairs * REPLICAS) as f64),
+            busy.as_secs_f64() / (SEGMENT.as_secs_f64() * (pairs * REPLICAS) as f64),
             "share",
         );
         m.set("pool.submit_us_p50", median(&open.submit_us), "us");
@@ -391,8 +395,6 @@ pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
         m.set("pool.service_us_p50", median(&open.service_us), "us");
         m.set("loadgen.late_p99_us", percentile(&open.late_us, 99.0), "us");
         m.set("process.threads", threads, "count");
-    } else {
-        m.set("tokens_per_s", median(&rates), "1/s");
     }
     Outcome { tally, metrics: m }
 }

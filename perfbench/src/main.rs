@@ -95,7 +95,7 @@ fn per_layer() -> Vec<String> {
 }
 
 /// How long the traced run spends on each workload it is not about.
-const PROBE_SECONDS: f64 = 2.0;
+const PROBE_SECONDS: f64 = 4.0;
 
 struct Args {
     workload: String,

@@ -1,15 +1,16 @@
 //! `rtl_flagship`: the flagship netlist on the pipelined RTL backend,
 //! driven through `Session::run`.
 //!
-//! The input is a fixed sequence of seeded tokens in 16-token batches.
-//! The first pass over it, on a freshly built netlist, gives the
-//! simulated statistics, which repeat exactly for a seed; further passes
-//! over the same sequence add host-time samples until the run's time is
-//! spent.
+//! The program is fixed and the input is a fixed sequence of seeded
+//! tokens in 16-token batches. The first pass over it, on a freshly built
+//! netlist, gives the simulated statistics, which repeat exactly for a
+//! seed; further passes over the same sequence add host-time samples
+//! until the run's time is spent. Each batch's host time is divided by a
+//! reading of the host's speed taken just before it.
 
 use crate::common::{
-    matches, median, percentile, reference, subseed, timed_builds, tokens, HwCost, Metrics,
-    Outcome, SplitMix, Tally,
+    matches, median, percentile, reference_outputs, slowdown, subseed, timed_builds, tokens,
+    HwCost, Metrics, Outcome, SplitMix, Tally, PROGRAM_SEED,
 };
 use crate::trace::{Tracer, NO_REQUEST};
 use maddpipe_core::prelude::{MacroConfig, MacroProgram};
@@ -19,13 +20,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Tokens in the fixed sequence.
-const TOKENS: usize = 128;
+const TOKENS: usize = 256;
 const BATCH: usize = 16;
 const MIN_PASSES: usize = 2;
 /// Netlist builds timed at the start of a run; one more is timed after
-/// every `REBUILD_EVERY` passes.
+/// every pass.
 const SETUP_REPS: usize = 3;
-const REBUILD_EVERY: usize = 4;
 /// The netlist's energy domains.
 const DOMAINS: [&str; 4] = ["top", "ctrl", "encoder", "decoder"];
 
@@ -45,12 +45,15 @@ fn domain_energy(session: &Session) -> [f64; 4] {
 /// One run: passes over the fixed sequence until `seconds` is spent.
 pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
     let cfg = MacroConfig::paper_flagship();
-    let program = MacroProgram::random(cfg.ndec, cfg.ns, subseed(seed, 1));
+    let program = MacroProgram::random(cfg.ndec, cfg.ns, PROGRAM_SEED);
     let mut rng = SplitMix::new(subseed(seed, 3));
     let batches: Vec<TokenBatch> = (0..TOKENS / BATCH)
         .map(|_| TokenBatch::new(tokens(&mut rng, cfg.ns, BATCH)).expect("non-empty"))
         .collect();
-    let expected: Vec<Vec<i16>> = batches.iter().map(|b| reference(&program, b)).collect();
+    let expected: Vec<Vec<i16>> = batches
+        .iter()
+        .map(|b| reference_outputs(&program, b))
+        .collect();
     let build = || {
         Session::builder(cfg.clone())
             .program(program.clone())
@@ -68,13 +71,12 @@ pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
     let mut cost = HwCost::default();
     let (stats0, energy0) = (sim_stats(&session), domain_energy(&session));
     let (mut first_stats, mut first_energy) = (stats0, energy0);
-    // Per pass: tokens/s, median and p99 batch time.
+    // Per pass: tokens/s, median and p99 batch time, host-normalised.
     let mut passes: Vec<(f64, f64, f64)> = Vec::new();
     let start = Instant::now();
-    let mut host_s = 0.0;
-    while passes.len() < MIN_PASSES
-        || start.elapsed().as_secs_f64() + host_s / passes.len() as f64 <= seconds
-    {
+    // Host-normalised time of all passes, and wall time of the last one.
+    let (mut host_s, mut last_pass_s) = (0.0, 0.0);
+    while passes.len() < MIN_PASSES || start.elapsed().as_secs_f64() + last_pass_s <= seconds {
         let p = passes.len();
         if let Some(t) = tracer {
             t.set_enabled(p % 2 == 1);
@@ -82,13 +84,14 @@ pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
         let mut batch_us = Vec::with_capacity(batches.len());
         let pass_start = Instant::now();
         for (b, (batch, expected)) in batches.iter().zip(&expected).enumerate() {
+            let slow = slowdown();
             let t0 = Instant::now();
             let result = session.run(batch);
             let t1 = Instant::now();
             if let Some(s) = &mut spans {
                 s.record("session.run", t0, t1, None, (p * batches.len() + b) as u64);
             }
-            batch_us.push((t1 - t0).as_secs_f64() * 1e6);
+            batch_us.push((t1 - t0).as_secs_f64() * 1e6 / slow);
             match result {
                 Ok(r) if matches(&r, expected) => {
                     tally.ok();
@@ -104,7 +107,8 @@ pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
         if let Some(s) = &mut spans {
             s.record("pass", pass_start, pass_end, None, NO_REQUEST);
         }
-        let pass_s = (pass_end - pass_start).as_secs_f64();
+        last_pass_s = (pass_end - pass_start).as_secs_f64();
+        let pass_s = batch_us.iter().sum::<f64>() / 1e6;
         host_s += pass_s;
         if p == 0 {
             first_stats = sim_stats(&session);
@@ -115,9 +119,7 @@ pub fn run(seed: u64, seconds: f64, tracer: Option<&Arc<Tracer>>) -> Outcome {
             median(&batch_us),
             percentile(&batch_us, 99.0),
         ));
-        if passes.len().is_multiple_of(REBUILD_EVERY) {
-            drop(timed_builds(&mut setup, 1, build));
-        }
+        drop(timed_builds(&mut setup, 1, build));
     }
     if let Some(t) = tracer {
         t.set_enabled(true);

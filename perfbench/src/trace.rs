@@ -5,7 +5,6 @@
 //! They stay in per-thread buffers until the run ends and are then
 //! written out as JSON lines.
 
-use crate::common::RATE_WINDOW;
 use maddpipe_runtime::{BackendError, BatchResult, MacroBackend, TokenBatch};
 use std::io::Write;
 use std::path::Path;
@@ -234,43 +233,4 @@ impl MacroBackend for Tap {
     fn cache_stats(&self) -> Option<maddpipe_runtime::CacheStats> {
         self.inner.cache_stats()
     }
-}
-
-/// Sleeps through a closed phase, switching span recording on in odd
-/// rate windows and off in even ones; samples the thread count midway.
-pub fn toggle_windows(start: Instant, end: Instant, tracer: Option<&Arc<Tracer>>) -> f64 {
-    let mut threads = f64::NAN;
-    let mut w = 0u32;
-    loop {
-        if let Some(t) = tracer {
-            t.set_enabled(w % 2 == 1);
-        }
-        let next = start + RATE_WINDOW * (w + 1);
-        if next > end {
-            break;
-        }
-        std::thread::sleep(next.saturating_duration_since(Instant::now()));
-        if threads.is_nan() && Instant::now() >= start + (end - start) / 2 {
-            threads = crate::common::threads();
-        }
-        w += 1;
-    }
-    if let Some(t) = tracer {
-        t.set_enabled(true);
-    }
-    threads
-}
-
-/// Splits closed-phase window rates into (untraced, traced) windows;
-/// window `i + 1` of `rates` is traced when odd.
-pub fn split_windows(rates: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let (mut off, mut on) = (Vec::new(), Vec::new());
-    for (i, &r) in rates.iter().enumerate() {
-        if (i + 1) % 2 == 1 {
-            on.push(r);
-        } else {
-            off.push(r);
-        }
-    }
-    (off, on)
 }
