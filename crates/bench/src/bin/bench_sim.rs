@@ -15,7 +15,6 @@ use maddpipe_bench::kernel_workloads::{
     bus_fanout_sim, completion_tree_sim, inverter_chain, macro_testbench,
 };
 use maddpipe_bench::load_gen::{drive, LoadMode, LoadScenario};
-use maddpipe_core::batched::LaneKernel;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::MacroProgram;
 use maddpipe_nn::network::Network;
@@ -116,16 +115,42 @@ fn macro_tokens_per_sec() -> (f64, f64) {
     (tokens_rate, events_rate)
 }
 
-/// Functional-backend throughput at the paper's flagship shape, for the
-/// given worker count and kernel — the thread-scaling rows of the
-/// snapshot. The `Scalar` rows keep the historical
-/// `backend_tokens_per_sec` baseline comparable across PRs; the batched
-/// lane kernels are reported in the `functional_simd` section against it.
-fn functional_tokens_per_sec(workers: usize, kernel: FunctionalKernel) -> f64 {
+/// Scalar-spec throughput at the paper's flagship shape: the batch cut
+/// into `workers` contiguous chunks, each walked one token at a time
+/// through [`MacroProgram::reference_output`] on its own thread (on the
+/// calling thread for one worker) — the thread-scaling rows of the
+/// snapshot, keeping the historical `backend_tokens_per_sec` baseline
+/// comparable across PRs. The batched lane kernel is reported in the
+/// `functional_simd` section against it.
+fn scalar_tokens_per_sec(workers: usize) -> f64 {
     let cfg = MacroConfig::paper_flagship();
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 7);
     let batch = TokenBatch::random(cfg.ns, 1024, 11);
-    let mut backend = FunctionalBackend::with_kernel(program, workers, kernel);
+    let walk = |tokens: &[Token]| -> Vec<Vec<i16>> {
+        tokens.iter().map(|t| program.reference_output(t)).collect()
+    };
+    median_rate(7, || {
+        if workers == 1 {
+            std::hint::black_box(walk(batch.tokens()));
+        } else {
+            std::thread::scope(|scope| {
+                for chunk in batch.tokens().chunks(batch.len().div_ceil(workers)) {
+                    scope.spawn(|| std::hint::black_box(walk(chunk)));
+                }
+            });
+        }
+        batch.len() as u64
+    })
+}
+
+/// Functional-backend throughput at the paper's flagship shape on
+/// `workers` threads — the batched lane kernel behind the
+/// `functional_simd` rows.
+fn functional_tokens_per_sec(workers: usize) -> f64 {
+    let cfg = MacroConfig::paper_flagship();
+    let program = MacroProgram::random(cfg.ndec, cfg.ns, 7);
+    let batch = TokenBatch::random(cfg.ns, 1024, 11);
+    let mut backend = FunctionalBackend::with_workers(program, workers);
     median_rate(7, || {
         backend.run_batch(&batch).expect("batch completes");
         batch.len() as u64
@@ -144,7 +169,7 @@ fn sharded_tokens_per_sec(shards: usize) -> f64 {
         .program(program)
         .backend(BackendKind::Sharded {
             shards,
-            inner: ShardKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         })
         .build()
         .expect("random program fits its own shape");
@@ -182,7 +207,7 @@ fn cache_snapshot() -> (f64, f64, f64, u64) {
         .program(program)
         .backend(BackendKind::Cached {
             cache: CacheConfig::default(),
-            inner: CachedKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         })
         .build()
         .expect("random program fits its own shape");
@@ -201,8 +226,8 @@ fn cache_snapshot() -> (f64, f64, f64, u64) {
 }
 
 /// Serving-queue throughput and latency at the flagship shape:
-/// `clients` submitter threads push bursts through one `ServeQueue` over
-/// a single-worker functional backend. Returns the median tokens/s plus
+/// `clients` submitter threads push bursts through a one-replica pool
+/// over a single-worker functional backend. Returns the median tokens/s plus
 /// the queue-wait p50/p99 (µs) and mean coalesced micro-batch size
 /// accumulated over *all* timed repetitions (the queue is long-lived,
 /// like the sessions of the sibling benches) — the queue-side view
@@ -219,10 +244,12 @@ fn serving_queue_snapshot(clients: usize) -> (f64, f64, f64, f64) {
     let queue = Session::builder(cfg)
         .program(program)
         .backend(BackendKind::Functional { workers: 1 })
-        .into_serving(
-            QueuePolicy::default()
-                .with_max_batch(256)
-                .with_max_linger(Duration::from_micros(100)),
+        .into_pool(
+            ServePolicy::default().with_queue(
+                QueuePolicy::default()
+                    .with_max_batch(256)
+                    .with_max_linger(Duration::from_micros(100)),
+            ),
         )
         .expect("queue comes up");
     // Pre-generate every client's bursts, mirroring the pre-built batch
@@ -456,7 +483,7 @@ fn pipeline_snapshot(images: usize) -> (f64, Vec<(String, f64, f64)>) {
 /// 2-replica pool, printed but never written to `results/` — enough
 /// for CI to prove the serving path moves tokens.
 fn smoke() {
-    // Batched-kernel pass: both lane kernels bit-identical to the scalar
+    // Batched-kernel pass: the lane kernel bit-identical to the scalar
     // spec on a ragged (non-lane-multiple) flagship batch — the contract
     // behind the `functional_simd` rows of the full snapshot.
     {
@@ -468,18 +495,14 @@ fn smoke() {
             .iter()
             .map(|t| program.reference_output(t))
             .collect();
-        let view = program.batched();
-        for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-            assert_eq!(
-                view.evaluate_with(batch.tokens(), kernel),
-                golden,
-                "{kernel:?} diverged from the scalar spec"
-            );
-        }
+        assert_eq!(
+            program.batched().evaluate(batch.tokens()),
+            golden,
+            "the lane kernel diverged from the scalar spec"
+        );
         println!(
-            "smoke batched: both lane kernels bit-identical to the scalar spec on {} tokens (default: {:?})",
-            batch.len(),
-            FunctionalKernel::default()
+            "smoke batched: the lane kernel is bit-identical to the scalar spec on {} tokens",
+            batch.len()
         );
     }
     let pool = flagship_pool(2, 64);
@@ -583,7 +606,7 @@ fn smoke() {
         .program(program)
         .backend(BackendKind::Cached {
             cache: CacheConfig::default(),
-            inner: CachedKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         })
         .into_pool(ServePolicy::default().with_replicas(2))
         .expect("cached pool comes up");
@@ -676,16 +699,11 @@ fn main() {
     // Functional-backend thread scaling is only meaningful relative to
     // the host's core count, so record it alongside the rates.
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let fun_w1 = functional_tokens_per_sec(1, FunctionalKernel::Scalar);
-    let fun_w2 = functional_tokens_per_sec(2, FunctionalKernel::Scalar);
-    let fun_w4 = functional_tokens_per_sec(4, FunctionalKernel::Scalar);
-    let simd_portable_w1 = functional_tokens_per_sec(1, FunctionalKernel::Portable);
-    let simd_bitsliced_w1 = functional_tokens_per_sec(1, FunctionalKernel::BitSliced);
-    let (default_kernel_name, simd_w1) = match FunctionalKernel::default() {
-        FunctionalKernel::BitSliced => ("bitsliced", simd_bitsliced_w1),
-        _ => ("portable", simd_portable_w1),
-    };
-    let simd_host = functional_tokens_per_sec(cpus, FunctionalKernel::default());
+    let fun_w1 = scalar_tokens_per_sec(1);
+    let fun_w2 = scalar_tokens_per_sec(2);
+    let fun_w4 = scalar_tokens_per_sec(4);
+    let simd_w1 = functional_tokens_per_sec(1);
+    let simd_host = functional_tokens_per_sec(cpus);
     let shd_s1 = sharded_tokens_per_sec(1);
     let shd_s2 = sharded_tokens_per_sec(2);
     let shd_s4 = sharded_tokens_per_sec(4);
@@ -728,21 +746,11 @@ fn main() {
     let _ = writeln!(json, "    \"rtl_ndec2_ns2_sequential\": {rtl_seq:.1},");
     let _ = writeln!(json, "    \"rtl_ndec2_ns2_pipelined\": {rtl_pip:.1}");
     let _ = writeln!(json, "  }},");
-    // The batched lane kernels of the functional backend, against the
+    // The batched lane kernel of the functional backend, against the
     // scalar `functional_flagship_w1` baseline above (which deliberately
-    // still measures the one-token-at-a-time executable spec). `w1` is
-    // the kernel the `simd` cargo feature selects as the default.
+    // still measures the one-token-at-a-time executable spec).
     let _ = writeln!(json, "  \"functional_simd\": {{");
-    let _ = writeln!(json, "    \"default_kernel\": \"{default_kernel_name}\",");
-    let _ = writeln!(
-        json,
-        "    \"portable_w1_tokens_per_sec\": {simd_portable_w1:.0},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"bitsliced_w1_tokens_per_sec\": {simd_bitsliced_w1:.0},"
-    );
-    let _ = writeln!(json, "    \"w1_tokens_per_sec\": {simd_w1:.0},");
+    let _ = writeln!(json, "    \"portable_w1_tokens_per_sec\": {simd_w1:.0},");
     let _ = writeln!(json, "    \"host_cpus_tokens_per_sec\": {simd_host:.0},");
     let _ = writeln!(
         json,

@@ -1,12 +1,11 @@
-//! Batched, bit-sliced evaluation of a [`MacroProgram`] — the fast path
-//! behind [`MacroProgram::reference_output_batch`].
+//! Batched evaluation of a [`MacroProgram`] — the fast path behind
+//! [`MacroProgram::reference_output_batch`].
 //!
 //! [`MacroProgram::reference_output`] walks one token at a time: a 4-level
 //! BDT per stage, then one LUT byte per decoder chain, accumulated with
 //! wrapping 16-bit adds. That scalar walk is the executable spec — this
-//! module never changes its semantics, it only restructures the work so a
-//! whole *lane* of tokens ([`LANE`] = 64) moves through each stage per
-//! inner-loop iteration:
+//! module never changes its semantics, it only restructures the data so
+//! each (token, stage) step is cheap:
 //!
 //! * [`BatchedProgram`] is a struct-of-arrays view of the program: per
 //!   stage, the split dimensions and heap-ordered thresholds of the tree
@@ -14,58 +13,20 @@
 //!   transposed **code-major** — one contiguous `ndec`-wide row per leaf
 //!   code — so accumulating a token is a single dense vector add over
 //!   all its decoder chains instead of `ndec` scattered byte gathers.
-//! * The tree walk is **bit-sliced**: each level's decisions for all 64
-//!   tokens land in one `u64` mask, built from at most `2^level`
-//!   threshold comparisons over the gathered input column — exactly the
-//!   comparator tournament of the silicon encoder, evaluated 64 tokens at
-//!   a time.
-//! * Accumulation comes in two interchangeable kernels
-//!   ([`LaneKernel`]): a **portable** gather loop over `i16` lanes that
-//!   the autovectoriser handles well, and a **bit-sliced** kernel that
-//!   keeps the 16-bit accumulators as 16 transposed `u64` bit-planes and
-//!   adds LUT values with a ripple-carry over masks — no per-token
-//!   arithmetic at all, mirroring the paper's multiplication-free claim
-//!   in spirit. The `simd` cargo feature selects the bit-sliced kernel as
-//!   the default; both are always compiled and tested.
+//! * The lane kernel walks each token's tree on those flat arrays and
+//!   adds the selected LUT row into the token's output slot — a
+//!   contiguous `i16` loop the autovectoriser lifts to SIMD, vectorising
+//!   across decoder chains.
 //!
-//! Both kernels are pinned bit-identical to the scalar spec by proptest
+//! The kernel is pinned bit-identical to the scalar spec by proptest
 //! (`tests/backend_equivalence.rs`), including wrapping at the `i16`
 //! boundaries.
 
-use crate::config::{ACC_BITS, K, SUBVECTOR_LEN};
+use crate::config::{K, SUBVECTOR_LEN};
 use crate::macro_rtl::MacroProgram;
 
-/// Tokens evaluated per inner-loop iteration: one decision bit per token
-/// packs into a `u64` mask.
+/// The token block the functional backend aligns its worker shards to.
 pub const LANE: usize = 64;
-
-/// Deepest tree the batched encoder supports (the quantised-BDT builder
-/// enforces the same cap).
-const MAX_LEVELS: usize = 8;
-
-/// Which accumulation kernel a batched evaluation uses. Both produce
-/// bit-identical results; they differ only in how the wrapping 16-bit
-/// adds are scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneKernel {
-    /// Scalar `i16` gather-accumulate over the lane, written so the
-    /// compiler's autovectoriser can lift it to SIMD.
-    Portable,
-    /// Transposed bit-plane accumulators (`16 × u64` per decoder) with a
-    /// ripple-carry add over masks: per stage and decoder, the cost is
-    /// O(LUT bit-planes), independent of the number of tokens in the lane.
-    BitSliced,
-}
-
-/// The kernel [`BatchedProgram::evaluate_into`] dispatches to: bit-sliced
-/// when the `simd` cargo feature is enabled, portable otherwise.
-pub fn default_kernel() -> LaneKernel {
-    if cfg!(feature = "simd") {
-        LaneKernel::BitSliced
-    } else {
-        LaneKernel::Portable
-    }
-}
 
 /// One pipeline stage in struct-of-arrays form.
 #[derive(Debug, Clone)]
@@ -80,9 +41,6 @@ struct StageSoa {
     /// (`luts_code_major[k*ndec..]`) holds every decoder's entry for leaf
     /// `k`, so one token's accumulate is one contiguous vector add.
     luts_code_major: Vec<i16>,
-    /// Per decoder, bit `k` of `lut_planes[j][p]` is bit `p` of LUT byte
-    /// `k` — the transposed view the bit-sliced kernel gathers from.
-    lut_planes: Vec<[u16; 8]>,
 }
 
 /// Struct-of-arrays view of a [`MacroProgram`], precomputed once and
@@ -100,42 +58,23 @@ pub struct BatchedProgram {
 
 impl BatchedProgram {
     /// Builds the struct-of-arrays view of `program`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tree is deeper than 8 levels (the quantised-BDT
-    /// builder enforces the same bound, so this cannot fire for programs
-    /// built through the public constructors).
     pub fn new(program: &MacroProgram) -> BatchedProgram {
         let ns = program.ns();
         let ndec = program.ndec();
         let stages = (0..ns)
             .map(|s| {
                 let tree = &program.trees[s];
-                assert!(
-                    tree.levels() <= MAX_LEVELS,
-                    "stage {s}: tree depth {} exceeds the batched encoder cap",
-                    tree.levels()
-                );
                 let mut luts_code_major = vec![0i16; K * ndec];
-                let mut lut_planes = Vec::with_capacity(ndec);
                 for (j, entries) in program.luts[s].iter().enumerate() {
-                    let mut planes = [0u16; 8];
                     for (k, &e) in entries.iter().enumerate() {
                         luts_code_major[k * ndec + j] = e as i16;
-                        let byte = e as u8;
-                        for (p, plane) in planes.iter_mut().enumerate() {
-                            *plane |= u16::from((byte >> p) & 1) << k;
-                        }
                     }
-                    lut_planes.push(planes);
                 }
                 StageSoa {
                     levels: tree.levels(),
                     split_dims: tree.split_dims().to_vec(),
                     thresholds: tree.thresholds().to_vec(),
                     luts_code_major,
-                    lut_planes,
                 }
             })
             .collect();
@@ -152,8 +91,7 @@ impl BatchedProgram {
         self.ndec
     }
 
-    /// Evaluates `tokens` with the feature-selected default kernel
-    /// ([`default_kernel`]), one output vector per token. Matches
+    /// Evaluates `tokens`, one output vector per token. Matches
     /// `tokens.iter().map(|t| program.reference_output(t))` bit for bit.
     ///
     /// # Panics
@@ -162,21 +100,8 @@ impl BatchedProgram {
     /// does not carry one subvector per stage, or a malformed program
     /// whose tree walk selects a leaf outside the 16-entry LUT.
     pub fn evaluate<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(&self, tokens: &[T]) -> Vec<Vec<i16>> {
-        self.evaluate_with(tokens, default_kernel())
-    }
-
-    /// Like [`BatchedProgram::evaluate`] with an explicit kernel choice.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`BatchedProgram::evaluate`].
-    pub fn evaluate_with<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
-        &self,
-        tokens: &[T],
-        kernel: LaneKernel,
-    ) -> Vec<Vec<i16>> {
         let mut flat = vec![0i16; tokens.len() * self.ndec];
-        self.evaluate_into_with(tokens, kernel, &mut flat);
+        self.evaluate_into(tokens, &mut flat);
         if self.ndec == 0 {
             // Decoder-less programs still produce one (empty) output
             // vector per token, like the scalar spec.
@@ -186,56 +111,31 @@ impl BatchedProgram {
     }
 
     /// Evaluates `tokens` into a caller-provided token-major buffer
-    /// (`out[i * ndec + j]` = token `i`, decoder `j`) with the default
-    /// kernel.
+    /// (`out[i * ndec + j]` = token `i`, decoder `j`).
+    ///
+    /// Per token and stage, the tree walk runs on the flat SoA arrays
+    /// (same comparison count as the scalar spec), and the accumulate is
+    /// one dense `i16` vector add over the code-major LUT row — a
+    /// contiguous `ndec`-wide `+=` the autovectoriser lifts to SIMD,
+    /// replacing `ndec` scattered byte gathers per (token, stage).
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != tokens.len() * ndec`, plus the conditions
     /// of [`BatchedProgram::evaluate`].
     pub fn evaluate_into<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(&self, tokens: &[T], out: &mut [i16]) {
-        self.evaluate_into_with(tokens, default_kernel(), out);
-    }
-
-    /// Like [`BatchedProgram::evaluate_into`] with an explicit kernel.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`BatchedProgram::evaluate_into`].
-    pub fn evaluate_into_with<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
-        &self,
-        tokens: &[T],
-        kernel: LaneKernel,
-        out: &mut [i16],
-    ) {
         assert_eq!(
             out.len(),
             tokens.len() * self.ndec,
             "output buffer must hold ndec values per token"
         );
-        let rows: Vec<&[[i8; SUBVECTOR_LEN]]> = tokens.iter().map(AsRef::as_ref).collect();
-        for row in &rows {
-            assert_eq!(row.len(), self.ns, "one subvector per stage");
+        for token in tokens {
+            assert_eq!(token.as_ref().len(), self.ns, "one subvector per stage");
         }
-        // The portable kernel accumulates straight into `out`.
         out.fill(0);
-        match kernel {
-            LaneKernel::Portable => self.eval_portable(&rows, out),
-            LaneKernel::BitSliced => self.eval_bitsliced(&rows, out),
-        }
-    }
-
-    /// Portable kernel: per token and stage, the tree walk runs on the
-    /// flat SoA arrays (same comparison count as the scalar spec), and
-    /// the accumulate is one dense `i16` vector add over the code-major
-    /// LUT row — a contiguous `ndec`-wide `+=` the autovectoriser lifts
-    /// to SIMD, replacing `ndec` scattered byte gathers per (token,
-    /// stage). Where the bit-sliced kernel vectorises across *tokens*,
-    /// this one vectorises across *decoder chains*.
-    fn eval_portable(&self, rows: &[&[[i8; SUBVECTOR_LEN]]], out: &mut [i16]) {
         let ndec = self.ndec;
-        for (row, slot) in rows.iter().zip(out.chunks_mut(ndec.max(1))) {
-            for (sub, stage) in row.iter().zip(&self.stages) {
+        for (token, slot) in tokens.iter().zip(out.chunks_mut(ndec.max(1))) {
+            for (sub, stage) in token.as_ref().iter().zip(&self.stages) {
                 let mut node = 0usize;
                 for &dim in &stage.split_dims {
                     node = 2 * node + 1 + usize::from(sub[dim] >= stage.thresholds[node]);
@@ -250,150 +150,6 @@ impl BatchedProgram {
             }
         }
     }
-
-    /// Bit-sliced kernel: the lane's 16-bit accumulators live transposed
-    /// as 16 `u64` bit-planes per decoder. Per stage, the tree decisions
-    /// become 16 leaf masks; each decoder ORs them through its transposed
-    /// LUT into 8 value bit-planes (sign-extended to 16) and ripple-carry
-    /// adds the planes into the accumulators — wrapping 16-bit adds for
-    /// all 64 tokens in ~48 logical ops, with no per-token arithmetic.
-    fn eval_bitsliced(&self, rows: &[&[[i8; SUBVECTOR_LEN]]], out: &mut [i16]) {
-        let ndec = self.ndec;
-        let mut planes = vec![[0u64; ACC_BITS]; ndec];
-        let mut col = [0i8; LANE];
-        for base in (0..rows.len()).step_by(LANE) {
-            let n = LANE.min(rows.len() - base);
-            let lane = &rows[base..base + n];
-            let valid: u64 = if n == LANE { !0 } else { (1u64 << n) - 1 };
-            for acc in planes.iter_mut() {
-                *acc = [0u64; ACC_BITS];
-            }
-            for (s, stage) in self.stages.iter().enumerate() {
-                let bits = encode_lane(stage, s, lane, &mut col);
-                // Leaf masks: token i is in leaf k iff its decision bits
-                // spell k (level 0 is the MSB, as in the scalar walk).
-                let mut leaf = [0u64; K];
-                for (k, mask) in leaf.iter_mut().enumerate().take(1 << stage.levels) {
-                    let mut m = valid;
-                    for (l, &b) in bits[..stage.levels].iter().enumerate() {
-                        m &= if (k >> (stage.levels - 1 - l)) & 1 == 1 {
-                            b
-                        } else {
-                            !b
-                        };
-                    }
-                    *mask = m;
-                }
-                if stage.levels > 4 && ndec > 0 {
-                    // Mirror the scalar spec's LUT-bounds panic: a deeper
-                    // tree can land tokens on leaves the 16-entry LUT
-                    // does not have.
-                    for k in K..1 << stage.levels {
-                        let mut m = valid;
-                        for (l, &b) in bits[..stage.levels].iter().enumerate() {
-                            m &= if (k >> (stage.levels - 1 - l)) & 1 == 1 {
-                                b
-                            } else {
-                                !b
-                            };
-                        }
-                        assert_eq!(m, 0, "stage {s}: leaf {k} exceeds the {K}-entry LUT");
-                    }
-                }
-                for (j, acc) in planes.iter_mut().enumerate() {
-                    let sel = &stage.lut_planes[j];
-                    // Value bit-planes: bit i of vp[p] = bit p of the LUT
-                    // byte token i selected.
-                    let mut vp = [0u64; 8];
-                    for (p, v) in vp.iter_mut().enumerate() {
-                        let mut ks = sel[p];
-                        while ks != 0 {
-                            let k = ks.trailing_zeros() as usize;
-                            ks &= ks - 1;
-                            *v |= leaf[k];
-                        }
-                    }
-                    // Ripple-carry add of the sign-extended value into the
-                    // 16 accumulator planes; the dropped final carry *is*
-                    // the wrapping-i16 semantics.
-                    let mut carry = 0u64;
-                    for (p, a) in acc.iter_mut().enumerate() {
-                        let v = if p < 8 { vp[p] } else { vp[7] };
-                        let axv = *a ^ v;
-                        let next_carry = (*a & v) | (carry & axv);
-                        *a = axv ^ carry;
-                        carry = next_carry;
-                    }
-                }
-            }
-            // Untranspose: bit i of plane p is bit p of token i's result.
-            for i in 0..n {
-                let slot = &mut out[(base + i) * ndec..(base + i + 1) * ndec];
-                for (j, o) in slot.iter_mut().enumerate() {
-                    let mut word = 0u16;
-                    for (p, &plane) in planes[j].iter().enumerate() {
-                        word |= (((plane >> i) & 1) as u16) << p;
-                    }
-                    *o = word as i16;
-                }
-            }
-        }
-    }
-}
-
-/// Bit-sliced BDT walk for one stage over one lane: returns one `u64` of
-/// decisions per level (bit `i` = token `i` went right). Each tree node's
-/// threshold is compared against the gathered input column only for the
-/// tokens whose path reaches that node.
-fn encode_lane(
-    stage: &StageSoa,
-    s: usize,
-    lane: &[&[[i8; SUBVECTOR_LEN]]],
-    col: &mut [i8; LANE],
-) -> [u64; MAX_LEVELS] {
-    let n = lane.len();
-    let valid: u64 = if n == LANE { !0 } else { (1u64 << n) - 1 };
-    let mut bits = [0u64; MAX_LEVELS];
-    for l in 0..stage.levels {
-        let dim = stage.split_dims[l];
-        for (c, row) in col[..n].iter_mut().zip(lane) {
-            *c = row[s][dim];
-        }
-        let first = (1usize << l) - 1;
-        let mut right = 0u64;
-        for p in 0..1usize << l {
-            // Path mask: tokens whose earlier decisions spell node p
-            // (decision at level j is bit `l-1-j` of p, MSB first).
-            let mut pm = valid;
-            for (j, &b) in bits[..l].iter().enumerate() {
-                pm &= if (p >> (l - 1 - j)) & 1 == 1 { b } else { !b };
-            }
-            if pm == 0 {
-                continue;
-            }
-            let t = stage.thresholds[first + p];
-            if l == 0 {
-                // Every token visits the root: compare the whole column.
-                let mut cmp = 0u64;
-                for (i, &c) in col[..n].iter().enumerate() {
-                    cmp |= u64::from(c >= t) << i;
-                }
-                right |= pm & cmp;
-            } else {
-                // Deeper nodes: compare only the tokens whose path
-                // reaches this node, so the whole level still costs one
-                // comparison per token.
-                let mut m = pm;
-                while m != 0 {
-                    let i = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    right |= u64::from(col[i] >= t) << i;
-                }
-            }
-        }
-        bits[l] = right;
-    }
-    bits
 }
 
 #[cfg(test)]
@@ -424,19 +180,13 @@ mod tests {
     }
 
     #[test]
-    fn both_kernels_match_the_scalar_spec_across_lane_boundaries() {
+    fn the_kernel_matches_the_scalar_spec_across_lane_boundaries() {
         let program = MacroProgram::random(5, 3, 11);
         let view = program.batched();
         for count in [1usize, 2, 63, 64, 65, 127, 128, 130] {
             let tokens = random_tokens(3, count, count as u64);
             let golden = scalar_golden(&program, &tokens);
-            for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-                assert_eq!(
-                    view.evaluate_with(&tokens, kernel),
-                    golden,
-                    "{kernel:?} with {count} tokens"
-                );
-            }
+            assert_eq!(view.evaluate(&tokens), golden, "{count} tokens");
         }
     }
 
@@ -446,9 +196,6 @@ mod tests {
         let view = program.batched();
         let empty: Vec<Vec<[i8; SUBVECTOR_LEN]>> = Vec::new();
         assert!(view.evaluate(&empty).is_empty());
-        for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-            assert!(view.evaluate_with(&empty, kernel).is_empty());
-        }
     }
 
     #[test]
@@ -468,10 +215,7 @@ mod tests {
         let golden = scalar_golden(&program, &tokens);
         assert_eq!(golden[0][0], (-128i32 * ns as i32) as i16);
         assert_eq!(golden[0][1], (127i32 * ns as i32) as i16);
-        let view = program.batched();
-        for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-            assert_eq!(view.evaluate_with(&tokens, kernel), golden, "{kernel:?}");
-        }
+        assert_eq!(program.batched().evaluate(&tokens), golden);
     }
 
     #[test]
@@ -496,22 +240,19 @@ mod tests {
             };
             let tokens = random_tokens(1, 67, levels as u64);
             let golden = scalar_golden(&program, &tokens);
-            let view = program.batched();
-            for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-                assert_eq!(
-                    view.evaluate_with(&tokens, kernel),
-                    golden,
-                    "{levels} levels, {kernel:?}"
-                );
-            }
+            assert_eq!(
+                program.batched().evaluate(&tokens),
+                golden,
+                "{levels} levels"
+            );
         }
     }
 
     #[test]
     fn out_of_lut_leaf_panics_like_the_scalar_spec() {
         // A 5-level tree reaches leaf 31 — off the end of the 16-entry
-        // LUT. The scalar spec panics on the LUT index; both batched
-        // kernels must panic too, not return garbage.
+        // LUT. The scalar spec panics on the LUT index; the batched
+        // kernel must panic too, not return garbage.
         let tree = maddpipe_amm::bdt::BdtEncoder::from_parts(vec![0; 5], vec![-128.0; 31])
             .unwrap()
             .quantize(maddpipe_amm::quant::QuantScale::UNIT);
@@ -522,14 +263,10 @@ mod tests {
         let tokens = random_tokens(1, 3, 1);
         assert!(std::panic::catch_unwind(|| program.reference_output(&tokens[0])).is_err());
         let view = program.batched();
-        for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-            let v = view.clone();
-            let t = tokens.clone();
-            assert!(
-                std::panic::catch_unwind(move || v.evaluate_with(&t, kernel)).is_err(),
-                "{kernel:?} must reject leaves beyond the LUT"
-            );
-        }
+        assert!(
+            std::panic::catch_unwind(|| view.evaluate(&tokens)).is_err(),
+            "the kernel must reject leaves beyond the LUT"
+        );
     }
 
     #[test]
@@ -565,21 +302,6 @@ mod tests {
         rate("scalar", &mut || {
             tokens.iter().map(|t| program.reference_output(t)).collect()
         });
-        rate("portable", &mut || {
-            view.evaluate_with(&tokens, LaneKernel::Portable)
-        });
-        rate("bitsliced", &mut || {
-            view.evaluate_with(&tokens, LaneKernel::BitSliced)
-        });
-    }
-
-    #[test]
-    fn default_kernel_follows_the_simd_feature() {
-        let expected = if cfg!(feature = "simd") {
-            LaneKernel::BitSliced
-        } else {
-            LaneKernel::Portable
-        };
-        assert_eq!(default_kernel(), expected);
+        rate("batched", &mut || view.evaluate(&tokens));
     }
 }

@@ -142,17 +142,16 @@ impl MacroProgram {
 
     /// Builds the struct-of-arrays batched view of this program (see
     /// [`crate::batched::BatchedProgram`]). Build it once and reuse it:
-    /// the view precomputes the widened LUT rows and transposed bit-planes
-    /// that the lane kernels gather from.
+    /// the view precomputes the widened, code-major LUT rows the lane
+    /// kernel adds from.
     pub fn batched(&self) -> crate::batched::BatchedProgram {
         crate::batched::BatchedProgram::new(self)
     }
 
     /// Batched counterpart of [`MacroProgram::reference_output`]: one
     /// output vector per token, bit-identical to mapping the scalar
-    /// reference over `tokens`, evaluated a [`crate::batched::LANE`] of
-    /// tokens at a time (bit-sliced when the `simd` feature is on,
-    /// portable otherwise).
+    /// reference over `tokens`, evaluated through the struct-of-arrays
+    /// lane kernel.
     ///
     /// Callers with a long-lived program should prefer building
     /// [`MacroProgram::batched`] once and calling

@@ -350,7 +350,7 @@ impl Network {
                         &layer.name,
                         &cfg,
                         program.clone(),
-                        kind,
+                        kind.clone(),
                         move |x: &[f32]| conv_encode(in_shape, scale, x),
                         move |r: &BatchResult| {
                             conv_outputs(

@@ -1,5 +1,6 @@
-//! The backend abstraction: one trait ([`MacroBackend`]), four
-//! implementations, one enum ([`BackendKind`]) to pick between them.
+//! The backend abstraction: one trait ([`MacroBackend`]), its
+//! implementations, and one recursive recipe ([`BackendKind`]) that
+//! builds any of them.
 //!
 //! The contract that makes the implementations interchangeable inside a
 //! [`Session`](crate::session::Session): **every backend produces
@@ -18,7 +19,7 @@ use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
 /// Builds a backend on whatever thread ends up owning it. The closure
 /// runs exactly once, off the caller's thread — which is what lets
 /// non-`Send` backends (the event-driven netlist) live on shard workers
-/// and queue dispatchers.
+/// and pool replicas.
 pub type BackendFactory =
     Box<dyn FnOnce() -> Result<Box<dyn MacroBackend>, BackendError> + Send + 'static>;
 
@@ -35,8 +36,31 @@ pub enum Fidelity {
     Pipelined,
 }
 
-/// Which backend a [`Session`](crate::session::Session) should execute on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which backend a [`Session`](crate::session::Session) should execute on:
+/// a recursive recipe of three leaf executors and two layers — sharding
+/// and result caching — that wrap any other recipe, to any depth.
+///
+/// ```
+/// use maddpipe_runtime::prelude::*;
+/// use maddpipe_core::prelude::*;
+///
+/// // Two shards, each fronting its own analytic macro with a cache.
+/// let kind = BackendKind::Sharded {
+///     shards: 2,
+///     inner: Box::new(BackendKind::Cached {
+///         cache: CacheConfig::default(),
+///         inner: Box::new(BackendKind::Analytic),
+///     }),
+/// };
+/// let cfg = MacroConfig::new(4, 2);
+/// let program = MacroProgram::random(cfg.ndec, cfg.ns, 5);
+/// let mut backend = kind.build(&cfg, program.clone()).unwrap();
+/// let batch = TokenBatch::random(cfg.ns, 3, 1);
+/// let result = backend.run_batch(&batch).unwrap();
+/// assert_eq!(result.tokens[0].outputs, program.reference_output(&batch.tokens()[0]));
+/// assert_eq!(backend.cache_stats().unwrap().misses, 6); // 3 tokens × 2 shards
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendKind {
     /// Pure LUT math ([`MacroProgram::reference_output`]) sharded across
     /// `workers` OS threads — the throughput backend.
@@ -59,8 +83,8 @@ pub enum BackendKind {
     Sharded {
         /// Macro instances the decoder chains are partitioned across.
         shards: usize,
-        /// The backend kind every shard executes on.
-        inner: ShardKind,
+        /// The recipe every shard builds for its slice of the program.
+        inner: Box<BackendKind>,
     },
     /// `inner` behind a content-addressed
     /// [`CachedBackend`](crate::cache::CachedBackend) result tier:
@@ -70,8 +94,8 @@ pub enum BackendKind {
     Cached {
         /// Capacity bounds of the result store.
         cache: crate::cache::CacheConfig,
-        /// The backend the cache fronts on a miss.
-        inner: CachedKind,
+        /// The recipe the cache fronts on a miss.
+        inner: Box<BackendKind>,
     },
 }
 
@@ -83,8 +107,8 @@ impl Default for BackendKind {
 
 impl BackendKind {
     /// Validates `program` against `cfg` and constructs the backend this
-    /// kind describes — the one construction path shared by the session
-    /// builder and the serving queue's dispatcher factory.
+    /// recipe describes — the one construction path shared by sessions,
+    /// shard workers, pool replicas and pipeline stages.
     ///
     /// # Errors
     ///
@@ -94,169 +118,31 @@ impl BackendKind {
     /// errors (e.g. [`BackendError::InvalidShardPlan`] for sharded
     /// kinds).
     pub fn build(
-        self,
+        &self,
         cfg: &MacroConfig,
         program: MacroProgram,
     ) -> Result<Box<dyn MacroBackend>, BackendError> {
         validate_program(cfg, &program)?;
         Ok(match self {
             BackendKind::Functional { workers } => Box::new(
-                crate::functional::FunctionalBackend::with_workers(program, workers),
+                crate::functional::FunctionalBackend::with_workers(program, *workers),
             ),
             BackendKind::Rtl { fidelity } => {
-                Box::new(crate::rtl::RtlBackend::new(cfg, &program, fidelity)?)
+                Box::new(crate::rtl::RtlBackend::new(cfg, &program, *fidelity)?)
             }
             BackendKind::Analytic => Box::new(crate::analytic::AnalyticBackend::new(cfg, program)?),
             BackendKind::Sharded { shards, inner } => Box::new(
-                crate::sharded::ShardedBackend::uniform(cfg, &program, shards, inner)?,
+                crate::sharded::ShardedBackend::uniform(cfg, &program, *shards, (**inner).clone())?,
             ),
             BackendKind::Cached { cache, inner } => {
-                let inner_backend = BackendKind::from(inner).build(cfg, program.clone())?;
+                let inner_backend = inner.build(cfg, program.clone())?;
                 Box::new(crate::cache::CachedBackend::new(
                     inner_backend,
                     &program,
-                    cache,
+                    *cache,
                 ))
             }
         })
-    }
-}
-
-/// What a [`BackendKind::Cached`] tier fronts — every [`BackendKind`]
-/// except another cache (cache tiers do not nest; a sharded inner may
-/// still carry per-shard caches via [`ShardKind::Cached`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachedKind {
-    /// Pure LUT math on `workers` threads.
-    Functional {
-        /// Worker threads (1 = the owning thread).
-        workers: usize,
-    },
-    /// The event-driven netlist.
-    Rtl {
-        /// Sequential handshaking or pipelined streaming.
-        fidelity: Fidelity,
-    },
-    /// The closed-form PPA model.
-    Analytic,
-    /// A sharded composition behind the cache.
-    Sharded {
-        /// Macro instances the decoder chains are partitioned across.
-        shards: usize,
-        /// The backend kind every shard executes on.
-        inner: ShardKind,
-    },
-}
-
-impl Default for CachedKind {
-    fn default() -> CachedKind {
-        CachedKind::Functional { workers: 1 }
-    }
-}
-
-impl From<CachedKind> for BackendKind {
-    fn from(kind: CachedKind) -> BackendKind {
-        match kind {
-            CachedKind::Functional { workers } => BackendKind::Functional { workers },
-            CachedKind::Rtl { fidelity } => BackendKind::Rtl { fidelity },
-            CachedKind::Analytic => BackendKind::Analytic,
-            CachedKind::Sharded { shards, inner } => BackendKind::Sharded { shards, inner },
-        }
-    }
-}
-
-impl From<LeafKind> for CachedKind {
-    fn from(kind: LeafKind) -> CachedKind {
-        match kind {
-            LeafKind::Functional { workers } => CachedKind::Functional { workers },
-            LeafKind::Rtl { fidelity } => CachedKind::Rtl { fidelity },
-            LeafKind::Analytic => CachedKind::Analytic,
-        }
-    }
-}
-
-/// The backend one shard of a
-/// [`ShardedBackend`](crate::sharded::ShardedBackend) executes on — the
-/// leaf kinds of [`BackendKind`] (shards do not nest), optionally behind
-/// a per-shard result cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardKind {
-    /// Pure LUT math on `workers` threads per shard.
-    Functional {
-        /// Worker threads per shard (1 = the shard's own thread).
-        workers: usize,
-    },
-    /// The event-driven netlist, one per shard.
-    Rtl {
-        /// Sequential handshaking or pipelined streaming.
-        fidelity: Fidelity,
-    },
-    /// The closed-form PPA model, one per shard.
-    Analytic,
-    /// A leaf kind behind a per-shard
-    /// [`CachedBackend`](crate::cache::CachedBackend): each shard caches
-    /// its own sub-program's results, keyed on the sub-program's
-    /// fingerprint, and the sharded backend aggregates the counters.
-    Cached {
-        /// Capacity bounds of each shard's result store.
-        cache: crate::cache::CacheConfig,
-        /// The leaf kind the shard executes on a miss.
-        inner: LeafKind,
-    },
-}
-
-impl Default for ShardKind {
-    fn default() -> ShardKind {
-        ShardKind::Functional { workers: 1 }
-    }
-}
-
-impl From<ShardKind> for BackendKind {
-    fn from(kind: ShardKind) -> BackendKind {
-        match kind {
-            ShardKind::Functional { workers } => BackendKind::Functional { workers },
-            ShardKind::Rtl { fidelity } => BackendKind::Rtl { fidelity },
-            ShardKind::Analytic => BackendKind::Analytic,
-            ShardKind::Cached { cache, inner } => BackendKind::Cached {
-                cache,
-                inner: inner.into(),
-            },
-        }
-    }
-}
-
-/// The three uncached leaf executors — what sits at the very bottom of
-/// every composition ([`ShardKind::Cached`] shards run one of these on
-/// a miss).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeafKind {
-    /// Pure LUT math on `workers` threads.
-    Functional {
-        /// Worker threads (1 = the owning thread).
-        workers: usize,
-    },
-    /// The event-driven netlist.
-    Rtl {
-        /// Sequential handshaking or pipelined streaming.
-        fidelity: Fidelity,
-    },
-    /// The closed-form PPA model.
-    Analytic,
-}
-
-impl Default for LeafKind {
-    fn default() -> LeafKind {
-        LeafKind::Functional { workers: 1 }
-    }
-}
-
-impl From<LeafKind> for ShardKind {
-    fn from(kind: LeafKind) -> ShardKind {
-        match kind {
-            LeafKind::Functional { workers } => ShardKind::Functional { workers },
-            LeafKind::Rtl { fidelity } => ShardKind::Rtl { fidelity },
-            LeafKind::Analytic => ShardKind::Analytic,
-        }
     }
 }
 
@@ -356,6 +242,37 @@ mod tests {
                 program_ns: 2,
             })
         );
+    }
+
+    #[test]
+    fn recipes_nest_to_any_depth() {
+        // A cache in front of a cache, and shards whose every shard is
+        // itself sharded and cached: each serves the spec bit for bit,
+        // and the innermost caches' counters reach the top.
+        let cfg = MacroConfig::new(4, 2);
+        let program = MacroProgram::random(4, 2, 9);
+        let batch = crate::batch::TokenBatch::random(2, 6, 3);
+        let cache = crate::cache::CacheConfig::default();
+        let cached = |inner| BackendKind::Cached {
+            cache,
+            inner: Box::new(inner),
+        };
+        let sharded = |inner| BackendKind::Sharded {
+            shards: 2,
+            inner: Box::new(inner),
+        };
+        for kind in [
+            cached(cached(BackendKind::default())),
+            sharded(sharded(cached(BackendKind::Analytic))),
+        ] {
+            let mut backend = kind.build(&cfg, program.clone()).unwrap();
+            let result = backend.run_batch(&batch).unwrap();
+            for (obs, token) in result.tokens.iter().zip(batch.tokens()) {
+                assert_eq!(obs.outputs, program.reference_output(token), "{kind:?}");
+            }
+            let stats = backend.cache_stats().expect("a cached recipe");
+            assert!(stats.misses > 0, "{kind:?}");
+        }
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! entry.
 //!
 //! Deploy a cached tier declaratively via
-//! [`BackendKind::Cached`](crate::backend::BackendKind::Cached) (or
-//! per-shard via [`ShardKind::Cached`](crate::backend::ShardKind::Cached))
-//! — sessions, serve queues, replica pools and pipeline stages all
+//! [`BackendKind::Cached`](crate::backend::BackendKind::Cached) — around
+//! any recipe, inside a shard's recipe for per-shard stores, or around
+//! another cache. Sessions, replica pools and pipeline stages all
 //! build from the same `(program, kind)` recipe, and
 //! [`SessionStats`](crate::session::SessionStats) aggregates the
 //! [`CacheStats`] counters wherever the tier is deployed.
@@ -162,10 +162,6 @@ impl CacheKey {
 
 /// Capacity bounds for a [`CacheStore`] — both dimensions are enforced
 /// simultaneously; eviction runs until *neither* is exceeded.
-///
-/// `Copy`, so a cached tier stays expressible in the `Copy` recipe
-/// enums ([`BackendKind`](crate::backend::BackendKind) /
-/// [`ShardKind`](crate::backend::ShardKind)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Maximum resident entries. `0` disables caching entirely (every

@@ -54,6 +54,7 @@ use crate::backend::{BackendFactory, MacroBackend};
 use crate::batch::{BatchResult, TokenBatch};
 use crate::error::BackendError;
 use crate::pool::ReplicaFactory;
+use crate::session::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -273,15 +274,6 @@ pub fn wrap_recipe(
             Arc::clone(&state),
         )))
     })
-}
-
-/// SplitMix64 — the same well-mixed hash the stats reservoir uses,
-/// duplicated here because the stats copy is private to its module.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -132,14 +132,14 @@ pub enum BackendError {
         /// Which policy bound rejected the submission.
         limit: QueueLimit,
     },
-    /// The serving queue is shut down (or its dispatcher died): it
+    /// The serving queue is shut down (or its last replica died): it
     /// accepts no new submissions, and any ticket that could no longer
     /// be served resolves to this error instead of leaking.
     QueueClosed,
-    /// The session cannot be converted into a serving queue — it was
+    /// The session cannot be converted into a replica pool — it was
     /// built from a caller-constructed backend, so there is no recipe to
-    /// rebuild the backend on the dispatcher thread. Use
-    /// [`ServeQueue::from_factory`](crate::queue::ServeQueue::from_factory)
+    /// rebuild the backend on the replica threads. Use
+    /// [`ReplicaPool::from_factories`](crate::pool::ReplicaPool::from_factories)
     /// instead.
     QueueUnavailable {
         /// Human-readable explanation.

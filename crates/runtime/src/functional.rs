@@ -3,45 +3,17 @@
 use crate::backend::MacroBackend;
 use crate::batch::{BatchResult, Token, TokenBatch, TokenObservation};
 use crate::error::BackendError;
-use maddpipe_core::batched::{default_kernel, BatchedProgram, LaneKernel, LANE};
+use maddpipe_core::batched::{BatchedProgram, LANE};
 use maddpipe_core::macro_rtl::MacroProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// How a [`FunctionalBackend`] evaluates the LUT math of each shard.
-///
-/// The default is the batched lane kernel selected by the `simd` cargo
-/// feature ([`default_kernel`]): bit-sliced with the feature, portable
-/// without. All kernels are bit-identical; `Scalar` keeps the original
-/// one-token-at-a-time walk ([`MacroProgram::reference_output`])
-/// selectable as the executable spec and as a benchmarking baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FunctionalKernel {
-    /// One token at a time through the scalar reference — the executable
-    /// spec the batched kernels are pinned against.
-    Scalar,
-    /// Batched portable kernel ([`LaneKernel::Portable`]).
-    Portable,
-    /// Batched bit-sliced kernel ([`LaneKernel::BitSliced`]).
-    BitSliced,
-}
-
-impl Default for FunctionalKernel {
-    fn default() -> FunctionalKernel {
-        match default_kernel() {
-            LaneKernel::Portable => FunctionalKernel::Portable,
-            LaneKernel::BitSliced => FunctionalKernel::BitSliced,
-        }
-    }
-}
-
 /// Executes batches with the exact wrapping-i16 LUT semantics of the
-/// silicon — no timing model — a [`LANE`] of tokens at a time through the
-/// struct-of-arrays [`BatchedProgram`] view, sharding lane blocks across
-/// OS threads for throughput.
+/// silicon — no timing model — through the struct-of-arrays
+/// [`BatchedProgram`] lane kernel, sharding [`LANE`]-aligned token blocks
+/// across OS threads for throughput.
 ///
 /// [`MacroProgram::reference_output`] remains the executable spec; the
-/// batched kernels are pinned bit-identical to it by proptest, and
-/// [`FunctionalKernel::Scalar`] keeps the spec selectable at runtime.
+/// lane kernel is pinned bit-identical to it by proptest.
 ///
 /// A panic on a worker thread (e.g. a malformed hand-built program whose
 /// tree walk escapes the 16-entry LUT) is caught and surfaced as a typed
@@ -55,33 +27,22 @@ pub struct FunctionalBackend {
     program: MacroProgram,
     batched: BatchedProgram,
     workers: usize,
-    kernel: FunctionalKernel,
 }
 
 impl FunctionalBackend {
-    /// Single-threaded backend for `program` with the default kernel.
+    /// Single-threaded backend for `program`.
     pub fn new(program: MacroProgram) -> FunctionalBackend {
         FunctionalBackend::with_workers(program, 1)
     }
 
     /// Backend sharding each batch across `workers` threads (clamped to at
-    /// least 1), with the default kernel.
+    /// least 1).
     pub fn with_workers(program: MacroProgram, workers: usize) -> FunctionalBackend {
-        FunctionalBackend::with_kernel(program, workers, FunctionalKernel::default())
-    }
-
-    /// Backend with an explicit kernel choice.
-    pub fn with_kernel(
-        program: MacroProgram,
-        workers: usize,
-        kernel: FunctionalKernel,
-    ) -> FunctionalBackend {
         let batched = program.batched();
         FunctionalBackend {
             program,
             batched,
             workers: workers.max(1),
-            kernel,
         }
     }
 
@@ -95,24 +56,13 @@ impl FunctionalBackend {
         self.workers
     }
 
-    /// The kernel this backend evaluates shards with.
-    pub fn kernel(&self) -> FunctionalKernel {
-        self.kernel
-    }
-
     /// Evaluates one contiguous shard of tokens, converting any panic in
     /// the LUT math into a typed transient error.
     fn eval_shard(&self, shard: &[Token]) -> Result<Vec<Vec<i16>>, BackendError> {
-        let run = || match self.kernel {
-            FunctionalKernel::Scalar => shard
-                .iter()
-                .map(|t| self.program.reference_output(t))
-                .collect(),
-            FunctionalKernel::Portable => self.batched.evaluate_with(shard, LaneKernel::Portable),
-            FunctionalKernel::BitSliced => self.batched.evaluate_with(shard, LaneKernel::BitSliced),
-        };
-        catch_unwind(AssertUnwindSafe(run)).map_err(|payload| BackendError::Transient {
-            reason: format!("functional worker panicked: {}", panic_reason(&payload)),
+        catch_unwind(AssertUnwindSafe(|| self.batched.evaluate(shard))).map_err(|payload| {
+            BackendError::Transient {
+                reason: format!("functional worker panicked: {}", panic_reason(&payload)),
+            }
         })
     }
 }
@@ -253,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_matches_the_scalar_spec_through_the_backend() {
+    fn the_kernel_matches_the_scalar_spec_through_the_backend() {
         let program = MacroProgram::random(4, 3, 31);
         let batch = TokenBatch::random(3, 130, 12);
         let golden: Vec<Vec<i16>> = batch
@@ -261,16 +211,10 @@ mod tests {
             .iter()
             .map(|t| program.reference_output(t))
             .collect();
-        for kernel in [
-            FunctionalKernel::Scalar,
-            FunctionalKernel::Portable,
-            FunctionalKernel::BitSliced,
-        ] {
-            for workers in [1usize, 3] {
-                let mut backend = FunctionalBackend::with_kernel(program.clone(), workers, kernel);
-                let got = backend.run_batch(&batch).unwrap();
-                assert_eq!(got.outputs(), golden, "{kernel:?} with {workers} workers");
-            }
+        for workers in [1usize, 3] {
+            let mut backend = FunctionalBackend::with_workers(program.clone(), workers);
+            let got = backend.run_batch(&batch).unwrap();
+            assert_eq!(got.outputs(), golden, "{workers} workers");
         }
     }
 
@@ -312,27 +256,20 @@ mod tests {
     fn worker_panic_resolves_as_typed_transient_error() {
         // Regression: this used to `.expect` on the join handle, turning
         // any worker panic into a process abort.
-        for kernel in [
-            FunctionalKernel::Scalar,
-            FunctionalKernel::Portable,
-            FunctionalKernel::BitSliced,
-        ] {
-            for workers in [1usize, 4] {
-                let mut backend =
-                    FunctionalBackend::with_kernel(panicking_program(), workers, kernel);
-                let batch = TokenBatch::random(1, 8, 3);
-                let err = backend.run_batch(&batch).unwrap_err();
-                match &err {
-                    BackendError::Transient { reason } => {
-                        assert!(
-                            reason.contains("functional worker panicked"),
-                            "{kernel:?}/{workers}: {reason}"
-                        );
-                    }
-                    other => panic!("{kernel:?}/{workers}: expected Transient, got {other:?}"),
+        for workers in [1usize, 4] {
+            let mut backend = FunctionalBackend::with_workers(panicking_program(), workers);
+            let batch = TokenBatch::random(1, 8, 3);
+            let err = backend.run_batch(&batch).unwrap_err();
+            match &err {
+                BackendError::Transient { reason } => {
+                    assert!(
+                        reason.contains("functional worker panicked"),
+                        "{workers} workers: {reason}"
+                    );
                 }
-                assert!(err.is_transient());
+                other => panic!("{workers} workers: expected Transient, got {other:?}"),
             }
+            assert!(err.is_transient());
         }
     }
 

@@ -25,8 +25,8 @@
 //!
 //! On top sits the [`Session`] builder, which owns batching and aggregate
 //! [`SessionStats`] (tokens/s, total energy, p50/p99 token latency) —
-//! and, for many-client serving, converts into an async [`ServeQueue`]
-//! ([`Session::into_serving`]): submissions from any number of threads
+//! and, for many-client serving, converts into a [`ReplicaPool`]
+//! ([`Session::into_pool`]): submissions from any number of threads
 //! are coalesced into micro-batches under a [`QueuePolicy`] and resolved
 //! through [`BatchTicket`] handles, with typed
 //! [`BackendError::QueueFull`] backpressure:
@@ -69,10 +69,7 @@ pub mod session;
 pub mod sharded;
 
 pub use analytic::AnalyticBackend;
-pub use backend::{
-    validate_program, BackendFactory, BackendKind, CachedKind, Fidelity, LeafKind, MacroBackend,
-    ShardKind,
-};
+pub use backend::{validate_program, BackendFactory, BackendKind, Fidelity, MacroBackend};
 pub use batch::{BatchResult, Token, TokenBatch, TokenObservation};
 pub use cache::{
     CacheConfig, CacheKey, CacheStats, CacheStore, CachedBackend, ProgramFingerprint,
@@ -80,7 +77,7 @@ pub use cache::{
 };
 pub use chaos::{wrap_factory, wrap_recipe, ChaosBackend, ChaosConfig, ChaosState};
 pub use error::{BackendError, QueueLimit};
-pub use functional::{FunctionalBackend, FunctionalKernel};
+pub use functional::FunctionalBackend;
 pub use pipeline::{
     HostStage, MacroStage, PipelineGraph, PipelinePolicy, PipelineReply, PipelineSpec,
     PipelineTicket, StagePolicy, StageSpec, TicketState,
@@ -89,17 +86,15 @@ pub use plan::ShardPlan;
 pub use pool::{
     Fairness, PoolHealth, RecoveryPolicy, ReplicaFactory, ReplicaPool, ServePolicy, SubmitOptions,
 };
-pub use queue::{BatchTicket, QueuePolicy, QueueReply, ServeQueue};
+pub use queue::{BatchTicket, QueuePolicy, QueueReply};
 pub use rtl::RtlBackend;
 pub use session::{Session, SessionBuilder, SessionStats, StageProfile};
-pub use sharded::{ShardFactory, ShardedBackend};
+pub use sharded::ShardedBackend;
 
 /// Common imports.
 pub mod prelude {
     pub use crate::analytic::AnalyticBackend;
-    pub use crate::backend::{
-        BackendFactory, BackendKind, CachedKind, Fidelity, LeafKind, MacroBackend, ShardKind,
-    };
+    pub use crate::backend::{BackendFactory, BackendKind, Fidelity, MacroBackend};
     pub use crate::batch::{BatchResult, Token, TokenBatch, TokenObservation};
     pub use crate::cache::{
         CacheConfig, CacheKey, CacheStats, CacheStore, CachedBackend, ProgramFingerprint,
@@ -107,7 +102,7 @@ pub mod prelude {
     };
     pub use crate::chaos::{wrap_factory, wrap_recipe, ChaosBackend, ChaosConfig, ChaosState};
     pub use crate::error::{BackendError, QueueLimit};
-    pub use crate::functional::{FunctionalBackend, FunctionalKernel};
+    pub use crate::functional::FunctionalBackend;
     pub use crate::pipeline::{
         HostStage, MacroStage, PipelineGraph, PipelinePolicy, PipelineReply, PipelineSpec,
         PipelineTicket, StagePolicy, StageSpec, TicketState,
@@ -117,7 +112,7 @@ pub mod prelude {
         Fairness, PoolHealth, RecoveryPolicy, ReplicaFactory, ReplicaPool, ServePolicy,
         SubmitOptions,
     };
-    pub use crate::queue::{BatchTicket, QueuePolicy, QueueReply, ServeQueue};
+    pub use crate::queue::{BatchTicket, QueuePolicy, QueueReply};
     pub use crate::rtl::RtlBackend;
     pub use crate::session::{Session, SessionBuilder, SessionStats, StageProfile};
     pub use crate::sharded::ShardedBackend;

@@ -37,12 +37,11 @@
 //!   in-flight ticket resolves with the typed stage error. No ticket is
 //!   ever leaked.
 //!
-//! Tickets are condvar-backed like
-//! [`BatchTicket`](crate::queue::BatchTicket), with one addition: a
-//! [`PipelineTicket::state`] probe reporting *where* the request
-//! currently is ([`TicketState::Queued`]/[`TicketState::Running`] at
-//! stage `k`), so a timed-out wait can say "blocked at stage k" instead
-//! of timing out opaquely.
+//! Tickets are the pool's [`BatchTicket`] at the pipeline's reply type,
+//! with one addition: a [`PipelineTicket::state`] probe reporting *where*
+//! the request currently is ([`TicketState::Queued`] /
+//! [`TicketState::Running`] at stage `k`), so a timed-out wait can say
+//! "blocked at stage k" instead of timing out opaquely.
 //!
 //! ```
 //! use maddpipe_runtime::prelude::*;
@@ -76,7 +75,7 @@ use crate::backend::BackendKind;
 use crate::batch::{BatchResult, TokenBatch};
 use crate::error::{BackendError, QueueLimit};
 use crate::pool::{RecoveryPolicy, ReplicaFactory, ReplicaPool, ServePolicy};
-use crate::queue::QueuePolicy;
+use crate::queue::{BatchTicket, QueuePolicy, TicketCell};
 use crate::session::SessionStats;
 use maddpipe_core::config::MacroConfig;
 use std::collections::VecDeque;
@@ -454,175 +453,17 @@ pub struct PipelineReply {
     pub latency: Duration,
 }
 
-/// The state/result cell a pipeline ticket and the stage threads share.
-struct PipeCell {
-    state: Mutex<PipeCellState>,
-    done: Condvar,
-}
-
-struct PipeCellState {
-    at: TicketState,
-    value: Option<Box<Result<PipelineReply, BackendError>>>,
-}
-
-impl PipeCell {
-    fn new() -> Arc<PipeCell> {
-        Arc::new(PipeCell {
-            state: Mutex::new(PipeCellState {
-                at: TicketState::Queued { stage: 0 },
-                value: None,
-            }),
-            done: Condvar::new(),
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, PipeCellState> {
-        // Poison-robust: a resolution must reach the submitter even
-        // while a stage thread is unwinding.
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Updates the position probe; a no-op once resolved.
-    fn set_position(&self, at: TicketState) {
-        let mut state = self.lock();
-        if state.value.is_none() {
-            state.at = at;
-        }
-    }
-
-    /// Resolves the ticket if still pending (never overwrites an
-    /// earlier resolution); returns whether this call resolved it.
-    /// `on_win` runs under the cell lock, *before* any waiter can
-    /// observe the resolution — so bookkeeping tied to it (the graph's
-    /// in-flight count) is already settled when a wait returns.
-    fn resolve(&self, value: Result<PipelineReply, BackendError>, on_win: impl FnOnce()) -> bool {
-        let mut state = self.lock();
-        if state.value.is_some() {
-            return false;
-        }
-        state.at = TicketState::Done;
-        state.value = Some(Box::new(value));
-        on_win();
-        self.done.notify_all();
-        true
-    }
-}
-
 /// A future-like handle to one submitted pipeline request. Resolves
 /// exactly once — with the final output, or with a typed
-/// [`BackendError::Stage`] naming where in the dataflow it failed.
-#[must_use = "a submission resolves only through wait()/poll(); dropping the ticket discards the result"]
-pub struct PipelineTicket {
-    cell: Arc<PipeCell>,
-}
-
-impl PipelineTicket {
-    /// Where the request currently is — queued at / running in stage
-    /// `k`, or done. The probe a timed-out wait uses to report "blocked
-    /// at stage k".
-    pub fn state(&self) -> TicketState {
-        self.cell.lock().at
-    }
-
-    /// Whether the result is ready (a subsequent
-    /// [`wait`](PipelineTicket::wait) will not block).
-    pub fn is_ready(&self) -> bool {
-        self.cell.lock().value.is_some()
-    }
-
-    /// Claims the result if ready; hands the ticket back otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(self)` while the request is still in flight.
-    pub fn poll(self) -> Result<Result<PipelineReply, BackendError>, PipelineTicket> {
-        {
-            let mut state = self.cell.lock();
-            if let Some(value) = state.value.take() {
-                return Ok(*value);
-            }
-        }
-        Err(self)
-    }
-
-    /// Blocks until the request resolves.
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`BackendError`] the pipeline resolved the
-    /// request with — a [`BackendError::Stage`] naming the failing
-    /// stage, when a stage failed it.
-    pub fn wait(self) -> Result<PipelineReply, BackendError> {
-        let mut state = self.cell.lock();
-        loop {
-            if let Some(value) = state.value.take() {
-                return *value;
-            }
-            state = self
-                .cell
-                .done
-                .wait(state)
-                .unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Blocks up to `timeout` for the request to resolve; hands the
-    /// ticket back on deadline so the caller can probe
-    /// [`state`](PipelineTicket::state) ("blocked at stage k") and keep
-    /// waiting.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(self)` when the deadline passed with the request
-    /// still in flight.
-    pub fn wait_timeout(
-        self,
-        timeout: Duration,
-    ) -> Result<Result<PipelineReply, BackendError>, PipelineTicket> {
-        let deadline = Instant::now().checked_add(timeout);
-        {
-            let mut state = self.cell.lock();
-            loop {
-                if let Some(value) = state.value.take() {
-                    return Ok(*value);
-                }
-                let Some(deadline) = deadline else {
-                    // Unrepresentable deadline: degrade to unbounded wait.
-                    state = self
-                        .cell
-                        .done
-                        .wait(state)
-                        .unwrap_or_else(|p| p.into_inner());
-                    continue;
-                };
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timed_out) = self
-                    .cell
-                    .done
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(|p| p.into_inner());
-                state = guard;
-            }
-        }
-        Err(self)
-    }
-}
-
-impl core::fmt::Debug for PipelineTicket {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("PipelineTicket")
-            .field("state", &self.state())
-            .finish()
-    }
-}
+/// [`BackendError::Stage`] naming where in the dataflow it failed — and
+/// reports where the request currently is through
+/// [`state`](PipelineTicket::state).
+pub type PipelineTicket = BatchTicket<PipelineReply>;
 
 /// One request travelling the graph.
 struct PipeItem {
     payload: Vec<f32>,
-    cell: Arc<PipeCell>,
+    cell: Arc<TicketCell<PipelineReply>>,
     /// When the graph accepted the request (end-to-end latency origin).
     submitted: Instant,
     /// When the item entered its current stage's queue (residence origin).
@@ -808,7 +649,7 @@ impl PipeShared {
     /// count exact — the zero-leak invariant lives here. The decrement
     /// runs under the cell lock, so a submitter whose wait just
     /// returned already sees it reflected in [`PipelineGraph::depth`].
-    fn finish(&self, cell: &PipeCell, value: Result<PipelineReply, BackendError>) {
+    fn finish(&self, cell: &TicketCell<PipelineReply>, value: Result<PipelineReply, BackendError>) {
         cell.resolve(value, || {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
         });
@@ -939,11 +780,11 @@ fn macro_loop(
     decode: DecodeFn,
     window: usize,
 ) {
-    let mut in_flight: VecDeque<(PipeItem, crate::queue::BatchTicket)> = VecDeque::new();
+    let mut in_flight: VecDeque<(PipeItem, BatchTicket)> = VecDeque::new();
     let mut input_open = true;
     // Fails the graph and resolves everything this stage still holds.
     let stage_death = |ctx: &StageCtx,
-                       in_flight: &mut VecDeque<(PipeItem, crate::queue::BatchTicket)>,
+                       in_flight: &mut VecDeque<(PipeItem, BatchTicket)>,
                        item: Option<PipeItem>| {
         let error = ctx.stage_err(BackendError::QueueClosed);
         ctx.shared.fail(&error);
@@ -1153,7 +994,7 @@ impl PipelineGraph {
         if let Some(error) = self.shared.failure() {
             return Err(error);
         }
-        let cell = PipeCell::new();
+        let cell = TicketCell::new();
         let now = Instant::now();
         let item = PipeItem {
             payload: input,
@@ -1167,7 +1008,7 @@ impl PipelineGraph {
             Ok(()) => {
                 let depth = self.shared.in_flight.load(Ordering::SeqCst) as u64;
                 self.shared.stats().record_queue_depth(depth);
-                Ok(PipelineTicket { cell })
+                Ok(PipelineTicket::from_cell(cell))
             }
             Err(e) => {
                 self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);

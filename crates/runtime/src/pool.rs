@@ -1,9 +1,9 @@
 //! Replica-pool serving: N backend replicas behind one scheduler.
 //!
-//! A [`ServeQueue`](crate::queue::ServeQueue) keeps one dispatcher
-//! feeding one backend, which makes host-side queueing the bottleneck
-//! long before the macro is. A [`ReplicaPool`] generalises it: *N*
-//! replicas, each built on its own thread from a
+//! One dispatcher feeding one backend makes host-side queueing the
+//! bottleneck long before the macro is. A [`ReplicaPool`] serves *N*
+//! replicas instead (a single-backend queue is the one-replica case),
+//! each built on its own thread from a
 //! [`BackendFactory`] (so non-`Send` netlists replicate exactly like
 //! they serve), all pulling from one shared submission queue. This is
 //! the data-parallel axis, complementary to the
@@ -104,10 +104,9 @@ pub type ReplicaFactory =
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fairness {
     /// Strict arrival order: requests are packed front-to-back, never
-    /// reordered — identical to the single
-    /// [`ServeQueue`](crate::queue::ServeQueue) discipline. (A request
-    /// backing off after a transient failure holds only its own
-    /// client's later requests; other clients keep flowing.)
+    /// reordered. (A request backing off after a transient failure
+    /// holds only its own client's later requests; other clients keep
+    /// flowing.)
     #[default]
     Fifo,
     /// Round-robin across submitter keys: micro-batches are filled by
@@ -229,8 +228,8 @@ pub struct ServePolicy {
 
 impl Default for ServePolicy {
     /// One replica, the default [`QueuePolicy`], FIFO fairness and the
-    /// default [`RecoveryPolicy`] — the behaviour of a plain
-    /// [`ServeQueue`](crate::queue::ServeQueue), plus retries.
+    /// default [`RecoveryPolicy`] — a plain single-backend queue, plus
+    /// retries.
     fn default() -> ServePolicy {
         ServePolicy {
             replicas: 1,
@@ -318,7 +317,7 @@ impl SubmitOptions {
 /// One accepted submission waiting for a replica.
 struct PendingRequest {
     batch: TokenBatch,
-    ticket: Arc<TicketCell>,
+    ticket: Arc<TicketCell<QueueReply>>,
     submitted: Instant,
     /// Fairness key ([`SubmitOptions::client`]).
     client: u64,
@@ -668,9 +667,10 @@ impl ReplicaPool {
     }
 
     /// A snapshot of the aggregate statistics so far: everything a
-    /// [`ServeQueue`](crate::queue::ServeQueue) measures, plus
-    /// per-replica dispatch counts, busy time against the pool's
-    /// uptime, and the [`PoolHealth`] degradation picture.
+    /// direct [`Session`](crate::session::Session) measures, plus
+    /// queue-wait percentiles, coalesced micro-batch sizes, the deepest
+    /// backlog observed, per-replica dispatch counts, busy time against
+    /// the pool's uptime, and the [`PoolHealth`] degradation picture.
     pub fn stats(&self) -> SessionStats {
         // Fold in any backlog high-water mark the replicas have not
         // absorbed yet (state lock strictly before stats lock, the
@@ -779,7 +779,7 @@ impl core::fmt::Debug for ReplicaPool {
 struct BatchInFlight<'a> {
     shared: &'a PoolShared,
     unsettled: usize,
-    tickets: Vec<Arc<TicketCell>>,
+    tickets: Vec<Arc<TicketCell<QueueReply>>>,
 }
 
 impl BatchInFlight<'_> {
@@ -813,7 +813,7 @@ impl Drop for BatchInFlight<'_> {
     fn drop(&mut self) {
         self.settle();
         for ticket in self.tickets.drain(..) {
-            ticket.resolve(Err(BackendError::QueueClosed));
+            ticket.resolve(Err(BackendError::QueueClosed), || ());
         }
     }
 }
@@ -842,7 +842,9 @@ fn retire(shared: &PoolShared, quarantine: bool) {
     drop(state);
     shared.work.notify_all();
     for request in abandoned {
-        request.ticket.resolve(Err(BackendError::QueueClosed));
+        request
+            .ticket
+            .resolve(Err(BackendError::QueueClosed), || ());
     }
 }
 
@@ -983,7 +985,7 @@ fn coalesce(
 /// A picked request's bookkeeping while its tokens ride a micro-batch.
 struct Rider {
     len: usize,
-    ticket: Arc<TicketCell>,
+    ticket: Arc<TicketCell<QueueReply>>,
     submitted: Instant,
     client: u64,
     dispatch_by: Option<Instant>,
@@ -1012,7 +1014,7 @@ fn retry_or_fail(
     let now = Instant::now();
     let mut tokens = micro.into_tokens().into_iter();
     let mut requeued: Vec<PendingRequest> = Vec::new();
-    let mut failed: Vec<Arc<TicketCell>> = Vec::new();
+    let mut failed: Vec<Arc<TicketCell<QueueReply>>> = Vec::new();
     let mut failed_tokens = 0usize;
     let mut failed_waits: Vec<Duration> = Vec::new();
     for rider in riders {
@@ -1062,7 +1064,7 @@ fn retry_or_fail(
         stats.record_replica_dispatch(replica, service);
     }
     for ticket in failed {
-        ticket.resolve(Err(error.clone()));
+        ticket.resolve(Err(error.clone()), || ());
     }
     guard.tickets.clear();
 }
@@ -1216,18 +1218,21 @@ fn replica_loop(
                         .map(|o| o.energy)
                         .collect::<Option<Vec<_>>>()
                         .and_then(|es| es.into_iter().reduce(|a, b| a + b));
-                    rider.ticket.resolve(Ok(QueueReply {
-                        result: BatchResult {
-                            backend: result.backend,
-                            tokens: observations,
-                            makespan: result.makespan,
-                            energy,
-                        },
-                        queue_wait: rider.queue_wait,
-                        service,
-                        coalesced_tokens: total,
-                        replica,
-                    }));
+                    rider.ticket.resolve(
+                        Ok(QueueReply {
+                            result: BatchResult {
+                                backend: result.backend,
+                                tokens: observations,
+                                makespan: result.makespan,
+                                energy,
+                            },
+                            queue_wait: rider.queue_wait,
+                            service,
+                            coalesced_tokens: total,
+                            replica,
+                        }),
+                        || (),
+                    );
                 }
                 guard.tickets.clear();
             }
@@ -1250,7 +1255,7 @@ fn replica_loop(
                     stats.record_replica_dispatch(replica, service);
                 }
                 for rider in riders {
-                    rider.ticket.resolve(Err(error.clone()));
+                    rider.ticket.resolve(Err(error.clone()), || ());
                 }
                 guard.tickets.clear();
             }
@@ -1272,7 +1277,7 @@ fn replica_loop(
                     stats.record_replica_dispatch(replica, service);
                 }
                 for rider in riders {
-                    rider.ticket.resolve(Err(error.clone()));
+                    rider.ticket.resolve(Err(error.clone()), || ());
                 }
                 guard.tickets.clear();
             }

@@ -1,59 +1,40 @@
-//! Async serving: a submission queue in front of any
-//! [`MacroBackend`](crate::backend::MacroBackend).
+//! The serving queue's vocabulary: the [`QueuePolicy`] every
+//! [`ReplicaPool`] coalesces and pushes back under, the [`BatchTicket`] a
+//! submission returns, and the [`QueueReply`] it resolves with. The same
+//! ticket, at the pipeline's reply type, is the
+//! [`PipelineTicket`](crate::pipeline::PipelineTicket).
 //!
 //! The paper's macro is self-synchronous and completion-driven — a token
 //! is done when the DLC ripple settles, not when a clock says so — which
 //! makes variable-latency, many-client serving the natural software
-//! analogue. A [`ServeQueue`] is that serving front door: any number of
-//! client threads call [`ServeQueue::submit`] and get back a
-//! [`BatchTicket`] immediately; a dispatcher thread coalesces pending
-//! submissions into micro-batches under a [`QueuePolicy`], runs them on
-//! the backend it owns, and resolves each ticket with that request's own
-//! slice of the results plus its measured queue-wait and service latency.
-//!
-//! Since the replica-pool generalisation, `ServeQueue` is the
-//! one-replica, FIFO specialisation of
-//! [`ReplicaPool`] — same waiting room, same
-//! tickets, one backend. Reach for the pool when you want data-parallel
-//! replicas, per-client fairness or deadline-aware batching.
+//! analogue. The front door is a [`ReplicaPool`]: any number of client
+//! threads call [`ReplicaPool::submit`] and get back a [`BatchTicket`]
+//! immediately; replica threads coalesce pending submissions into
+//! micro-batches under a [`QueuePolicy`], run them on the backends they
+//! own, and resolve each ticket with that request's own slice of the
+//! results plus its measured queue-wait and service latency. A
+//! single-backend queue is simply a one-replica pool.
 //!
 //! Design points, in the order they matter:
 //!
 //! * **No executor.** Tickets are condvar-backed wait/poll handles on
 //!   `std` threads — the workspace has no async runtime and the vendored
 //!   dependency set stays closed.
-//! * **FIFO fairness.** Submissions enter one queue in arrival order and
-//!   are dispatched in that order; a micro-batch never reorders or splits
-//!   a request, so every client's tokens stay contiguous and ordered.
-//! * **Bounded on two axes.** The queue holds at most
+//! * **Bounded on two axes.** The pool holds at most
 //!   [`QueuePolicy::max_depth`] unresolved requests and at most
 //!   [`QueuePolicy::max_pending_tokens`] queued tokens; beyond either,
-//!   [`submit`](ServeQueue::submit) answers with typed
+//!   [`submit`](ReplicaPool::submit) answers with typed
 //!   [`BackendError::QueueFull`] backpressure (naming the bound hit via
 //!   [`QueueLimit`](crate::error::QueueLimit)) instead of buffering
 //!   without limit.
-//! * **Coalescing.** The dispatcher packs whole requests, FIFO, into a
-//!   micro-batch of up to [`QueuePolicy::max_batch`] tokens, lingering up
-//!   to [`QueuePolicy::max_linger`] past the oldest submission to let a
-//!   fuller batch form. A *fatal* backend failure resolves every ticket
-//!   that rode in the failed micro-batch with a clone of the typed
-//!   error; a *transient* one (see [`BackendError::is_transient`]) is
-//!   first retried with backoff under the underlying pool's default
-//!   [`RecoveryPolicy`](crate::pool::RecoveryPolicy), riders intact.
-//! * **Clean shutdown.** [`close`](ServeQueue::close) stops intake while
-//!   the dispatcher drains what was already accepted;
-//!   [`shutdown`](ServeQueue::shutdown) (and `Drop`) additionally joins
-//!   the dispatcher. Accepted tickets always resolve — with results when
-//!   the backend serves them, with [`BackendError::QueueClosed`] if the
-//!   dispatcher dies first. No ticket is ever leaked.
-//!
-//! Like the sharded backend's workers, the dispatcher *builds* its
-//! backend on its own thread (via a [`BackendFactory`]), so non-`Send`
-//! backends — the event-driven netlist — serve behind a queue exactly
-//! like the pure-math ones.
-//! [`Session::into_serving`](crate::session::Session::into_serving) is
-//! the convenient path: it rebuilds the session's `BackendKind` recipe
-//! on the dispatcher and carries the accumulated [`SessionStats`] over.
+//! * **Coalescing.** Whole requests are packed into a micro-batch of up
+//!   to [`QueuePolicy::max_batch`] tokens, lingering up to
+//!   [`QueuePolicy::max_linger`] past the oldest submission to let a
+//!   fuller batch form; a micro-batch never splits a request.
+//! * **Clean shutdown.** [`close`](ReplicaPool::close) stops intake while
+//!   the replicas drain what was already accepted;
+//!   [`shutdown`](ReplicaPool::shutdown) (and `Drop`) additionally joins
+//!   them. Accepted tickets always resolve — no ticket is ever leaked.
 //!
 //! ```
 //! use maddpipe_runtime::prelude::*;
@@ -65,7 +46,7 @@
 //!     .program(program.clone())
 //!     .build()
 //!     .unwrap()
-//!     .into_serving(QueuePolicy::default())
+//!     .into_pool(ServePolicy::default().with_queue(QueuePolicy::default()))
 //!     .unwrap();
 //! std::thread::scope(|s| {
 //!     for client in 0..4u64 {
@@ -87,17 +68,16 @@
 //! assert!(stats.p50_queue_wait().is_some());
 //! ```
 
-use crate::backend::BackendFactory;
-use crate::batch::{BatchResult, TokenBatch};
+use crate::batch::BatchResult;
 use crate::error::BackendError;
-use crate::pool::{ReplicaPool, ServePolicy};
-use crate::session::SessionStats;
-use std::sync::{Arc, Condvar, Mutex};
+use crate::pipeline::{PipelineReply, TicketState};
+#[cfg(doc)]
+use crate::pool::ReplicaPool;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How a serving queue or [`ReplicaPool`]
-/// coalesces submissions into micro-batches and when it pushes back on
-/// clients.
+/// How a [`ReplicaPool`] coalesces submissions into micro-batches and when
+/// it pushes back on clients.
 ///
 /// ```
 /// use maddpipe_runtime::queue::QueuePolicy;
@@ -112,11 +92,11 @@ use std::time::{Duration, Instant};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueuePolicy {
-    /// Most tokens the dispatcher packs into one micro-batch. Whole
+    /// Most tokens a replica packs into one micro-batch. Whole
     /// requests are never split: a single request larger than this runs
     /// alone as an oversized micro-batch.
     pub max_batch: usize,
-    /// How long past the *oldest* pending submission the dispatcher
+    /// How long past the *oldest* pending submission a replica
     /// lingers for more requests before dispatching a partial
     /// micro-batch. `Duration::ZERO` dispatches immediately.
     pub max_linger: Duration,
@@ -185,7 +165,7 @@ pub struct QueueReply {
     /// together); `energy` is the sum over this request's tokens when
     /// every one was measured.
     pub result: BatchResult,
-    /// Host time from submit to a dispatcher picking the request up —
+    /// Host time from submit to a replica picking the request up —
     /// the queueing delay the client paid.
     pub queue_wait: Duration,
     /// Host time the backend spent serving the micro-batch this request
@@ -194,80 +174,109 @@ pub struct QueueReply {
     /// Total tokens in that micro-batch (≥ this request's own count) —
     /// how much coalescing the policy achieved.
     pub coalesced_tokens: usize,
-    /// Which replica served the micro-batch — always 0 behind a plain
-    /// [`ServeQueue`], the replica index behind a
-    /// [`ReplicaPool`].
+    /// Which replica served the micro-batch — always 0 behind a
+    /// one-replica pool.
     pub replica: usize,
 }
 
-/// The state a ticket moves through: submitted → resolved → claimed.
-pub(crate) enum TicketState {
-    /// Still queued or executing.
-    Pending,
-    /// Resolved; the value waits to be claimed by `wait`/`poll`.
-    Ready(Box<Result<QueueReply, BackendError>>),
-    /// The value was handed to the submitter.
-    Claimed,
+struct CellState<T> {
+    /// Where the request is; [`TicketState::Done`] once resolved.
+    at: TicketState,
+    /// The resolution, until a claim takes it.
+    value: Option<Result<T, BackendError>>,
 }
 
-/// The shared cell a ticket and the dispatcher communicate through.
-pub(crate) struct TicketCell {
-    state: Mutex<TicketState>,
+/// The shared cell a ticket and the serving threads communicate through.
+pub(crate) struct TicketCell<T> {
+    state: Mutex<CellState<T>>,
     done: Condvar,
 }
 
-impl TicketCell {
-    pub(crate) fn new() -> Arc<TicketCell> {
+impl<T> TicketCell<T> {
+    /// A pending cell, queued at stage 0.
+    pub(crate) fn new() -> Arc<TicketCell<T>> {
         Arc::new(TicketCell {
-            state: Mutex::new(TicketState::Pending),
+            state: Mutex::new(CellState {
+                at: TicketState::Queued { stage: 0 },
+                value: None,
+            }),
             done: Condvar::new(),
         })
     }
 
-    /// Resolves the ticket if it is still pending (never overwrites an
-    /// earlier resolution). Robust against poisoning: a resolution must
-    /// reach the submitter even while the dispatcher is unwinding.
-    pub(crate) fn resolve(&self, value: Result<QueueReply, BackendError>) {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if matches!(*state, TicketState::Pending) {
-            *state = TicketState::Ready(Box::new(value));
-            self.done.notify_all();
+    fn lock(&self) -> MutexGuard<'_, CellState<T>> {
+        // Poison-robust: a resolution must reach the submitter even
+        // while a serving thread is unwinding.
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Updates the position probe; a no-op once resolved.
+    pub(crate) fn set_position(&self, at: TicketState) {
+        let mut state = self.lock();
+        if state.at != TicketState::Done {
+            state.at = at;
         }
     }
 
-    /// Claims a ready resolution, moving the state to `Claimed`; `None`
-    /// while the ticket is still pending. The single claim step shared
-    /// by `poll`/`wait`/`wait_timeout`.
-    fn try_claim(state: &mut TicketState) -> Option<Result<QueueReply, BackendError>> {
-        if matches!(state, TicketState::Ready(_)) {
-            if let TicketState::Ready(value) = std::mem::replace(state, TicketState::Claimed) {
-                return Some(*value);
-            }
+    /// Resolves the ticket if still pending (the first resolution wins,
+    /// later ones are dropped). `on_win` runs only for the winning
+    /// resolution, under the cell lock, *before* any waiter can observe
+    /// it — so bookkeeping tied to it (a pipeline's in-flight count) is
+    /// already settled when a wait returns.
+    pub(crate) fn resolve(&self, value: Result<T, BackendError>, on_win: impl FnOnce()) {
+        let mut state = self.lock();
+        if state.at != TicketState::Done {
+            state.at = TicketState::Done;
+            state.value = Some(value);
+            on_win();
+            self.done.notify_all();
         }
-        None
     }
 }
 
 /// A future-like handle to one submitted request: poll it or block on it
-/// from the submitting thread; the dispatcher resolves it exactly once.
+/// from the submitting thread; the serving threads resolve it exactly
+/// once, with a `T` — a [`QueueReply`] for pool submissions, a
+/// [`PipelineReply`] for [`PipelineTicket`](crate::pipeline::PipelineTicket)s.
 #[must_use = "a submission resolves only through wait()/poll(); dropping the ticket discards the result"]
-pub struct BatchTicket {
-    cell: Arc<TicketCell>,
+pub struct BatchTicket<T = QueueReply> {
+    cell: Arc<TicketCell<T>>,
 }
 
-impl BatchTicket {
-    /// Wraps a freshly armed cell (the pool's submit path).
-    pub(crate) fn from_cell(cell: Arc<TicketCell>) -> BatchTicket {
+impl<T> BatchTicket<T> {
+    /// Wraps a freshly armed cell (the submit paths).
+    pub(crate) fn from_cell(cell: Arc<TicketCell<T>>) -> BatchTicket<T> {
         BatchTicket { cell }
     }
 
     /// Whether the request has been resolved (successfully or not) —
     /// `wait` will not block once this returns `true`.
     pub fn is_ready(&self) -> bool {
-        !matches!(
-            *self.cell.state.lock().expect("ticket lock"),
-            TicketState::Pending
-        )
+        self.cell.lock().at == TicketState::Done
+    }
+
+    /// Takes the resolution, blocking until `deadline` (forever when
+    /// `None`); `None` when the deadline passes first.
+    fn claim(&self, deadline: Option<Instant>) -> Option<Result<T, BackendError>> {
+        let mut state = self.cell.lock();
+        loop {
+            if let Some(value) = state.value.take() {
+                return Some(value);
+            }
+            let done = &self.cell.done;
+            state = match deadline {
+                None => done.wait(state).unwrap_or_else(|p| p.into_inner()),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    done.wait_timeout(state, left)
+                        .unwrap_or_else(|p| p.into_inner())
+                        .0
+                }
+            };
+        }
     }
 
     /// Non-blocking claim: the resolution if the request is done, the
@@ -276,191 +285,53 @@ impl BatchTicket {
     /// # Errors
     ///
     /// Returns `Err(self)` while the request is unresolved.
-    pub fn poll(self) -> Result<Result<QueueReply, BackendError>, BatchTicket> {
-        {
-            let mut state = self.cell.state.lock().expect("ticket lock");
-            if let Some(value) = TicketCell::try_claim(&mut state) {
-                return Ok(value);
-            }
-        }
-        Err(self)
+    pub fn poll(self) -> Result<Result<T, BackendError>, BatchTicket<T>> {
+        self.claim(Some(Instant::now())).ok_or(self)
     }
 
-    /// Blocks until the dispatcher resolves the request.
+    /// Blocks until the request resolves.
     ///
     /// # Errors
     ///
-    /// Propagates the backend's typed error for the micro-batch this
-    /// request rode in, or [`BackendError::QueueClosed`] when the queue
-    /// shut down before the request could be served.
-    pub fn wait(self) -> Result<QueueReply, BackendError> {
-        let mut state = self.cell.state.lock().expect("ticket lock");
-        loop {
-            if let Some(value) = TicketCell::try_claim(&mut state) {
-                return value;
-            }
-            state = self.cell.done.wait(state).expect("ticket lock");
-        }
+    /// Returns the typed [`BackendError`] the request was resolved with:
+    /// the backend's error for the micro-batch it rode in, a
+    /// [`BackendError::Stage`] naming the pipeline stage that failed it,
+    /// or [`BackendError::QueueClosed`] when the deployment shut down
+    /// before the request could be served.
+    pub fn wait(self) -> Result<T, BackendError> {
+        self.claim(None)
+            .expect("a wait without a deadline returns only once resolved")
     }
 
     /// [`wait`](BatchTicket::wait) with a deadline: the resolution if it
     /// arrives within `timeout`, otherwise the ticket back. A `timeout`
     /// too large to represent as a deadline (e.g. [`Duration::MAX`])
-    /// degrades to an unbounded [`wait`](BatchTicket::wait).
+    /// degrades to an unbounded wait.
     ///
     /// # Errors
     ///
     /// Returns `Err(self)` when the timeout elapses first.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<QueueReply, BackendError>, Self> {
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Ok(self.wait());
-        };
-        {
-            let mut state = self.cell.state.lock().expect("ticket lock");
-            loop {
-                if let Some(value) = TicketCell::try_claim(&mut state) {
-                    return Ok(value);
-                }
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                let (s, _) = self
-                    .cell
-                    .done
-                    .wait_timeout(state, left)
-                    .expect("ticket lock");
-                state = s;
-            }
-        }
-        Err(self)
+    pub fn wait_timeout(
+        self,
+        timeout: Duration,
+    ) -> Result<Result<T, BackendError>, BatchTicket<T>> {
+        self.claim(Instant::now().checked_add(timeout)).ok_or(self)
     }
 }
 
-impl core::fmt::Debug for BatchTicket {
+impl BatchTicket<PipelineReply> {
+    /// Where the request currently is — queued at / running in stage
+    /// `k`, or done. The probe a timed-out wait uses to report "blocked
+    /// at stage k".
+    pub fn state(&self) -> TicketState {
+        self.cell.lock().at
+    }
+}
+
+impl<T> core::fmt::Debug for BatchTicket<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("BatchTicket")
             .field("ready", &self.is_ready())
             .finish()
-    }
-}
-
-/// An async submission queue serving one backend to many client threads.
-///
-/// Submissions are accepted from any thread through `&self`; one
-/// dispatcher thread owns the backend and works through the queue in
-/// FIFO order, coalescing requests into micro-batches per the
-/// [`QueuePolicy`]. Internally this is a one-replica FIFO
-/// [`ReplicaPool`]; see the
-/// [module docs](crate::queue) for the full contract and an end-to-end
-/// example.
-pub struct ServeQueue {
-    pool: ReplicaPool,
-}
-
-impl ServeQueue {
-    /// Spawns the dispatcher thread, builds the backend *on* it via
-    /// `factory` (so non-`Send` backends serve like any other), and
-    /// opens the queue. `ns` is the pipeline-stage count submissions are
-    /// checked against at `submit` time, so one malformed request is
-    /// rejected at its own call site instead of poisoning a coalesced
-    /// micro-batch.
-    ///
-    /// The queue runs the default
-    /// [`RecoveryPolicy`](crate::pool::RecoveryPolicy): transiently
-    /// failed micro-batches are retried with backoff before any ticket
-    /// sees the error. Being factory-built (one-shot, possibly
-    /// non-`Send`), the single replica cannot be respawned — a panic
-    /// retires it and closes the queue. Use
-    /// [`ReplicaPool::from_recipes`](crate::pool::ReplicaPool::from_recipes)
-    /// when crash-respawn matters.
-    ///
-    /// # Errors
-    ///
-    /// Returns the factory's own [`BackendError`] when the backend fails
-    /// to construct, and [`BackendError::QueueClosed`] when the
-    /// dispatcher dies before reporting readiness.
-    pub fn from_factory(
-        policy: QueuePolicy,
-        ns: usize,
-        factory: BackendFactory,
-    ) -> Result<ServeQueue, BackendError> {
-        let pool = ReplicaPool::from_factories(
-            ServePolicy::default().with_queue(policy),
-            ns,
-            vec![factory],
-        )?;
-        Ok(ServeQueue { pool })
-    }
-
-    /// Submits one request; returns immediately with a ticket the caller
-    /// can poll or block on. Requests are served in submission order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::ShapeMismatch`] for tokens that do not
-    /// match the backend's stage count (checked here, so a bad request
-    /// cannot fail a coalesced micro-batch for everyone else),
-    /// [`BackendError::QueueFull`] when [`QueuePolicy::max_depth`]
-    /// requests are already unresolved or accepting the batch would
-    /// exceed [`QueuePolicy::max_pending_tokens`] queued tokens, and
-    /// [`BackendError::QueueClosed`]
-    /// after [`close`](ServeQueue::close)/[`shutdown`](ServeQueue::shutdown).
-    pub fn submit(&self, batch: TokenBatch) -> Result<BatchTicket, BackendError> {
-        self.pool.submit(batch)
-    }
-
-    /// Requests accepted but not yet resolved, right now.
-    pub fn depth(&self) -> usize {
-        self.pool.depth()
-    }
-
-    /// The coalescing/backpressure policy this queue runs.
-    pub fn policy(&self) -> &QueuePolicy {
-        &self.pool.policy().queue
-    }
-
-    /// Pipeline stages every submission must provide per token.
-    pub fn ns(&self) -> usize {
-        self.pool.ns()
-    }
-
-    /// A snapshot of the aggregate statistics so far: everything a
-    /// direct [`Session`](crate::session::Session) measures, plus
-    /// queue-wait percentiles, coalesced micro-batch sizes and the
-    /// deepest backlog observed.
-    pub fn stats(&self) -> SessionStats {
-        self.pool.stats()
-    }
-
-    /// Stops accepting submissions (they answer
-    /// [`BackendError::QueueClosed`]) while the dispatcher drains every
-    /// request already accepted. Does not block; pair with
-    /// [`shutdown`](ServeQueue::shutdown) or ticket waits to observe the
-    /// drain finishing.
-    pub fn close(&self) {
-        self.pool.close();
-    }
-
-    /// Closes the queue, waits for the dispatcher to drain and resolve
-    /// every accepted ticket, and returns the final statistics.
-    pub fn shutdown(self) -> SessionStats {
-        self.pool.shutdown()
-    }
-
-    /// Seeds the statistics (used by [`Session::into_serving`] to carry
-    /// a session's already-accumulated measurements into the queue).
-    pub(crate) fn seed_stats(&self, stats: SessionStats) {
-        self.pool.seed_stats(stats);
-    }
-}
-
-impl core::fmt::Debug for ServeQueue {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ServeQueue")
-            .field("policy", self.policy())
-            .field("ns", &self.ns())
-            .field("depth", &self.depth())
-            .finish_non_exhaustive()
     }
 }

@@ -9,12 +9,11 @@
 //! accumulate identically whatever executes the batches, and swapping
 //! [`BackendKind`]s never changes a single output bit.
 
-use crate::backend::{validate_program, BackendFactory, BackendKind, MacroBackend};
+use crate::backend::{validate_program, BackendKind, MacroBackend};
 use crate::batch::{BatchResult, TokenBatch};
 use crate::cache::CacheStats;
 use crate::error::BackendError;
 use crate::pool::{PoolHealth, ReplicaFactory, ReplicaPool, ServePolicy};
-use crate::queue::{QueuePolicy, ServeQueue};
 use core::fmt;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
@@ -61,41 +60,17 @@ impl SessionBuilder {
         Ok(Session {
             cfg: self.cfg,
             backend,
-            // The recipe lets `into_serving` rebuild this exact backend
-            // on the queue's dispatcher thread (netlists are not `Send`).
+            // The recipe lets `into_pool` rebuild this exact backend on
+            // each replica thread (netlists are not `Send`).
             recipe: Some((program, self.kind)),
             stats: SessionStats::default(),
         })
     }
 
-    /// Builds straight into an async [`ServeQueue`]: the program is
-    /// validated here (fail fast, on the caller's thread) and the
-    /// `(program, kind)` recipe goes directly to the queue's dispatcher,
-    /// which constructs the one backend that will actually serve.
-    /// Prefer this over `build()?.into_serving(policy)` when the session
-    /// is only ever used through the queue — it skips building (and
-    /// discarding) a caller-side backend, which for RTL kinds is a full
-    /// netlist elaboration.
-    ///
-    /// # Errors
-    ///
-    /// As [`SessionBuilder::build`], plus the queue's own construction
-    /// failures ([`BackendError::QueueClosed`] when the dispatcher dies
-    /// before reporting ready).
-    pub fn into_serving(self, policy: QueuePolicy) -> Result<ServeQueue, BackendError> {
-        let program = self.program.ok_or(BackendError::MissingProgram)?;
-        validate_program(&self.cfg, &program)?;
-        let cfg = self.cfg;
-        let ns = cfg.ns;
-        let kind = self.kind;
-        let factory: BackendFactory = Box::new(move || kind.build(&cfg, program));
-        ServeQueue::from_factory(policy, ns, factory)
-    }
-
     /// Builds straight into a [`ReplicaPool`]: the program is validated
     /// here (fail fast, on the caller's thread) and the `(program,
-    /// kind)` recipe is cloned into [`ServePolicy::replicas`] rebuildable
-    /// recipes, each constructing its backend on its own replica thread.
+    /// kind)` recipe is shared by [`ServePolicy::replicas`] replicas,
+    /// each constructing its backend on its own replica thread.
     /// Because the recipe stays callable, the pool can respawn a replica
     /// whose backend panicked, up to the
     /// [`RecoveryPolicy`](crate::pool::RecoveryPolicy) restart budget.
@@ -110,19 +85,25 @@ impl SessionBuilder {
     pub fn into_pool(self, policy: ServePolicy) -> Result<ReplicaPool, BackendError> {
         let program = self.program.ok_or(BackendError::MissingProgram)?;
         validate_program(&self.cfg, &program)?;
-        let cfg = self.cfg;
-        let ns = cfg.ns;
-        let kind = self.kind;
-        let recipes = (0..policy.replicas.max(1))
-            .map(|_| {
-                let cfg = cfg.clone();
-                let program = program.clone();
-                let recipe: ReplicaFactory = Arc::new(move || kind.build(&cfg, program.clone()));
-                recipe
-            })
-            .collect();
-        ReplicaPool::from_recipes(policy, ns, recipes)
+        deploy(self.cfg, program, self.kind, policy)
     }
+}
+
+/// Deploys a `(program, kind)` recipe as a [`ReplicaPool`] of
+/// [`ServePolicy::replicas`] replicas, each building its backend from the
+/// recipe on its own thread.
+fn deploy(
+    cfg: MacroConfig,
+    program: MacroProgram,
+    kind: BackendKind,
+    policy: ServePolicy,
+) -> Result<ReplicaPool, BackendError> {
+    let ns = cfg.ns;
+    let recipe: ReplicaFactory = Arc::new(move || kind.build(&cfg, program.clone()));
+    let recipes = (0..policy.replicas.max(1))
+        .map(|_| Arc::clone(&recipe))
+        .collect();
+    ReplicaPool::from_recipes(policy, ns, recipes)
 }
 
 /// A long-lived inference session: owns one programmed backend, accepts
@@ -149,7 +130,7 @@ pub struct Session {
     cfg: MacroConfig,
     backend: Box<dyn MacroBackend>,
     /// `(program, kind)` when built through the builder — what
-    /// [`Session::into_serving`] rebuilds on the dispatcher thread.
+    /// [`Session::into_pool`] rebuilds on every replica thread.
     /// `None` for [`Session::from_backend`] sessions.
     recipe: Option<(MacroProgram, BackendKind)>,
     stats: SessionStats,
@@ -176,34 +157,6 @@ impl Session {
         }
     }
 
-    /// Converts this session into an async [`ServeQueue`] so many client
-    /// threads can share the backend: the session's `(program, backend
-    /// kind)` recipe is rebuilt on the queue's dispatcher thread (which
-    /// is what lets non-`Send` backends, i.e. netlists, serve), and the
-    /// statistics accumulated so far carry over and keep growing as the
-    /// queue serves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::QueueUnavailable`] for sessions made with
-    /// [`Session::from_backend`] — a caller-constructed backend cannot
-    /// be rebuilt on another thread; hand a factory to
-    /// [`ServeQueue::from_factory`] instead. Construction failures of
-    /// the rebuilt backend propagate as that backend's own errors.
-    pub fn into_serving(self, policy: QueuePolicy) -> Result<ServeQueue, BackendError> {
-        let (program, kind) = self.recipe.ok_or_else(|| BackendError::QueueUnavailable {
-            reason: "session was built from a caller-constructed backend; \
-                     use ServeQueue::from_factory"
-                .into(),
-        })?;
-        let cfg = self.cfg;
-        let ns = cfg.ns;
-        let factory: BackendFactory = Box::new(move || kind.build(&cfg, program));
-        let queue = ServeQueue::from_factory(policy, ns, factory)?;
-        queue.seed_stats(self.stats);
-        Ok(queue)
-    }
-
     /// Converts this session into a [`ReplicaPool`] of
     /// [`ServePolicy::replicas`] backends, each rebuilt from the
     /// session's `(program, backend kind)` recipe on its own replica
@@ -226,17 +179,7 @@ impl Session {
                      use ReplicaPool::from_factories"
                 .into(),
         })?;
-        let cfg = self.cfg;
-        let ns = cfg.ns;
-        let recipes = (0..policy.replicas.max(1))
-            .map(|_| {
-                let cfg = cfg.clone();
-                let program = program.clone();
-                let recipe: ReplicaFactory = Arc::new(move || kind.build(&cfg, program.clone()));
-                recipe
-            })
-            .collect();
-        let pool = ReplicaPool::from_recipes(policy, ns, recipes)?;
+        let pool = deploy(self.cfg, program, kind, policy)?;
         pool.seed_stats(self.stats);
         Ok(pool)
     }
@@ -296,7 +239,7 @@ impl fmt::Debug for Session {
 }
 
 /// Aggregate measurements across every batch a [`Session`] has run —
-/// and, when the session serves through a [`ServeQueue`], across every
+/// and, when the session serves through a [`ReplicaPool`], across every
 /// dispatched micro-batch: queue-wait percentiles, coalesced micro-batch
 /// sizes and the deepest backlog observed.
 #[derive(Debug, Clone, Default)]
@@ -314,11 +257,11 @@ pub struct SessionStats {
     queue_waits: SampleSet,
     /// Requests resolved through a serving queue.
     queued_requests: u64,
-    /// Micro-batches the queue's dispatcher ran.
+    /// Micro-batches the pool's replicas ran.
     queued_batches: u64,
     /// Tokens that travelled through those micro-batches.
     queued_tokens: u64,
-    /// Largest micro-batch (in tokens) the dispatcher coalesced.
+    /// Largest micro-batch (in tokens) a replica coalesced.
     max_coalesced: u64,
     /// Deepest backlog (unresolved requests) observed at submit time.
     max_queue_depth: u64,
@@ -342,7 +285,7 @@ pub struct SessionStats {
     /// How long the pipeline has been open — the occupancy denominator.
     pipeline_uptime: Duration,
     /// Result-cache counters carried over from stores that no longer
-    /// exist (a session converted into a pool/queue) — history only,
+    /// exist (a session converted into a pool) — history only,
     /// residency gauges zeroed.
     cache_baseline: CacheStats,
     /// Latest cumulative cache snapshot per live source (replica index
@@ -589,7 +532,7 @@ impl SessionStats {
 
     /// Retires the live cache slots into the baseline — called when the
     /// stores that produced them are going away (a session converting
-    /// into a pool or queue rebuilds its backend from the recipe): the
+    /// into a pool rebuilds its backend from the recipe): the
     /// event counters are history worth carrying, but the residency
     /// gauges die with the stores.
     pub(crate) fn rebase_cache(&mut self) {
@@ -666,7 +609,7 @@ impl SessionStats {
         self.queued_requests
     }
 
-    /// Micro-batches a serving queue's dispatcher has run so far.
+    /// Micro-batches a pool's replicas have run so far.
     pub fn queued_batches(&self) -> u64 {
         self.queued_batches
     }
@@ -681,7 +624,7 @@ impl SessionStats {
         }
     }
 
-    /// Largest micro-batch (in tokens) the dispatcher coalesced.
+    /// Largest micro-batch (in tokens) a replica coalesced.
     pub fn max_coalesced_batch(&self) -> u64 {
         self.max_coalesced
     }
@@ -707,7 +650,7 @@ impl SessionStats {
     }
 
     /// Micro-batches dispatched per replica, indexed by replica. Empty
-    /// unless the stats came from a replica pool (a plain serving queue
+    /// unless the stats came from a replica pool (a one-replica pool
     /// is a one-replica pool, so it reports one entry).
     pub fn replica_dispatches(&self) -> &[u64] {
         &self.replica_dispatches
@@ -856,9 +799,9 @@ impl SessionStats {
 /// A bounded measurement sample: exact below [`SampleSet::CAP`] values,
 /// a uniform reservoir (Algorithm R on a deterministic splitmix64
 /// stream) beyond it — so percentiles of an arbitrarily long-lived
-/// session or serving queue stay statistically sound while memory and
+/// session or replica pool stay statistically sound while memory and
 /// per-sample cost stay O(CAP). Pushing is O(1); sorting happens at
-/// query time, keeping the dispatcher's absorb path cheap.
+/// query time, keeping the replicas' absorb path cheap.
 #[derive(Debug, Clone, Default)]
 struct SampleSet {
     samples: Vec<f64>,
@@ -869,7 +812,12 @@ impl SampleSet {
     /// 64Ki samples ≈ 512 KiB — enough for a stable p99 estimate.
     const CAP: usize = 1 << 16;
 
+    /// Records one sample. Non-finite values (a custom backend reporting
+    /// a NaN latency) are dropped: they have no rank.
     fn push(&mut self, value: f64) {
+        if !value.is_finite() {
+            return;
+        }
         self.seen += 1;
         if self.samples.len() < SampleSet::CAP {
             self.samples.push(value);
@@ -892,15 +840,16 @@ impl SampleSet {
             return None;
         }
         let mut sorted = self.samples.clone();
-        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+        sorted.sort_unstable_by(f64::total_cmp);
         let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
         Some(sorted[rank.clamp(1, sorted.len()) - 1])
     }
 }
 
 /// SplitMix64: a well-mixed 64-bit hash, here turning the monotone
-/// arrival index into the reservoir's deterministic random stream.
-fn splitmix64(mut x: u64) -> u64 {
+/// arrival index into the reservoir's deterministic random stream (and,
+/// in [`crate::chaos`], a seed and call index into a fault draw).
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -979,6 +928,7 @@ impl fmt::Display for SessionStats {
 mod tests {
     use super::*;
     use crate::backend::Fidelity;
+    use crate::queue::QueuePolicy;
 
     #[test]
     fn builder_requires_a_program() {
@@ -1039,14 +989,13 @@ mod tests {
 
     #[test]
     fn sharded_sessions_are_first_class() {
-        use crate::backend::ShardKind;
         let cfg = MacroConfig::new(6, 2);
         let program = MacroProgram::random(6, 2, 13);
         let mut s = Session::builder(cfg)
             .program(program.clone())
             .backend(BackendKind::Sharded {
                 shards: 3,
-                inner: ShardKind::Analytic,
+                inner: Box::new(BackendKind::Analytic),
             })
             .build()
             .unwrap();
@@ -1070,7 +1019,7 @@ mod tests {
         let program = MacroProgram::random(2, 2, 3);
         let queue = Session::builder(cfg)
             .program(program.clone())
-            .into_serving(QueuePolicy::default())
+            .into_pool(ServePolicy::default())
             .unwrap();
         let batch = TokenBatch::random(2, 2, 1);
         let reply = queue.submit(batch.clone()).unwrap().wait().unwrap();
@@ -1082,13 +1031,13 @@ mod tests {
         // The direct path fails as fast as build() on bad input.
         assert_eq!(
             Session::builder(MacroConfig::new(1, 1))
-                .into_serving(QueuePolicy::default())
+                .into_pool(ServePolicy::default())
                 .unwrap_err(),
             BackendError::MissingProgram
         );
         let mismatch = Session::builder(MacroConfig::new(2, 2))
             .program(MacroProgram::random(2, 3, 0))
-            .into_serving(QueuePolicy::default())
+            .into_pool(ServePolicy::default())
             .unwrap_err();
         assert!(matches!(mismatch, BackendError::ProgramMismatch { .. }));
     }
@@ -1166,6 +1115,27 @@ mod tests {
             assert_eq!(stats.percentile(p), Some(Seconds(4.25)), "p{p}");
         }
         assert_eq!(stats.p50_token_latency(), stats.p99_token_latency());
+    }
+
+    #[test]
+    fn a_nan_latency_is_dropped_instead_of_panicking_the_stats() {
+        // A custom backend may report any `Seconds`, NaN included.
+        struct NanLatency;
+        impl MacroBackend for NanLatency {
+            fn name(&self) -> &'static str {
+                "nan-latency"
+            }
+            fn run_batch(&mut self, _batch: &TokenBatch) -> Result<BatchResult, BackendError> {
+                Ok(result_with_latencies(&[1.0, f64::NAN, 3.0]))
+            }
+        }
+        let mut s = Session::from_backend(MacroConfig::new(1, 1), Box::new(NanLatency));
+        s.run(&TokenBatch::random(1, 3, 1)).unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.tokens(), 3);
+        assert_eq!(stats.p50_token_latency(), Some(Seconds(1.0)));
+        assert_eq!(stats.p99_token_latency(), Some(Seconds(3.0)));
+        assert!(stats.to_string().contains("p99"));
     }
 
     #[test]
@@ -1348,7 +1318,7 @@ mod tests {
             .program(program)
             .backend(BackendKind::Cached {
                 cache: crate::cache::CacheConfig::default(),
-                inner: crate::backend::CachedKind::Functional { workers: 1 },
+                inner: Box::new(BackendKind::Functional { workers: 1 }),
             })
             .build()
             .unwrap();
@@ -1380,9 +1350,9 @@ mod tests {
             .program(program.clone())
             .backend(BackendKind::Cached {
                 cache: crate::cache::CacheConfig::default(),
-                inner: crate::backend::CachedKind::Rtl {
+                inner: Box::new(BackendKind::Rtl {
                     fidelity: Fidelity::Sequential,
-                },
+                }),
             })
             .build()
             .unwrap();
@@ -1411,7 +1381,7 @@ mod tests {
         assert!(after.p50_token_latency().is_some());
     }
 
-    /// As above for `Session::into_serving` (the one-replica queue).
+    /// As above for a one-replica pool with an explicit queue policy.
     #[test]
     fn reservoirs_and_cache_counters_survive_into_serving_carry_over() {
         let cfg = MacroConfig::new(2, 2);
@@ -1420,9 +1390,9 @@ mod tests {
             .program(program)
             .backend(BackendKind::Cached {
                 cache: crate::cache::CacheConfig::default(),
-                inner: crate::backend::CachedKind::Rtl {
+                inner: Box::new(BackendKind::Rtl {
                     fidelity: Fidelity::Sequential,
-                },
+                }),
             })
             .build()
             .unwrap();
@@ -1433,7 +1403,9 @@ mod tests {
         let hits_before = s.stats().cache_hits();
         let misses_before = s.stats().cache_misses();
 
-        let queue = s.into_serving(QueuePolicy::default()).unwrap();
+        let queue = s
+            .into_pool(ServePolicy::default().with_queue(QueuePolicy::default()))
+            .unwrap();
         queue.submit(batch.clone()).unwrap().wait().unwrap();
         queue.submit(batch).unwrap().wait().unwrap();
         let after = queue.shutdown();

@@ -5,13 +5,14 @@
 //! ([`ConvMapping`](maddpipe_core::mapping::ConvMapping)). The
 //! [`ShardedBackend`] turns those serial passes into parallel macros: a
 //! [`ShardPlan`] slices the program's decoder chains into contiguous
-//! ranges, one long-lived worker thread per shard builds and owns its own
-//! inner [`MacroBackend`] (any mix of functional / RTL / analytic), every
-//! [`TokenBatch`] fans out to all shards, and per-token outputs are
-//! reassembled in plan order — bit-identical to the single wide macro,
-//! with latency aggregated as the max over shards and energy as the sum
-//! when *every* shard measured (an unmeasured shard in a mixed set makes
-//! the aggregate `None` — a partial sum is not a total).
+//! ranges, one long-lived worker thread per shard builds and owns the
+//! [`MacroBackend`] of its own [`BackendKind`] recipe (any mix, nested
+//! recipes included), every [`TokenBatch`] fans out to all shards, and
+//! per-token outputs are reassembled in plan order — bit-identical to
+//! the single wide macro, with latency aggregated as the max over shards
+//! and energy as the sum when *every* shard measured (an unmeasured
+//! shard in a mixed set makes the aggregate `None` — a partial sum is
+//! not a total).
 //!
 //! Inner backends never cross threads: each is constructed *on* its
 //! worker, so backends that are not `Send` (the event-driven netlist)
@@ -22,8 +23,9 @@
 //! exhausted retry budget rejects the whole batch with a typed
 //! [`BackendError::Shard`]. No partial output ever escapes.
 
-use crate::backend::{validate_program, BackendFactory, MacroBackend, ShardKind};
+use crate::backend::{validate_program, BackendFactory, BackendKind, MacroBackend};
 use crate::batch::{BatchResult, TokenBatch, TokenObservation};
+use crate::cache::CacheStats;
 use crate::error::BackendError;
 use crate::plan::ShardPlan;
 use crate::pool::RecoveryPolicy;
@@ -33,18 +35,16 @@ use maddpipe_tech::units::{Joules, Seconds};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-/// Builds one shard's backend on its worker thread. The closure runs
-/// exactly once, off the caller's thread — which is what lets non-`Send`
-/// backends (the RTL netlist) participate. (The same shape as every
-/// other owned-thread construction site — see [`BackendFactory`].)
-pub type ShardFactory = BackendFactory;
+/// What a shard worker sends back for one batch: its result, plus the
+/// shard backend's cumulative cache counters taken right after the call.
+type Reply = (Result<BatchResult, BackendError>, Option<CacheStats>);
 
-/// One batch travelling to a shard worker, with the channel its result
+/// One batch travelling to a shard worker, with the channel its reply
 /// comes back on. The batch is shared, not copied: every shard reads
 /// the same `Arc`'d tokens.
 struct Job {
     batch: Arc<TokenBatch>,
-    reply: mpsc::Sender<Result<BatchResult, BackendError>>,
+    reply: mpsc::Sender<Reply>,
 }
 
 /// A shard worker: the sending half of its job queue plus its thread
@@ -78,7 +78,7 @@ impl Drop for Worker {
 ///     &cfg,
 ///     &program,
 ///     3,
-///     ShardKind::Functional { workers: 1 },
+///     BackendKind::Functional { workers: 1 },
 /// )
 /// .unwrap();
 /// let batch = TokenBatch::random(cfg.ns, 4, 8);
@@ -92,16 +92,14 @@ pub struct ShardedBackend {
     ns: usize,
     workers: Vec<Worker>,
     recovery: RecoveryPolicy,
-    /// Handles on the per-shard result stores when the shards run
-    /// [`ShardKind::Cached`] — kept host-side so [`MacroBackend::cache_stats`]
-    /// can aggregate counters without a worker round-trip.
-    cache_handles: Vec<crate::cache::SharedCacheStore>,
+    /// Each shard's latest cache counters, as its worker last replied.
+    cache: Vec<Option<CacheStats>>,
 }
 
 impl ShardedBackend {
     /// Partitions `program` across `plan.shards()` macro instances, shard
-    /// `s` executing on a backend of kind `kinds[s]` built from the
-    /// sub-program of `plan.range(s)`.
+    /// `s` building `kinds[s]` for the sub-program of `plan.range(s)` on
+    /// its own worker thread.
     ///
     /// # Errors
     ///
@@ -115,7 +113,7 @@ impl ShardedBackend {
         cfg: &MacroConfig,
         program: &MacroProgram,
         plan: ShardPlan,
-        kinds: &[ShardKind],
+        kinds: &[BackendKind],
     ) -> Result<ShardedBackend, BackendError> {
         validate_program(cfg, program)?;
         if kinds.len() != plan.shards() {
@@ -125,77 +123,22 @@ impl ShardedBackend {
         }
         let subs = plan.split(program)?;
         let ns = program.ns();
-        // Per-shard cache stores are created host-side so the sharded
-        // backend keeps an aggregation handle; the factory closure moves
-        // a clone onto the worker thread.
-        let mut cache_handles = Vec::new();
         let factories = subs
             .into_iter()
             .zip(kinds)
-            .map(|(sub, &kind)| {
+            .map(|(sub, kind)| {
                 let mut shard_cfg = cfg.clone();
                 shard_cfg.ndec = sub.ndec();
-                let store = match kind {
-                    ShardKind::Cached { cache, .. } => {
-                        let store = std::sync::Arc::new(std::sync::Mutex::new(
-                            crate::cache::CacheStore::new(cache),
-                        ));
-                        cache_handles.push(std::sync::Arc::clone(&store));
-                        Some(store)
-                    }
-                    _ => None,
-                };
-                let factory: ShardFactory = Box::new(move || {
-                    fn leaf(
-                        kind: crate::backend::LeafKind,
-                        shard_cfg: &MacroConfig,
-                        sub: MacroProgram,
-                    ) -> Result<Box<dyn MacroBackend>, BackendError> {
-                        Ok(match kind {
-                            crate::backend::LeafKind::Functional { workers } => Box::new(
-                                crate::functional::FunctionalBackend::with_workers(sub, workers),
-                            )
-                                as Box<dyn MacroBackend>,
-                            crate::backend::LeafKind::Rtl { fidelity } => {
-                                Box::new(crate::rtl::RtlBackend::new(shard_cfg, &sub, fidelity)?)
-                            }
-                            crate::backend::LeafKind::Analytic => {
-                                Box::new(crate::analytic::AnalyticBackend::new(shard_cfg, sub)?)
-                            }
-                        })
-                    }
-                    Ok(match kind {
-                        ShardKind::Functional { workers } => Box::new(
-                            crate::functional::FunctionalBackend::with_workers(sub, workers),
-                        )
-                            as Box<dyn MacroBackend>,
-                        ShardKind::Rtl { fidelity } => {
-                            Box::new(crate::rtl::RtlBackend::new(&shard_cfg, &sub, fidelity)?)
-                        }
-                        ShardKind::Analytic => {
-                            Box::new(crate::analytic::AnalyticBackend::new(&shard_cfg, sub)?)
-                        }
-                        ShardKind::Cached { inner, .. } => {
-                            let fronted = leaf(inner, &shard_cfg, sub.clone())?;
-                            Box::new(crate::cache::CachedBackend::with_store(
-                                fronted,
-                                &sub,
-                                store.expect("cached shard kinds carry a host-side store"),
-                            ))
-                        }
-                    })
-                });
+                let kind = kind.clone();
+                let factory: BackendFactory = Box::new(move || kind.build(&shard_cfg, sub));
                 factory
             })
             .collect();
-        let mut backend = ShardedBackend::from_factories(plan, ns, factories)?;
-        backend.cache_handles = cache_handles;
-        Ok(backend)
+        ShardedBackend::from_factories(plan, ns, factories)
     }
 
     /// [`ShardedBackend::new`] with an even [`ShardPlan`] over `cfg.ndec`
-    /// and the same `kind` on every shard — what
-    /// [`BackendKind::Sharded`](crate::backend::BackendKind::Sharded)
+    /// and the same `kind` on every shard — what [`BackendKind::Sharded`]
     /// builds.
     ///
     /// # Errors
@@ -207,7 +150,7 @@ impl ShardedBackend {
         cfg: &MacroConfig,
         program: &MacroProgram,
         shards: usize,
-        kind: ShardKind,
+        kind: BackendKind,
     ) -> Result<ShardedBackend, BackendError> {
         let plan = ShardPlan::even(cfg.ndec, shards)?;
         let kinds = vec![kind; shards];
@@ -229,7 +172,7 @@ impl ShardedBackend {
     pub fn from_factories(
         plan: ShardPlan,
         ns: usize,
-        factories: Vec<ShardFactory>,
+        factories: Vec<BackendFactory>,
     ) -> Result<ShardedBackend, BackendError> {
         if factories.len() != plan.shards() {
             return Err(BackendError::InvalidShardPlan {
@@ -259,7 +202,8 @@ impl ShardedBackend {
                         }
                     };
                     while let Ok(job) = job_rx.recv() {
-                        let _ = job.reply.send(backend.run_batch(&job.batch));
+                        let result = backend.run_batch(&job.batch);
+                        let _ = job.reply.send((result, backend.cache_stats()));
                     }
                 })
                 .expect("the host can spawn a shard worker thread");
@@ -282,11 +226,11 @@ impl ShardedBackend {
             }
         }
         Ok(ShardedBackend {
+            cache: vec![None; workers.len()],
             plan,
             ns,
             workers,
             recovery: RecoveryPolicy::default(),
-            cache_handles: Vec::new(),
         })
     }
 
@@ -318,7 +262,7 @@ impl ShardedBackend {
         &self,
         shard: usize,
         shared: &Arc<TokenBatch>,
-    ) -> Result<mpsc::Receiver<Result<BatchResult, BackendError>>, BackendError> {
+    ) -> Result<mpsc::Receiver<Reply>, BackendError> {
         let (reply_tx, reply_rx) = mpsc::channel();
         let jobs = self.workers[shard]
             .jobs
@@ -332,22 +276,23 @@ impl ShardedBackend {
         Ok(reply_rx)
     }
 
-    /// Receives shard `shard`'s result and enforces its slice of the
-    /// contract: one observation per token, each `plan.widths()[shard]`
-    /// wide.
+    /// Receives shard `shard`'s reply, keeps its cache counters, and
+    /// enforces its slice of the contract: one observation per token,
+    /// each `plan.widths()[shard]` wide.
     fn collect(
-        &self,
+        &mut self,
         shard: usize,
-        reply: mpsc::Receiver<Result<BatchResult, BackendError>>,
+        reply: mpsc::Receiver<Reply>,
         batch: &TokenBatch,
     ) -> Result<BatchResult, BackendError> {
-        let result = reply
+        let (result, cache) = reply
             .recv()
-            .map_err(|_| BackendError::ShardLost { shard })?
-            .map_err(|e| BackendError::Shard {
-                shard,
-                source: Box::new(e),
-            })?;
+            .map_err(|_| BackendError::ShardLost { shard })?;
+        self.cache[shard] = cache;
+        let result = result.map_err(|e| BackendError::Shard {
+            shard,
+            source: Box::new(e),
+        })?;
         if result.tokens.len() != batch.len() {
             return Err(BackendError::Shard {
                 shard,
@@ -385,7 +330,7 @@ impl ShardedBackend {
     /// first such failure wins (lowest shard index) and the rest are
     /// discarded. The batch is cloned once and shared by `Arc` — the
     /// fan-out itself copies no token data.
-    fn scatter_gather(&self, batch: &TokenBatch) -> Result<Vec<BatchResult>, BackendError> {
+    fn scatter_gather(&mut self, batch: &TokenBatch) -> Result<Vec<BatchResult>, BackendError> {
         let shared = Arc::new(batch.clone());
         let mut replies = Vec::with_capacity(self.workers.len());
         for shard in 0..self.workers.len() {
@@ -470,20 +415,14 @@ impl MacroBackend for ShardedBackend {
         })
     }
 
-    /// The field-wise sum over the per-shard stores when the shards run
-    /// [`ShardKind::Cached`]; `None` for uncached shard sets (including
-    /// anything built through [`ShardedBackend::from_factories`], which
-    /// cannot see inside custom factories).
-    fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        if self.cache_handles.is_empty() {
-            return None;
-        }
-        Some(
-            self.cache_handles
-                .iter()
-                .map(|store| store.lock().unwrap_or_else(|p| p.into_inner()).stats())
-                .fold(crate::cache::CacheStats::default(), |acc, s| acc.merged(s)),
-        )
+    /// The field-wise sum of the counters each cached shard sent with its
+    /// latest reply; `None` until a shard backend has reported any.
+    fn cache_stats(&self) -> Option<CacheStats> {
+        self.cache
+            .iter()
+            .flatten()
+            .copied()
+            .reduce(CacheStats::merged)
     }
 }
 
@@ -533,7 +472,7 @@ mod tests {
         let (cfg, program, batch) = wide_setup(7, 2);
         let mut wide = FunctionalBackend::new(program.clone());
         let mut sharded =
-            ShardedBackend::uniform(&cfg, &program, 3, ShardKind::Functional { workers: 1 })
+            ShardedBackend::uniform(&cfg, &program, 3, BackendKind::Functional { workers: 1 })
                 .unwrap();
         let expect = wide.run_batch(&batch).unwrap();
         let got = sharded.run_batch(&batch).unwrap();
@@ -553,7 +492,7 @@ mod tests {
         let (cfg, program, batch) = wide_setup(4, 2);
         let mut wide = FunctionalBackend::new(program.clone());
         let mut one =
-            ShardedBackend::uniform(&cfg, &program, 1, ShardKind::Functional { workers: 2 })
+            ShardedBackend::uniform(&cfg, &program, 1, BackendKind::Functional { workers: 2 })
                 .unwrap();
         assert_eq!(
             one.run_batch(&batch).unwrap().outputs(),
@@ -568,11 +507,11 @@ mod tests {
         let (cfg, program, batch) = wide_setup(3, 2);
         let plan = ShardPlan::even(3, 3).unwrap();
         let kinds = [
-            ShardKind::Rtl {
+            BackendKind::Rtl {
                 fidelity: Fidelity::Sequential,
             },
-            ShardKind::Analytic,
-            ShardKind::Functional { workers: 1 },
+            BackendKind::Analytic,
+            BackendKind::Functional { workers: 1 },
         ];
         let mut sharded = ShardedBackend::new(&cfg, &program, plan, &kinds).unwrap();
         let got = sharded.run_batch(&batch).unwrap();
@@ -594,10 +533,10 @@ mod tests {
         let (cfg, program, batch) = wide_setup(2, 2);
         let plan = ShardPlan::even(2, 2).unwrap();
         let kinds = [
-            ShardKind::Rtl {
+            BackendKind::Rtl {
                 fidelity: Fidelity::Sequential,
             },
-            ShardKind::Analytic,
+            BackendKind::Analytic,
         ];
         let mut sharded = ShardedBackend::new(&cfg, &program, plan, &kinds).unwrap();
         let got = sharded.run_batch(&batch).unwrap();
@@ -615,7 +554,7 @@ mod tests {
     fn latency_is_max_and_energy_is_sum_over_shards() {
         let (cfg, program, batch) = wide_setup(4, 2);
         let plan = ShardPlan::even(4, 2).unwrap();
-        let kinds = [ShardKind::Analytic, ShardKind::Analytic];
+        let kinds = [BackendKind::Analytic, BackendKind::Analytic];
         // The same batch on the two analytic half-macros, run directly.
         let subs = plan.split(&program).unwrap();
         let halves: Vec<BatchResult> = subs
@@ -702,7 +641,7 @@ mod tests {
         let wide_expect = FunctionalBackend::new(program.clone())
             .run_batch(&batch)
             .unwrap();
-        let mut factories: Vec<ShardFactory> = Vec::new();
+        let mut factories: Vec<BackendFactory> = Vec::new();
         for (s, sub) in subs.into_iter().enumerate() {
             factories.push(Box::new(move || {
                 Ok(if s == 1 {
@@ -740,7 +679,7 @@ mod tests {
         let (_, program, batch) = wide_setup(4, 2);
         let plan = ShardPlan::even(4, 2).unwrap();
         let subs = plan.split(&program).unwrap();
-        let mut factories: Vec<ShardFactory> = Vec::new();
+        let mut factories: Vec<BackendFactory> = Vec::new();
         for (s, sub) in subs.into_iter().enumerate() {
             factories.push(Box::new(move || {
                 Ok(if s == 0 {
@@ -790,7 +729,7 @@ mod tests {
         let (_, program, batch) = wide_setup(4, 2);
         let plan = ShardPlan::even(4, 2).unwrap();
         let subs = plan.split(&program).unwrap();
-        let mut factories: Vec<ShardFactory> = Vec::new();
+        let mut factories: Vec<BackendFactory> = Vec::new();
         for (s, sub) in subs.into_iter().enumerate() {
             factories.push(Box::new(move || {
                 Ok(if s == 1 {
@@ -850,7 +789,7 @@ mod tests {
         let (_, program, batch) = wide_setup(4, 2);
         let plan = ShardPlan::even(4, 2).unwrap();
         let subs = plan.split(&program).unwrap();
-        let mut factories: Vec<ShardFactory> = Vec::new();
+        let mut factories: Vec<BackendFactory> = Vec::new();
         for (s, sub) in subs.into_iter().enumerate() {
             factories.push(Box::new(move || {
                 Ok(if s == 0 {
@@ -894,7 +833,7 @@ mod tests {
         // wrong output width. The contract check must catch it instead of
         // stitching a 6-wide result.
         let wide_program = program.clone();
-        let factories: Vec<ShardFactory> = vec![
+        let factories: Vec<BackendFactory> = vec![
             Box::new({
                 let sub = subs[0].clone();
                 move || Ok(Box::new(FunctionalBackend::new(sub)) as Box<dyn MacroBackend>)
@@ -918,23 +857,28 @@ mod tests {
         let (cfg, program, _) = wide_setup(4, 2);
         // More shards than chains.
         assert!(matches!(
-            ShardedBackend::uniform(&cfg, &program, 5, ShardKind::default()),
+            ShardedBackend::uniform(&cfg, &program, 5, BackendKind::default()),
             Err(BackendError::InvalidShardPlan { .. })
         ));
         // Kind list does not match the plan.
         let plan = ShardPlan::even(4, 2).unwrap();
         assert!(matches!(
-            ShardedBackend::new(&cfg, &program, plan.clone(), &[ShardKind::default()]),
+            ShardedBackend::new(&cfg, &program, plan.clone(), &[BackendKind::default()]),
             Err(BackendError::InvalidShardPlan { .. })
         ));
         // Program too narrow for the configuration.
         let narrow = MacroProgram::random(3, 2, 1);
         assert!(matches!(
-            ShardedBackend::new(&cfg, &narrow, plan.clone(), &[ShardKind::default(); 2]),
+            ShardedBackend::new(
+                &cfg,
+                &narrow,
+                plan.clone(),
+                &[BackendKind::default(), BackendKind::default()]
+            ),
             Err(BackendError::ProgramMismatch { .. })
         ));
         // A factory that fails reports which shard could not come up.
-        let failing: Vec<ShardFactory> = vec![
+        let failing: Vec<BackendFactory> = vec![
             Box::new(|| Err(BackendError::MissingProgram)),
             Box::new(|| Err(BackendError::MissingProgram)),
         ];
@@ -950,7 +894,8 @@ mod tests {
     #[test]
     fn shape_mismatches_are_rejected_before_fanout() {
         let (cfg, program, _) = wide_setup(4, 2);
-        let mut sharded = ShardedBackend::uniform(&cfg, &program, 2, ShardKind::default()).unwrap();
+        let mut sharded =
+            ShardedBackend::uniform(&cfg, &program, 2, BackendKind::default()).unwrap();
         let wrong = TokenBatch::random(3, 2, 1);
         assert_eq!(
             sharded.run_batch(&wrong).unwrap_err(),

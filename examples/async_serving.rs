@@ -3,12 +3,12 @@
 //! The paper's macro is completion-driven — a token finishes when the
 //! DLC ripple settles, not on a clock edge — so the natural serving
 //! model is asynchronous too: clients submit whenever they like, a
-//! dispatcher coalesces whatever is pending into micro-batches, and
-//! every request resolves through its own ticket. This example walks
-//! that path end to end:
+//! replica coalesces whatever is pending into micro-batches, and every
+//! request resolves through its own ticket. This example walks that
+//! path end to end:
 //!
 //! 1. build a flagship-shaped `Session` and convert it into a
-//!    `ServeQueue` with `Session::into_serving`,
+//!    one-replica `ReplicaPool` — a serving queue — with `into_pool`,
 //! 2. hammer it from several client threads and read the queue-side
 //!    statistics (wait percentiles, coalesced micro-batch sizes, peak
 //!    backlog) off the shared `SessionStats`,
@@ -27,10 +27,10 @@ const TOKENS_PER_REQUEST: usize = 16;
 
 fn main() {
     // ── 1. A session builder becomes a serving queue ───────────────────
-    // The queue's dispatcher thread builds the backend from the
-    // builder's (program, kind) recipe, so even non-Send backends
-    // (netlists) can serve. (A running `Session` converts too, with
-    // `Session::into_serving`, carrying its stats along.) The policy
+    // The pool's replica thread builds the backend from the SessionBuilder's
+    // (program, kind) recipe, so even non-Send backends (netlists) can
+    // serve. (A running `Session` converts too, with
+    // `Session::into_pool`, carrying its stats along.) The policy
     // bounds micro-batches at 128 tokens, lingers up to 200 µs to let
     // them fill, and holds at most 256 unresolved requests before
     // pushing back.
@@ -43,7 +43,7 @@ fn main() {
     let queue = Session::builder(cfg.clone())
         .program(program.clone())
         .backend(BackendKind::Functional { workers: 1 })
-        .into_serving(policy)
+        .into_pool(ServePolicy::default().with_queue(policy))
         .expect("queue comes up");
 
     // ── 2. Concurrent clients share the backend ────────────────────────
@@ -54,7 +54,7 @@ fn main() {
             let program = &program;
             scope.spawn(move || {
                 // Submit a burst, then wait on the tickets — requests
-                // from all clients interleave in the dispatcher's FIFO.
+                // from all clients interleave in the queue's FIFO.
                 let tickets: Vec<BatchTicket> = (0..REQUESTS_PER_CLIENT)
                     .map(|r| {
                         let seed = (client * 1000 + r) as u64;
@@ -101,7 +101,7 @@ fn main() {
         .backend(BackendKind::Rtl {
             fidelity: Fidelity::Sequential,
         })
-        .into_serving(QueuePolicy::default().with_max_depth(2))
+        .into_pool(ServePolicy::default().with_queue(QueuePolicy::default().with_max_depth(2)))
         .expect("queue comes up");
     let mut accepted = Vec::new();
     let mut rejected = 0usize;
@@ -126,7 +126,7 @@ fn main() {
 
     // ── 4. Clean shutdown ──────────────────────────────────────────────
     // shutdown() closes intake, drains every accepted ticket, joins the
-    // dispatcher and hands back the final statistics.
+    // replica and hands back the final statistics.
     let final_stats = slow.shutdown();
     println!("RTL queue after shutdown: {final_stats}");
     let final_stats = queue.shutdown();

@@ -59,7 +59,7 @@ fn main() {
         .program(program.clone())
         .backend(BackendKind::Cached {
             cache: CacheConfig::default(),
-            inner: CachedKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         })
         .build()
         .expect("program fits");
@@ -87,14 +87,14 @@ fn main() {
         stats.cache_resident_bytes(),
     );
 
-    // 3. The same recipe serves from a pool: `BackendKind::Cached` is
-    // Copy, so every replica deploys its own private store from it and
-    // the pool's stats aggregate all of them.
+    // 3. The same recipe serves from a pool: every replica builds the
+    // `BackendKind::Cached` recipe on its own thread, so each deploys its
+    // own private store, and the pool's stats aggregate all of them.
     let pool = Session::builder(cfg.clone())
         .program(program.clone())
         .backend(BackendKind::Cached {
             cache: CacheConfig::default(),
-            inner: CachedKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         })
         .into_pool(ServePolicy::default().with_replicas(2))
         .expect("pool comes up");
@@ -118,7 +118,7 @@ fn main() {
         .program(program)
         .backend(BackendKind::Cached {
             cache: CacheConfig::default().with_max_entries(4),
-            inner: CachedKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         })
         .build()
         .expect("program fits");

@@ -1,6 +1,6 @@
 //! Replica-pool serving: N backend replicas, one deadline-aware queue.
 //!
-//! A single `ServeQueue` serialises every micro-batch through one
+//! A one-replica pool serialises every micro-batch through one
 //! backend. When the host has cores to spare, a `ReplicaPool` builds N
 //! replicas of the *same* macro — each on its own thread, from the same
 //! `(program, backend)` recipe — and spreads pending micro-batches

@@ -40,7 +40,7 @@ fn main() {
     println!("\nshard plan:   {plan}");
     let wide_cfg = MacroConfig::new(layer.out_channels, 4); // 4 stages for brevity
     let program = MacroProgram::random(wide_cfg.ndec, wide_cfg.ns, 42);
-    let kinds = vec![ShardKind::Functional { workers: 1 }; plan.shards()];
+    let kinds = vec![BackendKind::Functional { workers: 1 }; plan.shards()];
     let backend = ShardedBackend::new(&wide_cfg, &program, plan.clone(), &kinds)
         .expect("wide program fits the layer plan");
     let mut fleet = Session::from_backend(wide_cfg.clone(), Box::new(backend));
@@ -79,9 +79,9 @@ fn main() {
         .program(rtl_program)
         .backend(BackendKind::Sharded {
             shards: 2,
-            inner: ShardKind::Rtl {
+            inner: Box::new(BackendKind::Rtl {
                 fidelity: Fidelity::Sequential,
-            },
+            }),
         })
         .build()
         .expect("program fits");

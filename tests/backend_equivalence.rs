@@ -64,10 +64,10 @@ proptest! {
             // the finest partition still matches the wide reference.
             BackendKind::Sharded {
                 shards: ndec,
-                inner: ShardKind::Rtl { fidelity: Fidelity::Sequential },
+                inner: Box::new(BackendKind::Rtl { fidelity: Fidelity::Sequential }),
             },
         ] {
-            let got = outputs_of(&cfg, &program, kind, &batch);
+            let got = outputs_of(&cfg, &program, kind.clone(), &batch);
             prop_assert_eq!(&got, &golden, "{:?}", kind);
         }
     }
@@ -99,16 +99,16 @@ proptest! {
             &program,
             BackendKind::Sharded {
                 shards,
-                inner: ShardKind::Functional { workers: 1 },
+                inner: Box::new(BackendKind::Functional { workers: 1 }),
             },
             &batch,
         );
         prop_assert_eq!(&sharded, &single, "{} shards over {} chains", shards, ndec);
     }
 
-    /// The batched-kernel contract: both lane kernels (portable and
-    /// bit-sliced), at every worker count, are bit-identical to the scalar
-    /// executable spec — across token counts that are not a multiple of
+    /// The batched-kernel contract: the lane kernel, at every worker
+    /// count, is bit-identical to the scalar executable spec — across
+    /// token counts that are not a multiple of
     /// the 64-token lane width, single tokens, and full-range `i8` inputs
     /// whose accumulations wrap the `i16` extremes.
     #[test]
@@ -127,37 +127,25 @@ proptest! {
             .map(|t| program.reference_output(t))
             .collect();
         // Straight through the struct-of-arrays view…
-        let view = program.batched();
-        for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-            prop_assert_eq!(
-                &view.evaluate_with(batch.tokens(), kernel),
-                &golden,
-                "core {:?} with {} tokens",
-                kernel,
-                count
-            );
-        }
+        prop_assert_eq!(
+            &program.batched().evaluate(batch.tokens()),
+            &golden,
+            "core with {} tokens",
+            count
+        );
         prop_assert_eq!(&program.reference_output_batch(batch.tokens()), &golden);
         // …and through the threaded backend, which shards lane blocks.
-        for kernel in [
-            FunctionalKernel::Scalar,
-            FunctionalKernel::Portable,
-            FunctionalKernel::BitSliced,
-        ] {
-            for workers in [1usize, 3] {
-                let mut backend =
-                    FunctionalBackend::with_kernel(program.clone(), workers, kernel);
-                let got = backend.run_batch(&batch).expect("batch completes");
-                let got: Vec<Vec<i16>> = got.tokens.into_iter().map(|t| t.outputs).collect();
-                prop_assert_eq!(
-                    &got,
-                    &golden,
-                    "backend {:?} with {} workers, {} tokens",
-                    kernel,
-                    workers,
-                    count
-                );
-            }
+        for workers in [1usize, 3] {
+            let mut backend = FunctionalBackend::with_workers(program.clone(), workers);
+            let got = backend.run_batch(&batch).expect("batch completes");
+            let got: Vec<Vec<i16>> = got.tokens.into_iter().map(|t| t.outputs).collect();
+            prop_assert_eq!(
+                &got,
+                &golden,
+                "backend with {} workers, {} tokens",
+                workers,
+                count
+            );
         }
     }
 }
@@ -170,23 +158,15 @@ proptest! {
 fn batched_edge_cases_match_the_scalar_spec() {
     let program = MacroProgram::random(3, 2, 5);
     let view = program.batched();
-    // Empty input: no outputs, no panic, on both kernels.
+    // Empty input: no outputs, no panic.
     let empty: Vec<Token> = Vec::new();
     assert!(view.evaluate(&empty).is_empty());
-    for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-        assert!(view.evaluate_with(&empty, kernel).is_empty());
-    }
     // One token is a 1-wide lane.
     let one = TokenBatch::random(2, 1, 8);
     let golden = program.reference_output(&one.tokens()[0]);
-    for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-        assert_eq!(
-            view.evaluate_with(one.tokens(), kernel),
-            vec![golden.clone()]
-        );
-    }
+    assert_eq!(view.evaluate(one.tokens()), vec![golden]);
     // Max-magnitude accumulation: 600 stages of ±extreme LUT bytes wrap
-    // the 16-bit accumulators several times over; the batched kernels
+    // the 16-bit accumulators several times over; the batched kernel
     // must wrap identically to the scalar walk.
     let ns = 600;
     let tree = maddpipe::amm::bdt::BdtEncoder::from_parts(vec![0, 1, 2, 3], vec![0.0; 15])
@@ -203,14 +183,7 @@ fn batched_edge_cases_match_the_scalar_spec() {
         .map(|t| deep.reference_output(t))
         .collect();
     assert_eq!(golden[0][0], (-128i32 * ns as i32) as i16); // wrapped
-    let deep_view = deep.batched();
-    for kernel in [LaneKernel::Portable, LaneKernel::BitSliced] {
-        assert_eq!(
-            deep_view.evaluate_with(batch.tokens(), kernel),
-            golden,
-            "{kernel:?}"
-        );
-    }
+    assert_eq!(deep.batched().evaluate(batch.tokens()), golden);
 }
 
 /// Latency observations are backend-appropriate: absent on functional,
@@ -264,9 +237,9 @@ fn observation_coverage_matches_backend_capabilities() {
     // shard slices, energy the sum — both present, like its inners.
     let shd = run(BackendKind::Sharded {
         shards: 2,
-        inner: ShardKind::Rtl {
+        inner: Box::new(BackendKind::Rtl {
             fidelity: Fidelity::Sequential,
-        },
+        }),
     });
     assert!(shd
         .tokens
@@ -304,12 +277,12 @@ fn shape_errors_are_typed_everywhere() {
         BackendKind::Analytic,
         BackendKind::Sharded {
             shards: 2,
-            inner: ShardKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         },
     ] {
         let mut session = Session::builder(cfg.clone())
             .program(program.clone())
-            .backend(kind)
+            .backend(kind.clone())
             .build()
             .expect("program fits");
         assert_eq!(

@@ -92,7 +92,7 @@ fn data_dependent_spread_agreement() {
     };
     let fast_tok: Token = vec![[100i8; SUBVECTOR_LEN]];
     let slow_tok: Token = vec![[0i8; SUBVECTOR_LEN]];
-    let fast = run_one(&cfg, &program, rtl_kind, fast_tok);
+    let fast = run_one(&cfg, &program, rtl_kind.clone(), fast_tok);
     let slow = run_one(&cfg, &program, rtl_kind, slow_tok.clone());
     let measured_delta = slow.latency.expect("measured") - fast.latency.expect("measured");
     let predicted_delta = model.block_latency_worst().encoder - model.block_latency_best().encoder;

@@ -99,7 +99,7 @@ fn cached_functional_pool_is_bit_identical_with_real_hits() {
     let stats = stress_cached_pool(
         BackendKind::Cached {
             cache: CacheConfig::default(),
-            inner: CachedKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         },
         10,
         2,
@@ -121,9 +121,9 @@ fn cached_rtl_pool_is_bit_identical() {
     let stats = stress_cached_pool(
         BackendKind::Cached {
             cache: CacheConfig::default(),
-            inner: CachedKind::Rtl {
+            inner: Box::new(BackendKind::Rtl {
                 fidelity: Fidelity::Sequential,
-            },
+            }),
         },
         4,
         2,
@@ -138,10 +138,10 @@ fn cached_sharded_pool_is_bit_identical() {
     let stats = stress_cached_pool(
         BackendKind::Cached {
             cache: CacheConfig::default(),
-            inner: CachedKind::Sharded {
+            inner: Box::new(BackendKind::Sharded {
                 shards: 2,
-                inner: ShardKind::Functional { workers: 1 },
-            },
+                inner: Box::new(BackendKind::Functional { workers: 1 }),
+            }),
         },
         8,
         4,
@@ -158,10 +158,10 @@ fn per_shard_cached_pool_is_bit_identical() {
     let stats = stress_cached_pool(
         BackendKind::Sharded {
             shards: 2,
-            inner: ShardKind::Cached {
+            inner: Box::new(BackendKind::Cached {
                 cache: CacheConfig::default(),
-                inner: LeafKind::Functional { workers: 1 },
-            },
+                inner: Box::new(BackendKind::Functional { workers: 1 }),
+            }),
         },
         8,
         4,
@@ -185,7 +185,7 @@ fn high_duplication_stream_forces_dedup() {
         .program(program.clone())
         .backend(BackendKind::Cached {
             cache: CacheConfig::default(),
-            inner: CachedKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         })
         .into_pool(ServePolicy::default())
         .expect("pool comes up");
@@ -210,7 +210,7 @@ fn capacity_one_store_churns_but_stays_bit_identical() {
     let stats = stress_cached_pool(
         BackendKind::Cached {
             cache: CacheConfig::default().with_max_entries(1),
-            inner: CachedKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         },
         10,
         2,
@@ -247,14 +247,17 @@ proptest! {
         let batch = TokenBatch::new(stream.clone()).expect("non-empty");
         let cache = CacheConfig::default().with_max_entries(max_entries);
         let kinds = [
-            CachedKind::Functional { workers: 1 },
-            CachedKind::Rtl { fidelity: Fidelity::Sequential },
-            CachedKind::Sharded { shards: 2, inner: ShardKind::Functional { workers: 1 } },
+            BackendKind::Functional { workers: 1 },
+            BackendKind::Rtl { fidelity: Fidelity::Sequential },
+            BackendKind::Sharded {
+                shards: 2,
+                inner: Box::new(BackendKind::Functional { workers: 1 }),
+            },
         ];
         for inner in kinds {
             let mut session = Session::builder(cfg.clone())
                 .program(program.clone())
-                .backend(BackendKind::Cached { cache, inner })
+                .backend(BackendKind::Cached { cache, inner: Box::new(inner.clone()) })
                 .build()
                 .expect("program fits");
             // Twice: the first pass exercises misses + dedup, the

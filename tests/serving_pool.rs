@@ -34,7 +34,7 @@ fn stress_bit_identical(kind: BackendKind, ndec: usize, ns: usize) {
     // Golden: one direct session, batches run one at a time.
     let mut direct = Session::builder(cfg.clone())
         .program(program.clone())
-        .backend(kind)
+        .backend(kind.clone())
         .build()
         .expect("program fits");
     let mut expected: Vec<Vec<Vec<Vec<i16>>>> = Vec::with_capacity(CLIENTS);
@@ -147,7 +147,7 @@ fn eight_clients_match_direct_runs_on_sharded_replicas() {
     stress_bit_identical(
         BackendKind::Sharded {
             shards: 2,
-            inner: ShardKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         },
         4,
         2,

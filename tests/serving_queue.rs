@@ -1,7 +1,8 @@
-//! Stress and contract tests for the async serving queue.
+//! Stress and contract tests for the async serving queue: a one-replica
+//! `ReplicaPool`.
 //!
 //! The serving contract under test: any number of concurrent submitters
-//! pushing through one `ServeQueue` receive outputs **bit-identical** to
+//! pushing through one queue receive outputs **bit-identical** to
 //! running their batches directly through `run_batch` on the same
 //! backend kind — coalescing, micro-batch splitting and FIFO dispatch
 //! must be invisible in the results. On top of that, every failure mode
@@ -40,7 +41,7 @@ fn stress_bit_identical(kind: BackendKind, ndec: usize, ns: usize) {
     // Golden: one direct session, batches run one at a time.
     let mut direct = Session::builder(cfg.clone())
         .program(program.clone())
-        .backend(kind)
+        .backend(kind.clone())
         .build()
         .expect("program fits");
     let mut expected: Vec<Vec<Vec<Vec<i16>>>> = Vec::with_capacity(CLIENTS);
@@ -59,11 +60,13 @@ fn stress_bit_identical(kind: BackendKind, ndec: usize, ns: usize) {
         .backend(kind)
         .build()
         .expect("program fits")
-        .into_serving(
-            QueuePolicy::default()
-                .with_max_batch(32)
-                .with_max_linger(Duration::from_micros(500))
-                .with_max_depth(4096),
+        .into_pool(
+            ServePolicy::default().with_queue(
+                QueuePolicy::default()
+                    .with_max_batch(32)
+                    .with_max_linger(Duration::from_micros(500))
+                    .with_max_depth(4096),
+            ),
         )
         .expect("queue comes up");
     std::thread::scope(|scope| {
@@ -122,7 +125,7 @@ fn eight_clients_match_direct_runs_on_the_sharded_backend() {
     stress_bit_identical(
         BackendKind::Sharded {
             shards: 2,
-            inner: ShardKind::Functional { workers: 1 },
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
         },
         4,
         2,
@@ -170,7 +173,7 @@ fn gated_queue(
     policy: QueuePolicy,
     fail_from: usize,
 ) -> (
-    ServeQueue,
+    ReplicaPool,
     mpsc::Receiver<usize>,
     mpsc::Sender<()>,
     MacroProgram,
@@ -188,7 +191,9 @@ fn gated_queue(
             fail_from,
         }))
     });
-    let queue = ServeQueue::from_factory(policy, ns, factory).expect("queue comes up");
+    let queue =
+        ReplicaPool::from_factories(ServePolicy::default().with_queue(policy), ns, vec![factory])
+            .expect("queue comes up");
     (queue, started_rx, gate_tx, program)
 }
 
@@ -500,10 +505,12 @@ fn shutdown_resolves_in_flight_tickets_instead_of_leaking_them() {
         .program(program.clone())
         .build()
         .expect("program fits")
-        .into_serving(
-            QueuePolicy::default()
-                .with_max_batch(2)
-                .with_max_linger(Duration::ZERO),
+        .into_pool(
+            ServePolicy::default().with_queue(
+                QueuePolicy::default()
+                    .with_max_batch(2)
+                    .with_max_linger(Duration::ZERO),
+            ),
         )
         .expect("queue comes up");
     let tickets: Vec<(u64, BatchTicket)> = (0..16)
@@ -553,7 +560,8 @@ fn a_panicking_backend_closes_the_queue_and_fails_tickets_typed() {
         }
     }
     let factory: BackendFactory = Box::new(|| Ok(Box::new(PanickingBackend)));
-    let queue = ServeQueue::from_factory(QueuePolicy::default(), 2, factory).expect("comes up");
+    let queue =
+        ReplicaPool::from_factories(ServePolicy::default(), 2, vec![factory]).expect("comes up");
     let ticket = queue.submit(TokenBatch::random(2, 2, 1)).expect("accepted");
     // The dispatcher unwinds; the ticket must resolve (typed), never hang.
     assert_eq!(ticket.wait().unwrap_err(), BackendError::QueueClosed);
@@ -595,10 +603,12 @@ fn an_unbounded_linger_dispatches_on_full_batches_and_on_close() {
     let program = MacroProgram::random(2, 2, 6);
     let queue = Session::builder(cfg)
         .program(program)
-        .into_serving(
-            QueuePolicy::default()
-                .with_max_batch(2)
-                .with_max_linger(Duration::MAX),
+        .into_pool(
+            ServePolicy::default().with_queue(
+                QueuePolicy::default()
+                    .with_max_batch(2)
+                    .with_max_linger(Duration::MAX),
+            ),
         )
         .expect("queue comes up");
     // A full batch dispatches despite the infinite linger.
@@ -624,7 +634,7 @@ fn an_unbounded_linger_dispatches_on_full_batches_and_on_close() {
 }
 
 #[test]
-fn into_serving_carries_session_stats_and_rejects_foreign_backends() {
+fn into_pool_carries_session_stats_and_rejects_foreign_backends() {
     let cfg = MacroConfig::new(2, 2);
     let program = MacroProgram::random(2, 2, 4);
     // A session that already ran batches directly...
@@ -636,7 +646,7 @@ fn into_serving_carries_session_stats_and_rejects_foreign_backends() {
     assert_eq!(session.stats().tokens(), 5);
     // ...keeps those measurements when it becomes a queue.
     let queue = session
-        .into_serving(QueuePolicy::default())
+        .into_pool(ServePolicy::default().with_queue(QueuePolicy::default()))
         .expect("queue comes up");
     assert_eq!(queue.stats().tokens(), 5);
     queue
@@ -649,11 +659,11 @@ fn into_serving_carries_session_stats_and_rejects_foreign_backends() {
     assert_eq!(stats.queued_requests(), 1);
 
     // A session wrapping a caller-constructed backend has no recipe to
-    // rebuild on the dispatcher thread: typed error, not a panic.
+    // rebuild on the replica thread: typed error, not a panic.
     let foreign = Session::from_backend(cfg, Box::new(FunctionalBackend::new(program)));
-    match foreign.into_serving(QueuePolicy::default()) {
+    match foreign.into_pool(ServePolicy::default().with_queue(QueuePolicy::default())) {
         Err(BackendError::QueueUnavailable { reason }) => {
-            assert!(reason.contains("from_factory"), "{reason}");
+            assert!(reason.contains("from_factories"), "{reason}");
         }
         other => panic!("expected QueueUnavailable, got {other:?}"),
     }
