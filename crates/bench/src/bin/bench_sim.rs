@@ -12,7 +12,7 @@
 //! serving path still moves tokens.
 
 use maddpipe_bench::kernel_workloads::{
-    bus_fanout_sim, completion_tree_sim, inverter_chain, macro_testbench,
+    bus_fanout_sim, completion_tree_sim, flagship_testbench, inverter_chain, macro_testbench,
 };
 use maddpipe_bench::load_gen::{drive, LoadMode, LoadScenario};
 use maddpipe_core::config::MacroConfig;
@@ -112,6 +112,25 @@ fn macro_tokens_per_sec() -> (f64, f64) {
     }
     let events = rtl.simulator().stats().events_popped - e0;
     let events_rate = events as f64 / t0.elapsed().as_secs_f64();
+    (tokens_rate, events_rate)
+}
+
+/// Tokens and events per second through the paper-flagship netlist: 32
+/// tokens streamed through `run_pipelined` per timed run, median of 3,
+/// after one untimed warm-up stream — the cache-heavy case of the event
+/// kernel.
+fn macro_flagship_rates() -> (f64, f64) {
+    let (mut rtl, tokens) = flagship_testbench();
+    rtl.run_pipelined(&tokens).expect("stream completes");
+    let tokens_rate = median_rate(3, || {
+        rtl.run_pipelined(&tokens).expect("stream completes");
+        tokens.len() as u64
+    });
+    let events_rate = median_rate(3, || {
+        let e0 = rtl.simulator().stats().events_popped;
+        rtl.run_pipelined(&tokens).expect("stream completes");
+        rtl.simulator().stats().events_popped - e0
+    });
     (tokens_rate, events_rate)
 }
 
@@ -696,6 +715,7 @@ fn main() {
     let tree = tree_events_per_sec();
     let bus = bus_fanout_events_per_sec();
     let (macro_tokens, macro_events) = macro_tokens_per_sec();
+    let (flagship_tokens, flagship_events) = macro_flagship_rates();
     // Functional-backend thread scaling is only meaningful relative to
     // the host's core count, so record it alongside the rates.
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -731,10 +751,12 @@ fn main() {
     let _ = writeln!(json, "    \"inverter_chain_512\": {chain512:.0},");
     let _ = writeln!(json, "    \"completion_tree_128\": {tree:.0},");
     let _ = writeln!(json, "    \"bus_fanout_16\": {bus:.0},");
-    let _ = writeln!(json, "    \"macro_ndec2_ns2\": {macro_events:.0}");
+    let _ = writeln!(json, "    \"macro_ndec2_ns2\": {macro_events:.0},");
+    let _ = writeln!(json, "    \"macro_flagship\": {flagship_events:.0}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"tokens_per_sec\": {{");
-    let _ = writeln!(json, "    \"macro_ndec2_ns2\": {macro_tokens:.1}");
+    let _ = writeln!(json, "    \"macro_ndec2_ns2\": {macro_tokens:.1},");
+    let _ = writeln!(json, "    \"macro_flagship\": {flagship_tokens:.1}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"backend_tokens_per_sec\": {{");
     let _ = writeln!(json, "    \"functional_flagship_w1\": {fun_w1:.0},");

@@ -174,10 +174,25 @@ pub mod kernel_workloads {
     #[allow(clippy::type_complexity)]
     pub fn macro_testbench() -> (AcceleratorRtl, Vec<Vec<[i8; SUBVECTOR_LEN]>>) {
         let cfg = MacroConfig::new(2, 2).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
+        testbench(&cfg, 16)
+    }
+
+    /// The paper-flagship macro (16 decoders × 32 stages, 46,755 cells)
+    /// plus 32 random tokens to stream through it.
+    #[allow(clippy::type_complexity)]
+    pub fn flagship_testbench() -> (AcceleratorRtl, Vec<Vec<[i8; SUBVECTOR_LEN]>>) {
+        testbench(&MacroConfig::paper_flagship(), 32)
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn testbench(
+        cfg: &MacroConfig,
+        n_tokens: usize,
+    ) -> (AcceleratorRtl, Vec<Vec<[i8; SUBVECTOR_LEN]>>) {
         let program = MacroProgram::random(cfg.ndec, cfg.ns, 17);
-        let rtl = AcceleratorRtl::build(&cfg, &program);
+        let rtl = AcceleratorRtl::build(cfg, &program);
         let mut rng = StdRng::seed_from_u64(99);
-        let tokens = (0..16)
+        let tokens = (0..n_tokens)
             .map(|_| {
                 (0..cfg.ns)
                     .map(|_| {

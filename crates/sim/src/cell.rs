@@ -95,7 +95,8 @@ impl fmt::Display for Violation {
 /// The kernel batches all events of one timestamp into a *delta cycle* and
 /// evaluates each affected cell once per delta, so several input pins may
 /// have changed together: `triggers` lists every changed pin (ascending pin
-/// order). An empty list marks the power-up evaluation at time zero.
+/// order, each pin once). An empty list marks the power-up evaluation at
+/// time zero.
 pub struct EvalCtx<'a> {
     pub(crate) now: SimTime,
     pub(crate) input_values: &'a [Logic],
@@ -161,8 +162,9 @@ impl<'a> EvalCtx<'a> {
         self.triggers.first().copied()
     }
 
-    /// Every input pin that changed this delta cycle, ascending pin order.
-    /// Empty for the power-up evaluation.
+    /// Every input pin that changed this delta cycle, in ascending pin
+    /// order. Each pin appears once, even when its net transitioned more
+    /// than once in the delta cycle. Empty for the power-up evaluation.
     #[inline]
     pub fn triggers(&self) -> &[usize] {
         self.triggers

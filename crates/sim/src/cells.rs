@@ -207,6 +207,12 @@ impl Cell for DelayLine {
     }
 }
 
+/// The full-adder logic function: `(sum, carry)` of `a + b + cin`.
+#[inline]
+pub(crate) fn full_adder(a: Logic, b: Logic, cin: Logic) -> (Logic, Logic) {
+    (a ^ b ^ cin, (a & b) | (cin & (a ^ b)))
+}
+
 /// Mirror-adder full adder: inputs `[a, b, cin]`, outputs `[sum, carry]`.
 ///
 /// The carry arc of a mirror adder is roughly half the sum arc — this
@@ -243,11 +249,61 @@ impl Cell for FullAdderCell {
     }
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_>) {
-        let (a, b, c) = (ctx.input(0), ctx.input(1), ctx.input(2));
-        let sum = a ^ b ^ c;
-        let carry = (a & b) | (c & (a ^ b));
+        let (sum, carry) = full_adder(ctx.input(0), ctx.input(1), ctx.input(2));
         drive_resolved(ctx, 0, sum, self.sum_timing);
         drive_resolved(ctx, 1, carry, self.carry_timing);
+    }
+}
+
+/// The evolving state of a [`DLatch`]: its setup window and when D last
+/// changed. `Copy`, so the kernel's compiled cell table holds it inline.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LatchState {
+    setup: SimTime,
+    last_d_change: Option<SimTime>,
+}
+
+/// What one latch evaluation asks of its Q output.
+#[derive(Debug)]
+pub(crate) enum LatchStep {
+    /// Opaque: Q holds, nothing is driven.
+    Hold,
+    /// Drive Q to this value.
+    Drive(Logic),
+    /// D moved inside the setup window before G fell: report a
+    /// [`ViolationKind::Setup`] with this detail and drive Q to `X`.
+    SetupViolation(String),
+}
+
+impl LatchState {
+    /// One evaluation at `now` with inputs `d`, `g`; `d_changed` and
+    /// `g_changed` say which pins changed this delta cycle.
+    pub(crate) fn step(
+        &mut self,
+        now: SimTime,
+        d: Logic,
+        g: Logic,
+        d_changed: bool,
+        g_changed: bool,
+    ) -> LatchStep {
+        if d_changed {
+            self.last_d_change = Some(now);
+        }
+        match g {
+            // Transparent: follow D.
+            Logic::High => LatchStep::Drive(d),
+            // Capture on the falling enable edge.
+            Logic::Low if g_changed => match self.last_d_change.map(|t| now.since(t)) {
+                Some(stable_for) if stable_for < self.setup => LatchStep::SetupViolation(format!(
+                    "D stable for only {stable_for} before G fell (setup window {})",
+                    self.setup
+                )),
+                _ => LatchStep::Drive(d),
+            },
+            // Opaque: D changes are ignored.
+            Logic::Low => LatchStep::Hold,
+            Logic::X => LatchStep::Drive(Logic::X),
+        }
     }
 }
 
@@ -261,9 +317,7 @@ impl Cell for FullAdderCell {
 #[derive(Debug)]
 pub struct DLatch {
     timing: SampledTiming,
-    setup: SimTime,
-    last_d_change: Option<SimTime>,
-    captured: Logic,
+    state: LatchState,
 }
 
 impl DLatch {
@@ -271,9 +325,10 @@ impl DLatch {
     pub fn new(timing: SampledTiming, setup: SimTime) -> DLatch {
         DLatch {
             timing,
-            setup,
-            last_d_change: None,
-            captured: Logic::X,
+            state: LatchState {
+                setup,
+                last_d_change: None,
+            },
         }
     }
 }
@@ -288,43 +343,15 @@ impl Cell for DLatch {
     }
 
     fn eval(&mut self, ctx: &mut EvalCtx<'_>) {
-        let d = ctx.input(0);
-        let g = ctx.input(1);
-        if ctx.changed(0) {
-            self.last_d_change = Some(ctx.now());
-        }
-        match g {
-            Logic::High => {
-                // Transparent: follow D.
-                self.captured = d;
-                drive_resolved(ctx, 0, d, self.timing);
-            }
-            Logic::Low => {
-                if ctx.is_edge(1, Logic::Low) {
-                    // Capture on the falling enable edge.
-                    if let Some(t) = self.last_d_change {
-                        let stable_for = ctx.now().since(t);
-                        if stable_for < self.setup {
-                            ctx.report(
-                                ViolationKind::Setup,
-                                format!(
-                                    "D stable for only {stable_for} before G fell \
-                                     (setup window {})",
-                                    self.setup
-                                ),
-                            );
-                            self.captured = Logic::X;
-                            drive_resolved(ctx, 0, Logic::X, self.timing);
-                            return;
-                        }
-                    }
-                    self.captured = d;
-                    drive_resolved(ctx, 0, self.captured, self.timing);
-                }
-                // Opaque: D changes are ignored.
-            }
-            Logic::X => {
-                self.captured = Logic::X;
+        let (d, g) = (ctx.input(0), ctx.input(1));
+        match self
+            .state
+            .step(ctx.now(), d, g, ctx.changed(0), ctx.changed(1))
+        {
+            LatchStep::Hold => {}
+            LatchStep::Drive(q) => drive_resolved(ctx, 0, q, self.timing),
+            LatchStep::SetupViolation(detail) => {
+                ctx.report(ViolationKind::Setup, detail);
                 drive_resolved(ctx, 0, Logic::X, self.timing);
             }
         }
@@ -466,8 +493,8 @@ macro_rules! cell_kind {
             }
 
             /// The shape of this cell as seen by the kernel's compiled
-            /// fanout table: a 1-input gate, a commutative 2-input gate,
-            /// or anything else.
+            /// tables: a 1-input gate, a commutative 2-input gate, a full
+            /// adder, a latch, or anything else.
             pub(crate) fn shape(&self) -> GateShape {
                 match self {
                     CellKind::Inverter(g) => GateShape::Unary {
@@ -497,6 +524,14 @@ macro_rules! cell_kind {
                     CellKind::Xor2(g) => GateShape::Binary {
                         op: Gate2::Xor,
                         timing: g.timing(),
+                    },
+                    CellKind::FullAdder(fa) => GateShape::FullAdder {
+                        sum_timing: fa.sum_timing,
+                        carry_timing: fa.carry_timing,
+                    },
+                    CellKind::DLatch(l) => GateShape::Latch {
+                        timing: l.timing,
+                        state: l.state,
                     },
                     _ => GateShape::Other,
                 }
@@ -610,7 +645,7 @@ impl Gate2 {
     }
 }
 
-/// How a cell looks to the kernel's compiled fanout table.
+/// How a cell looks to the kernel's compiled tables.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum GateShape {
     /// A 1-input, 1-output stateless gate (inverter or buffer).
@@ -626,6 +661,20 @@ pub(crate) enum GateShape {
         op: Gate2,
         /// Sampled timing arcs.
         timing: SampledTiming,
+    },
+    /// A full adder (inputs `[a, b, cin]`, outputs `[sum, carry]`).
+    FullAdder {
+        /// Sum-arc timing.
+        sum_timing: SampledTiming,
+        /// Carry-arc timing.
+        carry_timing: SampledTiming,
+    },
+    /// A D-latch (inputs `[d, g]`, output `q`).
+    Latch {
+        /// D→Q timing.
+        timing: SampledTiming,
+        /// The latch's state when the table was compiled.
+        state: LatchState,
     },
     /// Anything else — evaluated through the generic path.
     Other,

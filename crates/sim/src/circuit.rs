@@ -5,7 +5,9 @@
 //! the component groups of the paper's Fig. 7 breakdown), computes the
 //! switched capacitance of every net from the connected pins plus explicit
 //! wire loading, and finally seals everything into an immutable [`Circuit`]
-//! ready for simulation.
+//! ready for simulation: each net's fanout and each cell's input and output
+//! nets live in flat, index-addressed tables rather than per-net and
+//! per-cell lists.
 
 use crate::cell::Cell;
 use crate::cells::CellKind;
@@ -13,6 +15,7 @@ use crate::library::CellLibrary;
 use maddpipe_tech::units::Farads;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Identifier of a net within one circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,28 +63,59 @@ pub(crate) struct Net {
     pub(crate) extra_cap: Farads,
     pub(crate) domain: DomainId,
     pub(crate) driver: Option<CellId>,
-    pub(crate) fanout: Vec<(CellId, usize)>,
-    /// `true` when the same cell appears more than once in `fanout` (it
-    /// listens on several pins of this net) — the kernel's singleton-event
-    /// fast path must then fall back to the dedup machinery. Sealed by
-    /// [`CircuitBuilder::build`].
+    /// `true` when the same cell appears more than once in this net's
+    /// fanout (it listens on several pins of this net) — the kernel's
+    /// singleton-event fast path must then fall back to the dedup
+    /// machinery. Sealed by [`CircuitBuilder::build`].
     pub(crate) fanout_dup: bool,
 }
 
 pub(crate) struct CellInstance {
     pub(crate) name: String,
     pub(crate) cell: CellKind,
-    pub(crate) inputs: Vec<NetId>,
-    pub(crate) outputs: Vec<NetId>,
 }
 
 impl fmt::Debug for CellInstance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CellInstance")
             .field("name", &self.name)
-            .field("inputs", &self.inputs)
-            .field("outputs", &self.outputs)
             .finish()
+    }
+}
+
+/// A list of lists packed into one array plus an offset table (CSR
+/// layout): row `i` is `items[start[i]..start[i + 1]]`. One allocation
+/// per table instead of one per row, and rows that are walked together
+/// sit next to each other in memory.
+#[derive(Debug)]
+struct Csr<T> {
+    items: Vec<T>,
+    start: Vec<u32>,
+}
+
+impl<T: Copy> Csr<T> {
+    fn new() -> Csr<T> {
+        Csr {
+            items: Vec::new(),
+            start: vec![0],
+        }
+    }
+
+    fn push_row(&mut self, row: &[T]) {
+        self.items.extend_from_slice(row);
+        self.start
+            .push(u32::try_from(self.items.len()).expect("more than u32::MAX table entries"));
+    }
+
+    /// The flat index range of row `i`.
+    #[inline]
+    fn range(&self, i: usize) -> Range<usize> {
+        self.start[i] as usize..self.start[i + 1] as usize
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.range(i)]
     }
 }
 
@@ -91,6 +125,14 @@ impl fmt::Debug for CellInstance {
 pub struct Circuit {
     pub(crate) nets: Vec<Net>,
     pub(crate) cells: Vec<CellInstance>,
+    /// Per net: the `(cell, input pin)` pairs it feeds, in ascending cell
+    /// then pin order.
+    fanout: Csr<(CellId, u32)>,
+    /// Per cell: its input nets in pin order. The flat index of an entry
+    /// is the cell's *flat pin* (see [`Circuit::input_pins`]).
+    inputs: Csr<NetId>,
+    /// Per cell: its output nets in pin order.
+    outputs: Csr<NetId>,
     pub(crate) domains: Vec<String>,
     pub(crate) library: CellLibrary,
 }
@@ -134,6 +176,38 @@ impl Circuit {
     pub fn is_primary_input(&self, id: NetId) -> bool {
         self.nets[id.index()].driver.is_none()
     }
+
+    /// The `(cell, input pin)` pairs net `net` feeds, ascending by cell
+    /// and then pin.
+    #[inline]
+    pub(crate) fn fanout(&self, net: usize) -> &[(CellId, u32)] {
+        self.fanout.row(net)
+    }
+
+    /// Input nets of cell `cell`, in pin order.
+    #[inline]
+    pub(crate) fn cell_inputs(&self, cell: usize) -> &[NetId] {
+        self.inputs.row(cell)
+    }
+
+    /// Output nets of cell `cell`, in pin order.
+    #[inline]
+    pub(crate) fn cell_outputs(&self, cell: usize) -> &[NetId] {
+        self.outputs.row(cell)
+    }
+
+    /// The flat pins of cell `cell`: input pin `p` of the cell is flat pin
+    /// `input_pins(cell).start + p`. Flat pins number every input pin of
+    /// the circuit `0..input_pin_count()`.
+    #[inline]
+    pub(crate) fn input_pins(&self, cell: usize) -> Range<usize> {
+        self.inputs.range(cell)
+    }
+
+    /// Total input pins over all cells.
+    pub(crate) fn input_pin_count(&self) -> usize {
+        self.inputs.items.len()
+    }
 }
 
 /// Incremental netlist builder.
@@ -153,6 +227,8 @@ impl Circuit {
 pub struct CircuitBuilder {
     nets: Vec<Net>,
     cells: Vec<CellInstance>,
+    inputs: Csr<NetId>,
+    outputs: Csr<NetId>,
     domains: Vec<String>,
     domain_index: HashMap<String, DomainId>,
     current_domain: DomainId,
@@ -167,6 +243,8 @@ impl CircuitBuilder {
         CircuitBuilder {
             nets: Vec::new(),
             cells: Vec::new(),
+            inputs: Csr::new(),
+            outputs: Csr::new(),
             domains: vec!["top".to_owned()],
             domain_index,
             current_domain: DomainId::TOP,
@@ -221,7 +299,6 @@ impl CircuitBuilder {
             extra_cap: Farads::ZERO,
             domain: self.current_domain,
             driver: None,
-            fanout: Vec::new(),
             fanout_dup: false,
         });
         id
@@ -300,9 +377,6 @@ impl CircuitBuilder {
             outputs.len()
         );
         let id = CellId(u32::try_from(self.cells.len()).expect("more than u32::MAX cells"));
-        for (pin, &net) in inputs.iter().enumerate() {
-            self.nets[net.index()].fanout.push((id, pin));
-        }
         for &net in outputs {
             let existing = self.nets[net.index()].driver;
             assert!(
@@ -312,42 +386,64 @@ impl CircuitBuilder {
             );
             self.nets[net.index()].driver = Some(id);
         }
-        self.cells.push(CellInstance {
-            name,
-            cell,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-        });
+        self.cells.push(CellInstance { name, cell });
+        self.inputs.push_row(inputs);
+        self.outputs.push_row(outputs);
         id
     }
 
-    /// Seals the netlist: resolves per-net capacitance (driver self-cap +
-    /// fanout pin caps + explicit wire cap) and returns the [`Circuit`].
+    /// Seals the netlist: packs every net's fanout into one flat table,
+    /// resolves per-net capacitance (driver self-cap + fanout pin caps +
+    /// explicit wire cap) and returns the [`Circuit`].
     pub fn build(mut self) -> Circuit {
+        // Transpose the per-cell input lists into per-net fanout lists
+        // (a counting sort): walking cells and pins in ascending order
+        // leaves every net's fanout sorted by cell, then pin.
+        let mut fanout_start = vec![0u32; self.nets.len() + 1];
+        for net in &self.inputs.items {
+            fanout_start[net.index() + 1] += 1;
+        }
+        for i in 1..fanout_start.len() {
+            fanout_start[i] += fanout_start[i - 1];
+        }
+        let mut fill = fanout_start.clone();
+        let mut fanout_items = vec![(CellId(0), 0u32); self.inputs.items.len()];
+        for ci in 0..self.cells.len() {
+            for (pin, net) in self.inputs.row(ci).iter().enumerate() {
+                let slot = &mut fill[net.index()];
+                fanout_items[*slot as usize] = (CellId(ci as u32), pin as u32);
+                *slot += 1;
+            }
+        }
+        let fanout = Csr {
+            items: fanout_items,
+            start: fanout_start,
+        };
         // Pin capacitance estimate: every fanout pin contributes a gate-unit
         // load; drivers contribute self-capacitance. Custom macro-cells get
         // the same default treatment, which callers refine with
         // `add_wire_cap` where it matters (bitlines, wordlines).
         let unit = self.library.technology().cap_gate_unit;
-        for net in &mut self.nets {
-            let pin_cap = Farads(unit.0 * 1.2 * net.fanout.len() as f64);
+        for (ni, net) in self.nets.iter_mut().enumerate() {
+            let fanout = fanout.row(ni);
+            let pin_cap = Farads(unit.0 * 1.2 * fanout.len() as f64);
             let self_cap = if net.driver.is_some() {
                 Farads(unit.0 * 0.6)
             } else {
                 Farads::ZERO
             };
             net.cap = pin_cap + self_cap + net.extra_cap;
-            // Flag nets whose fanout lists the same cell on several pins;
-            // the kernel's singleton-event fast path keys off this.
-            net.fanout_dup = net
-                .fanout
-                .iter()
-                .enumerate()
-                .any(|(i, &(cell, _))| net.fanout[..i].iter().any(|&(c, _)| c == cell));
+            // Flag nets whose fanout lists the same cell on several pins
+            // (adjacent entries, as the fanout is sorted by cell); the
+            // kernel's singleton-event fast path keys off this.
+            net.fanout_dup = fanout.windows(2).any(|w| w[0].0 == w[1].0);
         }
         Circuit {
             nets: self.nets,
             cells: self.cells,
+            fanout,
+            inputs: self.inputs,
+            outputs: self.outputs,
             domains: self.domains,
             library: self.library,
         }

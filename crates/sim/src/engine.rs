@@ -1,8 +1,8 @@
 //! The deterministic event-driven simulation kernel.
 //!
-//! Events are ordered by `(time, sequence-number)`, so two simulations of
-//! the same netlist with the same stimulus are bit-identical — a property
-//! the regression tests rely on. Inertial cancellation is implemented with
+//! Events are ordered by `(time, push order)`, so two simulations of the
+//! same netlist with the same stimulus are bit-identical — a property the
+//! regression tests rely on. Inertial cancellation is implemented with
 //! per-net generation counters: an inertial drive bumps the net's
 //! generation, and any queued event carrying a stale generation is dropped
 //! when popped (cheaper than surgically removing queue entries).
@@ -13,24 +13,39 @@
 //! that shares the earliest pending timestamp, applies the net updates,
 //! and only then evaluates each affected cell — exactly once per delta,
 //! however many of its input pins changed (a 16-bit bus landing on one
-//! listener used to cost 16 evaluations; it now costs one). Dirty cells
-//! are tracked with an epoch-stamped mark vector, so membership tests are
-//! O(1) and nothing is allocated per cycle. Evaluation itself is
-//! allocation-free: input values are snapshotted into a reusable scratch
-//! arena and cell behaviour is dispatched through the
+//! listener used to cost 16 evaluations; it now costs one). The pending
+//! queue is a short list of time buckets; an event is 24 bytes and carries
+//! no sequence number, because push order within a bucket already is
+//! event order.
+//!
+//! The netlist is read from flat, index-addressed tables: the
+//! [`Circuit`] packs every net's fanout `(cell, pin)` list and every
+//! cell's input and output nets into one array each, with an offset table
+//! (CSR layout). Dirty cells are tracked with an epoch-stamped mark
+//! vector, and the pins that changed in the current delta with one bit
+//! per flat input pin; phase B walks a dirty cell's bits in ascending
+//! order into one reusable trigger buffer, so each changed pin is listed
+//! once and nothing is sorted or allocated per cycle.
+//!
+//! Evaluation avoids the cell instance wherever it can. Inverters,
+//! buffers, 2-input gates, full adders and D-latches are *compiled* at
+//! [`Simulator::new`] into per-cell table entries that evaluate straight
+//! off the value table (a latch keeps its state in its entry; the logic
+//! is shared with [`cells`](crate::cells), so both paths compute the same
+//! function); nets that feed exactly one simple gate are compiled one
+//! step further, into per-net entries. Every other cell snapshots its
+//! inputs into a reusable scratch arena and is dispatched through the
 //! [`CellKind`](crate::cells::CellKind) enum (boxed trait objects remain
-//! as an escape hatch for downstream macro-cells); nets that feed exactly
-//! one simple gate are *compiled* into direct table entries that bypass
-//! the cell instance entirely. Testbenches that need to observe handshake
-//! edges register them with [`Simulator::run_until_edges`], which checks
-//! watched nets only when they actually transition instead of polling
-//! after every step.
+//! as an escape hatch for downstream macro-cells). Testbenches that need
+//! to observe handshake edges register them with
+//! [`Simulator::run_until_edges`], which checks watched nets only when
+//! they actually transition instead of polling after every step.
 //!
 //! A deliberately naive implementation of the same semantics lives in
 //! [`crate::reference`]; a property test keeps the two in agreement.
 
-use crate::cell::{Drive, DriveMode, EvalCtx, Violation};
-use crate::cells::{Gate2, GateShape};
+use crate::cell::{Drive, DriveMode, EvalCtx, Violation, ViolationKind};
+use crate::cells::{full_adder, Gate2, GateShape, LatchState, LatchStep};
 use crate::circuit::{CellId, Circuit, DomainId, NetId};
 use crate::energy::{EnergyMeter, EnergyReport};
 use crate::library::SampledTiming;
@@ -39,36 +54,25 @@ use crate::time::SimTime;
 use crate::trace::Trace;
 use maddpipe_tech::units::Joules;
 use std::fmt;
+use std::ops::Range;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A pending net update. Events at one timestamp are ordered by when they
+/// were pushed, so they carry no sequence number: 24 bytes each.
+#[derive(Debug, Clone, Copy)]
 struct Event {
     time: SimTime,
-    seq: u64,
     net: NetId,
     value: Logic,
     gen: u32,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The pending-event priority queue, organised as *time buckets*.
+/// The pending-event priority queue, organised as *time buckets*, plus the
+/// per-net generation counters that implement inertial cancellation.
 ///
 /// Events only need priority ordering **across** timestamps — within one
-/// timestamp they are consumed in sequence-number order, and sequence
-/// numbers are handed out monotonically, so the push order within a bucket
-/// already *is* the pop order. The queue therefore keeps a short list of
-/// distinct pending timestamps (sorted descending, earliest last) with one
-/// event bucket each:
+/// timestamp they are consumed in the order they were pushed. The queue
+/// therefore keeps a short list of distinct pending timestamps (sorted
+/// descending, earliest last) with one event bucket each:
 ///
 /// * pushing onto an existing timestamp is a short scan from the earliest
 ///   end plus a `Vec` push — no sift, no per-event comparisons;
@@ -80,32 +84,78 @@ impl PartialOrd for Event {
 ///
 /// Netlists keep only a handful of distinct timestamps in flight (a
 /// wavefront plus a few stragglers), so the linear scan beats a binary
-/// heap's `O(log n)` sift with its 32-byte element moves by a wide margin;
-/// determinism is untouched because `(time, seq)` order is preserved
-/// exactly.
-#[derive(Debug, Default)]
+/// heap's `O(log n)` sift by a wide margin; determinism is untouched
+/// because `(time, push order)` order is preserved exactly.
+#[derive(Debug)]
 struct EventQueue {
     /// Single-event fast lane, only ever filled by a push into a
     /// completely empty queue. That restriction makes its ordering free:
-    /// every event pushed later carries a higher sequence number, so when
-    /// timestamps tie, the front event is the correct first pop. The
-    /// dominant wavefront workload (pop one event, schedule its successor)
-    /// lives entirely in this slot and never touches a `Vec`.
+    /// every event pushed later comes after it, so when timestamps tie,
+    /// the front event is the correct first pop. The dominant wavefront
+    /// workload (pop one event, schedule its successor) lives entirely in
+    /// this slot and never touches a `Vec`.
     front: Option<Event>,
     /// `(timestamp, bucket)` pairs sorted strictly descending by time —
     /// the earliest timestamp is `entries.last()`. Each bucket holds that
-    /// timestamp's events in push (= seq) order.
+    /// timestamp's events in push order.
     entries: Vec<(SimTime, Vec<Event>)>,
     /// Drained buckets awaiting reuse.
     pool: Vec<Vec<Event>>,
     /// Total queued events.
     len: usize,
+    /// High-water mark of `len`.
+    max_len: usize,
+    /// Per-net generation counters: an inertial drive bumps its net's
+    /// generation, and a popped event carrying an older one is stale.
+    gens: Vec<u32>,
 }
 
 impl EventQueue {
+    fn new(n_nets: usize) -> EventQueue {
+        EventQueue {
+            front: None,
+            entries: Vec::new(),
+            pool: Vec::new(),
+            len: 0,
+            max_len: 0,
+            gens: vec![0; n_nets],
+        }
+    }
+
+    /// Schedules `net` to take `value` at `now + delay`. An inertial drive
+    /// supersedes every event already pending on `net`.
+    #[inline]
+    fn schedule(
+        &mut self,
+        now: SimTime,
+        net: NetId,
+        value: Logic,
+        delay: SimTime,
+        mode: DriveMode,
+    ) {
+        let g = &mut self.gens[net.index()];
+        if mode == DriveMode::Inertial {
+            *g = g.wrapping_add(1);
+        }
+        let gen = *g;
+        self.push(Event {
+            time: now + delay,
+            net,
+            value,
+            gen,
+        });
+    }
+
+    /// `false` when a later inertial drive superseded `ev`.
+    #[inline]
+    fn is_current(&self, ev: &Event) -> bool {
+        ev.gen == self.gens[ev.net.index()]
+    }
+
     #[inline]
     fn push(&mut self, ev: Event) {
         self.len += 1;
+        self.max_len = self.max_len.max(self.len);
         if self.front.is_none() && self.entries.is_empty() {
             self.front = Some(ev);
             return;
@@ -167,7 +217,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the bucket at timestamp `t` if one exists, in
-    /// seq order. Return the bucket via [`EventQueue::recycle`] when done.
+    /// push order. Return the bucket via [`EventQueue::recycle`] when done.
     #[inline]
     fn pop_bucket_at(&mut self, t: SimTime) -> Option<Vec<Event>> {
         match self.entries.last() {
@@ -190,11 +240,6 @@ impl EventQueue {
     #[inline]
     fn is_empty(&self) -> bool {
         self.front.is_none() && self.entries.is_empty()
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
     }
 }
 
@@ -281,9 +326,10 @@ struct NetHot {
 
 /// Compiled form of a cell, precomputed at [`Simulator::new`] and indexed
 /// by `CellId` — the batched evaluation path's counterpart of
-/// [`FanoutFast`]. Simple gates evaluate straight off the value table; all
-/// other cells take the generic `EvalCtx` path.
-#[derive(Debug, Clone, Copy)]
+/// [`FanoutFast`]. Simple gates, full adders and latches evaluate straight
+/// off the value table (a latch keeps its state here); all other cells
+/// take the generic `EvalCtx` path.
+#[derive(Debug)]
 enum CellFast {
     Generic,
     Unary {
@@ -299,6 +345,22 @@ enum CellFast {
         timing: SampledTiming,
         op: Gate2,
     },
+    FullAdder {
+        a: NetId,
+        b: NetId,
+        cin: NetId,
+        sum: NetId,
+        carry: NetId,
+        sum_timing: SampledTiming,
+        carry_timing: SampledTiming,
+    },
+    Latch {
+        d: NetId,
+        g: NetId,
+        q: NetId,
+        timing: SampledTiming,
+        state: LatchState,
+    },
 }
 
 /// Compiled fanout of a net, precomputed at [`Simulator::new`].
@@ -310,7 +372,7 @@ enum CellFast {
 /// same `SampledTiming::for_value` delay, same inertial scheduling.
 #[derive(Debug, Clone, Copy)]
 enum FanoutFast {
-    /// Evaluate the fanout through the generic cell path.
+    /// Evaluate each fanout cell through its [`CellFast`] entry.
     Generic,
     /// One fanout: a 1-input gate (inverter/buffer) driving `out`.
     Unary {
@@ -346,16 +408,15 @@ enum FanoutFast {
 pub struct Simulator {
     circuit: Circuit,
     values: Vec<Logic>,
-    gens: Vec<u32>,
     queue: EventQueue,
     now: SimTime,
-    seq: u64,
     energy: EnergyMeter,
     net_hot: Vec<NetHot>,
     fanout_fast: Vec<FanoutFast>,
     cell_fast: Vec<CellFast>,
     violations: Vec<Violation>,
     trace: Trace,
+    /// Kernel counters; `max_queue` is read from the queue instead.
     stats: SimStats,
     event_cap: u64,
     /// `true` while anything wants per-transition callbacks (waveform
@@ -365,9 +426,12 @@ pub struct Simulator {
     // event once the simulator has warmed up.
     drive_buf: Vec<Drive>,
     input_buf: Vec<Logic>,
+    trigger_buf: Vec<usize>,
     dirty: Vec<CellId>,
     dirty_mark: Vec<u64>,
-    pending_pins: Vec<Vec<usize>>,
+    /// One bit per flat input pin ([`Circuit::input_pins`]): set when the
+    /// pin's net changed in the current delta cycle.
+    changed_pins: Vec<u64>,
     epoch: u64,
     watches: Vec<Watch>,
 }
@@ -392,60 +456,80 @@ impl Simulator {
                 }
             })
             .collect();
-        // Compile the simple gates into direct per-cell entries for the
-        // batched evaluation path (see [`CellFast`]).
+        // Compile the simple gates, full adders and latches into direct
+        // per-cell entries (see [`CellFast`]).
         let cell_fast = circuit
             .cells
             .iter()
-            .map(|inst| match inst.cell.shape() {
-                GateShape::Unary { invert, timing } => CellFast::Unary {
-                    input: inst.inputs[0],
-                    out: inst.outputs[0],
-                    timing,
-                    invert,
-                },
-                GateShape::Binary { op, timing } => CellFast::Binary {
-                    a: inst.inputs[0],
-                    b: inst.inputs[1],
-                    out: inst.outputs[0],
-                    timing,
-                    op,
-                },
-                GateShape::Other => CellFast::Generic,
+            .enumerate()
+            .map(|(ci, inst)| {
+                let (ins, outs) = (circuit.cell_inputs(ci), circuit.cell_outputs(ci));
+                match inst.cell.shape() {
+                    GateShape::Unary { invert, timing } => CellFast::Unary {
+                        input: ins[0],
+                        out: outs[0],
+                        timing,
+                        invert,
+                    },
+                    GateShape::Binary { op, timing } => CellFast::Binary {
+                        a: ins[0],
+                        b: ins[1],
+                        out: outs[0],
+                        timing,
+                        op,
+                    },
+                    GateShape::FullAdder {
+                        sum_timing,
+                        carry_timing,
+                    } => CellFast::FullAdder {
+                        a: ins[0],
+                        b: ins[1],
+                        cin: ins[2],
+                        sum: outs[0],
+                        carry: outs[1],
+                        sum_timing,
+                        carry_timing,
+                    },
+                    GateShape::Latch { timing, state } => CellFast::Latch {
+                        d: ins[0],
+                        g: ins[1],
+                        q: outs[0],
+                        timing,
+                        state,
+                    },
+                    GateShape::Other => CellFast::Generic,
+                }
             })
             .collect();
         // Compile the single-fanout simple-gate nets into direct table
         // entries (see [`FanoutFast`]).
-        let fanout_fast = circuit
-            .nets
-            .iter()
-            .map(|net| {
-                let [(cell, pin)] = net.fanout.as_slice() else {
+        let fanout_fast = (0..n_nets)
+            .map(|ni| {
+                let &[(cell, pin)] = circuit.fanout(ni) else {
                     return FanoutFast::Generic;
                 };
-                let inst = &circuit.cells[cell.index()];
-                match inst.cell.shape() {
+                let ci = cell.index();
+                let outs = circuit.cell_outputs(ci);
+                match circuit.cells[ci].cell.shape() {
                     GateShape::Unary { invert, timing } => FanoutFast::Unary {
-                        out: inst.outputs[0],
+                        out: outs[0],
                         timing,
                         invert,
                     },
                     GateShape::Binary { op, timing } => FanoutFast::Binary {
-                        out: inst.outputs[0],
+                        out: outs[0],
                         timing,
                         op,
-                        other: inst.inputs[1 - pin],
+                        other: circuit.cell_inputs(ci)[1 - pin as usize],
                     },
-                    GateShape::Other => FanoutFast::Generic,
+                    _ => FanoutFast::Generic,
                 }
             })
             .collect();
         let mut sim = Simulator {
             values: vec![Logic::X; n_nets],
-            gens: vec![0; n_nets],
-            queue: EventQueue::default(),
+            queue: EventQueue::new(n_nets),
             now: SimTime::ZERO,
-            seq: 0,
             energy: EnergyMeter::new(n_domains),
             net_hot,
             fanout_fast,
@@ -457,14 +541,15 @@ impl Simulator {
             observers: false,
             drive_buf: Vec::new(),
             input_buf: Vec::new(),
+            trigger_buf: Vec::new(),
             dirty: Vec::new(),
             dirty_mark: vec![0; n_cells],
-            pending_pins: vec![Vec::new(); n_cells],
+            changed_pins: vec![0; circuit.input_pin_count().div_ceil(64)],
             epoch: 0,
             watches: Vec::new(),
             circuit,
         };
-        for i in 0..sim.circuit.cells.len() {
+        for i in 0..n_cells {
             sim.eval_cell(CellId(i as u32), &[]);
         }
         sim
@@ -512,7 +597,8 @@ impl Simulator {
             "cannot poke net `{}`: it is driven by a cell",
             self.circuit.nets[net.index()].name
         );
-        self.schedule(net, value, delay, DriveMode::Inertial);
+        self.queue
+            .schedule(self.now, net, value, delay, DriveMode::Inertial);
     }
 
     /// Drives each bit of an LSB-first bus from an integer (inputs only).
@@ -562,7 +648,10 @@ impl Simulator {
 
     /// Kernel statistics.
     pub fn stats(&self) -> SimStats {
-        self.stats
+        SimStats {
+            max_queue: self.queue.max_len,
+            ..self.stats
+        }
     }
 
     /// Per-domain energy snapshot.
@@ -729,55 +818,6 @@ impl Simulator {
         self.trace.entries()
     }
 
-    fn schedule(&mut self, net: NetId, value: Logic, delay: SimTime, mode: DriveMode) {
-        Self::schedule_split(
-            &mut self.gens,
-            &mut self.seq,
-            &mut self.queue,
-            &mut self.stats,
-            self.now,
-            net,
-            value,
-            delay,
-            mode,
-        );
-    }
-
-    /// [`Simulator::schedule`] over explicit field borrows, so the eval
-    /// drain loop can keep its shared borrows of the circuit alive while
-    /// scheduling.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn schedule_split(
-        gens: &mut [u32],
-        seq: &mut u64,
-        queue: &mut EventQueue,
-        stats: &mut SimStats,
-        now: SimTime,
-        net: NetId,
-        value: Logic,
-        delay: SimTime,
-        mode: DriveMode,
-    ) {
-        let gen = match mode {
-            DriveMode::Inertial => {
-                let g = &mut gens[net.index()];
-                *g = g.wrapping_add(1);
-                *g
-            }
-            DriveMode::Transport => gens[net.index()],
-        };
-        *seq += 1;
-        queue.push(Event {
-            time: now + delay,
-            seq: *seq,
-            net,
-            value,
-            gen,
-        });
-        stats.max_queue = stats.max_queue.max(queue.len());
-    }
-
     /// Executes one delta cycle: drains every event at the earliest queued
     /// timestamp, applies the surviving net updates, then evaluates each
     /// dirty cell exactly once with the full set of changed pins. Returns
@@ -795,7 +835,7 @@ impl Simulator {
             .expect("delta_cycle on empty queue");
         debug_assert!(t >= self.now, "event time went backwards");
         // Everything scheduled at `t`: the front-lane event (always the
-        // lowest seq at its timestamp) and/or the bucket.
+        // first pushed at its timestamp) and/or the bucket.
         let front_ev = self.queue.take_front_at(t);
         let bucket = self.queue.pop_bucket_at(t);
         let popped = u64::from(front_ev.is_some()) + bucket.as_ref().map_or(0, |b| b.len() as u64);
@@ -809,7 +849,7 @@ impl Simulator {
             }
             (front_ev, bucket) => {
                 // Batched path — phase A: apply every event scheduled at
-                // `t` in seq order, marking the fanout cells of each
+                // `t` in push order, marking the fanout cells of each
                 // changed net dirty. Events pushed during phase B land in
                 // a fresh bucket at the same timestamp and are processed
                 // by the next delta cycle.
@@ -836,12 +876,12 @@ impl Simulator {
     /// changed pin.
     #[inline]
     fn singleton_cycle(&mut self, t: SimTime, ev: Event) {
-        let ni = ev.net.index();
-        if ev.gen != self.gens[ni] {
+        if !self.queue.is_current(&ev) {
             self.stats.events_stale += 1;
             return;
         }
         self.now = t;
+        let ni = ev.net.index();
         if self.values[ni] == ev.value {
             return;
         }
@@ -856,17 +896,8 @@ impl Simulator {
             } => {
                 self.stats.evals += 1;
                 let v = if invert { !ev.value } else { ev.value };
-                Self::schedule_split(
-                    &mut self.gens,
-                    &mut self.seq,
-                    &mut self.queue,
-                    &mut self.stats,
-                    t,
-                    out,
-                    v,
-                    timing.for_value(v),
-                    DriveMode::Inertial,
-                );
+                self.queue
+                    .schedule(t, out, v, timing.for_value(v), DriveMode::Inertial);
             }
             FanoutFast::Binary {
                 out,
@@ -876,17 +907,8 @@ impl Simulator {
             } => {
                 self.stats.evals += 1;
                 let v = op.apply(ev.value, self.values[other.index()]);
-                Self::schedule_split(
-                    &mut self.gens,
-                    &mut self.seq,
-                    &mut self.queue,
-                    &mut self.stats,
-                    t,
-                    out,
-                    v,
-                    timing.for_value(v),
-                    DriveMode::Inertial,
-                );
+                self.queue
+                    .schedule(t, out, v, timing.for_value(v), DriveMode::Inertial);
             }
             FanoutFast::Generic => {
                 if self.net_hot[ni].fanout_dup {
@@ -897,10 +919,9 @@ impl Simulator {
                     self.mark_fanout_dirty(ni);
                     self.eval_dirty();
                 } else {
-                    let n_fanout = self.circuit.nets[ni].fanout.len();
-                    for k in 0..n_fanout {
-                        let (cell, pin) = self.circuit.nets[ni].fanout[k];
-                        self.eval_cell(cell, &[pin]);
+                    for k in 0..self.circuit.fanout(ni).len() {
+                        let (cell, pin) = self.circuit.fanout(ni)[k];
+                        self.eval_cell(cell, &[pin as usize]);
                     }
                 }
             }
@@ -911,12 +932,12 @@ impl Simulator {
     /// surviving change and stamp its fanout dirty.
     #[inline]
     fn apply_batched(&mut self, t: SimTime, ev: &Event) {
-        let ni = ev.net.index();
-        if ev.gen != self.gens[ni] {
+        if !self.queue.is_current(ev) {
             self.stats.events_stale += 1;
             return;
         }
         self.now = t;
+        let ni = ev.net.index();
         if self.values[ni] == ev.value {
             return;
         }
@@ -944,35 +965,38 @@ impl Simulator {
     }
 
     /// Stamps every fanout cell of net `ni` dirty in the current epoch and
-    /// records which pin saw the change.
+    /// sets the changed bit of the pin it listens on.
     fn mark_fanout_dirty(&mut self, ni: usize) {
         let epoch = self.epoch;
-        for &(cell, pin) in &self.circuit.nets[ni].fanout {
+        for &(cell, pin) in self.circuit.fanout(ni) {
             let ci = cell.index();
             if self.dirty_mark[ci] != epoch {
                 self.dirty_mark[ci] = epoch;
                 self.dirty.push(cell);
             }
-            self.pending_pins[ci].push(pin);
+            let bit = self.circuit.input_pins(ci).start + pin as usize;
+            self.changed_pins[bit / 64] |= 1 << (bit % 64);
         }
     }
 
-    /// Evaluates each dirty cell once. Evaluations only schedule future
+    /// Evaluates each dirty cell once, with its changed pins in ascending
+    /// order (each listed once, whatever the order and number of the
+    /// transitions that set them). Evaluations only schedule future
     /// events, so the dirty list cannot grow while we walk it.
     fn eval_dirty(&mut self) {
-        let n_dirty = self.dirty.len();
-        for k in 0..n_dirty {
+        let mut triggers = std::mem::take(&mut self.trigger_buf);
+        for k in 0..self.dirty.len() {
             let cell = self.dirty[k];
-            let ci = cell.index();
-            let mut pins = std::mem::take(&mut self.pending_pins[ci]);
-            // Canonical ascending pin order (application order is event
-            // order, which is a scheduling artefact cells must not see).
-            pins.sort_unstable();
-            self.eval_cell(cell, &pins);
-            pins.clear();
-            self.pending_pins[ci] = pins;
+            triggers.clear();
+            drain_bits(
+                &mut self.changed_pins,
+                self.circuit.input_pins(cell.index()),
+                &mut triggers,
+            );
+            self.eval_cell(cell, &triggers);
         }
         self.dirty.clear();
+        self.trigger_buf = triggers;
     }
 
     fn record_edge(&mut self, net: NetId, new_value: Logic) {
@@ -987,8 +1011,9 @@ impl Simulator {
     fn eval_cell(&mut self, cell: CellId, triggers: &[usize]) {
         self.stats.evals += 1;
         let ci = cell.index();
-        // Compiled simple gates evaluate straight off the value table.
-        match self.cell_fast[ci] {
+        let now = self.now;
+        // Compiled cells evaluate straight off the value table.
+        match &mut self.cell_fast[ci] {
             CellFast::Unary {
                 input,
                 out,
@@ -996,18 +1021,9 @@ impl Simulator {
                 invert,
             } => {
                 let v0 = self.values[input.index()];
-                let v = if invert { !v0 } else { v0 };
-                Self::schedule_split(
-                    &mut self.gens,
-                    &mut self.seq,
-                    &mut self.queue,
-                    &mut self.stats,
-                    self.now,
-                    out,
-                    v,
-                    timing.for_value(v),
-                    DriveMode::Inertial,
-                );
+                let v = if *invert { !v0 } else { v0 };
+                self.queue
+                    .schedule(now, *out, v, timing.for_value(v), DriveMode::Inertial);
                 return;
             }
             CellFast::Binary {
@@ -1018,17 +1034,65 @@ impl Simulator {
                 op,
             } => {
                 let v = op.apply(self.values[a.index()], self.values[b.index()]);
-                Self::schedule_split(
-                    &mut self.gens,
-                    &mut self.seq,
-                    &mut self.queue,
-                    &mut self.stats,
-                    self.now,
-                    out,
-                    v,
-                    timing.for_value(v),
+                self.queue
+                    .schedule(now, *out, v, timing.for_value(v), DriveMode::Inertial);
+                return;
+            }
+            CellFast::FullAdder {
+                a,
+                b,
+                cin,
+                sum,
+                carry,
+                sum_timing,
+                carry_timing,
+            } => {
+                let (s, c) = full_adder(
+                    self.values[a.index()],
+                    self.values[b.index()],
+                    self.values[cin.index()],
+                );
+                // Sum before carry, the order `FullAdderCell` drives them.
+                self.queue
+                    .schedule(now, *sum, s, sum_timing.for_value(s), DriveMode::Inertial);
+                self.queue.schedule(
+                    now,
+                    *carry,
+                    c,
+                    carry_timing.for_value(c),
                     DriveMode::Inertial,
                 );
+                return;
+            }
+            CellFast::Latch {
+                d,
+                g,
+                q,
+                timing,
+                state,
+            } => {
+                let step = state.step(
+                    now,
+                    self.values[d.index()],
+                    self.values[g.index()],
+                    triggers.contains(&0),
+                    triggers.contains(&1),
+                );
+                let v = match step {
+                    LatchStep::Hold => return,
+                    LatchStep::Drive(v) => v,
+                    LatchStep::SetupViolation(detail) => {
+                        self.violations.push(Violation {
+                            time: now,
+                            cell: self.circuit.cells[ci].name.clone(),
+                            kind: ViolationKind::Setup,
+                            detail,
+                        });
+                        Logic::X
+                    }
+                };
+                self.queue
+                    .schedule(now, *q, v, timing.for_value(v), DriveMode::Inertial);
                 return;
             }
             CellFast::Generic => {}
@@ -1036,30 +1100,25 @@ impl Simulator {
         // Snapshot the input values into the reusable scratch arena; the
         // borrows below are all of disjoint `Simulator` fields, so the
         // whole evaluation is allocation-free.
-        let inst = &mut self.circuit.cells[ci];
         self.input_buf.clear();
-        self.input_buf
-            .extend(inst.inputs.iter().map(|n| self.values[n.index()]));
+        self.input_buf.extend(
+            self.circuit
+                .cell_inputs(ci)
+                .iter()
+                .map(|n| self.values[n.index()]),
+        );
+        let inst = &mut self.circuit.cells[ci];
         // Combinational single-output gates that are not table-compiled
         // (3- and 4-input NAND/NOR, muxes) still short-circuit past the
         // evaluation context.
         if let Some((value, delay)) = inst.cell.gate_response(&self.input_buf) {
-            let net = inst.outputs[0];
-            Self::schedule_split(
-                &mut self.gens,
-                &mut self.seq,
-                &mut self.queue,
-                &mut self.stats,
-                self.now,
-                net,
-                value,
-                delay,
-                DriveMode::Inertial,
-            );
+            let net = self.circuit.cell_outputs(ci)[0];
+            self.queue
+                .schedule(now, net, value, delay, DriveMode::Inertial);
             return;
         }
         let mut ctx = EvalCtx {
-            now: self.now,
+            now,
             input_values: &self.input_buf,
             triggers,
             drives: &mut self.drive_buf,
@@ -1070,9 +1129,8 @@ impl Simulator {
         // Drain the requested drives. `add_cell` validated the pin counts
         // when the netlist was built; a cell driving a pin it does not
         // have is a bug in the cell itself, caught by the indexing below
-        // (and by this check in debug builds). The borrows are disjoint
-        // `Simulator` fields, so nothing is re-indexed per drive.
-        let outputs = &self.circuit.cells[ci].outputs;
+        // (and by this check in debug builds).
+        let outputs = self.circuit.cell_outputs(ci);
         for d in self.drive_buf.iter() {
             debug_assert!(
                 d.out_pin < outputs.len(),
@@ -1081,19 +1139,31 @@ impl Simulator {
                 d.out_pin,
                 outputs.len()
             );
-            Self::schedule_split(
-                &mut self.gens,
-                &mut self.seq,
-                &mut self.queue,
-                &mut self.stats,
-                self.now,
-                outputs[d.out_pin],
-                d.value,
-                d.delay,
-                d.mode,
-            );
+            self.queue
+                .schedule(now, outputs[d.out_pin], d.value, d.delay, d.mode);
         }
         self.drive_buf.clear();
+    }
+}
+
+/// Moves the set bits of `bits` inside the bit range `range` into `out`,
+/// ascending, as offsets from `range.start`, and clears them. `range`
+/// must be non-empty.
+#[inline]
+fn drain_bits(bits: &mut [u64], range: Range<usize>, out: &mut Vec<usize>) {
+    let (first, last) = (range.start / 64, (range.end - 1) / 64);
+    for (w, word) in (first..).zip(&mut bits[first..=last]) {
+        let base = w * 64;
+        // This word's bits inside `range`: `lo..hi`.
+        let lo = range.start.saturating_sub(base);
+        let hi = (range.end - base).min(64);
+        let mask = (u64::MAX << lo) & (u64::MAX >> (64 - hi));
+        let mut hit = *word & mask;
+        *word &= !mask;
+        while hit != 0 {
+            out.push(base + hit.trailing_zeros() as usize - range.start);
+            hit &= hit - 1;
+        }
     }
 }
 
@@ -1319,6 +1389,23 @@ mod tests {
         sim.run_to_quiescence().unwrap();
         assert_eq!(sim.value(q), Logic::High, "latch holds captured value");
         assert!(sim.violations().is_empty(), "{:?}", sim.violations());
+    }
+
+    #[test]
+    fn events_fit_in_24_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 24);
+    }
+
+    #[test]
+    fn drain_bits_takes_only_its_range_across_words() {
+        let mut bits = vec![0u64; 3];
+        for b in [3, 60, 61, 64, 127, 128, 130] {
+            bits[b / 64] |= 1 << (b % 64);
+        }
+        let mut out = Vec::new();
+        drain_bits(&mut bits, 61..129, &mut out);
+        assert_eq!(out, [0, 3, 66, 67]);
+        assert_eq!(bits, [1 << 3 | 1 << 60, 0, 1 << 2], "bits outside kept");
     }
 
     #[test]

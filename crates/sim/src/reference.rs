@@ -183,16 +183,20 @@ impl ReferenceSimulator {
                 Logic::Low => self.energy_by_domain[domain] += fall,
                 Logic::X => {}
             }
-            for &(cell, pin) in &self.circuit.nets[ni].fanout {
+            for &(cell, pin) in self.circuit.fanout(ni) {
+                let pin = pin as usize;
                 match dirty.iter_mut().find(|(c, _)| *c == cell) {
                     Some((_, pins)) => pins.push(pin),
                     None => dirty.push((cell, vec![pin])),
                 }
             }
         }
-        // Phase B: one evaluation per dirty cell, ascending pin order.
+        // Phase B: one evaluation per dirty cell, ascending pin order, each
+        // changed pin listed once (a net may transition twice in one
+        // delta cycle).
         for (cell, mut pins) in dirty {
             pins.sort_unstable();
+            pins.dedup();
             self.eval_cell(cell, &pins);
         }
         batch.len() as u64
@@ -201,9 +205,13 @@ impl ReferenceSimulator {
     fn eval_cell(&mut self, cell: CellId, triggers: &[usize]) {
         let mut drives: Vec<Drive> = Vec::new();
         {
+            let input_values: Vec<Logic> = self
+                .circuit
+                .cell_inputs(cell.index())
+                .iter()
+                .map(|n| self.values[n.index()])
+                .collect();
             let inst = &mut self.circuit.cells[cell.index()];
-            let input_values: Vec<Logic> =
-                inst.inputs.iter().map(|n| self.values[n.index()]).collect();
             let mut ctx = EvalCtx::for_test(
                 self.now,
                 &input_values,
@@ -215,7 +223,7 @@ impl ReferenceSimulator {
             inst.cell.eval(&mut ctx);
         }
         for d in drives {
-            let net = self.circuit.cells[cell.index()].outputs[d.out_pin];
+            let net = self.circuit.cell_outputs(cell.index())[d.out_pin];
             self.schedule(net, d.value, d.delay, d.mode);
         }
     }

@@ -24,7 +24,8 @@ pub struct TraceEntry {
 #[derive(Debug, Clone)]
 pub struct Trace {
     enabled: Vec<bool>,
-    any_enabled: bool,
+    /// How many entries of `enabled` are `true`.
+    enabled_count: usize,
     entries: Vec<TraceEntry>,
 }
 
@@ -34,23 +35,25 @@ impl Trace {
     pub fn new(net_count: usize) -> Trace {
         Trace {
             enabled: vec![false; net_count],
-            any_enabled: false,
+            enabled_count: 0,
             entries: Vec::new(),
         }
     }
 
     /// Starts recording a net.
     pub fn enable(&mut self, net: NetId) {
-        self.enabled[net.index()] = true;
-        self.any_enabled = true;
+        let on = &mut self.enabled[net.index()];
+        self.enabled_count += usize::from(!*on);
+        *on = true;
     }
 
     /// Stops recording a net (already-recorded entries are kept). When the
     /// last net is disabled the kernel's fully-untraced fast path is
     /// restored.
     pub fn disable(&mut self, net: NetId) {
-        self.enabled[net.index()] = false;
-        self.any_enabled = self.enabled.iter().any(|&e| e);
+        let on = &mut self.enabled[net.index()];
+        self.enabled_count -= usize::from(*on);
+        *on = false;
     }
 
     /// `true` if the net is being recorded.
@@ -58,12 +61,12 @@ impl Trace {
         self.enabled[net.index()]
     }
 
-    /// `true` once any net has been enabled. The kernel reads this single
+    /// `true` while any net is enabled. The kernel reads this single
     /// flag per transition so fully-untraced simulations — the common
     /// bench configuration — skip the recording path entirely.
     #[inline]
     pub fn any_enabled(&self) -> bool {
-        self.any_enabled
+        self.enabled_count > 0
     }
 
     /// Records a change if the net is enabled (called by the kernel).
@@ -180,6 +183,36 @@ mod tests {
         assert!(!t.any_enabled(), "fresh trace records nothing");
         t.enable(NetId(2));
         assert!(t.any_enabled());
+    }
+
+    #[test]
+    fn enabling_a_net_twice_counts_it_once() {
+        let mut t = Trace::new(3);
+        t.enable(NetId(1));
+        t.enable(NetId(1));
+        t.disable(NetId(1));
+        assert!(!t.any_enabled(), "one disable undoes a repeated enable");
+    }
+
+    #[test]
+    fn disabling_one_of_two_traced_nets_keeps_any_enabled() {
+        let mut t = Trace::new(3);
+        t.enable(NetId(0));
+        t.enable(NetId(2));
+        t.disable(NetId(0));
+        assert!(t.any_enabled());
+        assert!(t.is_enabled(NetId(2)) && !t.is_enabled(NetId(0)));
+    }
+
+    #[test]
+    fn disabling_both_traced_nets_clears_any_enabled() {
+        let mut t = Trace::new(3);
+        t.enable(NetId(0));
+        t.enable(NetId(2));
+        t.disable(NetId(0));
+        t.disable(NetId(2));
+        t.disable(NetId(2));
+        assert!(!t.any_enabled());
     }
 
     #[test]
