@@ -139,7 +139,7 @@ fn macro_flagship_rates() -> (f64, f64) {
 /// through [`MacroProgram::reference_output`] on its own thread (on the
 /// calling thread for one worker) — the thread-scaling rows of the
 /// snapshot, keeping the historical `backend_tokens_per_sec` baseline
-/// comparable across PRs. The batched lane kernel is reported in the
+/// comparable across PRs. The batched LUT kernel is reported in the
 /// `functional_simd` section against it.
 fn scalar_tokens_per_sec(workers: usize) -> f64 {
     let cfg = MacroConfig::paper_flagship();
@@ -163,7 +163,7 @@ fn scalar_tokens_per_sec(workers: usize) -> f64 {
 }
 
 /// Functional-backend throughput at the paper's flagship shape on
-/// `workers` threads — the batched lane kernel behind the
+/// `workers` threads — the batched LUT kernel behind the
 /// `functional_simd` rows.
 fn functional_tokens_per_sec(workers: usize) -> f64 {
     let cfg = MacroConfig::paper_flagship();
@@ -502,7 +502,7 @@ fn pipeline_snapshot(images: usize) -> (f64, Vec<(String, f64, f64)>) {
 /// 2-replica pool, printed but never written to `results/` — enough
 /// for CI to prove the serving path moves tokens.
 fn smoke() {
-    // Batched-kernel pass: the lane kernel bit-identical to the scalar
+    // Batched-kernel pass: the batched kernel bit-identical to the scalar
     // spec on a ragged (non-lane-multiple) flagship batch — the contract
     // behind the `functional_simd` rows of the full snapshot.
     {
@@ -517,10 +517,10 @@ fn smoke() {
         assert_eq!(
             program.batched().evaluate(batch.tokens()),
             golden,
-            "the lane kernel diverged from the scalar spec"
+            "the batched kernel diverged from the scalar spec"
         );
         println!(
-            "smoke batched: the lane kernel is bit-identical to the scalar spec on {} tokens",
+            "smoke batched: the batched kernel is bit-identical to the scalar spec on {} tokens",
             batch.len()
         );
     }
@@ -768,7 +768,7 @@ fn main() {
     let _ = writeln!(json, "    \"rtl_ndec2_ns2_sequential\": {rtl_seq:.1},");
     let _ = writeln!(json, "    \"rtl_ndec2_ns2_pipelined\": {rtl_pip:.1}");
     let _ = writeln!(json, "  }},");
-    // The batched lane kernel of the functional backend, against the
+    // The batched LUT kernel of the functional backend, against the
     // scalar `functional_flagship_w1` baseline above (which deliberately
     // still measures the one-token-at-a-time executable spec).
     let _ = writeln!(json, "  \"functional_simd\": {{");

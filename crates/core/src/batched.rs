@@ -1,89 +1,153 @@
 //! Batched evaluation of a [`MacroProgram`] — the fast path behind
 //! [`MacroProgram::reference_output_batch`].
 //!
-//! [`MacroProgram::reference_output`] walks one token at a time: a 4-level
-//! BDT per stage, then one LUT byte per decoder chain, accumulated with
+//! [`MacroProgram::reference_output`] walks one token at a time: a BDT
+//! per stage, then one LUT byte per decoder chain, accumulated with
 //! wrapping 16-bit adds. That scalar walk is the executable spec — this
-//! module never changes its semantics, it only restructures the data so
-//! each (token, stage) step is cheap:
+//! module never changes its semantics, it only compiles the program to
+//! the macro's fixed shape (Fig. 2, Fig. 5) so each (token, stage) step
+//! is a fixed amount of work — four compares and one 16-lane add per
+//! output group:
 //!
-//! * [`BatchedProgram`] is a struct-of-arrays view of the program: per
-//!   stage, the split dimensions and heap-ordered thresholds of the tree
-//!   sit in flat arrays, and the LUT bytes are widened to `i16` and
-//!   transposed **code-major** — one contiguous `ndec`-wide row per leaf
-//!   code — so accumulating a token is a single dense vector add over
-//!   all its decoder chains instead of `ndec` scattered byte gathers.
-//! * The lane kernel walks each token's tree on those flat arrays and
-//!   adds the selected LUT row into the token's output slot — a
-//!   contiguous `i16` loop the autovectoriser lifts to SIMD, vectorising
-//!   across decoder chains.
+//! * Every stage becomes a **4-level tree**: four split dimensions and a
+//!   16-slot heap of thresholds. A shallower tree is padded with
+//!   always-right levels (threshold `i8::MIN`, which every input meets)
+//!   and its LUT rows move to the codes those levels lead to. A deeper
+//!   tree keeps its leftmost 4-level subtree — the only one whose leaves
+//!   fall inside the 16-entry LUT — plus a *left-spine guard*: going
+//!   right on any level above that subtree is exactly where the scalar
+//!   spec's LUT index panics, so the guard panics there too.
+//! * Every LUT row is widened to `i16` and split into **16-lane groups**
+//!   (`ndec` padded to a multiple of 16 with zero lanes), one
+//!   `[i16; 16]` per (stage, leaf code, group). A token's accumulate is
+//!   then one register-held `[i16; 16]` per group, summed over its
+//!   stages' selected rows.
 //!
-//! The kernel is pinned bit-identical to the scalar spec by proptest
-//! (`tests/backend_equivalence.rs`), including wrapping at the `i16`
-//! boundaries.
+//! The kernel is pinned bit-identical to the scalar spec — outputs,
+//! `i16` wrapping and panics — by proptest
+//! (`tests/backend_equivalence.rs`) over trees of 1–6 levels.
 
-use crate::config::{K, SUBVECTOR_LEN};
+use crate::config::{K, LEVELS, SUBVECTOR_LEN};
 use crate::macro_rtl::MacroProgram;
 
-/// The token block the functional backend aligns its worker shards to.
-pub const LANE: usize = 64;
+/// Decoder chains summed per accumulator group.
+const LANES: usize = 16;
 
-/// One pipeline stage in struct-of-arrays form.
+/// One stage's tree in the hardware shape.
 #[derive(Debug, Clone)]
-struct StageSoa {
-    /// Tree depth (4 for hardware-shaped programs).
-    levels: usize,
-    /// One split dimension per level.
-    split_dims: Vec<usize>,
-    /// Heap-ordered thresholds (node 0 = root, children `2i+1`/`2i+2`).
-    thresholds: Vec<i8>,
-    /// LUT bytes widened to `i16` and transposed code-major: row `k`
-    /// (`luts_code_major[k*ndec..]`) holds every decoder's entry for leaf
-    /// `k`, so one token's accumulate is one contiguous vector add.
-    luts_code_major: Vec<i16>,
+struct Tree {
+    /// The element compared at each level.
+    dims: [usize; LEVELS],
+    /// Heap-ordered thresholds (node 0 = root, children `2i+1`/`2i+2`;
+    /// slot 15 is unused).
+    thresholds: [i8; K],
 }
 
-/// Struct-of-arrays view of a [`MacroProgram`], precomputed once and
-/// reused across batches.
+impl Tree {
+    /// The leaf code `sub` walks to: four compares, no early exit.
+    fn code(&self, sub: &[i8; SUBVECTOR_LEN]) -> usize {
+        let mut node = 0usize;
+        for &dim in &self.dims {
+            node = 2 * node + 1 + usize::from(sub[dim] >= self.thresholds[node]);
+        }
+        node - (K - 1)
+    }
+}
+
+/// One left-spine level of a tree deeper than [`LEVELS`]: a token that
+/// goes right here walks past the 16-entry LUT.
+#[derive(Debug, Clone)]
+struct Guard {
+    stage: usize,
+    dim: usize,
+    threshold: i8,
+}
+
+/// A [`MacroProgram`] compiled to the macro's fixed shape, precomputed
+/// once and reused across batches.
 ///
 /// Build it with [`MacroProgram::batched`] (or [`BatchedProgram::new`]);
 /// evaluate with [`BatchedProgram::evaluate`] or the allocation-free
 /// [`BatchedProgram::evaluate_into`].
 #[derive(Debug, Clone)]
 pub struct BatchedProgram {
-    ns: usize,
     ndec: usize,
-    stages: Vec<StageSoa>,
+    /// 16-lane groups per LUT row (`ndec / 16` rounded up), at least one so
+    /// every stage has a row to select even without decoder chains.
+    groups: usize,
+    trees: Vec<Tree>,
+    /// Widened LUT rows: `rows[(s * K + code) * groups + g]` holds decoders
+    /// `16g..16g + 16` of stage `s`, leaf `code`; lanes past `ndec` are 0.
+    rows: Vec<[i16; LANES]>,
+    /// Left-spine checks of the trees deeper than [`LEVELS`], in stage
+    /// order; empty for hardware-shaped programs.
+    guards: Vec<Guard>,
 }
 
 impl BatchedProgram {
-    /// Builds the struct-of-arrays view of `program`.
+    /// Compiles `program` to the hardware shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stage lacks a LUT for one of its `ndec` decoder chains
+    /// (a malformed hand-built program).
     pub fn new(program: &MacroProgram) -> BatchedProgram {
-        let ns = program.ns();
         let ndec = program.ndec();
-        let stages = (0..ns)
-            .map(|s| {
-                let tree = &program.trees[s];
-                let mut luts_code_major = vec![0i16; K * ndec];
-                for (j, entries) in program.luts[s].iter().enumerate() {
-                    for (k, &e) in entries.iter().enumerate() {
-                        luts_code_major[k * ndec + j] = e as i16;
+        let groups = ndec.div_ceil(LANES).max(1);
+        let mut trees = Vec::with_capacity(program.ns());
+        let mut rows = vec![[0i16; LANES]; program.ns() * K * groups];
+        let mut guards = Vec::new();
+        let stages = program.trees.iter().zip(rows.chunks_exact_mut(K * groups));
+        for (s, (tree, stage_rows)) in stages.enumerate() {
+            let (dims, thresholds) = (tree.split_dims(), tree.thresholds());
+            // Levels above the kept 4-level subtree, and levels of
+            // always-right padding below a shallower tree.
+            let spine = tree.levels().saturating_sub(LEVELS);
+            let kept = tree.levels() - spine;
+            let pad = LEVELS - kept;
+            guards.extend((0..spine).map(|level| Guard {
+                stage: s,
+                dim: dims[level],
+                threshold: thresholds[(1 << level) - 1],
+            }));
+            let mut compiled = Tree {
+                dims: [0; LEVELS],
+                thresholds: [i8::MIN; K],
+            };
+            for level in 0..kept {
+                compiled.dims[level] = dims[spine + level];
+                // At every level, the leftmost subtree's nodes come first
+                // in heap order.
+                let first = (1 << (spine + level)) - 1;
+                for i in 0..1 << level {
+                    compiled.thresholds[(1 << level) - 1 + i] = thresholds[first + i];
+                }
+            }
+            trees.push(compiled);
+            let luts = &program.luts[s][..ndec];
+            for leaf in 0..1 << kept {
+                // The padding levels append `pad` right turns (1 bits).
+                let code = (leaf << pad) | ((1 << pad) - 1);
+                let code_rows = &mut stage_rows[code * groups..(code + 1) * groups];
+                for (row, luts) in code_rows.iter_mut().zip(luts.chunks(LANES)) {
+                    for (lane, lut) in row.iter_mut().zip(luts) {
+                        *lane = i16::from(lut[leaf]);
                     }
                 }
-                StageSoa {
-                    levels: tree.levels(),
-                    split_dims: tree.split_dims().to_vec(),
-                    thresholds: tree.thresholds().to_vec(),
-                    luts_code_major,
-                }
-            })
-            .collect();
-        BatchedProgram { ns, ndec, stages }
+            }
+        }
+        BatchedProgram {
+            ndec,
+            groups,
+            trees,
+            rows,
+            guards,
+        }
     }
 
     /// Pipeline stages of the underlying program.
     pub fn ns(&self) -> usize {
-        self.ns
+        self.trees.len()
     }
 
     /// Decoder chains per stage.
@@ -100,24 +164,23 @@ impl BatchedProgram {
     /// does not carry one subvector per stage, or a malformed program
     /// whose tree walk selects a leaf outside the 16-entry LUT.
     pub fn evaluate<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(&self, tokens: &[T]) -> Vec<Vec<i16>> {
-        let mut flat = vec![0i16; tokens.len() * self.ndec];
-        self.evaluate_into(tokens, &mut flat);
-        if self.ndec == 0 {
-            // Decoder-less programs still produce one (empty) output
-            // vector per token, like the scalar spec.
-            return vec![Vec::new(); tokens.len()];
-        }
-        flat.chunks(self.ndec).map(<[i16]>::to_vec).collect()
+        let mut at = vec![0usize; self.ns()];
+        tokens
+            .iter()
+            .map(|token| {
+                let mut out = vec![0i16; self.ndec];
+                self.evaluate_token(token.as_ref(), &mut at, &mut out);
+                out
+            })
+            .collect()
     }
 
     /// Evaluates `tokens` into a caller-provided token-major buffer
     /// (`out[i * ndec + j]` = token `i`, decoder `j`).
     ///
-    /// Per token and stage, the tree walk runs on the flat SoA arrays
-    /// (same comparison count as the scalar spec), and the accumulate is
-    /// one dense `i16` vector add over the code-major LUT row — a
-    /// contiguous `ndec`-wide `+=` the autovectoriser lifts to SIMD,
-    /// replacing `ndec` scattered byte gathers per (token, stage).
+    /// Per token, each stage's tree is one unrolled 4-level compare, and
+    /// each 16-lane group of outputs is summed over the stages' selected
+    /// rows in one register-held `[i16; 16]`.
     ///
     /// # Panics
     ///
@@ -129,26 +192,49 @@ impl BatchedProgram {
             tokens.len() * self.ndec,
             "output buffer must hold ndec values per token"
         );
-        for token in tokens {
-            assert_eq!(token.as_ref().len(), self.ns, "one subvector per stage");
+        let mut at = vec![0usize; self.ns()];
+        for (i, token) in tokens.iter().enumerate() {
+            let slot = &mut out[i * self.ndec..(i + 1) * self.ndec];
+            self.evaluate_token(token.as_ref(), &mut at, slot);
         }
-        out.fill(0);
-        let ndec = self.ndec;
-        for (token, slot) in tokens.iter().zip(out.chunks_mut(ndec.max(1))) {
-            for (sub, stage) in token.as_ref().iter().zip(&self.stages) {
-                let mut node = 0usize;
-                for &dim in &stage.split_dims {
-                    node = 2 * node + 1 + usize::from(sub[dim] >= stage.thresholds[node]);
-                }
-                let k = node - ((1 << stage.levels) - 1);
-                // Out-of-range codes (trees deeper than 4 levels) panic
-                // on this slice, like the scalar spec's LUT index does.
-                let lut_row = &stage.luts_code_major[k * ndec..(k + 1) * ndec];
-                for (a, &v) in slot.iter_mut().zip(lut_row) {
-                    *a = a.wrapping_add(v);
+    }
+
+    /// Evaluates one token into `out` (`ndec` values), using `at` (one
+    /// slot per stage) for the row each stage selects.
+    fn evaluate_token(&self, token: &[[i8; SUBVECTOR_LEN]], at: &mut [usize], out: &mut [i16]) {
+        assert_eq!(token.len(), self.ns(), "one subvector per stage");
+        for guard in &self.guards {
+            let escapes = token[guard.stage][guard.dim] >= guard.threshold;
+            // Without decoder chains the scalar spec never indexes a LUT.
+            assert!(
+                !escapes || self.ndec == 0,
+                "stage {}: the tree walk leaves the 16-entry LUT",
+                guard.stage
+            );
+        }
+        // The tree walks sum group 0 as they go; later groups re-read the
+        // rows the walks selected.
+        let mut acc = [0i16; LANES];
+        for (s, ((at, sub), tree)) in at.iter_mut().zip(token).zip(&self.trees).enumerate() {
+            *at = (s * K + tree.code(sub)) * self.groups;
+            add(&mut acc, &self.rows[*at]);
+        }
+        for (g, lanes) in out.chunks_mut(LANES).enumerate() {
+            if g > 0 {
+                acc = [0; LANES];
+                for &row in at.iter() {
+                    add(&mut acc, &self.rows[row + g]);
                 }
             }
+            lanes.copy_from_slice(&acc[..lanes.len()]);
         }
+    }
+}
+
+/// `acc += row`, lane by lane, wrapping like the 16-bit accumulators.
+fn add(acc: &mut [i16; LANES], row: &[i16; LANES]) {
+    for (a, &v) in acc.iter_mut().zip(row) {
+        *a = a.wrapping_add(v);
     }
 }
 
@@ -181,12 +267,20 @@ mod tests {
 
     #[test]
     fn the_kernel_matches_the_scalar_spec_across_lane_boundaries() {
-        let program = MacroProgram::random(5, 3, 11);
-        let view = program.batched();
-        for count in [1usize, 2, 63, 64, 65, 127, 128, 130] {
-            let tokens = random_tokens(3, count, count as u64);
-            let golden = scalar_golden(&program, &tokens);
-            assert_eq!(view.evaluate(&tokens), golden, "{count} tokens");
+        // 5, 16, 17 and 33 decoders: a partial group, one full group, and
+        // one or two full groups plus a 1-lane tail.
+        for ndec in [5usize, 16, 17, 33] {
+            let program = MacroProgram::random(ndec, 3, 11);
+            let view = program.batched();
+            for count in [1usize, 2, 63, 64, 65, 127, 128, 130] {
+                let tokens = random_tokens(3, count, count as u64);
+                let golden = scalar_golden(&program, &tokens);
+                assert_eq!(
+                    view.evaluate(&tokens),
+                    golden,
+                    "{ndec} decoders, {count} tokens"
+                );
+            }
         }
     }
 
@@ -220,13 +314,22 @@ mod tests {
 
     #[test]
     fn shallow_and_deep_trees_agree_with_scalar() {
-        // The batched walk must not assume 4 levels: 1..=8 are legal for
-        // hand-built programs (8 needs a wider LUT, so stop at 4 plus a
-        // shallow case here; deeper trees are the panic test below).
-        for levels in [1usize, 2, 3] {
+        // Shallow trees run padded to 4 levels; deep ones run their
+        // leftmost 4-level subtree behind the spine guard. Spine
+        // thresholds of 127 over inputs of at most 126 send every token
+        // left, so the deep trees stay inside the LUT here (escapes are
+        // the panic test below).
+        for levels in [1usize, 2, 3, 5, 6] {
+            let mut rng = StdRng::seed_from_u64(levels as u64);
+            let mut thresholds: Vec<f32> = (0..(1usize << levels) - 1)
+                .map(|_| rng.gen_range(-100.0..100.0))
+                .collect();
+            for level in 0..levels.saturating_sub(LEVELS) {
+                thresholds[(1 << level) - 1] = 127.0;
+            }
             let tree = maddpipe_amm::bdt::BdtEncoder::from_parts(
-                (0..levels).map(|l| l % SUBVECTOR_LEN).collect(),
-                vec![0.0; (1 << levels) - 1],
+                (0..levels).map(|l| (l * 5) % SUBVECTOR_LEN).collect(),
+                thresholds,
             )
             .unwrap()
             .quantize(maddpipe_amm::quant::QuantScale::UNIT);
@@ -238,7 +341,10 @@ mod tests {
                 trees: vec![tree],
                 luts: vec![vec![lut; 3]],
             };
-            let tokens = random_tokens(1, 67, levels as u64);
+            let mut tokens = random_tokens(1, 67, levels as u64);
+            for x in tokens.iter_mut().flatten().flatten() {
+                *x = (*x).min(126);
+            }
             let golden = scalar_golden(&program, &tokens);
             assert_eq!(
                 program.batched().evaluate(&tokens),
@@ -266,6 +372,16 @@ mod tests {
         assert!(
             std::panic::catch_unwind(|| view.evaluate(&tokens)).is_err(),
             "the kernel must reject leaves beyond the LUT"
+        );
+        // Without decoder chains the spec never indexes a LUT, so the same
+        // tree walks off it without a panic on either side.
+        let chainless = MacroProgram {
+            trees: program.trees.clone(),
+            luts: vec![Vec::new()],
+        };
+        assert_eq!(
+            chainless.batched().evaluate(&tokens),
+            scalar_golden(&chainless, &tokens)
         );
     }
 

@@ -39,7 +39,7 @@ pub mod mapping;
 pub mod model;
 pub mod sync_baseline;
 
-pub use batched::{BatchedProgram, LANE};
+pub use batched::BatchedProgram;
 pub use calib::Calibration;
 pub use config::{MacroConfig, ACC_BITS, K, LEVELS, OPS_PER_LOOKUP, SUBVECTOR_LEN};
 pub use macro_rtl::{AcceleratorRtl, MacroProgram, PipelinedRun, TokenError, TokenResult};
@@ -49,7 +49,7 @@ pub use sync_baseline::{SyncPipelineModel, SyncReport};
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::batched::{BatchedProgram, LANE};
+    pub use crate::batched::BatchedProgram;
     pub use crate::calib::Calibration;
     pub use crate::config::{MacroConfig, K, LEVELS, SUBVECTOR_LEN};
     pub use crate::dlc::{ripple_depth, to_offset_binary};

@@ -140,18 +140,17 @@ impl MacroProgram {
         out
     }
 
-    /// Builds the struct-of-arrays batched view of this program (see
+    /// Compiles this program for the batched kernel (see
     /// [`crate::batched::BatchedProgram`]). Build it once and reuse it:
-    /// the view precomputes the widened, code-major LUT rows the lane
-    /// kernel adds from.
+    /// compiling fixes every tree at 4 levels and widens the LUTs into the
+    /// 16-lane `i16` rows the kernel adds from.
     pub fn batched(&self) -> crate::batched::BatchedProgram {
         crate::batched::BatchedProgram::new(self)
     }
 
     /// Batched counterpart of [`MacroProgram::reference_output`]: one
     /// output vector per token, bit-identical to mapping the scalar
-    /// reference over `tokens`, evaluated through the struct-of-arrays
-    /// lane kernel.
+    /// reference over `tokens`, evaluated through the batched kernel.
     ///
     /// Callers with a long-lived program should prefer building
     /// [`MacroProgram::batched`] once and calling

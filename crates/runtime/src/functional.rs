@@ -3,17 +3,17 @@
 use crate::backend::MacroBackend;
 use crate::batch::{BatchResult, Token, TokenBatch, TokenObservation};
 use crate::error::BackendError;
-use maddpipe_core::batched::{BatchedProgram, LANE};
+use maddpipe_core::batched::BatchedProgram;
 use maddpipe_core::macro_rtl::MacroProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Executes batches with the exact wrapping-i16 LUT semantics of the
-/// silicon — no timing model — through the struct-of-arrays
-/// [`BatchedProgram`] lane kernel, sharding [`LANE`]-aligned token blocks
-/// across OS threads for throughput.
+/// silicon — no timing model — through the [`BatchedProgram`] kernel
+/// (the program compiled to 4-level trees and 16-lane LUT rows),
+/// sharding balanced token ranges across OS threads for throughput.
 ///
 /// [`MacroProgram::reference_output`] remains the executable spec; the
-/// lane kernel is pinned bit-identical to it by proptest.
+/// kernel is pinned bit-identical to it by proptest.
 ///
 /// A panic on a worker thread (e.g. a malformed hand-built program whose
 /// tree walk escapes the 16-entry LUT) is caught and surfaced as a typed
@@ -80,43 +80,16 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Balanced contiguous partition of `n` tokens across up to `workers`
-/// shards (empty for `n == 0`; never more than `n` shards).
-///
-/// When the batch is large enough, whole [`LANE`] blocks are distributed
-/// so every worker runs full 64-token lanes (sizes differ by at most one
-/// block, largest first; only the final shard carries the ragged tail).
-/// Smaller batches fall back to balancing token counts so no requested
-/// worker idles — the old `div_ceil` chunking could leave trailing
-/// workers without a shard (5 tokens / 4 workers → 2/2/1 and one worker
-/// unused).
+/// shards (empty for `n == 0`; never more than `n` shards): sizes differ
+/// by at most one token, largest first, so no requested worker idles.
 fn shard_sizes(n: usize, workers: usize) -> Vec<usize> {
     let w = workers.clamp(1, n.max(1));
     if n == 0 {
         return Vec::new();
     }
-    if w == 1 {
-        return vec![n];
-    }
-    let blocks = n.div_ceil(LANE);
-    if blocks >= w {
-        // Lane-aligned regime: hand out whole blocks, remainder first.
-        let base = blocks / w;
-        let rem = blocks % w;
-        let mut sizes = Vec::with_capacity(w);
-        let mut start = 0usize;
-        for i in 0..w {
-            let end = (start + (base + usize::from(i < rem)) * LANE).min(n);
-            sizes.push(end - start);
-            start = end;
-        }
-        sizes
-    } else {
-        // Fewer blocks than workers: balance raw token counts instead so
-        // every worker still gets a shard.
-        let base = n / w;
-        let rem = n % w;
-        (0..w).map(|i| base + usize::from(i < rem)).collect()
-    }
+    let base = n / w;
+    let rem = n % w;
+    (0..w).map(|i| base + usize::from(i < rem)).collect()
 }
 
 impl MacroBackend for FunctionalBackend {
@@ -297,12 +270,10 @@ mod tests {
         // worker idle; the balanced partition uses all requested workers.
         assert_eq!(shard_sizes(5, 4), vec![2, 1, 1, 1]);
         assert_eq!(shard_sizes(7, 3), vec![3, 2, 2]);
-        // Large batches shard whole 64-token lane blocks (5 blocks over 4
-        // workers → 2/1/1/1 blocks), the final shard taking the ragged
-        // tail.
-        assert_eq!(shard_sizes(320, 4), vec![128, 64, 64, 64]);
-        assert_eq!(shard_sizes(259, 4), vec![128, 64, 64, 3]);
-        // Fewer blocks than workers falls back to token balancing.
+        // Large batches balance token counts too: the kernel walks one
+        // token at a time, so shards need no block alignment.
+        assert_eq!(shard_sizes(320, 4), vec![80, 80, 80, 80]);
+        assert_eq!(shard_sizes(259, 4), vec![65, 65, 65, 64]);
         assert_eq!(shard_sizes(64, 4), vec![16, 16, 16, 16]);
         // Never more shards than tokens; zero tokens means zero shards.
         assert_eq!(shard_sizes(1, 4), vec![1]);

@@ -1209,10 +1209,11 @@ fn replica_loop(
                     stats.record_queue_depth(depth_seen);
                     stats.record_replica_dispatch(replica, service);
                 }
-                let mut offset = 0usize;
+                // Move each rider's observations out of the micro-batch
+                // result; `absorb_queued` above has read them already.
+                let mut unclaimed = result.tokens.into_iter();
                 for rider in riders {
-                    let observations = result.tokens[offset..offset + rider.len].to_vec();
-                    offset += rider.len;
+                    let observations: Vec<_> = unclaimed.by_ref().take(rider.len).collect();
                     let energy = observations
                         .iter()
                         .map(|o| o.energy)

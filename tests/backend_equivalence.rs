@@ -4,8 +4,13 @@
 //! bit-identical for arbitrary programs and tokens. This is the contract
 //! that makes the backends interchangeable inside a `Session`.
 
+use maddpipe::amm::bdt::BdtEncoder;
+use maddpipe::amm::quant::QuantScale;
 use maddpipe::prelude::*;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::panic::catch_unwind;
 
 /// Runs `batch` through one backend kind and returns the per-token output
 /// vectors.
@@ -105,42 +110,107 @@ proptest! {
         );
         prop_assert_eq!(&sharded, &single, "{} shards over {} chains", shards, ndec);
     }
+}
 
-    /// The batched-kernel contract: the lane kernel, at every worker
-    /// count, is bit-identical to the scalar executable spec — across
-    /// token counts that are not a multiple of
-    /// the 64-token lane width, single tokens, and full-range `i8` inputs
-    /// whose accumulations wrap the `i16` extremes.
+/// A program whose stages have trees of 1–6 levels, with random split
+/// dimensions, thresholds and LUT bytes. The kernel pads the shallower
+/// trees to the hardware's 4 levels and runs the deeper ones behind a
+/// left-spine guard. Half the deep trees get spine thresholds of 127,
+/// which only an input of 127 meets, so their batches often stay inside
+/// the 16-entry LUT instead of almost always leaving it.
+fn program_of_any_depth(ndec: usize, ns: usize, seed: u64) -> MacroProgram {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let trees = (0..ns)
+        .map(|_| {
+            let levels = rng.gen_range(1usize..=6);
+            let dims = (0..levels)
+                .map(|_| rng.gen_range(0..SUBVECTOR_LEN))
+                .collect();
+            let mut thresholds: Vec<f32> = (0..(1usize << levels) - 1)
+                .map(|_| rng.gen_range(-128i32..=127) as f32)
+                .collect();
+            if rng.gen_bool(0.5) {
+                for level in 0..levels.saturating_sub(LEVELS) {
+                    thresholds[(1 << level) - 1] = 127.0;
+                }
+            }
+            BdtEncoder::from_parts(dims, thresholds)
+                .expect("valid tree shape")
+                .quantize(QuantScale::UNIT)
+        })
+        .collect();
+    let luts = (0..ns)
+        .map(|_| {
+            (0..ndec)
+                .map(|_| {
+                    let mut entries = [0i8; K];
+                    for e in entries.iter_mut() {
+                        *e = rng.gen_range(-128i32..=127) as i8;
+                    }
+                    entries
+                })
+                .collect()
+        })
+        .collect();
+    MacroProgram { trees, luts }
+}
+
+proptest! {
+    /// The batched-kernel contract: the kernel, at every entry point and
+    /// worker count, is bit-identical to the scalar executable spec —
+    /// for trees of any depth from 1 to 6 levels, up to three 16-lane
+    /// output groups, single tokens, and full-range `i8` inputs whose
+    /// accumulations wrap the `i16` extremes. A batch that makes the spec
+    /// panic (a tree walk leaving the 16-entry LUT) makes the kernel
+    /// panic too, and the backend return an error.
     #[test]
     fn batched_kernels_match_the_scalar_spec(
-        ndec in 1usize..=17,
+        ndec in 1usize..=33,
         ns in 1usize..=4,
         count in 1usize..=130,
-        program_seed in 0u64..1000,
+        program_seed in 0u64..1_000_000,
         token_seed in 0u64..1000,
     ) {
-        let program = MacroProgram::random(ndec, ns, program_seed);
+        let program = program_of_any_depth(ndec, ns, program_seed);
         let batch = TokenBatch::random(ns, count, token_seed);
-        let golden: Vec<Vec<i16>> = batch
-            .tokens()
-            .iter()
-            .map(|t| program.reference_output(t))
-            .collect();
-        // Straight through the struct-of-arrays view…
+        let tokens = batch.tokens();
+        // `None` when the call panicked.
+        let golden: Option<Vec<Vec<i16>>> = catch_unwind(|| {
+            tokens.iter().map(|t| program.reference_output(t)).collect()
+        })
+        .ok();
+        let view = program.batched();
         prop_assert_eq!(
-            &program.batched().evaluate(batch.tokens()),
+            &catch_unwind(|| view.evaluate(tokens)).ok(),
             &golden,
             "core with {} tokens",
             count
         );
-        prop_assert_eq!(&program.reference_output_batch(batch.tokens()), &golden);
-        // …and through the threaded backend, which shards lane blocks.
+        let flat = catch_unwind(|| {
+            let mut out = vec![0i16; count * ndec];
+            view.evaluate_into(tokens, &mut out);
+            out
+        })
+        .ok();
+        prop_assert_eq!(flat, golden.as_ref().map(|g| g.concat()));
+        prop_assert_eq!(
+            &catch_unwind(|| program.reference_output_batch(tokens)).ok(),
+            &golden
+        );
+        // The threaded backend shards token ranges and turns a worker's
+        // panic into a typed error.
         for workers in [1usize, 3] {
             let mut backend = FunctionalBackend::with_workers(program.clone(), workers);
-            let got = backend.run_batch(&batch).expect("batch completes");
-            let got: Vec<Vec<i16>> = got.tokens.into_iter().map(|t| t.outputs).collect();
+            let got = backend
+                .run_batch(&batch)
+                .map(|r| r.tokens.into_iter().map(|t| t.outputs).collect::<Vec<_>>());
+            prop_assert!(
+                got.as_ref().map_or_else(BackendError::is_transient, |_| true),
+                "a panicking shard resolves as a transient error: {:?}",
+                got
+            );
             prop_assert_eq!(
-                &got,
+                &got.ok(),
                 &golden,
                 "backend with {} workers, {} tokens",
                 workers,
