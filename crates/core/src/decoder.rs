@@ -9,13 +9,13 @@
 
 use crate::adder::build_csa_stage;
 use crate::calib::Calibration;
-use maddpipe_sim::circuit::{CircuitBuilder, NetId};
+use maddpipe_sim::circuit::{CellId, CircuitBuilder, NetId};
 use maddpipe_sram::column::build_column_with_timing;
-use maddpipe_sram::model::{ColumnHandle, SramModel, COLS};
+use maddpipe_sram::model::{SramModel, COLS};
 use maddpipe_sram::rcd::build_completion_tree;
 use maddpipe_tech::process::DriveKind;
 
-/// Nets and handles exposed by a built decoder.
+/// Nets and cells exposed by a built decoder.
 #[derive(Debug, Clone)]
 pub struct DecoderPorts {
     /// Decoder-level read-completion signal (`RCD_LUT`).
@@ -26,8 +26,10 @@ pub struct DecoderPorts {
     pub s_out: Vec<NetId>,
     /// Latched carry-save carry bits (16, LSB first).
     pub c_out: Vec<NetId>,
-    /// Per-column storage handles for LUT programming.
-    pub handles: Vec<ColumnHandle>,
+    /// The 8 SRAM column cells, LSB first: reprogram the LUT by storing
+    /// [`SramModel::column_word`] `c` in column `c` with
+    /// [`Simulator::program_column`](maddpipe_sim::engine::Simulator::program_column).
+    pub columns: Vec<CellId>,
 }
 
 /// Builds one decoder.
@@ -36,8 +38,8 @@ pub struct DecoderPorts {
 /// * `pche` — precharge control from the block controller.
 /// * `s_prev`/`c_prev` — the upstream pipeline stage's latched carry-save
 ///   outputs (tie-low buses for the first block).
-/// * `lut` — the initial LUT image (reprogrammable via the returned
-///   handles).
+/// * `lut` — the initial LUT image (reprogrammable through the returned
+///   column cells).
 ///
 /// # Panics
 ///
@@ -55,19 +57,20 @@ pub fn build_decoder(
     tie_low: NetId,
 ) -> DecoderPorts {
     let prev_domain = b.set_domain("decoder");
-    let handles = lut.to_column_handles();
+    let mut columns = Vec::with_capacity(COLS);
     let mut data_bits = Vec::with_capacity(COLS);
     let mut rcd_cols = Vec::with_capacity(COLS);
-    for (c, handle) in handles.iter().enumerate() {
+    for c in 0..COLS {
         let ports = build_column_with_timing(
             b,
             &format!("{name}.c{c}"),
             rwl,
             pche,
-            handle.clone(),
+            lut.column_word(c),
             cal.bl_discharge,
             cal.bl_precharge,
         );
+        columns.push(ports.cell);
         // Differential read: RBLB discharges for a stored 1, so the data
         // bit is the inverted RBLB rail.
         data_bits.push(b.inv(&format!("{name}.d{c}"), ports.rblb));
@@ -96,7 +99,7 @@ pub fn build_decoder(
         ge,
         s_out,
         c_out,
-        handles,
+        columns,
     }
 }
 
@@ -233,14 +236,14 @@ mod tests {
         lut.write(2, 10);
         let mut d = dut(lut, 0.8, Corner::Ttg);
         assert_eq!(read(&mut d, 2), 10);
-        // Rewrite through the handles (global write driver path).
+        // Rewrite through the simulator (global write driver path).
         let new = SramModel::from_words({
             let mut w = [0u8; 16];
             w[2] = (-77i8) as u8;
             w
         });
-        for (h, fresh) in d.ports.handles.iter().zip(new.to_column_handles()) {
-            *h.borrow_mut() = *fresh.borrow();
+        for (c, &col) in d.ports.columns.iter().enumerate() {
+            d.sim.program_column(col, new.column_word(c));
         }
         assert_eq!(read(&mut d, 2), -77);
     }

@@ -4,8 +4,8 @@
 //! behaviour: a NAND gate, a latch, a pulse generator, or a user-defined
 //! macro-cell such as the paper's dual-rail dynamic-logic comparator. Cells
 //! are deliberately *open for implementation* by downstream crates
-//! (`maddpipe-sram` models whole SRAM columns as one cell; `maddpipe-core`
-//! models the DLC), so the trait and its evaluation context are public.
+//! (`maddpipe-core` models the DLC and the handshake controller as one
+//! cell each), so the trait and its evaluation context are public.
 
 use crate::logic::Logic;
 use crate::time::SimTime;

@@ -4,7 +4,9 @@
 //! delay vanish, as on silicon). Sequential/stateful cells — the D-latch
 //! with setup checking, the Muller C-element, and the pulse generator that
 //! models the paper's `GE` latch-enable generator (Fig. 5) — keep internal
-//! state across evaluations.
+//! state across evaluations. The one-hot SRAM [`ReadColumn`] of the
+//! paper's decoder (Fig. 5 A/B) is a shipped cell too, so the kernel can
+//! compile it like the gates, adders and latches.
 
 use crate::cell::{Cell, EvalCtx, ViolationKind};
 use crate::circuit::{CircuitBuilder, NetId};
@@ -447,6 +449,142 @@ impl Cell for PulseGen {
     }
 }
 
+/// Read wordlines (stored bits) of a [`ReadColumn`].
+pub const READ_COLUMN_ROWS: usize = 16;
+
+/// One column of a lookup-table SRAM with a one-hot, full-swing read port
+/// (paper Fig. 5 A/B): a precharged differential read-bitline pair over
+/// [`READ_COLUMN_ROWS`] stored bits.
+///
+/// * Inputs: pin 0 = `PCHE` (active-high precharge), pins `1..=16` =
+///   `RWL[0..16]` (one-hot read wordlines).
+/// * Outputs: pin 0 = `RBL`, pin 1 = `RBLB`.
+///
+/// With `PCHE` high both rails precharge high; a wordline asserted at the
+/// same time is reported as a crowbar [`ViolationKind::Protocol`]. With
+/// `PCHE` low, the one asserted wordline fully discharges one rail, `RBLB`
+/// for a stored 1 and `RBL` for a stored 0; several asserted wordlines are
+/// a protocol violation and drive nothing, and none leaves the rails at
+/// their precharged level. An unknown `PCHE` drives both rails to `X`.
+///
+/// The kernel compiles the column into its cell table, so the stored word
+/// lives there once the simulator is built; reprogram it with
+/// [`Simulator::program_column`](crate::engine::Simulator::program_column).
+#[derive(Debug, Clone, Copy)]
+pub struct ReadColumn {
+    word: u16,
+    t_discharge: SimTime,
+    t_precharge: SimTime,
+}
+
+/// What one read-column evaluation asks of its rails.
+#[derive(Debug)]
+pub(crate) enum ColumnStep {
+    /// Both rails go to this level after this delay, `RBL` first.
+    Precharge(Logic, SimTime),
+    /// Output pin `0` (`RBL`) or `1` (`RBLB`) falls after this delay.
+    Discharge(usize, SimTime),
+    /// Nothing is driven.
+    Hold,
+}
+
+impl ReadColumn {
+    /// Creates a column storing `word` (bit `r` is row `r`) with sampled
+    /// discharge and precharge delays.
+    pub fn new(word: u16, t_discharge: SimTime, t_precharge: SimTime) -> ReadColumn {
+        ReadColumn {
+            word,
+            t_discharge,
+            t_precharge,
+        }
+    }
+
+    /// Replaces the stored word.
+    pub(crate) fn set_word(&mut self, word: u16) {
+        self.word = word;
+    }
+
+    /// The asserted wordlines as a mask (bit `r` set when `RWL[r]` is
+    /// high; `X` counts as not asserted).
+    #[inline]
+    pub(crate) fn asserted_rows(rwl: impl Iterator<Item = Logic>) -> u16 {
+        rwl.enumerate()
+            .fold(0, |mask, (r, v)| mask | u16::from(v.is_high()) << r)
+    }
+
+    /// One evaluation with precharge level `pche` and asserted-row mask
+    /// `rows`, plus the detail of the protocol violation it reports, if
+    /// any. The violation text is only built on those (cold) paths.
+    #[inline]
+    pub(crate) fn step(&self, pche: Logic, rows: u16) -> (ColumnStep, Option<String>) {
+        let row_list = || {
+            (0..READ_COLUMN_ROWS)
+                .filter(|r| rows >> r & 1 == 1)
+                .collect::<Vec<_>>()
+        };
+        match pche {
+            Logic::High => {
+                let crowbar = (rows != 0).then(|| {
+                    format!(
+                        "precharge asserted while RWL{:?} active — crowbar current",
+                        row_list()
+                    )
+                });
+                (
+                    ColumnStep::Precharge(Logic::High, self.t_precharge),
+                    crowbar,
+                )
+            }
+            Logic::Low => match rows.count_ones() {
+                0 => (ColumnStep::Hold, None),
+                // Stored 1 discharges RBLB, stored 0 discharges RBL
+                // (differential read: exactly one rail falls).
+                1 => {
+                    let stored = self.word >> rows.trailing_zeros() & 1 == 1;
+                    (
+                        ColumnStep::Discharge(usize::from(stored), self.t_discharge),
+                        None,
+                    )
+                }
+                _ => (
+                    ColumnStep::Hold,
+                    Some(format!(
+                        "multiple read wordlines asserted: {:?}",
+                        row_list()
+                    )),
+                ),
+            },
+            Logic::X => (ColumnStep::Precharge(Logic::X, self.t_precharge), None),
+        }
+    }
+}
+
+impl Cell for ReadColumn {
+    fn num_inputs(&self) -> usize {
+        1 + READ_COLUMN_ROWS
+    }
+
+    fn num_outputs(&self) -> usize {
+        2
+    }
+
+    fn eval(&mut self, ctx: &mut EvalCtx<'_>) {
+        let rows = Self::asserted_rows(ctx.inputs()[1..].iter().copied());
+        let (step, violation) = self.step(ctx.input(0), rows);
+        if let Some(detail) = violation {
+            ctx.report(ViolationKind::Protocol, detail);
+        }
+        match step {
+            ColumnStep::Precharge(v, delay) => {
+                ctx.drive(0, v, delay);
+                ctx.drive(1, v, delay);
+            }
+            ColumnStep::Discharge(pin, delay) => ctx.drive(pin, Logic::Low, delay),
+            ColumnStep::Hold => {}
+        }
+    }
+}
+
 macro_rules! cell_kind {
     ($($(#[$meta:meta])* $variant:ident($inner:ty)),+ $(,)?) => {
         /// Statically-dispatched behaviour of a netlist cell.
@@ -454,9 +592,9 @@ macro_rules! cell_kind {
         /// The event kernel spends most of its time in [`CellKind::eval`],
         /// so the shipped standard cells are enum variants the compiler can
         /// dispatch with a jump table and inline — no vtable, no heap
-        /// indirection. Cells defined outside this crate (SRAM columns,
-        /// dual-rail comparators, handshake controllers) ride in through
-        /// the [`CellKind::Dynamic`] escape hatch, which preserves the open
+        /// indirection. Cells defined outside this crate (dual-rail
+        /// comparators, handshake controllers) ride in through the
+        /// [`CellKind::Dynamic`] escape hatch, which preserves the open
         /// [`Cell`] trait at the cost of one virtual call per evaluation.
         #[derive(Debug)]
         pub enum CellKind {
@@ -494,7 +632,7 @@ macro_rules! cell_kind {
 
             /// The shape of this cell as seen by the kernel's compiled
             /// tables: a 1-input gate, a commutative 2-input gate, a full
-            /// adder, a latch, or anything else.
+            /// adder, a latch, a read column, or anything else.
             pub(crate) fn shape(&self) -> GateShape {
                 match self {
                     CellKind::Inverter(g) => GateShape::Unary {
@@ -533,6 +671,7 @@ macro_rules! cell_kind {
                         timing: l.timing,
                         state: l.state,
                     },
+                    CellKind::ReadColumn(col) => GateShape::Column(*col),
                     _ => GateShape::Other,
                 }
             }
@@ -612,6 +751,8 @@ cell_kind!(
     DelayLine(DelayLine),
     /// Constant tie cell.
     Tie(Tie),
+    /// One-hot SRAM read column.
+    ReadColumn(ReadColumn),
 );
 
 /// A commutative two-input gate function, for the kernel's compiled
@@ -676,8 +817,21 @@ pub(crate) enum GateShape {
         /// The latch's state when the table was compiled.
         state: LatchState,
     },
+    /// A read column (inputs `[pche, rwl0..rwl15]`, outputs
+    /// `[rbl, rblb]`), with its word when the table was compiled.
+    Column(ReadColumn),
     /// Anything else — evaluated through the generic path.
     Other,
+}
+
+impl GateShape {
+    /// `true` when the cell's evaluation may read its trigger list: the
+    /// latch and every cell on the generic path. The kernel keeps
+    /// changed-pin bits only for these; the compiled gates, full adders
+    /// and read columns are functions of their input values alone.
+    pub(crate) fn reads_triggers(&self) -> bool {
+        matches!(self, GateShape::Latch { .. } | GateShape::Other)
+    }
 }
 
 macro_rules! builder_gate {

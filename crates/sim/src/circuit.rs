@@ -83,6 +83,36 @@ impl fmt::Debug for CellInstance {
     }
 }
 
+/// One entry of a net's fanout: a cell input pin the net feeds, named by
+/// its flat pin ([`Circuit::input_pins`]). The top bit marks the pins of
+/// cells that never read their trigger list (see
+/// `GateShape::reads_triggers`): the kernel keeps no changed-pin bit for
+/// those, so the entry carries the bit to set, or none, in its 8 bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FanoutPin {
+    /// The listening cell.
+    pub(crate) cell: CellId,
+    flat: u32,
+}
+
+impl FanoutPin {
+    /// Set on the flat pins of cells that keep no changed-pin bits.
+    const UNTRACKED: u32 = 1 << 31;
+
+    /// The flat pin.
+    #[inline]
+    pub(crate) fn flat_pin(self) -> usize {
+        (self.flat & !Self::UNTRACKED) as usize
+    }
+
+    /// The changed-pin bit the kernel sets when the net transitions, or
+    /// `None` when the cell does not read its trigger list.
+    #[inline]
+    pub(crate) fn changed_bit(self) -> Option<usize> {
+        (self.flat & Self::UNTRACKED == 0).then_some(self.flat as usize)
+    }
+}
+
 /// A list of lists packed into one array plus an offset table (CSR
 /// layout): row `i` is `items[start[i]..start[i + 1]]`. One allocation
 /// per table instead of one per row, and rows that are walked together
@@ -125,9 +155,8 @@ impl<T: Copy> Csr<T> {
 pub struct Circuit {
     pub(crate) nets: Vec<Net>,
     pub(crate) cells: Vec<CellInstance>,
-    /// Per net: the `(cell, input pin)` pairs it feeds, in ascending cell
-    /// then pin order.
-    fanout: Csr<(CellId, u32)>,
+    /// Per net: the input pins it feeds, in ascending cell then pin order.
+    fanout: Csr<FanoutPin>,
     /// Per cell: its input nets in pin order. The flat index of an entry
     /// is the cell's *flat pin* (see [`Circuit::input_pins`]).
     inputs: Csr<NetId>,
@@ -177,11 +206,16 @@ impl Circuit {
         self.nets[id.index()].driver.is_none()
     }
 
-    /// The `(cell, input pin)` pairs net `net` feeds, ascending by cell
-    /// and then pin.
+    /// The input pins net `net` feeds, ascending by cell and then pin.
     #[inline]
-    pub(crate) fn fanout(&self, net: usize) -> &[(CellId, u32)] {
+    pub(crate) fn fanout(&self, net: usize) -> &[FanoutPin] {
         self.fanout.row(net)
+    }
+
+    /// The input pin of `f.cell` that fanout entry `f` names.
+    #[inline]
+    pub(crate) fn pin_of(&self, f: FanoutPin) -> usize {
+        f.flat_pin() - self.input_pins(f.cell.index()).start
     }
 
     /// Input nets of cell `cell`, in pin order.
@@ -325,8 +359,8 @@ impl CircuitBuilder {
 
     /// Instantiates an arbitrary boxed [`Cell`] through the
     /// [`CellKind::Dynamic`] escape hatch. Downstream crates modelling
-    /// macro-cells (SRAM columns, dual-rail comparators, handshake
-    /// controllers) use this; the shipped standard cells go through
+    /// macro-cells (dual-rail comparators, handshake controllers) use
+    /// this; the shipped standard cells go through
     /// [`CircuitBuilder::add_cell_kind`] (or the gate sugar), which the
     /// kernel dispatches without a virtual call.
     ///
@@ -395,7 +429,15 @@ impl CircuitBuilder {
     /// Seals the netlist: packs every net's fanout into one flat table,
     /// resolves per-net capacitance (driver self-cap + fanout pin caps +
     /// explicit wire cap) and returns the [`Circuit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cells have more than 2³¹ input pins in total.
     pub fn build(mut self) -> Circuit {
+        assert!(
+            self.inputs.items.len() <= FanoutPin::UNTRACKED as usize,
+            "more than 2^31 input pins"
+        );
         // Transpose the per-cell input lists into per-net fanout lists
         // (a counting sort): walking cells and pins in ascending order
         // leaves every net's fanout sorted by cell, then pin.
@@ -407,11 +449,25 @@ impl CircuitBuilder {
             fanout_start[i] += fanout_start[i - 1];
         }
         let mut fill = fanout_start.clone();
-        let mut fanout_items = vec![(CellId(0), 0u32); self.inputs.items.len()];
+        let mut fanout_items = vec![
+            FanoutPin {
+                cell: CellId(0),
+                flat: 0
+            };
+            self.inputs.items.len()
+        ];
         for ci in 0..self.cells.len() {
-            for (pin, net) in self.inputs.row(ci).iter().enumerate() {
-                let slot = &mut fill[net.index()];
-                fanout_items[*slot as usize] = (CellId(ci as u32), pin as u32);
+            let untracked = if self.cells[ci].cell.shape().reads_triggers() {
+                0
+            } else {
+                FanoutPin::UNTRACKED
+            };
+            for flat in self.inputs.range(ci) {
+                let slot = &mut fill[self.inputs.items[flat].index()];
+                fanout_items[*slot as usize] = FanoutPin {
+                    cell: CellId(ci as u32),
+                    flat: flat as u32 | untracked,
+                };
                 *slot += 1;
             }
         }
@@ -436,7 +492,7 @@ impl CircuitBuilder {
             // Flag nets whose fanout lists the same cell on several pins
             // (adjacent entries, as the fanout is sorted by cell); the
             // kernel's singleton-event fast path keys off this.
-            net.fanout_dup = fanout.windows(2).any(|w| w[0].0 == w[1].0);
+            net.fanout_dup = fanout.windows(2).any(|w| w[0].cell == w[1].cell);
         }
         Circuit {
             nets: self.nets,

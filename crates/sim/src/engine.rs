@@ -19,21 +19,27 @@
 //! event order.
 //!
 //! The netlist is read from flat, index-addressed tables: the
-//! [`Circuit`] packs every net's fanout `(cell, pin)` list and every
-//! cell's input and output nets into one array each, with an offset table
+//! [`Circuit`] packs every net's fanout list and every cell's input and
+//! output nets into one array each, with an offset table
 //! (CSR layout). Dirty cells are tracked with an epoch-stamped mark
-//! vector, and the pins that changed in the current delta with one bit
-//! per flat input pin; phase B walks a dirty cell's bits in ascending
-//! order into one reusable trigger buffer, so each changed pin is listed
-//! once and nothing is sorted or allocated per cycle.
+//! vector. Only the cells that read their trigger list — latches and the
+//! cells on the generic path — also track which of their pins changed in
+//! the current delta, with one bit per flat input pin; each fanout entry
+//! carries the bit to set, or none for every other cell. Phase B walks
+//! such a cell's bits in ascending order into one reusable trigger
+//! buffer, so each changed pin is listed once and nothing is sorted or
+//! allocated per cycle; compiled gates, adders and read columns skip the
+//! bit work altogether.
 //!
 //! Evaluation avoids the cell instance wherever it can. Inverters,
-//! buffers, 2-input gates, full adders and D-latches are *compiled* at
-//! [`Simulator::new`] into per-cell table entries that evaluate straight
-//! off the value table (a latch keeps its state in its entry; the logic
-//! is shared with [`cells`](crate::cells), so both paths compute the same
-//! function); nets that feed exactly one simple gate are compiled one
-//! step further, into per-net entries. Every other cell snapshots its
+//! buffers, 2-input gates, full adders, D-latches and SRAM read columns
+//! are *compiled* at [`Simulator::new`] into per-cell table entries that
+//! evaluate straight off the value table (a latch keeps its state in its
+//! entry and a column its stored word, which
+//! [`Simulator::program_column`] rewrites; the logic is shared with
+//! [`cells`](crate::cells), so both paths compute the same function);
+//! nets that feed exactly one simple gate are compiled one step further,
+//! into per-net entries. Every other cell snapshots its
 //! inputs into a reusable scratch arena and is dispatched through the
 //! [`CellKind`](crate::cells::CellKind) enum (boxed trait objects remain
 //! as an escape hatch for downstream macro-cells). Testbenches that need
@@ -45,7 +51,7 @@
 //! [`crate::reference`]; a property test keeps the two in agreement.
 
 use crate::cell::{Drive, DriveMode, EvalCtx, Violation, ViolationKind};
-use crate::cells::{full_adder, Gate2, GateShape, LatchState, LatchStep};
+use crate::cells::{full_adder, ColumnStep, Gate2, GateShape, LatchState, LatchStep, ReadColumn};
 use crate::circuit::{CellId, Circuit, DomainId, NetId};
 use crate::energy::{EnergyMeter, EnergyReport};
 use crate::library::SampledTiming;
@@ -326,9 +332,10 @@ struct NetHot {
 
 /// Compiled form of a cell, precomputed at [`Simulator::new`] and indexed
 /// by `CellId` — the batched evaluation path's counterpart of
-/// [`FanoutFast`]. Simple gates, full adders and latches evaluate straight
-/// off the value table (a latch keeps its state here); all other cells
-/// take the generic `EvalCtx` path.
+/// [`FanoutFast`]. Simple gates, full adders, latches and read columns
+/// evaluate straight off the value table (a latch keeps its state here, a
+/// column its stored word); all other cells take the generic `EvalCtx`
+/// path.
 #[derive(Debug)]
 enum CellFast {
     Generic,
@@ -361,6 +368,22 @@ enum CellFast {
         timing: SampledTiming,
         state: LatchState,
     },
+    Column {
+        /// `[rbl, rblb]`; the inputs are read through the circuit's
+        /// input table.
+        rails: [NetId; 2],
+        col: ReadColumn,
+    },
+}
+
+impl CellFast {
+    /// `true` for the kinds that read their trigger list — the only cells
+    /// the kernel keeps changed-pin bits for (see
+    /// `GateShape::reads_triggers`, which the fanout entries follow).
+    #[inline]
+    fn reads_triggers(&self) -> bool {
+        matches!(self, CellFast::Latch { .. } | CellFast::Generic)
+    }
 }
 
 /// Compiled fanout of a net, precomputed at [`Simulator::new`].
@@ -430,7 +453,8 @@ pub struct Simulator {
     dirty: Vec<CellId>,
     dirty_mark: Vec<u64>,
     /// One bit per flat input pin ([`Circuit::input_pins`]): set when the
-    /// pin's net changed in the current delta cycle.
+    /// pin's net changed in the current delta cycle, for the cells that
+    /// read their trigger list (the others' bits stay clear).
     changed_pins: Vec<u64>,
     epoch: u64,
     watches: Vec<Watch>,
@@ -456,8 +480,8 @@ impl Simulator {
                 }
             })
             .collect();
-        // Compile the simple gates, full adders and latches into direct
-        // per-cell entries (see [`CellFast`]).
+        // Compile the simple gates, full adders, latches and read columns
+        // into direct per-cell entries (see [`CellFast`]).
         let cell_fast = circuit
             .cells
             .iter()
@@ -497,6 +521,10 @@ impl Simulator {
                         timing,
                         state,
                     },
+                    GateShape::Column(col) => CellFast::Column {
+                        rails: [outs[0], outs[1]],
+                        col,
+                    },
                     GateShape::Other => CellFast::Generic,
                 }
             })
@@ -505,10 +533,10 @@ impl Simulator {
         // entries (see [`FanoutFast`]).
         let fanout_fast = (0..n_nets)
             .map(|ni| {
-                let &[(cell, pin)] = circuit.fanout(ni) else {
+                let &[f] = circuit.fanout(ni) else {
                     return FanoutFast::Generic;
                 };
-                let ci = cell.index();
+                let ci = f.cell.index();
                 let outs = circuit.cell_outputs(ci);
                 match circuit.cells[ci].cell.shape() {
                     GateShape::Unary { invert, timing } => FanoutFast::Unary {
@@ -520,7 +548,7 @@ impl Simulator {
                         out: outs[0],
                         timing,
                         op,
-                        other: circuit.cell_inputs(ci)[1 - pin as usize],
+                        other: circuit.cell_inputs(ci)[1 - circuit.pin_of(f)],
                     },
                     _ => FanoutFast::Generic,
                 }
@@ -678,6 +706,23 @@ impl Simulator {
     /// The configured runaway-protection event budget.
     pub fn event_cap(&self) -> u64 {
         self.event_cap
+    }
+
+    /// Stores `word` in the read column `cell` (bit `r` is row `r`) — the
+    /// global write-driver path that loads a LUT. The word takes effect at
+    /// the column's next evaluation; rails already driven keep their level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is not a [`ReadColumn`].
+    pub fn program_column(&mut self, cell: CellId, word: u16) {
+        match &mut self.cell_fast[cell.index()] {
+            CellFast::Column { col, .. } => col.set_word(word),
+            _ => panic!(
+                "cell `{}` is not a read column",
+                self.circuit.cells[cell.index()].name
+            ),
+        }
     }
 
     /// Processes one **delta cycle**: every queued event scheduled at the
@@ -920,8 +965,11 @@ impl Simulator {
                     self.eval_dirty();
                 } else {
                     for k in 0..self.circuit.fanout(ni).len() {
-                        let (cell, pin) = self.circuit.fanout(ni)[k];
-                        self.eval_cell(cell, &[pin as usize]);
+                        let f = self.circuit.fanout(ni)[k];
+                        // Only a cell that reads its trigger list is told
+                        // which pin changed.
+                        let pin = f.changed_bit().map(|_| self.circuit.pin_of(f));
+                        self.eval_cell(f.cell, pin.as_slice());
                     }
                 }
             }
@@ -964,35 +1012,40 @@ impl Simulator {
         }
     }
 
-    /// Stamps every fanout cell of net `ni` dirty in the current epoch and
-    /// sets the changed bit of the pin it listens on.
+    /// Stamps every fanout cell of net `ni` dirty in the current epoch and,
+    /// for a cell that reads its trigger list, sets the changed bit of the
+    /// pin it listens on.
     fn mark_fanout_dirty(&mut self, ni: usize) {
         let epoch = self.epoch;
-        for &(cell, pin) in self.circuit.fanout(ni) {
-            let ci = cell.index();
+        for &f in self.circuit.fanout(ni) {
+            let ci = f.cell.index();
             if self.dirty_mark[ci] != epoch {
                 self.dirty_mark[ci] = epoch;
-                self.dirty.push(cell);
+                self.dirty.push(f.cell);
             }
-            let bit = self.circuit.input_pins(ci).start + pin as usize;
-            self.changed_pins[bit / 64] |= 1 << (bit % 64);
+            if let Some(bit) = f.changed_bit() {
+                self.changed_pins[bit / 64] |= 1 << (bit % 64);
+            }
         }
     }
 
-    /// Evaluates each dirty cell once, with its changed pins in ascending
-    /// order (each listed once, whatever the order and number of the
-    /// transitions that set them). Evaluations only schedule future
-    /// events, so the dirty list cannot grow while we walk it.
+    /// Evaluates each dirty cell once. A cell that reads its trigger list
+    /// gets its changed pins in ascending order (each listed once, whatever
+    /// the order and number of the transitions that set them); the others
+    /// get an empty list, which they ignore. Evaluations only schedule
+    /// future events, so the dirty list cannot grow while we walk it.
     fn eval_dirty(&mut self) {
         let mut triggers = std::mem::take(&mut self.trigger_buf);
         for k in 0..self.dirty.len() {
             let cell = self.dirty[k];
             triggers.clear();
-            drain_bits(
-                &mut self.changed_pins,
-                self.circuit.input_pins(cell.index()),
-                &mut triggers,
-            );
+            if self.cell_fast[cell.index()].reads_triggers() {
+                drain_bits(
+                    &mut self.changed_pins,
+                    self.circuit.input_pins(cell.index()),
+                    &mut triggers,
+                );
+            }
             self.eval_cell(cell, &triggers);
         }
         self.dirty.clear();
@@ -1093,6 +1146,40 @@ impl Simulator {
                 };
                 self.queue
                     .schedule(now, *q, v, timing.for_value(v), DriveMode::Inertial);
+                return;
+            }
+            CellFast::Column { rails, col } => {
+                let ins = self.circuit.cell_inputs(ci);
+                let rows =
+                    ReadColumn::asserted_rows(ins[1..].iter().map(|n| self.values[n.index()]));
+                let (step, violation) = col.step(self.values[ins[0].index()], rows);
+                if let Some(detail) = violation {
+                    self.violations.push(Violation {
+                        time: now,
+                        cell: self.circuit.cells[ci].name.clone(),
+                        kind: ViolationKind::Protocol,
+                        detail,
+                    });
+                }
+                // The rail order `ReadColumn`'s `Cell` impl drives them in.
+                match step {
+                    ColumnStep::Precharge(v, delay) => {
+                        for &rail in rails.iter() {
+                            self.queue
+                                .schedule(now, rail, v, delay, DriveMode::Inertial);
+                        }
+                    }
+                    ColumnStep::Discharge(pin, delay) => {
+                        self.queue.schedule(
+                            now,
+                            rails[pin],
+                            Logic::Low,
+                            delay,
+                            DriveMode::Inertial,
+                        );
+                    }
+                    ColumnStep::Hold => {}
+                }
                 return;
             }
             CellFast::Generic => {}

@@ -10,9 +10,10 @@
 //! * [`logic`] — three-valued logic (`0`, `1`, `X`).
 //! * [`time`] — integral femtosecond timestamps (exact event ordering).
 //! * [`cell`] — the open [`cell::Cell`] trait; downstream crates implement
-//!   macro-cells such as SRAM columns and dual-rail dynamic comparators.
+//!   macro-cells such as dual-rail dynamic comparators.
 //! * [`cells`] — timing-annotated standard cells: gates, full adder,
-//!   D-latch with setup checking, Muller C-element, pulse generator.
+//!   D-latch with setup checking, Muller C-element, pulse generator, and
+//!   the one-hot SRAM read column of the LUT decoder.
 //! * [`library`] — alpha-power-law characterisation of cells at an
 //!   operating point, with optional local mismatch sampling.
 //! * [`circuit`] — netlist construction with energy domains.

@@ -183,8 +183,8 @@ impl ReferenceSimulator {
                 Logic::Low => self.energy_by_domain[domain] += fall,
                 Logic::X => {}
             }
-            for &(cell, pin) in self.circuit.fanout(ni) {
-                let pin = pin as usize;
+            for &f in self.circuit.fanout(ni) {
+                let (cell, pin) = (f.cell, self.circuit.pin_of(f));
                 match dirty.iter_mut().find(|(c, _)| *c == cell) {
                     Some((_, pins)) => pins.push(pin),
                     None => dirty.push((cell, vec![pin])),

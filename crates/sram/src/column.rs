@@ -9,17 +9,19 @@
 //!    no sense amplifier;
 //! 3. the column's RCD NAND sees one rail fall and raises `RCD_col`.
 //!
-//! The column is a single behavioural [`Cell`] rather than 10 transistors ×
-//! 16 rows: the shared dynamic bitline is exactly the kind of multi-driver
-//! analog node an event simulator models best as one unit. Discharge delay
-//! is NMOS-limited and carries *per-column* mismatch — the variability that
-//! motivates the paper's per-column RCD over a shared replica column.
+//! The column is one behavioural cell rather than 10 transistors × 16 rows:
+//! the shared dynamic bitline is exactly the kind of multi-driver analog
+//! node an event simulator models best as one unit. The cell is the
+//! simulator's [`ReadColumn`], which the event kernel compiles into its
+//! cell table; the stored bits live there, and a LUT is reprogrammed with
+//! [`Simulator::program_column`](maddpipe_sim::engine::Simulator::program_column)
+//! on the [`ColumnPorts::cell`] id. Discharge delay is NMOS-limited and
+//! carries *per-column* mismatch — the variability that motivates the
+//! paper's per-column RCD over a shared replica column.
 
-use crate::model::{ColumnHandle, ROWS};
-use maddpipe_sim::cell::{Cell, EvalCtx, ViolationKind};
-use maddpipe_sim::circuit::{CircuitBuilder, NetId};
-use maddpipe_sim::logic::Logic;
-use maddpipe_sim::time::SimTime;
+use crate::model::ROWS;
+use maddpipe_sim::cells::ReadColumn;
+use maddpipe_sim::circuit::{CellId, CircuitBuilder, NetId};
 use maddpipe_tech::process::DriveKind;
 use maddpipe_tech::units::{Farads, Seconds};
 
@@ -28,103 +30,6 @@ pub const NOMINAL_DISCHARGE_PS: f64 = 380.0;
 
 /// Nominal (0.8 V / TTG) precharge delay of the bitline pair.
 pub const NOMINAL_PRECHARGE_PS: f64 = 220.0;
-
-/// The behavioural cell for one SRAM column.
-///
-/// * Inputs: pin 0 = `PCHE` (active-high precharge), pins `1..=16` =
-///   `RWL[0..16]` (one-hot read wordlines).
-/// * Outputs: pin 0 = `RBL`, pin 1 = `RBLB`.
-#[derive(Debug)]
-pub struct SramColumnCell {
-    data: ColumnHandle,
-    t_discharge: SimTime,
-    t_precharge: SimTime,
-}
-
-impl SramColumnCell {
-    /// Creates a column over shared storage with sampled timing.
-    pub fn new(data: ColumnHandle, t_discharge: SimTime, t_precharge: SimTime) -> SramColumnCell {
-        SramColumnCell {
-            data,
-            t_discharge,
-            t_precharge,
-        }
-    }
-
-    /// Scans the one-hot wordlines without allocating: the evaluation runs
-    /// once per bitline event on the kernel hot path, so the common cases
-    /// (zero or one asserted row) must stay a register-only loop. Returns
-    /// `(count, lowest asserted row)`.
-    fn asserted_rows(ctx: &EvalCtx<'_>) -> (usize, usize) {
-        let mut count = 0;
-        let mut first = 0;
-        for r in 0..ROWS {
-            if ctx.input(1 + r).is_high() {
-                if count == 0 {
-                    first = r;
-                }
-                count += 1;
-            }
-        }
-        (count, first)
-    }
-
-    /// The asserted row list, materialised only on the (cold) violation
-    /// reporting paths.
-    fn asserted_row_list(ctx: &EvalCtx<'_>) -> Vec<usize> {
-        (0..ROWS).filter(|&r| ctx.input(1 + r).is_high()).collect()
-    }
-}
-
-impl Cell for SramColumnCell {
-    fn num_inputs(&self) -> usize {
-        1 + ROWS
-    }
-
-    fn num_outputs(&self) -> usize {
-        2
-    }
-
-    fn eval(&mut self, ctx: &mut EvalCtx<'_>) {
-        let pche = ctx.input(0);
-        let (n_rows, first_row) = Self::asserted_rows(ctx);
-        match pche {
-            Logic::High => {
-                if n_rows > 0 {
-                    let rows = Self::asserted_row_list(ctx);
-                    ctx.report(
-                        ViolationKind::Protocol,
-                        format!("precharge asserted while RWL{rows:?} active — crowbar current"),
-                    );
-                }
-                ctx.drive(0, Logic::High, self.t_precharge);
-                ctx.drive(1, Logic::High, self.t_precharge);
-            }
-            Logic::Low => {
-                if n_rows > 1 {
-                    let rows = Self::asserted_row_list(ctx);
-                    ctx.report(
-                        ViolationKind::Protocol,
-                        format!("multiple read wordlines asserted: {rows:?}"),
-                    );
-                    return;
-                }
-                if n_rows == 1 {
-                    let bit = self.data.borrow()[first_row];
-                    // Stored 1 discharges RBLB, stored 0 discharges RBL
-                    // (differential read: exactly one rail falls).
-                    let pin = if bit { 1 } else { 0 };
-                    ctx.drive(pin, Logic::Low, self.t_discharge);
-                }
-                // No RWL: dynamic node holds its precharged level.
-            }
-            Logic::X => {
-                ctx.drive(0, Logic::X, self.t_precharge);
-                ctx.drive(1, Logic::X, self.t_precharge);
-            }
-        }
-    }
-}
 
 /// The circuit-side ports of a built column.
 #[derive(Debug, Clone)]
@@ -135,41 +40,18 @@ pub struct ColumnPorts {
     pub rblb: NetId,
     /// Column-local read-completion signal (high once either rail fell).
     pub rcd_col: NetId,
-    /// Handle for programming the stored bits.
-    pub data: ColumnHandle,
+    /// The column cell, for reprogramming its stored bits.
+    pub cell: CellId,
 }
 
-/// Instantiates one SRAM column plus its RCD NAND in the builder's current
-/// domain.
+/// Instantiates one SRAM column storing `word` (bit `r` is row `r`) plus
+/// its RCD NAND in the builder's current domain, with explicit nominal
+/// (0.8 V / TTG) discharge and precharge delays — [`NOMINAL_DISCHARGE_PS`]
+/// and [`NOMINAL_PRECHARGE_PS`] unless the caller carries its own
+/// calibration.
 ///
 /// `rwl` must contain the 16 shared read wordlines; `pche` is the precharge
-/// input; `extra_sigma` adds deterministic per-column delay skew on top of
-/// the library's mismatch sampling (used by the replica-vs-RCD ablation).
-///
-/// # Panics
-///
-/// Panics if `rwl.len() != 16`.
-pub fn build_column(
-    b: &mut CircuitBuilder,
-    name: &str,
-    rwl: &[NetId],
-    pche: NetId,
-    data: ColumnHandle,
-    extra_delay_factor: f64,
-) -> ColumnPorts {
-    build_column_with_timing(
-        b,
-        name,
-        rwl,
-        pche,
-        data,
-        Seconds::from_picos(NOMINAL_DISCHARGE_PS * extra_delay_factor),
-        Seconds::from_picos(NOMINAL_PRECHARGE_PS),
-    )
-}
-
-/// [`build_column`] with explicit nominal (0.8 V / TTG) discharge and
-/// precharge delays — used when the caller carries its own calibration.
+/// input.
 ///
 /// # Panics
 ///
@@ -179,7 +61,7 @@ pub fn build_column_with_timing(
     name: &str,
     rwl: &[NetId],
     pche: NetId,
-    data: ColumnHandle,
+    word: u16,
     discharge_nominal: Seconds,
     precharge_nominal: Seconds,
 ) -> ColumnPorts {
@@ -198,9 +80,9 @@ pub fn build_column_with_timing(
     let mut inputs = Vec::with_capacity(1 + ROWS);
     inputs.push(pche);
     inputs.extend_from_slice(rwl);
-    b.add_cell(
+    let cell = b.add_cell_kind(
         format!("{name}.col"),
-        Box::new(SramColumnCell::new(data.clone(), t_discharge, t_precharge)),
+        ReadColumn::new(word, t_discharge, t_precharge),
         &inputs,
         &[rbl, rblb],
     );
@@ -211,16 +93,18 @@ pub fn build_column_with_timing(
         rbl,
         rblb,
         rcd_col,
-        data,
+        cell,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::new_column;
+    use maddpipe_sim::cell::ViolationKind;
     use maddpipe_sim::engine::Simulator;
     use maddpipe_sim::library::CellLibrary;
+    use maddpipe_sim::logic::Logic;
+    use maddpipe_sim::time::SimTime;
     use maddpipe_tech::corner::{Corner, OperatingPoint};
     use maddpipe_tech::process::Technology;
     use maddpipe_tech::units::Volts;
@@ -240,9 +124,19 @@ mod tests {
         let mut b = CircuitBuilder::new(lib);
         let pche = b.input("pche");
         let rwl: Vec<NetId> = (0..ROWS).map(|i| b.input(format!("rwl[{i}]"))).collect();
-        let data = new_column();
-        *data.borrow_mut() = bits;
-        let ports = build_column(&mut b, "c0", &rwl, pche, data, 1.0);
+        let word = bits
+            .iter()
+            .enumerate()
+            .fold(0, |w, (r, &bit)| w | u16::from(bit) << r);
+        let ports = build_column_with_timing(
+            &mut b,
+            "c0",
+            &rwl,
+            pche,
+            word,
+            Seconds::from_picos(NOMINAL_DISCHARGE_PS),
+            Seconds::from_picos(NOMINAL_PRECHARGE_PS),
+        );
         let mut sim = Simulator::new(b.build());
         // Precharge once so the rails are in a known state.
         sim.poke(pche, Logic::High);
@@ -332,12 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn reprogramming_through_handle_changes_reads() {
+    fn reprogramming_through_the_simulator_changes_reads() {
         let bits = [false; ROWS];
         let mut h = harness(bits, 0.8);
         let (rbl, _, _) = read_row(&mut h, 2);
         assert_eq!(rbl, Logic::Low);
-        h.ports.data.borrow_mut()[2] = true;
+        h.sim.program_column(h.ports.cell, 1 << 2);
         let (rbl, rblb, _) = read_row(&mut h, 2);
         assert_eq!((rbl, rblb), (Logic::High, Logic::Low));
     }

@@ -10,27 +10,19 @@
 //!
 //! [`SramModel`] is the functional view (used by the analytic PPA model and
 //! by tests); the event-driven circuit view lives in [`crate::column`].
+//! [`SramModel::column_word`] splits the array into the per-column words
+//! the circuit's columns store, both at build time and when a LUT is
+//! reprogrammed, mirroring the paper's "prior to the inference, the
+//! precomputed dot products ... are loaded" flow.
 
 use core::fmt;
-use std::cell::RefCell;
-use std::rc::Rc;
+use maddpipe_sim::cells::READ_COLUMN_ROWS;
 
 /// Rows in a decoder LUT (one per prototype).
-pub const ROWS: usize = 16;
+pub const ROWS: usize = READ_COLUMN_ROWS;
 
 /// Columns in a decoder LUT (one per INT8 bit).
 pub const COLS: usize = 8;
-
-/// The bits stored in one SRAM column, shared between the functional model
-/// and the circuit cell (programming happens through this handle before the
-/// inference stimulus starts, mirroring the paper's "prior to the
-/// inference, the precomputed dot products ... are loaded" flow).
-pub type ColumnHandle = Rc<RefCell<[bool; ROWS]>>;
-
-/// Creates a zero-initialised column handle.
-pub fn new_column() -> ColumnHandle {
-    Rc::new(RefCell::new([false; ROWS]))
-}
 
 /// A functional 16×8 two-port SRAM array storing 16 INT8 LUT entries.
 ///
@@ -94,33 +86,14 @@ impl SramModel {
         self.read(row) >> col & 1 == 1
     }
 
-    /// Splits the array into 8 per-column handles for circuit construction.
-    pub fn to_column_handles(&self) -> Vec<ColumnHandle> {
-        (0..COLS)
-            .map(|c| {
-                let mut bits = [false; ROWS];
-                for (r, b) in bits.iter_mut().enumerate() {
-                    *b = self.bit(r, c);
-                }
-                Rc::new(RefCell::new(bits))
-            })
-            .collect()
-    }
-
-    /// Rebuilds the functional view from per-column handles (used by tests
-    /// to confirm the circuit was programmed correctly).
-    pub fn from_column_handles(handles: &[ColumnHandle]) -> SramModel {
-        assert_eq!(handles.len(), COLS, "expected {COLS} column handles");
-        let mut words = [0u8; ROWS];
-        for (c, h) in handles.iter().enumerate() {
-            let bits = h.borrow();
-            for (r, word) in words.iter_mut().enumerate() {
-                if bits[r] {
-                    *word |= 1 << c;
-                }
-            }
-        }
-        SramModel { words }
+    /// The bits physical column `col` stores, as one word: bit `r` is
+    /// row `r` (what a circuit column is built or reprogrammed with).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col ≥ 8`.
+    pub fn column_word(&self, col: usize) -> u16 {
+        (0..ROWS).fold(0, |w, r| w | u16::from(self.bit(r, col)) << r)
     }
 }
 
@@ -171,14 +144,15 @@ mod tests {
     }
 
     #[test]
-    fn column_handles_round_trip() {
+    fn column_words_round_trip() {
         let mut m = SramModel::new();
         for r in 0..ROWS {
             m.write(r, (r * 13 % 256) as u8);
         }
-        let handles = m.to_column_handles();
-        assert_eq!(handles.len(), COLS);
-        let back = SramModel::from_column_handles(&handles);
+        // Reassembling the rows from the column words gives the array back.
+        let back = SramModel::from_words(std::array::from_fn(|r| {
+            (0..COLS).fold(0, |w, c| w | ((m.column_word(c) >> r & 1) as u8) << c)
+        }));
         assert_eq!(back, m);
     }
 

@@ -140,6 +140,90 @@ fn kernel_stats_are_pinned() {
     assert_eq!(s.max_queue, 4, "3 power-up drives + the first poke");
 }
 
+/// The decoder's counted work is pinned the same way, on one
+/// `build_decoder` netlist: 8 SRAM columns, the completion tree, the `GE`
+/// pulse and the carry-save latches. A fixed precharge/read sequence with
+/// one LUT reprogram must reproduce these kernel counts, this final clock
+/// and this total energy exactly, whichever cells the kernel compiles.
+#[test]
+fn decoder_stats_are_pinned() {
+    use maddpipe::core::adder::tie_low;
+    use maddpipe::core::decoder::build_decoder;
+    use maddpipe::core::ACC_BITS;
+    use maddpipe::sim::prelude::*;
+    use maddpipe::sram::SramModel;
+    let lib = CellLibrary::new(
+        Technology::n22(),
+        OperatingPoint::new(Volts(0.8), Corner::Ttg),
+    );
+    let mut b = CircuitBuilder::new(lib);
+    let rwl: Vec<NetId> = (0..16).map(|i| b.input(format!("rwl{i}"))).collect();
+    let pche = b.input("pche");
+    let tie = tie_low(&mut b, "tie");
+    let zeros = vec![tie; ACC_BITS];
+    let lut = SramModel::from_words(std::array::from_fn(|r| (r as u8).wrapping_mul(37) ^ 0x5A));
+    let ports = build_decoder(
+        &mut b,
+        "dec",
+        &rwl,
+        pche,
+        &zeros,
+        &zeros,
+        &lut,
+        &Calibration::paper(),
+        tie,
+    );
+    let mut sim = Simulator::new(b.build());
+    for &w in &rwl {
+        sim.poke(w, Logic::Low);
+    }
+    // One read cycle: precharge, release, assert the row's wordline, latch
+    // the carry-save result, release the wordline.
+    let read = |sim: &mut Simulator, row: usize| -> i16 {
+        for (net, level) in [
+            (pche, Logic::High),
+            (pche, Logic::Low),
+            (rwl[row], Logic::High),
+        ] {
+            sim.poke(net, level);
+            sim.run_to_quiescence().expect("settle");
+        }
+        let s = sim.bus_value(&ports.s_out).expect("S latched") as u16;
+        let c = sim.bus_value(&ports.c_out).expect("C latched") as u16;
+        sim.poke(rwl[row], Logic::Low);
+        sim.run_to_quiescence().expect("settle");
+        (s as i16).wrapping_add((c << 1) as i16)
+    };
+    for row in [0, 5, 15, 5] {
+        assert_eq!(
+            read(&mut sim, row),
+            i16::from(lut.read_i8(row)),
+            "row {row}"
+        );
+    }
+    let fresh = SramModel::from_words(std::array::from_fn(|r| (r as u8).wrapping_mul(91) ^ 0xC3));
+    for (c, &col) in ports.columns.iter().enumerate() {
+        sim.program_column(col, fresh.column_word(c));
+    }
+    for row in [5, 9] {
+        assert_eq!(
+            read(&mut sim, row),
+            i16::from(fresh.read_i8(row)),
+            "row {row}"
+        );
+    }
+    assert!(sim.violations().is_empty(), "{:?}", sim.violations());
+    let s = sim.stats();
+    assert_eq!(s.events_popped, 1188);
+    assert_eq!(s.events_stale, 80);
+    assert_eq!(s.transitions, 608);
+    assert_eq!(s.evals, 1172);
+    assert_eq!(s.delta_cycles, 162);
+    assert_eq!(s.max_queue, 184);
+    assert_eq!(sim.now(), SimTime::from_femtos(9_618_000));
+    assert_eq!(sim.total_energy().value(), 3.155_176_959_999_985_5e-13);
+}
+
 /// The pipelined streaming mode is deterministic too — same makespan and
 /// final outputs across independent builds.
 #[test]

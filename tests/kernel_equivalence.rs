@@ -3,7 +3,8 @@
 //!
 //! The production `Simulator` earns its throughput with a bucketed event
 //! queue, delta batching with an epoch-stamped dirty set and changed-pin
-//! bit sets, compiled gate, full-adder and latch tables and an
+//! bit sets (kept only for the cells that read their triggers), compiled
+//! gate, full-adder, latch and SRAM read-column tables and an
 //! allocation-free evaluation path. The `ReferenceSimulator` implements
 //! the same delta-cycle semantics with none of those tricks. For random
 //! netlists and random stimulus, the two must agree on every final net
@@ -12,7 +13,7 @@
 //!
 //! `PROPTEST_CASES` sets the number of random cases (default 48).
 
-use maddpipe::sim::cells::{CElement, DLatch, PulseGen};
+use maddpipe::sim::cells::{CElement, DLatch, PulseGen, ReadColumn};
 use maddpipe::sim::prelude::*;
 use maddpipe::sim::reference::ReferenceSimulator;
 use proptest::prelude::*;
@@ -73,6 +74,15 @@ enum GateOp {
         width: u8,
         delay: u16,
     },
+    /// A [`ReadColumn`] storing `word`, precharged by pool net `pche`,
+    /// with its 16 wordlines on the pool nets `rows`. Random rows often
+    /// assert several wordlines at once, and pool nets start at `X`, so
+    /// both protocol violations and the `X` precharge are reached.
+    Column {
+        pche: usize,
+        rows: Vec<usize>,
+        word: u16,
+    },
 }
 
 fn gate_op() -> impl Strategy<Value = GateOp> {
@@ -102,6 +112,12 @@ fn gate_op() -> impl Strategy<Value = GateOp> {
                 delay,
             }
         ),
+        (
+            any::<usize>(),
+            proptest::collection::vec(any::<usize>(), 16..17),
+            any::<u16>(),
+        )
+            .prop_map(|(pche, rows, word)| GateOp::Column { pche, rows, word }),
     ]
 }
 
@@ -187,6 +203,23 @@ fn build(n_inputs: usize, ops: &[GateOp]) -> (Circuit, Vec<NetId>, Vec<NetId>) {
                 b.add_cell(format!("g{k}"), Box::new(cell), &ins, &[y]);
                 y
             }
+            GateOp::Column {
+                pche,
+                ref rows,
+                word,
+            } => {
+                let mut ins = vec![pick(&pool, pche)];
+                ins.extend(rows.iter().map(|&r| pick(&pool, r)));
+                let (rbl, rblb) = (b.net(format!("g{k}.rbl")), b.net(format!("g{k}.rblb")));
+                let col = ReadColumn::new(
+                    word,
+                    SimTime::from_femtos(380_000),
+                    SimTime::from_femtos(220_000),
+                );
+                b.add_cell_kind(format!("g{k}.col"), col, &ins, &[rbl, rblb]);
+                pool.push(rbl);
+                rblb
+            }
         };
         pool.push(out);
     }
@@ -211,7 +244,8 @@ proptest! {
 
     /// For random DAG-ish netlists (mixing stateless gates, full adders,
     /// stateful latches/C-elements, transport delay lines, multi-edge
-    /// pulse generators and cells wider than 64 pins) and random
+    /// pulse generators, SRAM read columns and cells wider than 64 pins)
+    /// and random
     /// multi-phase stimulus, the optimized kernel and the naive reference
     /// agree on final net values, quiescence time, cumulative switching
     /// energy and the recorded violations.
