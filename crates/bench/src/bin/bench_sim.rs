@@ -145,16 +145,18 @@ fn scalar_tokens_per_sec(workers: usize) -> f64 {
     let cfg = MacroConfig::paper_flagship();
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 7);
     let batch = TokenBatch::random(cfg.ns, 1024, 11);
-    let walk = |tokens: &[Token]| -> Vec<Vec<i16>> {
+    let walk = |tokens: Tokens<'_>| -> Vec<Vec<i16>> {
         tokens.iter().map(|t| program.reference_output(t)).collect()
     };
     median_rate(7, || {
         if workers == 1 {
             std::hint::black_box(walk(batch.tokens()));
         } else {
+            let chunk = batch.len().div_ceil(workers);
             std::thread::scope(|scope| {
-                for chunk in batch.tokens().chunks(batch.len().div_ceil(workers)) {
-                    scope.spawn(|| std::hint::black_box(walk(chunk)));
+                for start in (0..batch.len()).step_by(chunk) {
+                    let part = batch.slice(start..(start + chunk).min(batch.len()));
+                    scope.spawn(move || std::hint::black_box(walk(part.tokens())));
                 }
             });
         }
@@ -208,7 +210,11 @@ fn sharded_tokens_per_sec(shards: usize) -> f64 {
 fn cache_snapshot() -> (f64, f64, f64, u64) {
     let cfg = MacroConfig::paper_flagship();
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 7);
-    let alphabet = TokenBatch::random(cfg.ns, 32, 11).into_tokens();
+    let alphabet: Vec<Token> = TokenBatch::random(cfg.ns, 32, 11)
+        .tokens()
+        .iter()
+        .map(<[_]>::to_vec)
+        .collect();
     let tokens: Vec<Token> = (0..1024)
         .map(|i| alphabet[(i * 7) % alphabet.len()].clone())
         .collect();
@@ -614,7 +620,11 @@ fn smoke() {
     // the cache tier stopped doing anything while staying correct.
     let cfg = MacroConfig::paper_flagship();
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 7);
-    let alphabet = TokenBatch::random(cfg.ns, 8, 11).into_tokens();
+    let alphabet: Vec<Token> = TokenBatch::random(cfg.ns, 8, 11)
+        .tokens()
+        .iter()
+        .map(<[_]>::to_vec)
+        .collect();
     let dup_batch = TokenBatch::new(
         (0..64)
             .map(|i| alphabet[(i * 3) % alphabet.len()].clone())

@@ -163,10 +163,14 @@ impl BatchedProgram {
     /// Panics under the same conditions as the scalar spec: a token that
     /// does not carry one subvector per stage, or a malformed program
     /// whose tree walk selects a leaf outside the 16-entry LUT.
-    pub fn evaluate<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(&self, tokens: &[T]) -> Vec<Vec<i16>> {
+    pub fn evaluate<I>(&self, tokens: I) -> Vec<Vec<i16>>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[[i8; SUBVECTOR_LEN]]>,
+    {
         let mut at = vec![0usize; self.ns()];
         tokens
-            .iter()
+            .into_iter()
             .map(|token| {
                 let mut out = vec![0i16; self.ndec];
                 self.evaluate_token(token.as_ref(), &mut at, &mut out);
@@ -184,19 +188,24 @@ impl BatchedProgram {
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != tokens.len() * ndec`, plus the conditions
-    /// of [`BatchedProgram::evaluate`].
-    pub fn evaluate_into<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(&self, tokens: &[T], out: &mut [i16]) {
-        assert_eq!(
-            out.len(),
-            tokens.len() * self.ndec,
-            "output buffer must hold ndec values per token"
-        );
+    /// Panics if `out.len()` is not `ndec` times the number of tokens —
+    /// at the first token that does not fit, or after the last token when
+    /// `out` is longer — plus the conditions of
+    /// [`BatchedProgram::evaluate`].
+    pub fn evaluate_into<I>(&self, tokens: I, out: &mut [i16])
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[[i8; SUBVECTOR_LEN]]>,
+    {
+        const MSG: &str = "output buffer must hold ndec values per token";
         let mut at = vec![0usize; self.ns()];
-        for (i, token) in tokens.iter().enumerate() {
-            let slot = &mut out[i * self.ndec..(i + 1) * self.ndec];
+        let mut filled = 0;
+        for token in tokens {
+            let slot = out.get_mut(filled..filled + self.ndec).expect(MSG);
             self.evaluate_token(token.as_ref(), &mut at, slot);
+            filled += self.ndec;
         }
+        assert_eq!(out.len(), filled, "{MSG}");
     }
 
     /// Evaluates one token into `out` (`ndec` values), using `at` (one
@@ -396,6 +405,24 @@ mod tests {
         for (i, g) in golden.iter().enumerate() {
             assert_eq!(&flat[i * 4..(i + 1) * 4], g.as_slice(), "token {i}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "output buffer must hold ndec values per token")]
+    fn evaluate_into_rejects_a_short_buffer() {
+        let program = MacroProgram::random(4, 2, 21);
+        let tokens = random_tokens(2, 5, 8);
+        let mut out = vec![0i16; 4 * 5 - 1];
+        program.batched().evaluate_into(tokens.iter(), &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "output buffer must hold ndec values per token")]
+    fn evaluate_into_rejects_a_long_buffer() {
+        let program = MacroProgram::random(4, 2, 21);
+        let tokens = random_tokens(2, 5, 8);
+        let mut out = vec![0i16; 4 * 5 + 1];
+        program.batched().evaluate_into(tokens.iter(), &mut out);
     }
 
     #[test]

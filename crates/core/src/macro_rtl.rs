@@ -160,10 +160,11 @@ impl MacroProgram {
     /// # Panics
     ///
     /// Panics if a token does not provide one subvector per stage.
-    pub fn reference_output_batch<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
-        &self,
-        tokens: &[T],
-    ) -> Vec<Vec<i16>> {
+    pub fn reference_output_batch<I>(&self, tokens: I) -> Vec<Vec<i16>>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[[i8; SUBVECTOR_LEN]]>,
+    {
         self.batched().evaluate(tokens)
     }
 }
@@ -513,9 +514,9 @@ impl AcceleratorRtl {
     /// Returns [`TokenError::EmptyStream`] for an empty stream,
     /// [`TokenError::ShapeMismatch`] for a malformed token, and
     /// [`TokenError::Oscillation`] if the netlist fails to settle.
-    pub fn run_pipelined(
+    pub fn run_pipelined<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
         &mut self,
-        tokens: &[Vec<[i8; SUBVECTOR_LEN]>],
+        tokens: &[T],
     ) -> Result<(Vec<i16>, SimTime), TokenError> {
         let (_, makespan) = self.stream_tokens(tokens)?;
         Ok((self.read_outputs(), makespan))
@@ -523,9 +524,9 @@ impl AcceleratorRtl {
 
     /// The shared pipelined driving loop: offers every token with overlap.
     /// Returns the absolute offer times and the stream makespan.
-    fn stream_tokens(
+    fn stream_tokens<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
         &mut self,
-        tokens: &[Vec<[i8; SUBVECTOR_LEN]>],
+        tokens: &[T],
     ) -> Result<(Vec<SimTime>, SimTime), TokenError> {
         if tokens.is_empty() {
             return Err(TokenError::EmptyStream);
@@ -533,14 +534,14 @@ impl AcceleratorRtl {
         // Reject malformed streams before any stimulus is applied, so a
         // shape error cannot leave a token half-way in the pipeline.
         for (idx, token) in tokens.iter().enumerate() {
-            self.check_token_shape(idx, token)?;
+            self.check_token_shape(idx, token.as_ref())?;
         }
         let t_start = self.sim.now();
         let mut offers = Vec::with_capacity(tokens.len());
         let ibe0 = self.blocks[0].ibe;
         let last_ibe = self.blocks.last().expect("ns >= 1").ibe;
         for (idx, token) in tokens.iter().enumerate() {
-            self.poke_token_inputs(idx, token)?;
+            self.poke_token_inputs(idx, token.as_ref())?;
             offers.push(self.sim.now());
             self.sim.poke(self.req0, Logic::High);
             self.wait_edges(&[(self.ack0, Logic::High)])?;
@@ -587,9 +588,9 @@ impl AcceleratorRtl {
     /// Panics if the stream does not produce exactly one strobe pulse per
     /// token or the register holds unknown bits at a capture — protocol
     /// bugs, like the quiescent-handshake panic of the wait helpers.
-    pub fn run_pipelined_observed(
+    pub fn run_pipelined_observed<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
         &mut self,
-        tokens: &[Vec<[i8; SUBVECTOR_LEN]>],
+        tokens: &[T],
     ) -> Result<PipelinedRun, TokenError> {
         // Arm the observers: the strobe plus every output-register bit.
         // Remember which nets this call armed so they can be disarmed
@@ -898,7 +899,11 @@ mod tests {
                 got: cfg.ns - 1,
             }
         );
-        assert_eq!(rtl.run_pipelined(&[]).unwrap_err(), TokenError::EmptyStream);
+        let empty: &[Vec<[i8; SUBVECTOR_LEN]>] = &[];
+        assert_eq!(
+            rtl.run_pipelined(empty).unwrap_err(),
+            TokenError::EmptyStream
+        );
         // The instance is still usable after a rejected stream.
         let ok = rtl.run_token(&good).unwrap();
         assert_eq!(ok.outputs, program.reference_output(&good));

@@ -353,12 +353,7 @@ impl Network {
                         kind.clone(),
                         move |x: &[f32]| conv_encode(in_shape, scale, x),
                         move |r: &BatchResult| {
-                            conv_outputs(
-                                out_c,
-                                hw,
-                                out_scale,
-                                r.tokens.iter().map(|t| t.outputs.as_slice()),
-                            )
+                            conv_outputs(out_c, hw, out_scale, r.tokens.iter().map(|t| t.outputs))
                         },
                     )?
                     .with_policy(policy.clone());
@@ -515,10 +510,12 @@ fn conv_encode(in_shape: Shape, scale: QuantScale, x: &[f32]) -> Result<TokenBat
             ),
         });
     }
-    let mut rows = Vec::with_capacity(h * w);
+    let width = c * 9;
+    let mut patches = vec![0.0f32; h * w * width];
     for oy in 0..h {
         for ox in 0..w {
-            let mut row = vec![0.0f32; c * 9];
+            let pixel = oy * w + ox;
+            let row = &mut patches[pixel * width..(pixel + 1) * width];
             for ch in 0..c {
                 for ky in 0..3 {
                     let iy = oy as isize + ky as isize - 1;
@@ -534,10 +531,11 @@ fn conv_encode(in_shape: Shape, scale: QuantScale, x: &[f32]) -> Result<TokenBat
                     }
                 }
             }
-            rows.push(row);
         }
     }
-    let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+    let refs: Vec<&[f32]> = (0..h * w)
+        .map(|pixel| &patches[pixel * width..(pixel + 1) * width])
+        .collect();
     TokenBatch::from_f32_rows(&refs, c, scale)
 }
 

@@ -1,7 +1,7 @@
 //! The closed-form planning backend.
 
 use crate::backend::{validate_program, MacroBackend};
-use crate::batch::{BatchResult, TokenBatch, TokenObservation};
+use crate::batch::{BatchResult, Observations, TokenBatch};
 use crate::error::BackendError;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::dlc::{ripple_depth, to_offset_binary};
@@ -69,20 +69,17 @@ impl MacroBackend for AnalyticBackend {
         let token_energy = per_block * self.program.ns() as f64;
         let mut makespan = Seconds::ZERO;
         let mut total_energy = Joules(0.0);
-        let tokens = batch
-            .tokens()
-            .iter()
-            .map(|token| {
-                let latency = self.token_latency(token);
-                makespan += latency;
-                total_energy += token_energy;
-                TokenObservation {
-                    outputs: self.program.reference_output(token),
-                    latency: Some(latency),
-                    energy: Some(token_energy),
-                }
-            })
-            .collect();
+        let mut tokens = Observations::with_capacity(self.program.ndec(), batch.len());
+        for token in batch.tokens() {
+            let latency = self.token_latency(token);
+            makespan += latency;
+            total_energy += token_energy;
+            tokens.push(
+                &self.program.reference_output(token),
+                Some(latency),
+                Some(token_energy),
+            );
+        }
         Ok(BatchResult {
             backend: self.name(),
             tokens,
@@ -117,8 +114,12 @@ mod tests {
         let mut backend = AnalyticBackend::new(&cfg, program).unwrap();
         let fast = TokenBatch::single(vec![[100i8; SUBVECTOR_LEN]]);
         let slow = TokenBatch::single(vec![[0i8; SUBVECTOR_LEN]]);
-        let lf = backend.run_batch(&fast).unwrap().tokens[0].latency.unwrap();
-        let ls = backend.run_batch(&slow).unwrap().tokens[0].latency.unwrap();
+        let mut latency = |batch| {
+            let result = backend.run_batch(batch).unwrap();
+            result.tokens.get(0).unwrap().latency.unwrap()
+        };
+        let lf = latency(&fast);
+        let ls = latency(&slow);
         assert!(ls > lf, "boundary input {ls} must model slower than {lf}");
         let model = backend.model().clone();
         assert!(lf >= model.block_latency_best().total());
@@ -135,9 +136,12 @@ mod tests {
         let batch = TokenBatch::random(2, 5, 21);
         let r = backend.run_batch(&batch).unwrap();
         for (t, token) in batch.tokens().iter().enumerate() {
-            assert_eq!(r.tokens[t].outputs, program.reference_output(token));
+            assert_eq!(
+                r.tokens.get(t).unwrap().outputs,
+                program.reference_output(token)
+            );
         }
-        let per_token = r.tokens[0].energy.unwrap();
+        let per_token = r.tokens.get(0).unwrap().energy.unwrap();
         assert!((r.energy.unwrap().value() - per_token.value() * 5.0).abs() < 1e-24);
         assert!(r.makespan.unwrap().value() > 0.0);
     }

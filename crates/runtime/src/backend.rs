@@ -57,7 +57,7 @@ pub enum Fidelity {
 /// let mut backend = kind.build(&cfg, program.clone()).unwrap();
 /// let batch = TokenBatch::random(cfg.ns, 3, 1);
 /// let result = backend.run_batch(&batch).unwrap();
-/// assert_eq!(result.tokens[0].outputs, program.reference_output(&batch.tokens()[0]));
+/// assert_eq!(result.tokens.get(0).unwrap().outputs, program.reference_output(&batch.tokens()[0]));
 /// assert_eq!(backend.cache_stats().unwrap().misses, 6); // 3 tokens × 2 shards
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]

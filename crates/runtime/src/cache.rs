@@ -44,7 +44,7 @@ use maddpipe_core::config::SUBVECTOR_LEN;
 use maddpipe_core::macro_rtl::MacroProgram;
 
 use crate::backend::MacroBackend;
-use crate::batch::{BatchResult, Token, TokenBatch, TokenObservation};
+use crate::batch::{BatchResult, Observations, TokenBatch};
 use crate::error::BackendError;
 
 /// Approximate fixed bookkeeping cost charged per resident entry on top
@@ -143,7 +143,7 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Builds the key for one token under one program fingerprint.
-    pub fn new(fingerprint: ProgramFingerprint, token: &Token) -> CacheKey {
+    pub fn new(fingerprint: ProgramFingerprint, token: &[[i8; SUBVECTOR_LEN]]) -> CacheKey {
         let mut bytes = Vec::with_capacity(token.len() * SUBVECTOR_LEN);
         for sub in token {
             bytes.extend(sub.iter().map(|&b| b as u8));
@@ -444,6 +444,7 @@ pub struct CachedBackend {
     inner: Box<dyn MacroBackend>,
     fingerprint: ProgramFingerprint,
     ns: usize,
+    ndec: usize,
     store: SharedCacheStore,
 }
 
@@ -475,6 +476,7 @@ impl CachedBackend {
             inner,
             fingerprint: ProgramFingerprint::of(program),
             ns: program.ns(),
+            ndec: program.ndec(),
             store,
         }
     }
@@ -496,6 +498,16 @@ impl MacroBackend for CachedBackend {
     }
 
     fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
+        /// Where one token's observation comes from.
+        enum Source {
+            /// Replayed from the store: unmeasured.
+            Hit(Vec<i16>),
+            /// Row `j` of the inner result: measured.
+            Miss(usize),
+            /// A later copy of miss row `j` in this batch: unmeasured.
+            Dup(usize),
+        }
+
         batch.check_shape(self.ns)?;
         let tokens = batch.tokens();
         let keys: Vec<CacheKey> = tokens
@@ -503,11 +515,9 @@ impl MacroBackend for CachedBackend {
             .map(|t| CacheKey::new(self.fingerprint.clone(), t))
             .collect();
 
-        let mut resolved: Vec<Option<TokenObservation>> = vec![None; tokens.len()];
-        // First occurrences that missed, in batch order, and duplicate
-        // positions pointing at their first occurrence.
+        let mut sources: Vec<Source> = Vec::with_capacity(tokens.len());
+        // First occurrences that missed, in batch order.
         let mut misses: Vec<usize> = Vec::new();
-        let mut dups: Vec<(usize, usize)> = Vec::new();
         {
             // One lock for the whole probe: the dedup map must see a
             // consistent store, and the store is never locked across
@@ -515,52 +525,56 @@ impl MacroBackend for CachedBackend {
             let mut store = lock_store(&self.store);
             let mut seen: HashMap<&CacheKey, usize> = HashMap::new();
             for (i, key) in keys.iter().enumerate() {
-                if let Some(&first) = seen.get(key) {
-                    if resolved[first].is_some() {
+                let source = if let Some(&first) = seen.get(key) {
+                    match sources[first] {
                         // Duplicate of a token that hit — it hits too.
-                        let outputs = store.lookup(key).expect("first occurrence was resident");
-                        resolved[i] = Some(TokenObservation {
-                            outputs,
-                            latency: None,
-                            energy: None,
-                        });
-                    } else {
-                        store.note_dedup();
-                        dups.push((i, first));
+                        Source::Hit(_) => {
+                            Source::Hit(store.lookup(key).expect("first occurrence was resident"))
+                        }
+                        Source::Miss(j) | Source::Dup(j) => {
+                            store.note_dedup();
+                            Source::Dup(j)
+                        }
                     }
                 } else {
                     seen.insert(key, i);
                     match store.lookup(key) {
-                        Some(outputs) => {
-                            resolved[i] = Some(TokenObservation {
-                                outputs,
-                                latency: None,
-                                energy: None,
-                            });
+                        Some(outputs) => Source::Hit(outputs),
+                        None => {
+                            misses.push(i);
+                            Source::Miss(misses.len() - 1)
                         }
-                        None => misses.push(i),
                     }
-                }
+                };
+                sources.push(source);
             }
         }
 
         let mut makespan = None;
         let mut energy = None;
+        let mut computed = Observations::new(self.ndec);
         if !misses.is_empty() {
-            let unique: Vec<Token> = misses.iter().map(|&i| tokens[i].clone()).collect();
-            let sub = TokenBatch::new(unique)?;
+            let mut flat = Vec::with_capacity(misses.len() * self.ns);
+            for &i in &misses {
+                flat.extend_from_slice(&tokens[i]);
+            }
+            let sub = TokenBatch::from_flat(self.ns, misses.len(), flat);
             // A failure here propagates with no store mutation: nothing
             // was inserted, so a retry re-executes from scratch and the
             // cache cannot serve (or remember) a failed attempt.
             let inner_result = self.inner.run_batch(&sub)?;
-            if inner_result.tokens.len() != misses.len() {
+            if inner_result.tokens.len() != misses.len() || inner_result.tokens.width() != self.ndec
+            {
                 return Err(BackendError::MalformedProgram {
                     reason: format!(
-                        "cached tier: inner backend '{}' returned {} observations \
-                         for {} unique tokens — refusing to cache misaligned outputs",
+                        "cached tier: inner backend '{}' returned {} observations of {} \
+                         outputs for {} unique tokens of {} outputs — refusing to cache \
+                         misaligned outputs",
                         inner_result.backend,
                         inner_result.tokens.len(),
-                        misses.len()
+                        inner_result.tokens.width(),
+                        misses.len(),
+                        self.ndec
                     ),
                 });
             }
@@ -568,35 +582,32 @@ impl MacroBackend for CachedBackend {
             energy = inner_result.energy;
             {
                 let mut store = lock_store(&self.store);
-                for (&i, obs) in misses.iter().zip(inner_result.tokens.iter()) {
-                    store.insert(keys[i].clone(), obs.outputs.clone());
+                for (&i, obs) in misses.iter().zip(&inner_result.tokens) {
+                    store.insert(keys[i].clone(), obs.outputs.to_vec());
                 }
             }
-            // Freshly computed tokens keep the inner backend's measured
-            // observation; only replayed results are unmeasured.
-            for (&i, obs) in misses.iter().zip(inner_result.tokens) {
-                resolved[i] = Some(obs);
-            }
+            computed = inner_result.tokens;
         }
-        for (i, first) in dups {
-            let outputs = resolved[first]
-                .as_ref()
-                .expect("first occurrence resolved by dispatch")
-                .outputs
-                .clone();
-            resolved[i] = Some(TokenObservation {
-                outputs,
-                latency: None,
-                energy: None,
-            });
+
+        // Freshly computed tokens keep the inner backend's measured
+        // observation; only replayed results are unmeasured.
+        let mut observations = Observations::with_capacity(self.ndec, tokens.len());
+        for source in &sources {
+            let row = |j: usize| computed.get(j).expect("every miss was computed");
+            let (outputs, latency, energy) = match *source {
+                Source::Hit(ref outputs) => (outputs.as_slice(), None, None),
+                Source::Miss(j) => {
+                    let obs = row(j);
+                    (obs.outputs, obs.latency, obs.energy)
+                }
+                Source::Dup(j) => (row(j).outputs, None, None),
+            };
+            observations.push(outputs, latency, energy);
         }
 
         Ok(BatchResult {
             backend: self.name(),
-            tokens: resolved
-                .into_iter()
-                .map(|obs| obs.expect("every token resolved"))
-                .collect(),
+            tokens: observations,
             makespan,
             energy,
         })
@@ -632,6 +643,7 @@ impl std::fmt::Debug for CachedBackend {
 mod tests {
     use super::*;
     use crate::backend::BackendKind;
+    use crate::batch::Token;
     use crate::functional::FunctionalBackend;
     use maddpipe_core::config::MacroConfig;
     use proptest::prelude::*;
@@ -820,7 +832,10 @@ mod tests {
         );
         // Retry recomputes and caches the real result.
         let result = backend.run_batch(&batch).unwrap();
-        assert_eq!(result.tokens[0].outputs, p.reference_output(&t));
+        assert_eq!(
+            result.tokens.get(0).unwrap().outputs,
+            p.reference_output(&t)
+        );
         assert_eq!(backend.cache_stats().unwrap().insertions, 1);
     }
 
@@ -835,7 +850,7 @@ mod tests {
             }
             fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
                 let mut result = self.inner.run_batch(batch)?;
-                result.tokens.pop();
+                result.tokens.truncate(batch.len() - 1);
                 Ok(result)
             }
         }
@@ -849,6 +864,17 @@ mod tests {
             CacheConfig::default(),
         );
         let batch = TokenBatch::new(vec![token(2, 1), token(2, 2)]).unwrap();
+        let err = backend.run_batch(&batch).unwrap_err();
+        assert!(matches!(err, BackendError::MalformedProgram { .. }));
+        assert_eq!(backend.cache_stats().unwrap().insertions, 0);
+        // One observation per token, but one output short per token: a
+        // typed error too, not a panic.
+        let narrow = MacroProgram::random(1, cfg.ns, 13);
+        let mut backend = CachedBackend::new(
+            Box::new(FunctionalBackend::new(narrow)),
+            &p,
+            CacheConfig::default(),
+        );
         let err = backend.run_batch(&batch).unwrap_err();
         assert!(matches!(err, BackendError::MalformedProgram { .. }));
         assert_eq!(backend.cache_stats().unwrap().insertions, 0);
@@ -868,13 +894,12 @@ mod tests {
         let mut backend = CachedBackend::new(inner, &p, CacheConfig::default());
         let batch = TokenBatch::new(vec![token(2, 3)]).unwrap();
         let cold = backend.run_batch(&batch).unwrap();
-        assert!(
-            cold.tokens[0].latency.is_some(),
-            "miss keeps the measurement"
-        );
+        let cold_token = cold.tokens.get(0).unwrap();
+        assert!(cold_token.latency.is_some(), "miss keeps the measurement");
         let warm = backend.run_batch(&batch).unwrap();
-        assert_eq!(warm.tokens[0].outputs, cold.tokens[0].outputs);
-        assert!(warm.tokens[0].latency.is_none() && warm.tokens[0].energy.is_none());
+        let warm_token = warm.tokens.get(0).unwrap();
+        assert_eq!(warm_token.outputs, cold_token.outputs);
+        assert!(warm_token.latency.is_none() && warm_token.energy.is_none());
         assert!(warm.makespan.is_none() && warm.energy.is_none());
     }
 

@@ -41,7 +41,7 @@
 //!     if let Ok(result) = chaotic.run_batch(&batch) {
 //!         // Whenever a call survives, outputs are bit-identical.
 //!         assert_eq!(
-//!             result.tokens[0].outputs,
+//!             result.tokens.get(0).unwrap().outputs,
 //!             program.reference_output(&batch.tokens()[0]),
 //!         );
 //!         served += 1;
@@ -234,7 +234,8 @@ impl MacroBackend for ChaosBackend {
             // Return one observation short: the wrong width for this
             // micro-batch. Serving layers must catch the broken
             // contract and reject the batch as fatal.
-            result.tokens.pop();
+            let short = result.tokens.len().saturating_sub(1);
+            result.tokens.truncate(short);
         }
         Ok(result)
     }
@@ -332,7 +333,10 @@ mod tests {
             if let Ok(result) = chaos.run_batch(&batch) {
                 served += 1;
                 for (t, token) in batch.tokens().iter().enumerate() {
-                    assert_eq!(result.tokens[t].outputs, program.reference_output(token));
+                    assert_eq!(
+                        result.tokens.get(t).unwrap().outputs,
+                        program.reference_output(token)
+                    );
                 }
             }
         }
@@ -389,7 +393,10 @@ mod tests {
             let result = chaos.run_batch(&batch).expect("no faults configured");
             assert_eq!(result.tokens.len(), batch.len());
             for (t, token) in batch.tokens().iter().enumerate() {
-                assert_eq!(result.tokens[t].outputs, program.reference_output(token));
+                assert_eq!(
+                    result.tokens.get(t).unwrap().outputs,
+                    program.reference_output(token)
+                );
             }
         }
     }

@@ -1,7 +1,7 @@
 //! The pure-math throughput backend.
 
 use crate::backend::MacroBackend;
-use crate::batch::{BatchResult, Token, TokenBatch, TokenObservation};
+use crate::batch::{BatchResult, Observations, TokenBatch, Tokens};
 use crate::error::BackendError;
 use maddpipe_core::batched::BatchedProgram;
 use maddpipe_core::macro_rtl::MacroProgram;
@@ -11,6 +11,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// silicon — no timing model — through the [`BatchedProgram`] kernel
 /// (the program compiled to 4-level trees and 16-lane LUT rows),
 /// sharding balanced token ranges across OS threads for throughput.
+///
+/// The kernel writes straight into the result's output matrix: each
+/// shard evaluates its slice of the batch into its own disjoint chunk of
+/// rows, so a batch costs one output allocation whatever its size.
 ///
 /// [`MacroProgram::reference_output`] remains the executable spec; the
 /// kernel is pinned bit-identical to it by proptest.
@@ -56,14 +60,14 @@ impl FunctionalBackend {
         self.workers
     }
 
-    /// Evaluates one contiguous shard of tokens, converting any panic in
-    /// the LUT math into a typed transient error.
-    fn eval_shard(&self, shard: &[Token]) -> Result<Vec<Vec<i16>>, BackendError> {
-        catch_unwind(AssertUnwindSafe(|| self.batched.evaluate(shard))).map_err(|payload| {
-            BackendError::Transient {
+    /// Evaluates one contiguous shard of tokens into `out`, converting
+    /// any panic in the LUT math into a typed transient error.
+    fn eval_shard(&self, shard: Tokens<'_>, out: &mut [i16]) -> Result<(), BackendError> {
+        catch_unwind(AssertUnwindSafe(|| self.batched.evaluate_into(shard, out))).map_err(
+            |payload| BackendError::Transient {
                 reason: format!("functional worker panicked: {}", panic_reason(&payload)),
-            }
-        })
+            },
+        )
     }
 }
 
@@ -99,30 +103,33 @@ impl MacroBackend for FunctionalBackend {
 
     fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
         batch.check_shape(self.program.ns())?;
-        let tokens = batch.tokens();
-        let sizes = shard_sizes(tokens.len(), self.workers);
-        let outputs: Vec<Vec<i16>> = if sizes.len() <= 1 {
-            self.eval_shard(tokens)?
+        let ndec = self.batched.ndec();
+        let mut outputs = vec![0i16; batch.len() * ndec];
+        let sizes = shard_sizes(batch.len(), self.workers);
+        if sizes.len() <= 1 {
+            self.eval_shard(batch.tokens(), &mut outputs)?;
         } else {
-            // Contiguous shards, one per worker; joining in spawn order
-            // restores submission order. Every handle is joined before
-            // any error is surfaced, so no worker outlives the batch.
+            // Contiguous shards, one per worker, each writing its own
+            // chunk of rows. Every handle is joined before any error is
+            // surfaced, so no worker outlives the batch.
             let this = &*self;
             std::thread::scope(|scope| {
                 let mut start = 0usize;
+                let mut rest = outputs.as_mut_slice();
                 let handles: Vec<_> = sizes
                     .iter()
                     .map(|&len| {
-                        let shard = &tokens[start..start + len];
+                        let shard = batch.slice(start..start + len);
+                        let (out, tail) = std::mem::take(&mut rest).split_at_mut(len * ndec);
+                        rest = tail;
                         start += len;
-                        scope.spawn(move || this.eval_shard(shard))
+                        scope.spawn(move || this.eval_shard(shard.tokens(), out))
                     })
                     .collect();
-                let mut all = Vec::with_capacity(tokens.len());
                 let mut failure: Option<BackendError> = None;
                 for handle in handles {
                     match handle.join() {
-                        Ok(Ok(mut outs)) => all.append(&mut outs),
+                        Ok(Ok(())) => {}
                         Ok(Err(e)) => failure = failure.or(Some(e)),
                         // eval_shard already catches panics in the LUT
                         // math, so a join error means the thread died
@@ -135,22 +142,12 @@ impl MacroBackend for FunctionalBackend {
                         }
                     }
                 }
-                match failure {
-                    Some(e) => Err(e),
-                    None => Ok(all),
-                }
-            })?
-        };
+                failure.map_or(Ok(()), Err)
+            })?;
+        }
         Ok(BatchResult {
             backend: self.name(),
-            tokens: outputs
-                .into_iter()
-                .map(|outputs| TokenObservation {
-                    outputs,
-                    latency: None,
-                    energy: None,
-                })
-                .collect(),
+            tokens: Observations::from_outputs(batch.len(), ndec, outputs),
             makespan: None,
             energy: None,
         })
@@ -172,7 +169,8 @@ mod tests {
         let b = sharded.run_batch(&batch).unwrap();
         assert_eq!(a.outputs(), b.outputs());
         assert_eq!(a.tokens.len(), 23);
-        assert!(a.tokens[0].latency.is_none() && a.tokens[0].energy.is_none());
+        let first = a.tokens.get(0).unwrap();
+        assert!(first.latency.is_none() && first.energy.is_none());
     }
 
     #[test]

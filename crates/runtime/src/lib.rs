@@ -9,7 +9,10 @@
 //! ([`maddpipe_core::macro_rtl::MacroProgram::reference_output`]) and the
 //! closed-form PPA model ([`maddpipe_core::model::MacroModel`]). This
 //! crate unifies them behind one [`MacroBackend`] trait consuming
-//! [`TokenBatch`]es and producing [`BatchResult`]s:
+//! [`TokenBatch`]es and producing [`BatchResult`]s. Both are flat (see
+//! [`batch`]): a batch is one shared token buffer that clones and slices
+//! without copying, and a result is one output matrix read through
+//! [`TokenObservation`] views.
 //!
 //! | backend | outputs | latency | energy | use it for |
 //! |---|---|---|---|---|
@@ -70,7 +73,7 @@ pub mod sharded;
 
 pub use analytic::AnalyticBackend;
 pub use backend::{validate_program, BackendFactory, BackendKind, Fidelity, MacroBackend};
-pub use batch::{BatchResult, Token, TokenBatch, TokenObservation};
+pub use batch::{BatchResult, Observations, Token, TokenBatch, TokenObservation, Tokens};
 pub use cache::{
     CacheConfig, CacheKey, CacheStats, CacheStore, CachedBackend, ProgramFingerprint,
     SharedCacheStore,
@@ -95,7 +98,9 @@ pub use sharded::ShardedBackend;
 pub mod prelude {
     pub use crate::analytic::AnalyticBackend;
     pub use crate::backend::{BackendFactory, BackendKind, Fidelity, MacroBackend};
-    pub use crate::batch::{BatchResult, Token, TokenBatch, TokenObservation};
+    pub use crate::batch::{
+        BatchResult, Observations, Token, TokenBatch, TokenObservation, Tokens,
+    };
     pub use crate::cache::{
         CacheConfig, CacheKey, CacheStats, CacheStore, CachedBackend, ProgramFingerprint,
         SharedCacheStore,

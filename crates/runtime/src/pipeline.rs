@@ -59,7 +59,7 @@
 //!             program,
 //!             BackendKind::Functional { workers: 1 },
 //!             |x: &[f32]| TokenBatch::from_f32_rows(&[x], 1, QuantScale::UNIT),
-//!             |r: &BatchResult| Ok(r.tokens[0].outputs.iter().map(|&v| v as f32).collect()),
+//!             |r: &BatchResult| Ok(r.tokens.get(0).unwrap().outputs.iter().map(|&v| v as f32).collect()),
 //!         )
 //!         .unwrap(),
 //!     );

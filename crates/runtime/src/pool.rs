@@ -69,7 +69,7 @@
 //!             let reply = reply.wait().expect("served");
 //!             assert!(reply.replica < 2);
 //!             assert_eq!(
-//!                 reply.result.tokens[0].outputs,
+//!                 reply.result.tokens.get(0).unwrap().outputs,
 //!                 program.reference_output(&batch.tokens()[0]),
 //!             );
 //!         });
@@ -82,7 +82,7 @@
 //! ```
 
 use crate::backend::{BackendFactory, MacroBackend};
-use crate::batch::{BatchResult, Token, TokenBatch};
+use crate::batch::{fold_all, BatchResult, Observations, TokenBatch};
 use crate::error::{BackendError, QueueLimit};
 use crate::queue::{BatchTicket, QueuePolicy, QueueReply, TicketCell};
 use crate::session::SessionStats;
@@ -983,8 +983,9 @@ fn coalesce(
 }
 
 /// A picked request's bookkeeping while its tokens ride a micro-batch.
+/// It keeps its own batch, so a retry re-queues it as it came.
 struct Rider {
-    len: usize,
+    batch: TokenBatch,
     ticket: Arc<TicketCell<QueueReply>>,
     submitted: Instant,
     client: u64,
@@ -1005,25 +1006,20 @@ fn retry_or_fail(
     replica: usize,
     guard: &mut BatchInFlight<'_>,
     riders: Vec<Rider>,
-    micro: TokenBatch,
     error: &BackendError,
     service: Duration,
     depth_seen: u64,
 ) {
     let recovery = &policy.recovery;
     let now = Instant::now();
-    let mut tokens = micro.into_tokens().into_iter();
     let mut requeued: Vec<PendingRequest> = Vec::new();
     let mut failed: Vec<Arc<TicketCell<QueueReply>>> = Vec::new();
     let mut failed_tokens = 0usize;
     let mut failed_waits: Vec<Duration> = Vec::new();
     for rider in riders {
-        // The riders' batches were consumed building the micro-batch;
-        // carve them back out of it, in order.
-        let batch_tokens: Vec<Token> = tokens.by_ref().take(rider.len).collect();
         if rider.attempts < recovery.max_retries {
             requeued.push(PendingRequest {
-                batch: TokenBatch::new(batch_tokens).expect("riders carry at least one token"),
+                batch: rider.batch,
                 ticket: rider.ticket,
                 submitted: rider.submitted,
                 client: rider.client,
@@ -1032,7 +1028,7 @@ fn retry_or_fail(
                 retry_at: now.checked_add(recovery.backoff_for(rider.attempts)),
             });
         } else {
-            failed_tokens += rider.len;
+            failed_tokens += rider.batch.len();
             failed_waits.push(rider.queue_wait);
             failed.push(rider.ticket);
         }
@@ -1157,21 +1153,22 @@ fn replica_loop(
             tickets: picked.iter().map(|p| Arc::clone(&p.ticket)).collect(),
         };
         let dispatched = Instant::now();
-        let mut tokens: Vec<Token> = Vec::with_capacity(total);
-        let mut riders: Vec<Rider> = Vec::with_capacity(picked.len());
-        for request in picked {
-            riders.push(Rider {
-                len: request.batch.len(),
+        let mut riders: Vec<Rider> = picked
+            .into_iter()
+            .map(|request| Rider {
+                batch: request.batch,
                 ticket: request.ticket,
                 submitted: request.submitted,
                 client: request.client,
                 dispatch_by: request.dispatch_by,
                 attempts: request.attempts,
                 queue_wait: dispatched.saturating_duration_since(request.submitted),
-            });
-            tokens.extend(request.batch.into_tokens());
-        }
-        let micro = TokenBatch::new(tokens).expect("picked requests are non-empty");
+            })
+            .collect();
+        // One copy of every rider into the micro-batch; a lone rider's
+        // batch is shared as it is.
+        let micro = TokenBatch::concat(riders.iter().map(|r| &r.batch))
+            .expect("submit checked every rider against the pool's shape");
         // A panicking backend must not take the whole pool down with it:
         // catch the unwind, re-queue the riders, and respawn or retire
         // this replica. `AssertUnwindSafe` is sound here because the
@@ -1209,22 +1206,18 @@ fn replica_loop(
                     stats.record_queue_depth(depth_seen);
                     stats.record_replica_dispatch(replica, service);
                 }
-                // Move each rider's observations out of the micro-batch
-                // result; `absorb_queued` above has read them already.
-                let mut unclaimed = result.tokens.into_iter();
-                for rider in riders {
-                    let observations: Vec<_> = unclaimed.by_ref().take(rider.len).collect();
-                    let energy = observations
-                        .iter()
-                        .map(|o| o.energy)
-                        .collect::<Option<Vec<_>>>()
-                        .and_then(|es| es.into_iter().reduce(|a, b| a + b));
+                // Hand each rider its rows, in one copy; a lone rider
+                // takes the whole result. `absorb_queued` above has read
+                // them already.
+                let (backend, makespan) = (result.backend, result.makespan);
+                let resolve = |rider: Rider, tokens: Observations| {
+                    let energy = fold_all(tokens.iter().map(|o| o.energy), |a, b| a + b);
                     rider.ticket.resolve(
                         Ok(QueueReply {
                             result: BatchResult {
-                                backend: result.backend,
-                                tokens: observations,
-                                makespan: result.makespan,
+                                backend,
+                                tokens,
+                                makespan,
                                 energy,
                             },
                             queue_wait: rider.queue_wait,
@@ -1234,6 +1227,17 @@ fn replica_loop(
                         }),
                         || (),
                     );
+                };
+                if riders.len() == 1 {
+                    resolve(riders.pop().expect("one rider"), result.tokens);
+                } else {
+                    let mut start = 0;
+                    for rider in riders {
+                        let end = start + rider.batch.len();
+                        let tokens = result.tokens.slice(start..end);
+                        start = end;
+                        resolve(rider, tokens);
+                    }
                 }
                 guard.tickets.clear();
             }
@@ -1262,7 +1266,7 @@ fn replica_loop(
             }
             Ok(Err(error)) if error.is_transient() => {
                 retry_or_fail(
-                    shared, policy, replica, &mut guard, riders, micro, &error, service, depth_seen,
+                    shared, policy, replica, &mut guard, riders, &error, service, depth_seen,
                 );
             }
             Ok(Err(error)) => {
@@ -1293,7 +1297,6 @@ fn replica_loop(
                     replica,
                     &mut guard,
                     riders,
-                    micro,
                     &BackendError::ReplicaPanicked,
                     service,
                     depth_seen,
@@ -1368,7 +1371,7 @@ mod tests {
             let batch = TokenBatch::random(2, 2, seed);
             let reply = pool.submit(batch.clone()).unwrap().wait().unwrap();
             assert_eq!(
-                reply.result.tokens[0].outputs,
+                reply.result.tokens.get(0).unwrap().outputs,
                 program.reference_output(&batch.tokens()[0])
             );
         }
@@ -1447,7 +1450,7 @@ mod tests {
                         let reply = reply.wait().expect("served");
                         for (t, token) in batch.tokens().iter().enumerate() {
                             assert_eq!(
-                                reply.result.tokens[t].outputs,
+                                reply.result.tokens.get(t).unwrap().outputs,
                                 program.reference_output(token)
                             );
                         }
@@ -1523,7 +1526,7 @@ mod tests {
             .expect("retried to success");
         for (t, token) in batch.tokens().iter().enumerate() {
             assert_eq!(
-                reply.result.tokens[t].outputs,
+                reply.result.tokens.get(t).unwrap().outputs,
                 program.reference_output(token)
             );
         }

@@ -57,7 +57,7 @@
 //!             let ticket = queue.submit(batch.clone()).expect("accepted");
 //!             let reply = ticket.wait().expect("served");
 //!             assert_eq!(
-//!                 reply.result.tokens[0].outputs,
+//!                 reply.result.tokens.get(0).unwrap().outputs,
 //!                 program.reference_output(&batch.tokens()[0]),
 //!             );
 //!         });

@@ -1,7 +1,7 @@
 //! The event-driven-netlist fidelity backend.
 
 use crate::backend::{validate_program, Fidelity, MacroBackend};
-use crate::batch::{BatchResult, TokenBatch, TokenObservation};
+use crate::batch::{BatchResult, Observations, TokenBatch};
 use crate::error::BackendError;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
@@ -70,16 +70,13 @@ impl MacroBackend for RtlBackend {
         match self.fidelity {
             Fidelity::Sequential => {
                 let t0 = self.rtl.simulator().now();
-                let mut tokens = Vec::with_capacity(batch.len());
+                let mut tokens =
+                    Observations::with_capacity(self.rtl.program().ndec(), batch.len());
                 let mut total_energy = maddpipe_tech::units::Joules(0.0);
                 for token in batch.tokens() {
                     let r = self.rtl.run_token(token)?;
                     total_energy += r.energy;
-                    tokens.push(TokenObservation {
-                        outputs: r.outputs,
-                        latency: Some(r.latency.to_seconds()),
-                        energy: Some(r.energy),
-                    });
+                    tokens.push(&r.outputs, Some(r.latency.to_seconds()), Some(r.energy));
                 }
                 let makespan = self.rtl.simulator().now().since(t0);
                 Ok(BatchResult {
@@ -90,17 +87,13 @@ impl MacroBackend for RtlBackend {
                 })
             }
             Fidelity::Pipelined => {
-                let run = self.rtl.run_pipelined_observed(batch.tokens())?;
-                let tokens = run
-                    .outputs
-                    .into_iter()
-                    .zip(&run.latencies)
-                    .map(|(outputs, &latency)| TokenObservation {
-                        outputs,
-                        latency: Some(latency.to_seconds()),
-                        energy: None,
-                    })
-                    .collect();
+                let stream: Vec<_> = batch.tokens().iter().collect();
+                let run = self.rtl.run_pipelined_observed(&stream)?;
+                let mut tokens =
+                    Observations::with_capacity(self.rtl.program().ndec(), batch.len());
+                for (outputs, latency) in run.outputs.iter().zip(&run.latencies) {
+                    tokens.push(outputs, Some(latency.to_seconds()), None);
+                }
                 Ok(BatchResult {
                     backend: self.name(),
                     tokens,
@@ -141,8 +134,16 @@ mod tests {
         let rp = pip.run_batch(&batch).unwrap();
         for (t, token) in batch.tokens().iter().enumerate() {
             let expected = program.reference_output(token);
-            assert_eq!(rs.tokens[t].outputs, expected, "sequential token {t}");
-            assert_eq!(rp.tokens[t].outputs, expected, "pipelined token {t}");
+            assert_eq!(
+                rs.tokens.get(t).unwrap().outputs,
+                expected,
+                "sequential token {t}"
+            );
+            assert_eq!(
+                rp.tokens.get(t).unwrap().outputs,
+                expected,
+                "pipelined token {t}"
+            );
         }
         // Sequential measures per-token energy; pipelined aggregates it.
         assert!(rs.tokens.iter().all(|t| t.energy.is_some()));

@@ -122,7 +122,7 @@ fn deploy(
 ///     .unwrap();
 /// let batch = TokenBatch::random(2, 16, 1);
 /// let result = session.run(&batch).unwrap();
-/// assert_eq!(result.tokens[0].outputs,
+/// assert_eq!(result.tokens.get(0).unwrap().outputs,
 ///            program.reference_output(&batch.tokens()[0]));
 /// assert_eq!(session.stats().tokens(), 16);
 /// ```
@@ -1003,7 +1003,10 @@ mod tests {
         let result = s.run(&batch).unwrap();
         assert_eq!(s.backend_name(), "sharded");
         for (t, token) in batch.tokens().iter().enumerate() {
-            assert_eq!(result.tokens[t].outputs, program.reference_output(token));
+            assert_eq!(
+                result.tokens.get(t).unwrap().outputs,
+                program.reference_output(token)
+            );
         }
         // Shard measurements flow into the session stats unchanged.
         let stats = s.stats();
@@ -1024,7 +1027,7 @@ mod tests {
         let batch = TokenBatch::random(2, 2, 1);
         let reply = queue.submit(batch.clone()).unwrap().wait().unwrap();
         assert_eq!(
-            reply.result.tokens[0].outputs,
+            reply.result.tokens.get(0).unwrap().outputs,
             program.reference_output(&batch.tokens()[0])
         );
         assert_eq!(queue.shutdown().tokens(), 2);
@@ -1072,16 +1075,13 @@ mod tests {
     /// Fabricates a `BatchResult` carrying exactly these token latencies
     /// (seconds) — the percentile math's only input.
     fn result_with_latencies(latencies: &[f64]) -> BatchResult {
+        let mut tokens = crate::batch::Observations::new(1);
+        for &l in latencies {
+            tokens.push(&[0], Some(Seconds(l)), None);
+        }
         BatchResult {
             backend: "test",
-            tokens: latencies
-                .iter()
-                .map(|&l| crate::batch::TokenObservation {
-                    outputs: vec![0],
-                    latency: Some(Seconds(l)),
-                    energy: None,
-                })
-                .collect(),
+            tokens,
             makespan: None,
             energy: None,
         }
@@ -1098,9 +1098,9 @@ mod tests {
         assert_eq!(stats.queue_wait_percentile(99.0), None);
         // Tokens without latency observations leave percentiles None.
         let mut unmeasured = SessionStats::default();
-        let mut result = result_with_latencies(&[1.0, 2.0]);
-        for t in &mut result.tokens {
-            t.latency = None;
+        let mut result = result_with_latencies(&[]);
+        for _ in 0..2 {
+            result.tokens.push(&[0], None, None);
         }
         unmeasured.absorb(&result, Duration::from_millis(1));
         assert_eq!(unmeasured.tokens(), 2);
@@ -1323,7 +1323,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(s.backend_name(), "cached");
-        let repeated = TokenBatch::random(2, 1, 9).tokens()[0].clone();
+        let repeated = TokenBatch::random(2, 1, 9).tokens()[0].to_vec();
         let batch = TokenBatch::new(vec![repeated.clone(), repeated]).unwrap();
         s.run(&batch).unwrap();
         s.run(&batch).unwrap();

@@ -24,15 +24,15 @@
 //! [`BackendError::Shard`]. No partial output ever escapes.
 
 use crate::backend::{validate_program, BackendFactory, BackendKind, MacroBackend};
-use crate::batch::{BatchResult, TokenBatch, TokenObservation};
+use crate::batch::{fold_all, BatchResult, Observations, TokenBatch};
 use crate::cache::CacheStats;
 use crate::error::BackendError;
 use crate::plan::ShardPlan;
 use crate::pool::RecoveryPolicy;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::MacroProgram;
-use maddpipe_tech::units::{Joules, Seconds};
-use std::sync::{mpsc, Arc};
+use maddpipe_tech::units::Seconds;
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 /// What a shard worker sends back for one batch: its result, plus the
@@ -40,10 +40,10 @@ use std::thread::JoinHandle;
 type Reply = (Result<BatchResult, BackendError>, Option<CacheStats>);
 
 /// One batch travelling to a shard worker, with the channel its reply
-/// comes back on. The batch is shared, not copied: every shard reads
-/// the same `Arc`'d tokens.
+/// comes back on. A batch clone shares its token buffer, so every shard
+/// reads the same tokens.
 struct Job {
-    batch: Arc<TokenBatch>,
+    batch: TokenBatch,
     reply: mpsc::Sender<Reply>,
 }
 
@@ -257,11 +257,11 @@ impl ShardedBackend {
         self.ns
     }
 
-    /// Sends `shared` to shard `shard` and returns the reply channel.
+    /// Sends `batch` to shard `shard` and returns the reply channel.
     fn dispatch(
         &self,
         shard: usize,
-        shared: &Arc<TokenBatch>,
+        batch: &TokenBatch,
     ) -> Result<mpsc::Receiver<Reply>, BackendError> {
         let (reply_tx, reply_rx) = mpsc::channel();
         let jobs = self.workers[shard]
@@ -269,7 +269,7 @@ impl ShardedBackend {
             .as_ref()
             .expect("sender lives as long as self");
         jobs.send(Job {
-            batch: Arc::clone(shared),
+            batch: batch.clone(),
             reply: reply_tx,
         })
         .map_err(|_| BackendError::ShardLost { shard })?;
@@ -306,13 +306,13 @@ impl ShardedBackend {
             });
         }
         let width = self.plan.widths()[shard];
-        if let Some(obs) = result.tokens.iter().find(|o| o.outputs.len() != width) {
+        if result.tokens.width() != width {
             return Err(BackendError::Shard {
                 shard,
                 source: Box::new(BackendError::InvalidShardPlan {
                     reason: format!(
                         "shard produced {}-wide outputs but its plan range is {} chains",
-                        obs.outputs.len(),
+                        result.tokens.width(),
                         width
                     ),
                 }),
@@ -328,13 +328,12 @@ impl ShardedBackend {
     /// finished. Fatal errors and dead workers ([`BackendError::ShardLost`]
     /// — the job channel is gone, a resend cannot land) fail the batch;
     /// first such failure wins (lowest shard index) and the rest are
-    /// discarded. The batch is cloned once and shared by `Arc` — the
-    /// fan-out itself copies no token data.
+    /// discarded. Every shard gets a clone of the batch, which shares
+    /// its token buffer — the fan-out itself copies no token data.
     fn scatter_gather(&mut self, batch: &TokenBatch) -> Result<Vec<BatchResult>, BackendError> {
-        let shared = Arc::new(batch.clone());
         let mut replies = Vec::with_capacity(self.workers.len());
         for shard in 0..self.workers.len() {
-            replies.push(self.dispatch(shard, &shared)?);
+            replies.push(self.dispatch(shard, batch)?);
         }
         let mut results = Vec::with_capacity(replies.len());
         for (shard, reply) in replies.into_iter().enumerate() {
@@ -349,12 +348,21 @@ impl ShardedBackend {
                 std::thread::sleep(self.recovery.backoff_for(attempts));
                 attempts += 1;
                 outcome = self
-                    .dispatch(shard, &shared)
+                    .dispatch(shard, batch)
                     .and_then(|retry| self.collect(shard, retry, batch));
             }
             results.push(outcome?);
         }
         Ok(results)
+    }
+}
+
+/// The later of two times: a token is done when its slowest slice is.
+fn later(a: Seconds, b: Seconds) -> Seconds {
+    if b > a {
+        b
+    } else {
+        a
     }
 }
 
@@ -375,38 +383,27 @@ impl MacroBackend for ShardedBackend {
     fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
         batch.check_shape(self.ns)?;
         let shard_results = self.scatter_gather(batch)?;
-        let mut tokens = Vec::with_capacity(batch.len());
-        for t in 0..batch.len() {
-            let mut outputs = Vec::with_capacity(self.plan.out_channels());
-            for result in &shard_results {
-                outputs.extend_from_slice(&result.tokens[t].outputs);
+        let width = self.plan.out_channels();
+        // Each shard's rows land straight in their columns of the output
+        // matrix.
+        let mut outputs = vec![0i16; batch.len() * width];
+        let mut offset = 0;
+        for result in &shard_results {
+            let w = result.tokens.width();
+            for (row, obs) in outputs.chunks_exact_mut(width).zip(&result.tokens) {
+                row[offset..offset + w].copy_from_slice(obs.outputs);
             }
-            let latency: Option<Seconds> = shard_results
-                .iter()
-                .map(|r| r.tokens[t].latency)
-                .collect::<Option<Vec<_>>>()
-                .and_then(|ls| ls.into_iter().reduce(|a, b| if b > a { b } else { a }));
-            let energy: Option<Joules> = shard_results
-                .iter()
-                .map(|r| r.tokens[t].energy)
-                .collect::<Option<Vec<_>>>()
-                .and_then(|es| es.into_iter().reduce(|a, b| a + b));
-            tokens.push(TokenObservation {
-                outputs,
-                latency,
-                energy,
-            });
+            offset += w;
         }
-        let makespan = shard_results
-            .iter()
-            .map(|r| r.makespan)
-            .collect::<Option<Vec<_>>>()
-            .and_then(|ms| ms.into_iter().reduce(|a, b| if b > a { b } else { a }));
-        let energy = shard_results
-            .iter()
-            .map(|r| r.energy)
-            .collect::<Option<Vec<_>>>()
-            .and_then(|es| es.into_iter().reduce(|a, b| a + b));
+        let mut tokens = Observations::from_outputs(batch.len(), width, outputs);
+        for t in 0..batch.len() {
+            let token = || shard_results.iter().map(|r| r.tokens.get(t));
+            let latency = fold_all(token().map(|o| o.and_then(|o| o.latency)), later);
+            let energy = fold_all(token().map(|o| o.and_then(|o| o.energy)), |a, b| a + b);
+            tokens.measure(t, latency, energy);
+        }
+        let makespan = fold_all(shard_results.iter().map(|r| r.makespan), later);
+        let energy = fold_all(shard_results.iter().map(|r| r.energy), |a, b| a + b);
         Ok(BatchResult {
             backend: self.name(),
             tokens,
@@ -516,13 +513,16 @@ mod tests {
         let mut sharded = ShardedBackend::new(&cfg, &program, plan, &kinds).unwrap();
         let got = sharded.run_batch(&batch).unwrap();
         for (t, token) in batch.tokens().iter().enumerate() {
-            assert_eq!(got.tokens[t].outputs, program.reference_output(token));
+            assert_eq!(
+                got.tokens.get(t).unwrap().outputs,
+                program.reference_output(token)
+            );
             // The functional shard measures nothing, so a max over the
             // RTL/analytic shards alone would understate the token and a
             // partial energy sum would pose as the batch total:
             // aggregation is all-or-none, one unmeasured shard → None.
-            assert_eq!(got.tokens[t].latency, None);
-            assert_eq!(got.tokens[t].energy, None);
+            assert_eq!(got.tokens.get(t).unwrap().latency, None);
+            assert_eq!(got.tokens.get(t).unwrap().energy, None);
         }
         assert_eq!(got.makespan, None);
         assert_eq!(got.energy, None);
@@ -541,10 +541,13 @@ mod tests {
         let mut sharded = ShardedBackend::new(&cfg, &program, plan, &kinds).unwrap();
         let got = sharded.run_batch(&batch).unwrap();
         for (t, token) in batch.tokens().iter().enumerate() {
-            assert_eq!(got.tokens[t].outputs, program.reference_output(token));
+            assert_eq!(
+                got.tokens.get(t).unwrap().outputs,
+                program.reference_output(token)
+            );
             // RTL and analytic shards both measure: max / sum are present.
-            assert!(got.tokens[t].latency.is_some());
-            assert!(got.tokens[t].energy.is_some());
+            assert!(got.tokens.get(t).unwrap().latency.is_some());
+            assert!(got.tokens.get(t).unwrap().energy.is_some());
         }
         assert!(got.makespan.is_some());
         assert!(got.energy.unwrap().value() > 0.0);
@@ -573,15 +576,17 @@ mod tests {
         for t in 0..batch.len() {
             let max_latency = halves
                 .iter()
-                .map(|h| h.tokens[t].latency.unwrap())
+                .map(|h| h.tokens.get(t).unwrap().latency.unwrap())
                 .reduce(|a, b| if a > b { a } else { b })
                 .unwrap();
             let sum_energy: f64 = halves
                 .iter()
-                .map(|h| h.tokens[t].energy.unwrap().value())
+                .map(|h| h.tokens.get(t).unwrap().energy.unwrap().value())
                 .sum();
-            assert_eq!(got.tokens[t].latency.unwrap(), max_latency);
-            assert!((got.tokens[t].energy.unwrap().value() - sum_energy).abs() < 1e-24);
+            assert_eq!(got.tokens.get(t).unwrap().latency.unwrap(), max_latency);
+            assert!(
+                (got.tokens.get(t).unwrap().energy.unwrap().value() - sum_energy).abs() < 1e-24
+            );
         }
     }
 

@@ -69,7 +69,7 @@ fn main() {
                     let seed = (client * 1000 + r) as u64;
                     let batch = TokenBatch::random(ns, TOKENS_PER_REQUEST, seed);
                     assert_eq!(
-                        reply.result.tokens[0].outputs,
+                        reply.result.tokens.get(0).unwrap().outputs,
                         program.reference_output(&batch.tokens()[0]),
                     );
                 }

@@ -30,7 +30,11 @@ const TOKENS_PER_BATCH: usize = 512;
 /// The repeated-patch workload: a long batch drawn from a small token
 /// alphabet, like im2col windows off an image with large flat regions.
 fn repeated_patch_batch(ns: usize) -> TokenBatch {
-    let alphabet = TokenBatch::random(ns, ALPHABET, 11).into_tokens();
+    let alphabet: Vec<Token> = TokenBatch::random(ns, ALPHABET, 11)
+        .tokens()
+        .iter()
+        .map(<[_]>::to_vec)
+        .collect();
     let tokens: Vec<Token> = (0..TOKENS_PER_BATCH)
         .map(|i| alphabet[(i * 7) % alphabet.len()].clone())
         .collect();
@@ -67,8 +71,8 @@ fn main() {
     let fill = cached.run(&batch).expect("batch completes");
     let fill_wall = t0.elapsed();
     assert_eq!(
-        fill.tokens.iter().map(|t| &t.outputs).collect::<Vec<_>>(),
-        cold.tokens.iter().map(|t| &t.outputs).collect::<Vec<_>>(),
+        fill.tokens.iter().map(|t| t.outputs).collect::<Vec<_>>(),
+        cold.tokens.iter().map(|t| t.outputs).collect::<Vec<_>>(),
         "the cache tier is invisible in the outputs"
     );
 
@@ -124,12 +128,8 @@ fn main() {
         .expect("program fits");
     let churned = tiny.run(&batch).expect("batch completes");
     assert_eq!(
-        churned
-            .tokens
-            .iter()
-            .map(|t| &t.outputs)
-            .collect::<Vec<_>>(),
-        cold.tokens.iter().map(|t| &t.outputs).collect::<Vec<_>>(),
+        churned.tokens.iter().map(|t| t.outputs).collect::<Vec<_>>(),
+        cold.tokens.iter().map(|t| t.outputs).collect::<Vec<_>>(),
         "eviction churn never changes outputs"
     );
     let tiny_stats = tiny.stats();

@@ -89,7 +89,7 @@ fn main() {
         "\n{} output pixels through the netlist: {} kernels each, {} \
          (bit-identical to the algorithm; p50 token latency {})",
         result.tokens.len(),
-        result.tokens[0].outputs.len(),
+        result.tokens.width(),
         result.energy.expect("RTL measures energy"),
         session
             .stats()

@@ -88,10 +88,11 @@ fn main() {
             exact_matches += 1;
         }
     }
+    let first = result.tokens.get(0).expect("one observation per token");
     println!(
         "token 0: outputs {:?}, latency {}",
-        result.tokens[0].outputs,
-        result.tokens[0].latency.expect("RTL measures latency"),
+        first.outputs,
+        first.latency.expect("RTL measures latency"),
     );
     println!(
         "pipelined batch: makespan {}, energy {}",

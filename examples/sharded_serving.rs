@@ -87,10 +87,11 @@ fn main() {
         .expect("program fits");
     let rtl_batch = TokenBatch::random(2, 8, 5);
     let rtl_result = rtl_fleet.run(&rtl_batch).expect("batch completes");
+    let first = rtl_result.tokens.get(0).expect("one observation per token");
     println!(
         "\n2 RTL shards, 8 tokens: token 0 latency {} (max over shards), energy {} (sum)",
-        rtl_result.tokens[0].latency.expect("RTL shards measure"),
-        rtl_result.tokens[0].energy.expect("RTL shards measure"),
+        first.latency.expect("RTL shards measure"),
+        first.energy.expect("RTL shards measure"),
     );
     println!("session stats: {}", rtl_fleet.stats());
 }

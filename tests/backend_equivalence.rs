@@ -31,7 +31,7 @@ fn outputs_of(
         batch.len(),
         "one observation per token"
     );
-    result.tokens.into_iter().map(|t| t.outputs).collect()
+    result.tokens.iter().map(|t| t.outputs.to_vec()).collect()
 }
 
 proptest! {
@@ -186,6 +186,16 @@ proptest! {
             "core with {} tokens",
             count
         );
+        // The kernel reads a list of owned tokens, a batch's flat view,
+        // and a view that starts mid-buffer alike.
+        let list: Vec<Token> = tokens.iter().map(<[_]>::to_vec).collect();
+        let flat = catch_unwind(|| {
+            let mut out = vec![0i16; count * ndec];
+            view.evaluate_into(&list, &mut out);
+            out
+        })
+        .ok();
+        prop_assert_eq!(flat, golden.as_ref().map(|g| g.concat()));
         let flat = catch_unwind(|| {
             let mut out = vec![0i16; count * ndec];
             view.evaluate_into(tokens, &mut out);
@@ -193,6 +203,18 @@ proptest! {
         })
         .ok();
         prop_assert_eq!(flat, golden.as_ref().map(|g| g.concat()));
+        let part = batch.slice(count / 2..count);
+        let part_golden: Option<Vec<Vec<i16>>> = catch_unwind(|| {
+            part.tokens().iter().map(|t| program.reference_output(t)).collect()
+        })
+        .ok();
+        let flat = catch_unwind(|| {
+            let mut out = vec![0i16; part.len() * ndec];
+            view.evaluate_into(part.tokens(), &mut out);
+            out
+        })
+        .ok();
+        prop_assert_eq!(flat, part_golden.as_ref().map(|g| g.concat()));
         prop_assert_eq!(
             &catch_unwind(|| program.reference_output_batch(tokens)).ok(),
             &golden
@@ -203,7 +225,7 @@ proptest! {
             let mut backend = FunctionalBackend::with_workers(program.clone(), workers);
             let got = backend
                 .run_batch(&batch)
-                .map(|r| r.tokens.into_iter().map(|t| t.outputs).collect::<Vec<_>>());
+                .map(|r| r.tokens.iter().map(|t| t.outputs.to_vec()).collect::<Vec<_>>());
             prop_assert!(
                 got.as_ref().map_or_else(BackendError::is_transient, |_| true),
                 "a panicking shard resolves as a transient error: {:?}",
@@ -214,6 +236,17 @@ proptest! {
                 &golden,
                 "backend with {} workers, {} tokens",
                 workers,
+                count
+            );
+            let got = backend
+                .run_batch(&part)
+                .map(|r| r.tokens.iter().map(|t| t.outputs.to_vec()).collect::<Vec<_>>());
+            prop_assert_eq!(
+                &got.ok(),
+                &part_golden,
+                "backend with {} workers on tokens {}..{}",
+                workers,
+                count / 2,
                 count
             );
         }
@@ -368,7 +401,7 @@ fn shape_errors_are_typed_everywhere() {
         let good = TokenBatch::random(2, 1, 3);
         let result = session.run(&good).expect("recovers");
         assert_eq!(
-            result.tokens[0].outputs,
+            result.tokens.get(0).unwrap().outputs,
             program.reference_output(&good.tokens()[0])
         );
     }

@@ -8,13 +8,14 @@
 
 use maddpipe::prelude::*;
 
-/// A one-token batch session on the given backend.
+/// A one-token batch session on the given backend; returns the token's
+/// latency.
 fn run_one(
     cfg: &MacroConfig,
     program: &MacroProgram,
     kind: BackendKind,
     token: Token,
-) -> TokenObservation {
+) -> Option<Seconds> {
     let mut session = Session::builder(cfg.clone())
         .program(program.clone())
         .backend(kind)
@@ -23,7 +24,7 @@ fn run_one(
     let result = session
         .run(&TokenBatch::single(token))
         .expect("batch completes");
-    result.tokens.into_iter().next().expect("one token")
+    result.tokens.get(0).expect("one token").latency
 }
 
 /// Single-block latency: analytic vs measured on the netlist, across
@@ -63,7 +64,7 @@ fn block_latency_agreement_across_operating_points() {
             + cfg.calibration.rca_settle
                 * maddpipe::tech::Technology::n22()
                     .delay_scale(cfg.op, maddpipe::tech::DriveKind::Complementary);
-        let measured = worst.latency.expect("RTL measures latency");
+        let measured = worst.expect("RTL measures latency");
         let ratio = measured / predicted;
         assert!(
             (0.75..=1.60).contains(&ratio),
@@ -94,7 +95,7 @@ fn data_dependent_spread_agreement() {
     let slow_tok: Token = vec![[0i8; SUBVECTOR_LEN]];
     let fast = run_one(&cfg, &program, rtl_kind.clone(), fast_tok);
     let slow = run_one(&cfg, &program, rtl_kind, slow_tok.clone());
-    let measured_delta = slow.latency.expect("measured") - fast.latency.expect("measured");
+    let measured_delta = slow.expect("measured") - fast.expect("measured");
     let predicted_delta = model.block_latency_worst().encoder - model.block_latency_best().encoder;
     let ratio = measured_delta / predicted_delta;
     assert!(
@@ -115,7 +116,7 @@ fn data_dependent_spread_agreement() {
         vec![[-100i8; SUBVECTOR_LEN]],
     );
     let a_slow = run_one(&cfg, &program, BackendKind::Analytic, slow_tok);
-    let analytic_delta = a_slow.latency.expect("modelled") - a_fast.latency.expect("modelled");
+    let analytic_delta = a_slow.expect("modelled") - a_fast.expect("modelled");
     assert_eq!(
         analytic_delta, predicted_delta,
         "decisive vs boundary inputs span the full encoder envelope"
@@ -174,7 +175,7 @@ fn corner_ordering_agreement() {
             },
             vec![[5i8; SUBVECTOR_LEN]],
         );
-        latencies.push(obs.latency.expect("RTL measures latency"));
+        latencies.push(obs.expect("RTL measures latency"));
     }
     assert!(
         latencies[0] > latencies[1] && latencies[1] > latencies[2],

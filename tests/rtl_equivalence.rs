@@ -34,7 +34,7 @@ proptest! {
         let batch = TokenBatch::random(ns, 3, token_seed);
         let result = session.run(&batch).expect("batch completes");
         for (t, token) in batch.tokens().iter().enumerate() {
-            prop_assert_eq!(&result.tokens[t].outputs, &program.reference_output(token));
+            prop_assert_eq!(&result.tokens.get(t).unwrap().outputs, &program.reference_output(token));
         }
         let rtl = session.rtl().expect("rtl backend");
         prop_assert!(rtl.simulator().violations().is_empty(),
@@ -111,10 +111,13 @@ fn extreme_lut_values_wrap_identically() {
         let batch = TokenBatch::random(3, 1, 5);
         let result = session.run(&batch).expect("batch completes");
         assert_eq!(
-            result.tokens[0].outputs,
+            result.tokens.get(0).unwrap().outputs,
             program.reference_output(&batch.tokens()[0]),
             "fill {fill}"
         );
-        assert_eq!(result.tokens[0].outputs[0], (fill as i16).wrapping_mul(3));
+        assert_eq!(
+            result.tokens.get(0).unwrap().outputs[0],
+            (fill as i16).wrapping_mul(3)
+        );
     }
 }

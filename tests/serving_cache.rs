@@ -23,7 +23,11 @@ const ALPHABET: usize = 6;
 
 /// The shared token alphabet all clients draw from.
 fn alphabet(ns: usize) -> Vec<Token> {
-    TokenBatch::random(ns, ALPHABET, 4242).into_tokens()
+    TokenBatch::random(ns, ALPHABET, 4242)
+        .tokens()
+        .iter()
+        .map(<[_]>::to_vec)
+        .collect()
 }
 
 /// The deterministic, duplication-heavy batch client `c` submits as its
@@ -177,10 +181,7 @@ fn high_duplication_stream_forces_dedup() {
     // once and the dedup counter must account for the other seven.
     let cfg = MacroConfig::new(2, 2);
     let program = MacroProgram::random(2, 2, 99);
-    let token = TokenBatch::random(2, 1, 5)
-        .into_tokens()
-        .pop()
-        .expect("one token");
+    let token = TokenBatch::random(2, 1, 5).tokens()[0].to_vec();
     let pool = Session::builder(cfg)
         .program(program.clone())
         .backend(BackendKind::Cached {

@@ -28,9 +28,15 @@ fn chaos_seed() -> u64 {
         .unwrap_or(7)
 }
 
+/// Tokens in client `c`'s `r`-th request: 1 to 6, so one micro-batch
+/// mixes rider lengths and a retry re-queues riders of several sizes.
+fn request_len(c: usize, r: usize) -> usize {
+    1 + (3 * c + r) % 6
+}
+
 /// The deterministic batch client `c` submits as its `r`-th request.
 fn client_batch(ns: usize, c: usize, r: usize) -> TokenBatch {
-    TokenBatch::random(ns, TOKENS_PER_REQUEST, 1 + (c as u64) * 1000 + r as u64)
+    TokenBatch::random(ns, request_len(c, r), 1 + (c as u64) * 1000 + r as u64)
 }
 
 /// A rebuildable functional-replica recipe for `program` — what a
@@ -58,7 +64,7 @@ fn an_eight_client_workload_survives_faults_bit_identical() {
         let mut per_client = Vec::with_capacity(REQUESTS_PER_CLIENT);
         for r in 0..REQUESTS_PER_CLIENT {
             let result = direct.run(&client_batch(ns, c, r)).expect("direct run");
-            per_client.push(result.tokens.into_iter().map(|t| t.outputs).collect());
+            per_client.push(result.tokens.iter().map(|t| t.outputs.to_vec()).collect());
         }
         expected.push(per_client);
     }
@@ -111,8 +117,13 @@ fn an_eight_client_workload_survives_faults_bit_identical() {
                 // injected fault before any client saw it.
                 for (r, ticket) in tickets.into_iter().enumerate() {
                     let reply = ticket.wait().expect("served through faults");
-                    let got: Vec<Vec<i16>> =
-                        reply.result.tokens.into_iter().map(|t| t.outputs).collect();
+                    assert!(reply.coalesced_tokens >= request_len(c, r));
+                    let got: Vec<Vec<i16>> = reply
+                        .result
+                        .tokens
+                        .iter()
+                        .map(|t| t.outputs.to_vec())
+                        .collect();
                     assert_eq!(got, expected[r], "client {c} request {r}");
                 }
             });
@@ -137,11 +148,15 @@ fn an_eight_client_workload_survives_faults_bit_identical() {
         .wait()
         .expect("and keeps serving");
     assert_eq!(
-        after.result.tokens[0].outputs,
+        after.result.tokens.get(0).unwrap().outputs,
         program.reference_output(&client_batch(ns, 0, 0).tokens()[0]),
     );
 
-    let total = (CLIENTS * REQUESTS_PER_CLIENT * TOKENS_PER_REQUEST + TOKENS_PER_REQUEST) as u64;
+    let total: usize = (0..CLIENTS)
+        .flat_map(|c| (0..REQUESTS_PER_CLIENT).map(move |r| request_len(c, r)))
+        .sum::<usize>()
+        + request_len(0, 0);
+    let total = total as u64;
     let stats = pool.shutdown();
     assert_eq!(stats.tokens(), total, "every token served exactly once");
     assert!(stats.retries() >= 1, "transient faults were retried");
@@ -204,7 +219,7 @@ fn a_mid_service_panic_leaves_survivors_draining_the_backlog() {
         let reply = ticket.wait().expect("the survivor drains the backlog");
         for (t, token) in batch.tokens().iter().enumerate() {
             assert_eq!(
-                reply.result.tokens[t].outputs,
+                reply.result.tokens.get(t).unwrap().outputs,
                 program.reference_output(token),
                 "bit-identical through the crash"
             );
@@ -282,7 +297,11 @@ fn transient_inner_faults_never_poison_the_cached_tier() {
     let cfg = MacroConfig::new(2, 2);
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 53);
     let ns = cfg.ns;
-    let alphabet: Vec<Token> = TokenBatch::random(ns, 6, 4242).into_tokens();
+    let alphabet: Vec<Token> = TokenBatch::random(ns, 6, 4242)
+        .tokens()
+        .iter()
+        .map(<[_]>::to_vec)
+        .collect();
     // max_entries = 3 against a 6-token alphabet: constant churn keeps
     // the flaky inner in play instead of everything hitting warm.
     let store: SharedCacheStore = Arc::new(Mutex::new(CacheStore::new(
@@ -391,7 +410,11 @@ fn a_forced_crash_respawns_onto_the_same_warm_store() {
     let cfg = MacroConfig::new(2, 2);
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 61);
     let ns = cfg.ns;
-    let alphabet: Vec<Token> = TokenBatch::random(ns, 5, 777).into_tokens();
+    let alphabet: Vec<Token> = TokenBatch::random(ns, 5, 777)
+        .tokens()
+        .iter()
+        .map(<[_]>::to_vec)
+        .collect();
     let store: SharedCacheStore = Arc::new(Mutex::new(CacheStore::new(CacheConfig::default())));
     let state = ChaosState::new();
     let chaos = ChaosConfig::default()
@@ -510,7 +533,7 @@ fn latency_spikes_delay_but_never_change_results() {
     );
     for (t, token) in batch.tokens().iter().enumerate() {
         assert_eq!(
-            reply.result.tokens[t].outputs,
+            reply.result.tokens.get(t).unwrap().outputs,
             program.reference_output(token)
         );
     }

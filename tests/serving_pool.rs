@@ -16,15 +16,20 @@ use std::time::Duration;
 
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 10;
-const TOKENS_PER_REQUEST: usize = 4;
+
+/// Tokens in client `c`'s `r`-th request: 1 to 6, so one micro-batch
+/// mixes rider lengths and splits off-grid.
+fn request_len(c: usize, r: usize) -> usize {
+    1 + (3 * c + r) % 6
+}
 
 /// The deterministic batch client `c` submits as its `r`-th request.
 fn client_batch(ns: usize, c: usize, r: usize) -> TokenBatch {
-    TokenBatch::random(ns, TOKENS_PER_REQUEST, 1 + (c as u64) * 1000 + r as u64)
+    TokenBatch::random(ns, request_len(c, r), 1 + (c as u64) * 1000 + r as u64)
 }
 
 /// Runs the multi-client stress against a two-replica pool of one
-/// backend kind: 8 submitter threads × 10 requests × 4 tokens, every
+/// backend kind: 8 submitter threads × 10 requests of 1–6 tokens, every
 /// reply pinned bit-identical to a direct `Session::run` of the same
 /// batch, under round-robin fairness and per-request deadlines.
 fn stress_bit_identical(kind: BackendKind, ndec: usize, ns: usize) {
@@ -42,7 +47,7 @@ fn stress_bit_identical(kind: BackendKind, ndec: usize, ns: usize) {
         let mut per_client = Vec::with_capacity(REQUESTS_PER_CLIENT);
         for r in 0..REQUESTS_PER_CLIENT {
             let result = direct.run(&client_batch(ns, c, r)).expect("direct run");
-            per_client.push(result.tokens.into_iter().map(|t| t.outputs).collect());
+            per_client.push(result.tokens.iter().map(|t| t.outputs.to_vec()).collect());
         }
         expected.push(per_client);
     }
@@ -87,18 +92,27 @@ fn stress_bit_identical(kind: BackendKind, ndec: usize, ns: usize) {
                     .collect();
                 for (r, ticket) in tickets.into_iter().enumerate() {
                     let reply = ticket.wait().expect("served");
-                    let got: Vec<Vec<i16>> =
-                        reply.result.tokens.into_iter().map(|t| t.outputs).collect();
+                    let len = request_len(c, r);
+                    let got: Vec<Vec<i16>> = reply
+                        .result
+                        .tokens
+                        .iter()
+                        .map(|t| t.outputs.to_vec())
+                        .collect();
                     assert_eq!(got, expected[r], "client {c} request {r}");
                     assert!(reply.replica < replicas, "replica index in range");
-                    assert!(reply.coalesced_tokens >= TOKENS_PER_REQUEST);
+                    assert_eq!(reply.result.tokens.len(), len, "client {c} request {r}");
+                    assert!(reply.coalesced_tokens >= len);
                     assert!(reply.service > Duration::ZERO);
                 }
             });
         }
     });
 
-    let total = (CLIENTS * REQUESTS_PER_CLIENT * TOKENS_PER_REQUEST) as u64;
+    let total: usize = (0..CLIENTS)
+        .flat_map(|c| (0..REQUESTS_PER_CLIENT).map(move |r| request_len(c, r)))
+        .sum();
+    let total = total as u64;
     let stats = pool.shutdown();
     assert_eq!(stats.tokens(), total, "every token served exactly once");
     assert_eq!(

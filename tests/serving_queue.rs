@@ -49,7 +49,7 @@ fn stress_bit_identical(kind: BackendKind, ndec: usize, ns: usize) {
         let mut per_client = Vec::with_capacity(REQUESTS_PER_CLIENT);
         for r in 0..REQUESTS_PER_CLIENT {
             let result = direct.run(&client_batch(ns, c, r)).expect("direct run");
-            per_client.push(result.tokens.into_iter().map(|t| t.outputs).collect());
+            per_client.push(result.tokens.iter().map(|t| t.outputs.to_vec()).collect());
         }
         expected.push(per_client);
     }
@@ -80,8 +80,12 @@ fn stress_bit_identical(kind: BackendKind, ndec: usize, ns: usize) {
                     .collect();
                 for (r, ticket) in tickets.into_iter().enumerate() {
                     let reply = ticket.wait().expect("served");
-                    let got: Vec<Vec<i16>> =
-                        reply.result.tokens.into_iter().map(|t| t.outputs).collect();
+                    let got: Vec<Vec<i16>> = reply
+                        .result
+                        .tokens
+                        .iter()
+                        .map(|t| t.outputs.to_vec())
+                        .collect();
                     assert_eq!(got, expected[r], "client {c} request {r}");
                     assert!(reply.coalesced_tokens >= TOKENS_PER_REQUEST);
                     assert!(reply.service > Duration::ZERO);
@@ -221,7 +225,7 @@ fn a_depth_one_policy_rejects_with_typed_queue_full() {
     let reply = first.wait().expect("served");
     assert_eq!(reply.result.tokens.len(), 2);
     assert_eq!(
-        reply.result.tokens[0].outputs,
+        reply.result.tokens.get(0).unwrap().outputs,
         program.reference_output(&TokenBatch::random(2, 2, 1).tokens()[0])
     );
     let third = queue
@@ -374,7 +378,7 @@ fn an_oversized_request_dispatches_alone_instead_of_stalling() {
     assert_eq!(reply.result.tokens.len(), 11);
     assert_eq!(reply.coalesced_tokens, 11);
     assert_eq!(
-        reply.result.tokens[0].outputs,
+        reply.result.tokens.get(0).unwrap().outputs,
         program.reference_output(&big_batch.tokens()[0])
     );
 }
@@ -440,7 +444,7 @@ fn a_backend_failure_resolves_every_coalesced_ticket_with_the_error() {
             "rider {i} must see all three requests in its micro-batch"
         );
         assert_eq!(
-            reply.result.tokens[0].outputs,
+            reply.result.tokens.get(0).unwrap().outputs,
             program.reference_output(&TokenBatch::random(2, 2, 20 + i as u64).tokens()[0]),
             "coalescing must not leak other requests' outputs"
         );
@@ -537,7 +541,7 @@ fn shutdown_resolves_in_flight_tickets_instead_of_leaking_them() {
         );
         let reply = ticket.wait().expect("drained, not leaked");
         assert_eq!(
-            reply.result.tokens[0].outputs,
+            reply.result.tokens.get(0).unwrap().outputs,
             program.reference_output(&TokenBatch::random(2, 2, 100 + i).tokens()[0])
         );
     }
