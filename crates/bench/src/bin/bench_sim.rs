@@ -648,18 +648,19 @@ fn smoke() {
             .wait()
             .expect("served");
     }
-    let cache_stats = cached_pool.shutdown();
+    let pool_stats = cached_pool.shutdown();
+    let cache = pool_stats.cache();
     assert!(
-        cache_stats.cache_hits() + cache_stats.cache_dedup() > 0,
+        cache.hits + cache.dedup > 0,
         "a duplicate-heavy batch produced no cache traffic"
     );
-    assert!(cache_stats.cache_misses() > 0);
+    assert!(cache.misses > 0);
     println!(
         "smoke cache:  {} hits, {} misses, {} deduped over {} tokens",
-        cache_stats.cache_hits(),
-        cache_stats.cache_misses(),
-        cache_stats.cache_dedup(),
-        cache_stats.tokens()
+        cache.hits,
+        cache.misses,
+        cache.dedup,
+        pool_stats.tokens()
     );
     // Pipeline pass: a handful of images through the lowered demo CNN,
     // checked bit-identical to the host forward — proof the dataflow

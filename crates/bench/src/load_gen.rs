@@ -252,6 +252,7 @@ mod tests {
     use super::*;
     use maddpipe_core::config::MacroConfig;
     use maddpipe_core::macro_rtl::MacroProgram;
+    use std::sync::Arc;
 
     fn small_pool(replicas: usize, max_depth: usize) -> ReplicaPool {
         let cfg = MacroConfig::new(2, 2);
@@ -326,26 +327,24 @@ mod tests {
 
     #[test]
     fn chaos_runs_count_faults_as_failures_not_panics() {
-        // A 1-replica factory pool (no respawn) whose backend panics on
-        // its very first call: the replica quarantines, the pool closes,
+        // A 1-replica pool with no respawn whose backend panics on its
+        // very first call: the replica quarantines, the pool closes,
         // and everything the generator offered comes back as failed —
         // the generator itself must survive to say so.
         let cfg = MacroConfig::new(2, 2);
         let program = MacroProgram::random(cfg.ndec, cfg.ns, 7);
         let state = ChaosState::new();
         let chaos = ChaosConfig::default().with_panic_on_call(0);
-        let factory: BackendFactory = {
-            let program = program.clone();
-            Box::new(move || {
-                BackendKind::Functional { workers: 1 }.build(&MacroConfig::new(2, 2), program)
-            })
+        let recipe: ReplicaFactory = {
+            let cfg = cfg.clone();
+            Arc::new(move || BackendKind::Functional { workers: 1 }.build(&cfg, program.clone()))
         };
-        let pool = ReplicaPool::from_factories(
+        let pool = ReplicaPool::from_recipes(
             ServePolicy::default()
                 .with_queue(QueuePolicy::default().with_max_linger(Duration::ZERO))
                 .with_recovery(RecoveryPolicy::none()),
             cfg.ns,
-            vec![wrap_factory(factory, chaos, state)],
+            vec![wrap_recipe(recipe, chaos, state)],
         )
         .expect("pool comes up");
         let report = drive(

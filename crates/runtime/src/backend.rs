@@ -15,13 +15,15 @@ use crate::batch::{BatchResult, TokenBatch};
 use crate::error::BackendError;
 use maddpipe_core::config::{MacroConfig, LEVELS};
 use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
+use std::sync::Arc;
 
-/// Builds a backend on whatever thread ends up owning it. The closure
-/// runs exactly once, off the caller's thread — which is what lets
-/// non-`Send` backends (the event-driven netlist) live on shard workers
-/// and pool replicas.
-pub type BackendFactory =
-    Box<dyn FnOnce() -> Result<Box<dyn MacroBackend>, BackendError> + Send + 'static>;
+/// The one backend-constructor type: a rebuildable recipe that shard
+/// workers, pool replicas and pipeline stages call on the thread that
+/// will own the backend — which is what lets non-`Send` backends (the
+/// event-driven netlist) serve anywhere. A pool calls it again to
+/// respawn a replica whose backend panicked.
+pub type ReplicaFactory =
+    Arc<dyn Fn() -> Result<Box<dyn MacroBackend>, BackendError> + Send + Sync>;
 
 /// How faithfully the RTL backend drives the netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,7 +110,8 @@ impl Default for BackendKind {
 impl BackendKind {
     /// Validates `program` against `cfg` and constructs the backend this
     /// recipe describes — the one construction path shared by sessions,
-    /// shard workers, pool replicas and pipeline stages.
+    /// shard workers, pool replicas and pipeline stages (the last three
+    /// reach it through a [`ReplicaFactory`]).
     ///
     /// # Errors
     ///

@@ -23,6 +23,14 @@
 //! replica-scheduling-independent event, and it is why the fault tests
 //! can pin exact recovery behaviour across seeds.
 //!
+//! Chaos enters a deployment the way every backend does, through a
+//! [`ReplicaFactory`]: [`wrap_recipe`] wraps a pool's or a shard's
+//! recipe, and [`MacroStage::map_recipe`](crate::pipeline::MacroStage::map_recipe)
+//! applies it to a pipeline stage. Whatever layer a fault is injected
+//! at, it is absorbed in one place — the pool's
+//! [`RecoveryPolicy`](crate::pool::RecoveryPolicy); a faulty shard
+//! surfaces its error once, wrapped in [`BackendError::Shard`].
+//!
 //! ```
 //! use maddpipe_runtime::prelude::*;
 //! use maddpipe_core::prelude::*;
@@ -50,10 +58,9 @@
 //! assert!(served > 0 && served < 32, "some calls fail, most succeed");
 //! ```
 
-use crate::backend::{BackendFactory, MacroBackend};
+use crate::backend::{MacroBackend, ReplicaFactory};
 use crate::batch::{BatchResult, TokenBatch};
 use crate::error::BackendError;
-use crate::pool::ReplicaFactory;
 use crate::session::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,8 +160,7 @@ pub struct ChaosState {
 
 impl ChaosState {
     /// A fresh shared counter, ready to hand to
-    /// [`ChaosBackend::with_state`] / [`wrap_factory`] /
-    /// [`wrap_recipe`].
+    /// [`ChaosBackend::with_state`] / [`wrap_recipe`].
     pub fn new() -> Arc<ChaosState> {
         Arc::new(ChaosState::default())
     }
@@ -176,7 +182,7 @@ pub struct ChaosBackend {
 impl ChaosBackend {
     /// Wraps `inner` with its own private call counter — for
     /// single-backend use. Replicated serving should share one counter
-    /// via [`ChaosBackend::with_state`] (or the factory wrappers).
+    /// via [`ChaosBackend::with_state`] (or [`wrap_recipe`]).
     pub fn new(inner: Box<dyn MacroBackend>, config: ChaosConfig) -> ChaosBackend {
         ChaosBackend::with_state(inner, config, ChaosState::new())
     }
@@ -247,21 +253,9 @@ impl MacroBackend for ChaosBackend {
     }
 }
 
-/// Wraps a one-shot [`BackendFactory`] so the backend it builds comes
-/// up inside a [`ChaosBackend`] drawing from the shared `state`.
-pub fn wrap_factory(
-    factory: BackendFactory,
-    config: ChaosConfig,
-    state: Arc<ChaosState>,
-) -> BackendFactory {
-    Box::new(move || {
-        let inner = factory()?;
-        Ok(Box::new(ChaosBackend::with_state(inner, config, state)))
-    })
-}
-
-/// Wraps a rebuildable [`ReplicaFactory`] likewise — every (re)build,
-/// respawns included, keeps drawing from the same shared schedule.
+/// Wraps a [`ReplicaFactory`] so every backend it builds comes up
+/// inside a [`ChaosBackend`] drawing from the shared `state` — respawns
+/// included, so a rebuilt replica keeps the same global schedule.
 pub fn wrap_recipe(
     recipe: ReplicaFactory,
     config: ChaosConfig,

@@ -136,11 +136,10 @@ pub enum BackendError {
     /// accepts no new submissions, and any ticket that could no longer
     /// be served resolves to this error instead of leaking.
     QueueClosed,
-    /// The session cannot be converted into a replica pool — it was
-    /// built from a caller-constructed backend, so there is no recipe to
-    /// rebuild the backend on the replica threads. Use
-    /// [`ReplicaPool::from_factories`](crate::pool::ReplicaPool::from_factories)
-    /// instead.
+    /// A replica pool was given no backend recipes, so it has no
+    /// replica to serve on
+    /// ([`ReplicaPool::from_recipes`](crate::pool::ReplicaPool::from_recipes)
+    /// with an empty list).
     QueueUnavailable {
         /// Human-readable explanation.
         reason: String,
@@ -161,11 +160,10 @@ impl BackendError {
     /// property of the request or the configuration and will fail
     /// identically on every retry.
     ///
-    /// Serving layers ([`ReplicaPool`](crate::pool::ReplicaPool),
-    /// [`ShardedBackend`](crate::sharded::ShardedBackend)) consult this
-    /// to decide between re-queueing under a
-    /// [`RecoveryPolicy`](crate::pool::RecoveryPolicy) and failing the
-    /// tickets with the typed error.
+    /// The [`ReplicaPool`](crate::pool::ReplicaPool) — the one place
+    /// that retries — consults this to decide between re-queueing under
+    /// its [`RecoveryPolicy`](crate::pool::RecoveryPolicy) and failing
+    /// the tickets with the typed error.
     pub fn is_transient(&self) -> bool {
         match self {
             BackendError::Transient { .. }
@@ -258,7 +256,7 @@ impl fmt::Display for BackendError {
                 write!(f, "serving queue is shut down and accepts no submissions")
             }
             BackendError::QueueUnavailable { reason } => {
-                write!(f, "cannot serve this session through a queue: {reason}")
+                write!(f, "cannot open a serving queue: {reason}")
             }
         }
     }
@@ -379,10 +377,10 @@ mod tests {
         );
         assert!(BackendError::QueueClosed.to_string().contains("shut down"));
         let unavailable = BackendError::QueueUnavailable {
-            reason: "built from a caller-constructed backend".into(),
+            reason: "an empty recipe list".into(),
         };
         assert!(
-            unavailable.to_string().contains("caller-constructed"),
+            unavailable.to_string().contains("empty recipe list"),
             "{unavailable}"
         );
     }

@@ -28,11 +28,14 @@
 //!
 //! On top sits the [`Session`] builder, which owns batching and aggregate
 //! [`SessionStats`] (tokens/s, total energy, p50/p99 token latency) —
-//! and, for many-client serving, converts into a [`ReplicaPool`]
-//! ([`Session::into_pool`]): submissions from any number of threads
-//! are coalesced into micro-batches under a [`QueuePolicy`] and resolved
-//! through [`BatchTicket`] handles, with typed
-//! [`BackendError::QueueFull`] backpressure:
+//! and, for many-client serving, builds a [`ReplicaPool`] instead
+//! ([`SessionBuilder::into_pool`]): submissions from any number of
+//! threads are coalesced into micro-batches under a [`QueuePolicy`] and
+//! resolved through [`BatchTicket`] handles, with typed
+//! [`BackendError::QueueFull`] backpressure. Every replica, shard worker
+//! and pipeline stage builds its backend from one recipe type
+//! ([`ReplicaFactory`]), and the pool's [`RecoveryPolicy`] is the one
+//! place transient failures are retried:
 //!
 //! ```
 //! use maddpipe_runtime::prelude::*;
@@ -72,13 +75,13 @@ pub mod session;
 pub mod sharded;
 
 pub use analytic::AnalyticBackend;
-pub use backend::{validate_program, BackendFactory, BackendKind, Fidelity, MacroBackend};
+pub use backend::{validate_program, BackendKind, Fidelity, MacroBackend, ReplicaFactory};
 pub use batch::{BatchResult, Observations, Token, TokenBatch, TokenObservation, Tokens};
 pub use cache::{
     CacheConfig, CacheKey, CacheStats, CacheStore, CachedBackend, ProgramFingerprint,
     SharedCacheStore,
 };
-pub use chaos::{wrap_factory, wrap_recipe, ChaosBackend, ChaosConfig, ChaosState};
+pub use chaos::{wrap_recipe, ChaosBackend, ChaosConfig, ChaosState};
 pub use error::{BackendError, QueueLimit};
 pub use functional::FunctionalBackend;
 pub use pipeline::{
@@ -86,9 +89,7 @@ pub use pipeline::{
     PipelineTicket, StagePolicy, StageSpec, TicketState,
 };
 pub use plan::ShardPlan;
-pub use pool::{
-    Fairness, PoolHealth, RecoveryPolicy, ReplicaFactory, ReplicaPool, ServePolicy, SubmitOptions,
-};
+pub use pool::{Fairness, PoolHealth, RecoveryPolicy, ReplicaPool, ServePolicy, SubmitOptions};
 pub use queue::{BatchTicket, QueuePolicy, QueueReply};
 pub use rtl::RtlBackend;
 pub use session::{Session, SessionBuilder, SessionStats, StageProfile};
@@ -97,7 +98,7 @@ pub use sharded::ShardedBackend;
 /// Common imports.
 pub mod prelude {
     pub use crate::analytic::AnalyticBackend;
-    pub use crate::backend::{BackendFactory, BackendKind, Fidelity, MacroBackend};
+    pub use crate::backend::{BackendKind, Fidelity, MacroBackend, ReplicaFactory};
     pub use crate::batch::{
         BatchResult, Observations, Token, TokenBatch, TokenObservation, Tokens,
     };
@@ -105,7 +106,7 @@ pub mod prelude {
         CacheConfig, CacheKey, CacheStats, CacheStore, CachedBackend, ProgramFingerprint,
         SharedCacheStore,
     };
-    pub use crate::chaos::{wrap_factory, wrap_recipe, ChaosBackend, ChaosConfig, ChaosState};
+    pub use crate::chaos::{wrap_recipe, ChaosBackend, ChaosConfig, ChaosState};
     pub use crate::error::{BackendError, QueueLimit};
     pub use crate::functional::FunctionalBackend;
     pub use crate::pipeline::{
@@ -114,8 +115,7 @@ pub mod prelude {
     };
     pub use crate::plan::ShardPlan;
     pub use crate::pool::{
-        Fairness, PoolHealth, RecoveryPolicy, ReplicaFactory, ReplicaPool, ServePolicy,
-        SubmitOptions,
+        Fairness, PoolHealth, RecoveryPolicy, ReplicaPool, ServePolicy, SubmitOptions,
     };
     pub use crate::queue::{BatchTicket, QueuePolicy, QueueReply};
     pub use crate::rtl::RtlBackend;

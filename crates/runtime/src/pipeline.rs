@@ -71,10 +71,10 @@
 //! assert_eq!(stats.stage_profiles().len(), 2);
 //! ```
 
-use crate::backend::BackendKind;
+use crate::backend::{BackendKind, ReplicaFactory};
 use crate::batch::{BatchResult, TokenBatch};
 use crate::error::{BackendError, QueueLimit};
-use crate::pool::{RecoveryPolicy, ReplicaFactory, ReplicaPool, ServePolicy};
+use crate::pool::{RecoveryPolicy, ReplicaPool, ServePolicy};
 use crate::queue::{BatchTicket, QueuePolicy, TicketCell};
 use crate::session::SessionStats;
 use maddpipe_core::config::MacroConfig;
@@ -171,30 +171,14 @@ impl MacroStage {
     ) -> Result<MacroStage, BackendError> {
         crate::backend::validate_program(cfg, &program)?;
         let cfg = cfg.clone();
-        let ns = cfg.ns;
-        let recipe: ReplicaFactory = Arc::new(move || kind.build(&cfg, program.clone()));
-        Ok(MacroStage::from_recipe(name, ns, recipe, encode, decode))
-    }
-
-    /// Builds a macro stage from an arbitrary rebuildable recipe — the
-    /// hook tests use to wrap a stage's backends in
-    /// [`ChaosBackend`](crate::chaos::ChaosBackend) via
-    /// [`wrap_recipe`](crate::chaos::wrap_recipe).
-    pub fn from_recipe(
-        name: impl Into<String>,
-        ns: usize,
-        recipe: ReplicaFactory,
-        encode: impl Fn(&[f32]) -> Result<TokenBatch, BackendError> + Send + Sync + 'static,
-        decode: impl Fn(&BatchResult) -> Result<Vec<f32>, BackendError> + Send + Sync + 'static,
-    ) -> MacroStage {
-        MacroStage {
+        Ok(MacroStage {
             name: name.into(),
-            ns,
-            recipe,
+            ns: cfg.ns,
+            recipe: Arc::new(move || kind.build(&cfg, program.clone())),
             policy: StagePolicy::default(),
             encode: Arc::new(encode),
             decode: Arc::new(decode),
-        }
+        })
     }
 
     /// Replaces the stage's serving policy.
@@ -204,8 +188,11 @@ impl MacroStage {
         self
     }
 
-    /// Rewrites the stage's backend recipe through `wrap` — chaos
-    /// wrapping, instrumentation, or any other recipe decorator.
+    /// Rewrites the stage's backend recipe through `wrap` — the hook
+    /// that wraps a stage's backends in
+    /// [`ChaosBackend`](crate::chaos::ChaosBackend) via
+    /// [`wrap_recipe`](crate::chaos::wrap_recipe), instrumentation, or
+    /// any other recipe decorator.
     #[must_use]
     pub fn map_recipe(mut self, wrap: impl FnOnce(ReplicaFactory) -> ReplicaFactory) -> MacroStage {
         self.recipe = wrap(self.recipe);

@@ -3,10 +3,10 @@
 //! One dispatcher feeding one backend makes host-side queueing the
 //! bottleneck long before the macro is. A [`ReplicaPool`] serves *N*
 //! replicas instead (a single-backend queue is the one-replica case),
-//! each built on its own thread from a
-//! [`BackendFactory`] (so non-`Send` netlists replicate exactly like
-//! they serve), all pulling from one shared submission queue. This is
-//! the data-parallel axis, complementary to the
+//! each built on its own thread from a [`ReplicaFactory`] recipe (so
+//! non-`Send` netlists replicate exactly like they serve), all pulling
+//! from one shared submission queue. This is the data-parallel axis,
+//! complementary to the
 //! [`ShardedBackend`](crate::sharded::ShardedBackend)'s model-parallel
 //! output-channel sharding: shards split one batch across macros,
 //! replicas spread *different* micro-batches across whole macros.
@@ -35,13 +35,17 @@
 //! * **Supervision and recovery.** Under the pool's
 //!   [`RecoveryPolicy`], a micro-batch that fails transiently
 //!   ([`BackendError::is_transient`]) is re-queued riders-intact and
-//!   retried with exponential backoff — per-client order preserved —
-//!   while a replica that panics is rebuilt in place from its recipe
-//!   ([`ReplicaPool::from_recipes`]) up to a restart budget. A replica
-//!   that crashes through its budget is *quarantined*: the pool keeps
+//!   held back by an exponential backoff — per-client order preserved,
+//!   no replica thread asleep — while a replica that panics is rebuilt
+//!   in place from its recipe up to a restart budget. A replica that
+//!   crashes through its budget is *quarantined*: the pool keeps
 //!   serving at reduced capacity ([`PoolHealth`] reports the
 //!   degradation) and tickets only resolve
-//!   [`BackendError::QueueClosed`] once zero replicas remain.
+//!   [`BackendError::QueueClosed`] once zero replicas remain. This is
+//!   the serving stack's only retry loop: a
+//!   [`ShardedBackend`](crate::sharded::ShardedBackend) surfaces a
+//!   transient shard failure once, as a transient
+//!   [`BackendError::Shard`], and the pool re-runs the micro-batch.
 //!
 //! The waiting-room discipline mirrors the single queue: whole requests
 //! are never split across micro-batches or replicas, and tickets always
@@ -81,7 +85,7 @@
 //! assert_eq!(stats.replica_dispatches().len(), 2);
 //! ```
 
-use crate::backend::{BackendFactory, MacroBackend};
+use crate::backend::{MacroBackend, ReplicaFactory};
 use crate::batch::{fold_all, BatchResult, Observations, TokenBatch};
 use crate::error::{BackendError, QueueLimit};
 use crate::queue::{BatchTicket, QueuePolicy, QueueReply, TicketCell};
@@ -90,14 +94,6 @@ use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A rebuildable backend recipe: unlike the one-shot
-/// [`BackendFactory`], a `ReplicaFactory` can be called again after a
-/// replica crash, so pools built from recipes
-/// ([`ReplicaPool::from_recipes`]) can respawn dead replicas in place
-/// instead of quarantining them on the first panic.
-pub type ReplicaFactory =
-    Arc<dyn Fn() -> Result<Box<dyn MacroBackend>, BackendError> + Send + Sync>;
 
 /// How a [`ReplicaPool`] picks which pending requests ride the next
 /// micro-batch.
@@ -128,7 +124,8 @@ pub enum Fairness {
 /// `max_retries` resolves its ticket with the typed error. A replica
 /// whose backend panicked is rebuilt in place from its
 /// [`ReplicaFactory`] recipe up to `respawn` times; past that budget it
-/// is quarantined and the pool serves on at reduced capacity.
+/// is quarantined and the pool serves on at reduced capacity. This is
+/// the serving stack's one retry loop: nothing below the pool retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// How many times a transiently-failed rider is re-queued before
@@ -138,9 +135,8 @@ pub struct RecoveryPolicy {
     /// again; doubles with every attempt (exponential backoff).
     pub backoff: Duration,
     /// How many times each replica may be rebuilt from its recipe after
-    /// a panic before it is quarantined. Only recipe-built pools
-    /// ([`ReplicaPool::from_recipes`]) can respawn; factory-built pools
-    /// quarantine on the first crash regardless of this budget.
+    /// a panic before it is quarantined. 0 quarantines on the first
+    /// crash.
     pub respawn: u32,
 }
 
@@ -382,30 +378,24 @@ impl PoolShared {
         // refusing to look at it would leak every outstanding ticket.
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
-
-    fn health(&self, replicas: usize) -> PoolHealth {
-        let state = self.lock_state();
-        PoolHealth {
-            healthy: state.live.min(replicas),
-            quarantined: state.quarantined,
-            restarts: state.restarts,
-        }
-    }
 }
 
-/// What one replica thread is seeded with: the one-shot constructor for
-/// its first backend, plus (for recipe-built pools) the rebuildable
-/// recipe that makes post-panic respawn possible.
-struct ReplicaSeed {
-    initial: BackendFactory,
-    rebuild: Option<ReplicaFactory>,
+impl PoolState {
+    /// The degradation snapshot of a pool of `replicas` replicas.
+    fn health(&self, replicas: usize) -> PoolHealth {
+        PoolHealth {
+            healthy: self.live.min(replicas),
+            quarantined: self.quarantined,
+            restarts: self.restarts,
+        }
+    }
 }
 
 /// A pool of backend replicas serving one shared submission queue.
 ///
 /// Submissions are accepted from any thread through `&self`; each
-/// replica thread owns one backend (built on that thread via its
-/// [`BackendFactory`]) and pulls micro-batches coalesced under the
+/// replica thread owns one backend (built on that thread from its
+/// [`ReplicaFactory`] recipe) and pulls micro-batches coalesced under the
 /// [`ServePolicy`]. See the [module docs](crate::pool) for the
 /// scheduling contract and an end-to-end example.
 pub struct ReplicaPool {
@@ -416,79 +406,34 @@ pub struct ReplicaPool {
 }
 
 impl ReplicaPool {
-    /// Spawns one replica thread per factory, builds each backend *on*
+    /// Spawns one replica thread per recipe, builds each backend *on*
     /// its thread (so non-`Send` backends replicate like any other),
     /// and opens the pool. `policy.replicas` is overridden by
-    /// `factories.len()` — the factories are the ground truth. `ns` is
-    /// the pipeline-stage count submissions are checked against at
-    /// submit time.
-    ///
-    /// Factory-built replicas cannot be respawned after a panic (the
-    /// [`BackendFactory`] is one-shot); they quarantine on the first
-    /// crash. Use [`from_recipes`](ReplicaPool::from_recipes) when the
-    /// backend can be rebuilt.
+    /// `recipes.len()` — the recipes are the ground truth. `ns` is the
+    /// pipeline-stage count submissions are checked against at submit
+    /// time. Every replica keeps its recipe, so one whose backend
+    /// panics is rebuilt in place up to the [`RecoveryPolicy::respawn`]
+    /// budget (`with_respawn(0)` quarantines on the first crash).
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError::QueueUnavailable`] for an empty factory
-    /// list, the first factory's own [`BackendError`] when a backend
+    /// Returns [`BackendError::QueueUnavailable`] for an empty recipe
+    /// list, the first recipe's own [`BackendError`] when a backend
     /// fails to construct (the already-built replicas are torn down),
     /// and [`BackendError::QueueClosed`] when a replica thread dies
     /// before reporting readiness.
-    pub fn from_factories(
-        policy: ServePolicy,
-        ns: usize,
-        factories: Vec<BackendFactory>,
-    ) -> Result<ReplicaPool, BackendError> {
-        let seeds = factories
-            .into_iter()
-            .map(|initial| ReplicaSeed {
-                initial,
-                rebuild: None,
-            })
-            .collect();
-        ReplicaPool::spawn(policy, ns, seeds)
-    }
-
-    /// Like [`from_factories`](ReplicaPool::from_factories), but every
-    /// replica keeps its (cloneable) recipe, so a replica whose backend
-    /// panics is rebuilt in place up to the
-    /// [`RecoveryPolicy::respawn`] budget instead of quarantining on
-    /// the first crash.
-    ///
-    /// # Errors
-    ///
-    /// As [`from_factories`](ReplicaPool::from_factories).
     pub fn from_recipes(
         policy: ServePolicy,
         ns: usize,
         recipes: Vec<ReplicaFactory>,
     ) -> Result<ReplicaPool, BackendError> {
-        let seeds = recipes
-            .into_iter()
-            .map(|recipe| ReplicaSeed {
-                initial: Box::new({
-                    let recipe = Arc::clone(&recipe);
-                    move || recipe()
-                }),
-                rebuild: Some(recipe),
-            })
-            .collect();
-        ReplicaPool::spawn(policy, ns, seeds)
-    }
-
-    fn spawn(
-        policy: ServePolicy,
-        ns: usize,
-        seeds: Vec<ReplicaSeed>,
-    ) -> Result<ReplicaPool, BackendError> {
-        if seeds.is_empty() {
+        if recipes.is_empty() {
             return Err(BackendError::QueueUnavailable {
-                reason: "a replica pool needs at least one backend factory".into(),
+                reason: "a replica pool needs at least one backend recipe".into(),
             });
         }
         let policy = ServePolicy {
-            replicas: seeds.len(),
+            replicas: recipes.len(),
             ..policy
         }
         .normalised();
@@ -499,7 +444,7 @@ impl ReplicaPool {
                 outstanding: 0,
                 max_depth_seen: 0,
                 open: true,
-                live: seeds.len(),
+                live: recipes.len(),
                 quarantined: 0,
                 restarts: 0,
                 rr_last: None,
@@ -509,16 +454,16 @@ impl ReplicaPool {
             stats: Mutex::new(SessionStats::default()),
             started: Instant::now(),
         });
-        let mut replicas = Vec::with_capacity(seeds.len());
-        let mut readiness = Vec::with_capacity(seeds.len());
-        for (index, seed) in seeds.into_iter().enumerate() {
+        let mut replicas = Vec::with_capacity(recipes.len());
+        let mut readiness = Vec::with_capacity(recipes.len());
+        for (index, recipe) in recipes.into_iter().enumerate() {
             let (ready_tx, ready_rx) = mpsc::channel::<Result<(), BackendError>>();
             let shared = Arc::clone(&shared);
             let policy = policy.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("maddpipe-replica-{index}"))
                 .spawn(move || {
-                    let backend = match (seed.initial)() {
+                    let backend = match recipe() {
                         Ok(backend) => {
                             let _ = ready_tx.send(Ok(()));
                             backend
@@ -531,7 +476,7 @@ impl ReplicaPool {
                             return;
                         }
                     };
-                    replica_loop(&shared, &policy, index, backend, seed.rebuild);
+                    replica_loop(&shared, &policy, index, backend, &recipe);
                 })
                 .expect("the host can spawn a replica thread");
             replicas.push(handle);
@@ -663,7 +608,7 @@ impl ReplicaPool {
     /// The pool's current degradation snapshot: live replicas,
     /// quarantined replicas, and successful respawns so far.
     pub fn health(&self) -> PoolHealth {
-        self.shared.health(self.policy.replicas)
+        self.shared.lock_state().health(self.policy.replicas)
     }
 
     /// A snapshot of the aggregate statistics so far: everything a
@@ -677,14 +622,7 @@ impl ReplicaPool {
         // crate-wide order).
         let (depth_seen, health) = {
             let state = self.shared.lock_state();
-            (
-                state.max_depth_seen,
-                PoolHealth {
-                    healthy: state.live.min(self.policy.replicas),
-                    quarantined: state.quarantined,
-                    restarts: state.restarts,
-                },
-            )
+            (state.max_depth_seen, state.health(self.policy.replicas))
         };
         let mut stats = self.shared.stats.lock().expect("stats lock").clone();
         stats.record_queue_depth(depth_seen);
@@ -729,17 +667,6 @@ impl ReplicaPool {
         for handle in handles {
             let _ = handle.join();
         }
-    }
-
-    /// Seeds the statistics (used by
-    /// [`Session::into_pool`](crate::session::Session::into_pool) to
-    /// carry a session's accumulated measurements into the pool).
-    pub(crate) fn seed_stats(&self, mut stats: SessionStats) {
-        // The seeding session's backend (and any cache store it owned)
-        // is gone — fold its live cache snapshots into the carried
-        // baseline so this pool's replicas can reuse the slot indices.
-        stats.rebase_cache();
-        *self.shared.stats.lock().expect("stats lock") = stats;
     }
 
     /// Replica wait-loop iterations so far — the no-busy-spin
@@ -1073,17 +1000,13 @@ fn replica_loop(
     policy: &ServePolicy,
     replica: usize,
     mut backend: Box<dyn MacroBackend>,
-    rebuild: Option<ReplicaFactory>,
+    recipe: &ReplicaFactory,
 ) {
     let mut exit = ReplicaExit {
         shared,
         quarantine: true,
     };
-    let mut respawns_left = if rebuild.is_some() {
-        policy.recovery.respawn
-    } else {
-        0
-    };
+    let mut respawns_left = policy.recovery.respawn;
     loop {
         // ── Collect: wait for work, linger for a fuller micro-batch ──
         let mut state = shared.lock_state();
@@ -1176,6 +1099,23 @@ fn replica_loop(
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| backend.run_batch(&micro)));
         let service = dispatched.elapsed();
+        // A custom backend that broke the one-observation-per-token
+        // contract gets a typed rejection, not mis-sliced outputs —
+        // fatal, not transient: the backend would do it again.
+        let outcome = outcome.map(|ran| {
+            ran.and_then(|result| {
+                if result.tokens.len() == micro.len() {
+                    return Ok(result);
+                }
+                Err(BackendError::MalformedProgram {
+                    reason: format!(
+                        "backend returned {} observations for a {}-token micro-batch",
+                        result.tokens.len(),
+                        micro.len()
+                    ),
+                })
+            })
+        });
         let waits: Vec<Duration> = riders.iter().map(|r| r.queue_wait).collect();
 
         // Harvest this replica's cache counters after every non-panic
@@ -1195,7 +1135,7 @@ fn replica_loop(
 
         // ── Split and resolve: each ticket gets its own token slice ──
         match outcome {
-            Ok(Ok(result)) if result.tokens.len() == micro.len() => {
+            Ok(Ok(result)) => {
                 // Free backpressure capacity before resolving, so a
                 // submitter woken by its ticket deterministically finds
                 // the slot open.
@@ -1241,39 +1181,17 @@ fn replica_loop(
                 }
                 guard.tickets.clear();
             }
-            Ok(Ok(result)) => {
-                // A custom backend broke the one-observation-per-token
-                // contract; a typed rejection beats mis-sliced outputs.
-                // Fatal, not transient: the backend would do it again.
-                let error = BackendError::MalformedProgram {
-                    reason: format!(
-                        "backend returned {} observations for a {}-token micro-batch",
-                        result.tokens.len(),
-                        micro.len()
-                    ),
-                };
-                guard.settle();
-                {
-                    let mut stats = shared.stats.lock().expect("stats lock");
-                    stats.absorb_queue_side(micro.len(), &waits);
-                    stats.record_queue_depth(depth_seen);
-                    stats.record_replica_dispatch(replica, service);
-                }
-                for rider in riders {
-                    rider.ticket.resolve(Err(error.clone()), || ());
-                }
-                guard.tickets.clear();
-            }
             Ok(Err(error)) if error.is_transient() => {
                 retry_or_fail(
                     shared, policy, replica, &mut guard, riders, &error, service, depth_seen,
                 );
             }
             Ok(Err(error)) => {
-                // Whole-batch rejection with a fatal error: every rider
-                // gets it — retrying would fail identically. The
-                // queue-side stats still count the batch; only the
-                // served-token measurements are success-only.
+                // Whole-batch rejection with a fatal error (a broken
+                // observation count included): every rider gets it —
+                // retrying would fail identically. The queue-side stats
+                // still count the batch; only the served-token
+                // measurements are success-only.
                 guard.settle();
                 {
                     let mut stats = shared.stats.lock().expect("stats lock");
@@ -1304,17 +1222,15 @@ fn replica_loop(
                 // The panicked backend is poisoned; rebuild it from the
                 // recipe while the restart budget lasts, else retire.
                 let mut fresh = None;
-                if let Some(recipe) = rebuild.as_ref() {
-                    while fresh.is_none() && respawns_left > 0 {
-                        respawns_left -= 1;
-                        // A recipe that itself panics or errors burns a
-                        // respawn and tries again (or falls through to
-                        // quarantine).
-                        if let Ok(Ok(rebuilt)) =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| recipe()))
-                        {
-                            fresh = Some(rebuilt);
-                        }
+                while fresh.is_none() && respawns_left > 0 {
+                    respawns_left -= 1;
+                    // A recipe that itself panics or errors burns a
+                    // respawn and tries again (or falls through to
+                    // quarantine).
+                    if let Ok(Ok(rebuilt)) =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| recipe()))
+                    {
+                        fresh = Some(rebuilt);
                     }
                 }
                 match fresh {
@@ -1342,20 +1258,19 @@ mod tests {
     use maddpipe_core::macro_rtl::MacroProgram;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A functional-backend recipe for `program` on a tiny 2×2 macro.
+    fn functional_recipe(program: &MacroProgram) -> ReplicaFactory {
+        let program = program.clone();
+        Arc::new(move || {
+            BackendKind::Functional { workers: 1 }.build(&MacroConfig::new(2, 2), program.clone())
+        })
+    }
+
     /// A pool of `replicas` functional backends over a tiny 2×2 macro.
     fn functional_pool(replicas: usize, policy: ServePolicy) -> (ReplicaPool, MacroProgram) {
-        let cfg = MacroConfig::new(2, 2);
         let program = MacroProgram::random(2, 2, 11);
-        let factories: Vec<BackendFactory> = (0..replicas)
-            .map(|_| {
-                let cfg = cfg.clone();
-                let program = program.clone();
-                let factory: BackendFactory =
-                    Box::new(move || BackendKind::Functional { workers: 1 }.build(&cfg, program));
-                factory
-            })
-            .collect();
-        let pool = ReplicaPool::from_factories(policy, 2, factories).expect("pool builds");
+        let recipes = vec![functional_recipe(&program); replicas];
+        let pool = ReplicaPool::from_recipes(policy, 2, recipes).expect("pool builds");
         (pool, program)
     }
 
@@ -1405,11 +1320,6 @@ mod tests {
 
     #[test]
     fn empty_factory_lists_are_rejected() {
-        let err = ReplicaPool::from_factories(ServePolicy::default(), 2, Vec::new()).unwrap_err();
-        assert!(
-            matches!(err, BackendError::QueueUnavailable { .. }),
-            "{err}"
-        );
         let err = ReplicaPool::from_recipes(ServePolicy::default(), 2, Vec::new()).unwrap_err();
         assert!(
             matches!(err, BackendError::QueueUnavailable { .. }),
@@ -1419,12 +1329,9 @@ mod tests {
 
     #[test]
     fn a_failing_factory_tears_the_pool_down() {
-        let cfg = MacroConfig::new(2, 2);
-        let program = MacroProgram::random(2, 2, 3);
-        let good: BackendFactory =
-            Box::new(move || BackendKind::Functional { workers: 1 }.build(&cfg, program));
-        let bad: BackendFactory = Box::new(|| Err(BackendError::MissingProgram));
-        let err = ReplicaPool::from_factories(ServePolicy::default(), 2, vec![good, bad])
+        let good = functional_recipe(&MacroProgram::random(2, 2, 3));
+        let bad: ReplicaFactory = Arc::new(|| Err(BackendError::MissingProgram));
+        let err = ReplicaPool::from_recipes(ServePolicy::default(), 2, vec![good, bad])
             .expect_err("one bad factory fails the pool");
         assert_eq!(err, BackendError::MissingProgram);
     }
@@ -1491,24 +1398,21 @@ mod tests {
     /// A 1-replica pool whose backend flakes transiently `failures`
     /// times before serving.
     fn flaky_pool(failures: usize, recovery: RecoveryPolicy) -> (ReplicaPool, MacroProgram) {
-        let cfg = MacroConfig::new(2, 2);
         let program = MacroProgram::random(2, 2, 11);
         let failures = Arc::new(AtomicUsize::new(failures));
-        let factory: BackendFactory = Box::new({
-            let cfg = cfg.clone();
-            let program = program.clone();
-            let failures = Arc::clone(&failures);
-            move || {
+        let recipe: ReplicaFactory = {
+            let inner = functional_recipe(&program);
+            Arc::new(move || {
                 Ok(Box::new(TransientlyFlaky {
-                    inner: BackendKind::Functional { workers: 1 }.build(&cfg, program)?,
-                    failures_left: failures,
+                    inner: inner()?,
+                    failures_left: Arc::clone(&failures),
                 }))
-            }
-        });
+            })
+        };
         let policy = ServePolicy::default()
             .with_recovery(recovery)
             .with_queue(QueuePolicy::default().with_max_linger(Duration::ZERO));
-        let pool = ReplicaPool::from_factories(policy, 2, vec![factory]).expect("pool builds");
+        let pool = ReplicaPool::from_recipes(policy, 2, vec![recipe]).expect("pool builds");
         (pool, program)
     }
 

@@ -13,7 +13,9 @@
 //! micro-batches under a [`QueuePolicy`], run them on the backends they
 //! own, and resolve each ticket with that request's own slice of the
 //! results plus its measured queue-wait and service latency. A
-//! single-backend queue is simply a one-replica pool.
+//! single-backend queue is simply a one-replica pool, built like any
+//! other through [`SessionBuilder::into_pool`](crate::session::SessionBuilder::into_pool)
+//! or [`ReplicaPool::from_recipes`].
 //!
 //! Design points, in the order they matter:
 //!
@@ -44,8 +46,6 @@
 //! let program = MacroProgram::random(cfg.ndec, cfg.ns, 42);
 //! let queue = Session::builder(cfg)
 //!     .program(program.clone())
-//!     .build()
-//!     .unwrap()
 //!     .into_pool(ServePolicy::default().with_queue(QueuePolicy::default()))
 //!     .unwrap();
 //! std::thread::scope(|s| {

@@ -9,11 +9,11 @@
 //! accumulate identically whatever executes the batches, and swapping
 //! [`BackendKind`]s never changes a single output bit.
 
-use crate::backend::{validate_program, BackendKind, MacroBackend};
+use crate::backend::{validate_program, BackendKind, MacroBackend, ReplicaFactory};
 use crate::batch::{BatchResult, TokenBatch};
 use crate::cache::CacheStats;
 use crate::error::BackendError;
-use crate::pool::{PoolHealth, ReplicaFactory, ReplicaPool, ServePolicy};
+use crate::pool::{PoolHealth, ReplicaPool, ServePolicy};
 use core::fmt;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
@@ -56,26 +56,17 @@ impl SessionBuilder {
     /// [`BackendError::MalformedProgram`]).
     pub fn build(self) -> Result<Session, BackendError> {
         let program = self.program.ok_or(BackendError::MissingProgram)?;
-        let backend = self.kind.build(&self.cfg, program.clone())?;
-        Ok(Session {
-            cfg: self.cfg,
-            backend,
-            // The recipe lets `into_pool` rebuild this exact backend on
-            // each replica thread (netlists are not `Send`).
-            recipe: Some((program, self.kind)),
-            stats: SessionStats::default(),
-        })
+        let backend = self.kind.build(&self.cfg, program)?;
+        Ok(Session::from_backend(self.cfg, backend))
     }
 
-    /// Builds straight into a [`ReplicaPool`]: the program is validated
-    /// here (fail fast, on the caller's thread) and the `(program,
-    /// kind)` recipe is shared by [`ServePolicy::replicas`] replicas,
-    /// each constructing its backend on its own replica thread.
-    /// Because the recipe stays callable, the pool can respawn a replica
-    /// whose backend panicked, up to the
+    /// Builds a [`ReplicaPool`] — the one door from a program to a
+    /// pool. The program is validated here (fail fast, on the caller's
+    /// thread) and the `(program, kind)` recipe is shared by
+    /// [`ServePolicy::replicas`] replicas, each constructing its backend
+    /// on its own replica thread. Because the recipe stays callable, the
+    /// pool can respawn a replica whose backend panicked, up to the
     /// [`RecoveryPolicy`](crate::pool::RecoveryPolicy) restart budget.
-    /// Prefer this over `build()?.into_pool(policy)` when the session is
-    /// only ever used through the pool.
     ///
     /// # Errors
     ///
@@ -85,25 +76,12 @@ impl SessionBuilder {
     pub fn into_pool(self, policy: ServePolicy) -> Result<ReplicaPool, BackendError> {
         let program = self.program.ok_or(BackendError::MissingProgram)?;
         validate_program(&self.cfg, &program)?;
-        deploy(self.cfg, program, self.kind, policy)
+        let (cfg, kind) = (self.cfg, self.kind);
+        let ns = cfg.ns;
+        let recipe: ReplicaFactory = Arc::new(move || kind.build(&cfg, program.clone()));
+        let recipes = vec![recipe; policy.replicas.max(1)];
+        ReplicaPool::from_recipes(policy, ns, recipes)
     }
-}
-
-/// Deploys a `(program, kind)` recipe as a [`ReplicaPool`] of
-/// [`ServePolicy::replicas`] replicas, each building its backend from the
-/// recipe on its own thread.
-fn deploy(
-    cfg: MacroConfig,
-    program: MacroProgram,
-    kind: BackendKind,
-    policy: ServePolicy,
-) -> Result<ReplicaPool, BackendError> {
-    let ns = cfg.ns;
-    let recipe: ReplicaFactory = Arc::new(move || kind.build(&cfg, program.clone()));
-    let recipes = (0..policy.replicas.max(1))
-        .map(|_| Arc::clone(&recipe))
-        .collect();
-    ReplicaPool::from_recipes(policy, ns, recipes)
 }
 
 /// A long-lived inference session: owns one programmed backend, accepts
@@ -129,10 +107,6 @@ fn deploy(
 pub struct Session {
     cfg: MacroConfig,
     backend: Box<dyn MacroBackend>,
-    /// `(program, kind)` when built through the builder — what
-    /// [`Session::into_pool`] rebuilds on every replica thread.
-    /// `None` for [`Session::from_backend`] sessions.
-    recipe: Option<(MacroProgram, BackendKind)>,
     stats: SessionStats,
 }
 
@@ -152,36 +126,8 @@ impl Session {
         Session {
             cfg,
             backend,
-            recipe: None,
             stats: SessionStats::default(),
         }
-    }
-
-    /// Converts this session into a [`ReplicaPool`] of
-    /// [`ServePolicy::replicas`] backends, each rebuilt from the
-    /// session's `(program, backend kind)` recipe on its own replica
-    /// thread. The recipe stays callable, so the pool can respawn a
-    /// replica whose backend panicked (up to the
-    /// [`RecoveryPolicy`](crate::pool::RecoveryPolicy) restart budget).
-    /// The statistics accumulated so far carry over and keep growing as
-    /// the pool serves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::QueueUnavailable`] for sessions made with
-    /// [`Session::from_backend`] — a caller-constructed backend cannot
-    /// be rebuilt on other threads; hand factories to
-    /// [`ReplicaPool::from_factories`] instead. Construction failures
-    /// of the rebuilt backends propagate as their own errors.
-    pub fn into_pool(self, policy: ServePolicy) -> Result<ReplicaPool, BackendError> {
-        let (program, kind) = self.recipe.ok_or_else(|| BackendError::QueueUnavailable {
-            reason: "session was built from a caller-constructed backend; \
-                     use ReplicaPool::from_factories"
-                .into(),
-        })?;
-        let pool = deploy(self.cfg, program, kind, policy)?;
-        pool.seed_stats(self.stats);
-        Ok(pool)
     }
 
     /// Runs one batch and folds its measurements into the session stats.
@@ -284,10 +230,6 @@ pub struct SessionStats {
     image_latencies: SampleSet,
     /// How long the pipeline has been open — the occupancy denominator.
     pipeline_uptime: Duration,
-    /// Result-cache counters carried over from stores that no longer
-    /// exist (a session converted into a pool) — history only,
-    /// residency gauges zeroed.
-    cache_baseline: CacheStats,
     /// Latest cumulative cache snapshot per live source (replica index
     /// for pools/queues/sessions, stage index for pipelines). Each slot
     /// is one distinct store's view; the aggregate sums them.
@@ -530,23 +472,6 @@ impl SessionStats {
         self.cache_slots[source].absorb_snapshot(snapshot);
     }
 
-    /// Retires the live cache slots into the baseline — called when the
-    /// stores that produced them are going away (a session converting
-    /// into a pool rebuilds its backend from the recipe): the
-    /// event counters are history worth carrying, but the residency
-    /// gauges die with the stores.
-    pub(crate) fn rebase_cache(&mut self) {
-        let folded = self
-            .cache_slots
-            .drain(..)
-            .fold(CacheStats::default(), |acc, s| acc.merged(s));
-        self.cache_baseline = self.cache_baseline.merged(CacheStats {
-            resident_entries: 0,
-            resident_bytes: 0,
-            ..folded
-        });
-    }
-
     /// Notes the pipeline shape at snapshot time; the uptime denominator
     /// only ever grows.
     pub(crate) fn note_pipeline(&mut self, uptime: Duration) {
@@ -682,51 +607,15 @@ impl SessionStats {
         self.pool_health
     }
 
-    /// The aggregate result-cache view: counters carried over from
-    /// retired stores plus the live per-source snapshots (each source —
-    /// a replica, or a pipeline stage — owns a distinct store, so they
-    /// sum). All zeros unless a
+    /// The aggregate result-cache view: the sum of the per-source
+    /// snapshots (each source — a replica, or a pipeline stage — owns a
+    /// distinct store). All zeros unless a
     /// [`CachedBackend`](crate::cache::CachedBackend) tier is deployed
     /// somewhere behind these stats.
     pub fn cache(&self) -> CacheStats {
         self.cache_slots
             .iter()
-            .fold(self.cache_baseline, |acc, s| acc.merged(*s))
-    }
-
-    /// Cache lookups answered from a result store.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache().hits
-    }
-
-    /// Cache lookups that fell through to an inner backend.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache().misses
-    }
-
-    /// Hits over lookups, `None` before the first lookup.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        self.cache().hit_rate()
-    }
-
-    /// Tokens elided by intra-batch deduplication.
-    pub fn cache_dedup(&self) -> u64 {
-        self.cache().dedup
-    }
-
-    /// Entries evicted to keep the configured cache bounds.
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache().evictions
-    }
-
-    /// Entries currently resident across every live store.
-    pub fn cache_resident_entries(&self) -> usize {
-        self.cache().resident_entries
-    }
-
-    /// Bytes currently resident across every live store.
-    pub fn cache_resident_bytes(&self) -> usize {
-        self.cache().resident_bytes
+            .fold(CacheStats::default(), |acc, s| acc.merged(*s))
     }
 
     /// Per-stage serving profiles, in stage order. Empty unless the
@@ -928,7 +817,6 @@ impl fmt::Display for SessionStats {
 mod tests {
     use super::*;
     use crate::backend::Fidelity;
-    use crate::queue::QueuePolicy;
 
     #[test]
     fn builder_requires_a_program() {
@@ -1327,90 +1215,15 @@ mod tests {
         let batch = TokenBatch::new(vec![repeated.clone(), repeated]).unwrap();
         s.run(&batch).unwrap();
         s.run(&batch).unwrap();
-        let stats = s.stats();
-        assert_eq!(stats.cache_misses(), 1, "one unique token computed once");
-        assert_eq!(stats.cache_dedup(), 1, "in-batch duplicate elided");
-        assert_eq!(stats.cache_hits(), 2, "second batch fully served");
-        assert!(stats.cache_hit_rate().unwrap() > 0.5);
-        assert!(stats.cache_resident_entries() == 1 && stats.cache_resident_bytes() > 0);
-        let text = stats.to_string();
+        let cache = s.stats().cache();
+        assert_eq!(cache.misses, 1, "one unique token computed once");
+        assert_eq!(cache.dedup, 1, "in-batch duplicate elided");
+        assert_eq!(cache.hits, 2, "second batch fully served");
+        assert!(cache.hit_rate().unwrap() > 0.5);
+        assert!(cache.resident_entries == 1 && cache.resident_bytes > 0);
+        let text = s.stats().to_string();
         assert!(text.contains("cache: 2 hits"), "{text}");
         // Uncached sessions stay silent about a cache.
         assert!(!SessionStats::default().to_string().contains("cache:"));
-    }
-
-    /// The PR-9 stats-gap satellite: percentile reservoirs *and* the
-    /// cache counters survive `Session::into_pool` carry-over (only the
-    /// queue-wait fields were covered before).
-    #[test]
-    fn reservoirs_and_cache_counters_survive_into_pool_carry_over() {
-        let cfg = MacroConfig::new(2, 2);
-        let program = MacroProgram::random(2, 2, 23);
-        let mut s = Session::builder(cfg)
-            .program(program.clone())
-            .backend(BackendKind::Cached {
-                cache: crate::cache::CacheConfig::default(),
-                inner: Box::new(BackendKind::Rtl {
-                    fidelity: Fidelity::Sequential,
-                }),
-            })
-            .build()
-            .unwrap();
-        let batch = TokenBatch::random(2, 2, 31);
-        s.run(&batch).unwrap(); // cold: measured latencies, 2 misses
-        s.run(&batch).unwrap(); // warm: 2 hits
-        let p50_before = s.stats().p50_token_latency().expect("RTL measured");
-        let hits_before = s.stats().cache_hits();
-        let misses_before = s.stats().cache_misses();
-        assert!(hits_before > 0 && misses_before > 0);
-
-        let pool = s.into_pool(crate::pool::ServePolicy::default()).unwrap();
-        // Carried over before any pool traffic…
-        let carried = pool.stats();
-        assert_eq!(carried.p50_token_latency(), Some(p50_before));
-        assert_eq!(carried.cache_hits(), hits_before);
-        assert_eq!(carried.cache_misses(), misses_before);
-        // …and still growing: the pool's replica builds a fresh (cold)
-        // store from the same recipe, so the same batch misses again —
-        // on top of the carried counters, never instead of them.
-        pool.submit(batch.clone()).unwrap().wait().unwrap();
-        pool.submit(batch).unwrap().wait().unwrap();
-        let after = pool.shutdown();
-        assert_eq!(after.cache_misses(), misses_before + 2);
-        assert_eq!(after.cache_hits(), hits_before + 2);
-        assert!(after.p50_token_latency().is_some());
-    }
-
-    /// As above for a one-replica pool with an explicit queue policy.
-    #[test]
-    fn reservoirs_and_cache_counters_survive_into_serving_carry_over() {
-        let cfg = MacroConfig::new(2, 2);
-        let program = MacroProgram::random(2, 2, 29);
-        let mut s = Session::builder(cfg)
-            .program(program)
-            .backend(BackendKind::Cached {
-                cache: crate::cache::CacheConfig::default(),
-                inner: Box::new(BackendKind::Rtl {
-                    fidelity: Fidelity::Sequential,
-                }),
-            })
-            .build()
-            .unwrap();
-        let batch = TokenBatch::random(2, 3, 37);
-        s.run(&batch).unwrap();
-        s.run(&batch).unwrap();
-        let p50_before = s.stats().p50_token_latency().expect("RTL measured");
-        let hits_before = s.stats().cache_hits();
-        let misses_before = s.stats().cache_misses();
-
-        let queue = s
-            .into_pool(ServePolicy::default().with_queue(QueuePolicy::default()))
-            .unwrap();
-        queue.submit(batch.clone()).unwrap().wait().unwrap();
-        queue.submit(batch).unwrap().wait().unwrap();
-        let after = queue.shutdown();
-        assert_eq!(after.p50_token_latency(), Some(p50_before));
-        assert_eq!(after.cache_misses(), misses_before + 3);
-        assert_eq!(after.cache_hits(), hits_before + 3);
     }
 }

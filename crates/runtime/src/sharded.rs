@@ -15,24 +15,26 @@
 //! not a total).
 //!
 //! Inner backends never cross threads: each is constructed *on* its
-//! worker, so backends that are not `Send` (the event-driven netlist)
-//! shard exactly like the pure-math ones. A *transient* shard failure
-//! (see [`BackendError::is_transient`]) is retried on that shard alone
-//! under the backend's [`RecoveryPolicy`] — the other shards' results
-//! are kept, not recomputed; only a fatal error, a dead worker, or an
-//! exhausted retry budget rejects the whole batch with a typed
-//! [`BackendError::Shard`]. No partial output ever escapes.
+//! worker from a [`ReplicaFactory`] recipe, so backends that are not
+//! `Send` (the event-driven netlist) shard exactly like the pure-math
+//! ones. Any shard failure rejects the whole batch once, as a typed
+//! [`BackendError::Shard`] — no partial output ever escapes, and this
+//! backend never retries. The wrapper is as transient as the shard's
+//! own error ([`BackendError::is_transient`]), so behind a
+//! [`ReplicaPool`](crate::pool::ReplicaPool) a flaky shard costs a
+//! re-run of the micro-batch under the pool's
+//! [`RecoveryPolicy`](crate::pool::RecoveryPolicy) — the serving
+//! stack's one retry loop.
 
-use crate::backend::{validate_program, BackendFactory, BackendKind, MacroBackend};
+use crate::backend::{validate_program, BackendKind, MacroBackend, ReplicaFactory};
 use crate::batch::{fold_all, BatchResult, Observations, TokenBatch};
 use crate::cache::CacheStats;
 use crate::error::BackendError;
 use crate::plan::ShardPlan;
-use crate::pool::RecoveryPolicy;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::MacroProgram;
 use maddpipe_tech::units::Seconds;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 /// What a shard worker sends back for one batch: its result, plus the
@@ -91,7 +93,6 @@ pub struct ShardedBackend {
     plan: ShardPlan,
     ns: usize,
     workers: Vec<Worker>,
-    recovery: RecoveryPolicy,
     /// Each shard's latest cache counters, as its worker last replied.
     cache: Vec<Option<CacheStats>>,
 }
@@ -123,18 +124,18 @@ impl ShardedBackend {
         }
         let subs = plan.split(program)?;
         let ns = program.ns();
-        let factories = subs
+        let recipes = subs
             .into_iter()
             .zip(kinds)
             .map(|(sub, kind)| {
                 let mut shard_cfg = cfg.clone();
                 shard_cfg.ndec = sub.ndec();
                 let kind = kind.clone();
-                let factory: BackendFactory = Box::new(move || kind.build(&shard_cfg, sub));
-                factory
+                let recipe: ReplicaFactory = Arc::new(move || kind.build(&shard_cfg, sub.clone()));
+                recipe
             })
             .collect();
-        ShardedBackend::from_factories(plan, ns, factories)
+        ShardedBackend::from_recipes(plan, ns, recipes)
     }
 
     /// [`ShardedBackend::new`] with an even [`ShardPlan`] over `cfg.ndec`
@@ -157,41 +158,41 @@ impl ShardedBackend {
         ShardedBackend::new(cfg, program, plan, &kinds)
     }
 
-    /// Spawns one worker per factory and waits until every shard's
-    /// backend is built. The factories run on their worker threads, so
-    /// they may build non-`Send` backends; each must produce a backend
+    /// Spawns one worker per recipe and waits until every shard's
+    /// backend is built. Each recipe runs once, on its worker thread, so
+    /// it may build a non-`Send` backend; each must produce a backend
     /// whose outputs-per-token width matches its plan range and whose
     /// stage count is `ns`.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError::InvalidShardPlan`] when the factory count
-    /// disagrees with the plan, [`BackendError::Shard`] when a factory
+    /// Returns [`BackendError::InvalidShardPlan`] when the recipe count
+    /// disagrees with the plan, [`BackendError::Shard`] when a recipe
     /// fails, and [`BackendError::ShardLost`] when a worker dies while
     /// constructing.
-    pub fn from_factories(
+    pub fn from_recipes(
         plan: ShardPlan,
         ns: usize,
-        factories: Vec<BackendFactory>,
+        recipes: Vec<ReplicaFactory>,
     ) -> Result<ShardedBackend, BackendError> {
-        if factories.len() != plan.shards() {
+        if recipes.len() != plan.shards() {
             return Err(BackendError::InvalidShardPlan {
                 reason: format!(
-                    "{} shard factories for {} shards",
-                    factories.len(),
+                    "{} shard recipes for {} shards",
+                    recipes.len(),
                     plan.shards()
                 ),
             });
         }
-        let mut workers = Vec::with_capacity(factories.len());
-        let mut readiness = Vec::with_capacity(factories.len());
-        for (shard, factory) in factories.into_iter().enumerate() {
+        let mut workers = Vec::with_capacity(recipes.len());
+        let mut readiness = Vec::with_capacity(recipes.len());
+        for (shard, recipe) in recipes.into_iter().enumerate() {
             let (job_tx, job_rx) = mpsc::channel::<Job>();
             let (ready_tx, ready_rx) = mpsc::channel::<Result<(), BackendError>>();
             let handle = std::thread::Builder::new()
                 .name(format!("maddpipe-shard-{shard}"))
                 .spawn(move || {
-                    let mut backend = match factory() {
+                    let mut backend = match recipe() {
                         Ok(backend) => {
                             let _ = ready_tx.send(Ok(()));
                             backend
@@ -230,21 +231,7 @@ impl ShardedBackend {
             plan,
             ns,
             workers,
-            recovery: RecoveryPolicy::default(),
         })
-    }
-
-    /// Sets the per-shard retry policy: a shard whose batch fails with a
-    /// transient error is re-asked up to `recovery.max_retries` times
-    /// with exponential backoff before the whole batch is rejected. The
-    /// `respawn` budget is not used here — shard workers own non-`Send`
-    /// backends built from one-shot factories, so a dead worker cannot
-    /// be rebuilt; replica-level respawn lives in
-    /// [`ReplicaPool`](crate::pool::ReplicaPool).
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> ShardedBackend {
-        self.recovery = recovery;
-        self
     }
 
     /// The partition this backend serves.
@@ -255,25 +242,6 @@ impl ShardedBackend {
     /// Pipeline stages every shard expects per token.
     pub fn ns(&self) -> usize {
         self.ns
-    }
-
-    /// Sends `batch` to shard `shard` and returns the reply channel.
-    fn dispatch(
-        &self,
-        shard: usize,
-        batch: &TokenBatch,
-    ) -> Result<mpsc::Receiver<Reply>, BackendError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let jobs = self.workers[shard]
-            .jobs
-            .as_ref()
-            .expect("sender lives as long as self");
-        jobs.send(Job {
-            batch: batch.clone(),
-            reply: reply_tx,
-        })
-        .map_err(|_| BackendError::ShardLost { shard })?;
-        Ok(reply_rx)
     }
 
     /// Receives shard `shard`'s reply, keeps its cache counters, and
@@ -322,38 +290,28 @@ impl ShardedBackend {
     }
 
     /// Fans `batch` out to every shard and collects the per-shard results
-    /// in plan order. A shard that fails *transiently* is re-asked under
-    /// the [`RecoveryPolicy`] — on its own, while its siblings' results
-    /// are kept — so one flaky shard no longer rejects work the others
-    /// finished. Fatal errors and dead workers ([`BackendError::ShardLost`]
-    /// — the job channel is gone, a resend cannot land) fail the batch;
-    /// first such failure wins (lowest shard index) and the rest are
-    /// discarded. Every shard gets a clone of the batch, which shares
-    /// its token buffer — the fan-out itself copies no token data.
+    /// in plan order. Any failure — a shard's error or a dead worker
+    /// ([`BackendError::ShardLost`]) — fails the batch; the first in
+    /// plan order wins and the rest are discarded. Every shard gets a
+    /// clone of the batch, which shares its token buffer — the fan-out
+    /// itself copies no token data.
     fn scatter_gather(&mut self, batch: &TokenBatch) -> Result<Vec<BatchResult>, BackendError> {
         let mut replies = Vec::with_capacity(self.workers.len());
-        for shard in 0..self.workers.len() {
-            replies.push(self.dispatch(shard, batch)?);
+        for (shard, worker) in self.workers.iter().enumerate() {
+            let (reply_tx, reply_rx) = mpsc::channel();
+            let jobs = worker.jobs.as_ref().expect("sender lives as long as self");
+            jobs.send(Job {
+                batch: batch.clone(),
+                reply: reply_tx,
+            })
+            .map_err(|_| BackendError::ShardLost { shard })?;
+            replies.push(reply_rx);
         }
-        let mut results = Vec::with_capacity(replies.len());
-        for (shard, reply) in replies.into_iter().enumerate() {
-            let mut attempts = 0u32;
-            let mut outcome = self.collect(shard, reply, batch);
-            while let Err(error) = &outcome {
-                let retryable =
-                    error.is_transient() && !matches!(error, BackendError::ShardLost { .. });
-                if !retryable || attempts >= self.recovery.max_retries {
-                    break;
-                }
-                std::thread::sleep(self.recovery.backoff_for(attempts));
-                attempts += 1;
-                outcome = self
-                    .dispatch(shard, batch)
-                    .and_then(|retry| self.collect(shard, retry, batch));
-            }
-            results.push(outcome?);
-        }
-        Ok(results)
+        replies
+            .into_iter()
+            .enumerate()
+            .map(|(shard, reply)| self.collect(shard, reply, batch))
+            .collect()
     }
 }
 
@@ -590,6 +548,24 @@ mod tests {
         }
     }
 
+    /// One recipe per shard of `plan`, shard `s` building
+    /// `build(s, its sub-program)`.
+    fn shard_recipes(
+        program: &MacroProgram,
+        plan: &ShardPlan,
+        build: impl Fn(usize, MacroProgram) -> Box<dyn MacroBackend> + Send + Sync + 'static,
+    ) -> Vec<ReplicaFactory> {
+        let build = Arc::new(build);
+        let subs = plan.split(program).unwrap();
+        subs.into_iter()
+            .enumerate()
+            .map(|(s, sub)| {
+                let build = Arc::clone(&build);
+                Arc::new(move || Ok(build(s, sub.clone()))) as ReplicaFactory
+            })
+            .collect()
+    }
+
     /// An inner backend that serves `ok_batches` batches, then fails with
     /// a typed error — the "one macro went down mid-serving" case.
     struct FlakyBackend {
@@ -614,146 +590,28 @@ mod tests {
         }
     }
 
-    /// An inner backend whose next `failures_left` batches fail
-    /// transiently, then recovers for good — the flaky-but-alive shard.
-    struct RecoveringBackend {
-        inner: FunctionalBackend,
-        failures_left: usize,
-        attempts: usize,
-    }
-
-    impl MacroBackend for RecoveringBackend {
-        fn name(&self) -> &'static str {
-            "recovering"
-        }
-        fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
-            self.attempts += 1;
-            if self.failures_left > 0 {
-                self.failures_left -= 1;
-                return Err(BackendError::Transient {
-                    reason: format!("flaky shard, failure {}", self.attempts),
-                });
-            }
-            self.inner.run_batch(batch)
-        }
-    }
-
-    #[test]
-    fn a_transiently_failing_shard_is_retried_alone_and_the_batch_succeeds() {
-        let (_, program, batch) = wide_setup(4, 2);
-        let plan = ShardPlan::even(4, 2).unwrap();
-        let subs = plan.split(&program).unwrap();
-        let wide_expect = FunctionalBackend::new(program.clone())
-            .run_batch(&batch)
-            .unwrap();
-        let mut factories: Vec<BackendFactory> = Vec::new();
-        for (s, sub) in subs.into_iter().enumerate() {
-            factories.push(Box::new(move || {
-                Ok(if s == 1 {
-                    Box::new(RecoveringBackend {
-                        inner: FunctionalBackend::new(sub),
-                        failures_left: 2,
-                        attempts: 0,
-                    })
-                } else {
-                    Box::new(FunctionalBackend::new(sub)) as Box<dyn MacroBackend>
-                })
-            }));
-        }
-        let mut sharded = ShardedBackend::from_factories(plan, 2, factories)
-            .unwrap()
-            .with_recovery(
-                RecoveryPolicy::default()
-                    .with_max_retries(2)
-                    .with_backoff(std::time::Duration::from_micros(50)),
-            );
-        // Shard 1 fails twice and succeeds on its third attempt — inside
-        // the budget, so the whole batch comes back bit-identical to the
-        // wide macro with no caller-visible error.
-        let got = sharded.run_batch(&batch).unwrap();
-        assert_eq!(got.outputs(), wide_expect.outputs());
-        // A second batch serves first-try: the shard has recovered.
-        assert_eq!(
-            sharded.run_batch(&batch).unwrap().outputs(),
-            wide_expect.outputs()
-        );
-    }
-
-    #[test]
-    fn an_exhausted_shard_retry_budget_surfaces_the_typed_error() {
-        let (_, program, batch) = wide_setup(4, 2);
-        let plan = ShardPlan::even(4, 2).unwrap();
-        let subs = plan.split(&program).unwrap();
-        let mut factories: Vec<BackendFactory> = Vec::new();
-        for (s, sub) in subs.into_iter().enumerate() {
-            factories.push(Box::new(move || {
-                Ok(if s == 0 {
-                    Box::new(RecoveringBackend {
-                        inner: FunctionalBackend::new(sub),
-                        failures_left: 5, // more than 1 + 2 retries
-                        attempts: 0,
-                    })
-                } else {
-                    Box::new(FunctionalBackend::new(sub)) as Box<dyn MacroBackend>
-                })
-            }));
-        }
-        let mut sharded = ShardedBackend::from_factories(plan, 2, factories)
-            .unwrap()
-            .with_recovery(
-                RecoveryPolicy::default()
-                    .with_max_retries(2)
-                    .with_backoff(std::time::Duration::from_micros(50)),
-            );
-        match sharded.run_batch(&batch).unwrap_err() {
-            BackendError::Shard { shard, source } => {
-                assert_eq!(shard, 0);
-                // The third and final attempt's error is the one surfaced.
-                assert_eq!(
-                    *source,
-                    BackendError::Transient {
-                        reason: "flaky shard, failure 3".into()
-                    }
-                );
-            }
-            other => panic!("expected a Shard error, got {other:?}"),
-        }
-        // Two more failures were budgeted away above; the shard now
-        // recovers and the next batch succeeds end to end.
-        let wide_expect = FunctionalBackend::new(program).run_batch(&batch).unwrap();
-        // 5 failures - 3 attempts = 2 left; one more run burns both
-        // (first try + first retry) and lands on attempt 6: success.
-        assert_eq!(
-            sharded.run_batch(&batch).unwrap().outputs(),
-            wide_expect.outputs()
-        );
-    }
-
     #[test]
     fn a_failing_shard_rejects_the_batch_without_partial_output() {
         let (_, program, batch) = wide_setup(4, 2);
         let plan = ShardPlan::even(4, 2).unwrap();
-        let subs = plan.split(&program).unwrap();
-        let mut factories: Vec<BackendFactory> = Vec::new();
-        for (s, sub) in subs.into_iter().enumerate() {
-            factories.push(Box::new(move || {
-                Ok(if s == 1 {
-                    Box::new(FlakyBackend {
-                        inner: FunctionalBackend::new(sub),
-                        ok_batches: 1,
-                        served: 0,
-                    })
-                } else {
-                    Box::new(FunctionalBackend::new(sub)) as Box<dyn MacroBackend>
+        let recipes = shard_recipes(&program, &plan, |s, sub| {
+            if s == 1 {
+                Box::new(FlakyBackend {
+                    inner: FunctionalBackend::new(sub),
+                    ok_batches: 1,
+                    served: 0,
                 })
-            }));
-        }
-        let mut sharded = ShardedBackend::from_factories(plan, 2, factories).unwrap();
+            } else {
+                Box::new(FunctionalBackend::new(sub))
+            }
+        });
+        let mut sharded = ShardedBackend::from_recipes(plan, 2, recipes).unwrap();
         // First batch: both shards healthy.
         let first = sharded.run_batch(&batch).unwrap();
         assert_eq!(first.tokens.len(), batch.len());
         // Second batch: shard 1 fails mid-serving — the whole batch is
-        // rejected as a typed error naming the shard, no partial result.
+        // rejected once, as a typed error naming the shard, with no
+        // partial result and no retry inside the backend.
         let err = sharded.run_batch(&batch).unwrap_err();
         match err {
             BackendError::Shard { shard, source } => {
@@ -793,25 +651,21 @@ mod tests {
         // no panic, no leaked thread still owning a netlist.
         let (_, program, batch) = wide_setup(4, 2);
         let plan = ShardPlan::even(4, 2).unwrap();
-        let subs = plan.split(&program).unwrap();
-        let mut factories: Vec<BackendFactory> = Vec::new();
-        for (s, sub) in subs.into_iter().enumerate() {
-            factories.push(Box::new(move || {
-                Ok(if s == 0 {
-                    Box::new(FlakyBackend {
-                        inner: FunctionalBackend::new(sub),
-                        ok_batches: 0,
-                        served: 0,
-                    })
-                } else {
-                    Box::new(SlowBackend {
-                        inner: FunctionalBackend::new(sub),
-                        delay: std::time::Duration::from_millis(150),
-                    }) as Box<dyn MacroBackend>
+        let recipes = shard_recipes(&program, &plan, |s, sub| {
+            if s == 0 {
+                Box::new(FlakyBackend {
+                    inner: FunctionalBackend::new(sub),
+                    ok_batches: 0,
+                    served: 0,
                 })
-            }));
-        }
-        let mut sharded = ShardedBackend::from_factories(plan, 2, factories).unwrap();
+            } else {
+                Box::new(SlowBackend {
+                    inner: FunctionalBackend::new(sub),
+                    delay: std::time::Duration::from_millis(150),
+                })
+            }
+        });
+        let mut sharded = ShardedBackend::from_recipes(plan, 2, recipes).unwrap();
         let err = sharded.run_batch(&batch).unwrap_err();
         assert!(
             matches!(err, BackendError::Shard { shard: 0, .. }),
@@ -833,21 +687,15 @@ mod tests {
     fn wrong_width_shards_are_a_typed_error_not_wrong_outputs() {
         let (_, program, batch) = wide_setup(4, 2);
         let plan = ShardPlan::even(4, 2).unwrap();
-        let subs = plan.split(&program).unwrap();
         // Shard 1 mistakenly runs the *wide* program: right token count,
         // wrong output width. The contract check must catch it instead of
         // stitching a 6-wide result.
         let wide_program = program.clone();
-        let factories: Vec<BackendFactory> = vec![
-            Box::new({
-                let sub = subs[0].clone();
-                move || Ok(Box::new(FunctionalBackend::new(sub)) as Box<dyn MacroBackend>)
-            }),
-            Box::new(move || {
-                Ok(Box::new(FunctionalBackend::new(wide_program)) as Box<dyn MacroBackend>)
-            }),
-        ];
-        let mut sharded = ShardedBackend::from_factories(plan, 2, factories).unwrap();
+        let recipes = shard_recipes(&program, &plan, move |s, sub| {
+            let program = if s == 1 { wide_program.clone() } else { sub };
+            Box::new(FunctionalBackend::new(program))
+        });
+        let mut sharded = ShardedBackend::from_recipes(plan, 2, recipes).unwrap();
         match sharded.run_batch(&batch).unwrap_err() {
             BackendError::Shard { shard, source } => {
                 assert_eq!(shard, 1);
@@ -882,12 +730,9 @@ mod tests {
             ),
             Err(BackendError::ProgramMismatch { .. })
         ));
-        // A factory that fails reports which shard could not come up.
-        let failing: Vec<BackendFactory> = vec![
-            Box::new(|| Err(BackendError::MissingProgram)),
-            Box::new(|| Err(BackendError::MissingProgram)),
-        ];
-        match ShardedBackend::from_factories(plan, 2, failing).unwrap_err() {
+        // A recipe that fails reports which shard could not come up.
+        let failing: ReplicaFactory = Arc::new(|| Err(BackendError::MissingProgram));
+        match ShardedBackend::from_recipes(plan, 2, vec![failing; 2]).unwrap_err() {
             BackendError::Shard { shard, source } => {
                 assert_eq!(shard, 0);
                 assert_eq!(*source, BackendError::MissingProgram);

@@ -7,8 +7,8 @@
 //! request resolves through its own ticket. This example walks that
 //! path end to end:
 //!
-//! 1. build a flagship-shaped `Session` and convert it into a
-//!    one-replica `ReplicaPool` — a serving queue — with `into_pool`,
+//! 1. build a flagship-shaped one-replica `ReplicaPool` — a serving
+//!    queue — with `SessionBuilder::into_pool`,
 //! 2. hammer it from several client threads and read the queue-side
 //!    statistics (wait percentiles, coalesced micro-batch sizes, peak
 //!    backlog) off the shared `SessionStats`,
@@ -29,11 +29,9 @@ fn main() {
     // ── 1. A session builder becomes a serving queue ───────────────────
     // The pool's replica thread builds the backend from the SessionBuilder's
     // (program, kind) recipe, so even non-Send backends (netlists) can
-    // serve. (A running `Session` converts too, with
-    // `Session::into_pool`, carrying its stats along.) The policy
-    // bounds micro-batches at 128 tokens, lingers up to 200 µs to let
-    // them fill, and holds at most 256 unresolved requests before
-    // pushing back.
+    // serve. The policy bounds micro-batches at 128 tokens, lingers up
+    // to 200 µs to let them fill, and holds at most 256 unresolved
+    // requests before pushing back.
     let cfg = MacroConfig::paper_flagship();
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 42);
     let policy = QueuePolicy::default()

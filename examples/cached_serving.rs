@@ -81,14 +81,14 @@ fn main() {
     let warm = cached.run(&batch).expect("batch completes");
     let warm_wall = t0.elapsed();
     assert_eq!(warm.tokens.len(), batch.len());
-    let stats = cached.stats();
+    let stats = cached.stats().cache();
     println!(
         "cached:   fill {fill_wall:?}, warm replay {warm_wall:?} \
          (hit-rate {:.1}%, {} deduped, {} entries / {} bytes resident)",
-        stats.cache_hit_rate().unwrap_or(0.0) * 100.0,
-        stats.cache_dedup(),
-        stats.cache_resident_entries(),
-        stats.cache_resident_bytes(),
+        stats.hit_rate().unwrap_or(0.0) * 100.0,
+        stats.dedup,
+        stats.resident_entries,
+        stats.resident_bytes,
     );
 
     // 3. The same recipe serves from a pool: every replica builds the
@@ -112,8 +112,8 @@ fn main() {
     println!(
         "pool:     {} tokens, {} hits / {} misses across 2 replica stores",
         pool_stats.tokens(),
-        pool_stats.cache_hits(),
-        pool_stats.cache_misses(),
+        pool_stats.cache().hits,
+        pool_stats.cache().misses,
     );
 
     // 4. Bound the store hard and the cache degrades gracefully:
@@ -132,10 +132,9 @@ fn main() {
         cold.tokens.iter().map(|t| t.outputs).collect::<Vec<_>>(),
         "eviction churn never changes outputs"
     );
-    let tiny_stats = tiny.stats();
+    let tiny_stats = tiny.stats().cache();
     println!(
         "tiny:     max 4 entries -> {} evictions, {} resident, still bit-identical",
-        tiny_stats.cache_evictions(),
-        tiny_stats.cache_resident_entries(),
+        tiny_stats.evictions, tiny_stats.resident_entries,
     );
 }

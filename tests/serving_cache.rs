@@ -111,13 +111,14 @@ fn cached_functional_pool_is_bit_identical_with_real_hits() {
     );
     // 320 token instances over a 6-token alphabet: the stores must be
     // doing real work, whichever way the micro-batches coalesced.
-    assert!(stats.cache_misses() > 0, "cold start computes");
+    let cache = stats.cache();
+    assert!(cache.misses > 0, "cold start computes");
     assert!(
-        stats.cache_hits() + stats.cache_dedup() > 0,
+        cache.hits + cache.dedup > 0,
         "repeats must be elided: {stats}"
     );
-    assert!(stats.cache_hit_rate().is_some());
-    assert!(stats.cache_resident_entries() > 0 && stats.cache_resident_bytes() > 0);
+    assert!(cache.hit_rate().is_some());
+    assert!(cache.resident_entries > 0 && cache.resident_bytes > 0);
 }
 
 #[test]
@@ -133,7 +134,8 @@ fn cached_rtl_pool_is_bit_identical() {
         2,
         2,
     );
-    assert!(stats.cache_misses() > 0 && stats.cache_hits() + stats.cache_dedup() > 0);
+    let cache = stats.cache();
+    assert!(cache.misses > 0 && cache.hits + cache.dedup > 0);
 }
 
 #[test]
@@ -151,7 +153,8 @@ fn cached_sharded_pool_is_bit_identical() {
         4,
         2,
     );
-    assert!(stats.cache_misses() > 0 && stats.cache_hits() + stats.cache_dedup() > 0);
+    let cache = stats.cache();
+    assert!(cache.misses > 0 && cache.hits + cache.dedup > 0);
 }
 
 #[test]
@@ -171,7 +174,8 @@ fn per_shard_cached_pool_is_bit_identical() {
         4,
         2,
     );
-    assert!(stats.cache_misses() > 0 && stats.cache_hits() + stats.cache_dedup() > 0);
+    let cache = stats.cache();
+    assert!(cache.misses > 0 && cache.hits + cache.dedup > 0);
 }
 
 #[test]
@@ -199,9 +203,9 @@ fn high_duplication_stream_forces_dedup() {
     for obs in &reply.result.tokens {
         assert_eq!(obs.outputs, program.reference_output(&token));
     }
-    let stats = pool.shutdown();
-    assert_eq!(stats.cache_misses(), 1, "computed exactly once");
-    assert_eq!(stats.cache_dedup(), 7, "seven duplicates fanned out");
+    let cache = pool.shutdown().cache();
+    assert_eq!(cache.misses, 1, "computed exactly once");
+    assert_eq!(cache.dedup, 7, "seven duplicates fanned out");
 }
 
 #[test]
@@ -217,14 +221,9 @@ fn capacity_one_store_churns_but_stays_bit_identical() {
         2,
         2,
     );
-    assert!(
-        stats.cache_evictions() > 0,
-        "eviction churn expected: {stats}"
-    );
-    assert!(
-        stats.cache_resident_entries() <= 2,
-        "one entry per replica store"
-    );
+    let cache = stats.cache();
+    assert!(cache.evictions > 0, "eviction churn expected: {stats}");
+    assert!(cache.resident_entries <= 2, "one entry per replica store");
 }
 
 proptest! {

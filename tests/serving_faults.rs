@@ -12,6 +12,7 @@
 //! 7 otherwise; every fault schedule is a pure function of it.
 
 use maddpipe::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -166,11 +167,11 @@ fn an_eight_client_workload_survives_faults_bit_identical() {
 
 #[test]
 fn a_mid_service_panic_leaves_survivors_draining_the_backlog() {
-    // Satellite: a replica crashes *mid-service* while other riders are
-    // queued behind it. The crash must cost nothing but a retry — the
+    // A replica crashes *mid-service* while other riders are queued
+    // behind it. The crash must cost nothing but a retry — the
     // surviving replica drains the whole backlog, the dead one is
-    // quarantined (factory pools cannot respawn), and the pool stays
-    // open on the survivor.
+    // quarantined (no respawn budget), and the pool stays open on the
+    // survivor.
     let cfg = MacroConfig::new(2, 2);
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 31);
     let ns = cfg.ns;
@@ -180,16 +181,10 @@ fn a_mid_service_panic_leaves_survivors_draining_the_backlog() {
     let chaos = ChaosConfig::default()
         .with_seed(chaos_seed())
         .with_panic_on_call(0);
-    let factories = (0..2)
-        .map(|_| {
-            let program = program.clone();
-            let inner: BackendFactory = Box::new(move || {
-                BackendKind::Functional { workers: 1 }.build(&MacroConfig::new(2, 2), program)
-            });
-            wrap_factory(inner, chaos, Arc::clone(&state))
-        })
+    let recipes = (0..2)
+        .map(|_| wrap_recipe(functional_recipe(&cfg, &program), chaos, Arc::clone(&state)))
         .collect();
-    let pool = ReplicaPool::from_factories(
+    let pool = ReplicaPool::from_recipes(
         ServePolicy::default()
             .with_replicas(2)
             .with_queue(
@@ -201,10 +196,11 @@ fn a_mid_service_panic_leaves_survivors_draining_the_backlog() {
             .with_recovery(
                 RecoveryPolicy::default()
                     .with_max_retries(3)
-                    .with_backoff(Duration::from_micros(50)),
+                    .with_backoff(Duration::from_micros(50))
+                    .with_respawn(0),
             ),
         ns,
-        factories,
+        recipes,
     )
     .expect("pool comes up");
 
@@ -231,7 +227,7 @@ fn a_mid_service_panic_leaves_survivors_draining_the_backlog() {
     let health = pool.health();
     assert_eq!(health.healthy, 1, "{health:?}");
     assert_eq!(health.quarantined, 1, "{health:?}");
-    assert_eq!(health.restarts, 0, "factory replicas cannot respawn");
+    assert_eq!(health.restarts, 0, "a zero respawn budget never rebuilds");
     pool.submit(client_batch(ns, 1, 99))
         .expect("one healthy replica keeps the pool open")
         .wait()
@@ -363,10 +359,8 @@ fn transient_inner_faults_never_poison_the_cached_tier() {
     }
     let stats = pool.shutdown();
     assert!(stats.retries() >= 1, "the 30% transient rate fired");
-    assert!(
-        stats.cache_misses() > 0 && stats.cache_hits() > 0,
-        "{stats}"
-    );
+    let cache = stats.cache();
+    assert!(cache.misses > 0 && cache.hits > 0, "{stats}");
 
     // The store itself stayed coherent through every aborted insert.
     {
@@ -487,8 +481,9 @@ fn a_forced_crash_respawns_onto_the_same_warm_store() {
 
     let stats = pool.shutdown();
     assert!(stats.pool_health().restarts >= 1);
+    let cache = stats.cache();
     assert!(
-        stats.cache_hits() > 0 && stats.cache_misses() > 0,
+        cache.hits > 0 && cache.misses > 0,
         "the store stayed warm across the respawn: {stats}"
     );
     // With 5 distinct tokens ever submitted, the store computed each at
@@ -547,4 +542,165 @@ fn latency_spikes_delay_but_never_change_results() {
             restarts: 0,
         }
     );
+}
+
+/// A shard backend whose next `failures_left` batches fail transiently,
+/// then recovers for good — the flaky-but-alive shard. `calls` counts
+/// every batch it is asked to run.
+struct RecoveringBackend {
+    inner: FunctionalBackend,
+    failures_left: usize,
+    calls: Arc<AtomicUsize>,
+}
+
+impl MacroBackend for RecoveringBackend {
+    fn name(&self) -> &'static str {
+        "recovering"
+    }
+    fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
+        let attempt = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.failures_left > 0 {
+            self.failures_left -= 1;
+            return Err(BackendError::Transient {
+                reason: format!("flaky shard, failure {attempt}"),
+            });
+        }
+        self.inner.run_batch(batch)
+    }
+}
+
+/// A one-replica pool whose backend shards a 4-chain program over two
+/// shards: shard `flaky` is a `RecoveringBackend` that fails its first
+/// `failures` batches, the other a plain functional shard. Returns the
+/// pool, the wide program, and the per-shard call counters.
+fn pool_with_a_flaky_shard(
+    flaky: usize,
+    failures: usize,
+    recovery: RecoveryPolicy,
+) -> (ReplicaPool, MacroProgram, [Arc<AtomicUsize>; 2]) {
+    let program = MacroProgram::random(4, 2, 31);
+    let plan = ShardPlan::even(4, 2).expect("4 chains over 2 shards");
+    let calls = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+    let shard_recipes: Vec<ReplicaFactory> = plan
+        .split(&program)
+        .expect("the plan covers the program")
+        .into_iter()
+        .enumerate()
+        .map(|(s, sub)| {
+            let calls = Arc::clone(&calls[s]);
+            let recipe: ReplicaFactory = Arc::new(move || {
+                Ok(Box::new(RecoveringBackend {
+                    inner: FunctionalBackend::new(sub.clone()),
+                    failures_left: if s == flaky { failures } else { 0 },
+                    calls: Arc::clone(&calls),
+                }))
+            });
+            recipe
+        })
+        .collect();
+    let recipe: ReplicaFactory = Arc::new(move || {
+        let sharded = ShardedBackend::from_recipes(plan.clone(), 2, shard_recipes.clone())?;
+        Ok(Box::new(sharded))
+    });
+    let pool = ReplicaPool::from_recipes(
+        ServePolicy::default()
+            .with_queue(QueuePolicy::default().with_max_linger(Duration::ZERO))
+            .with_recovery(recovery),
+        2,
+        vec![recipe],
+    )
+    .expect("pool comes up");
+    (pool, program, calls)
+}
+
+/// The pool's retry budget at 2, with a short backoff.
+fn two_retries() -> RecoveryPolicy {
+    RecoveryPolicy::default()
+        .with_max_retries(2)
+        .with_backoff(Duration::from_micros(50))
+}
+
+#[test]
+fn a_transiently_failing_shard_is_retried_by_the_pool_and_the_request_succeeds() {
+    // Shard 1 fails twice and succeeds on its third attempt. The
+    // sharded backend surfaces each failure once; the pool re-runs the
+    // micro-batch inside its budget, so the reply is bit-identical to
+    // the wide macro with no caller-visible error.
+    let (pool, program, _) = pool_with_a_flaky_shard(1, 2, two_retries());
+    let batch = TokenBatch::random(2, 5, 17);
+    let wide = FunctionalBackend::new(program)
+        .run_batch(&batch)
+        .expect("the wide macro serves");
+    let reply = pool.submit(batch.clone()).expect("accepted").wait();
+    assert_eq!(
+        reply.expect("retried to success").result.outputs(),
+        wide.outputs()
+    );
+    // A second request serves first-try: the shard has recovered.
+    let again = pool.submit(batch).expect("accepted").wait();
+    assert_eq!(again.expect("served").result.outputs(), wide.outputs());
+    let stats = pool.shutdown();
+    assert_eq!(stats.retries(), 2, "two shard failures, two pool retries");
+}
+
+#[test]
+fn an_exhausted_pool_retry_budget_surfaces_the_typed_shard_error() {
+    // Shard 0 fails 5 times, more than 1 + 2 attempts: the ticket
+    // resolves with the third attempt's error, wrapped once.
+    let (pool, program, _) = pool_with_a_flaky_shard(0, 5, two_retries());
+    let batch = TokenBatch::random(2, 5, 17);
+    let err = pool
+        .submit(batch.clone())
+        .expect("accepted")
+        .wait()
+        .expect_err("the budget exhausts");
+    assert_eq!(
+        err,
+        BackendError::Shard {
+            shard: 0,
+            source: Box::new(BackendError::Transient {
+                reason: "flaky shard, failure 3".into()
+            }),
+        }
+    );
+    // Two failures are left: the next request burns both (first try and
+    // first retry) and lands on attempt 6, inside its own budget.
+    let wide = FunctionalBackend::new(program)
+        .run_batch(&batch)
+        .expect("the wide macro serves");
+    let reply = pool.submit(batch).expect("accepted").wait();
+    assert_eq!(reply.expect("recovered").result.outputs(), wide.outputs());
+    pool.shutdown();
+}
+
+#[test]
+fn an_always_failing_shard_runs_once_per_pool_attempt() {
+    // One retry loop: under the default policy (2 retries) a shard that
+    // always fails transiently runs exactly 1 + 2 times per request —
+    // the sharded backend never retries underneath the pool.
+    let (pool, _, calls) = pool_with_a_flaky_shard(1, usize::MAX, RecoveryPolicy::default());
+    for request in 1..=2 {
+        let err = pool
+            .submit(TokenBatch::random(2, 3, request as u64))
+            .expect("accepted")
+            .wait()
+            .expect_err("the shard never recovers");
+        assert!(
+            matches!(err, BackendError::Shard { shard: 1, .. }),
+            "{err:?}"
+        );
+        assert!(err.is_transient());
+        assert_eq!(
+            calls[1].load(Ordering::SeqCst),
+            3 * request,
+            "failing shard"
+        );
+        assert_eq!(
+            calls[0].load(Ordering::SeqCst),
+            3 * request,
+            "healthy shard"
+        );
+    }
+    let stats = pool.shutdown();
+    assert_eq!(stats.retries(), 4, "two pool retries per request");
 }

@@ -11,7 +11,7 @@
 //! micro-batch instead of waiting out the policy linger.
 
 use maddpipe::prelude::*;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const CLIENTS: usize = 8;
@@ -199,14 +199,18 @@ fn gated_pool(
     let program = MacroProgram::random(2, ns, 5);
     let (started_tx, started_rx) = mpsc::channel();
     let (gate_tx, gate_rx) = mpsc::channel();
-    let factory: BackendFactory = Box::new(move || {
+    // The channels are taken once: the one replica never panics, so
+    // its recipe is never called again.
+    let channels = Mutex::new(Some((started_tx, gate_rx)));
+    let recipe: ReplicaFactory = Arc::new(move || {
+        let (started, gate) = channels.lock().unwrap().take().expect("built once");
         Ok(Box::new(GatedBackend {
-            inner: FunctionalBackend::new(program),
-            started: started_tx,
-            gate: gate_rx,
+            inner: FunctionalBackend::new(program.clone()),
+            started,
+            gate,
         }))
     });
-    let pool = ReplicaPool::from_factories(policy, ns, vec![factory]).expect("pool comes up");
+    let pool = ReplicaPool::from_recipes(policy, ns, vec![recipe]).expect("pool comes up");
     (pool, started_rx, gate_tx)
 }
 
@@ -329,20 +333,15 @@ fn a_pool_whose_every_replica_panics_closes_with_typed_errors() {
             panic!("backend bug");
         }
     }
-    let factories: Vec<BackendFactory> = (0..2)
-        .map(|_| {
-            let f: BackendFactory = Box::new(|| Ok(Box::new(PanickingBackend)));
-            f
-        })
-        .collect();
-    let pool = ReplicaPool::from_factories(ServePolicy::default().with_replicas(2), 2, factories)
-        .expect("comes up");
+    let recipe: ReplicaFactory = Arc::new(|| Ok(Box::new(PanickingBackend)));
+    // No respawn budget, so each panic quarantines for good.
+    let policy = ServePolicy::default().with_recovery(RecoveryPolicy::default().with_respawn(0));
+    let pool = ReplicaPool::from_recipes(policy, 2, vec![recipe; 2]).expect("comes up");
     let ticket = pool.submit(TokenBatch::random(2, 2, 1)).expect("accepted");
-    // Factory-built replicas have no rebuild recipe, so each panic
-    // quarantines for good; when *both* replicas are gone the pool
-    // closes and every unresolved ticket answers typed — never hangs.
-    // (A single panic among healthy siblings no longer closes anything;
-    // that path is pinned in tests/serving_faults.rs.)
+    // When *both* replicas are gone the pool closes and every
+    // unresolved ticket answers typed — never hangs. (A single panic
+    // among healthy siblings closes nothing; that path is pinned in
+    // tests/serving_faults.rs.)
     assert_eq!(ticket.wait().unwrap_err(), BackendError::QueueClosed);
     let err = loop {
         match pool.submit(TokenBatch::random(2, 2, 2)) {
@@ -356,35 +355,31 @@ fn a_pool_whose_every_replica_panics_closes_with_typed_errors() {
 }
 
 #[test]
-fn into_pool_carries_session_stats_and_rejects_foreign_backends() {
-    let cfg = MacroConfig::new(2, 2);
+fn pools_build_from_the_session_builder_and_reject_empty_recipe_lists() {
     let program = MacroProgram::random(2, 2, 4);
-    // A session that already ran batches directly...
-    let mut session = Session::builder(cfg.clone())
-        .program(program.clone())
-        .build()
-        .expect("program fits");
-    session.run(&TokenBatch::random(2, 5, 1)).expect("runs");
-    // ...keeps those measurements when it becomes a pool.
-    let pool = session
+    // The builder is the one door from a program to a pool: every
+    // replica builds its backend from the same recipe, and the pool's
+    // stats count its own traffic only.
+    let pool = Session::builder(MacroConfig::new(2, 2))
+        .program(program)
         .into_pool(ServePolicy::default().with_replicas(2))
         .expect("pool comes up");
-    assert_eq!(pool.stats().tokens(), 5);
     assert_eq!(pool.policy().replicas, 2);
+    assert_eq!(pool.health().healthy, 2);
+    assert_eq!(pool.stats().tokens(), 0);
     pool.submit(TokenBatch::random(2, 3, 2))
         .expect("accepted")
         .wait()
         .expect("served");
     let stats = pool.shutdown();
-    assert_eq!(stats.tokens(), 8, "direct + pooled batches accumulate");
+    assert_eq!(stats.tokens(), 3);
     assert_eq!(stats.queued_requests(), 1);
 
-    // A session wrapping a caller-constructed backend has no recipe to
-    // rebuild on replica threads: typed error, not a panic.
-    let foreign = Session::from_backend(cfg, Box::new(FunctionalBackend::new(program)));
-    match foreign.into_pool(ServePolicy::default()) {
+    // With no recipe there is no replica to serve on: typed error, not
+    // a panic.
+    match ReplicaPool::from_recipes(ServePolicy::default(), 2, Vec::new()) {
         Err(BackendError::QueueUnavailable { reason }) => {
-            assert!(reason.contains("from_factories"), "{reason}");
+            assert!(reason.contains("recipe"), "{reason}");
         }
         other => panic!("expected QueueUnavailable, got {other:?}"),
     }

@@ -18,7 +18,7 @@
 //! per-token cost.
 
 use maddpipe::prelude::*;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const CLIENTS: usize = 8;
@@ -58,8 +58,6 @@ fn stress_bit_identical(kind: BackendKind, ndec: usize, ns: usize) {
     let queue = Session::builder(cfg)
         .program(program)
         .backend(kind)
-        .build()
-        .expect("program fits")
         .into_pool(
             ServePolicy::default().with_queue(
                 QueuePolicy::default()
@@ -186,17 +184,21 @@ fn gated_queue(
     let (started_tx, started_rx) = mpsc::channel();
     let (gate_tx, gate_rx) = mpsc::channel();
     let inner = program.clone();
-    let factory: BackendFactory = Box::new(move || {
+    // The channels are taken once: the backend never panics, so its
+    // recipe is never called again.
+    let channels = Mutex::new(Some((started_tx, gate_rx)));
+    let recipe: ReplicaFactory = Arc::new(move || {
+        let (started, gate) = channels.lock().unwrap().take().expect("built once");
         Ok(Box::new(GatedBackend {
-            inner: FunctionalBackend::new(inner),
-            started: started_tx,
-            gate: gate_rx,
+            inner: FunctionalBackend::new(inner.clone()),
+            started,
+            gate,
             served: 0,
             fail_from,
         }))
     });
     let queue =
-        ReplicaPool::from_factories(ServePolicy::default().with_queue(policy), ns, vec![factory])
+        ReplicaPool::from_recipes(ServePolicy::default().with_queue(policy), ns, vec![recipe])
             .expect("queue comes up");
     (queue, started_rx, gate_tx, program)
 }
@@ -507,8 +509,6 @@ fn shutdown_resolves_in_flight_tickets_instead_of_leaking_them() {
     let program = MacroProgram::random(2, 2, 9);
     let queue = Session::builder(cfg)
         .program(program.clone())
-        .build()
-        .expect("program fits")
         .into_pool(
             ServePolicy::default().with_queue(
                 QueuePolicy::default()
@@ -563,9 +563,10 @@ fn a_panicking_backend_closes_the_queue_and_fails_tickets_typed() {
             panic!("backend bug");
         }
     }
-    let factory: BackendFactory = Box::new(|| Ok(Box::new(PanickingBackend)));
-    let queue =
-        ReplicaPool::from_factories(ServePolicy::default(), 2, vec![factory]).expect("comes up");
+    let recipe: ReplicaFactory = Arc::new(|| Ok(Box::new(PanickingBackend)));
+    // No respawn budget: the first panic quarantines the one replica.
+    let policy = ServePolicy::default().with_recovery(RecoveryPolicy::default().with_respawn(0));
+    let queue = ReplicaPool::from_recipes(policy, 2, vec![recipe]).expect("comes up");
     let ticket = queue.submit(TokenBatch::random(2, 2, 1)).expect("accepted");
     // The dispatcher unwinds; the ticket must resolve (typed), never hang.
     assert_eq!(ticket.wait().unwrap_err(), BackendError::QueueClosed);
@@ -638,36 +639,30 @@ fn an_unbounded_linger_dispatches_on_full_batches_and_on_close() {
 }
 
 #[test]
-fn into_pool_carries_session_stats_and_rejects_foreign_backends() {
-    let cfg = MacroConfig::new(2, 2);
+fn queues_build_from_the_session_builder_and_reject_empty_recipe_lists() {
     let program = MacroProgram::random(2, 2, 4);
-    // A session that already ran batches directly...
-    let mut session = Session::builder(cfg.clone())
-        .program(program.clone())
-        .build()
-        .expect("program fits");
-    session.run(&TokenBatch::random(2, 5, 1)).expect("runs");
-    assert_eq!(session.stats().tokens(), 5);
-    // ...keeps those measurements when it becomes a queue.
-    let queue = session
+    // A queue is a one-replica pool out of the same builder door; its
+    // stats count its own traffic only.
+    let queue = Session::builder(MacroConfig::new(2, 2))
+        .program(program)
         .into_pool(ServePolicy::default().with_queue(QueuePolicy::default()))
         .expect("queue comes up");
-    assert_eq!(queue.stats().tokens(), 5);
+    assert_eq!(queue.policy().replicas, 1);
+    assert_eq!(queue.stats().tokens(), 0);
     queue
         .submit(TokenBatch::random(2, 3, 2))
         .expect("accepted")
         .wait()
         .expect("served");
     let stats = queue.shutdown();
-    assert_eq!(stats.tokens(), 8, "direct + queued batches accumulate");
+    assert_eq!(stats.tokens(), 3);
     assert_eq!(stats.queued_requests(), 1);
 
-    // A session wrapping a caller-constructed backend has no recipe to
-    // rebuild on the replica thread: typed error, not a panic.
-    let foreign = Session::from_backend(cfg, Box::new(FunctionalBackend::new(program)));
-    match foreign.into_pool(ServePolicy::default().with_queue(QueuePolicy::default())) {
+    // With no recipe there is no replica to serve on: typed error, not
+    // a panic.
+    match ReplicaPool::from_recipes(ServePolicy::default(), 2, Vec::new()) {
         Err(BackendError::QueueUnavailable { reason }) => {
-            assert!(reason.contains("from_factories"), "{reason}");
+            assert!(reason.contains("recipe"), "{reason}");
         }
         other => panic!("expected QueueUnavailable, got {other:?}"),
     }
