@@ -180,8 +180,9 @@ fn functional_tokens_per_sec(workers: usize) -> f64 {
 
 /// Sharded-backend throughput on a wide layer (64 decoder chains = 4×
 /// the flagship macro width) split across `shards` functional macro
-/// instances — the shard-scaling row of the snapshot. Like the
-/// functional thread scaling, interpret against `host_cpus`.
+/// instances. The shards run one after another on the calling thread,
+/// so the row measures the cost of splitting and reassembling, not
+/// parallel speedup: more shards never use more cores.
 fn sharded_tokens_per_sec(shards: usize) -> f64 {
     let cfg = MacroConfig::new(64, MacroConfig::paper_flagship().ns);
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 7);

@@ -17,11 +17,11 @@ use maddpipe_core::config::{MacroConfig, LEVELS};
 use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
 use std::sync::Arc;
 
-/// The one backend-constructor type: a rebuildable recipe that shard
-/// workers, pool replicas and pipeline stages call on the thread that
-/// will own the backend — which is what lets non-`Send` backends (the
-/// event-driven netlist) serve anywhere. A pool calls it again to
-/// respawn a replica whose backend panicked.
+/// The one backend-constructor type: a rebuildable recipe that pool
+/// replicas and pipeline stages call on the thread that will own the
+/// backend — which is what lets non-`Send` backends (the event-driven
+/// netlist) serve anywhere. A pool calls it again to respawn a replica
+/// whose backend panicked.
 pub type ReplicaFactory =
     Arc<dyn Fn() -> Result<Box<dyn MacroBackend>, BackendError> + Send + Sync>;
 
@@ -78,10 +78,12 @@ pub enum BackendKind {
     /// The closed-form PPA model with data-dependent encoder timing — the
     /// planning backend.
     Analytic,
-    /// `shards` macro instances serving one wide program in parallel, each
-    /// owning a contiguous slice of the decoder chains (an even
-    /// [`ShardPlan`](crate::plan::ShardPlan) over `cfg.ndec`) and running
-    /// `inner` on its own worker thread — the serving-scale backend.
+    /// `shards` macro instances serving one wide program, each owning a
+    /// contiguous slice of the decoder chains (an even
+    /// [`ShardPlan`](crate::plan::ShardPlan) over `cfg.ndec`) and its own
+    /// `inner` backend; the shards run in plan order on the owning
+    /// thread, and latency and energy aggregate as if they ran in
+    /// parallel — the serving-scale backend.
     Sharded {
         /// Macro instances the decoder chains are partitioned across.
         shards: usize,
@@ -110,8 +112,8 @@ impl Default for BackendKind {
 impl BackendKind {
     /// Validates `program` against `cfg` and constructs the backend this
     /// recipe describes — the one construction path shared by sessions,
-    /// shard workers, pool replicas and pipeline stages (the last three
-    /// reach it through a [`ReplicaFactory`]).
+    /// shards, pool replicas and pipeline stages (the last two reach it
+    /// through a [`ReplicaFactory`]).
     ///
     /// # Errors
     ///

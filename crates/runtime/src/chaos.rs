@@ -24,12 +24,14 @@
 //! can pin exact recovery behaviour across seeds.
 //!
 //! Chaos enters a deployment the way every backend does, through a
-//! [`ReplicaFactory`]: [`wrap_recipe`] wraps a pool's or a shard's
-//! recipe, and [`MacroStage::map_recipe`](crate::pipeline::MacroStage::map_recipe)
-//! applies it to a pipeline stage. Whatever layer a fault is injected
-//! at, it is absorbed in one place — the pool's
-//! [`RecoveryPolicy`](crate::pool::RecoveryPolicy); a faulty shard
-//! surfaces its error once, wrapped in [`BackendError::Shard`].
+//! [`ReplicaFactory`]: [`wrap_recipe`] wraps a pool replica's recipe,
+//! and [`MacroStage::map_recipe`](crate::pipeline::MacroStage::map_recipe)
+//! applies it to a pipeline stage. A shard has no recipe of its own: to
+//! fault one, wrap its built backend in a [`ChaosBackend`] and hand it to
+//! [`ShardedBackend::from_backends`](crate::sharded::ShardedBackend::from_backends).
+//! Whatever layer a fault is injected at, it is absorbed in one place —
+//! the pool's [`RecoveryPolicy`](crate::pool::RecoveryPolicy); a faulty
+//! shard surfaces its error once, wrapped in [`BackendError::Shard`].
 //!
 //! ```
 //! use maddpipe_runtime::prelude::*;

@@ -3,7 +3,7 @@
 //! Every failure a backend or session can hit is a [`BackendError`]
 //! variant — construction-time shape disagreements, malformed batches,
 //! netlists that fail to settle, shard plans that don't partition the
-//! program, and shards that fail or disappear mid-serving. Backends
+//! program, and shards that fail mid-serving. Backends
 //! never panic on user input; a batch either completes whole (one
 //! observation per token) or is rejected whole with one of these values.
 //! Shard failures wrap the shard's own error in
@@ -92,12 +92,6 @@ pub enum BackendError {
         /// The shard's own typed failure.
         source: Box<BackendError>,
     },
-    /// A shard worker thread disappeared (panicked or shut down) before
-    /// answering — the sharded backend can no longer serve batches.
-    ShardLost {
-        /// Index of the lost shard within the plan.
-        shard: usize,
-    },
     /// One stage of a [`PipelineGraph`](crate::pipeline::PipelineGraph)
     /// failed the request; the stage's own typed failure is wrapped so a
     /// submitter can tell *where* in the dataflow the request died, just
@@ -153,8 +147,8 @@ impl BackendError {
     /// batch or program: a replica panic, a soft error flagged as
     /// [`BackendError::Transient`], a netlist that missed its
     /// completion window ([`BackendError::Oscillation`] — on real
-    /// silicon the self-synchronous handshake simply re-fires), a lost
-    /// shard worker, or backpressure ([`BackendError::QueueFull`])
+    /// silicon the self-synchronous handshake simply re-fires), or
+    /// backpressure ([`BackendError::QueueFull`])
     /// that clears as tickets resolve. Everything else — shape and
     /// program mismatches, malformed input, a closed queue — is a
     /// property of the request or the configuration and will fail
@@ -169,7 +163,6 @@ impl BackendError {
             BackendError::Transient { .. }
             | BackendError::ReplicaPanicked
             | BackendError::Oscillation(_)
-            | BackendError::ShardLost { .. }
             | BackendError::QueueFull { .. } => true,
             // A shard or stage failure is as transient as what it hit.
             BackendError::Shard { source, .. } | BackendError::Stage { source, .. } => {
@@ -224,9 +217,6 @@ impl fmt::Display for BackendError {
             }
             BackendError::Stage { stage, source } => {
                 write!(f, "pipeline stage {stage} failed: {source}")
-            }
-            BackendError::ShardLost { shard } => {
-                write!(f, "shard {shard} worker is gone (panicked or shut down)")
             }
             BackendError::Transient { reason } => {
                 write!(f, "transient fault (retryable): {reason}")
@@ -330,9 +320,6 @@ mod tests {
         assert!(e.to_string().contains("shard 3"), "{e}");
         use std::error::Error as _;
         assert_eq!(e.source().unwrap().to_string(), inner.to_string());
-        assert!(BackendError::ShardLost { shard: 1 }
-            .to_string()
-            .contains("shard 1"));
         let p = BackendError::InvalidShardPlan {
             reason: "0 shards".into(),
         };
@@ -398,7 +385,6 @@ mod tests {
             time: SimTime::ZERO,
         })
         .is_transient());
-        assert!(BackendError::ShardLost { shard: 0 }.is_transient());
         assert!(BackendError::QueueFull {
             limit: QueueLimit::Requests { max_depth: 1 },
         }

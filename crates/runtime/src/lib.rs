@@ -23,8 +23,9 @@
 //!
 //! The first three run one macro; the [`ShardedBackend`] composes them: a
 //! [`ShardPlan`] partitions a wide program's decoder chains into
-//! contiguous slices, one worker thread per shard owns an inner backend
-//! of any kind, and every batch is fanned out and reassembled in order.
+//! contiguous slices, each shard owns an inner backend of any kind, and
+//! every batch runs on the shards in plan order, on the calling thread,
+//! and is reassembled in that order.
 //!
 //! On top sits the [`Session`] builder, which owns batching and aggregate
 //! [`SessionStats`] (tokens/s, total energy, p50/p99 token latency) —
@@ -32,10 +33,10 @@
 //! ([`SessionBuilder::into_pool`]): submissions from any number of
 //! threads are coalesced into micro-batches under a [`QueuePolicy`] and
 //! resolved through [`BatchTicket`] handles, with typed
-//! [`BackendError::QueueFull`] backpressure. Every replica, shard worker
-//! and pipeline stage builds its backend from one recipe type
-//! ([`ReplicaFactory`]), and the pool's [`RecoveryPolicy`] is the one
-//! place transient failures are retried:
+//! [`BackendError::QueueFull`] backpressure. Pool replicas are how a
+//! deployment uses host cores. Every replica and pipeline stage builds
+//! its backend from one recipe type ([`ReplicaFactory`]), and the pool's
+//! [`RecoveryPolicy`] is the one place transient failures are retried:
 //!
 //! ```
 //! use maddpipe_runtime::prelude::*;

@@ -6,8 +6,8 @@
 //! tiling computed by [`maddpipe_core::mapping::ConvMapping`]: where the
 //! mapping serialises `tiles_out` passes through **one** macro, the plan
 //! gives each tile its **own** macro and the
-//! [`ShardedBackend`](crate::sharded::ShardedBackend) runs them in
-//! parallel.
+//! [`ShardedBackend`](crate::sharded::ShardedBackend) models them as
+//! running in parallel.
 //!
 //! Plans are pure data — building one never spawns threads or netlists —
 //! so they can be inspected, displayed and unit-tested on their own.

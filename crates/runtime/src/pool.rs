@@ -9,7 +9,9 @@
 //! complementary to the
 //! [`ShardedBackend`](crate::sharded::ShardedBackend)'s model-parallel
 //! output-channel sharding: shards split one batch across macros,
-//! replicas spread *different* micro-batches across whole macros.
+//! replicas spread *different* micro-batches across whole macros. Each
+//! replica is a thread, so replicas are also how a deployment uses host
+//! cores; a sharded backend runs its shards on its replica's thread.
 //!
 //! The scheduler earns its keep beyond FIFO:
 //!
@@ -339,8 +341,8 @@ struct PoolState {
     /// Requests accepted but not yet resolved — queued *or* executing.
     /// What [`QueuePolicy::max_depth`] bounds.
     outstanding: usize,
-    /// Deepest `outstanding` seen at submit time since last folded into
-    /// the stats.
+    /// Deepest `outstanding` seen at submit time; it only grows, and
+    /// [`ReplicaPool::stats`] folds it into every snapshot.
     max_depth_seen: u64,
     /// `false` once the pool stops accepting submissions.
     open: bool,
@@ -617,9 +619,8 @@ impl ReplicaPool {
     /// backlog observed, per-replica dispatch counts, busy time against
     /// the pool's uptime, and the [`PoolHealth`] degradation picture.
     pub fn stats(&self) -> SessionStats {
-        // Fold in any backlog high-water mark the replicas have not
-        // absorbed yet (state lock strictly before stats lock, the
-        // crate-wide order).
+        // Fold in the backlog high-water mark (state lock strictly
+        // before stats lock, the crate-wide order).
         let (depth_seen, health) = {
             let state = self.shared.lock_state();
             (state.max_depth_seen, state.health(self.policy.replicas))
@@ -926,7 +927,6 @@ struct Rider {
 /// the *front* of the waiting room — original order, original ticket,
 /// original deadline — held back by an exponential backoff; riders out
 /// of budget resolve with the typed error.
-#[allow(clippy::too_many_arguments)]
 fn retry_or_fail(
     shared: &PoolShared,
     policy: &ServePolicy,
@@ -935,7 +935,6 @@ fn retry_or_fail(
     riders: Vec<Rider>,
     error: &BackendError,
     service: Duration,
-    depth_seen: u64,
 ) {
     let recovery = &policy.recovery;
     let now = Instant::now();
@@ -983,7 +982,6 @@ fn retry_or_fail(
             // a retried rider is absorbed once, on its final attempt.
             stats.absorb_queue_side(failed_tokens, &failed_waits);
         }
-        stats.record_queue_depth(depth_seen);
         stats.record_replica_dispatch(replica, service);
     }
     for ticket in failed {
@@ -1058,7 +1056,6 @@ fn replica_loop(
 
         // ── Coalesce: whole requests per the fairness discipline ──
         let (picked, total) = coalesce(&mut state, policy, Instant::now());
-        let depth_seen = state.max_depth_seen;
         drop(state);
         if picked.is_empty() {
             // Another replica emptied the waiting room between our
@@ -1143,7 +1140,6 @@ fn replica_loop(
                 {
                     let mut stats = shared.stats.lock().expect("stats lock");
                     stats.absorb_queued(&result, service, &waits);
-                    stats.record_queue_depth(depth_seen);
                     stats.record_replica_dispatch(replica, service);
                 }
                 // Hand each rider its rows, in one copy; a lone rider
@@ -1182,9 +1178,7 @@ fn replica_loop(
                 guard.tickets.clear();
             }
             Ok(Err(error)) if error.is_transient() => {
-                retry_or_fail(
-                    shared, policy, replica, &mut guard, riders, &error, service, depth_seen,
-                );
+                retry_or_fail(shared, policy, replica, &mut guard, riders, &error, service);
             }
             Ok(Err(error)) => {
                 // Whole-batch rejection with a fatal error (a broken
@@ -1196,7 +1190,6 @@ fn replica_loop(
                 {
                     let mut stats = shared.stats.lock().expect("stats lock");
                     stats.absorb_queue_side(micro.len(), &waits);
-                    stats.record_queue_depth(depth_seen);
                     stats.record_replica_dispatch(replica, service);
                 }
                 for rider in riders {
@@ -1217,7 +1210,6 @@ fn replica_loop(
                     riders,
                     &BackendError::ReplicaPanicked,
                     service,
-                    depth_seen,
                 );
                 // The panicked backend is poisoned; rebuild it from the
                 // recipe while the restart budget lasts, else retire.
@@ -1236,6 +1228,20 @@ fn replica_loop(
                 match fresh {
                     Some(rebuilt) => {
                         backend = rebuilt;
+                        // A rebuilt backend whose store has seen no lookup
+                        // has a fresh store, so retire the dead store's
+                        // counters. A store shared across the respawn keeps
+                        // its cumulative counts and stays in its slot.
+                        if backend
+                            .cache_stats()
+                            .is_some_and(|c| c.hits + c.misses == 0)
+                        {
+                            shared
+                                .stats
+                                .lock()
+                                .expect("stats lock")
+                                .retire_cache(replica);
+                        }
                         shared.lock_state().restarts += 1;
                         shared.work.notify_all();
                     }

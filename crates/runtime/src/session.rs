@@ -234,6 +234,9 @@ pub struct SessionStats {
     /// for pools/queues/sessions, stage index for pipelines). Each slot
     /// is one distinct store's view; the aggregate sums them.
     cache_slots: Vec<CacheStats>,
+    /// Counters of stores that are gone: a respawned replica's dead
+    /// store, moved out of its slot by [`SessionStats::retire_cache`].
+    retired_cache: CacheStats,
 }
 
 /// One pipeline stage's serving profile inside [`SessionStats`]: how many
@@ -472,6 +475,21 @@ impl SessionStats {
         self.cache_slots[source].absorb_snapshot(snapshot);
     }
 
+    /// Moves `source`'s counters into the retired total and empties its
+    /// slot, for when its store was replaced by a fresh one whose
+    /// counters start again at zero. The dead store's residency is
+    /// dropped: those entries are gone.
+    pub(crate) fn retire_cache(&mut self, source: usize) {
+        if let Some(slot) = self.cache_slots.get_mut(source) {
+            let dead = std::mem::take(slot);
+            self.retired_cache = self.retired_cache.merged(CacheStats {
+                resident_entries: 0,
+                resident_bytes: 0,
+                ..dead
+            });
+        }
+    }
+
     /// Notes the pipeline shape at snapshot time; the uptime denominator
     /// only ever grows.
     pub(crate) fn note_pipeline(&mut self, uptime: Duration) {
@@ -609,13 +627,14 @@ impl SessionStats {
 
     /// The aggregate result-cache view: the sum of the per-source
     /// snapshots (each source — a replica, or a pipeline stage — owns a
-    /// distinct store). All zeros unless a
+    /// distinct store), plus the counters of stores that respawned
+    /// replicas left behind. All zeros unless a
     /// [`CachedBackend`](crate::cache::CachedBackend) tier is deployed
     /// somewhere behind these stats.
     pub fn cache(&self) -> CacheStats {
         self.cache_slots
             .iter()
-            .fold(CacheStats::default(), |acc, s| acc.merged(*s))
+            .fold(self.retired_cache, |acc, s| acc.merged(*s))
     }
 
     /// Per-stage serving profiles, in stage order. Empty unless the
@@ -901,7 +920,7 @@ mod tests {
         assert_eq!(stats.tokens(), 4);
         assert!(stats.total_energy().unwrap().value() > 0.0);
         assert!(stats.p50_token_latency().is_some());
-        assert!(s.rtl().is_none(), "netlists live on the shard workers");
+        assert!(s.rtl().is_none(), "a sharded backend has no single netlist");
     }
 
     #[test]

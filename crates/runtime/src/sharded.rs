@@ -3,30 +3,35 @@
 //! The paper's macro is a fixed-width tile (`ndec` decoder chains); a
 //! wide CNN layer maps onto it as `tiles_out` serial passes
 //! ([`ConvMapping`](maddpipe_core::mapping::ConvMapping)). The
-//! [`ShardedBackend`] turns those serial passes into parallel macros: a
+//! [`ShardedBackend`] models those passes as parallel macros: a
 //! [`ShardPlan`] slices the program's decoder chains into contiguous
-//! ranges, one long-lived worker thread per shard builds and owns the
-//! [`MacroBackend`] of its own [`BackendKind`] recipe (any mix, nested
-//! recipes included), every [`TokenBatch`] fans out to all shards, and
-//! per-token outputs are reassembled in plan order — bit-identical to
-//! the single wide macro, with latency aggregated as the max over shards
-//! and energy as the sum when *every* shard measured (an unmeasured
-//! shard in a mixed set makes the aggregate `None` — a partial sum is
-//! not a total).
+//! ranges, each shard owns the [`MacroBackend`] of its own
+//! [`BackendKind`] recipe (any mix, nested recipes included), every
+//! [`TokenBatch`] runs on each shard in plan order, and per-token
+//! outputs are reassembled in plan order — bit-identical to the single
+//! wide macro, with latency aggregated as the max over shards and energy
+//! as the sum when *every* shard measured (an unmeasured shard in a
+//! mixed set makes the aggregate `None` — a partial sum is not a total).
 //!
-//! Inner backends never cross threads: each is constructed *on* its
-//! worker from a [`ReplicaFactory`] recipe, so backends that are not
-//! `Send` (the event-driven netlist) shard exactly like the pure-math
-//! ones. Any shard failure rejects the whole batch once, as a typed
-//! [`BackendError::Shard`] — no partial output ever escapes, and this
-//! backend never retries. The wrapper is as transient as the shard's
-//! own error ([`BackendError::is_transient`]), so behind a
-//! [`ReplicaPool`](crate::pool::ReplicaPool) a flaky shard costs a
-//! re-run of the micro-batch under the pool's
-//! [`RecoveryPolicy`](crate::pool::RecoveryPolicy) — the serving
-//! stack's one retry loop.
+//! The shards run on the thread that owns the sharded backend, one after
+//! another: the max/sum fold models the parallel macros, so no host
+//! thread is needed per modelled macro, and non-`Send` backends (the
+//! event-driven netlist) shard exactly like the pure-math ones. A
+//! deployment uses host cores through
+//! [`ReplicaPool`](crate::pool::ReplicaPool) replicas instead.
+//!
+//! The first shard failure rejects the whole batch once, as a typed
+//! [`BackendError::Shard`], and the shards after it do not run — no
+//! partial output ever escapes, and this backend never retries. The
+//! wrapper is as transient as the shard's own error
+//! ([`BackendError::is_transient`]), so behind a pool a flaky shard
+//! costs a re-run of the micro-batch under the pool's
+//! [`RecoveryPolicy`](crate::pool::RecoveryPolicy) — the serving stack's
+//! one retry loop. A shard that panics unwinds out of
+//! [`MacroBackend::run_batch`] like any backend's panic, so the pool
+//! re-queues its riders and rebuilds the replica, shards and all.
 
-use crate::backend::{validate_program, BackendKind, MacroBackend, ReplicaFactory};
+use crate::backend::{validate_program, BackendKind, MacroBackend};
 use crate::batch::{fold_all, BatchResult, Observations, TokenBatch};
 use crate::cache::CacheStats;
 use crate::error::BackendError;
@@ -34,37 +39,6 @@ use crate::plan::ShardPlan;
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::MacroProgram;
 use maddpipe_tech::units::Seconds;
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-
-/// What a shard worker sends back for one batch: its result, plus the
-/// shard backend's cumulative cache counters taken right after the call.
-type Reply = (Result<BatchResult, BackendError>, Option<CacheStats>);
-
-/// One batch travelling to a shard worker, with the channel its reply
-/// comes back on. A batch clone shares its token buffer, so every shard
-/// reads the same tokens.
-struct Job {
-    batch: TokenBatch,
-    reply: mpsc::Sender<Reply>,
-}
-
-/// A shard worker: the sending half of its job queue plus its thread
-/// handle. Dropping the sender is the shutdown signal; `Drop` then joins
-/// the thread so no worker outlives the backend.
-struct Worker {
-    jobs: Option<mpsc::Sender<Job>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        drop(self.jobs.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
 
 /// N macro instances serving one wide program behind the ordinary
 /// [`MacroBackend`] interface.
@@ -92,15 +66,13 @@ impl Drop for Worker {
 pub struct ShardedBackend {
     plan: ShardPlan,
     ns: usize,
-    workers: Vec<Worker>,
-    /// Each shard's latest cache counters, as its worker last replied.
-    cache: Vec<Option<CacheStats>>,
+    /// One backend per shard, in plan order.
+    shards: Vec<Box<dyn MacroBackend>>,
 }
 
 impl ShardedBackend {
     /// Partitions `program` across `plan.shards()` macro instances, shard
-    /// `s` building `kinds[s]` for the sub-program of `plan.range(s)` on
-    /// its own worker thread.
+    /// `s` building `kinds[s]` for the sub-program of `plan.range(s)`.
     ///
     /// # Errors
     ///
@@ -124,18 +96,21 @@ impl ShardedBackend {
         }
         let subs = plan.split(program)?;
         let ns = program.ns();
-        let recipes = subs
+        let shards = subs
             .into_iter()
             .zip(kinds)
-            .map(|(sub, kind)| {
+            .enumerate()
+            .map(|(shard, (sub, kind))| {
                 let mut shard_cfg = cfg.clone();
                 shard_cfg.ndec = sub.ndec();
-                let kind = kind.clone();
-                let recipe: ReplicaFactory = Arc::new(move || kind.build(&shard_cfg, sub.clone()));
-                recipe
+                kind.build(&shard_cfg, sub)
+                    .map_err(|e| BackendError::Shard {
+                        shard,
+                        source: Box::new(e),
+                    })
             })
-            .collect();
-        ShardedBackend::from_recipes(plan, ns, recipes)
+            .collect::<Result<_, _>>()?;
+        ShardedBackend::from_backends(plan, ns, shards)
     }
 
     /// [`ShardedBackend::new`] with an even [`ShardPlan`] over `cfg.ndec`
@@ -158,80 +133,30 @@ impl ShardedBackend {
         ShardedBackend::new(cfg, program, plan, &kinds)
     }
 
-    /// Spawns one worker per recipe and waits until every shard's
-    /// backend is built. Each recipe runs once, on its worker thread, so
-    /// it may build a non-`Send` backend; each must produce a backend
-    /// whose outputs-per-token width matches its plan range and whose
-    /// stage count is `ns`.
+    /// Serves `plan` with already-built shard backends, shard `s` being
+    /// `shards[s]`. Each must produce outputs as wide as its plan range
+    /// and take `ns` stages per token; [`MacroBackend::run_batch`]
+    /// rejects a batch whose shard breaks that contract.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError::InvalidShardPlan`] when the recipe count
-    /// disagrees with the plan, [`BackendError::Shard`] when a recipe
-    /// fails, and [`BackendError::ShardLost`] when a worker dies while
-    /// constructing.
-    pub fn from_recipes(
+    /// Returns [`BackendError::InvalidShardPlan`] when the backend count
+    /// disagrees with the plan.
+    pub fn from_backends(
         plan: ShardPlan,
         ns: usize,
-        recipes: Vec<ReplicaFactory>,
+        shards: Vec<Box<dyn MacroBackend>>,
     ) -> Result<ShardedBackend, BackendError> {
-        if recipes.len() != plan.shards() {
+        if shards.len() != plan.shards() {
             return Err(BackendError::InvalidShardPlan {
                 reason: format!(
-                    "{} shard recipes for {} shards",
-                    recipes.len(),
+                    "{} shard backends for {} shards",
+                    shards.len(),
                     plan.shards()
                 ),
             });
         }
-        let mut workers = Vec::with_capacity(recipes.len());
-        let mut readiness = Vec::with_capacity(recipes.len());
-        for (shard, recipe) in recipes.into_iter().enumerate() {
-            let (job_tx, job_rx) = mpsc::channel::<Job>();
-            let (ready_tx, ready_rx) = mpsc::channel::<Result<(), BackendError>>();
-            let handle = std::thread::Builder::new()
-                .name(format!("maddpipe-shard-{shard}"))
-                .spawn(move || {
-                    let mut backend = match recipe() {
-                        Ok(backend) => {
-                            let _ = ready_tx.send(Ok(()));
-                            backend
-                        }
-                        Err(e) => {
-                            let _ = ready_tx.send(Err(e));
-                            return;
-                        }
-                    };
-                    while let Ok(job) = job_rx.recv() {
-                        let result = backend.run_batch(&job.batch);
-                        let _ = job.reply.send((result, backend.cache_stats()));
-                    }
-                })
-                .expect("the host can spawn a shard worker thread");
-            workers.push(Worker {
-                jobs: Some(job_tx),
-                handle: Some(handle),
-            });
-            readiness.push(ready_rx);
-        }
-        for (shard, ready) in readiness.into_iter().enumerate() {
-            match ready.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    return Err(BackendError::Shard {
-                        shard,
-                        source: Box::new(e),
-                    })
-                }
-                Err(_) => return Err(BackendError::ShardLost { shard }),
-            }
-        }
-        Ok(ShardedBackend {
-            cache: vec![None; workers.len()],
-            plan,
-            ns,
-            workers,
-        })
+        Ok(ShardedBackend { plan, ns, shards })
     }
 
     /// The partition this backend serves.
@@ -244,73 +169,41 @@ impl ShardedBackend {
         self.ns
     }
 
-    /// Receives shard `shard`'s reply, keeps its cache counters, and
-    /// enforces its slice of the contract: one observation per token,
-    /// each `plan.widths()[shard]` wide.
-    fn collect(
-        &mut self,
-        shard: usize,
-        reply: mpsc::Receiver<Reply>,
-        batch: &TokenBatch,
-    ) -> Result<BatchResult, BackendError> {
-        let (result, cache) = reply
-            .recv()
-            .map_err(|_| BackendError::ShardLost { shard })?;
-        self.cache[shard] = cache;
-        let result = result.map_err(|e| BackendError::Shard {
-            shard,
-            source: Box::new(e),
-        })?;
-        if result.tokens.len() != batch.len() {
-            return Err(BackendError::Shard {
-                shard,
-                source: Box::new(BackendError::InvalidShardPlan {
-                    reason: format!(
-                        "shard returned {} observations for a {}-token batch",
-                        result.tokens.len(),
-                        batch.len()
-                    ),
-                }),
-            });
-        }
-        let width = self.plan.widths()[shard];
-        if result.tokens.width() != width {
-            return Err(BackendError::Shard {
-                shard,
-                source: Box::new(BackendError::InvalidShardPlan {
-                    reason: format!(
-                        "shard produced {}-wide outputs but its plan range is {} chains",
-                        result.tokens.width(),
-                        width
-                    ),
-                }),
-            });
-        }
-        Ok(result)
-    }
-
-    /// Fans `batch` out to every shard and collects the per-shard results
-    /// in plan order. Any failure — a shard's error or a dead worker
-    /// ([`BackendError::ShardLost`]) — fails the batch; the first in
-    /// plan order wins and the rest are discarded. Every shard gets a
-    /// clone of the batch, which shares its token buffer — the fan-out
-    /// itself copies no token data.
-    fn scatter_gather(&mut self, batch: &TokenBatch) -> Result<Vec<BatchResult>, BackendError> {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for (shard, worker) in self.workers.iter().enumerate() {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let jobs = worker.jobs.as_ref().expect("sender lives as long as self");
-            jobs.send(Job {
-                batch: batch.clone(),
-                reply: reply_tx,
-            })
-            .map_err(|_| BackendError::ShardLost { shard })?;
-            replies.push(reply_rx);
-        }
-        replies
-            .into_iter()
+    /// Runs `batch` on every shard in plan order, enforcing each shard's
+    /// slice of the contract: one observation per token, each
+    /// `plan.widths()[shard]` wide. The first failure fails the batch,
+    /// and the shards after it do not run.
+    fn run_shards(&mut self, batch: &TokenBatch) -> Result<Vec<BatchResult>, BackendError> {
+        let widths = self.plan.widths();
+        self.shards
+            .iter_mut()
             .enumerate()
-            .map(|(shard, reply)| self.collect(shard, reply, batch))
+            .map(|(shard, backend)| {
+                let wrap = |e| BackendError::Shard {
+                    shard,
+                    source: Box::new(e),
+                };
+                let result = backend.run_batch(batch).map_err(wrap)?;
+                if result.tokens.len() != batch.len() {
+                    return Err(wrap(BackendError::InvalidShardPlan {
+                        reason: format!(
+                            "shard returned {} observations for a {}-token batch",
+                            result.tokens.len(),
+                            batch.len()
+                        ),
+                    }));
+                }
+                if result.tokens.width() != widths[shard] {
+                    return Err(wrap(BackendError::InvalidShardPlan {
+                        reason: format!(
+                            "shard produced {}-wide outputs but its plan range is {} chains",
+                            result.tokens.width(),
+                            widths[shard]
+                        ),
+                    }));
+                }
+                Ok(result)
+            })
             .collect()
     }
 }
@@ -329,7 +222,7 @@ impl MacroBackend for ShardedBackend {
         "sharded"
     }
 
-    /// Runs the batch on every shard concurrently. Per token, `outputs`
+    /// Runs the batch on every shard, in plan order. Per token, `outputs`
     /// is the concatenation of the shard slices in plan order, `latency`
     /// the **max** over shards (the token is done when its slowest slice
     /// is) and `energy` the **sum** — but only when *every* shard
@@ -340,7 +233,7 @@ impl MacroBackend for ShardedBackend {
     /// same all-or-none rule.
     fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
         batch.check_shape(self.ns)?;
-        let shard_results = self.scatter_gather(batch)?;
+        let shard_results = self.run_shards(batch)?;
         let width = self.plan.out_channels();
         // Each shard's rows land straight in their columns of the output
         // matrix.
@@ -370,28 +263,13 @@ impl MacroBackend for ShardedBackend {
         })
     }
 
-    /// The field-wise sum of the counters each cached shard sent with its
-    /// latest reply; `None` until a shard backend has reported any.
+    /// The field-wise sum of the cached shards' own counters; `None`
+    /// when no shard carries a cache tier.
     fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache
+        self.shards
             .iter()
-            .flatten()
-            .copied()
+            .filter_map(|shard| shard.cache_stats())
             .reduce(CacheStats::merged)
-    }
-}
-
-impl Drop for ShardedBackend {
-    /// Signals *every* worker before any join: each `Worker`'s job
-    /// sender drops here first, so all shards see the shutdown at once
-    /// and wind down in parallel — a slow shard mid-batch delays the
-    /// join by its own remaining work only, never serially behind its
-    /// neighbours. (The per-`Worker` `Drop` then joins the thread; a
-    /// worker that panicked is absorbed by the ignored join result.)
-    fn drop(&mut self) {
-        for worker in &mut self.workers {
-            drop(worker.jobs.take());
-        }
     }
 }
 
@@ -548,21 +426,17 @@ mod tests {
         }
     }
 
-    /// One recipe per shard of `plan`, shard `s` building
+    /// One backend per shard of `plan`, shard `s` being
     /// `build(s, its sub-program)`.
-    fn shard_recipes(
+    fn shard_backends(
         program: &MacroProgram,
         plan: &ShardPlan,
-        build: impl Fn(usize, MacroProgram) -> Box<dyn MacroBackend> + Send + Sync + 'static,
-    ) -> Vec<ReplicaFactory> {
-        let build = Arc::new(build);
+        build: impl Fn(usize, MacroProgram) -> Box<dyn MacroBackend>,
+    ) -> Vec<Box<dyn MacroBackend>> {
         let subs = plan.split(program).unwrap();
         subs.into_iter()
             .enumerate()
-            .map(|(s, sub)| {
-                let build = Arc::clone(&build);
-                Arc::new(move || Ok(build(s, sub.clone()))) as ReplicaFactory
-            })
+            .map(|(s, sub)| build(s, sub))
             .collect()
     }
 
@@ -594,7 +468,7 @@ mod tests {
     fn a_failing_shard_rejects_the_batch_without_partial_output() {
         let (_, program, batch) = wide_setup(4, 2);
         let plan = ShardPlan::even(4, 2).unwrap();
-        let recipes = shard_recipes(&program, &plan, |s, sub| {
+        let shards = shard_backends(&program, &plan, |s, sub| {
             if s == 1 {
                 Box::new(FlakyBackend {
                     inner: FunctionalBackend::new(sub),
@@ -605,7 +479,7 @@ mod tests {
                 Box::new(FunctionalBackend::new(sub))
             }
         });
-        let mut sharded = ShardedBackend::from_recipes(plan, 2, recipes).unwrap();
+        let mut sharded = ShardedBackend::from_backends(plan, 2, shards).unwrap();
         // First batch: both shards healthy.
         let first = sharded.run_batch(&batch).unwrap();
         assert_eq!(first.tokens.len(), batch.len());
@@ -625,64 +499,6 @@ mod tests {
         assert!(sharded.run_batch(&batch).is_err());
     }
 
-    /// A backend that takes `delay` per batch — long enough for the test
-    /// to act while the shard is still mid-flight.
-    struct SlowBackend {
-        inner: FunctionalBackend,
-        delay: std::time::Duration,
-    }
-
-    impl MacroBackend for SlowBackend {
-        fn name(&self) -> &'static str {
-            "slow"
-        }
-        fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
-            std::thread::sleep(self.delay);
-            self.inner.run_batch(batch)
-        }
-    }
-
-    #[test]
-    fn dropping_with_a_batch_mid_flight_joins_workers_cleanly() {
-        // Shard 0 fails instantly, so `run_batch` returns its error while
-        // shard 1 is still asleep inside its own copy of the batch — the
-        // exact state a serving-queue teardown can leave a fleet in.
-        // Dropping the backend then must join both workers: no deadlock,
-        // no panic, no leaked thread still owning a netlist.
-        let (_, program, batch) = wide_setup(4, 2);
-        let plan = ShardPlan::even(4, 2).unwrap();
-        let recipes = shard_recipes(&program, &plan, |s, sub| {
-            if s == 0 {
-                Box::new(FlakyBackend {
-                    inner: FunctionalBackend::new(sub),
-                    ok_batches: 0,
-                    served: 0,
-                })
-            } else {
-                Box::new(SlowBackend {
-                    inner: FunctionalBackend::new(sub),
-                    delay: std::time::Duration::from_millis(150),
-                })
-            }
-        });
-        let mut sharded = ShardedBackend::from_recipes(plan, 2, recipes).unwrap();
-        let err = sharded.run_batch(&batch).unwrap_err();
-        assert!(
-            matches!(err, BackendError::Shard { shard: 0, .. }),
-            "{err:?}"
-        );
-        // Drop on a watchdog thread so a deadlocked join fails the test
-        // instead of hanging it.
-        let (done_tx, done_rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            drop(sharded);
-            let _ = done_tx.send(());
-        });
-        done_rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("dropping a mid-flight sharded backend must join, not deadlock");
-    }
-
     #[test]
     fn wrong_width_shards_are_a_typed_error_not_wrong_outputs() {
         let (_, program, batch) = wide_setup(4, 2);
@@ -690,12 +506,11 @@ mod tests {
         // Shard 1 mistakenly runs the *wide* program: right token count,
         // wrong output width. The contract check must catch it instead of
         // stitching a 6-wide result.
-        let wide_program = program.clone();
-        let recipes = shard_recipes(&program, &plan, move |s, sub| {
-            let program = if s == 1 { wide_program.clone() } else { sub };
+        let shards = shard_backends(&program, &plan, |s, sub| {
+            let program = if s == 1 { program.clone() } else { sub };
             Box::new(FunctionalBackend::new(program))
         });
-        let mut sharded = ShardedBackend::from_recipes(plan, 2, recipes).unwrap();
+        let mut sharded = ShardedBackend::from_backends(plan, 2, shards).unwrap();
         match sharded.run_batch(&batch).unwrap_err() {
             BackendError::Shard { shard, source } => {
                 assert_eq!(shard, 1);
@@ -730,15 +545,34 @@ mod tests {
             ),
             Err(BackendError::ProgramMismatch { .. })
         ));
-        // A recipe that fails reports which shard could not come up.
-        let failing: ReplicaFactory = Arc::new(|| Err(BackendError::MissingProgram));
-        match ShardedBackend::from_recipes(plan, 2, vec![failing; 2]).unwrap_err() {
+        // A shard whose own kind fails to build names the shard: a
+        // 2-chain slice cannot be split 3 ways.
+        let unbuildable = BackendKind::Sharded {
+            shards: 3,
+            inner: Box::new(BackendKind::default()),
+        };
+        match ShardedBackend::new(
+            &cfg,
+            &program,
+            plan.clone(),
+            &[BackendKind::default(), unbuildable],
+        )
+        .unwrap_err()
+        {
             BackendError::Shard { shard, source } => {
-                assert_eq!(shard, 0);
-                assert_eq!(*source, BackendError::MissingProgram);
+                assert_eq!(shard, 1);
+                assert!(matches!(*source, BackendError::InvalidShardPlan { .. }));
             }
             other => panic!("expected a Shard error, got {other:?}"),
         }
+        // Backend list does not match the plan.
+        let one = shard_backends(&program, &ShardPlan::even(4, 1).unwrap(), |_, sub| {
+            Box::new(FunctionalBackend::new(sub))
+        });
+        assert!(matches!(
+            ShardedBackend::from_backends(plan, 2, one),
+            Err(BackendError::InvalidShardPlan { .. })
+        ));
     }
 
     #[test]

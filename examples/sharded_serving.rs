@@ -71,8 +71,9 @@ fn main() {
     );
 
     // ── 4. Sharding the netlist itself ─────────────────────────────────
-    // Each shard worker owns its own event-driven netlist; per-token
-    // latency is the max over shards, energy the sum.
+    // Each shard owns its own event-driven netlist, and the shards run
+    // one after another on this thread; per-token latency is the max
+    // over shards (as if they ran in parallel), energy the sum.
     let rtl_cfg = MacroConfig::new(4, 2).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
     let rtl_program = MacroProgram::random(rtl_cfg.ndec, rtl_cfg.ns, 9);
     let mut rtl_fleet = Session::builder(rtl_cfg)

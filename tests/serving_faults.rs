@@ -12,7 +12,7 @@
 //! 7 otherwise; every fault schedule is a pure function of it.
 
 use maddpipe::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -570,37 +570,27 @@ impl MacroBackend for RecoveringBackend {
 }
 
 /// A one-replica pool whose backend shards a 4-chain program over two
-/// shards: shard `flaky` is a `RecoveringBackend` that fails its first
-/// `failures` batches, the other a plain functional shard. Returns the
-/// pool, the wide program, and the per-shard call counters.
-fn pool_with_a_flaky_shard(
-    flaky: usize,
-    failures: usize,
+/// shards, shard `s` being `build(s, its sub-program)` — built afresh
+/// whenever the pool builds or respawns the replica. Returns the pool and
+/// the wide program.
+fn sharded_pool(
     recovery: RecoveryPolicy,
-) -> (ReplicaPool, MacroProgram, [Arc<AtomicUsize>; 2]) {
+    build: impl Fn(usize, MacroProgram) -> Box<dyn MacroBackend> + Send + Sync + 'static,
+) -> (ReplicaPool, MacroProgram) {
     let program = MacroProgram::random(4, 2, 31);
     let plan = ShardPlan::even(4, 2).expect("4 chains over 2 shards");
-    let calls = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
-    let shard_recipes: Vec<ReplicaFactory> = plan
-        .split(&program)
-        .expect("the plan covers the program")
-        .into_iter()
-        .enumerate()
-        .map(|(s, sub)| {
-            let calls = Arc::clone(&calls[s]);
-            let recipe: ReplicaFactory = Arc::new(move || {
-                Ok(Box::new(RecoveringBackend {
-                    inner: FunctionalBackend::new(sub.clone()),
-                    failures_left: if s == flaky { failures } else { 0 },
-                    calls: Arc::clone(&calls),
-                }))
-            });
-            recipe
-        })
-        .collect();
+    let subs = plan.split(&program).expect("the plan covers the program");
     let recipe: ReplicaFactory = Arc::new(move || {
-        let sharded = ShardedBackend::from_recipes(plan.clone(), 2, shard_recipes.clone())?;
-        Ok(Box::new(sharded))
+        let shards = subs
+            .iter()
+            .enumerate()
+            .map(|(s, sub)| build(s, sub.clone()))
+            .collect();
+        Ok(Box::new(ShardedBackend::from_backends(
+            plan.clone(),
+            2,
+            shards,
+        )?))
     });
     let pool = ReplicaPool::from_recipes(
         ServePolicy::default()
@@ -610,6 +600,26 @@ fn pool_with_a_flaky_shard(
         vec![recipe],
     )
     .expect("pool comes up");
+    (pool, program)
+}
+
+/// [`sharded_pool`] with shard `flaky` a `RecoveringBackend` that fails
+/// its first `failures` batches and the other a healthy one. Returns the
+/// pool, the wide program, and the per-shard call counters.
+fn pool_with_a_flaky_shard(
+    flaky: usize,
+    failures: usize,
+    recovery: RecoveryPolicy,
+) -> (ReplicaPool, MacroProgram, [Arc<AtomicUsize>; 2]) {
+    let calls = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+    let counters = calls.clone();
+    let (pool, program) = sharded_pool(recovery, move |s, sub| {
+        Box::new(RecoveringBackend {
+            inner: FunctionalBackend::new(sub),
+            failures_left: if s == flaky { failures } else { 0 },
+            calls: Arc::clone(&counters[s]),
+        })
+    });
     (pool, program, calls)
 }
 
@@ -647,7 +657,7 @@ fn a_transiently_failing_shard_is_retried_by_the_pool_and_the_request_succeeds()
 fn an_exhausted_pool_retry_budget_surfaces_the_typed_shard_error() {
     // Shard 0 fails 5 times, more than 1 + 2 attempts: the ticket
     // resolves with the third attempt's error, wrapped once.
-    let (pool, program, _) = pool_with_a_flaky_shard(0, 5, two_retries());
+    let (pool, program, calls) = pool_with_a_flaky_shard(0, 5, two_retries());
     let batch = TokenBatch::random(2, 5, 17);
     let err = pool
         .submit(batch.clone())
@@ -670,6 +680,9 @@ fn an_exhausted_pool_retry_budget_surfaces_the_typed_shard_error() {
         .expect("the wide macro serves");
     let reply = pool.submit(batch).expect("accepted").wait();
     assert_eq!(reply.expect("recovered").result.outputs(), wide.outputs());
+    // A failing shard stops the batch: shard 1 ran only on attempt 6.
+    assert_eq!(calls[0].load(Ordering::SeqCst), 6, "failing shard");
+    assert_eq!(calls[1].load(Ordering::SeqCst), 1, "healthy shard");
     pool.shutdown();
 }
 
@@ -703,4 +716,105 @@ fn an_always_failing_shard_runs_once_per_pool_attempt() {
     }
     let stats = pool.shutdown();
     assert_eq!(stats.retries(), 4, "two pool retries per request");
+}
+
+/// A shard backend that panics on its first call across every instance
+/// sharing `armed`, then serves.
+struct PanicOnceBackend {
+    inner: FunctionalBackend,
+    armed: Arc<AtomicBool>,
+}
+
+impl MacroBackend for PanicOnceBackend {
+    fn name(&self) -> &'static str {
+        "panic-once"
+    }
+    fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected shard panic");
+        }
+        self.inner.run_batch(batch)
+    }
+}
+
+#[test]
+fn a_shard_that_panics_once_is_recovered_by_the_pool() {
+    // Shard 1 panics on its first call. The panic unwinds out of the
+    // sharded backend into the pool, which re-queues the riders and
+    // respawns the replica with fresh shards; the shared flag keeps the
+    // rebuilt shard 1 healthy.
+    let armed = Arc::new(AtomicBool::new(true));
+    let (pool, program) = sharded_pool(RecoveryPolicy::default(), move |s, sub| {
+        let inner = FunctionalBackend::new(sub);
+        if s == 1 {
+            Box::new(PanicOnceBackend {
+                inner,
+                armed: Arc::clone(&armed),
+            })
+        } else {
+            Box::new(inner)
+        }
+    });
+    let mut wide = FunctionalBackend::new(program);
+    for seed in [17, 18] {
+        let batch = TokenBatch::random(2, 5, seed);
+        let reply = pool
+            .submit(batch.clone())
+            .expect("accepted")
+            .wait()
+            .expect("served through the shard panic");
+        assert_eq!(
+            reply.result.outputs(),
+            wide.run_batch(&batch)
+                .expect("the wide macro serves")
+                .outputs()
+        );
+    }
+    let stats = pool.shutdown();
+    assert_eq!(stats.pool_health().restarts, 1, "one respawn, fresh shards");
+}
+
+#[test]
+fn a_respawned_replicas_fresh_store_adds_to_the_cache_counts() {
+    // A `Cached` recipe builds a new store on every respawn, whose
+    // counters start again at zero. They must add to the dead store's,
+    // not hide under them: five sequential 4-token requests are 20
+    // lookups, whichever store answered them.
+    let cfg = MacroConfig::new(2, 2);
+    let program = MacroProgram::random(cfg.ndec, cfg.ns, 31);
+    let recipe: ReplicaFactory = {
+        let cfg = cfg.clone();
+        let program = program.clone();
+        let kind = BackendKind::Cached {
+            cache: CacheConfig::default(),
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
+        };
+        Arc::new(move || kind.build(&cfg, program.clone()))
+    };
+    let chaos = ChaosConfig::default()
+        .with_seed(chaos_seed())
+        .with_panic_on_call(3);
+    let pool = ReplicaPool::from_recipes(
+        ServePolicy::default().with_queue(QueuePolicy::default().with_max_linger(Duration::ZERO)),
+        cfg.ns,
+        vec![wrap_recipe(recipe, chaos, ChaosState::new())],
+    )
+    .expect("pool comes up");
+    let batch = TokenBatch::random(cfg.ns, TOKENS_PER_REQUEST, 5);
+    for _ in 0..5 {
+        let reply = pool
+            .submit(batch.clone())
+            .expect("accepted")
+            .wait()
+            .expect("served through the crash");
+        for (obs, token) in reply.result.tokens.iter().zip(batch.tokens()) {
+            assert_eq!(obs.outputs, program.reference_output(token));
+        }
+    }
+    let stats = pool.shutdown();
+    assert_eq!(stats.pool_health().restarts, 1);
+    let cache = stats.cache();
+    assert_eq!(cache.hits + cache.misses, 20, "{cache:?}");
+    // Each store computed the 4 tokens once: before and after the crash.
+    assert_eq!(cache.insertions, 8, "{cache:?}");
 }
