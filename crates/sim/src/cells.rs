@@ -7,11 +7,19 @@
 //! state across evaluations. The one-hot SRAM [`ReadColumn`] of the
 //! paper's decoder (Fig. 5 A/B) is a shipped cell too, so the kernel can
 //! compile it like the gates, adders and latches.
+//!
+//! The logic functions the kernel's compiled tables share with these
+//! cells are lookups indexed by the input levels: the buffer or inverter
+//! (`unary`), the two-input gates (`Gate2::apply`) and the full adder
+//! each read one table, built from [`logic`](crate::logic)'s operator
+//! tables. The latch step takes its two changed-pin flags as plain
+//! booleans, so the kernel reads them as two bits instead of searching a
+//! trigger list.
 
 use crate::cell::{Cell, EvalCtx, ViolationKind};
 use crate::circuit::{CircuitBuilder, NetId};
 use crate::library::{CellClass, SampledTiming};
-use crate::logic::Logic;
+use crate::logic::{Logic, AND, NOT, OR, XOR};
 use crate::time::SimTime;
 
 /// Drives the output according to the cell's sampled arcs: known values use
@@ -209,10 +217,34 @@ impl Cell for DelayLine {
     }
 }
 
+/// `(a ^ b ^ cin, (a & b) | (cin & (a ^ b)))` for every input triple,
+/// indexed by `[a][b][cin]` and built at compile time from the operator
+/// tables.
+const FULL_ADDER: [[[(Logic, Logic); 3]; 3]; 3] = {
+    let mut table = [[[(Logic::X, Logic::X); 3]; 3]; 3];
+    let mut i = 0;
+    while i < 27 {
+        let (a, b, cin) = (i / 9, i / 3 % 3, i % 3);
+        let half = XOR[a][b] as usize;
+        let carry = OR[AND[a][b] as usize][AND[cin][half] as usize];
+        table[a][b][cin] = (XOR[half][cin], carry);
+        i += 1;
+    }
+    table
+};
+
 /// The full-adder logic function: `(sum, carry)` of `a + b + cin`.
 #[inline]
 pub(crate) fn full_adder(a: Logic, b: Logic, cin: Logic) -> (Logic, Logic) {
-    (a ^ b ^ cin, (a & b) | (cin & (a ^ b)))
+    FULL_ADDER[a as usize][b as usize][cin as usize]
+}
+
+/// A buffer's output (`invert` false) or an inverter's (`invert` true)
+/// for input `v`, looked up instead of branched on.
+#[inline]
+pub(crate) fn unary(invert: bool, v: Logic) -> Logic {
+    const TABLE: [[Logic; 3]; 2] = [[Logic::Low, Logic::High, Logic::X], NOT];
+    TABLE[usize::from(invert)][v as usize]
 }
 
 /// Mirror-adder full adder: inputs `[a, b, cin]`, outputs `[sum, carry]`.
@@ -756,33 +788,41 @@ cell_kind!(
 );
 
 /// A commutative two-input gate function, for the kernel's compiled
-/// fanout table.
+/// fanout table. The discriminant indexes [`Gate2::TABLE`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum Gate2 {
     /// NAND.
-    Nand,
+    Nand = 0,
     /// NOR.
-    Nor,
+    Nor = 1,
     /// AND.
-    And,
+    And = 2,
     /// OR.
-    Or,
+    Or = 3,
     /// XOR.
-    Xor,
+    Xor = 4,
 }
 
 impl Gate2 {
+    /// Each gate's truth table, indexed by `[op][a][b]`; NAND and NOR are
+    /// the complements of the AND and OR tables.
+    const TABLE: [[[Logic; 3]; 3]; 5] = {
+        use Logic::{High as H, Low as L, X};
+        [
+            [[H, H, H], [H, L, X], [H, X, X]],
+            [[H, L, X], [L, L, L], [X, L, X]],
+            AND,
+            OR,
+            XOR,
+        ]
+    };
+
     /// Applies the gate function (operand order is irrelevant — every
     /// variant is commutative).
     #[inline]
     pub(crate) fn apply(self, a: Logic, b: Logic) -> Logic {
-        match self {
-            Gate2::Nand => !(a & b),
-            Gate2::Nor => !(a | b),
-            Gate2::And => a & b,
-            Gate2::Or => a | b,
-            Gate2::Xor => a ^ b,
-        }
+        Self::TABLE[self as usize][a as usize][b as usize]
     }
 }
 
@@ -1068,6 +1108,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    const ALL: [Logic; 3] = [Logic::Low, Logic::High, Logic::X];
+
+    /// The buffer and inverter over every level, and each two-input gate
+    /// over every input pair: rows are `a` and columns `b`, both in `ALL`
+    /// order.
+    #[test]
+    fn gate2_ops_match_their_truth_tables() {
+        use Logic::{High as H, Low as L, X};
+        assert_eq!(ALL.map(|v| unary(false, v)), ALL);
+        assert_eq!(ALL.map(|v| unary(true, v)), [H, L, X]);
+        let table = |op: Gate2| ALL.map(|a| ALL.map(|b| op.apply(a, b)));
+        assert_eq!(table(Gate2::Nand), [[H, H, H], [H, L, X], [H, X, X]]);
+        assert_eq!(table(Gate2::Nor), [[H, L, X], [L, L, L], [X, L, X]]);
+        assert_eq!(table(Gate2::And), [[L, L, L], [L, H, X], [L, X, X]]);
+        assert_eq!(table(Gate2::Or), [[L, H, X], [H, H, H], [X, H, X]]);
+        assert_eq!(table(Gate2::Xor), [[L, H, X], [H, L, X], [X, X, X]]);
+    }
+
+    /// `full_adder` over all 27 input triples, as VCD characters: one
+    /// group per `a`, `b` then `cin` in `ALL` order inside it. The carry
+    /// is pessimistic about `X` (`1 + X + 1` carries `x`, not `1`).
+    #[test]
+    fn full_adder_matches_its_truth_table() {
+        let (mut sum, mut carry) = (String::new(), String::new());
+        for a in ALL {
+            for b in ALL {
+                for cin in ALL {
+                    let (s, c) = full_adder(a, b, cin);
+                    sum.push(s.vcd_char());
+                    carry.push(c.vcd_char());
+                }
+            }
+            sum.push(' ');
+            carry.push(' ');
+        }
+        assert_eq!(sum.trim_end(), "01x10xxxx 10x01xxxx xxxxxxxxx");
+        assert_eq!(carry.trim_end(), "00001x0xx 01x111xxx 0xxxxxxxx");
+    }
+
+    /// `LatchState::step` over every `g` × `d` × `d_changed` ×
+    /// `g_changed`, with D last changed never, inside and outside the
+    /// setup window. One group per `g`; inside it `d` in `ALL` order, then
+    /// `d_changed`, then `g_changed` (`false` first). `.` is a hold, a
+    /// level a drive, `V` a setup violation.
+    #[test]
+    fn latch_step_matches_its_table() {
+        let ps = SimTime::from_picos;
+        let (setup, now) = (ps(50.0), ps(1000.0));
+        let cases = [
+            (None, ".0.V.1.V.x.V 00001111xxxx xxxxxxxxxxxx"),
+            (Some(ps(990.0)), ".V.V.V.V.V.V 00001111xxxx xxxxxxxxxxxx"),
+            (Some(ps(900.0)), ".0.V.1.V.x.V 00001111xxxx xxxxxxxxxxxx"),
+        ];
+        for (last, expected) in cases {
+            let mut got = String::new();
+            for g in ALL {
+                for d in ALL {
+                    for d_changed in [false, true] {
+                        for g_changed in [false, true] {
+                            let mut state = LatchState {
+                                setup,
+                                last_d_change: last,
+                            };
+                            got.push(match state.step(now, d, g, d_changed, g_changed) {
+                                LatchStep::Hold => '.',
+                                LatchStep::Drive(q) => q.vcd_char(),
+                                LatchStep::SetupViolation(_) => 'V',
+                            });
+                            let moved = if d_changed { Some(now) } else { last };
+                            assert_eq!(state.last_d_change, moved, "D change time");
+                        }
+                    }
+                }
+                got.push(' ');
+            }
+            assert_eq!(got.trim_end(), expected, "D last changed at {last:?}");
+        }
+        let mut state = LatchState {
+            setup,
+            last_d_change: Some(ps(990.0)),
+        };
+        let LatchStep::SetupViolation(detail) =
+            state.step(now, Logic::High, Logic::Low, false, true)
+        else {
+            panic!("a falling G 10 ps after D moved violates a 50 ps window");
+        };
+        assert_eq!(
+            detail,
+            "D stable for only 10.000 ps before G fell (setup window 50.000 ps)"
+        );
     }
 
     #[test]

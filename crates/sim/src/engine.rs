@@ -22,14 +22,17 @@
 //! [`Circuit`] packs every net's fanout list and every cell's input and
 //! output nets into one array each, with an offset table
 //! (CSR layout). Dirty cells are tracked with an epoch-stamped mark
-//! vector. Only the cells that read their trigger list — latches and the
-//! cells on the generic path — also track which of their pins changed in
-//! the current delta, with one bit per flat input pin; each fanout entry
-//! carries the bit to set, or none for every other cell. Phase B walks
-//! such a cell's bits in ascending order into one reusable trigger
-//! buffer, so each changed pin is listed once and nothing is sorted or
-//! allocated per cycle; compiled gates, adders and read columns skip the
-//! bit work altogether.
+//! vector. Only the cells that read which of their pins changed —
+//! latches and the cells on the generic path — also track them, with one
+//! bit per flat input pin; each fanout entry carries the bit to set, or
+//! none for every other cell. The cell's own evaluation reads and clears
+//! its bits: a latch reads exactly two, D's and G's, and passes them to
+//! the latch step as two flags, and a generic cell drains its bits in
+//! ascending order into one reusable trigger buffer, so each changed pin
+//! is listed once and nothing is sorted or allocated per cycle. The
+//! single-event path sets the one bit its event changed and evaluates at
+//! once. Compiled gates, adders and read columns skip the bit work
+//! altogether.
 //!
 //! Evaluation avoids the cell instance wherever it can. Inverters,
 //! buffers, 2-input gates, full adders, D-latches and SRAM read columns
@@ -39,7 +42,10 @@
 //! [`Simulator::program_column`] rewrites; the logic is shared with
 //! [`cells`](crate::cells), so both paths compute the same function);
 //! nets that feed exactly one simple gate are compiled one step further,
-//! into per-net entries. Every other cell snapshots its
+//! into per-net entries. A read column whose 16 wordline nets are
+//! consecutive, as the decoder builds them, reads them as one 16-byte
+//! slice of the value table instead of through the input table. Every
+//! other cell snapshots its
 //! inputs into a reusable scratch arena and is dispatched through the
 //! [`CellKind`](crate::cells::CellKind) enum (boxed trait objects remain
 //! as an escape hatch for downstream macro-cells). Testbenches that need
@@ -47,11 +53,26 @@
 //! [`Simulator::run_until_edges`], which checks watched nets only when
 //! they actually transition instead of polling after every step.
 //!
+//! The per-event path takes no branch on a net's level, a gate's
+//! function or an inverter flag: the [`Logic`] operators, the compiled
+//! gates and full adder, the delay arc
+//! ([`SampledTiming::for_value`]) and the rise or fall energy of an edge
+//! are tables indexed by the level (a transition to `X` still returns
+//! early from energy metering, since it is no edge). Nor does a push
+//! update the queue's high-water mark: the mark is folded once after
+//! each delta cycle's evaluations, after each poke and after the
+//! power-up evaluation. Pops happen only at the start of a delta cycle,
+//! so the queue only grows between those points and
+//! [`SimStats::max_queue`] is the mark a per-push update would keep.
+//!
 //! A deliberately naive implementation of the same semantics lives in
 //! [`crate::reference`]; a property test keeps the two in agreement.
 
 use crate::cell::{Drive, DriveMode, EvalCtx, Violation, ViolationKind};
-use crate::cells::{full_adder, ColumnStep, Gate2, GateShape, LatchState, LatchStep, ReadColumn};
+use crate::cells::{
+    full_adder, unary, ColumnStep, Gate2, GateShape, LatchState, LatchStep, ReadColumn,
+    READ_COLUMN_ROWS,
+};
 use crate::circuit::{CellId, Circuit, DomainId, NetId};
 use crate::energy::{EnergyMeter, EnergyReport};
 use crate::library::SampledTiming;
@@ -109,7 +130,10 @@ struct EventQueue {
     pool: Vec<Vec<Event>>,
     /// Total queued events.
     len: usize,
-    /// High-water mark of `len`.
+    /// High-water mark of `len`. `push` leaves it alone: the owner folds
+    /// `len` in with [`EventQueue::fold_high_water`] after each burst of
+    /// pushes, which sees the same maximum because pops happen only at
+    /// the start of a delta cycle.
     max_len: usize,
     /// Per-net generation counters: an inertial drive bumps its net's
     /// generation, and a popped event carrying an older one is stale.
@@ -161,7 +185,6 @@ impl EventQueue {
     #[inline]
     fn push(&mut self, ev: Event) {
         self.len += 1;
-        self.max_len = self.max_len.max(self.len);
         if self.front.is_none() && self.entries.is_empty() {
             self.front = Some(ev);
             return;
@@ -234,6 +257,14 @@ impl EventQueue {
             }
             _ => None,
         }
+    }
+
+    /// Folds the current length into the high-water mark. Call it after
+    /// every burst of pushes: `len` only grows between two calls, so the
+    /// mark is the one a per-push update would have kept.
+    #[inline]
+    fn fold_high_water(&mut self) {
+        self.max_len = self.max_len.max(self.len);
     }
 
     /// Returns a drained bucket to the pool.
@@ -320,10 +351,9 @@ struct Watch {
 /// one cache line instead of scattered across the `Net` table.
 #[derive(Debug, Clone, Copy)]
 struct NetHot {
-    /// Supply energy of a rising edge on this net.
-    rise: Joules,
-    /// Supply energy of a falling edge on this net.
-    fall: Joules,
+    /// Supply energy of an edge to each known level, indexed by the
+    /// level: `[falling, rising]`.
+    edge: [Joules; 2],
     /// Energy-accounting domain.
     domain: DomainId,
     /// Same cell listed on several fanout pins — see `Net::fanout_dup`.
@@ -369,21 +399,16 @@ enum CellFast {
         state: LatchState,
     },
     Column {
-        /// `[rbl, rblb]`; the inputs are read through the circuit's
-        /// input table.
+        /// `[rbl, rblb]`.
         rails: [NetId; 2],
+        pche: NetId,
+        /// The first of the wordline nets when the 16 are consecutive, as
+        /// the decoder builds them, so they are read as one slice of the
+        /// value table; `None` reads them through the circuit's input
+        /// table.
+        rows: Option<NetId>,
         col: ReadColumn,
     },
-}
-
-impl CellFast {
-    /// `true` for the kinds that read their trigger list — the only cells
-    /// the kernel keeps changed-pin bits for (see
-    /// `GateShape::reads_triggers`, which the fanout entries follow).
-    #[inline]
-    fn reads_triggers(&self) -> bool {
-        matches!(self, CellFast::Latch { .. } | CellFast::Generic)
-    }
 }
 
 /// Compiled fanout of a net, precomputed at [`Simulator::new`].
@@ -453,8 +478,9 @@ pub struct Simulator {
     dirty: Vec<CellId>,
     dirty_mark: Vec<u64>,
     /// One bit per flat input pin ([`Circuit::input_pins`]): set when the
-    /// pin's net changed in the current delta cycle, for the cells that
-    /// read their trigger list (the others' bits stay clear).
+    /// pin's net changed in the current delta cycle, for latches and the
+    /// cells on the generic path (the others' bits stay clear). The
+    /// cell's evaluation reads and clears its own bits.
     changed_pins: Vec<u64>,
     epoch: u64,
     watches: Vec<Watch>,
@@ -473,8 +499,7 @@ impl Simulator {
             .map(|net| {
                 let (rise, fall) = circuit.library.edge_energy(net.cap);
                 NetHot {
-                    rise,
-                    fall,
+                    edge: [fall, rise],
                     domain: net.domain,
                     fanout_dup: net.fanout_dup,
                 }
@@ -523,6 +548,12 @@ impl Simulator {
                     },
                     GateShape::Column(col) => CellFast::Column {
                         rails: [outs[0], outs[1]],
+                        pche: ins[0],
+                        rows: ins[1..]
+                            .iter()
+                            .zip(ins[1].0..)
+                            .all(|(n, i)| n.0 == i)
+                            .then_some(ins[1]),
                         col,
                     },
                     GateShape::Other => CellFast::Generic,
@@ -578,8 +609,9 @@ impl Simulator {
             circuit,
         };
         for i in 0..n_cells {
-            sim.eval_cell(CellId(i as u32), &[]);
+            sim.eval_cell(CellId(i as u32));
         }
+        sim.queue.fold_high_water();
         sim
     }
 
@@ -627,6 +659,7 @@ impl Simulator {
         );
         self.queue
             .schedule(self.now, net, value, delay, DriveMode::Inertial);
+        self.queue.fold_high_water();
     }
 
     /// Drives each bit of an LSB-first bus from an integer (inputs only).
@@ -912,6 +945,8 @@ impl Simulator {
                 self.eval_dirty();
             }
         }
+        // Every push of this cycle came after its pops.
+        self.queue.fold_high_water();
         popped
     }
 
@@ -940,7 +975,7 @@ impl Simulator {
                 invert,
             } => {
                 self.stats.evals += 1;
-                let v = if invert { !ev.value } else { ev.value };
+                let v = unary(invert, ev.value);
                 self.queue
                     .schedule(t, out, v, timing.for_value(v), DriveMode::Inertial);
             }
@@ -966,10 +1001,12 @@ impl Simulator {
                 } else {
                     for k in 0..self.circuit.fanout(ni).len() {
                         let f = self.circuit.fanout(ni)[k];
-                        // Only a cell that reads its trigger list is told
-                        // which pin changed.
-                        let pin = f.changed_bit().map(|_| self.circuit.pin_of(f));
-                        self.eval_cell(f.cell, pin.as_slice());
+                        // Only a cell that reads its changed pins has a
+                        // bit; its evaluation clears it again.
+                        if let Some(bit) = f.changed_bit() {
+                            set_bit(&mut self.changed_pins, bit);
+                        }
+                        self.eval_cell(f.cell);
                     }
                 }
             }
@@ -1024,44 +1061,37 @@ impl Simulator {
                 self.dirty.push(f.cell);
             }
             if let Some(bit) = f.changed_bit() {
-                self.changed_pins[bit / 64] |= 1 << (bit % 64);
+                set_bit(&mut self.changed_pins, bit);
             }
         }
     }
 
-    /// Evaluates each dirty cell once. A cell that reads its trigger list
-    /// gets its changed pins in ascending order (each listed once, whatever
-    /// the order and number of the transitions that set them); the others
-    /// get an empty list, which they ignore. Evaluations only schedule
+    /// Evaluates each dirty cell once; each reads its changed pins from
+    /// the bits phase A set (a pin is set once, whatever the order and
+    /// number of the transitions on its net). Evaluations only schedule
     /// future events, so the dirty list cannot grow while we walk it.
     fn eval_dirty(&mut self) {
-        let mut triggers = std::mem::take(&mut self.trigger_buf);
         for k in 0..self.dirty.len() {
-            let cell = self.dirty[k];
-            triggers.clear();
-            if self.cell_fast[cell.index()].reads_triggers() {
-                drain_bits(
-                    &mut self.changed_pins,
-                    self.circuit.input_pins(cell.index()),
-                    &mut triggers,
-                );
-            }
-            self.eval_cell(cell, &triggers);
+            self.eval_cell(self.dirty[k]);
         }
         self.dirty.clear();
-        self.trigger_buf = triggers;
     }
 
+    /// Meters an edge of `net` to `new_value`: the net's rise or fall
+    /// energy, indexed by the level. A transition to `X` is no edge.
+    #[inline]
     fn record_edge(&mut self, net: NetId, new_value: Logic) {
-        let hot = &self.net_hot[net.index()];
-        match new_value {
-            Logic::High => self.energy.record(hot.domain, hot.rise),
-            Logic::Low => self.energy.record(hot.domain, hot.fall),
-            Logic::X => {}
+        if new_value == Logic::X {
+            return;
         }
+        let hot = &self.net_hot[net.index()];
+        self.energy.record(hot.domain, hot.edge[new_value as usize]);
     }
 
-    fn eval_cell(&mut self, cell: CellId, triggers: &[usize]) {
+    /// Evaluates `cell` against the current values. A latch or a cell on
+    /// the generic path reads and clears its changed-pin bits; every other
+    /// cell is a function of its input values alone.
+    fn eval_cell(&mut self, cell: CellId) {
         self.stats.evals += 1;
         let ci = cell.index();
         let now = self.now;
@@ -1073,8 +1103,7 @@ impl Simulator {
                 timing,
                 invert,
             } => {
-                let v0 = self.values[input.index()];
-                let v = if *invert { !v0 } else { v0 };
+                let v = unary(*invert, self.values[input.index()]);
                 self.queue
                     .schedule(now, *out, v, timing.for_value(v), DriveMode::Inertial);
                 return;
@@ -1124,12 +1153,16 @@ impl Simulator {
                 timing,
                 state,
             } => {
+                // D and G are the cell's first two flat pins.
+                let pin = self.circuit.input_pins(ci).start;
+                let d_changed = take_bit(&mut self.changed_pins, pin);
+                let g_changed = take_bit(&mut self.changed_pins, pin + 1);
                 let step = state.step(
                     now,
                     self.values[d.index()],
                     self.values[g.index()],
-                    triggers.contains(&0),
-                    triggers.contains(&1),
+                    d_changed,
+                    g_changed,
                 );
                 let v = match step {
                     LatchStep::Hold => return,
@@ -1148,11 +1181,28 @@ impl Simulator {
                     .schedule(now, *q, v, timing.for_value(v), DriveMode::Inertial);
                 return;
             }
-            CellFast::Column { rails, col } => {
-                let ins = self.circuit.cell_inputs(ci);
-                let rows =
-                    ReadColumn::asserted_rows(ins[1..].iter().map(|n| self.values[n.index()]));
-                let (step, violation) = col.step(self.values[ins[0].index()], rows);
+            CellFast::Column {
+                rails,
+                pche,
+                rows,
+                col,
+            } => {
+                let rows = match *rows {
+                    Some(first) => {
+                        let r = first.index();
+                        let lines: &[Logic; READ_COLUMN_ROWS] = self.values
+                            [r..r + READ_COLUMN_ROWS]
+                            .try_into()
+                            .expect("a column has 16 rows");
+                        ReadColumn::asserted_rows(lines.iter().copied())
+                    }
+                    None => ReadColumn::asserted_rows(
+                        self.circuit.cell_inputs(ci)[1..]
+                            .iter()
+                            .map(|n| self.values[n.index()]),
+                    ),
+                };
+                let (step, violation) = col.step(self.values[pche.index()], rows);
                 if let Some(detail) = violation {
                     self.violations.push(Violation {
                         time: now,
@@ -1184,6 +1234,15 @@ impl Simulator {
             }
             CellFast::Generic => {}
         }
+        // The changed pins, ascending and each listed once, into the
+        // reusable trigger buffer; the drain clears the bits even for a
+        // cell that never reads them.
+        self.trigger_buf.clear();
+        drain_bits(
+            &mut self.changed_pins,
+            self.circuit.input_pins(ci),
+            &mut self.trigger_buf,
+        );
         // Snapshot the input values into the reusable scratch arena; the
         // borrows below are all of disjoint `Simulator` fields, so the
         // whole evaluation is allocation-free.
@@ -1207,7 +1266,7 @@ impl Simulator {
         let mut ctx = EvalCtx {
             now,
             input_values: &self.input_buf,
-            triggers,
+            triggers: &self.trigger_buf,
             drives: &mut self.drive_buf,
             violations: &mut self.violations,
             cell_name: &inst.name,
@@ -1233,11 +1292,28 @@ impl Simulator {
     }
 }
 
+/// Sets bit `i` of `bits`.
+#[inline]
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Reads and clears bit `i` of `bits`.
+#[inline]
+fn take_bit(bits: &mut [u64], i: usize) -> bool {
+    let (word, mask) = (&mut bits[i / 64], 1 << (i % 64));
+    let hit = *word & mask != 0;
+    *word &= !mask;
+    hit
+}
+
 /// Moves the set bits of `bits` inside the bit range `range` into `out`,
-/// ascending, as offsets from `range.start`, and clears them. `range`
-/// must be non-empty.
+/// ascending, as offsets from `range.start`, and clears them.
 #[inline]
 fn drain_bits(bits: &mut [u64], range: Range<usize>, out: &mut Vec<usize>) {
+    if range.is_empty() {
+        return;
+    }
     let (first, last) = (range.start / 64, (range.end - 1) / 64);
     for (w, word) in (first..).zip(&mut bits[first..=last]) {
         let base = w * 64;
@@ -1487,12 +1563,70 @@ mod tests {
     fn drain_bits_takes_only_its_range_across_words() {
         let mut bits = vec![0u64; 3];
         for b in [3, 60, 61, 64, 127, 128, 130] {
-            bits[b / 64] |= 1 << (b % 64);
+            set_bit(&mut bits, b);
         }
         let mut out = Vec::new();
         drain_bits(&mut bits, 61..129, &mut out);
         assert_eq!(out, [0, 3, 66, 67]);
         assert_eq!(bits, [1 << 3 | 1 << 60, 0, 1 << 2], "bits outside kept");
+        drain_bits(&mut bits, 3..3, &mut out);
+        assert_eq!(
+            out.len(),
+            4,
+            "an empty range (a cell with no inputs) takes nothing"
+        );
+        assert!(take_bit(&mut bits, 130) && !take_bit(&mut bits, 130));
+        assert_eq!(bits, [1 << 3 | 1 << 60, 0, 0]);
+    }
+
+    #[test]
+    fn queue_high_water_is_folded_after_each_burst_of_pushes() {
+        let mut q = EventQueue::new(1);
+        let push = |q: &mut EventQueue, fs: u64| {
+            q.push(Event {
+                time: SimTime::from_femtos(fs),
+                net: NetId(0),
+                value: Logic::High,
+                gen: 0,
+            })
+        };
+        for fs in [5, 3, 5, 9] {
+            push(&mut q, fs);
+        }
+        assert_eq!(q.max_len, 0, "a push leaves the mark alone");
+        q.fold_high_water();
+        assert_eq!(q.max_len, 4);
+        // A delta cycle pops the earliest bucket first, then pushes.
+        let t = q.earliest_time().expect("queued");
+        let bucket = q.pop_bucket_at(t).expect("one event at 3 fs");
+        q.recycle(bucket);
+        push(&mut q, 7);
+        q.fold_high_water();
+        assert_eq!((q.len, q.max_len), (4, 4));
+        push(&mut q, 7);
+        push(&mut q, 8);
+        q.fold_high_water();
+        assert_eq!((q.len, q.max_len), (6, 6));
+    }
+
+    /// The high-water mark counts events that are popped before anything
+    /// is pushed again: a burst of pokes nothing listens to, and a lone
+    /// power-up drive.
+    #[test]
+    fn max_queue_counts_pokes_and_power_up_drives_that_are_never_followed() {
+        let mut b = builder();
+        let ins: Vec<NetId> = (0..3).map(|i| b.input(format!("in{i}"))).collect();
+        let mut sim = Simulator::new(b.build());
+        for &net in &ins {
+            sim.poke(net, Logic::High);
+        }
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.stats().max_queue, 3, "the pokes");
+        let mut b = builder();
+        b.tie("t", Logic::Low);
+        let mut sim = Simulator::new(b.build());
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.stats().max_queue, 1, "the tie's power-up drive");
     }
 
     #[test]

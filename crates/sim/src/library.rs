@@ -138,14 +138,11 @@ impl SampledTiming {
     /// `Low`, the worst arc for `X`. This is the single delay-selection
     /// rule of every combinational standard cell, shared so the
     /// enum-dispatched kernel fast path and the boxed escape hatch cannot
-    /// drift apart.
+    /// drift apart. The arc is indexed by the level's discriminant, so
+    /// the choice takes no branch.
     #[inline]
     pub fn for_value(self, value: crate::logic::Logic) -> SimTime {
-        match value {
-            crate::logic::Logic::High => self.rise,
-            crate::logic::Logic::Low => self.fall,
-            crate::logic::Logic::X => self.worst(),
-        }
+        [self.fall, self.rise, self.worst()][value as usize]
     }
 }
 
@@ -332,6 +329,29 @@ mod tests {
         assert_eq!(t.for_value(crate::logic::Logic::High), t.rise);
         assert_eq!(t.for_value(crate::logic::Logic::Low), t.fall);
         assert_eq!(t.for_value(crate::logic::Logic::X), t.worst());
+    }
+
+    #[test]
+    fn for_value_picks_the_arc_of_each_level() {
+        use crate::logic::Logic;
+        let fs = SimTime::from_femtos;
+        let levels = [Logic::Low, Logic::High, Logic::X];
+        let slow_rise = SampledTiming {
+            rise: fs(700),
+            fall: fs(500),
+        };
+        assert_eq!(
+            levels.map(|v| slow_rise.for_value(v)),
+            [fs(500), fs(700), fs(700)]
+        );
+        let slow_fall = SampledTiming {
+            rise: fs(300),
+            fall: fs(900),
+        };
+        assert_eq!(
+            levels.map(|v| slow_fall.for_value(v)),
+            [fs(900), fs(300), fs(900)]
+        );
     }
 
     #[test]

@@ -5,11 +5,20 @@
 //! propagates pessimistically through the standard-cell operators defined
 //! here (e.g. `NAND(X, Low) = High` because one controlling input decides the
 //! output, but `NAND(X, High) = X`).
+//!
+//! The operators are truth tables indexed by the levels' fixed
+//! discriminants (`Low = 0`, `High = 1`, `X = 2`), not chains of
+//! comparisons: the event kernel evaluates a gate with one load and no
+//! branch on its inputs' levels. The kernel's other level-dependent
+//! choices (the gate tables of [`cells`](crate::cells), the delay arc of
+//! [`SampledTiming::for_value`](crate::library::SampledTiming::for_value),
+//! the rise or fall energy of an edge) index by the same discriminants.
 
 use core::fmt;
 use core::ops::Not;
 
-/// A three-valued logic level.
+/// A three-valued logic level. The discriminants are fixed, because
+/// tables throughout the crate are indexed by them.
 ///
 /// ```
 /// use maddpipe_sim::logic::Logic;
@@ -17,17 +26,30 @@ use core::ops::Not;
 /// assert_eq!(Logic::High & Logic::X, Logic::X);   // unknown dominates
 /// assert_eq!(Logic::Low & Logic::X, Logic::Low);  // controlling value wins
 /// assert_eq!(!Logic::Low, Logic::High);
+/// assert_eq!(Logic::X as u8, 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(u8)]
 pub enum Logic {
     /// Logic 0 / VSS.
-    Low,
+    Low = 0,
     /// Logic 1 / VDD.
-    High,
+    High = 1,
     /// Unknown or uninitialised.
     #[default]
-    X,
+    X = 2,
 }
+
+use Logic::{High as H, Low as L, X};
+
+/// `!a`, indexed by `a`.
+pub(crate) const NOT: [Logic; 3] = [H, L, X];
+/// `a & b`, indexed by `[a][b]`: a `Low` input decides the output.
+pub(crate) const AND: [[Logic; 3]; 3] = [[L, L, L], [L, H, X], [L, X, X]];
+/// `a | b`, indexed by `[a][b]`: a `High` input decides the output.
+pub(crate) const OR: [[Logic; 3]; 3] = [[L, H, X], [H, H, H], [X, H, X]];
+/// `a ^ b`, indexed by `[a][b]`: any `X` input gives `X`.
+pub(crate) const XOR: [[Logic; 3]; 3] = [[L, H, X], [H, L, X], [X, X, X]];
 
 impl Logic {
     /// Converts a `bool` to a logic level.
@@ -93,11 +115,7 @@ impl Not for Logic {
     type Output = Logic;
     #[inline]
     fn not(self) -> Logic {
-        match self {
-            Logic::Low => Logic::High,
-            Logic::High => Logic::Low,
-            Logic::X => Logic::X,
-        }
+        NOT[self as usize]
     }
 }
 
@@ -105,11 +123,7 @@ impl core::ops::BitAnd for Logic {
     type Output = Logic;
     #[inline]
     fn bitand(self, rhs: Logic) -> Logic {
-        match (self, rhs) {
-            (Logic::Low, _) | (_, Logic::Low) => Logic::Low,
-            (Logic::High, Logic::High) => Logic::High,
-            _ => Logic::X,
-        }
+        AND[self as usize][rhs as usize]
     }
 }
 
@@ -117,11 +131,7 @@ impl core::ops::BitOr for Logic {
     type Output = Logic;
     #[inline]
     fn bitor(self, rhs: Logic) -> Logic {
-        match (self, rhs) {
-            (Logic::High, _) | (_, Logic::High) => Logic::High,
-            (Logic::Low, Logic::Low) => Logic::Low,
-            _ => Logic::X,
-        }
+        OR[self as usize][rhs as usize]
     }
 }
 
@@ -129,10 +139,7 @@ impl core::ops::BitXor for Logic {
     type Output = Logic;
     #[inline]
     fn bitxor(self, rhs: Logic) -> Logic {
-        match (self.to_bool(), rhs.to_bool()) {
-            (Some(a), Some(b)) => Logic::from_bool(a ^ b),
-            _ => Logic::X,
-        }
+        XOR[self as usize][rhs as usize]
     }
 }
 
@@ -221,6 +228,20 @@ mod tests {
         assert_eq!(Logic::High ^ Logic::Low, Logic::High);
         assert_eq!(Logic::High ^ Logic::High, Logic::Low);
         assert_eq!(Logic::High ^ Logic::X, Logic::X);
+    }
+
+    /// Every operator over every input, against literal tables: rows are
+    /// the left operand and columns the right, both in `ALL` order. The
+    /// tables are indexed by the discriminants, so those are pinned too.
+    #[test]
+    fn operators_match_their_truth_tables() {
+        use Logic::{High as H, Low as L, X};
+        assert_eq!(ALL.map(|v| v as u8), [0, 1, 2]);
+        let table = |op: fn(Logic, Logic) -> Logic| ALL.map(|a| ALL.map(|b| op(a, b)));
+        assert_eq!(ALL.map(|a| !a), [H, L, X]);
+        assert_eq!(table(|a, b| a & b), [[L, L, L], [L, H, X], [L, X, X]]);
+        assert_eq!(table(|a, b| a | b), [[L, H, X], [H, H, H], [X, H, X]]);
+        assert_eq!(table(|a, b| a ^ b), [[L, H, X], [H, L, X], [X, X, X]]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! buffers, linear-searched dirty tracking — so a golden-equivalence
 //! property test (`tests/kernel_equivalence.rs`) can replay random
 //! netlists on both kernels and demand identical final net values,
-//! quiescence times and switching energy, femtojoule for femtojoule.
+//! quiescence times, switching energy (femtojoule for femtojoule) and
+//! edge counts, per energy domain.
 //!
 //! The shared pieces are deliberate: both kernels evaluate the *same*
 //! [`CellKind`](crate::cells::CellKind) behaviours over the *same*
@@ -18,10 +19,12 @@
 //! the property test therefore actually checks — is the event scheduling
 //! machinery: `(time, seq)` ordering, inertial generation cancellation,
 //! delta batching, per-delta cell-evaluation dedup, trigger-pin
-//! collection, and energy attribution order.
+//! collection, and the attribution of energy and edges to domains, in
+//! transition order.
 
 use crate::cell::{Drive, DriveMode, EvalCtx, Violation};
 use crate::circuit::{CellId, Circuit, NetId};
+use crate::energy::{EnergyReport, EnergyRow};
 use crate::engine::OscillationError;
 use crate::logic::Logic;
 use crate::time::SimTime;
@@ -50,6 +53,8 @@ pub struct ReferenceSimulator {
     seq: u64,
     /// Switching energy per domain, accumulated in transition order.
     energy_by_domain: Vec<Joules>,
+    /// Rising and falling edges per domain; a transition to `X` is none.
+    edges_by_domain: Vec<u64>,
     edge_energy: Vec<(Joules, Joules)>,
     violations: Vec<Violation>,
     event_cap: u64,
@@ -72,6 +77,7 @@ impl ReferenceSimulator {
             now: SimTime::ZERO,
             seq: 0,
             energy_by_domain: vec![Joules::ZERO; circuit.domains.len()],
+            edges_by_domain: vec![0; circuit.domains.len()],
             edge_energy,
             violations: Vec::new(),
             event_cap: 50_000_000,
@@ -96,6 +102,25 @@ impl ReferenceSimulator {
     /// Total switching energy so far.
     pub fn total_energy(&self) -> Joules {
         self.energy_by_domain.iter().copied().sum()
+    }
+
+    /// Per-domain energy and edge counts so far, in the shape of
+    /// [`Simulator::energy_report`](crate::engine::Simulator::energy_report).
+    pub fn energy_report(&self) -> EnergyReport {
+        EnergyReport {
+            rows: self
+                .circuit
+                .domains
+                .iter()
+                .zip(&self.energy_by_domain)
+                .zip(&self.edges_by_domain)
+                .map(|((domain, &energy), &edges)| EnergyRow {
+                    domain: domain.clone(),
+                    energy,
+                    edges,
+                })
+                .collect(),
+        }
     }
 
     /// Timing/protocol violations recorded so far.
@@ -178,10 +203,14 @@ impl ReferenceSimulator {
             self.values[ni] = ev.value;
             let (rise, fall) = self.edge_energy[ni];
             let domain = self.circuit.nets[ni].domain.0 as usize;
-            match ev.value {
-                Logic::High => self.energy_by_domain[domain] += rise,
-                Logic::Low => self.energy_by_domain[domain] += fall,
-                Logic::X => {}
+            let edge = match ev.value {
+                Logic::High => Some(rise),
+                Logic::Low => Some(fall),
+                Logic::X => None,
+            };
+            if let Some(energy) = edge {
+                self.energy_by_domain[domain] += energy;
+                self.edges_by_domain[domain] += 1;
             }
             for &f in self.circuit.fanout(ni) {
                 let (cell, pin) = (f.cell, self.circuit.pin_of(f));

@@ -8,8 +8,8 @@
 //! allocation-free evaluation path. The `ReferenceSimulator` implements
 //! the same delta-cycle semantics with none of those tricks. For random
 //! netlists and random stimulus, the two must agree on every final net
-//! value, the quiescence time, the total switching energy and every
-//! recorded violation — bit for bit.
+//! value, the quiescence time, each energy domain's switching energy and
+//! edge count, and every recorded violation — bit for bit.
 //!
 //! `PROPTEST_CASES` sets the number of random cases (default 48).
 
@@ -77,11 +77,14 @@ enum GateOp {
     /// A [`ReadColumn`] storing `word`, precharged by pool net `pche`,
     /// with its 16 wordlines on the pool nets `rows`. Random rows often
     /// assert several wordlines at once, and pool nets start at `X`, so
-    /// both protocol violations and the `X` precharge are reached.
+    /// both protocol violations and the `X` precharge are reached. With
+    /// `inverted`, each wordline first passes through a fresh inverter,
+    /// so the 16 row nets are consecutive, as the decoder builds them.
     Column {
         pche: usize,
         rows: Vec<usize>,
         word: u16,
+        inverted: bool,
     },
 }
 
@@ -116,20 +119,32 @@ fn gate_op() -> impl Strategy<Value = GateOp> {
             any::<usize>(),
             proptest::collection::vec(any::<usize>(), 16..17),
             any::<u16>(),
+            any::<bool>(),
         )
-            .prop_map(|(pche, rows, word)| GateOp::Column { pche, rows, word }),
+            .prop_map(|(pche, rows, word, inverted)| GateOp::Column {
+                pche,
+                rows,
+                word,
+                inverted,
+            }),
     ]
 }
 
+/// The energy domains a recipe step's output nets are drawn from; the
+/// primary inputs stay in `top`.
+const DOMAINS: [&str; 3] = ["top", "enc", "dec"];
+
 /// Builds the same netlist twice (cells are stateful, so each kernel
 /// needs its own instance) and returns the primary inputs plus every net
-/// created by the recipe (inputs and gate outputs alike).
-fn build(n_inputs: usize, ops: &[GateOp]) -> (Circuit, Vec<NetId>, Vec<NetId>) {
+/// created by the recipe (inputs and gate outputs alike). Each step puts
+/// its output nets in the energy domain `DOMAINS[domain % 3]`.
+fn build(n_inputs: usize, ops: &[(GateOp, usize)]) -> (Circuit, Vec<NetId>, Vec<NetId>) {
     let mut b = builder();
     let inputs: Vec<NetId> = (0..n_inputs).map(|i| b.input(format!("in{i}"))).collect();
     let mut pool = inputs.clone();
     let pick = |pool: &[NetId], i: usize| pool[i % pool.len()];
-    for (k, op) in ops.iter().enumerate() {
+    for (k, (op, domain)) in ops.iter().enumerate() {
+        b.set_domain(DOMAINS[domain % DOMAINS.len()]);
         let out = match *op {
             GateOp::Inv(a) => b.inv(&format!("g{k}"), pick(&pool, a)),
             GateOp::Buf(a) => b.buf_gate(&format!("g{k}"), [pick(&pool, a)]),
@@ -207,9 +222,17 @@ fn build(n_inputs: usize, ops: &[GateOp]) -> (Circuit, Vec<NetId>, Vec<NetId>) {
                 pche,
                 ref rows,
                 word,
+                inverted,
             } => {
                 let mut ins = vec![pick(&pool, pche)];
-                ins.extend(rows.iter().map(|&r| pick(&pool, r)));
+                for (i, &r) in rows.iter().enumerate() {
+                    let row = pick(&pool, r);
+                    ins.push(if inverted {
+                        b.inv(&format!("g{k}.rwl{i}"), row)
+                    } else {
+                        row
+                    });
+                }
                 let (rbl, rblb) = (b.net(format!("g{k}.rbl")), b.net(format!("g{k}.rblb")));
                 let col = ReadColumn::new(
                     word,
@@ -245,14 +268,14 @@ proptest! {
     /// For random DAG-ish netlists (mixing stateless gates, full adders,
     /// stateful latches/C-elements, transport delay lines, multi-edge
     /// pulse generators, SRAM read columns and cells wider than 64 pins)
-    /// and random
-    /// multi-phase stimulus, the optimized kernel and the naive reference
-    /// agree on final net values, quiescence time, cumulative switching
-    /// energy and the recorded violations.
+    /// spread over three energy domains, and random multi-phase stimulus,
+    /// the optimized kernel and the naive reference agree on final net
+    /// values, quiescence time, each domain's cumulative switching energy
+    /// and edge count, and the recorded violations.
     #[test]
     fn optimized_kernel_matches_naive_reference(
         n_inputs in 1usize..5,
-        ops in proptest::collection::vec(gate_op(), 1..24),
+        ops in proptest::collection::vec((gate_op(), 0usize..3), 1..24),
         stimulus in proptest::collection::vec(
             proptest::collection::vec((any::<usize>(), any::<bool>()), 1..6),
             1..5,
@@ -297,6 +320,20 @@ proptest! {
                 fast.total_energy(),
                 naive.total_energy()
             );
+            let (fast_rows, naive_rows) = (fast.energy_report().rows, naive.energy_report().rows);
+            prop_assert_eq!(fast_rows.len(), naive_rows.len(), "domain count");
+            for (f, n) in fast_rows.iter().zip(&naive_rows) {
+                prop_assert_eq!(&f.domain, &n.domain);
+                prop_assert_eq!(
+                    f.energy.value().to_bits(),
+                    n.energy.value().to_bits(),
+                    "energy of {}: fast {} vs naive {}",
+                    f.domain,
+                    f.energy,
+                    n.energy
+                );
+                prop_assert_eq!(f.edges, n.edges, "edges of {}", f.domain);
+            }
             prop_assert_eq!(fast.violations(), naive.violations(), "violations");
         }
     }
