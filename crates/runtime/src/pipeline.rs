@@ -1,16 +1,43 @@
 //! Multi-layer streaming dataflow serving: a whole network as one
 //! deployment.
 //!
-//! The paper's macro is *self-synchronous pipeline accumulation* —
-//! stages fire as soon as their inputs arrive, with completion detection
-//! instead of a global clock. A [`PipelineGraph`] is the serving-stack
-//! analogue of that fabric: a chain of stages, each on its own thread,
-//! connected by **bounded** inter-stage queues. A stage fires as soon as
-//! an item arrives in its input queue; a full queue blocks the producer,
-//! so backpressure propagates hop by hop back to [`PipelineGraph::submit`],
-//! which answers typed [`BackendError::QueueFull`] instead of buffering
-//! without limit — credit-based flow control, with the queue capacity as
-//! the per-hop credit.
+//! The paper's macro is *self-synchronous pipeline accumulation*: a
+//! stage fires the next one as soon as it completes, and no layer keeps a
+//! buffer of its own. A [`PipelineGraph`] is the serving-stack analogue:
+//! a chain of [`ReplicaPool`]s, one per macro stage, in which the thread
+//! that finishes one hop runs the next.
+//!
+//! * One intake thread takes each request off a bounded channel, runs the
+//!   leading host stages and the first macro stage's `encode`, and hands
+//!   the batch to that stage's pool.
+//! * The pool replica that ran a macro stage's kernel runs the stage's
+//!   `decode`, every host stage up to the next macro stage and that
+//!   stage's `encode`, then hands the batch straight to the next pool —
+//!   or resolves the ticket at the end of the chain.
+//!
+//! A graph therefore spawns no thread per stage: the demo CNN (two conv
+//! stages of 2 replicas each) runs on 1 intake thread plus 4 replica
+//! threads, and an image crosses 4 threads: client → intake → first conv
+//! replica → second conv replica → client. A host-only graph runs
+//! entirely on its intake thread.
+//!
+//! **Backpressure** is credit-based, with [`PipelinePolicy::capacity`] as
+//! the per-hop credit: the intake channel holds `capacity` requests and
+//! each stage pool admits `capacity` unresolved ones. A full intake
+//! answers [`PipelineGraph::submit`] with typed
+//! [`BackendError::QueueFull`] instead of buffering without limit. A
+//! thread whose next pool is full blocks until that pool drains, which
+//! stalls its own pool in turn, and so on back to intake; the chain has
+//! no cycle, so this cannot deadlock. [`PipelineGraph::depth`] stays
+//! within `c + 1 + m·c·(1 + r)` for capacity `c` and `m` macro stages of
+//! `r` replicas: the intake channel, the request the intake thread holds,
+//! each pool's admitted requests and, on each replica, one micro-batch
+//! whose riders have left their pool and wait to enter the next.
+//!
+//! **Order.** Replies resolve in completion order. A host-only graph
+//! completes in submission order; with more than one replica per stage a
+//! later request can overtake an earlier one. Each ticket always carries
+//! its own output.
 //!
 //! Two stage flavours compose freely:
 //!
@@ -29,13 +56,16 @@
 //! Failure semantics mirror the rest of the serving stack, one level up:
 //!
 //! * an item-level failure (exhausted retries, a wrong-width payload
-//!   fault) resolves *that* ticket with [`BackendError::Stage`] naming
-//!   the stage, and the pipeline keeps serving everyone else
-//!   bit-identically;
+//!   fault, a host, `encode` or `decode` closure that errors or panics)
+//!   resolves *that* ticket with [`BackendError::Stage`] naming the
+//!   stage, and the pipeline keeps serving everyone else
+//!   bit-identically. A closure's panic is caught by the hop, so it never
+//!   counts as a replica crash: no respawn, no kernel retry;
 //! * a stage-level death (a stage's pool closed — every replica
-//!   quarantined) fails the whole graph: intake closes, and **every**
-//!   in-flight ticket resolves with the typed stage error. No ticket is
-//!   ever leaked.
+//!   quarantined) fails the whole graph: every hop queued or blocked on
+//!   that pool resolves with `Stage { stage, source: QueueClosed }`, the
+//!   error is stored as the graph's failure, and every later hop and
+//!   submission answers with it. No ticket is ever leaked.
 //!
 //! Tickets are the pool's [`BatchTicket`] at the pipeline's reply type,
 //! with one addition: a [`PipelineTicket::state`] probe reporting *where*
@@ -74,14 +104,14 @@
 use crate::backend::{BackendKind, ReplicaFactory};
 use crate::batch::{BatchResult, TokenBatch};
 use crate::error::{BackendError, QueueLimit};
-use crate::pool::{RecoveryPolicy, ReplicaPool, ServePolicy};
-use crate::queue::{BatchTicket, QueuePolicy, TicketCell};
+use crate::pool::{PoolHealth, RecoveryPolicy, ReplicaPool, ServePolicy};
+use crate::queue::{BatchTicket, QueuePolicy, QueueReply, TicketCell};
 use crate::session::SessionStats;
 use maddpipe_core::config::MacroConfig;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -96,9 +126,10 @@ pub type EncodeFn = Arc<dyn Fn(&[f32]) -> Result<TokenBatch, BackendError> + Sen
 /// activation.
 pub type DecodeFn = Arc<dyn Fn(&BatchResult) -> Result<Vec<f32>, BackendError> + Send + Sync>;
 
-/// A lightweight host-side pipeline stage: a pure closure on the stage
-/// thread, for the layers that never touch the macro (ReLU, pooling,
-/// affine/BN, linear heads).
+/// A lightweight host-side pipeline stage: a pure closure, run in line
+/// by whichever thread carries the item to it (the intake thread, or the
+/// replica that ran the macro stage before it), for the layers that
+/// never touch the macro (ReLU, pooling, affine/BN, linear heads).
 ///
 /// A panicking closure costs only the item that triggered it (resolved
 /// as [`BackendError::ReplicaPanicked`] wrapped in
@@ -329,22 +360,25 @@ pub struct StagePolicy {
     pub replicas: usize,
     /// Retry/respawn budget for this stage's pool.
     pub recovery: RecoveryPolicy,
-    /// The stage pool's coalescing/backpressure policy. The pipeline
-    /// raises `max_depth` as needed so the *inter-stage* queues (sized
-    /// by [`PipelinePolicy::capacity`]) stay the binding backpressure
-    /// bound.
+    /// The stage pool's coalescing and backpressure policy. The pipeline
+    /// replaces its `max_depth` with [`PipelinePolicy::capacity`], the
+    /// per-hop credit; its other bounds apply as given.
     pub queue: QueuePolicy,
 }
 
 impl Default for StagePolicy {
-    /// One replica, the default recovery budget, zero linger (a
-    /// pipeline stage's window submits items as they arrive; lingering
-    /// would only add latency).
+    /// One replica, the default recovery budget, and one item per
+    /// micro-batch with zero linger. The replica that serves an item
+    /// carries it on through the next hops, so coalescing items would run
+    /// their downstream hops one after another on one replica instead of
+    /// side by side on several; lingering would only add latency.
     fn default() -> StagePolicy {
         StagePolicy {
             replicas: 1,
             recovery: RecoveryPolicy::default(),
-            queue: QueuePolicy::default().with_max_linger(Duration::ZERO),
+            queue: QueuePolicy::default()
+                .with_max_batch(1)
+                .with_max_linger(Duration::ZERO),
         }
     }
 }
@@ -375,11 +409,12 @@ impl StagePolicy {
 /// Graph-wide deployment knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelinePolicy {
-    /// Bounded capacity of every inter-stage queue, the intake included —
-    /// the per-hop credit of the backpressure scheme. A full intake
-    /// rejects [`PipelineGraph::submit`] with
-    /// [`BackendError::QueueFull`]; a full inter-stage queue blocks the
-    /// upstream stage until the consumer catches up.
+    /// The per-hop credit of the backpressure scheme: the intake channel
+    /// holds this many requests, and every stage pool admits this many
+    /// unresolved ones (its `max_depth`). A full intake rejects
+    /// [`PipelineGraph::submit`] with [`BackendError::QueueFull`]; a full
+    /// stage pool blocks the thread handing it the next batch until the
+    /// pool drains.
     pub capacity: usize,
 }
 
@@ -391,7 +426,7 @@ impl Default for PipelinePolicy {
 }
 
 impl PipelinePolicy {
-    /// Sets the per-hop queue capacity (clamped to at least 1).
+    /// Sets the per-hop credit (clamped to at least 1).
     #[must_use]
     pub fn with_capacity(mut self, capacity: usize) -> PipelinePolicy {
         self.capacity = capacity.max(1);
@@ -404,12 +439,14 @@ impl PipelinePolicy {
 /// "blocked at stage k" instead of timing out opaquely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TicketState {
-    /// Waiting in stage `stage`'s input queue.
+    /// Accepted and waiting in the graph's intake channel, for the
+    /// first stage.
     Queued {
-        /// The stage whose queue holds the request.
+        /// The stage the request waits for: 0.
         stage: usize,
     },
-    /// Being served by stage `stage` (in its host closure or its pool).
+    /// Being served by stage `stage`: in its host closure, its `encode`
+    /// or `decode`, or its pool (waiting there or on a replica).
     Running {
         /// The stage serving the request.
         stage: usize,
@@ -453,183 +490,51 @@ struct PipeItem {
     cell: Arc<TicketCell<PipelineReply>>,
     /// When the graph accepted the request (end-to-end latency origin).
     submitted: Instant,
-    /// When the item entered its current stage's queue (residence origin).
-    entered: Instant,
 }
 
-/// What a stage sees when it asks its input queue for work.
-enum Pop {
-    /// An item to serve.
-    Item(PipeItem),
-    /// Nothing queued right now (non-blocking pop only).
-    Empty,
-    /// The queue is closed and drained: no more work will ever arrive.
-    Closed,
-    /// The pipeline failed: every still-queued item, for the consumer to
-    /// resolve with the failure.
-    Failed(Vec<PipeItem>, BackendError),
+/// A spec stage as the deployed graph runs it.
+enum Step {
+    Host(HostFn),
+    Macro {
+        pool: ReplicaPool,
+        encode: EncodeFn,
+        decode: DecodeFn,
+    },
 }
 
-struct QueueInner {
-    items: VecDeque<PipeItem>,
-    closed: bool,
-    failed: Option<BackendError>,
-    high_water: u64,
-}
-
-/// One bounded inter-stage queue — the per-hop credit of the
-/// backpressure scheme.
-struct StageQueue {
-    inner: Mutex<QueueInner>,
-    /// Signalled when space frees up (producers wait on this).
-    space: Condvar,
-    /// Signalled when work or a terminal state arrives (consumers wait).
-    ready: Condvar,
-    capacity: usize,
-}
-
-impl StageQueue {
-    fn new(capacity: usize) -> Arc<StageQueue> {
-        Arc::new(StageQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-                failed: None,
-                high_water: 0,
-            }),
-            space: Condvar::new(),
-            ready: Condvar::new(),
-            capacity,
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, QueueInner> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Non-blocking admission — the intake path. Typed backpressure
-    /// when full, the stored failure after a stage death.
-    fn try_submit(&self, item: PipeItem) -> Result<(), BackendError> {
-        let mut q = self.lock();
-        if let Some(e) = &q.failed {
-            return Err(e.clone());
-        }
-        if q.closed {
-            return Err(BackendError::QueueClosed);
-        }
-        if q.items.len() >= self.capacity {
-            return Err(BackendError::QueueFull {
-                limit: QueueLimit::Requests {
-                    max_depth: self.capacity,
-                },
-            });
-        }
-        q.items.push_back(item);
-        q.high_water = q.high_water.max(q.items.len() as u64);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocking admission — the stage-to-stage path: a full queue holds
-    /// the producer until the consumer catches up (backpressure
-    /// propagating upstream hop by hop).
-    ///
-    /// Hands the item back when the pipeline failed while waiting, so
-    /// the caller can resolve its ticket with the failure.
-    fn push_blocking(
-        &self,
-        mut item: PipeItem,
-        stage: usize,
-    ) -> Result<(), (PipeItem, BackendError)> {
-        item.entered = Instant::now();
-        item.cell.set_position(TicketState::Queued { stage });
-        let mut q = self.lock();
-        loop {
-            if let Some(e) = &q.failed {
-                let e = e.clone();
-                drop(q);
-                return Err((item, e));
-            }
-            if q.items.len() < self.capacity {
-                break;
-            }
-            q = self.space.wait(q).unwrap_or_else(|p| p.into_inner());
-        }
-        q.items.push_back(item);
-        q.high_water = q.high_water.max(q.items.len() as u64);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    fn pop(&self, block: bool) -> Pop {
-        let mut q = self.lock();
-        loop {
-            if let Some(e) = q.failed.clone() {
-                let drained = q.items.drain(..).collect();
-                self.space.notify_all();
-                return Pop::Failed(drained, e);
-            }
-            if let Some(item) = q.items.pop_front() {
-                self.space.notify_one();
-                return Pop::Item(item);
-            }
-            if q.closed {
-                return Pop::Closed;
-            }
-            if !block {
-                return Pop::Empty;
-            }
-            q = self.ready.wait(q).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Stops admission; already-queued items still drain. Idempotent.
-    fn close(&self) {
-        let mut q = self.lock();
-        q.closed = true;
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
-
-    /// Marks the pipeline failed through this queue: producers unblock
-    /// with the error, the consumer drains and resolves everything
-    /// queued. The first failure wins. Idempotent.
-    fn fail(&self, error: &BackendError) {
-        let mut q = self.lock();
-        if q.failed.is_none() {
-            q.failed = Some(error.clone());
-        }
-        q.closed = true;
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
-
-    fn high_water(&self) -> u64 {
-        self.lock().high_water
-    }
-}
-
-/// State shared by the graph handle and every stage thread.
-struct PipeShared {
-    queues: Vec<Arc<StageQueue>>,
+/// The deployed stages and the graph-wide state, shared by the graph
+/// handle, the intake thread and every hop waiting in a pool.
+struct Chain {
+    steps: Vec<Step>,
     stats: Mutex<SessionStats>,
     /// Requests accepted and not yet resolved, graph-wide.
     in_flight: AtomicUsize,
+    /// Requests sent into the intake channel, and taken out of it: their
+    /// difference is the intake backlog.
+    accepted: AtomicU64,
+    received: AtomicU64,
     started: Instant,
-    /// The first stage-death error, reported to later submitters.
-    failure: Mutex<Option<BackendError>>,
+    /// The first stage death, answered to every later hop and submitter.
+    failure: OnceLock<BackendError>,
 }
 
-impl PipeShared {
+/// Runs a stage closure, turning a panic into
+/// [`BackendError::ReplicaPanicked`]: it costs only its own item.
+fn guarded<T>(f: impl FnOnce() -> Result<T, BackendError>) -> Result<T, BackendError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or(Err(BackendError::ReplicaPanicked))
+}
+
+/// Wraps a stage-local failure with the stage's index.
+fn stage_err(stage: usize, source: BackendError) -> BackendError {
+    BackendError::Stage {
+        stage,
+        source: Box::new(source),
+    }
+}
+
+impl Chain {
     fn stats(&self) -> MutexGuard<'_, SessionStats> {
         self.stats.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn failure(&self) -> Option<BackendError> {
-        self.failure
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
     }
 
     /// Resolves a ticket (first resolution wins) and keeps the in-flight
@@ -642,234 +547,118 @@ impl PipeShared {
         });
     }
 
-    /// Fails the whole graph: records the error for future submitters
-    /// and propagates it through every queue (unblocking producers and
-    /// consumers alike).
-    fn fail(&self, error: &BackendError) {
-        {
-            let mut failure = self.failure.lock().unwrap_or_else(|p| p.into_inner());
-            if failure.is_none() {
-                *failure = Some(error.clone());
+    /// Runs stages `from..` on the calling thread: host stages in line,
+    /// then the next macro stage's `encode`, whose batch goes to that
+    /// stage's pool (blocking while it is full) with the rest of the
+    /// chain as its completion. Past the last stage, resolves the ticket.
+    fn advance(self: &Arc<Chain>, mut item: PipeItem, from: usize) {
+        for (stage, step) in self.steps.iter().enumerate().skip(from) {
+            if let Some(error) = self.failure.get() {
+                return self.finish(&item.cell, Err(error.clone()));
             }
-        }
-        for queue in &self.queues {
-            queue.fail(error);
-        }
-    }
-}
-
-/// Per-stage-thread context: where this stage sits in the graph.
-struct StageCtx {
-    index: usize,
-    shared: Arc<PipeShared>,
-    input: Arc<StageQueue>,
-    /// `None` for the last stage, which resolves tickets instead.
-    output: Option<Arc<StageQueue>>,
-}
-
-impl StageCtx {
-    /// Wraps a stage-local failure with this stage's index.
-    fn stage_err(&self, source: BackendError) -> BackendError {
-        BackendError::Stage {
-            stage: self.index,
-            source: Box::new(source),
-        }
-    }
-
-    /// Completes one item: resolve the ticket (last stage) or push the
-    /// new activation downstream, resolving with the failure if the
-    /// pipeline died while we were blocked on a full queue.
-    fn forward(&self, mut item: PipeItem, outputs: Vec<f32>) {
-        match &self.output {
-            None => {
-                let latency = item.submitted.elapsed();
-                self.shared.stats().record_pipeline_reply(latency);
-                self.shared
-                    .finish(&item.cell, Ok(PipelineReply { outputs, latency }));
-            }
-            Some(queue) => {
-                item.payload = outputs;
-                if let Err((item, e)) = queue.push_blocking(item, self.index + 1) {
-                    self.shared.finish(&item.cell, Err(e));
-                }
-            }
-        }
-    }
-
-    /// Resolves a batch of drained items with the pipeline failure.
-    fn drain(&self, items: Vec<PipeItem>, error: &BackendError) {
-        for item in items {
-            self.shared.finish(&item.cell, Err(error.clone()));
-        }
-    }
-
-    /// Folds one completed item into this stage's profile.
-    fn record_item(&self, busy: Duration, residence: Duration) {
-        self.shared
-            .stats()
-            .record_stage_item(self.index, busy, residence);
-    }
-
-    /// Closes the downstream queue (last stage: nothing to close).
-    fn close_downstream(&self) {
-        if let Some(queue) = &self.output {
-            queue.close();
-        }
-    }
-}
-
-/// The serve loop of a host stage: pop, apply, forward. A panicking or
-/// erroring closure costs only the item that hit it.
-fn host_loop(ctx: StageCtx, stage: HostStage) {
-    loop {
-        match ctx.input.pop(true) {
-            Pop::Empty => continue,
-            Pop::Closed => {
-                ctx.close_downstream();
-                return;
-            }
-            Pop::Failed(items, error) => {
-                ctx.drain(items, &error);
-                return;
-            }
-            Pop::Item(mut item) => {
-                item.cell
-                    .set_position(TicketState::Running { stage: ctx.index });
-                let payload = std::mem::take(&mut item.payload);
-                let apply = Arc::clone(&stage.apply);
-                let t0 = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(move || apply(payload)));
-                let busy = t0.elapsed();
-                ctx.record_item(busy, item.entered.elapsed());
-                match outcome {
-                    Ok(Ok(outputs)) => ctx.forward(item, outputs),
-                    Ok(Err(e)) => ctx.shared.finish(&item.cell, Err(ctx.stage_err(e))),
-                    Err(_) => ctx.shared.finish(
-                        &item.cell,
-                        Err(ctx.stage_err(BackendError::ReplicaPanicked)),
-                    ),
-                }
-            }
-        }
-    }
-}
-
-/// The serve loop of a macro stage: keep up to `window` items in flight
-/// in the stage's pool, complete them in FIFO order (so the global
-/// stream order is preserved whatever the pool's internal scheduling),
-/// forward downstream. Item-level failures (exhausted retries, payload
-/// faults) resolve only that item's ticket; the pool *closing* — every
-/// replica quarantined — is stage death and fails the whole graph.
-fn macro_loop(
-    ctx: StageCtx,
-    pool: Arc<ReplicaPool>,
-    encode: EncodeFn,
-    decode: DecodeFn,
-    window: usize,
-) {
-    let mut in_flight: VecDeque<(PipeItem, BatchTicket)> = VecDeque::new();
-    let mut input_open = true;
-    // Fails the graph and resolves everything this stage still holds.
-    let stage_death = |ctx: &StageCtx,
-                       in_flight: &mut VecDeque<(PipeItem, BatchTicket)>,
-                       item: Option<PipeItem>| {
-        let error = ctx.stage_err(BackendError::QueueClosed);
-        ctx.shared.fail(&error);
-        if let Some(item) = item {
-            ctx.shared.finish(&item.cell, Err(error.clone()));
-        }
-        for (item, _ticket) in in_flight.drain(..) {
-            ctx.shared.finish(&item.cell, Err(error.clone()));
-        }
-        // This stage's own input queue has no consumer after we return:
-        // drain it here (`fail` above marked it, so pop reports Failed).
-        if let Pop::Failed(items, error) = ctx.input.pop(false) {
-            ctx.drain(items, &error);
-        }
-    };
-    loop {
-        // Fill the window; block only when nothing is in flight.
-        while input_open && in_flight.len() < window {
-            match ctx.input.pop(in_flight.is_empty()) {
-                Pop::Empty => break,
-                Pop::Closed => input_open = false,
-                Pop::Failed(items, error) => {
-                    ctx.drain(items, &error);
-                    for (item, _ticket) in in_flight.drain(..) {
-                        ctx.shared.finish(&item.cell, Err(error.clone()));
-                    }
-                    return;
-                }
-                Pop::Item(item) => {
-                    item.cell
-                        .set_position(TicketState::Running { stage: ctx.index });
-                    match (encode)(&item.payload).and_then(|batch| pool.submit(batch)) {
-                        Ok(ticket) => in_flight.push_back((item, ticket)),
-                        Err(BackendError::QueueClosed) => {
-                            stage_death(&ctx, &mut in_flight, Some(item));
-                            return;
-                        }
-                        Err(e) => ctx.shared.finish(&item.cell, Err(ctx.stage_err(e))),
+            item.cell.set_position(TicketState::Running { stage });
+            let payload = std::mem::take(&mut item.payload);
+            match step {
+                Step::Host(apply) => {
+                    let t0 = Instant::now();
+                    let outcome = guarded(|| apply(payload));
+                    let busy = t0.elapsed();
+                    self.stats().record_stage_item(stage, busy, busy);
+                    match outcome {
+                        Ok(outputs) => item.payload = outputs,
+                        Err(e) => return self.finish(&item.cell, Err(stage_err(stage, e))),
                     }
                 }
+                Step::Macro { pool, encode, .. } => {
+                    let batch = match guarded(|| encode(&payload)) {
+                        Ok(batch) => batch,
+                        Err(e) => return self.finish(&item.cell, Err(stage_err(stage, e))),
+                    };
+                    let chain = Arc::clone(self);
+                    let entered = Instant::now();
+                    let hop = TicketCell::with_completion(move |reply| {
+                        chain.complete(item, stage, entered, reply);
+                    });
+                    return pool.enqueue(batch, hop);
+                }
             }
         }
-        // Complete the oldest in-flight item, preserving stream order.
-        let Some((item, ticket)) = in_flight.pop_front() else {
-            if !input_open {
-                ctx.close_downstream();
-                return;
-            }
-            continue;
+        let latency = item.submitted.elapsed();
+        self.stats().record_pipeline_reply(latency);
+        let reply = PipelineReply {
+            outputs: item.payload,
+            latency,
         };
-        match ticket.wait() {
-            Ok(reply) => {
-                ctx.record_item(reply.service, item.entered.elapsed());
-                match (decode)(&reply.result) {
-                    Ok(outputs) => ctx.forward(item, outputs),
-                    Err(e) => ctx.shared.finish(&item.cell, Err(ctx.stage_err(e))),
-                }
-            }
+        self.finish(&item.cell, Ok(reply));
+    }
+
+    /// Macro stage `stage`'s pool resolved an item's hop, on the thread
+    /// that resolved it: decode and run on, or fail the item — and the
+    /// whole graph, when the pool has closed.
+    fn complete(
+        self: &Arc<Chain>,
+        mut item: PipeItem,
+        stage: usize,
+        entered: Instant,
+        reply: Result<QueueReply, BackendError>,
+    ) {
+        let reply = match reply {
+            Ok(reply) => reply,
             Err(BackendError::QueueClosed) => {
-                stage_death(&ctx, &mut in_flight, Some(item));
-                return;
+                let error = stage_err(stage, BackendError::QueueClosed);
+                let _ = self.failure.set(error.clone());
+                return self.finish(&item.cell, Err(error));
             }
             Err(e) => {
-                ctx.record_item(Duration::ZERO, item.entered.elapsed());
-                ctx.shared.finish(&item.cell, Err(ctx.stage_err(e)));
+                self.stats()
+                    .record_stage_item(stage, Duration::ZERO, entered.elapsed());
+                return self.finish(&item.cell, Err(stage_err(stage, e)));
             }
+        };
+        self.stats()
+            .record_stage_item(stage, reply.service, entered.elapsed());
+        if let Some(error) = self.failure.get() {
+            return self.finish(&item.cell, Err(error.clone()));
+        }
+        let Step::Macro { decode, .. } = &self.steps[stage] else {
+            unreachable!("only macro stages enqueue hops");
+        };
+        match guarded(|| decode(&reply.result)) {
+            Ok(outputs) => {
+                item.payload = outputs;
+                self.advance(item, stage + 1);
+            }
+            Err(e) => self.finish(&item.cell, Err(stage_err(stage, e))),
         }
     }
 }
 
-/// What one stage deploys as: built before any thread spawns, so a
-/// failing pool constructor aborts the whole build cleanly.
-enum StageRunner {
-    Host(HostStage),
-    Macro {
-        pool: Arc<ReplicaPool>,
-        encode: EncodeFn,
-        decode: DecodeFn,
-        window: usize,
-    },
+/// The intake thread: runs each accepted request's first hop, until the
+/// graph closes and the channel is drained.
+fn intake_loop(chain: Arc<Chain>, requests: Receiver<PipeItem>) {
+    for item in requests {
+        chain.received.fetch_add(1, Ordering::SeqCst);
+        chain.advance(item, 0);
+    }
 }
 
-/// A deployed dataflow pipeline: one thread per stage, bounded queues
-/// between them, `submit(activation) -> ticket` at the front. See the
+/// A deployed dataflow pipeline: an intake thread and one replica pool
+/// per macro stage, `submit(activation) -> ticket` at the front. See the
 /// [module docs](crate::pipeline) for the full contract.
 pub struct PipelineGraph {
-    shared: Arc<PipeShared>,
-    pools: Vec<Option<Arc<ReplicaPool>>>,
-    handles: Vec<JoinHandle<()>>,
+    chain: Arc<Chain>,
+    /// The intake channel; `None` once closed.
+    intake: Mutex<Option<SyncSender<PipeItem>>>,
+    intake_thread: Option<JoinHandle<()>>,
     names: Vec<String>,
     capacity: usize,
 }
 
 impl PipelineGraph {
     /// Deploys a spec: builds every macro stage's [`ReplicaPool`] (fail
-    /// fast, before any stage thread starts), then spawns one stage
-    /// thread per stage, chained by bounded queues of
-    /// [`PipelinePolicy::capacity`] items.
+    /// fast, before the intake thread starts) with
+    /// [`PipelinePolicy::capacity`] as its `max_depth`, then starts the
+    /// intake thread behind a channel of `capacity` requests.
     ///
     /// # Errors
     ///
@@ -887,81 +676,52 @@ impl PipelineGraph {
         }
         let capacity = policy.capacity.max(1);
         let names = spec.stage_names();
-        // Build the fallible parts first: a failing pool constructor
-        // must not leave orphan stage threads behind.
-        let mut runners = Vec::with_capacity(spec.len());
+        let mut steps = Vec::with_capacity(spec.len());
         for stage in spec.stages {
-            match stage {
-                StageSpec::Host(host) => runners.push(StageRunner::Host(host)),
+            steps.push(match stage {
+                StageSpec::Host(host) => Step::Host(host.apply),
                 StageSpec::Macro(m) => {
                     let replicas = m.policy.replicas.max(1);
-                    let window = (replicas * 2).max(2);
-                    let mut queue = m.policy.queue.clone();
-                    // The inter-stage credit must stay the binding
-                    // bound: the stage pool itself never rejects the
-                    // window's submissions.
-                    queue.max_depth = queue.max_depth.max(capacity + window + 1);
                     let serve = ServePolicy::default()
                         .with_replicas(replicas)
                         .with_recovery(m.policy.recovery)
-                        .with_queue(queue);
-                    let recipes = (0..replicas).map(|_| Arc::clone(&m.recipe)).collect();
-                    let pool = Arc::new(ReplicaPool::from_recipes(serve, m.ns, recipes)?);
-                    runners.push(StageRunner::Macro {
-                        pool,
+                        .with_queue(QueuePolicy {
+                            max_depth: capacity,
+                            ..m.policy.queue
+                        });
+                    Step::Macro {
+                        pool: ReplicaPool::from_recipes(serve, m.ns, vec![m.recipe; replicas])?,
                         encode: m.encode,
                         decode: m.decode,
-                        window,
-                    });
+                    }
                 }
-            }
+            });
         }
-        let queues: Vec<Arc<StageQueue>> = (0..runners.len())
-            .map(|_| StageQueue::new(capacity))
-            .collect();
         let mut stats = SessionStats::default();
         for (i, name) in names.iter().enumerate() {
             stats.init_stage(i, name);
         }
-        let shared = Arc::new(PipeShared {
-            queues: queues.clone(),
+        let chain = Arc::new(Chain {
+            steps,
             stats: Mutex::new(stats),
             in_flight: AtomicUsize::new(0),
+            accepted: AtomicU64::new(0),
+            received: AtomicU64::new(0),
             started: Instant::now(),
-            failure: Mutex::new(None),
+            failure: OnceLock::new(),
         });
-        let mut pools = Vec::with_capacity(runners.len());
-        let mut handles = Vec::with_capacity(runners.len());
-        for (i, runner) in runners.into_iter().enumerate() {
-            let ctx = StageCtx {
-                index: i,
-                shared: Arc::clone(&shared),
-                input: Arc::clone(&queues[i]),
-                output: queues.get(i + 1).map(Arc::clone),
-            };
-            let builder = std::thread::Builder::new().name(format!("maddpipe-stage-{i}"));
-            let handle = match runner {
-                StageRunner::Host(host) => {
-                    pools.push(None);
-                    builder.spawn(move || host_loop(ctx, host))
-                }
-                StageRunner::Macro {
-                    pool,
-                    encode,
-                    decode,
-                    window,
-                } => {
-                    pools.push(Some(Arc::clone(&pool)));
-                    builder.spawn(move || macro_loop(ctx, pool, encode, decode, window))
-                }
-            }
-            .expect("the host can spawn a stage thread");
-            handles.push(handle);
-        }
+        let (intake, requests) = mpsc::sync_channel(capacity);
+        let intake_thread = {
+            let chain = Arc::clone(&chain);
+            std::thread::Builder::new()
+                .name("maddpipe-intake".into())
+                .spawn(move || intake_loop(chain, requests))
+                .expect("the host can spawn the intake thread")
+        };
         Ok(PipelineGraph {
-            shared,
-            pools,
-            handles,
+            chain,
+            intake: Mutex::new(Some(intake)),
+            intake_thread: Some(intake_thread),
             names,
             capacity,
         })
@@ -972,41 +732,55 @@ impl PipelineGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError::QueueFull`] when the intake queue is at
-    /// [`PipelinePolicy::capacity`] (backpressure — wait on an
+    /// Returns [`BackendError::QueueFull`] when the intake channel holds
+    /// [`PipelinePolicy::capacity`] requests (backpressure — wait on an
     /// outstanding ticket and retry), [`BackendError::QueueClosed`]
     /// after [`close`](PipelineGraph::close), and the stored
     /// [`BackendError::Stage`] after a stage death.
     pub fn submit(&self, input: Vec<f32>) -> Result<PipelineTicket, BackendError> {
-        if let Some(error) = self.shared.failure() {
-            return Err(error);
+        if let Some(error) = self.chain.failure.get() {
+            return Err(error.clone());
         }
         let cell = TicketCell::new();
-        let now = Instant::now();
         let item = PipeItem {
             payload: input,
             cell: Arc::clone(&cell),
-            submitted: now,
-            entered: now,
+            submitted: Instant::now(),
         };
         // Pre-count, so a racing completion can never underflow.
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        match self.shared.queues[0].try_submit(item) {
-            Ok(()) => {
-                let depth = self.shared.in_flight.load(Ordering::SeqCst) as u64;
-                self.shared.stats().record_queue_depth(depth);
+        self.chain.in_flight.fetch_add(1, Ordering::SeqCst);
+        let sent = match &*self.intake.lock().unwrap_or_else(|p| p.into_inner()) {
+            Some(intake) => intake
+                .try_send(item)
+                .map(|()| self.chain.accepted.fetch_add(1, Ordering::SeqCst) + 1),
+            None => Err(TrySendError::Disconnected(item)),
+        };
+        match sent {
+            Ok(accepted) => {
+                let backlog = accepted.saturating_sub(self.chain.received.load(Ordering::SeqCst));
+                let depth = self.chain.in_flight.load(Ordering::SeqCst) as u64;
+                let mut stats = self.chain.stats();
+                stats.record_queue_depth(depth);
+                stats.set_stage_queue_high_water(0, backlog);
                 Ok(PipelineTicket::from_cell(cell))
             }
-            Err(e) => {
-                self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                Err(e)
+            Err(refused) => {
+                self.chain.in_flight.fetch_sub(1, Ordering::SeqCst);
+                Err(match refused {
+                    TrySendError::Full(_) => BackendError::QueueFull {
+                        limit: QueueLimit::Requests {
+                            max_depth: self.capacity,
+                        },
+                    },
+                    TrySendError::Disconnected(_) => BackendError::QueueClosed,
+                })
             }
         }
     }
 
     /// Requests accepted and not yet resolved, graph-wide, right now.
     pub fn depth(&self) -> usize {
-        self.shared.in_flight.load(Ordering::SeqCst)
+        self.chain.in_flight.load(Ordering::SeqCst)
     }
 
     /// The stage names, in order.
@@ -1014,7 +788,7 @@ impl PipelineGraph {
         &self.names
     }
 
-    /// The per-hop queue capacity the graph was deployed with.
+    /// The per-hop credit the graph was deployed with.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -1022,57 +796,73 @@ impl PipelineGraph {
     /// A snapshot of the aggregate statistics: per-stage profiles
     /// (items, busy time, residence percentiles, retries/respawns,
     /// queue high-water marks), end-to-end images and latency
-    /// percentiles, and the summed [`PoolHealth`](crate::pool::PoolHealth)
-    /// over every stage pool.
+    /// percentiles, and the summed [`PoolHealth`] over every stage pool.
+    ///
+    /// A host stage's busy time and residence are both its run time,
+    /// and its high-water mark is 0. A macro stage's busy time is its
+    /// pool's service time, its residence runs from entering the pool to
+    /// the pool's reply, and its high-water mark is the pool's deepest
+    /// backlog. Stage 0's high-water mark also counts the intake backlog.
     pub fn stats(&self) -> SessionStats {
-        let mut stats = self.shared.stats().clone();
-        stats.note_pipeline(self.shared.started.elapsed());
-        let mut health = crate::pool::PoolHealth::default();
-        for (i, pool) in self.pools.iter().enumerate() {
-            if let Some(pool) = pool {
-                let pool_stats = pool.stats();
-                let pool_health = pool.health();
-                stats.set_stage_recovery(i, pool_stats.retries(), pool_health.restarts);
-                let cache = pool_stats.cache();
-                if cache != crate::cache::CacheStats::default() {
-                    // The stage pool's aggregate cache view, both on the
-                    // stage profile and as a top-level source slot (the
-                    // base snapshot never carries cache counters, so the
-                    // per-call fold stays cumulative, not double-counted).
-                    stats.set_stage_cache(i, cache);
-                    stats.note_cache(i, cache);
-                }
-                health.healthy += pool_health.healthy;
-                health.quarantined += pool_health.quarantined;
-                health.restarts += pool_health.restarts;
+        let mut stats = self.chain.stats().clone();
+        stats.note_pipeline(self.chain.started.elapsed());
+        let mut health = PoolHealth::default();
+        for (stage, step) in self.chain.steps.iter().enumerate() {
+            let Step::Macro { pool, .. } = step else {
+                continue;
+            };
+            let pool_stats = pool.stats();
+            let pool_health = pool_stats.pool_health();
+            stats.set_stage_recovery(stage, pool_stats.retries(), pool_health.restarts);
+            stats.set_stage_queue_high_water(stage, pool_stats.max_queue_depth());
+            let cache = pool_stats.cache();
+            if cache != crate::cache::CacheStats::default() {
+                // The stage pool's aggregate cache view, both on the
+                // stage profile and as a top-level source slot (the
+                // base snapshot never carries cache counters, so the
+                // per-call fold stays cumulative, not double-counted).
+                stats.set_stage_cache(stage, cache);
+                stats.note_cache(stage, cache);
             }
-            stats.set_stage_queue_high_water(i, self.shared.queues[i].high_water());
+            health.healthy += pool_health.healthy;
+            health.quarantined += pool_health.quarantined;
+            health.restarts += pool_health.restarts;
         }
         stats.note_pool_health(health);
         stats
     }
 
     /// Stops intake (submissions answer [`BackendError::QueueClosed`])
-    /// while the stages drain everything already accepted. Does not
+    /// while the graph drains everything already accepted. Does not
     /// block; pair with [`shutdown`](PipelineGraph::shutdown) or ticket
     /// waits to observe the drain finishing. Idempotent.
     pub fn close(&self) {
-        self.shared.queues[0].close();
+        self.intake.lock().unwrap_or_else(|p| p.into_inner()).take();
     }
 
-    /// Closes the graph, waits for every stage to drain (every accepted
-    /// ticket resolves), tears the stage pools down, and returns the
-    /// final statistics.
+    /// Closes the graph, waits for every accepted ticket to resolve,
+    /// tears the stage pools down, and returns the final statistics.
     pub fn shutdown(mut self) -> SessionStats {
+        self.drain();
+        self.stats()
+    }
+
+    /// Closes intake and drains the chain front to back: the intake
+    /// thread first, then each stage pool, closed only once nothing
+    /// upstream can hand it more work. Every replica is joined here,
+    /// before the graph lets go of the chain: a pool whose last handle
+    /// dropped on one of its own replica threads would join itself.
+    fn drain(&mut self) {
         self.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        if let Some(intake) = self.intake_thread.take() {
+            let _ = intake.join();
         }
-        let stats = self.stats();
-        // The stage threads are gone: each Arc is now unique and the
-        // pool's own Drop drains its replicas.
-        self.pools.clear();
-        stats
+        for step in &self.chain.steps {
+            if let Step::Macro { pool, .. } = step {
+                pool.close();
+                pool.join_replicas();
+            }
+        }
     }
 }
 
@@ -1088,10 +878,7 @@ impl core::fmt::Debug for PipelineGraph {
 
 impl Drop for PipelineGraph {
     fn drop(&mut self) {
-        self.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.drain();
     }
 }
 
@@ -1198,7 +985,7 @@ mod tests {
             ),
             "{err:?}"
         );
-        // The stage thread survived its item's panic.
+        // The intake thread survived its item's panic.
         assert_eq!(
             pipe.submit(vec![2.0]).unwrap().wait().unwrap().outputs,
             [2.0]

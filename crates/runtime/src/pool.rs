@@ -126,8 +126,11 @@ pub enum Fairness {
 /// `max_retries` resolves its ticket with the typed error. A replica
 /// whose backend panicked is rebuilt in place from its
 /// [`ReplicaFactory`] recipe up to `respawn` times; past that budget it
-/// is quarantined and the pool serves on at reduced capacity. This is
-/// the serving stack's one retry loop: nothing below the pool retries.
+/// is quarantined and the pool serves on at reduced capacity. Either way
+/// the [`PoolHealth`] counters move before the crashed micro-batch's
+/// riders are re-queued, so a reply resolved after the crash always
+/// finds the respawn or the quarantine counted. This is the serving
+/// stack's one retry loop: nothing below the pool retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// How many times a transiently-failed rider is re-queued before
@@ -545,50 +548,82 @@ impl ReplicaPool {
         batch: TokenBatch,
         opts: SubmitOptions,
     ) -> Result<BatchTicket, BackendError> {
-        batch.check_shape(self.ns)?;
         let ticket = TicketCell::new();
-        {
-            let mut state = self.shared.lock_state();
+        self.admit(batch, opts, Arc::clone(&ticket), false)?;
+        Ok(BatchTicket::from_cell(ticket))
+    }
+
+    /// A pipeline hop's submission: `ticket` carries the hop's
+    /// completion. While the pool is full it blocks instead of answering
+    /// [`BackendError::QueueFull`], which is how backpressure travels up
+    /// a pipeline. A refusal ([`BackendError::QueueClosed`], a shape
+    /// mismatch) resolves `ticket` with the error.
+    pub(crate) fn enqueue(&self, batch: TokenBatch, ticket: Arc<TicketCell<QueueReply>>) {
+        if let Err(error) = self.admit(batch, SubmitOptions::default(), Arc::clone(&ticket), true) {
+            ticket.resolve(Err(error), || ());
+        }
+    }
+
+    /// Queues one request for the replicas, or answers why not. A full
+    /// pool answers [`BackendError::QueueFull`], or, when `block`, holds
+    /// the caller until a resolution, a dispatch or `close` changes that.
+    fn admit(
+        &self,
+        batch: TokenBatch,
+        opts: SubmitOptions,
+        ticket: Arc<TicketCell<QueueReply>>,
+        block: bool,
+    ) -> Result<(), BackendError> {
+        batch.check_shape(self.ns)?;
+        let queue = &self.policy.queue;
+        let mut state = self.shared.lock_state();
+        loop {
             if !state.open {
                 return Err(BackendError::QueueClosed);
             }
-            if state.outstanding >= self.policy.queue.max_depth {
-                return Err(BackendError::QueueFull {
-                    limit: QueueLimit::Requests {
-                        max_depth: self.policy.queue.max_depth,
-                    },
-                });
-            }
-            if state.pending_tokens > 0
-                && state.pending_tokens + batch.len() > self.policy.queue.max_pending_tokens
+            let limit = if state.outstanding >= queue.max_depth {
+                QueueLimit::Requests {
+                    max_depth: queue.max_depth,
+                }
+            } else if state.pending_tokens > 0
+                && state.pending_tokens + batch.len() > queue.max_pending_tokens
             {
-                return Err(BackendError::QueueFull {
-                    limit: QueueLimit::Tokens {
-                        pending_tokens: state.pending_tokens,
-                        max_pending_tokens: self.policy.queue.max_pending_tokens,
-                    },
-                });
-            }
-            let submitted = Instant::now();
-            let linger = match opts.deadline {
-                Some(deadline) => deadline.min(self.policy.queue.max_linger),
-                None => self.policy.queue.max_linger,
+                QueueLimit::Tokens {
+                    pending_tokens: state.pending_tokens,
+                    max_pending_tokens: queue.max_pending_tokens,
+                }
+            } else {
+                break;
             };
-            state.outstanding += 1;
-            state.max_depth_seen = state.max_depth_seen.max(state.outstanding as u64);
-            state.pending_tokens += batch.len();
-            state.pending.push_back(PendingRequest {
-                batch,
-                ticket: Arc::clone(&ticket),
-                submitted,
-                client: opts.client,
-                dispatch_by: submitted.checked_add(linger),
-                attempts: 0,
-                retry_at: None,
-            });
+            if !block {
+                return Err(BackendError::QueueFull { limit });
+            }
+            state = self
+                .shared
+                .work
+                .wait(state)
+                .unwrap_or_else(|p| p.into_inner());
         }
+        let submitted = Instant::now();
+        let linger = match opts.deadline {
+            Some(deadline) => deadline.min(queue.max_linger),
+            None => queue.max_linger,
+        };
+        state.outstanding += 1;
+        state.max_depth_seen = state.max_depth_seen.max(state.outstanding as u64);
+        state.pending_tokens += batch.len();
+        state.pending.push_back(PendingRequest {
+            batch,
+            ticket,
+            submitted,
+            client: opts.client,
+            dispatch_by: submitted.checked_add(linger),
+            attempts: 0,
+            retry_at: None,
+        });
+        drop(state);
         self.shared.work.notify_all();
-        Ok(BatchTicket::from_cell(ticket))
+        Ok(())
     }
 
     /// Requests accepted but not yet resolved, right now.
@@ -656,8 +691,9 @@ impl ReplicaPool {
     }
 
     /// Joins every replica thread exactly once, whichever of
-    /// [`shutdown`](ReplicaPool::shutdown) and `Drop` gets there first.
-    fn join_replicas(&self) {
+    /// [`shutdown`](ReplicaPool::shutdown), `Drop` and a pipeline's
+    /// drain gets there first.
+    pub(crate) fn join_replicas(&self) {
         let handles: Vec<JoinHandle<()>> = {
             let mut replicas = self
                 .replicas
@@ -747,46 +783,53 @@ impl Drop for BatchInFlight<'_> {
 }
 
 /// Takes one replica out of service — the single exit path of every
-/// replica thread, crash or drain. Only when the *last* live replica
-/// leaves does the pool close and fail the backlog with
-/// [`BackendError::QueueClosed`]; until then the survivors keep
-/// draining at reduced capacity.
-fn retire(shared: &PoolShared, quarantine: bool) {
-    let mut state = shared.lock_state();
-    state.live = state.live.saturating_sub(1);
-    if quarantine {
-        state.quarantined += 1;
-    }
-    if state.live > 0 {
-        drop(state);
-        shared.work.notify_all();
-        return;
-    }
-    // Zero replicas remain: nothing can serve the backlog any more.
-    state.open = false;
-    let abandoned: Vec<PendingRequest> = state.pending.drain(..).collect();
-    state.pending_tokens = 0;
-    state.outstanding = state.outstanding.saturating_sub(abandoned.len());
-    drop(state);
-    shared.work.notify_all();
-    for request in abandoned {
-        request
-            .ticket
-            .resolve(Err(BackendError::QueueClosed), || ());
-    }
-}
-
-/// Guarantees [`retire`] runs exactly once per replica thread, even if
+/// replica thread, crash or drain, run exactly once per thread even if
 /// the scheduling code itself unwinds. A normal drain exit clears
-/// `quarantine` first; any other way out counts as a crash.
+/// `quarantine` first; any other way out counts as a crash. Only when
+/// the *last* live replica leaves does the pool close and fail the
+/// backlog with [`BackendError::QueueClosed`]; until then the survivors
+/// keep draining at reduced capacity.
 struct ReplicaExit<'a> {
     shared: &'a PoolShared,
     quarantine: bool,
+    /// Whether `live` and `quarantined` already count this exit.
+    counted: bool,
+}
+
+impl ReplicaExit<'_> {
+    /// Counts the replica out of `live` (and into `quarantined`), once.
+    fn count(&mut self) {
+        if !std::mem::replace(&mut self.counted, true) {
+            let mut state = self.shared.lock_state();
+            state.live = state.live.saturating_sub(1);
+            if self.quarantine {
+                state.quarantined += 1;
+            }
+        }
+    }
 }
 
 impl Drop for ReplicaExit<'_> {
     fn drop(&mut self) {
-        retire(self.shared, self.quarantine);
+        self.count();
+        let mut state = self.shared.lock_state();
+        if state.live > 0 {
+            drop(state);
+            self.shared.work.notify_all();
+            return;
+        }
+        // Zero replicas remain: nothing can serve the backlog any more.
+        state.open = false;
+        let abandoned: Vec<PendingRequest> = state.pending.drain(..).collect();
+        state.pending_tokens = 0;
+        state.outstanding = state.outstanding.saturating_sub(abandoned.len());
+        drop(state);
+        self.shared.work.notify_all();
+        for request in abandoned {
+            request
+                .ticket
+                .resolve(Err(BackendError::QueueClosed), || ());
+        }
     }
 }
 
@@ -1003,6 +1046,7 @@ fn replica_loop(
     let mut exit = ReplicaExit {
         shared,
         quarantine: true,
+        counted: false,
     };
     let mut respawns_left = policy.recovery.respawn;
     loop {
@@ -1198,21 +1242,10 @@ fn replica_loop(
                 guard.tickets.clear();
             }
             Err(_panic) => {
-                // The backend panicked mid-service. The riders are
-                // blameless until proven otherwise: re-queue them under
-                // the retry budget (another replica — or this one, once
-                // respawned — picks them up).
-                retry_or_fail(
-                    shared,
-                    policy,
-                    replica,
-                    &mut guard,
-                    riders,
-                    &BackendError::ReplicaPanicked,
-                    service,
-                );
                 // The panicked backend is poisoned; rebuild it from the
-                // recipe while the restart budget lasts, else retire.
+                // recipe while the restart budget lasts. The riders wait
+                // for the rebuild, so a reply that resolves after the
+                // crash always finds the respawn counted.
                 let mut fresh = None;
                 while fresh.is_none() && respawns_left > 0 {
                     respawns_left -= 1;
@@ -1225,7 +1258,7 @@ fn replica_loop(
                         fresh = Some(rebuilt);
                     }
                 }
-                match fresh {
+                let respawned = match fresh {
                     Some(rebuilt) => {
                         backend = rebuilt;
                         // A rebuilt backend whose store has seen no lookup
@@ -1243,13 +1276,32 @@ fn replica_loop(
                                 .retire_cache(replica);
                         }
                         shared.lock_state().restarts += 1;
-                        shared.work.notify_all();
+                        true
                     }
                     None => {
-                        // Crash through the budget: quarantine via the
-                        // exit guard (`quarantine` is still true).
-                        return;
+                        // Crash through the budget: quarantined from here
+                        // on, so a survivor's reply to a re-queued rider
+                        // finds it counted.
+                        exit.count();
+                        false
                     }
+                };
+                // The riders are blameless until proven otherwise:
+                // re-queue them under the retry budget (another replica
+                // — or this one, rebuilt — picks them up).
+                retry_or_fail(
+                    shared,
+                    policy,
+                    replica,
+                    &mut guard,
+                    riders,
+                    &BackendError::ReplicaPanicked,
+                    service,
+                );
+                if !respawned {
+                    // The exit guard closes the pool if no replica is
+                    // left to serve the re-queued riders.
+                    return;
                 }
             }
         }

@@ -179,11 +179,17 @@ pub struct QueueReply {
     pub replica: usize,
 }
 
+/// What a cell runs in place of storing its resolution: a pipeline
+/// hop's next step.
+type Completion<T> = Box<dyn FnOnce(Result<T, BackendError>) + Send>;
+
 struct CellState<T> {
     /// Where the request is; [`TicketState::Done`] once resolved.
     at: TicketState,
     /// The resolution, until a claim takes it.
     value: Option<Result<T, BackendError>>,
+    /// Takes the resolution instead of `value`; `None` for a ticket.
+    then: Option<Completion<T>>,
 }
 
 /// The shared cell a ticket and the serving threads communicate through.
@@ -195,10 +201,23 @@ pub(crate) struct TicketCell<T> {
 impl<T> TicketCell<T> {
     /// A pending cell, queued at stage 0.
     pub(crate) fn new() -> Arc<TicketCell<T>> {
+        TicketCell::pending(None)
+    }
+
+    /// A pending cell that no ticket waits on: its resolution goes to
+    /// `then`, which runs on the resolving thread, outside every lock.
+    pub(crate) fn with_completion(
+        then: impl FnOnce(Result<T, BackendError>) + Send + 'static,
+    ) -> Arc<TicketCell<T>> {
+        TicketCell::pending(Some(Box::new(then)))
+    }
+
+    fn pending(then: Option<Completion<T>>) -> Arc<TicketCell<T>> {
         Arc::new(TicketCell {
             state: Mutex::new(CellState {
                 at: TicketState::Queued { stage: 0 },
                 value: None,
+                then,
             }),
             done: Condvar::new(),
         })
@@ -222,14 +241,27 @@ impl<T> TicketCell<T> {
     /// later ones are dropped). `on_win` runs only for the winning
     /// resolution, under the cell lock, *before* any waiter can observe
     /// it — so bookkeeping tied to it (a pipeline's in-flight count) is
-    /// already settled when a wait returns.
+    /// already settled when a wait returns. A cell with a completion
+    /// runs it with the value once the lock is released.
     pub(crate) fn resolve(&self, value: Result<T, BackendError>, on_win: impl FnOnce()) {
-        let mut state = self.lock();
-        if state.at != TicketState::Done {
+        let then = {
+            let mut state = self.lock();
+            if state.at == TicketState::Done {
+                return;
+            }
             state.at = TicketState::Done;
-            state.value = Some(value);
             on_win();
-            self.done.notify_all();
+            match state.then.take() {
+                Some(then) => Some((then, value)),
+                None => {
+                    state.value = Some(value);
+                    self.done.notify_all();
+                    None
+                }
+            }
+        };
+        if let Some((then, value)) = then {
+            then(value);
         }
     }
 }

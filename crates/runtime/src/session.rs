@@ -288,8 +288,10 @@ impl StageProfile {
         self.restarts
     }
 
-    /// Deepest backlog the stage's inter-stage queue reached — how hard
-    /// backpressure squeezed at this point of the graph.
+    /// Deepest backlog waiting for this stage — its pool's for a macro
+    /// stage, 0 for a host stage, with the intake channel counted at
+    /// stage 0 — how hard backpressure squeezed at this point of the
+    /// graph.
     pub fn queue_high_water(&self) -> u64 {
         self.queue_high_water
     }

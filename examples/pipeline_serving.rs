@@ -3,10 +3,13 @@
 //! Earlier examples serve a *single* macro — one program behind a queue
 //! or a replica pool. Real inference is a chain: conv → ReLU → pool →
 //! conv → … → logits. `PipelineGraph` deploys that whole chain as one
-//! dataflow: every layer becomes a stage on its own thread (macro conv
-//! stages behind their own replica pools, host layers as closures),
-//! bounded queues connect the stages, and `submit(image)` returns a
-//! ticket that resolves with the logits. This example walks:
+//! dataflow: a chain of replica pools, one per macro conv stage, with no
+//! thread per stage. An intake thread runs the first hop, and the
+//! replica that ran a conv kernel carries the image through the host
+//! layers after it into the next pool. Every pool admits a bounded
+//! number of images, a replica blocks on a full downstream pool, and
+//! `submit(image)` returns a ticket that resolves with the logits, in
+//! completion order. This example walks:
 //!
 //! 1. lowering a multi-layer `Network` into a `PipelineSpec` and
 //!    deploying it with `PipelineGraph::build`,
@@ -94,9 +97,10 @@ fn main() {
     }
 
     // ── 4. Backpressure under a deliberately slow stage ────────────────
-    // A 3-stage host pipeline whose middle stage sleeps: with capacity
-    // 2, intake refuses beyond the bounded queues — typed flow control,
-    // not unbounded buffering.
+    // A 3-stage host pipeline whose middle stage sleeps. A host-only
+    // graph runs on its intake thread, so with capacity 2 intake refuses
+    // once its channel holds 2 requests — typed flow control, not
+    // unbounded buffering.
     let slow_spec = PipelineSpec::new()
         .host("scale", |x: Vec<f32>| {
             Ok(x.iter().map(|v| v * 2.0).collect())

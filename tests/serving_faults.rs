@@ -238,6 +238,56 @@ fn a_mid_service_panic_leaves_survivors_draining_the_backlog() {
 }
 
 #[test]
+fn a_reply_after_a_crash_finds_the_respawn_counted() {
+    // A crashed replica is rebuilt before its riders are re-queued, so
+    // the reply to a request that rode the crash resolves only after
+    // `restarts` counts the rebuild. Every rebuild here takes 200 ms:
+    // riders re-queued first would be served by the sibling replica
+    // long before the rebuild finishes.
+    let cfg = MacroConfig::new(2, 2);
+    let program = MacroProgram::random(cfg.ndec, cfg.ns, 19);
+    let builds = Arc::new(AtomicUsize::new(0));
+    let slow_rebuilds: ReplicaFactory = {
+        let inner = functional_recipe(&cfg, &program);
+        Arc::new(move || {
+            // The first two builds bring the pool up; later ones respawn.
+            if builds.fetch_add(1, Ordering::SeqCst) >= 2 {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            inner()
+        })
+    };
+    let state = ChaosState::new();
+    let chaos = ChaosConfig::default()
+        .with_seed(chaos_seed())
+        .with_panic_on_call(0);
+    let recipes = (0..2)
+        .map(|_| wrap_recipe(Arc::clone(&slow_rebuilds), chaos, Arc::clone(&state)))
+        .collect();
+    let pool = ReplicaPool::from_recipes(
+        ServePolicy::default().with_queue(QueuePolicy::default().with_max_linger(Duration::ZERO)),
+        cfg.ns,
+        recipes,
+    )
+    .expect("pool comes up");
+    let batch = TokenBatch::random(cfg.ns, TOKENS_PER_REQUEST, 3);
+    let reply = pool
+        .submit(batch.clone())
+        .expect("accepted")
+        .wait()
+        .expect("served through the crash");
+    assert_eq!(
+        pool.health().restarts,
+        1,
+        "the reply resolved before the respawn was counted"
+    );
+    for (obs, token) in reply.result.tokens.iter().zip(batch.tokens()) {
+        assert_eq!(obs.outputs, program.reference_output(token));
+    }
+    pool.shutdown();
+}
+
+#[test]
 fn wrong_width_outputs_are_a_typed_fatal_error_not_corruption() {
     // A chaos fault that breaks the one-observation-per-token contract
     // must surface as a typed fatal error to exactly the riders of the

@@ -8,7 +8,7 @@
 //!   `Network::forward` bit for bit, for any image, under any number of
 //!   concurrent submitters, through transient chaos faults and replica
 //!   crashes (the recovery machinery must be invisible in the data).
-//! - **Backpressure** — bounded inter-stage queues: a slow stage makes
+//! - **Backpressure** — a bounded credit per hop: a slow stage makes
 //!   intake answer typed `QueueFull`, never unbounded memory.
 //! - **Zero leaked tickets** — every accepted submission resolves, with
 //!   a reply or a typed `BackendError::Stage` naming the failing stage,
@@ -19,8 +19,10 @@
 
 use maddpipe::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
+use std::mem::ManuallyDrop;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// The chaos seed under test: `MADDPIPE_CHAOS_SEED` when set (the CI
 /// stress job sweeps a few), 7 otherwise.
@@ -476,5 +478,207 @@ fn forward_trace_matches_the_lowered_specs_reference_trace() {
             net.forward(&image).expect("forward"),
             "the trace ends at the logits"
         );
+    }
+}
+
+/// Decoder chains and stages of the float-activation macro stages below.
+const NDEC: usize = 3;
+const NS: usize = 2;
+
+/// A macro stage whose activations travel as floats: `encode` packs
+/// each `NS * SUBVECTOR_LEN` values into one token and `decode` flattens
+/// every token's outputs. `before_encode` and `before_decode` run first
+/// inside each closure: the fault hooks.
+fn float_stage(
+    name: &str,
+    seed: u64,
+    before_encode: impl Fn() + Send + Sync + 'static,
+    before_decode: impl Fn() + Send + Sync + 'static,
+) -> MacroStage {
+    let cfg = MacroConfig::new(NDEC, NS);
+    MacroStage::new(
+        name,
+        &cfg,
+        MacroProgram::random(NDEC, NS, seed),
+        BackendKind::Functional { workers: 1 },
+        move |x: &[f32]| {
+            before_encode();
+            let rows: Vec<&[f32]> = x.chunks(NS * SUBVECTOR_LEN).collect();
+            TokenBatch::from_f32_rows(&rows, NS, QuantScale::UNIT)
+        },
+        move |r: &BatchResult| {
+            before_decode();
+            Ok(r.tokens
+                .iter()
+                .flat_map(|t| t.outputs.iter().map(|&v| f32::from(v)))
+                .collect())
+        },
+    )
+    .expect("the program fits")
+}
+
+/// Three tokens' worth of activation values in the `i8` range.
+fn float_image(seed: usize) -> Vec<f32> {
+    (0..3 * NS * SUBVECTOR_LEN)
+        .map(|i| ((i * 7 + seed * 13) % 61) as f32 - 30.0)
+        .collect()
+}
+
+/// A hook that panics on its first call when `armed`.
+fn panics_once(armed: bool) -> impl Fn() + Send + Sync + 'static {
+    let armed = AtomicBool::new(armed);
+    move || assert!(!armed.swap(false, Ordering::SeqCst), "injected panic")
+}
+
+#[test]
+fn a_panicking_encode_or_decode_costs_only_its_own_item() {
+    // A one-macro-stage graph with a host stage after it, whose encode
+    // or decode closure panics on its first call. The panic costs that
+    // item alone, as a typed error naming the macro stage; it is no
+    // replica crash, so nothing is respawned or retried.
+    let spec = |encode_panics: bool, decode_panics: bool| {
+        PipelineSpec::new()
+            .macro_stage(float_stage(
+                "macro",
+                41,
+                panics_once(encode_panics),
+                panics_once(decode_panics),
+            ))
+            .host("halve", |x: Vec<f32>| {
+                Ok(x.into_iter().map(|v| v * 0.5).collect())
+            })
+    };
+    let image = float_image(1);
+    let expected = spec(false, false)
+        .reference_trace(&image)
+        .expect("the reference runs")
+        .pop()
+        .expect("one output per stage");
+    let resolved = |ticket: PipelineTicket| match ticket.wait_timeout(Duration::from_secs(2)) {
+        Ok(outcome) => outcome,
+        Err(ticket) => panic!("unresolved after 2 s, at {:?}", ticket.state()),
+    };
+    for encode_panics in [true, false] {
+        // No destructor until the checked shutdown below: a graph that
+        // lost a thread to the panic could hang in its drop.
+        let graph = ManuallyDrop::new(
+            PipelineGraph::build(
+                spec(encode_panics, !encode_panics),
+                PipelinePolicy::default(),
+            )
+            .expect("graph deploys"),
+        );
+        let err = resolved(graph.submit(image.clone()).expect("accepted"))
+            .expect_err("the closure panicked");
+        assert!(
+            matches!(
+                &err,
+                BackendError::Stage { stage: 0, source } if **source == BackendError::ReplicaPanicked
+            ),
+            "encode panics: {encode_panics}, got {err:?}"
+        );
+        let reply = resolved(graph.submit(image.clone()).expect("accepted"))
+            .expect("the next item is served");
+        assert_eq!(reply.outputs, expected, "bit-identical after the panic");
+
+        let graph = ManuallyDrop::into_inner(graph);
+        let (done, stats) = mpsc::channel();
+        let shutdown = std::thread::spawn(move || {
+            let _ = done.send(graph.shutdown());
+        });
+        let stats = stats
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the graph shuts down");
+        shutdown.join().expect("the shutdown thread returns");
+        assert_eq!(stats.images(), 1);
+        assert_eq!(stats.stage_profiles()[0].restarts(), 0, "no respawn");
+        assert_eq!(stats.stage_profiles()[0].retries(), 0, "no kernel retry");
+    }
+}
+
+#[test]
+fn backpressure_crosses_hops_and_a_blocked_graph_still_drops() {
+    // Two macro stages, then a host stage that sleeps 5 ms per item on
+    // the second stage's replica. The second pool fills, the first
+    // stage's replica blocks handing it the next item, the first pool
+    // fills behind it, and intake answers QueueFull.
+    const CAPACITY: usize = 2;
+    const MACRO_STAGES: usize = 2;
+    const REPLICAS: usize = 1;
+    let spec = || {
+        PipelineSpec::new()
+            .macro_stage(float_stage("first", 51, || (), || ()))
+            .macro_stage(float_stage("second", 52, || (), || ()))
+            .host("slow", |x: Vec<f32>| {
+                std::thread::sleep(Duration::from_millis(5));
+                Ok(x)
+            })
+    };
+    let reference = spec();
+    let expected = |image: &[f32]| {
+        reference
+            .reference_trace(image)
+            .expect("the reference runs")
+            .pop()
+            .expect("one output per stage")
+    };
+    // The intake channel, the item the intake thread holds, and per
+    // macro stage its pool's admitted items plus one micro-batch of at
+    // most CAPACITY riders in each replica's hands.
+    let bound = CAPACITY + 1 + MACRO_STAGES * CAPACITY * (1 + REPLICAS);
+    let graph = PipelineGraph::build(spec(), PipelinePolicy::default().with_capacity(CAPACITY))
+        .expect("graph deploys");
+
+    let images: Vec<Vec<f32>> = (0..64).map(float_image).collect();
+    let mut accepted = Vec::new();
+    let mut rejected = 0u32;
+    for image in &images {
+        match graph.submit(image.clone()) {
+            Ok(ticket) => accepted.push((image, ticket)),
+            Err(BackendError::QueueFull { limit }) => {
+                assert!(
+                    matches!(limit, QueueLimit::Requests { max_depth } if max_depth == CAPACITY),
+                    "the refusal names the intake bound: {limit:?}"
+                );
+                rejected += 1;
+            }
+            Err(e) => panic!("unexpected submit error: {e}"),
+        }
+        assert!(graph.depth() <= bound, "depth {} > {bound}", graph.depth());
+    }
+    assert!(rejected > 0, "the slow stage never pushed back");
+    for (image, ticket) in accepted {
+        let reply = ticket.wait().expect("accepted work is served");
+        assert_eq!(reply.outputs, expected(image), "bit-identical");
+    }
+    assert_eq!(graph.depth(), 0, "zero leaked tickets");
+
+    // Fill every slot again: intake, the intake thread's hand, both
+    // pools and both replicas' hands. The first replica then holds an
+    // item it cannot hand to the full second pool. Dropping the graph
+    // there drains everything accepted and returns.
+    let saturated = CAPACITY + 1 + MACRO_STAGES * (CAPACITY + REPLICAS);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut refill = Vec::new();
+    while graph.depth() < saturated {
+        assert!(Instant::now() < deadline, "depth {}", graph.depth());
+        match graph.submit(images[refill.len() % images.len()].clone()) {
+            Ok(ticket) => refill.push(ticket),
+            Err(BackendError::QueueFull { .. }) => std::thread::sleep(Duration::from_micros(100)),
+            Err(e) => panic!("unexpected submit error: {e}"),
+        }
+    }
+    let (dropped, done) = mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(graph);
+        let _ = dropped.send(());
+    });
+    done.recv_timeout(Duration::from_secs(10))
+        .expect("dropping a blocked graph returns");
+    dropper.join().expect("the dropping thread returns");
+    for (i, ticket) in refill.into_iter().enumerate() {
+        let image = &images[i % images.len()];
+        let reply = ticket.wait().expect("the drop drains accepted work");
+        assert_eq!(reply.outputs, expected(image), "bit-identical");
     }
 }
