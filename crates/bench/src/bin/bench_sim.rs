@@ -337,8 +337,11 @@ fn flagship_pool(replicas: usize, max_depth: usize) -> ReplicaPool {
 }
 
 /// Closed-loop replica scaling at the flagship shape: 8 clients keep
-/// the pool saturated; returns the median goodput (tokens/s) over
-/// repeated runs against one long-lived pool.
+/// the pool saturated; returns the median goodput (tokens/s) over 5
+/// samples against one long-lived pool. Each sample repeats the closed
+/// loop until at least 200 ms have passed and counts every served
+/// token: one loop is only about 8K tokens, and samples that short
+/// spread up to 2× between runs of the same code.
 fn replica_pool_tokens_per_sec(replicas: usize) -> f64 {
     let pool = flagship_pool(replicas, 4096);
     let scenario = LoadScenario {
@@ -350,9 +353,14 @@ fn replica_pool_tokens_per_sec(replicas: usize) -> f64 {
         seed: 11,
     };
     let rate = median_rate(5, || {
-        let report = drive(&pool, &scenario);
-        assert_eq!(report.rejected_requests, 0, "closed loop never rejects");
-        report.served_tokens
+        let start = Instant::now();
+        let mut served = 0;
+        while start.elapsed() < Duration::from_millis(200) {
+            let report = drive(&pool, &scenario);
+            assert_eq!(report.rejected_requests, 0, "closed loop never rejects");
+            served += report.served_tokens;
+        }
+        served
     });
     pool.shutdown();
     rate

@@ -8,10 +8,11 @@
 //! 3×3 patch over and over and every backend recomputes it. The
 //! [`CachedBackend`] wrapper closes that gap:
 //!
-//! * results are keyed on a [`CacheKey`] — a content
-//!   [`ProgramFingerprint`] plus the token's exact quantised bytes — so
-//!   a hit can only ever return the output the very same program
-//!   produced for the very same token;
+//! * results are keyed on the token alone — its exact quantised bytes.
+//!   Each cached tier owns its store and serves one program, and no
+//!   other tier can reach that store, so key spaces of different
+//!   programs never meet and a hit can only ever return the output the
+//!   very same program produced for the very same token;
 //! * the store is a bounded CLOCK (second-chance) cache with *two*
 //!   capacity dimensions, entries **and** bytes ([`CacheConfig`]), and
 //!   eviction keeps both bounds at every observable point;
@@ -32,15 +33,13 @@
 //! [`BackendKind::Cached`](crate::backend::BackendKind::Cached) — around
 //! any recipe, inside a shard's recipe for per-shard stores, or around
 //! another cache. Sessions, replica pools and pipeline stages all
-//! build from the same `(program, kind)` recipe, and
-//! [`SessionStats`](crate::session::SessionStats) aggregates the
-//! [`CacheStats`] counters wherever the tier is deployed.
+//! build from the same `(program, kind)` recipe, so every replica
+//! builds its own store, and a respawned replica a fresh one.
+//! [`SessionStats`](crate::session::SessionStats) keeps each live
+//! store's latest [`CacheStats`] snapshot and sums them.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
 
-use maddpipe_core::config::SUBVECTOR_LEN;
 use maddpipe_core::macro_rtl::MacroProgram;
 
 use crate::backend::MacroBackend;
@@ -51,117 +50,8 @@ use crate::error::BackendError;
 /// of the key and output payloads (map entry, slot, allocation headers).
 const ENTRY_OVERHEAD_BYTES: usize = 64;
 
-/// A content fingerprint of a [`MacroProgram`]: every byte that can
-/// influence an output — tree shapes, split dimensions, thresholds and
-/// all LUT words — serialised into one blob, with a 64-bit digest for
-/// cheap hashing.
-///
-/// Equality compares the *content blob*, not the digest, so two
-/// different programs can never be confused by a hash collision:
-/// programs differing in a single LUT word are unequal by construction
-/// and therefore occupy disjoint key spaces in the cache.
-#[derive(Debug, Clone)]
-pub struct ProgramFingerprint {
-    blob: Arc<[u8]>,
-    hash: u64,
-}
-
-fn push_usize(blob: &mut Vec<u8>, v: usize) {
-    blob.extend_from_slice(&(v as u64).to_le_bytes());
-}
-
-/// FNV-1a over the blob — stable, dependency-free, and only a fast
-/// path: correctness never rests on this digest (see
-/// [`ProgramFingerprint`] equality).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-impl ProgramFingerprint {
-    /// Fingerprints a program by serialising its full content.
-    pub fn of(program: &MacroProgram) -> ProgramFingerprint {
-        let mut blob = Vec::new();
-        push_usize(&mut blob, program.ns());
-        push_usize(&mut blob, program.ndec());
-        push_usize(&mut blob, program.trees.len());
-        for tree in &program.trees {
-            push_usize(&mut blob, tree.levels());
-            push_usize(&mut blob, tree.split_dims().len());
-            for &dim in tree.split_dims() {
-                push_usize(&mut blob, dim);
-            }
-            push_usize(&mut blob, tree.thresholds().len());
-            blob.extend(tree.thresholds().iter().map(|&t| t as u8));
-        }
-        push_usize(&mut blob, program.luts.len());
-        for stage in &program.luts {
-            push_usize(&mut blob, stage.len());
-            for lut in stage {
-                blob.extend(lut.iter().map(|&w| w as u8));
-            }
-        }
-        let hash = fnv1a(&blob);
-        ProgramFingerprint {
-            blob: blob.into(),
-            hash,
-        }
-    }
-
-    /// The 64-bit content digest (diagnostic; equality uses the blob).
-    pub fn digest(&self) -> u64 {
-        self.hash
-    }
-}
-
-impl PartialEq for ProgramFingerprint {
-    fn eq(&self, other: &ProgramFingerprint) -> bool {
-        self.hash == other.hash && (Arc::ptr_eq(&self.blob, &other.blob) || self.blob == other.blob)
-    }
-}
-
-impl Eq for ProgramFingerprint {}
-
-impl Hash for ProgramFingerprint {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// A cache key: the program's content fingerprint plus the token's
-/// exact quantised bytes. Two keys are equal iff the program contents
-/// *and* every token byte agree.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    fingerprint: ProgramFingerprint,
-    token: Box<[u8]>,
-}
-
-impl CacheKey {
-    /// Builds the key for one token under one program fingerprint.
-    pub fn new(fingerprint: ProgramFingerprint, token: &[[i8; SUBVECTOR_LEN]]) -> CacheKey {
-        let mut bytes = Vec::with_capacity(token.len() * SUBVECTOR_LEN);
-        for sub in token {
-            bytes.extend(sub.iter().map(|&b| b as u8));
-        }
-        CacheKey {
-            fingerprint,
-            token: bytes.into_boxed_slice(),
-        }
-    }
-
-    /// Bytes of token payload carried by this key.
-    pub fn token_bytes(&self) -> usize {
-        self.token.len()
-    }
-}
-
-/// Capacity bounds for a [`CacheStore`] — both dimensions are enforced
-/// simultaneously; eviction runs until *neither* is exceeded.
+/// Capacity bounds for a cached tier's store — both dimensions are
+/// enforced simultaneously; eviction runs until *neither* is exceeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Maximum resident entries. `0` disables caching entirely (every
@@ -245,47 +135,34 @@ impl CacheStats {
             resident_bytes: self.resident_bytes + other.resident_bytes,
         }
     }
-
-    /// Field-wise max on the monotone counters, newest value on the
-    /// residency gauges — folds *successive snapshots of the same
-    /// store* without double-counting.
-    pub(crate) fn absorb_snapshot(&mut self, snapshot: CacheStats) {
-        self.hits = self.hits.max(snapshot.hits);
-        self.misses = self.misses.max(snapshot.misses);
-        self.dedup = self.dedup.max(snapshot.dedup);
-        self.insertions = self.insertions.max(snapshot.insertions);
-        self.evictions = self.evictions.max(snapshot.evictions);
-        self.resident_entries = snapshot.resident_entries;
-        self.resident_bytes = snapshot.resident_bytes;
-    }
 }
 
 #[derive(Debug)]
 struct Slot {
-    key: CacheKey,
-    outputs: Vec<i16>,
+    key: Box<[i8]>,
+    outputs: Box<[i16]>,
     referenced: bool,
     bytes: usize,
 }
 
-/// The bounded CLOCK (second-chance) store behind a [`CachedBackend`].
+/// The bounded CLOCK (second-chance) store a [`CachedBackend`] owns,
+/// keyed on a token's flattened subvectors.
 ///
-/// Invariants, held after **every** public operation (property-tested
-/// below):
+/// Invariants, held after **every** operation (property-tested below):
 ///
-/// * `resident_entries() <= config.max_entries`;
-/// * `resident_bytes() <= config.max_bytes`;
-/// * a [`lookup`](CacheStore::lookup) hit returns exactly the bytes the
-///   corresponding [`insert`](CacheStore::insert) stored.
+/// * resident entries `<= config.max_entries`;
+/// * resident bytes `<= config.max_bytes`;
+/// * a [`lookup`](CacheStore::lookup) hit's slot holds exactly the bytes
+///   the corresponding [`insert`](CacheStore::insert) stored.
 ///
 /// Eviction runs *before* insertion (never exceed-then-trim), so the
 /// bounds are respected at every observable point, not just between
 /// batches. An entry that alone exceeds `max_bytes` is skipped rather
 /// than evicting the whole store for nothing.
 #[derive(Debug)]
-pub struct CacheStore {
+struct CacheStore {
     config: CacheConfig,
-    map: HashMap<CacheKey, usize>,
+    map: HashMap<Box<[i8]>, usize>,
     slots: Vec<Slot>,
     hand: usize,
     bytes: usize,
@@ -298,7 +175,7 @@ pub struct CacheStore {
 
 impl CacheStore {
     /// An empty store with the given bounds.
-    pub fn new(config: CacheConfig) -> CacheStore {
+    fn new(config: CacheConfig) -> CacheStore {
         CacheStore {
             config,
             map: HashMap::new(),
@@ -313,33 +190,15 @@ impl CacheStore {
         }
     }
 
-    /// The bounds this store enforces.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    /// Entries currently resident.
-    pub fn resident_entries(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Bytes currently resident, as accounted for the byte bound.
-    pub fn resident_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn entry_bytes(key: &CacheKey, outputs: &[i16]) -> usize {
-        key.token_bytes() + outputs.len() * 2 + ENTRY_OVERHEAD_BYTES
-    }
-
-    /// Looks a key up, counting a hit (and marking the CLOCK reference
-    /// bit) or a miss.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<Vec<i16>> {
+    /// Looks a token up, counting a hit (and marking the CLOCK reference
+    /// bit) or a miss. A hit answers the slot that holds the outputs;
+    /// the slot stays valid until the next [`insert`](CacheStore::insert).
+    fn lookup(&mut self, key: &[i8]) -> Option<usize> {
         match self.map.get(key) {
-            Some(&idx) => {
+            Some(&slot) => {
                 self.hits += 1;
-                self.slots[idx].referenced = true;
-                Some(self.slots[idx].outputs.clone())
+                self.slots[slot].referenced = true;
+                Some(slot)
             }
             None => {
                 self.misses += 1;
@@ -348,8 +207,13 @@ impl CacheStore {
         }
     }
 
+    /// The outputs resident in `slot`.
+    fn outputs(&self, slot: usize) -> &[i16] {
+        &self.slots[slot].outputs
+    }
+
     /// Counts one token elided by intra-batch deduplication.
-    pub fn note_dedup(&mut self) {
+    fn note_dedup(&mut self) {
         self.dedup += 1;
     }
 
@@ -371,9 +235,8 @@ impl CacheStore {
                 let victim = self.slots.swap_remove(self.hand);
                 self.map.remove(&victim.key);
                 self.bytes -= victim.bytes;
-                if self.hand < self.slots.len() {
-                    let moved = self.slots[self.hand].key.clone();
-                    self.map.insert(moved, self.hand);
+                if let Some(moved) = self.slots.get(self.hand) {
+                    *self.map.get_mut(&moved.key).expect("every slot is mapped") = self.hand;
                 }
                 self.evictions += 1;
                 return;
@@ -385,11 +248,11 @@ impl CacheStore {
     /// admit it. Re-inserting a resident key is a no-op; an entry that
     /// can never fit (zero entry bound, or alone larger than the byte
     /// bound) is skipped.
-    pub fn insert(&mut self, key: CacheKey, outputs: Vec<i16>) {
-        if self.map.contains_key(&key) {
+    fn insert(&mut self, key: &[i8], outputs: &[i16]) {
+        if self.map.contains_key(key) {
             return;
         }
-        let entry_bytes = Self::entry_bytes(&key, &outputs);
+        let entry_bytes = key.len() + outputs.len() * 2 + ENTRY_OVERHEAD_BYTES;
         if self.config.max_entries == 0 || entry_bytes > self.config.max_bytes {
             return;
         }
@@ -398,12 +261,11 @@ impl CacheStore {
         {
             self.evict_one();
         }
-        let idx = self.slots.len();
-        self.map.insert(key.clone(), idx);
+        self.map.insert(key.into(), self.slots.len());
         self.bytes += entry_bytes;
         self.slots.push(Slot {
-            key,
-            outputs,
+            key: key.into(),
+            outputs: outputs.into(),
             referenced: false,
             bytes: entry_bytes,
         });
@@ -411,7 +273,7 @@ impl CacheStore {
     }
 
     /// A cumulative snapshot of the store's counters and residency.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
@@ -424,71 +286,31 @@ impl CacheStore {
     }
 }
 
-/// A shared handle on a [`CacheStore`] — what a [`CachedBackend`] holds,
-/// and what composes per-shard stores into one aggregate view.
-pub type SharedCacheStore = Arc<Mutex<CacheStore>>;
-
-/// Locks a store, tolerating poison: the store's own operations cannot
-/// leave it inconsistent mid-panic (the mutex is never held across an
-/// inner-backend call), so the data behind a poisoned lock is sound.
-pub(crate) fn lock_store(store: &SharedCacheStore) -> std::sync::MutexGuard<'_, CacheStore> {
-    store
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// A [`MacroBackend`] wrapper serving repeated tokens from a bounded
-/// content-addressed store, with intra-batch deduplication (see the
+/// store it owns, with intra-batch deduplication (see the
 /// [module docs](self) for the full contract).
 pub struct CachedBackend {
     inner: Box<dyn MacroBackend>,
-    fingerprint: ProgramFingerprint,
     ns: usize,
     ndec: usize,
-    store: SharedCacheStore,
+    store: CacheStore,
 }
 
 impl CachedBackend {
     /// Wraps `inner` with a fresh store bounded by `config`. The
-    /// `program` must be the one `inner` executes — the fingerprint
-    /// taken here is what keys every result.
+    /// `program` must be the one `inner` executes: the store keys on
+    /// the token alone, so it serves that program's outputs only.
     pub fn new(
         inner: Box<dyn MacroBackend>,
         program: &MacroProgram,
         config: CacheConfig,
     ) -> CachedBackend {
-        CachedBackend::with_store(
-            inner,
-            program,
-            Arc::new(Mutex::new(CacheStore::new(config))),
-        )
-    }
-
-    /// Wraps `inner` over an *existing* store handle — lets several
-    /// tiers share one store, and lets owners (the sharded backend,
-    /// tests) keep a handle for aggregate inspection.
-    pub fn with_store(
-        inner: Box<dyn MacroBackend>,
-        program: &MacroProgram,
-        store: SharedCacheStore,
-    ) -> CachedBackend {
         CachedBackend {
             inner,
-            fingerprint: ProgramFingerprint::of(program),
             ns: program.ns(),
             ndec: program.ndec(),
-            store,
+            store: CacheStore::new(config),
         }
-    }
-
-    /// A handle on the underlying store.
-    pub fn store(&self) -> SharedCacheStore {
-        Arc::clone(&self.store)
-    }
-
-    /// The program fingerprint keying this tier.
-    pub fn fingerprint(&self) -> ProgramFingerprint {
-        self.fingerprint.clone()
     }
 }
 
@@ -500,8 +322,8 @@ impl MacroBackend for CachedBackend {
     fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
         /// Where one token's observation comes from.
         enum Source {
-            /// Replayed from the store: unmeasured.
-            Hit(Vec<i16>),
+            /// Replayed from this store slot: unmeasured.
+            Hit(usize),
             /// Row `j` of the inner result: measured.
             Miss(usize),
             /// A later copy of miss row `j` in this batch: unmeasured.
@@ -510,44 +332,35 @@ impl MacroBackend for CachedBackend {
 
         batch.check_shape(self.ns)?;
         let tokens = batch.tokens();
-        let keys: Vec<CacheKey> = tokens
-            .iter()
-            .map(|t| CacheKey::new(self.fingerprint.clone(), t))
-            .collect();
-
+        let store = &mut self.store;
         let mut sources: Vec<Source> = Vec::with_capacity(tokens.len());
         // First occurrences that missed, in batch order.
         let mut misses: Vec<usize> = Vec::new();
-        {
-            // One lock for the whole probe: the dedup map must see a
-            // consistent store, and the store is never locked across
-            // the inner dispatch below.
-            let mut store = lock_store(&self.store);
-            let mut seen: HashMap<&CacheKey, usize> = HashMap::new();
-            for (i, key) in keys.iter().enumerate() {
-                let source = if let Some(&first) = seen.get(key) {
-                    match sources[first] {
-                        // Duplicate of a token that hit — it hits too.
-                        Source::Hit(_) => {
-                            Source::Hit(store.lookup(key).expect("first occurrence was resident"))
-                        }
-                        Source::Miss(j) | Source::Dup(j) => {
-                            store.note_dedup();
-                            Source::Dup(j)
-                        }
+        let mut seen: HashMap<&[i8], usize> = HashMap::new();
+        for (i, token) in tokens.iter().enumerate() {
+            let key = token.as_flattened();
+            let source = if let Some(&first) = seen.get(key) {
+                match sources[first] {
+                    // Duplicate of a token that hit — it hits too.
+                    Source::Hit(_) => {
+                        Source::Hit(store.lookup(key).expect("first occurrence was resident"))
                     }
-                } else {
-                    seen.insert(key, i);
-                    match store.lookup(key) {
-                        Some(outputs) => Source::Hit(outputs),
-                        None => {
-                            misses.push(i);
-                            Source::Miss(misses.len() - 1)
-                        }
+                    Source::Miss(j) | Source::Dup(j) => {
+                        store.note_dedup();
+                        Source::Dup(j)
                     }
-                };
-                sources.push(source);
-            }
+                }
+            } else {
+                seen.insert(key, i);
+                match store.lookup(key) {
+                    Some(slot) => Source::Hit(slot),
+                    None => {
+                        misses.push(i);
+                        Source::Miss(misses.len() - 1)
+                    }
+                }
+            };
+            sources.push(source);
         }
 
         let mut makespan = None;
@@ -580,22 +393,18 @@ impl MacroBackend for CachedBackend {
             }
             makespan = inner_result.makespan;
             energy = inner_result.energy;
-            {
-                let mut store = lock_store(&self.store);
-                for (&i, obs) in misses.iter().zip(&inner_result.tokens) {
-                    store.insert(keys[i].clone(), obs.outputs.to_vec());
-                }
-            }
             computed = inner_result.tokens;
         }
 
-        // Freshly computed tokens keep the inner backend's measured
-        // observation; only replayed results are unmeasured.
+        // Copy every hit out of its slot before the misses go in: an
+        // insert may evict, and an eviction moves a slot. Freshly
+        // computed tokens keep the inner backend's measured observation;
+        // only replayed results are unmeasured.
         let mut observations = Observations::with_capacity(self.ndec, tokens.len());
         for source in &sources {
             let row = |j: usize| computed.get(j).expect("every miss was computed");
             let (outputs, latency, energy) = match *source {
-                Source::Hit(ref outputs) => (outputs.as_slice(), None, None),
+                Source::Hit(slot) => (store.outputs(slot), None, None),
                 Source::Miss(j) => {
                     let obs = row(j);
                     (obs.outputs, obs.latency, obs.energy)
@@ -603,6 +412,9 @@ impl MacroBackend for CachedBackend {
                 Source::Dup(j) => (row(j).outputs, None, None),
             };
             observations.push(outputs, latency, energy);
+        }
+        for (&i, obs) in misses.iter().zip(&computed) {
+            store.insert(tokens[i].as_flattened(), obs.outputs);
         }
 
         Ok(BatchResult {
@@ -622,7 +434,7 @@ impl MacroBackend for CachedBackend {
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        Some(lock_store(&self.store).stats())
+        Some(self.store.stats())
     }
 }
 
@@ -630,10 +442,6 @@ impl std::fmt::Debug for CachedBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedBackend")
             .field("inner", &self.inner.name())
-            .field(
-                "fingerprint",
-                &format_args!("{:016x}", self.fingerprint.hash),
-            )
             .field("ns", &self.ns)
             .finish_non_exhaustive()
     }
@@ -645,50 +453,61 @@ mod tests {
     use crate::backend::BackendKind;
     use crate::batch::Token;
     use crate::functional::FunctionalBackend;
-    use maddpipe_core::config::MacroConfig;
+    use maddpipe_core::config::{MacroConfig, SUBVECTOR_LEN};
     use proptest::prelude::*;
 
     fn program(ns: usize) -> MacroProgram {
         MacroProgram::random(2, ns, 42)
     }
 
-    fn key_for(program: &MacroProgram, token: &Token) -> CacheKey {
-        CacheKey::new(ProgramFingerprint::of(program), token)
-    }
-
     fn token(ns: usize, fill: i8) -> Token {
         vec![[fill; SUBVECTOR_LEN]; ns]
     }
 
-    #[test]
-    fn fingerprint_is_stable_and_content_equal() {
-        let p = program(2);
-        let a = ProgramFingerprint::of(&p);
-        let b = ProgramFingerprint::of(&p.clone());
-        assert_eq!(a, b);
-        assert_eq!(a.digest(), b.digest());
+    /// The outputs `store` holds for `token`, counting the lookup.
+    fn get(store: &mut CacheStore, token: &Token) -> Option<Vec<i16>> {
+        let slot = store.lookup(token.as_flattened())?;
+        Some(store.outputs(slot).to_vec())
     }
 
-    #[test]
-    fn fingerprint_differs_on_one_lut_word() {
-        let p = program(2);
-        let mut q = p.clone();
-        q.luts[0][0][3] = q.luts[0][0][3].wrapping_add(1);
-        assert_ne!(ProgramFingerprint::of(&p), ProgramFingerprint::of(&q));
+    fn insert(store: &mut CacheStore, token: &Token, outputs: &[i16]) {
+        store.insert(token.as_flattened(), outputs);
     }
 
     #[test]
     fn different_programs_occupy_disjoint_key_spaces() {
-        // Two programs differing in one LUT word: inserting under one
-        // must not make the same token hit under the other.
-        let p = program(2);
-        let mut q = p.clone();
-        q.luts[1][0][7] = q.luts[1][0][7].wrapping_add(1);
+        // Two cached tiers over programs differing in the one LUT word
+        // the token reads: each store keys on the token alone, yet each
+        // answers with its own program's outputs, cold and warm.
+        let cfg = MacroConfig::new(2, 2);
+        let p = MacroProgram::random(cfg.ndec, cfg.ns, 42);
         let t = token(2, 5);
-        let mut store = CacheStore::new(CacheConfig::default());
-        store.insert(key_for(&p, &t), p.reference_output(&t));
-        assert!(store.lookup(&key_for(&p, &t)).is_some());
-        assert!(store.lookup(&key_for(&q, &t)).is_none());
+        let mut q = p.clone();
+        let code = q.trees[1].encode_one(&t[1]);
+        q.luts[1][0][code] = q.luts[1][0][code].wrapping_add(1);
+        assert_ne!(p.reference_output(&t), q.reference_output(&t));
+        let tier = |program: &MacroProgram| {
+            CachedBackend::new(
+                Box::new(FunctionalBackend::new(program.clone())),
+                program,
+                CacheConfig::default(),
+            )
+        };
+        let mut tiers = [(tier(&p), &p), (tier(&q), &q)];
+        let batch = TokenBatch::single(t.clone());
+        for _ in 0..2 {
+            for (backend, program) in &mut tiers {
+                let result = backend.run_batch(&batch).unwrap();
+                assert_eq!(
+                    result.tokens.get(0).unwrap().outputs,
+                    program.reference_output(&t)
+                );
+            }
+        }
+        for (backend, _) in &tiers {
+            let stats = backend.cache_stats().unwrap();
+            assert_eq!((stats.hits, stats.misses), (1, 1));
+        }
     }
 
     #[test]
@@ -697,33 +516,31 @@ mod tests {
         let t = token(2, -3);
         let out = p.reference_output(&t);
         let mut store = CacheStore::new(CacheConfig::default());
-        store.insert(key_for(&p, &t), out.clone());
-        assert_eq!(store.lookup(&key_for(&p, &t)), Some(out));
+        insert(&mut store, &t, &out);
+        assert_eq!(get(&mut store, &t), Some(out));
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 0, 1));
     }
 
     #[test]
     fn zero_entry_bound_disables_caching() {
-        let p = program(1);
         let t = token(1, 1);
         let mut store = CacheStore::new(CacheConfig::default().with_max_entries(0));
-        store.insert(key_for(&p, &t), vec![1, 2]);
-        assert_eq!(store.resident_entries(), 0);
-        assert!(store.lookup(&key_for(&p, &t)).is_none());
+        insert(&mut store, &t, &[1, 2]);
+        assert_eq!(store.stats().resident_entries, 0);
+        assert!(get(&mut store, &t).is_none());
     }
 
     #[test]
     fn oversized_entry_is_skipped_not_thrashed() {
-        let p = program(1);
         let small = token(1, 1);
         let mut store = CacheStore::new(CacheConfig::default().with_max_bytes(256));
-        store.insert(key_for(&p, &small), vec![0; 4]);
-        assert_eq!(store.resident_entries(), 1);
+        insert(&mut store, &small, &[0; 4]);
+        assert_eq!(store.stats().resident_entries, 1);
         // An entry that can never fit must not evict what is resident.
-        store.insert(key_for(&p, &token(1, 2)), vec![0; 4096]);
-        assert_eq!(store.resident_entries(), 1);
-        assert!(store.lookup(&key_for(&p, &small)).is_some());
+        insert(&mut store, &token(1, 2), &[0; 4096]);
+        assert_eq!(store.stats().resident_entries, 1);
+        assert!(get(&mut store, &small).is_some());
     }
 
     #[test]
@@ -733,27 +550,26 @@ mod tests {
         let mut store = CacheStore::new(cfg);
         for fill in 0..8i8 {
             let t = token(1, fill);
-            store.insert(key_for(&p, &t), p.reference_output(&t));
-            assert_eq!(store.resident_entries(), 1);
+            insert(&mut store, &t, &p.reference_output(&t));
+            assert_eq!(store.stats().resident_entries, 1);
         }
         assert_eq!(store.stats().evictions, 7);
-        assert!(store.lookup(&key_for(&p, &token(1, 7))).is_some());
-        assert!(store.lookup(&key_for(&p, &token(1, 0))).is_none());
+        assert!(get(&mut store, &token(1, 7)).is_some());
+        assert!(get(&mut store, &token(1, 0)).is_none());
     }
 
     #[test]
     fn clock_gives_referenced_entries_a_second_chance() {
-        let p = program(1);
         let mut store = CacheStore::new(CacheConfig::default().with_max_entries(2));
         let hot = token(1, 1);
-        store.insert(key_for(&p, &hot), vec![1]);
-        store.insert(key_for(&p, &token(1, 2)), vec![2]);
+        insert(&mut store, &hot, &[1]);
+        insert(&mut store, &token(1, 2), &[2]);
         // Touch the hot entry so its reference bit is set; the next
         // insert must evict the cold one.
-        assert!(store.lookup(&key_for(&p, &hot)).is_some());
-        store.insert(key_for(&p, &token(1, 3)), vec![3]);
-        assert!(store.lookup(&key_for(&p, &hot)).is_some());
-        assert!(store.lookup(&key_for(&p, &token(1, 2))).is_none());
+        assert!(get(&mut store, &hot).is_some());
+        insert(&mut store, &token(1, 3), &[3]);
+        assert!(get(&mut store, &hot).is_some());
+        assert!(get(&mut store, &token(1, 2)).is_none());
     }
 
     #[test]
@@ -914,7 +730,6 @@ mod tests {
             ops in proptest::collection::vec((0i8..12, any::<bool>()), 1..64),
         ) {
             let p = program(1);
-            let fp = ProgramFingerprint::of(&p);
             let config = CacheConfig {
                 max_entries,
                 // Floor high enough that at least one entry fits.
@@ -923,16 +738,15 @@ mod tests {
             let mut store = CacheStore::new(config);
             for (fill, do_insert) in ops {
                 let t = token(1, fill);
-                let key = CacheKey::new(fp.clone(), &t);
                 let expect = p.reference_output(&t);
                 if do_insert {
-                    store.insert(key, expect);
-                } else if let Some(got) = store.lookup(&key) {
+                    insert(&mut store, &t, &expect);
+                } else if let Some(got) = get(&mut store, &t) {
                     prop_assert_eq!(got, expect);
                 }
-                prop_assert!(store.resident_entries() <= config.max_entries);
-                prop_assert!(store.resident_bytes() <= config.max_bytes);
                 let s = store.stats();
+                prop_assert!(s.resident_entries <= config.max_entries);
+                prop_assert!(s.resident_bytes <= config.max_bytes);
                 prop_assert_eq!(s.insertions, s.evictions + s.resident_entries as u64);
             }
         }

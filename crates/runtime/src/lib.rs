@@ -78,10 +78,7 @@ pub mod sharded;
 pub use analytic::AnalyticBackend;
 pub use backend::{validate_program, BackendKind, Fidelity, MacroBackend, ReplicaFactory};
 pub use batch::{BatchResult, Observations, Token, TokenBatch, TokenObservation, Tokens};
-pub use cache::{
-    CacheConfig, CacheKey, CacheStats, CacheStore, CachedBackend, ProgramFingerprint,
-    SharedCacheStore,
-};
+pub use cache::{CacheConfig, CacheStats, CachedBackend};
 pub use chaos::{wrap_recipe, ChaosBackend, ChaosConfig, ChaosState};
 pub use error::{BackendError, QueueLimit};
 pub use functional::FunctionalBackend;
@@ -103,10 +100,7 @@ pub mod prelude {
     pub use crate::batch::{
         BatchResult, Observations, Token, TokenBatch, TokenObservation, Tokens,
     };
-    pub use crate::cache::{
-        CacheConfig, CacheKey, CacheStats, CacheStore, CachedBackend, ProgramFingerprint,
-        SharedCacheStore,
-    };
+    pub use crate::cache::{CacheConfig, CacheStats, CachedBackend};
     pub use crate::chaos::{wrap_recipe, ChaosBackend, ChaosConfig, ChaosState};
     pub use crate::error::{BackendError, QueueLimit};
     pub use crate::functional::FunctionalBackend;

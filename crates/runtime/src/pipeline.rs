@@ -818,9 +818,7 @@ impl PipelineGraph {
             let cache = pool_stats.cache();
             if cache != crate::cache::CacheStats::default() {
                 // The stage pool's aggregate cache view, both on the
-                // stage profile and as a top-level source slot (the
-                // base snapshot never carries cache counters, so the
-                // per-call fold stays cumulative, not double-counted).
+                // stage profile and as the stage's source slot.
                 stats.set_stage_cache(stage, cache);
                 stats.note_cache(stage, cache);
             }

@@ -1242,10 +1242,18 @@ fn replica_loop(
                 guard.tickets.clear();
             }
             Err(_panic) => {
-                // The panicked backend is poisoned; rebuild it from the
-                // recipe while the restart budget lasts. The riders wait
-                // for the rebuild, so a reply that resolves after the
-                // crash always finds the respawn counted.
+                // The panicked backend is poisoned, and its cache stores
+                // die with it: retire its slot, so a rebuilt backend's
+                // fresh stores count from zero beside the dead ones.
+                shared
+                    .stats
+                    .lock()
+                    .expect("stats lock")
+                    .retire_cache(replica);
+                // Rebuild it from the recipe while the restart budget
+                // lasts. The riders wait for the rebuild, so a reply that
+                // resolves after the crash always finds the respawn
+                // counted.
                 let mut fresh = None;
                 while fresh.is_none() && respawns_left > 0 {
                     respawns_left -= 1;
@@ -1261,20 +1269,6 @@ fn replica_loop(
                 let respawned = match fresh {
                     Some(rebuilt) => {
                         backend = rebuilt;
-                        // A rebuilt backend whose store has seen no lookup
-                        // has a fresh store, so retire the dead store's
-                        // counters. A store shared across the respawn keeps
-                        // its cumulative counts and stays in its slot.
-                        if backend
-                            .cache_stats()
-                            .is_some_and(|c| c.hits + c.misses == 0)
-                        {
-                            shared
-                                .stats
-                                .lock()
-                                .expect("stats lock")
-                                .retire_cache(replica);
-                        }
                         shared.lock_state().restarts += 1;
                         true
                     }

@@ -232,9 +232,9 @@ pub struct SessionStats {
     pipeline_uptime: Duration,
     /// Latest cumulative cache snapshot per live source (replica index
     /// for pools/queues/sessions, stage index for pipelines). Each slot
-    /// is one distinct store's view; the aggregate sums them.
+    /// holds what the source's stores report; the aggregate sums them.
     cache_slots: Vec<CacheStats>,
-    /// Counters of stores that are gone: a respawned replica's dead
+    /// Counters of stores that are gone: a crashed replica's dead
     /// store, moved out of its slot by [`SessionStats::retire_cache`].
     retired_cache: CacheStats,
 }
@@ -458,29 +458,27 @@ impl SessionStats {
         profile.queue_high_water = profile.queue_high_water.max(high_water);
     }
 
-    /// Folds a stage pool's aggregate cache snapshot into its profile
-    /// (snapshot semantics, like the recovery counters).
+    /// Sets a stage pool's aggregate cache snapshot on its profile.
     pub(crate) fn set_stage_cache(&mut self, stage: usize, snapshot: CacheStats) {
-        self.ensure_stage(stage).cache.absorb_snapshot(snapshot);
+        self.ensure_stage(stage).cache = snapshot;
     }
 
-    /// Folds one source's cumulative cache snapshot into the statistics.
-    /// A source is one distinct store's owner — the replica index for
-    /// pools and queues (and a plain session, which is source 0), the
-    /// stage index for pipelines. Successive snapshots of one source are
-    /// max-merged so repeated harvests never double-count; distinct
+    /// Replaces one source's cache slot with its latest cumulative
+    /// snapshot. A source is the owner of live stores — the replica
+    /// index for pools and queues (and a plain session, which is source
+    /// 0), the stage index for pipelines. Nothing shares a store, so a
+    /// later snapshot of a source supersedes every earlier one; distinct
     /// sources sum in [`SessionStats::cache`].
     pub(crate) fn note_cache(&mut self, source: usize, snapshot: CacheStats) {
         if self.cache_slots.len() <= source {
             self.cache_slots.resize(source + 1, CacheStats::default());
         }
-        self.cache_slots[source].absorb_snapshot(snapshot);
+        self.cache_slots[source] = snapshot;
     }
 
     /// Moves `source`'s counters into the retired total and empties its
-    /// slot, for when its store was replaced by a fresh one whose
-    /// counters start again at zero. The dead store's residency is
-    /// dropped: those entries are gone.
+    /// slot, for when its stores died with a crashed backend. The dead
+    /// stores' residency is dropped: those entries are gone.
     pub(crate) fn retire_cache(&mut self, source: usize) {
         if let Some(slot) = self.cache_slots.get_mut(source) {
             let dead = std::mem::take(slot);
@@ -628,8 +626,8 @@ impl SessionStats {
     }
 
     /// The aggregate result-cache view: the sum of the per-source
-    /// snapshots (each source — a replica, or a pipeline stage — owns a
-    /// distinct store), plus the counters of stores that respawned
+    /// snapshots (each source — a replica, or a pipeline stage — owns
+    /// distinct stores), plus the counters of stores that crashed
     /// replicas left behind. All zeros unless a
     /// [`CachedBackend`](crate::cache::CachedBackend) tier is deployed
     /// somewhere behind these stats.

@@ -4,11 +4,14 @@
 //! regions emit the *same* im2col window again and again, so the macro
 //! keeps being asked for outputs it has already computed. A
 //! `CachedBackend` sits in front of any inner backend and answers those
-//! repeats from a bounded content-addressed store, keyed on the
-//! program's fingerprint plus the exact quantised token bytes. The
-//! purity contract makes this safe: a `MacroProgram` is a pure function
-//! of its token, so equal bytes in means equal bytes out, forever. This
-//! example walks the tier end to end:
+//! repeats from a bounded store it owns, keyed on the token: its exact
+//! quantised bytes. The purity contract makes this safe: a
+//! `MacroProgram` is a pure function of its token, so equal bytes in
+//! means equal bytes out, forever. Key spaces of different programs stay
+//! apart because each store serves the one program its tier runs, and
+//! nothing shares it. The stats keep one slot per live store, holding
+//! its latest snapshot; a crashed replica's slot is retired when it
+//! respawns. This example walks the tier end to end:
 //!
 //! 1. run a repeated-patch workload cold (uncached functional backend)
 //!    and through a `BackendKind::Cached` session, comparing wall time,

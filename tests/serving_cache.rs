@@ -159,9 +159,9 @@ fn cached_sharded_pool_is_bit_identical() {
 
 #[test]
 fn per_shard_cached_pool_is_bit_identical() {
-    // …and caches *inside* the shards: each shard keys on its own
-    // sub-program fingerprint, and the sharded backend aggregates the
-    // counters into the pool stats.
+    // …and caches *inside* the shards: each shard owns a store that
+    // serves only its own sub-program, and the sharded backend
+    // aggregates the counters into the pool stats.
     let stats = stress_cached_pool(
         BackendKind::Sharded {
             shards: 2,

@@ -13,7 +13,7 @@
 
 use maddpipe::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 const CLIENTS: usize = 8;
@@ -348,11 +348,6 @@ fn transient_inner_faults_never_poison_the_cached_tier() {
         .iter()
         .map(<[_]>::to_vec)
         .collect();
-    // max_entries = 3 against a 6-token alphabet: constant churn keeps
-    // the flaky inner in play instead of everything hitting warm.
-    let store: SharedCacheStore = Arc::new(Mutex::new(CacheStore::new(
-        CacheConfig::default().with_max_entries(3),
-    )));
     let state = ChaosState::new();
     let chaos = ChaosConfig::default()
         .with_seed(chaos_seed())
@@ -360,15 +355,17 @@ fn transient_inner_faults_never_poison_the_cached_tier() {
     let recipe: ReplicaFactory = {
         let cfg = cfg.clone();
         let program = program.clone();
-        let store = Arc::clone(&store);
         let state = Arc::clone(&state);
         Arc::new(move || {
             let inner = BackendKind::Functional { workers: 1 }.build(&cfg, program.clone())?;
             let flaky = Box::new(ChaosBackend::with_state(inner, chaos, Arc::clone(&state)));
-            Ok(Box::new(CachedBackend::with_store(
+            // max_entries = 3 against a 6-token alphabet: constant churn
+            // keeps the flaky inner in play instead of everything
+            // hitting warm.
+            Ok(Box::new(CachedBackend::new(
                 flaky,
                 &program,
-                Arc::clone(&store),
+                CacheConfig::default().with_max_entries(3),
             )) as Box<dyn MacroBackend>)
         })
     };
@@ -407,50 +404,49 @@ fn transient_inner_faults_never_poison_the_cached_tier() {
             );
         }
     }
-    let stats = pool.shutdown();
-    assert!(stats.retries() >= 1, "the 30% transient rate fired");
-    let cache = stats.cache();
-    assert!(cache.misses > 0 && cache.hits > 0, "{stats}");
 
-    // The store itself stayed coherent through every aborted insert.
-    {
-        let guard = store.lock().expect("no poisoned lock");
-        let s = guard.stats();
-        assert_eq!(
-            s.insertions,
-            s.evictions + s.resident_entries as u64,
-            "aborted micro-batches never leaked a phantom entry"
-        );
-        assert!(s.resident_entries <= 3);
-    }
-
-    // Scrub pass with a *clean* inner over the whole alphabet: whatever
-    // survived the storm resident must serve the true bytes.
-    let mut scrub = CachedBackend::with_store(
-        BackendKind::Functional { workers: 1 }
-            .build(&cfg, program.clone())
-            .expect("clean inner builds"),
-        &program,
-        Arc::clone(&store),
+    // Scrub pass: one final request sweeps the whole alphabet through
+    // the pool. Every entry that survived the storm resident answers it
+    // as a hit, so each must serve the true bytes.
+    assert!(
+        pool.stats().cache().resident_entries > 0,
+        "nothing to scrub"
     );
     let sweep = TokenBatch::new(alphabet.clone()).expect("non-empty");
-    let result = scrub.run_batch(&sweep).expect("clean inner never fails");
-    for (obs, token) in result.tokens.iter().zip(&alphabet) {
+    let reply = pool
+        .submit(sweep)
+        .expect("accepted")
+        .wait()
+        .expect("served through the flaky inner");
+    for (obs, token) in reply.result.tokens.iter().zip(&alphabet) {
         assert_eq!(
             obs.outputs,
             program.reference_output(token),
             "no poisoned entry survived the storm"
         );
     }
+
+    let stats = pool.shutdown();
+    assert!(stats.retries() >= 1, "the 30% transient rate fired");
+    let cache = stats.cache();
+    assert!(cache.misses > 0 && cache.hits > 0, "{stats}");
+    // The store itself stayed coherent through every aborted insert.
+    assert_eq!(
+        cache.insertions,
+        cache.evictions + cache.resident_entries as u64,
+        "aborted micro-batches never leaked a phantom entry"
+    );
+    assert!(cache.resident_entries <= 3);
 }
 
 #[test]
 fn a_forced_crash_respawns_onto_the_same_warm_store() {
     // Chaos *outside* the cache this time: a seeded panic kills a
-    // replica mid-service, and the respawned replica re-attaches to the
-    // same shared store. The crash must cost a retry, never the cache —
-    // post-recovery replies stay bit-identical, the warm entries keep
-    // hitting, and the store's accounting balances.
+    // replica mid-service, and the pool respawns it from the same
+    // recipe, which builds the replica a fresh store. The crash must
+    // cost a retry, never the cache — post-recovery replies stay
+    // bit-identical, the warm entries keep hitting, and the stores'
+    // accounting balances.
     let cfg = MacroConfig::new(2, 2);
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 61);
     let ns = cfg.ns;
@@ -459,7 +455,6 @@ fn a_forced_crash_respawns_onto_the_same_warm_store() {
         .iter()
         .map(<[_]>::to_vec)
         .collect();
-    let store: SharedCacheStore = Arc::new(Mutex::new(CacheStore::new(CacheConfig::default())));
     let state = ChaosState::new();
     let chaos = ChaosConfig::default()
         .with_seed(chaos_seed())
@@ -467,15 +462,11 @@ fn a_forced_crash_respawns_onto_the_same_warm_store() {
     let cached_recipe: ReplicaFactory = {
         let cfg = cfg.clone();
         let program = program.clone();
-        let store = Arc::clone(&store);
-        Arc::new(move || {
-            let inner = BackendKind::Functional { workers: 1 }.build(&cfg, program.clone())?;
-            Ok(Box::new(CachedBackend::with_store(
-                inner,
-                &program,
-                Arc::clone(&store),
-            )) as Box<dyn MacroBackend>)
-        })
+        let kind = BackendKind::Cached {
+            cache: CacheConfig::default(),
+            inner: Box::new(BackendKind::Functional { workers: 1 }),
+        };
+        Arc::new(move || kind.build(&cfg, program.clone()))
     };
     let recipes = (0..2)
         .map(|_| wrap_recipe(Arc::clone(&cached_recipe), chaos, Arc::clone(&state)))
@@ -534,15 +525,16 @@ fn a_forced_crash_respawns_onto_the_same_warm_store() {
     let cache = stats.cache();
     assert!(
         cache.hits > 0 && cache.misses > 0,
-        "the store stayed warm across the respawn: {stats}"
+        "the stores stayed warm across the respawn: {stats}"
     );
-    // With 5 distinct tokens ever submitted, the store computed each at
-    // most once per racing micro-batch — it never ballooned past the
-    // alphabet, crash or not.
-    let guard = store.lock().expect("no poisoned lock");
-    let s = guard.stats();
-    assert!(s.resident_entries <= alphabet.len(), "{s:?}");
-    assert_eq!(s.insertions, s.evictions + s.resident_entries as u64);
+    // The crash panics above the cache, so every served request made
+    // its 4 lookups in some store, the dead one's included.
+    assert_eq!(cache.hits + cache.misses, 80, "{cache:?}");
+    // With 5 distinct tokens ever submitted, each live store computed
+    // each at most once — it never ballooned past the alphabet, crash
+    // or not. The dead store's entries left without being evicted.
+    assert!(cache.resident_entries <= 2 * alphabet.len(), "{cache:?}");
+    assert!(cache.insertions >= cache.evictions + cache.resident_entries as u64);
 }
 
 #[test]

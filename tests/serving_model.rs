@@ -3,9 +3,10 @@
 //! Proptest generates sequences of operations: submit a request of 1–8
 //! tokens under one of three client keys, optionally with a deadline;
 //! claim an outstanding ticket through `poll`, `wait_timeout` or `wait`;
-//! and `close`. Each sequence runs against two deployments whose backends
-//! are chaos-wrapped with `wrap_recipe` (15% transient faults plus one
-//! forced panic, seeded from `MADDPIPE_CHAOS_SEED`, 7 when unset):
+//! crash the replica that takes the next backend call; and `close`. Each
+//! sequence runs against two deployments whose backends are
+//! chaos-wrapped with `wrap_recipe` (15% transient faults plus one forced
+//! panic, seeded from `MADDPIPE_CHAOS_SEED`, 7 when unset):
 //!
 //! * a 2-replica `ReplicaPool`, and
 //! * a `PipelineGraph` with one host stage and one macro stage.
@@ -17,9 +18,16 @@
 //! `QueueClosed`, submits before it are accepted. Once every ticket is
 //! claimed `depth()` is 0, and the final stats count exactly the
 //! successful requests: tokens for the pool, images for the pipeline.
+//!
+//! The model also pins `PoolHealth`. Whenever it holds no open ticket
+//! and `depth()` is 0, and after the final drain, every panic that fired
+//! (the chaos schedule's, plus each crash step's) is counted once, as a
+//! restart or a quarantine. While the deployment is open, every replica
+//! is either healthy or quarantined.
 
 use maddpipe::prelude::*;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,6 +37,12 @@ const NS: usize = 2;
 /// Longest generated operation sequence — below the pipeline's intake
 /// capacity, so a submit before `close` can never meet backpressure.
 const MAX_OPS: usize = 32;
+/// Replicas of the pool, and of the pipeline's macro stage.
+const REPLICAS: usize = 2;
+/// Crash steps the model honours per sequence. With the default budget
+/// of one respawn per replica, these plus the chaos schedule's panic
+/// quarantine at most one replica, so crashes never close a deployment.
+const MAX_CRASHES: usize = 2;
 
 /// The chaos seed under test: `MADDPIPE_CHAOS_SEED` when set (the CI
 /// stress job sweeps a few), 7 otherwise.
@@ -56,6 +70,92 @@ fn recipe(cfg: &MacroConfig, program: &MacroProgram) -> ReplicaFactory {
     let cfg = cfg.clone();
     let program = program.clone();
     Arc::new(move || BackendKind::Functional { workers: 1 }.build(&cfg, program.clone()))
+}
+
+/// The crash steps' trigger, shared by every replica of a deployment.
+#[derive(Debug, Default)]
+struct Crashes {
+    /// Set by a crash step; the next backend call to see it panics.
+    armed: AtomicBool,
+    /// Panics fired so far.
+    fired: AtomicU64,
+}
+
+/// A backend that panics on its next call once [`Crashes::armed`] is set.
+struct Crashing {
+    inner: Box<dyn MacroBackend>,
+    crashes: Arc<Crashes>,
+}
+
+impl MacroBackend for Crashing {
+    fn name(&self) -> &'static str {
+        "crashing"
+    }
+
+    fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
+        if self.crashes.armed.swap(false, Ordering::SeqCst) {
+            self.crashes.fired.fetch_add(1, Ordering::SeqCst);
+            panic!("model: injected crash");
+        }
+        self.inner.run_batch(batch)
+    }
+}
+
+/// The faults every replica of a deployment draws: the chaos schedule
+/// outside, the crash steps inside. A call the chaos layer fails or
+/// panics never reaches the crash layer, so an armed crash waits for a
+/// call that does.
+struct Faults {
+    chaos: Arc<ChaosState>,
+    panic_call: u64,
+    crashes: Arc<Crashes>,
+}
+
+impl Faults {
+    fn new(panic_call: u64) -> Faults {
+        Faults {
+            chaos: ChaosState::new(),
+            panic_call,
+            crashes: Arc::default(),
+        }
+    }
+
+    fn wrap(&self, recipe: ReplicaFactory) -> ReplicaFactory {
+        let crashes = Arc::clone(&self.crashes);
+        let crashing: ReplicaFactory = Arc::new(move || {
+            Ok(Box::new(Crashing {
+                inner: recipe()?,
+                crashes: Arc::clone(&crashes),
+            }) as Box<dyn MacroBackend>)
+        });
+        wrap_recipe(crashing, chaos(self.panic_call), Arc::clone(&self.chaos))
+    }
+
+    /// Panics fired so far: the crash steps', plus the chaos schedule's
+    /// once its call index has been drawn.
+    fn fired(&self) -> u64 {
+        self.crashes.fired.load(Ordering::SeqCst) + u64::from(self.chaos.calls() > self.panic_call)
+    }
+
+    /// Checks `health` against the panics that fired. Call it only with
+    /// nothing in flight, so every panic's respawn or quarantine is
+    /// counted. After `close`, drained replicas have left, so only the
+    /// quarantined ones still add up.
+    fn check(&self, health: PoolHealth, closed: bool) {
+        if closed {
+            assert!(
+                health.healthy + health.quarantined <= REPLICAS,
+                "{health:?}"
+            );
+        } else {
+            assert_eq!(health.healthy + health.quarantined, REPLICAS, "{health:?}");
+        }
+        assert_eq!(
+            health.restarts + health.quarantined as u64,
+            self.fired(),
+            "every panic respawns or quarantines once: {health:?}"
+        );
+    }
 }
 
 /// One generated request.
@@ -99,14 +199,15 @@ enum Claim {
 enum Op {
     Submit(Request),
     Claim { pick: usize, how: Claim },
+    Crash,
     Close,
 }
 
-/// Submits dominate, claims come second, and `close` is rare enough
-/// that most sequences serve a while before it.
+/// Submits dominate, claims come second, and `crash` and `close` are
+/// rare enough that most sequences serve a while before them.
 fn op() -> impl Strategy<Value = Op> {
     (
-        0u32..20,
+        0u32..21,
         (1usize..9, 0u64..3, 0u64..4),
         any::<u64>(),
         0usize..16,
@@ -131,6 +232,7 @@ fn op() -> impl Strategy<Value = Op> {
                     pick,
                     how: Claim::Wait,
                 },
+                19 => Op::Crash,
                 _ => Op::Close,
             },
         )
@@ -157,6 +259,12 @@ trait Deployment {
 
     fn depth(&self) -> usize;
 
+    /// The faults the deployment's replicas draw.
+    fn faults(&self) -> &Faults;
+
+    /// The replica-health counters now.
+    fn health(&self) -> PoolHealth;
+
     /// Shuts the deployment down and returns what its stats count as
     /// served: tokens for a pool, images for a pipeline.
     fn shutdown(self) -> u64;
@@ -175,27 +283,26 @@ const CLAIM_TIMEOUT: Duration = Duration::from_micros(100);
 struct Pool {
     pool: ReplicaPool,
     program: MacroProgram,
+    faults: Faults,
 }
 
 impl Pool {
     fn new(panic_call: u64) -> Pool {
         let cfg = MacroConfig::new(NDEC, NS);
         let program = program();
-        let state = ChaosState::new();
-        let recipes = (0..2)
-            .map(|_| {
-                wrap_recipe(
-                    recipe(&cfg, &program),
-                    chaos(panic_call),
-                    Arc::clone(&state),
-                )
-            })
+        let faults = Faults::new(panic_call);
+        let recipes = (0..REPLICAS)
+            .map(|_| faults.wrap(recipe(&cfg, &program)))
             .collect();
         let policy = ServePolicy::default()
             .with_fairness(Fairness::RoundRobin)
             .with_queue(QueuePolicy::default().with_max_batch(16));
         let pool = ReplicaPool::from_recipes(policy, NS, recipes).expect("the pool comes up");
-        Pool { pool, program }
+        Pool {
+            pool,
+            program,
+            faults,
+        }
     }
 }
 
@@ -247,6 +354,14 @@ impl Deployment for Pool {
         self.pool.depth()
     }
 
+    fn faults(&self) -> &Faults {
+        &self.faults
+    }
+
+    fn health(&self) -> PoolHealth {
+        self.pool.health()
+    }
+
     fn shutdown(self) -> u64 {
         self.pool.shutdown().tokens()
     }
@@ -267,6 +382,7 @@ struct Pipeline {
     graph: PipelineGraph,
     /// The same stages without chaos: the golden `reference_trace`.
     reference: PipelineSpec,
+    faults: Faults,
 }
 
 impl Pipeline {
@@ -291,7 +407,7 @@ impl Pipeline {
             },
         )
         .expect("the program fits")
-        .with_policy(StagePolicy::default().with_replicas(2))
+        .with_policy(StagePolicy::default().with_replicas(REPLICAS))
         .map_recipe(wrap);
         PipelineSpec::new()
             .host("halve", |x: Vec<f32>| {
@@ -301,13 +417,14 @@ impl Pipeline {
     }
 
     fn new(panic_call: u64) -> Pipeline {
-        let state = ChaosState::new();
-        let chaotic = Pipeline::spec(|recipe| wrap_recipe(recipe, chaos(panic_call), state));
+        let faults = Faults::new(panic_call);
+        let chaotic = Pipeline::spec(|recipe| faults.wrap(recipe));
         let graph = PipelineGraph::build(chaotic, PipelinePolicy::default().with_capacity(64))
             .expect("the pipeline comes up");
         Pipeline {
             graph,
             reference: Pipeline::spec(|recipe| recipe),
+            faults,
         }
     }
 }
@@ -347,6 +464,14 @@ impl Deployment for Pipeline {
         self.graph.depth()
     }
 
+    fn faults(&self) -> &Faults {
+        &self.faults
+    }
+
+    fn health(&self) -> PoolHealth {
+        self.graph.stats().pool_health()
+    }
+
     fn shutdown(self) -> u64 {
         self.graph.shutdown().images()
     }
@@ -367,6 +492,7 @@ impl Deployment for Pipeline {
 /// every outcome it can predict.
 fn check_against_model<D: Deployment>(deployment: D, ops: &[Op]) {
     let mut closed = false;
+    let mut crashes = 0;
     // Accepted, unclaimed tickets with their spec outputs and units.
     let mut open: Vec<(D::Ticket, Vec<f32>, u64)> = Vec::new();
     let mut accepted = 0u64;
@@ -405,10 +531,23 @@ fn check_against_model<D: Deployment>(deployment: D, ops: &[Op]) {
                     Err(ticket) => open.push((ticket, expected, units)),
                 }
             }
+            Op::Crash => {
+                if crashes < MAX_CRASHES {
+                    crashes += 1;
+                    deployment
+                        .faults()
+                        .crashes
+                        .armed
+                        .store(true, Ordering::SeqCst);
+                }
+            }
             Op::Close => {
                 deployment.close();
                 closed = true;
             }
+        }
+        if open.is_empty() && deployment.depth() == 0 {
+            deployment.faults().check(deployment.health(), closed);
         }
     }
     deployment.close();
@@ -420,6 +559,7 @@ fn check_against_model<D: Deployment>(deployment: D, ops: &[Op]) {
     }
     assert_eq!(resolved, accepted, "every accepted ticket resolves once");
     assert_eq!(deployment.depth(), 0, "nothing unresolved after the drain");
+    deployment.faults().check(deployment.health(), true);
     assert_eq!(
         deployment.shutdown(),
         served,
