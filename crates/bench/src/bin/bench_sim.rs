@@ -14,7 +14,7 @@
 use maddpipe_bench::kernel_workloads::{
     bus_fanout_sim, completion_tree_sim, flagship_testbench, inverter_chain, macro_testbench,
 };
-use maddpipe_bench::load_gen::{drive, LoadMode, LoadScenario};
+use maddpipe_bench::load_gen::{drive, LoadMode, LoadReport, LoadScenario};
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::MacroProgram;
 use maddpipe_nn::network::Network;
@@ -439,30 +439,40 @@ fn chaos_goodput(seed: u64) -> (f64, f64, u64, u64) {
 /// Open-loop saturation probe: offer ~2x the measured closed-loop
 /// capacity into a depth-bounded 2-replica pool and report what comes
 /// out the other side — (offered rps, goodput tokens/s, p99 wait µs,
-/// rejected share).
+/// rejected share). Five 200 ms drives run against one pool at the same
+/// offered rate and each figure is their median, since one drive's
+/// goodput swings by up to 2× between runs of the same code.
 fn replica_pool_saturation(capacity_tokens_per_sec: f64) -> (f64, f64, f64, f64) {
     let tokens_per_request = 64usize;
     let offered_rps = (2.0 * capacity_tokens_per_sec / tokens_per_request as f64).max(50.0);
     let pool = flagship_pool(2, 64);
-    let report = drive(
-        &pool,
-        &LoadScenario {
-            clients: 8,
-            tokens_per_request,
-            mode: LoadMode::Open {
-                offered_rps,
-                duration: Duration::from_millis(500),
-            },
-            seed: 13,
-        },
-    );
+    let reports: Vec<_> = (0..5)
+        .map(|_| {
+            drive(
+                &pool,
+                &LoadScenario {
+                    clients: 8,
+                    tokens_per_request,
+                    mode: LoadMode::Open {
+                        offered_rps,
+                        duration: Duration::from_millis(200),
+                    },
+                    seed: 13,
+                },
+            )
+        })
+        .collect();
     pool.shutdown();
-    let p99_us = report.p99_wait().map_or(0.0, |d| d.as_secs_f64() * 1e6);
+    let median = |figure: fn(&LoadReport) -> f64| {
+        let mut values: Vec<f64> = reports.iter().map(figure).collect();
+        values.sort_by(|a, b| a.partial_cmp(b).expect("figures are finite"));
+        values[values.len() / 2]
+    };
     (
         offered_rps,
-        report.goodput_tokens_per_sec().unwrap_or(0.0),
-        p99_us,
-        report.rejected_share(),
+        median(|r| r.goodput_tokens_per_sec().unwrap_or(0.0)),
+        median(|r| r.p99_wait().map_or(0.0, |d| d.as_secs_f64() * 1e6)),
+        median(LoadReport::rejected_share),
     )
 }
 

@@ -579,7 +579,7 @@ fn latency_spikes_delay_but_never_change_results() {
     assert_eq!(
         stats.pool_health(),
         PoolHealth {
-            healthy: 0, // snapshotted after shutdown drained the replica
+            healthy: 1, // drained by shutdown, not lost
             quarantined: 0,
             restarts: 0,
         }

@@ -22,8 +22,8 @@
 //! The model also pins `PoolHealth`. Whenever it holds no open ticket
 //! and `depth()` is 0, and after the final drain, every panic that fired
 //! (the chaos schedule's, plus each crash step's) is counted once, as a
-//! restart or a quarantine. While the deployment is open, every replica
-//! is either healthy or quarantined.
+//! restart or a quarantine, and every replica is either healthy or
+//! quarantined, before `close` and after it.
 
 use maddpipe::prelude::*;
 use proptest::prelude::*;
@@ -139,17 +139,10 @@ impl Faults {
 
     /// Checks `health` against the panics that fired. Call it only with
     /// nothing in flight, so every panic's respawn or quarantine is
-    /// counted. After `close`, drained replicas have left, so only the
-    /// quarantined ones still add up.
-    fn check(&self, health: PoolHealth, closed: bool) {
-        if closed {
-            assert!(
-                health.healthy + health.quarantined <= REPLICAS,
-                "{health:?}"
-            );
-        } else {
-            assert_eq!(health.healthy + health.quarantined, REPLICAS, "{health:?}");
-        }
+    /// counted. Open or closed, every replica is healthy or quarantined:
+    /// a replica that drained out after `close` stays healthy.
+    fn check(&self, health: PoolHealth) {
+        assert_eq!(health.healthy + health.quarantined, REPLICAS, "{health:?}");
         assert_eq!(
             health.restarts + health.quarantined as u64,
             self.fired(),
@@ -547,7 +540,7 @@ fn check_against_model<D: Deployment>(deployment: D, ops: &[Op]) {
             }
         }
         if open.is_empty() && deployment.depth() == 0 {
-            deployment.faults().check(deployment.health(), closed);
+            deployment.faults().check(deployment.health());
         }
     }
     deployment.close();
@@ -559,7 +552,7 @@ fn check_against_model<D: Deployment>(deployment: D, ops: &[Op]) {
     }
     assert_eq!(resolved, accepted, "every accepted ticket resolves once");
     assert_eq!(deployment.depth(), 0, "nothing unresolved after the drain");
-    deployment.faults().check(deployment.health(), true);
+    deployment.faults().check(deployment.health());
     assert_eq!(
         deployment.shutdown(),
         served,

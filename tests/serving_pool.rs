@@ -7,8 +7,9 @@
 //! invisible in each request's own results. On top of that the
 //! scheduling policies are exercised deterministically with a gated
 //! backend: round-robin interleaves clients instead of serving a hot
-//! client's backlog first, and a per-request deadline ships a partial
-//! micro-batch instead of waiting out the policy linger.
+//! client's backlog first, a per-request deadline ships a partial
+//! micro-batch instead of waiting out the policy linger, and no partial
+//! micro-batch leaves before its linger or deadline has passed.
 
 use maddpipe::prelude::*;
 use std::sync::{mpsc, Arc, Mutex};
@@ -319,6 +320,61 @@ fn a_deadline_ships_a_partial_micro_batch_before_the_policy_linger() {
     gate.send(()).expect("release");
     assert_eq!(patient.wait().expect("served").coalesced_tokens, 2);
     assert_eq!(urgent.wait().expect("served").coalesced_tokens, 2);
+    pool.shutdown();
+}
+
+#[test]
+fn a_partial_batch_never_leaves_before_its_linger_or_deadline() {
+    // A batch bound no request fills: every request below leaves alone,
+    // in a partial micro-batch, when its dispatch deadline passes.
+    let linger = Duration::from_millis(2);
+    let program = MacroProgram::random(2, 2, 6);
+    let pool = Session::builder(MacroConfig::new(2, 2))
+        .program(program.clone())
+        .into_pool(
+            ServePolicy::default().with_queue(
+                QueuePolicy::default()
+                    .with_max_batch(1000)
+                    .with_max_linger(linger),
+            ),
+        )
+        .expect("pool comes up");
+    // Ten requests wait out the policy linger, then ten each a tighter
+    // latency target of their own; one at a time, so none rides with
+    // another. The 50 µs target is shorter than the window in which a
+    // replica yields instead of sleeping, so nothing but the dispatch
+    // test itself holds those requests back.
+    let targets = [
+        None,
+        Some(Duration::from_micros(300)),
+        Some(Duration::from_micros(50)),
+    ];
+    for target in targets {
+        let (opts, due) = match target {
+            Some(deadline) => (SubmitOptions::default().with_deadline(deadline), deadline),
+            None => (SubmitOptions::default(), linger),
+        };
+        for seed in 0..10 {
+            let batch = TokenBatch::random(2, 2, seed);
+            let reply = pool
+                .submit_with(batch.clone(), opts)
+                .expect("accepted")
+                .wait()
+                .expect("served");
+            assert!(
+                reply.queue_wait >= due,
+                "a partial batch left {:?} after submission, before its {due:?} deadline",
+                reply.queue_wait
+            );
+            assert_eq!(reply.coalesced_tokens, 2);
+            for (t, token) in batch.tokens().iter().enumerate() {
+                assert_eq!(
+                    reply.result.tokens.get(t).unwrap().outputs,
+                    program.reference_output(token)
+                );
+            }
+        }
+    }
     pool.shutdown();
 }
 
