@@ -2,7 +2,8 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (run them with `cargo run -p maddpipe-bench --bin <name>
-//! --release`), plus Criterion micro-benchmarks.
+//! --release`), the `bench_sim` performance ledger, and the Criterion
+//! micro-benchmarks `amm_throughput` and `macro_tokens`.
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -17,7 +18,9 @@
 //! | `encoders` | encoding-function comparison (BDT vs LUT-NN vs PECAN) |
 //! | `sweep_temp` | temperature sweep of the operating point |
 //!
-//! Every binary prints its table and appends it to `results/<name>.txt`.
+//! Every binary prints its table and writes it to `results/<name>.txt`.
+//! `bench_sim` writes `results/BENCH_sim.json` instead: each row is the
+//! median and quartiles of repeated samples taken in one run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,18 +82,21 @@ pub fn emit(name: &str, content: &str) {
 /// The `results/` directory at the workspace root (falls back to the
 /// current directory when the workspace root cannot be located).
 pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up.
-    let base = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up. The
+    // run-time value, which `cargo run` sets, comes first: a copied tree
+    // that reuses its copied `target/` is not rebuilt, so the compile-time
+    // value still names the tree the binary was built in.
+    let base = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
     base.parent()
         .and_then(|p| p.parent())
         .map(|p| p.join("results"))
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Shared workloads for the event-kernel benchmarks, used by both the
-/// Criterion bench (`benches/sim_kernel.rs`) and the `bench_sim` binary
-/// that records `results/BENCH_sim.json` — one definition, so the two
-/// always measure the same circuits.
+/// The event-kernel and macro workloads that the `bench_sim` binary
+/// times for the `events_per_sec` and `tokens_per_sec` rows of
+/// `results/BENCH_sim.json`.
 pub mod kernel_workloads {
     use maddpipe_core::config::{MacroConfig, SUBVECTOR_LEN};
     use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
