@@ -3,7 +3,8 @@
 //! The accelerator stores LUT entries and compares activations at 8-bit
 //! integer precision ("we employed an 8-bit integer precision", §III-A), so
 //! the algorithm side provides a faithful symmetric-linear quantiser:
-//! `q = clamp(round(x / scale), -127, 127)`.
+//! `q = clamp(round(x / scale), -127, 127)`, rounding halves away from zero
+//! as [`f32::round`] does (NaN quantises to 0).
 
 use core::fmt;
 
@@ -89,11 +90,21 @@ impl QuantScale {
         self.scale
     }
 
-    /// Quantises one value.
+    /// Quantises one value: `clamp(round(x / scale), -127, 127)`, bit for
+    /// bit.
+    ///
+    /// The rounding is done by hand because [`f32::round`] is an
+    /// out-of-line `roundf` call on the baseline x86-64 target: the clamped
+    /// quotient is truncated, then stepped away from zero when the
+    /// remainder is at least one half. The remainder `q - t` is exact, since
+    /// `|q| <= 127` leaves its fraction bits inside the mantissa.
     #[inline]
     pub fn quantize(self, x: f32) -> i8 {
-        let q = (x / self.scale).round();
-        q.clamp(-127.0, 127.0) as i8
+        let q = (x / self.scale).clamp(-127.0, 127.0);
+        // Saturating cast: NaN truncates to 0 and stays there.
+        let t = q as i32;
+        let r = q - t as f32;
+        (t + i32::from(r >= 0.5) - i32::from(r <= -0.5)) as i8
     }
 
     /// Quantises a *comparison threshold* with ceiling semantics.
@@ -186,6 +197,46 @@ mod tests {
         for (x, b) in xs.iter().zip(&back) {
             assert!((x - b).abs() <= s.scale() / 2.0 + 1e-6);
         }
+    }
+
+    /// The formula `quantize` replaces.
+    fn rounded(x: f32, s: QuantScale) -> i8 {
+        (x / s.scale()).round().clamp(-127.0, 127.0) as i8
+    }
+
+    #[test]
+    fn quantize_rounds_edge_values_like_f32_round() {
+        let edges = [
+            0.5f32,
+            0.49999997,
+            1.5,
+            2.5,
+            126.5,
+            127.5,
+            0.0,
+            f32::from_bits(1),
+            2147483648.0,
+            f32::INFINITY,
+        ];
+        for s in [QuantScale::UNIT, QuantScale::new(1.0 / 64.0)] {
+            for v in edges.into_iter().flat_map(|v| [v, -v]).chain([f32::NAN]) {
+                // Each edge as the input, and as the quotient.
+                for x in [v, v * s.scale()] {
+                    assert_eq!(s.quantize(x), rounded(x, s), "{x:e} at {s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive, about 30 s in release: cargo test --release -p maddpipe-amm quant::tests::quantize_matches_f32_round_on_every_f32 -- --ignored"]
+    fn quantize_matches_f32_round_on_every_f32() {
+        let s = QuantScale::UNIT;
+        let mismatches = (0..=u32::MAX)
+            .map(f32::from_bits)
+            .filter(|&x| s.quantize(x) != rounded(x, s))
+            .count();
+        assert_eq!(mismatches, 0);
     }
 
     #[test]

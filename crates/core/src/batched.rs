@@ -19,9 +19,26 @@
 //!   spec's LUT index panics, so the guard panics there too.
 //! * Every LUT row is widened to `i16` and split into **16-lane groups**
 //!   (`ndec` padded to a multiple of 16 with zero lanes), one
-//!   `[i16; 16]` per (stage, leaf code, group). A token's accumulate is
-//!   then one register-held `[i16; 16]` per group, summed over its
-//!   stages' selected rows.
+//!   `[i16; 16]` per (stage, leaf code, group).
+//!
+//! The kernel then runs as the macro does, encoder first and decoders
+//! second, over blocks of up to 64 tokens:
+//!
+//! * **Encode.** Per stage, the four split elements of every token in the
+//!   block are gathered into one byte column per tree level, and all the
+//!   block's 4-bit leaf codes are computed at once. Each level's threshold
+//!   is *selected* by the decisions above it with mask arithmetic instead
+//!   of loaded from the node the walk reached, so no lane waits on a
+//!   data-dependent load and the lane loop compiles to 16-byte vector
+//!   compares on the baseline x86-64 target.
+//! * **Decode.** Each token sums its stages' selected rows from the codes,
+//!   one register-held `[i16; 16]` per output group.
+//!
+//! This is not the bit-sliced kernel an earlier version carried (and
+//! deleted as slower than a per-token walk): that one packed the tree
+//! decisions of 64 tokens into `u64` masks and summed the LUTs in
+//! bit-planes. Here the compares run in byte lanes, and each token keeps
+//! its 16-lane `i16` row sums.
 //!
 //! The kernel is pinned bit-identical to the scalar spec — outputs,
 //! `i16` wrapping and panics — by proptest
@@ -32,6 +49,12 @@ use crate::macro_rtl::MacroProgram;
 
 /// Decoder chains summed per accumulator group.
 const LANES: usize = 16;
+
+/// Tokens encoded per block: the most the lane loop covers at once.
+const BLOCK: usize = 64;
+
+/// Tokens per vector compare: 16 byte lanes fill one 128-bit register.
+const CHUNK: usize = 16;
 
 /// One stage's tree in the hardware shape.
 #[derive(Debug, Clone)]
@@ -44,14 +67,40 @@ struct Tree {
 }
 
 impl Tree {
-    /// The leaf code `sub` walks to: four compares, no early exit.
-    fn code(&self, sub: &[i8; SUBVECTOR_LEN]) -> usize {
-        let mut node = 0usize;
-        for &dim in &self.dims {
-            node = 2 * node + 1 + usize::from(sub[dim] >= self.thresholds[node]);
+    /// The leaf codes of 16 tokens from their split elements
+    /// (`x[level][lane]`). At level `l` a lane compares against heap node
+    /// `2^l - 1 + b`, where `b` reads its decisions above as a binary
+    /// number; that node's threshold is picked from the level's
+    /// candidates by one select per decision, so every lane runs the same
+    /// four compares and eleven selects.
+    fn encode(&self, x: &[[i8; CHUNK]; LEVELS], codes: &mut [u8; CHUNK]) {
+        let t = self.thresholds.map(|t| t as u8);
+        for (lane, code) in codes.iter_mut().enumerate() {
+            let m0 = ge(x[0][lane], t[0]);
+            let m1 = ge(x[1][lane], select(m0, t[2], t[1]));
+            let m2 = ge(
+                x[2][lane],
+                select(m1, select(m0, t[6], t[4]), select(m0, t[5], t[3])),
+            );
+            let t3 = select(
+                m2,
+                select(m1, select(m0, t[14], t[10]), select(m0, t[12], t[8])),
+                select(m1, select(m0, t[13], t[9]), select(m0, t[11], t[7])),
+            );
+            let m3 = ge(x[3][lane], t3);
+            *code = (m0 & 8) | (m1 & 4) | (m2 & 2) | (m3 & 1);
         }
-        node - (K - 1)
     }
+}
+
+/// All ones where `x >= t` (compared as `i8`), else zero.
+fn ge(x: i8, t: u8) -> u8 {
+    0u8.wrapping_sub(u8::from(x >= t as i8))
+}
+
+/// `a` in the bits where `m` is set, `b` elsewhere.
+fn select(m: u8, a: u8, b: u8) -> u8 {
+    (m & a) | (!m & b)
 }
 
 /// One left-spine level of a tree deeper than [`LEVELS`]: a token that
@@ -168,23 +217,21 @@ impl BatchedProgram {
         I: IntoIterator,
         I::Item: AsRef<[[i8; SUBVECTOR_LEN]]>,
     {
-        let mut at = vec![0usize; self.ns()];
-        tokens
-            .into_iter()
-            .map(|token| {
-                let mut out = vec![0i16; self.ndec];
-                self.evaluate_token(token.as_ref(), &mut at, &mut out);
-                out
-            })
+        let tokens: Vec<I::Item> = tokens.into_iter().collect();
+        let mut flat = vec![0i16; tokens.len() * self.ndec];
+        self.evaluate_into(&tokens, &mut flat);
+        (0..tokens.len())
+            .map(|i| flat[i * self.ndec..][..self.ndec].to_vec())
             .collect()
     }
 
     /// Evaluates `tokens` into a caller-provided token-major buffer
     /// (`out[i * ndec + j]` = token `i`, decoder `j`).
     ///
-    /// Per token, each stage's tree is one unrolled 4-level compare, and
-    /// each 16-lane group of outputs is summed over the stages' selected
-    /// rows in one register-held `[i16; 16]`.
+    /// Tokens run in blocks of up to 64: per stage, the block's leaf codes
+    /// are computed together, 16 tokens per vector compare, and then each
+    /// token sums its stages' selected rows, one register-held
+    /// `[i16; 16]` per 16-lane group of outputs.
     ///
     /// # Panics
     ///
@@ -198,19 +245,32 @@ impl BatchedProgram {
         I::Item: AsRef<[[i8; SUBVECTOR_LEN]]>,
     {
         const MSG: &str = "output buffer must hold ndec values per token";
-        let mut at = vec![0usize; self.ns()];
+        let mut tokens = tokens.into_iter().fuse();
+        let mut block = Vec::with_capacity(BLOCK);
+        let mut codes = vec![[0u8; BLOCK]; self.ns()];
         let mut filled = 0;
-        for token in tokens {
-            let slot = out.get_mut(filled..filled + self.ndec).expect(MSG);
-            self.evaluate_token(token.as_ref(), &mut at, slot);
-            filled += self.ndec;
+        loop {
+            block.extend(tokens.by_ref().take(BLOCK));
+            if block.is_empty() {
+                break;
+            }
+            // Every check runs in token order before the block is
+            // evaluated, so the first token that fails is the one reported.
+            for (i, token) in block.iter().enumerate() {
+                assert!(filled + (i + 1) * self.ndec <= out.len(), "{MSG}");
+                self.check(token.as_ref());
+            }
+            let end = filled + block.len() * self.ndec;
+            self.evaluate_block(&block, &mut codes, &mut out[filled..end]);
+            filled = end;
+            block.clear();
         }
         assert_eq!(out.len(), filled, "{MSG}");
     }
 
-    /// Evaluates one token into `out` (`ndec` values), using `at` (one
-    /// slot per stage) for the row each stage selects.
-    fn evaluate_token(&self, token: &[[i8; SUBVECTOR_LEN]], at: &mut [usize], out: &mut [i16]) {
+    /// The scalar spec's panics for one token: its shape, and the spine
+    /// guards of trees deeper than the LUT.
+    fn check(&self, token: &[[i8; SUBVECTOR_LEN]]) {
         assert_eq!(token.len(), self.ns(), "one subvector per stage");
         for guard in &self.guards {
             let escapes = token[guard.stage][guard.dim] >= guard.threshold;
@@ -221,21 +281,47 @@ impl BatchedProgram {
                 guard.stage
             );
         }
-        // The tree walks sum group 0 as they go; later groups re-read the
-        // rows the walks selected.
-        let mut acc = [0i16; LANES];
-        for (s, ((at, sub), tree)) in at.iter_mut().zip(token).zip(&self.trees).enumerate() {
-            *at = (s * K + tree.code(sub)) * self.groups;
-            add(&mut acc, &self.rows[*at]);
-        }
-        for (g, lanes) in out.chunks_mut(LANES).enumerate() {
-            if g > 0 {
-                acc = [0; LANES];
-                for &row in at.iter() {
-                    add(&mut acc, &self.rows[row + g]);
+    }
+
+    /// Evaluates a block of checked tokens into `out` (`ndec` values per
+    /// token), using `codes` for each stage's leaf codes.
+    fn evaluate_block<T>(&self, block: &[T], codes: &mut [[u8; BLOCK]], out: &mut [i16])
+    where
+        T: AsRef<[[i8; SUBVECTOR_LEN]]>,
+    {
+        // Split elements per 16-token chunk, per level; lanes past the
+        // block's end keep stale values whose codes nobody reads.
+        let mut x = [[[0i8; CHUNK]; LEVELS]; BLOCK / CHUNK];
+        let chunks = block.len().div_ceil(CHUNK);
+        for (s, (tree, codes)) in self.trees.iter().zip(codes.iter_mut()).enumerate() {
+            // In locals, the four dims are bounds-checked once per stage
+            // instead of once per token.
+            let [d0, d1, d2, d3] = tree.dims;
+            for (x, tokens) in x.iter_mut().zip(block.chunks(CHUNK)) {
+                for (lane, token) in tokens.iter().enumerate() {
+                    let sub = &token.as_ref()[s];
+                    x[0][lane] = sub[d0];
+                    x[1][lane] = sub[d1];
+                    x[2][lane] = sub[d2];
+                    x[3][lane] = sub[d3];
                 }
             }
-            lanes.copy_from_slice(&acc[..lanes.len()]);
+            for (x, codes) in x[..chunks].iter().zip(codes.as_chunks_mut().0) {
+                tree.encode(x, codes);
+            }
+        }
+        let (ndec, groups) = (self.ndec, self.groups);
+        for i in 0..block.len() {
+            for (g, lanes) in out[i * ndec..][..ndec].chunks_mut(LANES).enumerate() {
+                let mut acc = [0i16; LANES];
+                for (s, codes) in codes.iter().enumerate() {
+                    add(
+                        &mut acc,
+                        &self.rows[(s * K + usize::from(codes[i])) * groups + g],
+                    );
+                }
+                lanes.copy_from_slice(&acc[..lanes.len()]);
+            }
         }
     }
 }
@@ -274,14 +360,27 @@ mod tests {
         tokens.iter().map(|t| program.reference_output(t)).collect()
     }
 
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast_ref::<&str>().map_or("", |s| s).to_string(),
+        }
+    }
+
     #[test]
     fn the_kernel_matches_the_scalar_spec_across_lane_boundaries() {
-        // 5, 16, 17 and 33 decoders: a partial group, one full group, and
-        // one or two full groups plus a 1-lane tail.
-        for ndec in [5usize, 16, 17, 33] {
+        // No decoders, then 5, 16, 17 and 33: a partial group, one full
+        // group, and one or two full groups plus a 1-lane tail.
+        for ndec in [0usize, 5, 16, 17, 33] {
             let program = MacroProgram::random(ndec, 3, 11);
             let view = program.batched();
-            for count in [1usize, 2, 63, 64, 65, 127, 128, 130] {
+            // Both sides of every 16-token compare edge in the first
+            // block, and of the 64-token block edges after it.
+            let counts = [1usize, 2, 15, 16, 17, 63, 64, 65, 127, 128, 129, 130];
+            for count in counts.into_iter().chain([191, 192, 193, 257]) {
                 let tokens = random_tokens(3, count, count as u64);
                 let golden = scalar_golden(&program, &tokens);
                 assert_eq!(
@@ -291,6 +390,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn owned_tokens_pass_by_value_across_blocks() {
+        let program = MacroProgram::random(6, 4, 17);
+        let view = program.batched();
+        let tokens = random_tokens(4, 100, 3);
+        let golden = scalar_golden(&program, &tokens);
+        assert_eq!(view.evaluate(tokens.clone()), golden);
+        let mut flat = vec![0i16; 100 * 6];
+        view.evaluate_into(tokens, &mut flat);
+        assert_eq!(flat, golden.concat());
     }
 
     #[test]
@@ -395,6 +506,47 @@ mod tests {
     }
 
     #[test]
+    fn an_escape_in_the_second_block_panics_like_the_scalar_spec() {
+        // A 5-level tree whose root threshold of 127 sends every input of
+        // at most 126 left, into the kept subtree. Only token 70 of 100,
+        // in the second block, reaches 127 and walks off the LUT.
+        let mut rng = StdRng::seed_from_u64(70);
+        let mut thresholds: Vec<f32> = (0..31).map(|_| rng.gen_range(-100.0..100.0)).collect();
+        thresholds[0] = 127.0;
+        let tree = maddpipe_amm::bdt::BdtEncoder::from_parts(vec![2, 0, 4, 6, 8], thresholds)
+            .unwrap()
+            .quantize(maddpipe_amm::quant::QuantScale::UNIT);
+        let program = MacroProgram {
+            trees: vec![tree],
+            luts: vec![vec![[3i8; K]; 2]],
+        };
+        let mut tokens = random_tokens(1, 100, 5);
+        for x in tokens.iter_mut().flatten().flatten() {
+            *x = (*x).min(126);
+        }
+        tokens[70][0][2] = 127;
+        let view = program.batched();
+        assert_eq!(
+            view.evaluate(&tokens[..70]),
+            scalar_golden(&program, &tokens[..70])
+        );
+        assert!(std::panic::catch_unwind(|| program.reference_output(&tokens[70])).is_err());
+        let message = panic_message(|| {
+            view.evaluate(&tokens);
+        });
+        assert!(
+            message.contains("stage 0: the tree walk leaves"),
+            "{message}"
+        );
+        let mut out = vec![0i16; 2 * 100];
+        let message = panic_message(|| view.evaluate_into(&tokens, &mut out));
+        assert!(
+            message.contains("stage 0: the tree walk leaves"),
+            "{message}"
+        );
+    }
+
+    #[test]
     fn evaluate_into_fills_a_token_major_buffer() {
         let program = MacroProgram::random(4, 2, 21);
         let tokens = random_tokens(2, 66, 8);
@@ -410,10 +562,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "output buffer must hold ndec values per token")]
     fn evaluate_into_rejects_a_short_buffer() {
+        const MSG: &str = "output buffer must hold ndec values per token";
         let program = MacroProgram::random(4, 2, 21);
+        let view = program.batched();
         let tokens = random_tokens(2, 5, 8);
-        let mut out = vec![0i16; 4 * 5 - 1];
-        program.batched().evaluate_into(tokens.iter(), &mut out);
+        // The test expects MSG, so no failed check below may echo it.
+        let message = panic_message(|| view.evaluate_into(tokens.iter(), &mut [0i16; 4 * 5 - 1]));
+        assert!(message.contains(MSG), "5 tokens: another panic");
+        // Token 80 of 100, in the second block, is malformed. With room
+        // for every token it is the first failure; a buffer that ends
+        // inside token 70 is reported first, though both sit in one block.
+        let mut tokens = random_tokens(2, 100, 8);
+        tokens[80].pop();
+        let message = panic_message(|| view.evaluate_into(&tokens, &mut [0i16; 4 * 100]));
+        assert!(message.contains("one subvector per stage"), "token 80");
+        view.evaluate_into(&tokens, &mut [0i16; 4 * 70 + 2]);
     }
 
     #[test]
@@ -428,23 +591,38 @@ mod tests {
     #[test]
     #[ignore = "manual throughput probe: cargo test --release -p maddpipe-core batched::tests::throughput_probe -- --ignored --nocapture"]
     fn throughput_probe() {
-        let program = MacroProgram::random(16, 32, 7);
-        let tokens = random_tokens(32, 1024, 11);
-        let view = program.batched();
-        let rate = |name: &str, f: &mut dyn FnMut() -> Vec<Vec<i16>>| {
-            let mut best = f64::MAX;
-            for _ in 0..7 {
-                let t0 = std::time::Instant::now();
-                let out = f();
-                let dt = t0.elapsed().as_secs_f64();
-                std::hint::black_box(out);
-                best = best.min(dt);
+        // The flagship shape and the demo CNN's two conv shapes, from one
+        // token to four blocks per call.
+        for (ndec, ns) in [(16usize, 32usize), (4, 2), (8, 4)] {
+            let program = MacroProgram::random(ndec, ns, 7);
+            let view = program.batched();
+            for count in [1usize, 4, 16, 64, 256] {
+                let tokens = random_tokens(ns, count, 11);
+                let mut out = vec![0i16; count * ndec];
+                // Each sample repeats the call over about 16K tokens.
+                let calls = (1 << 14) / count;
+                let mut rate = |f: &mut dyn FnMut(&mut [i16])| {
+                    let mut best = f64::MAX;
+                    for _ in 0..7 {
+                        let t0 = std::time::Instant::now();
+                        for _ in 0..calls {
+                            f(&mut out);
+                            std::hint::black_box(&mut out);
+                        }
+                        best = best.min(t0.elapsed().as_secs_f64());
+                    }
+                    (calls * count) as f64 / best
+                };
+                let scalar = rate(&mut |out| {
+                    for (t, out) in tokens.iter().zip(out.chunks_exact_mut(ndec)) {
+                        out.copy_from_slice(&program.reference_output(t));
+                    }
+                });
+                let batched = rate(&mut |out| view.evaluate_into(&tokens, out));
+                println!(
+                    "ndec {ndec:>2} ns {ns:>2} {count:>3} tokens: scalar {scalar:>11.0}, batched {batched:>11.0} tokens/s"
+                );
             }
-            println!("{name:>10}: {:>12.0} tokens/s", tokens.len() as f64 / best);
-        };
-        rate("scalar", &mut || {
-            tokens.iter().map(|t| program.reference_output(t)).collect()
-        });
-        rate("batched", &mut || view.evaluate(&tokens));
+        }
     }
 }

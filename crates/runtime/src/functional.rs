@@ -268,8 +268,9 @@ mod tests {
         // worker idle; the balanced partition uses all requested workers.
         assert_eq!(shard_sizes(5, 4), vec![2, 1, 1, 1]);
         assert_eq!(shard_sizes(7, 3), vec![3, 2, 2]);
-        // Large batches balance token counts too: the kernel walks one
-        // token at a time, so shards need no block alignment.
+        // Large batches balance token counts too: the kernel cuts each
+        // shard into its own 64-token blocks, the last one possibly
+        // short, so shards need no block alignment.
         assert_eq!(shard_sizes(320, 4), vec![80, 80, 80, 80]);
         assert_eq!(shard_sizes(259, 4), vec![65, 65, 65, 64]);
         assert_eq!(shard_sizes(64, 4), vec![16, 16, 16, 16]);
