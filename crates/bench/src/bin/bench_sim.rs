@@ -21,7 +21,7 @@ use maddpipe_bench::kernel_workloads::{
 };
 use maddpipe_bench::load_gen::{drive, LoadMode, LoadScenario};
 use maddpipe_core::config::MacroConfig;
-use maddpipe_core::macro_rtl::MacroProgram;
+use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
 use maddpipe_nn::network::Network;
 use maddpipe_runtime::prelude::*;
 use maddpipe_sim::prelude::*;
@@ -231,6 +231,30 @@ fn flagship_rates() -> [Spread; 2] {
         let events = rtl.simulator().stats().events_popped - e0;
         [tokens.len() as f64 / secs, events as f64 / secs]
     })
+}
+
+/// Milliseconds to build a netlist (construct, seal, compile and the
+/// power-up settle), for the flagship and the small reference macro,
+/// sampled in turn. A build is what every corner, mismatch sample, RTL
+/// session and replica respawn pays; dropping the netlist is not timed.
+fn netlist_build_rows() -> Rows {
+    let (cfg, program) = flagship();
+    let small_cfg = MacroConfig::new(2, 2).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
+    let small_program = MacroProgram::random(2, 2, 7);
+    let build_ms = |cfg: &MacroConfig, program: &MacroProgram| {
+        let t0 = Instant::now();
+        let rtl = AcceleratorRtl::build(cfg, program);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        drop(rtl);
+        ms
+    };
+    let [flagship, small] = sample(7, || {
+        [
+            build_ms(&cfg, &program),
+            build_ms(&small_cfg, &small_program),
+        ]
+    });
+    vec![("flagship_ms", flagship), ("macro_ndec2_ns2_ms", small)]
 }
 
 /// The flagship shape and the random program every flagship row serves.
@@ -533,6 +557,7 @@ fn ledger(host_cpus: usize) -> Vec<Section> {
                 ("macro_flagship", flagship_tokens),
             ],
         ),
+        ("netlist_build", netlist_build_rows()),
         ("backend_tokens_per_sec", backend_rows()),
         ("functional_workers", functional_workers_rows(host_cpus)),
         ("cache", cache_rows()),

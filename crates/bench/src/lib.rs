@@ -142,7 +142,7 @@ pub mod kernel_workloads {
         let input = b.input("in");
         let mut node = input;
         for i in 0..n {
-            node = b.inv(&format!("u{i}"), node);
+            node = b.inv(format_args!("u{i}"), node);
         }
         (Simulator::new(b.build()), input, node)
     }

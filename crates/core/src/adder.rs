@@ -12,6 +12,7 @@ use crate::calib::Calibration;
 use crate::config::ACC_BITS;
 use maddpipe_sim::circuit::{CircuitBuilder, NetId};
 use maddpipe_sim::logic::Logic;
+use std::fmt;
 
 /// One carry-save accumulate stage: adds the sign-extended LUT data bits
 /// onto the incoming `(s_prev, c_prev)` pair, then latches the result on
@@ -27,7 +28,7 @@ use maddpipe_sim::logic::Logic;
 /// incoming buses are not [`ACC_BITS`] wide.
 pub fn build_csa_stage(
     b: &mut CircuitBuilder,
-    name: &str,
+    name: impl fmt::Display,
     data: &[NetId],
     s_prev: &[NetId],
     c_prev: &[NetId],
@@ -49,9 +50,9 @@ pub fn build_csa_stage(
         // The carry input at bit i is the previous stage's carry generated
         // at bit i−1 (weight i); bit 0 has no incoming carry.
         let c_in = if i == 0 { tie_low } else { c_prev[i - 1] };
-        let (s, c) = b.full_adder(&format!("{name}.fa{i}"), d_i, s_prev[i], c_in);
-        s_out.push(b.latch(&format!("{name}.ls{i}"), s, ge));
-        c_out.push(b.latch(&format!("{name}.lc{i}"), c, ge));
+        let (s, c) = b.full_adder(format_args!("{name}.fa{i}"), d_i, s_prev[i], c_in);
+        s_out.push(b.latch(format_args!("{name}.ls{i}"), s, ge));
+        c_out.push(b.latch(format_args!("{name}.lc{i}"), c, ge));
     }
     (s_out, c_out)
 }
@@ -68,7 +69,7 @@ pub fn build_csa_stage(
 /// Panics if the buses are not [`ACC_BITS`] wide.
 pub fn build_rca(
     b: &mut CircuitBuilder,
-    name: &str,
+    name: impl fmt::Display,
     s: &[NetId],
     c: &[NetId],
     tie_low: NetId,
@@ -80,7 +81,7 @@ pub fn build_rca(
     for i in 0..ACC_BITS {
         // C is shifted left by one: bit i adds c[i−1].
         let c_i = if i == 0 { tie_low } else { c[i - 1] };
-        let (s_i, c_next) = b.full_adder(&format!("{name}.fa{i}"), s[i], c_i, carry);
+        let (s_i, c_next) = b.full_adder(format_args!("{name}.fa{i}"), s[i], c_i, carry);
         sum.push(s_i);
         carry = c_next;
     }
@@ -88,7 +89,7 @@ pub fn build_rca(
 }
 
 /// Builds a tie-low constant net (shared by CSA/RCA carry inputs).
-pub fn tie_low(b: &mut CircuitBuilder, name: &str) -> NetId {
+pub fn tie_low(b: &mut CircuitBuilder, name: impl fmt::Display) -> NetId {
     b.tie(name, Logic::Low)
 }
 

@@ -26,6 +26,7 @@ use maddpipe_sim::time::SimTime;
 use maddpipe_sram::model::SramModel;
 use maddpipe_sram::rcd::build_completion_tree;
 use maddpipe_tech::process::DriveKind;
+use std::fmt;
 
 /// Controller state (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,7 +185,7 @@ pub struct BlockPorts {
 #[allow(clippy::too_many_arguments)]
 pub fn build_block(
     b: &mut CircuitBuilder,
-    name: &str,
+    name: impl fmt::Display,
     tree: &QuantizedBdt,
     luts: &[SramModel],
     x_elems: &[Vec<NetId>],
@@ -208,9 +209,9 @@ pub fn build_block(
     );
 
     let prev_domain = b.set_domain("ctrl");
-    let pche = b.net(format!("{name}.pche"));
-    let calce = b.net(format!("{name}.calce"));
-    let ibe = b.net(format!("{name}.ibe"));
+    let pche = b.net(format_args!("{name}.pche"));
+    let calce = b.net(format_args!("{name}.calce"));
+    let ibe = b.net(format_args!("{name}.ibe"));
 
     // Input buffer: one latch per bit, transparent while idle.
     let x_buffered: Vec<Vec<NetId>> = x_elems
@@ -219,19 +220,19 @@ pub fn build_block(
         .map(|(e, bits)| {
             bits.iter()
                 .enumerate()
-                .map(|(i, &bit)| b.latch(&format!("{name}.ib{e}_{i}"), bit, ibe))
+                .map(|(i, &bit)| b.latch(format_args!("{name}.ib{e}_{i}"), bit, ibe))
                 .collect()
         })
         .collect();
     b.restore_domain(prev_domain);
 
-    let encoder = build_encoder(b, &format!("{name}.enc"), tree, &x_buffered, calce, cal);
+    let encoder = build_encoder(b, format_args!("{name}.enc"), tree, &x_buffered, calce, cal);
 
     let decoders: Vec<DecoderPorts> = (0..ndec)
         .map(|j| {
             build_decoder(
                 b,
-                &format!("{name}.dec{j}"),
+                format_args!("{name}.dec{j}"),
                 &encoder.rwl,
                 pche,
                 &s_prev[j],
@@ -245,7 +246,7 @@ pub fn build_block(
 
     let prev_domain = b.set_domain("ctrl");
     let rcd_inputs: Vec<NetId> = decoders.iter().map(|d| d.rcd_lut).collect();
-    let rcd = build_completion_tree(b, &format!("{name}.rcd"), &rcd_inputs);
+    let rcd = build_completion_tree(b, format_args!("{name}.rcd"), &rcd_inputs);
 
     let quarter = cal.ctrl_overhead * 0.25;
     let t_seq = b.library_mut().delay(quarter, DriveKind::Complementary);
@@ -257,7 +258,7 @@ pub fn build_block(
         .library_mut()
         .delay(cal.dlc_precharge * 6.0, DriveKind::PullUp);
     b.add_cell(
-        format!("{name}.ctrl"),
+        format_args!("{name}.ctrl"),
         Box::new(HandshakeCtrl::new(t_seq, t_req, t_gap)),
         &[req_in, ack_down, rcd],
         &[ack_up, req_out, pche, calce, ibe],

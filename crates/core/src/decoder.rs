@@ -14,6 +14,7 @@ use maddpipe_sram::column::build_column_with_timing;
 use maddpipe_sram::model::{SramModel, COLS};
 use maddpipe_sram::rcd::build_completion_tree;
 use maddpipe_tech::process::DriveKind;
+use std::fmt;
 
 /// Nets and cells exposed by a built decoder.
 #[derive(Debug, Clone)]
@@ -47,7 +48,7 @@ pub struct DecoderPorts {
 #[allow(clippy::too_many_arguments)]
 pub fn build_decoder(
     b: &mut CircuitBuilder,
-    name: &str,
+    name: impl fmt::Display,
     rwl: &[NetId],
     pche: NetId,
     s_prev: &[NetId],
@@ -63,7 +64,7 @@ pub fn build_decoder(
     for c in 0..COLS {
         let ports = build_column_with_timing(
             b,
-            &format!("{name}.c{c}"),
+            format_args!("{name}.c{c}"),
             rwl,
             pche,
             lut.column_word(c),
@@ -73,20 +74,20 @@ pub fn build_decoder(
         columns.push(ports.cell);
         // Differential read: RBLB discharges for a stored 1, so the data
         // bit is the inverted RBLB rail.
-        data_bits.push(b.inv(&format!("{name}.d{c}"), ports.rblb));
+        data_bits.push(b.inv(format_args!("{name}.d{c}"), ports.rblb));
         rcd_cols.push(ports.rcd_col);
     }
-    let rcd_lut = build_completion_tree(b, &format!("{name}.rcd"), &rcd_cols);
+    let rcd_lut = build_completion_tree(b, format_args!("{name}.rcd"), &rcd_cols);
     let ge_delay = b
         .library_mut()
         .delay(cal.ge_pulse_delay, DriveKind::Complementary);
     let ge_width = b
         .library_mut()
         .delay(cal.ge_pulse_width, DriveKind::Complementary);
-    let ge = b.pulse_gen(&format!("{name}.gegen"), rcd_lut, ge_delay, ge_width);
+    let ge = b.pulse_gen(format_args!("{name}.gegen"), rcd_lut, ge_delay, ge_width);
     let (s_out, c_out) = build_csa_stage(
         b,
-        &format!("{name}.csa"),
+        format_args!("{name}.csa"),
         &data_bits,
         s_prev,
         c_prev,
@@ -125,7 +126,7 @@ mod tests {
     fn dut(lut: SramModel, vdd: f64, corner: Corner) -> Dut {
         let lib = CellLibrary::new(Technology::n22(), OperatingPoint::new(Volts(vdd), corner));
         let mut b = CircuitBuilder::new(lib);
-        let rwl: Vec<NetId> = (0..16).map(|i| b.input(format!("rwl{i}"))).collect();
+        let rwl: Vec<NetId> = (0..16).map(|i| b.input(format_args!("rwl{i}"))).collect();
         let pche = b.input("pche");
         let tie = tie_low(&mut b, "tie");
         let zeros: Vec<NetId> = (0..ACC_BITS).map(|_| tie).collect();

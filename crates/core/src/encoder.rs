@@ -13,6 +13,7 @@ use crate::dlc::{to_offset_binary, DlcCell};
 use maddpipe_amm::bdt::QuantizedBdt;
 use maddpipe_sim::circuit::{CircuitBuilder, NetId};
 use maddpipe_tech::process::DriveKind;
+use std::fmt;
 
 /// Nets exposed by a built encoder.
 #[derive(Debug, Clone)]
@@ -38,7 +39,7 @@ pub struct EncoderPorts {
 /// corresponding element, or if an element has a width other than 8 bits.
 pub fn build_encoder(
     b: &mut CircuitBuilder,
-    name: &str,
+    name: impl fmt::Display,
     tree: &QuantizedBdt,
     x_bits: &[Vec<NetId>],
     calce: NetId,
@@ -71,8 +72,8 @@ pub fn build_encoder(
         let t_bit = b.library_mut().delay(cal.dlc_per_bit, DriveKind::PullDown);
         let t_pchg = b.library_mut().delay(cal.dlc_precharge, DriveKind::PullUp);
         let cell = DlcCell::new(to_offset_binary(thresholds[node]), t_base, t_bit, t_pchg);
-        let yp = b.net(format!("{name}.n{node}.yp"));
-        let yn = b.net(format!("{name}.n{node}.yn"));
+        let yp = b.net(format_args!("{name}.n{node}.yp"));
+        let yn = b.net(format_args!("{name}.n{node}.yn"));
         // Dual-rail dynamic nodes carry the 8-stage comparator chain's
         // internal diffusion load.
         let rail_cap = maddpipe_tech::units::Farads::from_femtos(2.5);
@@ -81,7 +82,7 @@ pub fn build_encoder(
         let mut inputs = vec![clks[node]];
         inputs.extend(&x_bits[dim]);
         b.add_cell(
-            format!("{name}.dlc{node}"),
+            format_args!("{name}.dlc{node}"),
             Box::new(cell),
             &inputs,
             &[yp, yn],
@@ -90,8 +91,8 @@ pub fn build_encoder(
         // Children (if any) evaluate when a rail discharges: the inverter
         // turns the active-low rail into an active-high clock.
         if 2 * node + 2 < n_internal + (1 << LEVELS) {
-            let clk_left = b.inv(&format!("{name}.en{}", 2 * node + 1), yp);
-            let clk_right = b.inv(&format!("{name}.en{}", 2 * node + 2), yn);
+            let clk_left = b.inv(format_args!("{name}.en{}", 2 * node + 1), yp);
+            let clk_right = b.inv(format_args!("{name}.en{}", 2 * node + 2), yn);
             // Heap order: children of `node` are 2n+1 and 2n+2.
             debug_assert_eq!(clks.len(), 2 * node + 1);
             clks.push(clk_left);
@@ -104,8 +105,8 @@ pub fn build_encoder(
     let mut rwl = Vec::with_capacity(1 << LEVELS);
     for j in 0..(1usize << (LEVELS - 1)) {
         let (yp, yn) = rails[first_leaf_node + j];
-        rwl.push(b.inv(&format!("{name}.rwl{}", 2 * j), yp));
-        rwl.push(b.inv(&format!("{name}.rwl{}", 2 * j + 1), yn));
+        rwl.push(b.inv(format_args!("{name}.rwl{}", 2 * j), yp));
+        rwl.push(b.inv(format_args!("{name}.rwl{}", 2 * j + 1), yn));
     }
     b.restore_domain(prev_domain);
     EncoderPorts { rwl, rails }
@@ -139,7 +140,7 @@ mod tests {
         let lib = CellLibrary::new(Technology::n22(), OperatingPoint::default());
         let mut b = CircuitBuilder::new(lib);
         let calce = b.input("calce");
-        let x_bits: Vec<Vec<NetId>> = (0..elems).map(|i| b.bus(&format!("x{i}"), 8)).collect();
+        let x_bits: Vec<Vec<NetId>> = (0..elems).map(|i| b.bus(format_args!("x{i}"), 8)).collect();
         let ports = build_encoder(&mut b, "enc", &tree, &x_bits, calce, &Calibration::paper());
         Dut {
             sim: Simulator::new(b.build()),

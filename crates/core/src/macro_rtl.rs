@@ -22,7 +22,7 @@ use maddpipe_sim::cells::DelayLine;
 use maddpipe_sim::circuit::{CircuitBuilder, NetId};
 use maddpipe_sim::engine::{EdgeWaitOutcome, OscillationError, Simulator};
 use maddpipe_sim::library::CellLibrary;
-use maddpipe_sim::logic::{u64_to_bits, Logic};
+use maddpipe_sim::logic::{bits_to_u64, u64_to_bits, Logic};
 use maddpipe_sim::time::SimTime;
 use maddpipe_sram::model::SramModel;
 use maddpipe_tech::process::DriveKind;
@@ -181,8 +181,8 @@ pub struct TokenResult {
 }
 
 /// Typed error for driving tokens through [`AcceleratorRtl`] — malformed
-/// stimulus and netlist-settling failures, previously a mix of `assert!`
-/// panics and raw [`OscillationError`]s.
+/// stimulus, netlist-settling failures and handshake-protocol failures,
+/// previously a mix of `assert!` panics and raw [`OscillationError`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenError {
     /// A token does not provide one subvector per pipeline stage.
@@ -199,6 +199,41 @@ pub enum TokenError {
     /// The netlist failed to settle, which indicates a handshake bug or a
     /// combinational loop.
     Oscillation(OscillationError),
+    /// The netlist went quiescent before a handshake edge the testbench
+    /// was waiting for (an acknowledge, an input-buffer enable): the
+    /// pipeline stalled and that edge can never arrive.
+    HandshakeStall {
+        /// When the netlist went quiescent.
+        time: SimTime,
+    },
+    /// The output register held an unknown (`X`) bit when it was read.
+    UnknownOutput {
+        /// When the register was read.
+        time: SimTime,
+    },
+    /// A pipelined stream produced a different number of output-register
+    /// strobes than it carried tokens.
+    StrobeCount {
+        /// Tokens in the stream.
+        tokens: usize,
+        /// Strobe pulses observed.
+        strobes: usize,
+    },
+}
+
+impl TokenError {
+    /// `true` for the handshake-protocol failures
+    /// ([`TokenError::HandshakeStall`], [`TokenError::UnknownOutput`],
+    /// [`TokenError::StrobeCount`]): the netlist is left mid-handshake, so
+    /// it must be rebuilt before it serves another token.
+    pub fn is_protocol(&self) -> bool {
+        matches!(
+            self,
+            TokenError::HandshakeStall { .. }
+                | TokenError::UnknownOutput { .. }
+                | TokenError::StrobeCount { .. }
+        )
+    }
 }
 
 impl fmt::Display for TokenError {
@@ -214,6 +249,18 @@ impl fmt::Display for TokenError {
             ),
             TokenError::EmptyStream => write!(f, "empty token stream"),
             TokenError::Oscillation(e) => write!(f, "{e}"),
+            TokenError::HandshakeStall { time } => write!(
+                f,
+                "handshake stalled: the netlist went quiescent at {time} \
+                 before the edge the testbench was waiting for"
+            ),
+            TokenError::UnknownOutput { time } => {
+                write!(f, "the output register held an X bit when read at {time}")
+            }
+            TokenError::StrobeCount { tokens, strobes } => write!(
+                f,
+                "a stream of {tokens} tokens produced {strobes} output strobes"
+            ),
         }
     }
 }
@@ -256,6 +303,7 @@ pub struct PipelinedRun {
 #[derive(Debug)]
 pub struct AcceleratorRtl {
     sim: Simulator,
+    cfg: MacroConfig,
     program: MacroProgram,
     req0: NetId,
     ack0: NetId,
@@ -284,17 +332,19 @@ impl AcceleratorRtl {
         let req0 = b.input("req[0]");
         let mut req_nets = vec![req0];
         for s in 1..=cfg.ns {
-            let n = b.net(format!("req[{s}]"));
+            let n = b.net(format_args!("req[{s}]"));
             req_nets.push(n);
         }
-        let ack_nets: Vec<NetId> = (0..cfg.ns).map(|s| b.net(format!("ack[{s}]"))).collect();
+        let ack_nets: Vec<NetId> = (0..cfg.ns)
+            .map(|s| b.net(format_args!("ack[{s}]")))
+            .collect();
         let ack_sink = b.net("ack_sink");
 
         // Per-block raw inputs.
         let x_inputs: Vec<Vec<Vec<NetId>>> = (0..cfg.ns)
             .map(|s| {
                 (0..SUBVECTOR_LEN)
-                    .map(|e| b.bus(&format!("x{s}_{e}"), 8))
+                    .map(|e| b.bus(format_args!("x{s}_{e}"), 8))
                     .collect()
             })
             .collect();
@@ -323,7 +373,7 @@ impl AcceleratorRtl {
             };
             let ports = build_block(
                 &mut b,
-                &format!("blk{s}"),
+                format_args!("blk{s}"),
                 &program.trees[s],
                 &luts,
                 &x_inputs[s],
@@ -365,14 +415,14 @@ impl AcceleratorRtl {
             .map(|j| {
                 let sum = build_rca(
                     &mut b,
-                    &format!("rca{j}"),
+                    format_args!("rca{j}"),
                     &last.decoders[j].s_out,
                     &last.decoders[j].c_out,
                     tie,
                 );
                 sum.iter()
                     .enumerate()
-                    .map(|(i, &bit)| b.latch(&format!("oreg{j}_{i}"), bit, out_strobe))
+                    .map(|(i, &bit)| b.latch(format_args!("oreg{j}_{i}"), bit, out_strobe))
                     .collect()
             })
             .collect();
@@ -384,6 +434,7 @@ impl AcceleratorRtl {
         sim.run_to_quiescence().expect("power-up must settle");
         AcceleratorRtl {
             sim,
+            cfg: cfg.clone(),
             program: program.clone(),
             req0,
             ack0: ack_nets[0],
@@ -402,6 +453,11 @@ impl AcceleratorRtl {
     /// Mutable simulator access (e.g. to enable tracing before a run).
     pub fn simulator_mut(&mut self) -> &mut Simulator {
         &mut self.sim
+    }
+
+    /// The configuration this netlist was built for.
+    pub fn config(&self) -> &MacroConfig {
+        &self.cfg
     }
 
     /// The loaded program.
@@ -454,13 +510,14 @@ impl AcceleratorRtl {
         Ok(())
     }
 
-    fn read_outputs(&self) -> Vec<i16> {
+    fn read_outputs(&self) -> Result<Vec<i16>, TokenError> {
         self.out_bus
             .iter()
-            .map(|bus| {
-                self.sim
-                    .bus_value(bus)
-                    .expect("output register must hold known bits") as u16 as i16
+            .map(|bus| match self.sim.bus_value(bus) {
+                Some(word) => Ok(word as u16 as i16),
+                None => Err(TokenError::UnknownOutput {
+                    time: self.sim.now(),
+                }),
             })
             .collect()
     }
@@ -472,8 +529,10 @@ impl AcceleratorRtl {
     /// # Errors
     ///
     /// Returns [`TokenError::ShapeMismatch`] when the token does not carry
-    /// one subvector per stage, and [`TokenError::Oscillation`] if the
-    /// netlist fails to settle, which indicates a handshake bug.
+    /// one subvector per stage, [`TokenError::Oscillation`] if the
+    /// netlist fails to settle, [`TokenError::HandshakeStall`] if block 0
+    /// never acknowledges and [`TokenError::UnknownOutput`] if the output
+    /// register holds an `X` bit.
     pub fn run_token(&mut self, token: &[[i8; SUBVECTOR_LEN]]) -> Result<TokenResult, TokenError> {
         self.poke_token_inputs(0, token)?;
         self.sim.run_to_quiescence()?;
@@ -481,9 +540,11 @@ impl AcceleratorRtl {
         let t0 = self.sim.now();
         self.sim.poke(self.req0, Logic::High);
         // Four-phase: wait for the accept, then withdraw the request.
-        self.sim
-            .run_until_net(self.ack0, Logic::High)?
-            .expect("block 0 must acknowledge");
+        if self.sim.run_until_net(self.ack0, Logic::High)?.is_none() {
+            return Err(TokenError::HandshakeStall {
+                time: self.sim.now(),
+            });
+        }
         self.sim.poke(self.req0, Logic::Low);
         // Let the token flow to the end and the whole pipeline return to
         // idle (output strobe included).
@@ -491,7 +552,7 @@ impl AcceleratorRtl {
         let latency = self.sim.now().since(t0);
         let energy = self.sim.total_energy() - e0;
         Ok(TokenResult {
-            outputs: self.read_outputs(),
+            outputs: self.read_outputs()?,
             latency,
             energy,
         })
@@ -512,14 +573,17 @@ impl AcceleratorRtl {
     /// # Errors
     ///
     /// Returns [`TokenError::EmptyStream`] for an empty stream,
-    /// [`TokenError::ShapeMismatch`] for a malformed token, and
-    /// [`TokenError::Oscillation`] if the netlist fails to settle.
+    /// [`TokenError::ShapeMismatch`] for a malformed token,
+    /// [`TokenError::Oscillation`] if the netlist fails to settle,
+    /// [`TokenError::HandshakeStall`] if the pipeline stalls and
+    /// [`TokenError::UnknownOutput`] if the output register holds an `X`
+    /// bit at the end.
     pub fn run_pipelined<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
         &mut self,
         tokens: &[T],
     ) -> Result<(Vec<i16>, SimTime), TokenError> {
         let (_, makespan) = self.stream_tokens(tokens)?;
-        Ok((self.read_outputs(), makespan))
+        Ok((self.read_outputs()?, makespan))
     }
 
     /// The shared pipelined driving loop: offers every token with overlap.
@@ -580,14 +644,12 @@ impl AcceleratorRtl {
     /// # Errors
     ///
     /// Returns [`TokenError::EmptyStream`] for an empty stream,
-    /// [`TokenError::ShapeMismatch`] for a malformed token, and
-    /// [`TokenError::Oscillation`] if the netlist fails to settle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream does not produce exactly one strobe pulse per
-    /// token or the register holds unknown bits at a capture — protocol
-    /// bugs, like the quiescent-handshake panic of the wait helpers.
+    /// [`TokenError::ShapeMismatch`] for a malformed token,
+    /// [`TokenError::Oscillation`] if the netlist fails to settle,
+    /// [`TokenError::HandshakeStall`] if the pipeline stalls,
+    /// [`TokenError::UnknownOutput`] if the register holds an `X` bit at
+    /// a capture and [`TokenError::StrobeCount`] unless the stream
+    /// produces exactly one strobe pulse per token.
     pub fn run_pipelined_observed<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
         &mut self,
         tokens: &[T],
@@ -613,7 +675,7 @@ impl AcceleratorRtl {
         // Snapshot the register state *before* the stream so the trace
         // replay below starts from the correct values (the recorder only
         // logs changes).
-        let mut bit_values: Vec<Vec<Logic>> = self
+        let bit_values: Vec<Vec<Logic>> = self
             .out_bus
             .iter()
             .map(|bus| bus.iter().map(|&n| self.sim.value(n)).collect())
@@ -628,68 +690,71 @@ impl AcceleratorRtl {
         }
         let (offers, makespan) = streamed?;
         let energy = self.sim.total_energy() - e0;
+        let captures = self.replay_strobes(bit_values);
+        // The capture is complete; drop the recording so the next run (or
+        // a user-enabled waveform) starts clean.
+        self.sim.clear_trace();
+        let (outputs, capture_times) = captures?;
+        if outputs.len() != tokens.len() {
+            return Err(TokenError::StrobeCount {
+                tokens: tokens.len(),
+                strobes: outputs.len(),
+            });
+        }
+        let latencies = capture_times
+            .iter()
+            .zip(&offers)
+            .map(|(&c, &o)| c.since(o))
+            .collect();
+        Ok(PipelinedRun {
+            outputs,
+            latencies,
+            completions: capture_times.iter().map(|c| c.since(t_start)).collect(),
+            makespan,
+            energy,
+        })
+    }
 
-        // Replay the recording: maintain the register image and sample it
-        // at each strobe falling edge. Latch outputs settle strictly
-        // between the strobe's rising and falling edges (the pulse width
-        // covers the latch D→Q delay), so in-order replay is exact.
+    /// Replays the recorded output-register and strobe edges from the
+    /// register image `bit_values` taken before the stream, sampling the
+    /// register at each strobe falling edge (the latch capture instant).
+    /// Latch outputs settle strictly between the strobe's rising and
+    /// falling edges (the pulse width covers the latch D→Q delay), so
+    /// in-order replay is exact. Returns each capture's outputs and time.
+    fn replay_strobes(
+        &self,
+        mut bit_values: Vec<Vec<Logic>>,
+    ) -> Result<(Vec<Vec<i16>>, Vec<SimTime>), TokenError> {
         let net_slot: std::collections::HashMap<NetId, (usize, usize)> = self
             .out_bus
             .iter()
             .enumerate()
             .flat_map(|(j, bus)| bus.iter().enumerate().map(move |(i, &n)| (n, (j, i))))
             .collect();
-        let mut outputs = Vec::with_capacity(tokens.len());
-        let mut completions = Vec::with_capacity(tokens.len());
+        let mut outputs = Vec::new();
+        let mut times = Vec::new();
         let mut strobe_level = Logic::Low;
         for entry in self.sim.trace_entries() {
             if entry.net == self.out_strobe {
                 let was_high = strobe_level == Logic::High;
                 strobe_level = entry.value;
                 if was_high && entry.value == Logic::Low {
-                    let sample: Vec<i16> = bit_values
+                    let sample = bit_values
                         .iter()
                         .map(|bits| {
-                            let mut word = 0u16;
-                            for (i, &bit) in bits.iter().enumerate() {
-                                match bit {
-                                    Logic::High => word |= 1 << i,
-                                    Logic::Low => {}
-                                    Logic::X => {
-                                        panic!("output register holds X at strobe capture")
-                                    }
-                                }
-                            }
-                            word as i16
+                            bits_to_u64(bits)
+                                .map(|word| word as u16 as i16)
+                                .ok_or(TokenError::UnknownOutput { time: entry.time })
                         })
-                        .collect();
+                        .collect::<Result<Vec<i16>, TokenError>>()?;
                     outputs.push(sample);
-                    completions.push(entry.time.since(t_start));
+                    times.push(entry.time);
                 }
             } else if let Some(&(j, i)) = net_slot.get(&entry.net) {
                 bit_values[j][i] = entry.value;
             }
         }
-        assert_eq!(
-            outputs.len(),
-            tokens.len(),
-            "expected one output strobe per token"
-        );
-        let latencies = completions
-            .iter()
-            .zip(&offers)
-            .map(|(&c, &o)| (t_start + c).since(o))
-            .collect();
-        // The capture is complete; drop the recording so the next run (or
-        // a user-enabled waveform) starts clean.
-        self.sim.clear_trace();
-        Ok(PipelinedRun {
-            outputs,
-            latencies,
-            completions,
-            makespan,
-            energy,
-        })
+        Ok((outputs, times))
     }
 
     /// Runs the simulation until every `(net, value)` pair has been
@@ -701,21 +766,16 @@ impl AcceleratorRtl {
     /// The runaway budget is the simulator's configured event cap (see
     /// [`Simulator::set_event_cap`]), not a constant of its own.
     ///
-    /// # Panics
-    ///
-    /// Panics if the circuit goes quiescent first — that means the
-    /// expected handshake edge can never arrive, i.e. a protocol bug.
-    ///
     /// # Errors
     ///
-    /// Returns [`OscillationError`] when the event budget is exhausted;
-    /// its `events` field reports the events actually consumed.
-    fn wait_edges(&mut self, conds: &[(NetId, Logic)]) -> Result<(), OscillationError> {
+    /// Returns [`TokenError::HandshakeStall`] if the circuit goes
+    /// quiescent first — the expected handshake edge can then never
+    /// arrive — and [`TokenError::Oscillation`] when the event budget is
+    /// exhausted; its `events` field reports the events actually consumed.
+    fn wait_edges(&mut self, conds: &[(NetId, Logic)]) -> Result<(), TokenError> {
         match self.sim.run_until_edges(conds)? {
             EdgeWaitOutcome::Seen(_) => Ok(()),
-            EdgeWaitOutcome::Quiescent(_) => {
-                panic!("circuit went quiescent while waiting for handshake edges {conds:?}")
-            }
+            EdgeWaitOutcome::Quiescent(time) => Err(TokenError::HandshakeStall { time }),
         }
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Every failure a backend or session can hit is a [`BackendError`]
 //! variant — construction-time shape disagreements, malformed batches,
-//! netlists that fail to settle, shard plans that don't partition the
-//! program, and shards that fail mid-serving. Backends
+//! netlists that fail to settle or break their handshake protocol, shard
+//! plans that don't partition the program, and shards that fail
+//! mid-serving. Backends
 //! never panic on user input; a batch either completes whole (one
 //! observation per token) or is rejected whole with one of these values.
 //! Shard failures wrap the shard's own error in
@@ -76,6 +77,14 @@ pub enum BackendError {
     /// The RTL netlist failed to settle — a handshake bug or a
     /// combinational loop.
     Oscillation(OscillationError),
+    /// The RTL netlist broke its handshake protocol: it stalled before an
+    /// edge the testbench waited for, its output register held an `X`
+    /// bit, or a stream produced a wrong number of output strobes (one of
+    /// the [`TokenError::is_protocol`] variants). The netlist itself is
+    /// at fault, so a retry on it would fail alike; the
+    /// [`RtlBackend`](crate::rtl::RtlBackend) rebuilds its netlist before
+    /// the next batch.
+    Protocol(TokenError),
     /// A shard plan cannot be constructed or does not fit the program it
     /// is asked to partition (zero shards, more shards than decoder
     /// chains, width disagreement, a shard breaking the
@@ -170,6 +179,7 @@ impl BackendError {
             }
             BackendError::EmptyBatch
             | BackendError::ShapeMismatch { .. }
+            | BackendError::Protocol(_)
             | BackendError::ProgramMismatch { .. }
             | BackendError::MalformedProgram { .. }
             | BackendError::MissingProgram
@@ -209,6 +219,7 @@ impl fmt::Display for BackendError {
                 write!(f, "session builder needs a program before build()")
             }
             BackendError::Oscillation(e) => write!(f, "{e}"),
+            BackendError::Protocol(e) => write!(f, "netlist protocol failure: {e}"),
             BackendError::InvalidShardPlan { reason } => {
                 write!(f, "invalid shard plan: {reason}")
             }
@@ -256,6 +267,7 @@ impl std::error::Error for BackendError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BackendError::Oscillation(e) => Some(e),
+            BackendError::Protocol(e) => Some(e),
             BackendError::Shard { source, .. } | BackendError::Stage { source, .. } => {
                 Some(source.as_ref())
             }
@@ -284,6 +296,9 @@ impl From<TokenError> for BackendError {
             },
             TokenError::EmptyStream => BackendError::EmptyBatch,
             TokenError::Oscillation(o) => BackendError::Oscillation(o),
+            TokenError::HandshakeStall { .. }
+            | TokenError::UnknownOutput { .. }
+            | TokenError::StrobeCount { .. } => BackendError::Protocol(e),
         }
     }
 }
@@ -417,6 +432,31 @@ mod tests {
             "{}",
             BackendError::ReplicaPanicked
         );
+    }
+
+    #[test]
+    fn protocol_failures_are_typed_and_fatal() {
+        for e in [
+            TokenError::HandshakeStall {
+                time: SimTime::from_picos(5.0),
+            },
+            TokenError::UnknownOutput {
+                time: SimTime::from_picos(7.0),
+            },
+            TokenError::StrobeCount {
+                tokens: 4,
+                strobes: 3,
+            },
+        ] {
+            assert!(e.is_protocol(), "{e}");
+            let b = BackendError::from(e.clone());
+            assert_eq!(b, BackendError::Protocol(e.clone()));
+            assert!(!b.is_transient(), "{b}");
+            assert!(b.to_string().contains("protocol"), "{b}");
+            use std::error::Error as _;
+            assert_eq!(b.source().unwrap().to_string(), e.to_string());
+        }
+        assert!(!TokenError::EmptyStream.is_protocol());
     }
 
     #[test]

@@ -33,6 +33,8 @@
 //!   returns about 57 µs late (the default 50 µs timer slack plus the
 //!   wake-up), so a replica's wait ends 60 µs short of the deadline and
 //!   the replica yields its CPU between rescans for the rest of the way.
+//!   A wait longer than a millisecond is split in two so that its
+//!   second, short part ends inside those 60 µs.
 //! * **Typed backpressure on two axes.**
 //!   [`QueuePolicy::max_depth`] bounds unresolved *requests* and
 //!   [`QueuePolicy::max_pending_tokens`] bounds queued *tokens*, each
@@ -1067,11 +1069,24 @@ fn retry_or_fail(
 /// the sleep: over 9 rounds of 50 lone requests, a 200 µs linger left
 /// a median 60–69 µs after its deadline with a plain timed wait and
 /// 0.7–1.3 µs with this window, but a 2 ms linger 66–92 µs and 9–35 µs,
-/// because a 1.94 ms sleep can overshoot by more than the window. A host
-/// whose timers run later than the window only leaves later; none can
-/// make a dispatch early, because the dispatch test itself waits for
-/// the deadline to pass.
+/// because a 1.94 ms sleep can overshoot by more than the window: a
+/// wait longer than [`LONG_WAIT`] is therefore split (see there). A
+/// host whose timers run later than the window only leaves later; none
+/// can make a dispatch early, because the dispatch test itself waits
+/// for the deadline to pass.
 const WAKE_EARLY: Duration = Duration::from_micros(60);
+
+/// A timed wait longer than this can overshoot by more than
+/// [`WAKE_EARLY`], so it is split: its first part ends [`LAST_WAIT`]
+/// short of the wake instant, and a second, short timed wait from there
+/// ends inside the window. Waits up to this long (every sub-millisecond
+/// linger) take a single timed wait.
+const LONG_WAIT: Duration = Duration::from_millis(1);
+
+/// How far ahead of the wake instant the first part of a split wait
+/// ends: the 200 µs lingers that leave 0.7–1.3 µs late with one timed
+/// wait, and more than the first part's own overshoot.
+const LAST_WAIT: Duration = Duration::from_micros(200);
 
 /// One replica's loop: collect → coalesce → run → split → resolve,
 /// retrying transient failures and surviving backend panics, until the
@@ -1133,10 +1148,16 @@ fn replica_loop(
             }
             if left > WAKE_EARLY {
                 // Sleep until `WAKE_EARLY` short of the wake instant; the
-                // timer's lateness uses up most of the rest.
+                // timer's lateness uses up most of the rest. A long wait
+                // first sleeps until `LAST_WAIT` short of it.
+                let early = if left > LONG_WAIT {
+                    LAST_WAIT
+                } else {
+                    WAKE_EARLY
+                };
                 let (s, _) = shared
                     .work
-                    .wait_timeout(state, left - WAKE_EARLY)
+                    .wait_timeout(state, left - early)
                     .unwrap_or_else(|p| p.into_inner());
                 state = s;
             } else {
@@ -1432,7 +1453,14 @@ mod tests {
     #[test]
     #[ignore = "timing bound: run alone in release"]
     fn a_partial_batch_leaves_within_30_us_of_its_linger() {
-        let linger = Duration::from_micros(200);
+        assert_lone_requests_leave_within_30_us(Duration::from_micros(200));
+    }
+
+    /// Submits 50 lone one-token requests one after another to a
+    /// one-replica pool lingering `linger`, and checks that none leaves
+    /// before its linger and that the median leaves less than 30 µs
+    /// after it.
+    fn assert_lone_requests_leave_within_30_us(linger: Duration) {
         let policy =
             ServePolicy::default().with_queue(QueuePolicy::default().with_max_linger(linger));
         let (pool, program) = functional_pool(1, policy);
@@ -1454,9 +1482,20 @@ mod tests {
         let median = late[late.len() / 2];
         assert!(
             median < Duration::from_micros(30),
-            "partial batches left a median {median:?} after their linger"
+            "partial batches left a median {median:?} after their {linger:?} linger"
         );
         pool.shutdown();
+    }
+
+    /// The same promise at a millisecond linger, whose timed wait is
+    /// split so its last part ends inside the `WAKE_EARLY` window; with a
+    /// single 1.94 ms wait the median lateness read 66–92 µs. Run it
+    /// alone in release:
+    /// `cargo test --release -q -p maddpipe-runtime pool::tests::a_partial_batch_leaves -- --ignored --test-threads=1`.
+    #[test]
+    #[ignore = "timing bound: run alone in release"]
+    fn a_partial_batch_leaves_within_30_us_of_a_2_ms_linger() {
+        assert_lone_requests_leave_within_30_us(Duration::from_millis(2));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::backend::{validate_program, Fidelity, MacroBackend};
 use crate::batch::{BatchResult, Observations, TokenBatch};
 use crate::error::BackendError;
 use maddpipe_core::config::MacroConfig;
-use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
+use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram, TokenError};
 
 /// Executes batches on the full event-driven netlist.
 ///
@@ -14,6 +14,13 @@ use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
 ///   per-token outputs are captured at each output-register strobe
 ///   (via [`AcceleratorRtl::run_pipelined_observed`]), latency covers
 ///   offer-to-capture, and energy is reported as a batch aggregate.
+///
+/// A batch that breaks the handshake protocol fails with
+/// [`BackendError::Protocol`] and leaves the netlist mid-handshake, so
+/// the backend then rebuilds it from its configuration and program
+/// (keeping the event cap; traced nets and the accumulated statistics
+/// and energy start afresh): the next batch runs on a netlist in its
+/// power-up state, exactly as on a newly built backend.
 #[derive(Debug)]
 pub struct RtlBackend {
     rtl: AcceleratorRtl,
@@ -67,6 +74,25 @@ impl MacroBackend for RtlBackend {
 
     fn run_batch(&mut self, batch: &TokenBatch) -> Result<BatchResult, BackendError> {
         batch.check_shape(self.rtl.program().ns())?;
+        self.run_on_netlist(batch).map_err(|e| {
+            if e.is_protocol() {
+                self.rebuild();
+            }
+            e.into()
+        })
+    }
+
+    fn rtl(&self) -> Option<&AcceleratorRtl> {
+        Some(&self.rtl)
+    }
+
+    fn rtl_mut(&mut self) -> Option<&mut AcceleratorRtl> {
+        Some(&mut self.rtl)
+    }
+}
+
+impl RtlBackend {
+    fn run_on_netlist(&mut self, batch: &TokenBatch) -> Result<BatchResult, TokenError> {
         match self.fidelity {
             Fidelity::Sequential => {
                 let t0 = self.rtl.simulator().now();
@@ -104,12 +130,11 @@ impl MacroBackend for RtlBackend {
         }
     }
 
-    fn rtl(&self) -> Option<&AcceleratorRtl> {
-        Some(&self.rtl)
-    }
-
-    fn rtl_mut(&mut self) -> Option<&mut AcceleratorRtl> {
-        Some(&mut self.rtl)
+    /// Replaces a netlist left mid-handshake with a freshly built one.
+    fn rebuild(&mut self) {
+        let event_cap = self.rtl.simulator().event_cap();
+        self.rtl = AcceleratorRtl::build(self.rtl.config(), self.rtl.program());
+        self.rtl.simulator_mut().set_event_cap(event_cap);
     }
 }
 
@@ -152,6 +177,54 @@ mod tests {
         // Overlap: the pipelined makespan beats the sequential one.
         assert!(rp.makespan.unwrap() < rs.makespan.unwrap());
         assert!(seq.rtl().is_some());
+    }
+
+    /// At σ = 0.20 local mismatch some seeded netlists break the
+    /// handshake protocol: `Session::run` returns the typed failure, not
+    /// a panic, and the next batch runs on a rebuilt netlist, replying
+    /// exactly as a newly built session does.
+    #[test]
+    fn a_protocol_failure_is_typed_and_the_next_batch_gets_a_fresh_netlist() {
+        use crate::backend::BackendKind;
+        use crate::session::Session;
+        use maddpipe_tech::variation::Mismatch;
+        for (seed, op, failure) in [
+            (188, OperatingPoint::new(Volts(0.6), Corner::Ssg), "X bit"),
+            (
+                3320,
+                OperatingPoint::new(Volts(0.6), Corner::Fsg),
+                "stalled",
+            ),
+        ] {
+            let cfg = MacroConfig::new(3, 3)
+                .with_op(op)
+                .with_mismatch(Mismatch::new(0.20, seed));
+            let session = || {
+                Session::builder(cfg.clone())
+                    .program(MacroProgram::random(3, 3, seed))
+                    .backend(BackendKind::Rtl {
+                        fidelity: Fidelity::Pipelined,
+                    })
+                    .build()
+                    .expect("the program fits")
+            };
+            let mut served = session();
+            let err = served
+                .run(&TokenBatch::random(3, 4, seed))
+                .expect_err("this netlist breaks the protocol on this batch");
+            assert!(
+                matches!(&err, BackendError::Protocol(e) if e.is_protocol()),
+                "seed {seed}: {err}"
+            );
+            assert!(err.to_string().contains(failure), "seed {seed}: {err}");
+            assert!(!err.is_transient(), "seed {seed}");
+            let next = TokenBatch::random(3, 4, 10_000);
+            assert_eq!(
+                served.run(&next).expect("the rebuilt netlist serves"),
+                session().run(&next).expect("a fresh netlist serves"),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

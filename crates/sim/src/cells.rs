@@ -17,10 +17,11 @@
 //! trigger list.
 
 use crate::cell::{Cell, EvalCtx, ViolationKind};
-use crate::circuit::{CircuitBuilder, NetId};
+use crate::circuit::{CircuitBuilder, NetId, OutputSuffix};
 use crate::library::{CellClass, SampledTiming};
 use crate::logic::{Logic, AND, NOT, OR, XOR};
 use crate::time::SimTime;
+use std::fmt;
 
 /// Drives the output according to the cell's sampled arcs: known values use
 /// the matching edge arc, `X` uses the worst arc.
@@ -877,9 +878,9 @@ impl GateShape {
 macro_rules! builder_gate {
     ($(#[$meta:meta])* $fn_name:ident, $cell:ident, $class:ident, $n:expr) => {
         $(#[$meta])*
-        pub fn $fn_name(&mut self, name: &str, inputs: [NetId; $n]) -> NetId {
+        pub fn $fn_name(&mut self, name: impl fmt::Display, inputs: [NetId; $n]) -> NetId {
             let t = self.library_mut().timing(CellClass::$class);
-            let y = self.net(format!("{name}.y"));
+            let y = self.output_net(OutputSuffix::Y);
             self.add_cell_kind(name, $cell::new(t), &inputs, &[y]);
             y
         }
@@ -887,7 +888,9 @@ macro_rules! builder_gate {
 }
 
 /// Convenience constructors: each instantiates a standard cell with timing
-/// sampled from the builder's library and returns the created output net.
+/// sampled from the builder's library and returns the created output net,
+/// which is named after the cell plus its pin suffix (`name.y`, `name.q`,
+/// `name.s` / `name.c`, `name.p`) without storing that name.
 impl CircuitBuilder {
     builder_gate!(
         /// Adds an inverter; returns its output net.
@@ -931,41 +934,53 @@ impl CircuitBuilder {
     );
 
     /// Adds an inverter (short alias for [`CircuitBuilder::inv_gate`]).
-    pub fn inv(&mut self, name: &str, a: NetId) -> NetId {
+    pub fn inv(&mut self, name: impl fmt::Display, a: NetId) -> NetId {
         self.inv_gate(name, [a])
     }
 
     /// Adds a 2:1 mux (`sel ? b : a`); returns its output net.
-    pub fn mux2(&mut self, name: &str, a: NetId, b: NetId, sel: NetId) -> NetId {
+    pub fn mux2(&mut self, name: impl fmt::Display, a: NetId, b: NetId, sel: NetId) -> NetId {
         let t = self.library_mut().timing(CellClass::Mux2);
-        let y = self.net(format!("{name}.y"));
+        let y = self.output_net(OutputSuffix::Y);
         self.add_cell_kind(name, Mux2::new(t), &[a, b, sel], &[y]);
         y
     }
 
     /// Adds a full adder; returns `(sum, carry)` nets.
-    pub fn full_adder(&mut self, name: &str, a: NetId, b: NetId, cin: NetId) -> (NetId, NetId) {
+    pub fn full_adder(
+        &mut self,
+        name: impl fmt::Display,
+        a: NetId,
+        b: NetId,
+        cin: NetId,
+    ) -> (NetId, NetId) {
         let t = self.library_mut().timing(CellClass::FullAdder);
-        let s = self.net(format!("{name}.s"));
-        let c = self.net(format!("{name}.c"));
+        let s = self.output_net(OutputSuffix::S);
+        let c = self.output_net(OutputSuffix::C);
         self.add_cell_kind(name, FullAdderCell::new(t), &[a, b, cin], &[s, c]);
         (s, c)
     }
 
     /// Adds a level-sensitive D-latch with the library's default setup
     /// window (one latch delay); returns the Q net.
-    pub fn latch(&mut self, name: &str, d: NetId, g: NetId) -> NetId {
+    pub fn latch(&mut self, name: impl fmt::Display, d: NetId, g: NetId) -> NetId {
         let t = self.library_mut().timing(CellClass::Latch);
         let setup = t.worst();
-        let q = self.net(format!("{name}.q"));
+        let q = self.output_net(OutputSuffix::Q);
         self.add_cell_kind(name, DLatch::new(t, setup), &[d, g], &[q]);
         q
     }
 
     /// Adds a Muller C-element reset to `reset_state`; returns its output.
-    pub fn c_element(&mut self, name: &str, a: NetId, b: NetId, reset_state: Logic) -> NetId {
+    pub fn c_element(
+        &mut self,
+        name: impl fmt::Display,
+        a: NetId,
+        b: NetId,
+        reset_state: Logic,
+    ) -> NetId {
         let t = self.library_mut().timing(CellClass::CElement);
-        let q = self.net(format!("{name}.q"));
+        let q = self.output_net(OutputSuffix::Q);
         self.add_cell_kind(name, CElement::new(t, reset_state), &[a, b], &[q]);
         q
     }
@@ -973,26 +988,26 @@ impl CircuitBuilder {
     /// Adds a pulse generator; returns the pulse net.
     pub fn pulse_gen(
         &mut self,
-        name: &str,
+        name: impl fmt::Display,
         trigger: NetId,
         delay: SimTime,
         width: SimTime,
     ) -> NetId {
-        let p = self.net(format!("{name}.p"));
+        let p = self.output_net(OutputSuffix::P);
         self.add_cell_kind(name, PulseGen::new(delay, width), &[trigger], &[p]);
         p
     }
 
     /// Adds a transport delay line; returns the delayed net.
-    pub fn delay_line(&mut self, name: &str, input: NetId, delay: SimTime) -> NetId {
-        let y = self.net(format!("{name}.y"));
+    pub fn delay_line(&mut self, name: impl fmt::Display, input: NetId, delay: SimTime) -> NetId {
+        let y = self.output_net(OutputSuffix::Y);
         self.add_cell_kind(name, DelayLine::new(delay), &[input], &[y]);
         y
     }
 
     /// Adds a constant tie cell; returns the constant net.
-    pub fn tie(&mut self, name: &str, level: Logic) -> NetId {
-        let y = self.net(format!("{name}.y"));
+    pub fn tie(&mut self, name: impl fmt::Display, level: Logic) -> NetId {
+        let y = self.output_net(OutputSuffix::Y);
         self.add_cell_kind(name, Tie::new(level), &[], &[y]);
         y
     }

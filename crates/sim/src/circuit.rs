@@ -8,13 +8,23 @@
 //! ready for simulation: each net's fanout and each cell's input and output
 //! nets live in flat, index-addressed tables rather than per-net and
 //! per-cell lists.
+//!
+//! Names live in one text buffer per circuit, the *name arena*: a cell or
+//! a named net holds a `u32` index into it, and the builder writes each
+//! name (any [`fmt::Display`], typically a `format_args!`) straight into
+//! the buffer, so building a netlist allocates no string per name. The
+//! output net of a gate made by the builder's gate sugar (`inv`, `latch`,
+//! `full_adder`, …) stores no text at all: it renders as its driver
+//! cell's name plus the pin suffix (`.y`, `.q`, `.s`, `.c` or `.p`), so
+//! [`Circuit::net_name`] may return an owned string.
 
 use crate::cell::Cell;
 use crate::cells::CellKind;
 use crate::library::CellLibrary;
 use maddpipe_tech::units::Farads;
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Range;
 
 /// Identifier of a net within one circuit.
@@ -56,9 +66,99 @@ impl DomainId {
     pub const TOP: DomainId = DomainId(0);
 }
 
+/// Where a net's name comes from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum NetName {
+    /// Name `k` of the circuit's [`Names`] arena.
+    Stored(u32),
+    /// The driving cell's name followed by this suffix: the output of a
+    /// gate made by the builder's gate sugar.
+    Output(OutputSuffix),
+}
+
+/// The output pin suffix a gate-sugar net renders with.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OutputSuffix {
+    /// `.y`: a combinational gate, delay line or tie cell.
+    Y,
+    /// `.q`: a latch or C-element.
+    Q,
+    /// `.s`: a full adder's sum.
+    S,
+    /// `.c`: a full adder's carry.
+    C,
+    /// `.p`: a pulse generator.
+    P,
+}
+
+impl OutputSuffix {
+    fn as_str(self) -> &'static str {
+        match self {
+            OutputSuffix::Y => ".y",
+            OutputSuffix::Q => ".q",
+            OutputSuffix::S => ".s",
+            OutputSuffix::C => ".c",
+            OutputSuffix::P => ".p",
+        }
+    }
+}
+
+/// The name arena: every stored name of a circuit in one text buffer,
+/// name `k` being `text[start[k]..start[k + 1]]`.
+#[derive(Debug)]
+pub(crate) struct Names {
+    text: String,
+    start: Vec<u32>,
+}
+
+impl Names {
+    fn new() -> Names {
+        Names {
+            text: String::new(),
+            start: vec![0],
+        }
+    }
+
+    /// Writes `name` at the end of the buffer and returns its index.
+    fn push(&mut self, name: impl fmt::Display) -> u32 {
+        let k = u32::try_from(self.start.len() - 1).expect("more than u32::MAX names");
+        write!(self.text, "{name}").expect("writing to a String cannot fail");
+        self.start
+            .push(u32::try_from(self.text.len()).expect("more than 4 GiB of names"));
+        k
+    }
+
+    /// Name `k`.
+    #[inline]
+    pub(crate) fn get(&self, k: u32) -> &str {
+        let k = k as usize;
+        &self.text[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+
+    /// A net's name as a stem plus a suffix: a stored name is all stem; a
+    /// gate-sugar output is its driver's name plus the pin suffix.
+    fn parts<'a>(&'a self, net: &Net, cells: &[CellInstance]) -> (&'a str, &'static str) {
+        match net.name {
+            NetName::Stored(k) => (self.get(k), ""),
+            NetName::Output(suffix) => {
+                let driver = net.driver.expect("a gate-sugar output net has its driver");
+                (self.get(cells[driver.index()].name), suffix.as_str())
+            }
+        }
+    }
+
+    /// The rendered name of `net`.
+    fn render<'a>(&'a self, net: &Net, cells: &[CellInstance]) -> Cow<'a, str> {
+        match self.parts(net, cells) {
+            (stem, "") => Cow::Borrowed(stem),
+            (stem, suffix) => Cow::Owned([stem, suffix].concat()),
+        }
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct Net {
-    pub(crate) name: String,
+    pub(crate) name: NetName,
     pub(crate) cap: Farads,
     pub(crate) extra_cap: Farads,
     pub(crate) domain: DomainId,
@@ -71,7 +171,8 @@ pub(crate) struct Net {
 }
 
 pub(crate) struct CellInstance {
-    pub(crate) name: String,
+    /// Index into the circuit's [`Names`] arena.
+    pub(crate) name: u32,
     pub(crate) cell: CellKind,
 }
 
@@ -162,6 +263,7 @@ pub struct Circuit {
     inputs: Csr<NetId>,
     /// Per cell: its output nets in pin order.
     outputs: Csr<NetId>,
+    pub(crate) names: Names,
     pub(crate) domains: Vec<String>,
     pub(crate) library: CellLibrary,
 }
@@ -177,17 +279,39 @@ impl Circuit {
         self.cells.len()
     }
 
-    /// Name of a net.
-    pub fn net_name(&self, id: NetId) -> &str {
-        &self.nets[id.index()].name
+    /// Every net, in id order.
+    pub fn net_ids(&self) -> impl Iterator<Item = NetId> {
+        (0..self.nets.len() as u32).map(NetId)
     }
 
-    /// Looks a net up by exact name. Linear scan — intended for tests and
-    /// debugging, not hot paths.
+    /// Every cell instance, in id order.
+    pub fn cell_ids(&self) -> impl Iterator<Item = CellId> {
+        (0..self.cells.len() as u32).map(CellId)
+    }
+
+    /// Name of a net. Borrowed from the name arena, except for a gate's
+    /// output net made by the builder's gate sugar, which is rendered
+    /// from its driver's name.
+    pub fn net_name(&self, id: NetId) -> Cow<'_, str> {
+        self.names.render(&self.nets[id.index()], &self.cells)
+    }
+
+    /// Name of a cell instance.
+    pub fn cell_name(&self, id: CellId) -> &str {
+        self.names.get(self.cells[id.index()].name)
+    }
+
+    /// Looks a net up by exact name, returning the first net that carries
+    /// it. Linear scan — intended for tests and debugging, not hot paths.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
         self.nets
             .iter()
-            .position(|n| n.name == name)
+            .position(|net| {
+                let (stem, suffix) = self.names.parts(net, &self.cells);
+                name.len() == stem.len() + suffix.len()
+                    && name.starts_with(stem)
+                    && name.ends_with(suffix)
+            })
             .map(|i| NetId(i as u32))
     }
 
@@ -261,6 +385,7 @@ impl Circuit {
 pub struct CircuitBuilder {
     nets: Vec<Net>,
     cells: Vec<CellInstance>,
+    names: Names,
     inputs: Csr<NetId>,
     outputs: Csr<NetId>,
     domains: Vec<String>,
@@ -277,6 +402,7 @@ impl CircuitBuilder {
         CircuitBuilder {
             nets: Vec::new(),
             cells: Vec::new(),
+            names: Names::new(),
             inputs: Csr::new(),
             outputs: Csr::new(),
             domains: vec!["top".to_owned()],
@@ -324,11 +450,22 @@ impl CircuitBuilder {
         self.current_domain = id;
     }
 
-    /// Creates a fresh undriven net.
-    pub fn net(&mut self, name: impl Into<String>) -> NetId {
+    /// Creates a fresh undriven net named `name`.
+    pub fn net(&mut self, name: impl fmt::Display) -> NetId {
+        let name = NetName::Stored(self.names.push(name));
+        self.push_net(name)
+    }
+
+    /// Creates the output net of a gate the gate sugar is about to add:
+    /// it stores no name and renders as its driver's name plus `suffix`.
+    pub(crate) fn output_net(&mut self, suffix: OutputSuffix) -> NetId {
+        self.push_net(NetName::Output(suffix))
+    }
+
+    fn push_net(&mut self, name: NetName) -> NetId {
         let id = NetId(u32::try_from(self.nets.len()).expect("more than u32::MAX nets"));
         self.nets.push(Net {
-            name: name.into(),
+            name,
             cap: Farads::ZERO,
             extra_cap: Farads::ZERO,
             domain: self.current_domain,
@@ -340,14 +477,14 @@ impl CircuitBuilder {
 
     /// Creates a named primary input (alias of [`CircuitBuilder::net`],
     /// kept for intent).
-    pub fn input(&mut self, name: impl Into<String>) -> NetId {
+    pub fn input(&mut self, name: impl fmt::Display) -> NetId {
         self.net(name)
     }
 
     /// Creates a bus of `width` nets named `name[0..width]`, LSB first.
-    pub fn bus(&mut self, name: &str, width: usize) -> Vec<NetId> {
+    pub fn bus(&mut self, name: impl fmt::Display, width: usize) -> Vec<NetId> {
         (0..width)
-            .map(|i| self.net(format!("{name}[{i}]")))
+            .map(|i| self.net(format_args!("{name}[{i}]")))
             .collect()
     }
 
@@ -371,7 +508,7 @@ impl CircuitBuilder {
     /// shared dynamic nodes as a single behavioural cell instead).
     pub fn add_cell(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         cell: Box<dyn Cell>,
         inputs: &[NetId],
         outputs: &[NetId],
@@ -389,12 +526,13 @@ impl CircuitBuilder {
     /// already has a driver.
     pub fn add_cell_kind(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         cell: impl Into<CellKind>,
         inputs: &[NetId],
         outputs: &[NetId],
     ) -> CellId {
-        let name = name.into();
+        let k = self.names.push(name);
+        let name = self.names.get(k);
         let cell = cell.into();
         assert_eq!(
             cell.num_inputs(),
@@ -416,11 +554,11 @@ impl CircuitBuilder {
             assert!(
                 existing.is_none(),
                 "net `{}` already driven by cell {existing:?}; cell `{name}` would double-drive it",
-                self.nets[net.index()].name,
+                self.names.render(&self.nets[net.index()], &self.cells),
             );
             self.nets[net.index()].driver = Some(id);
         }
-        self.cells.push(CellInstance { name, cell });
+        self.cells.push(CellInstance { name: k, cell });
         self.inputs.push_row(inputs);
         self.outputs.push_row(outputs);
         id
@@ -500,6 +638,7 @@ impl CircuitBuilder {
             fanout,
             inputs: self.inputs,
             outputs: self.outputs,
+            names: self.names,
             domains: self.domains,
             library: self.library,
         }
@@ -524,11 +663,23 @@ mod tests {
         let mut b = builder();
         let n = b.net("clk");
         let bus = b.bus("data", 4);
+        // A gate's output renders from its cell's name; a stored net may
+        // carry the same text, and `find_net` returns the first.
+        let y = b.inv("u0", n);
+        let twin = b.net("u0.y");
         let c = b.build();
         assert_eq!(c.net_name(n), "clk");
         assert_eq!(c.net_name(bus[3]), "data[3]");
         assert_eq!(c.find_net("data[2]"), Some(bus[2]));
         assert_eq!(c.find_net("nope"), None);
+        assert_eq!(c.cell_name(CellId(0)), "u0");
+        assert_eq!(
+            (c.net_name(y), c.net_name(twin)),
+            ("u0.y".into(), "u0.y".into())
+        );
+        assert_eq!(c.find_net("u0.y"), Some(y));
+        assert_eq!(c.find_net("u0"), None, "a cell's name names no net");
+        assert_eq!(c.find_net("u0.yy"), None);
     }
 
     #[test]
@@ -560,9 +711,9 @@ mod tests {
         // Two more loads on `mid`.
         for i in 0..2 {
             let t = b.library_mut().timing(crate::library::CellClass::Inv);
-            let o = b.net(format!("o{i}"));
+            let o = b.net(format_args!("o{i}"));
             b.add_cell(
-                format!("u{}", i + 1),
+                format_args!("u{}", i + 1),
                 Box::new(Inverter::new(t)),
                 &[mid],
                 &[o],

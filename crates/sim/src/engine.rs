@@ -655,7 +655,7 @@ impl Simulator {
         assert!(
             self.circuit.nets[net.index()].driver.is_none(),
             "cannot poke net `{}`: it is driven by a cell",
-            self.circuit.nets[net.index()].name
+            self.circuit.net_name(net)
         );
         self.queue
             .schedule(self.now, net, value, delay, DriveMode::Inertial);
@@ -753,7 +753,7 @@ impl Simulator {
             CellFast::Column { col, .. } => col.set_word(word),
             _ => panic!(
                 "cell `{}` is not a read column",
-                self.circuit.cells[cell.index()].name
+                self.circuit.cell_name(cell)
             ),
         }
     }
@@ -1170,7 +1170,7 @@ impl Simulator {
                     LatchStep::SetupViolation(detail) => {
                         self.violations.push(Violation {
                             time: now,
-                            cell: self.circuit.cells[ci].name.clone(),
+                            cell: self.circuit.cell_name(CellId(ci as u32)).to_owned(),
                             kind: ViolationKind::Setup,
                             detail,
                         });
@@ -1206,7 +1206,7 @@ impl Simulator {
                 if let Some(detail) = violation {
                     self.violations.push(Violation {
                         time: now,
-                        cell: self.circuit.cells[ci].name.clone(),
+                        cell: self.circuit.cell_name(CellId(ci as u32)).to_owned(),
                         kind: ViolationKind::Protocol,
                         detail,
                     });
@@ -1269,7 +1269,7 @@ impl Simulator {
             triggers: &self.trigger_buf,
             drives: &mut self.drive_buf,
             violations: &mut self.violations,
-            cell_name: &inst.name,
+            cell_name: self.circuit.names.get(inst.name),
         };
         inst.cell.eval(&mut ctx);
         // Drain the requested drives. `add_cell` validated the pin counts
@@ -1281,7 +1281,7 @@ impl Simulator {
             debug_assert!(
                 d.out_pin < outputs.len(),
                 "cell `{}` drove pin {} but has only {} outputs",
-                self.circuit.cells[ci].name,
+                self.circuit.cell_name(CellId(ci as u32)),
                 d.out_pin,
                 outputs.len()
             );
@@ -1487,7 +1487,7 @@ mod tests {
         let outs: Vec<NetId> = bus
             .iter()
             .enumerate()
-            .map(|(i, &n)| b.inv(&format!("u{i}"), n))
+            .map(|(i, &n)| b.inv(format_args!("u{i}"), n))
             .collect();
         let mut sim = Simulator::new(b.build());
         sim.poke_bus(&bus, 0xA5);
@@ -1615,7 +1615,7 @@ mod tests {
     #[test]
     fn max_queue_counts_pokes_and_power_up_drives_that_are_never_followed() {
         let mut b = builder();
-        let ins: Vec<NetId> = (0..3).map(|i| b.input(format!("in{i}"))).collect();
+        let ins: Vec<NetId> = (0..3).map(|i| b.input(format_args!("in{i}"))).collect();
         let mut sim = Simulator::new(b.build());
         for &net in &ins {
             sim.poke(net, Logic::High);

@@ -16,7 +16,9 @@
 //!   the one-hot SRAM read column of the LUT decoder.
 //! * [`library`] — alpha-power-law characterisation of cells at an
 //!   operating point, with optional local mismatch sampling.
-//! * [`circuit`] — netlist construction with energy domains.
+//! * [`circuit`] — netlist construction with energy domains; every name
+//!   of a circuit lives in one text buffer (its name arena), and a gate's
+//!   output net renders as its cell's name plus a pin suffix.
 //! * [`engine`] — the event kernel: inertial/transport delays, oscillation
 //!   detection, deterministic replay; delta-cycle batched, allocation-free
 //!   on the hot path.

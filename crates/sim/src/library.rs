@@ -161,16 +161,16 @@ pub struct CellLibrary {
     tech: Technology,
     op: OperatingPoint,
     mismatch: MismatchSampler,
+    /// `tech.delay_scale(op, kind)` per [`DriveKind`], computed on first
+    /// use: its `powf`s cost more than the rest of a sample, and a netlist
+    /// samples once per cell.
+    scales: [Option<f64>; 3],
 }
 
 impl CellLibrary {
     /// Creates a library at `op` with no local mismatch.
     pub fn new(tech: Technology, op: OperatingPoint) -> CellLibrary {
-        CellLibrary {
-            tech,
-            op,
-            mismatch: Mismatch::none().sampler(),
-        }
+        CellLibrary::with_mismatch(tech, op, &Mismatch::none())
     }
 
     /// Creates a library whose per-instance delays are drawn with local
@@ -180,6 +180,7 @@ impl CellLibrary {
             tech,
             op,
             mismatch: mm.sampler(),
+            scales: [None; 3],
         }
     }
 
@@ -210,8 +211,8 @@ impl CellLibrary {
         );
         let nominal = Seconds::from_picos(class.nominal_delay_ps() * multiplier);
         let mm = self.mismatch.sample();
-        let rise = self.tech.scale_delay(nominal, self.op, DriveKind::PullUp) * mm;
-        let fall = self.tech.scale_delay(nominal, self.op, DriveKind::PullDown) * mm;
+        let rise = nominal * self.scale(DriveKind::PullUp) * mm;
+        let fall = nominal * self.scale(DriveKind::PullDown) * mm;
         SampledTiming {
             rise: SimTime::from_seconds(rise),
             fall: SimTime::from_seconds(fall),
@@ -221,7 +222,13 @@ impl CellLibrary {
     /// Samples a raw delay from a nominal value limited by `kind` devices.
     pub fn delay(&mut self, nominal: Seconds, kind: DriveKind) -> SimTime {
         let mm = self.mismatch.sample();
-        SimTime::from_seconds(self.tech.scale_delay(nominal, self.op, kind) * mm)
+        SimTime::from_seconds(nominal * self.scale(kind) * mm)
+    }
+
+    /// [`Technology::delay_scale`] at this library's operating point.
+    fn scale(&mut self, kind: DriveKind) -> f64 {
+        let (tech, op) = (&self.tech, self.op);
+        *self.scales[kind as usize].get_or_insert_with(|| tech.delay_scale(op, kind))
     }
 
     /// Per-edge supply energy of a full transition pair on `cap`, split as

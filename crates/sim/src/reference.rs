@@ -142,7 +142,7 @@ impl ReferenceSimulator {
         assert!(
             self.circuit.nets[net.index()].driver.is_none(),
             "cannot poke net `{}`: it is driven by a cell",
-            self.circuit.nets[net.index()].name
+            self.circuit.net_name(net)
         );
         self.schedule(net, value, SimTime::ZERO, DriveMode::Inertial);
     }
@@ -247,7 +247,7 @@ impl ReferenceSimulator {
                 triggers,
                 &mut drives,
                 &mut self.violations,
-                &inst.name,
+                self.circuit.names.get(inst.name),
             );
             inst.cell.eval(&mut ctx);
         }

@@ -109,7 +109,7 @@ impl Trace {
         for (i, &on) in self.enabled.iter().enumerate() {
             if on {
                 let id = vcd_identifier(i);
-                let name = sanitize(circuit.net_name(NetId(i as u32)));
+                let name = sanitize(&circuit.net_name(NetId(i as u32)));
                 out.push_str(&format!("$var wire 1 {id} {name} $end\n"));
                 ids[i] = Some(id);
             }

@@ -24,6 +24,7 @@ use maddpipe_sim::cells::ReadColumn;
 use maddpipe_sim::circuit::{CellId, CircuitBuilder, NetId};
 use maddpipe_tech::process::DriveKind;
 use maddpipe_tech::units::{Farads, Seconds};
+use std::fmt;
 
 /// Nominal (0.8 V / TTG) read-bitline discharge delay of a 16-row column.
 pub const NOMINAL_DISCHARGE_PS: f64 = 380.0;
@@ -58,7 +59,7 @@ pub struct ColumnPorts {
 /// Panics if `rwl.len() != 16`.
 pub fn build_column_with_timing(
     b: &mut CircuitBuilder,
-    name: &str,
+    name: impl fmt::Display,
     rwl: &[NetId],
     pche: NetId,
     word: u16,
@@ -71,8 +72,8 @@ pub fn build_column_with_timing(
         .library_mut()
         .delay(discharge_nominal, DriveKind::PullDown);
     let t_precharge = b.library_mut().delay(precharge_nominal, DriveKind::PullUp);
-    let rbl = b.net(format!("{name}.rbl"));
-    let rblb = b.net(format!("{name}.rblb"));
+    let rbl = b.net(format_args!("{name}.rbl"));
+    let rblb = b.net(format_args!("{name}.rblb"));
     // Bitline load: 16 cell junctions plus the vertical wire.
     let bl_cap = Farads(tech.cap_bitcell_bl.0 * ROWS as f64) + tech.wire_cap(8.0);
     b.add_wire_cap(rbl, bl_cap);
@@ -81,14 +82,14 @@ pub fn build_column_with_timing(
     inputs.push(pche);
     inputs.extend_from_slice(rwl);
     let cell = b.add_cell_kind(
-        format!("{name}.col"),
+        format_args!("{name}.col"),
         ReadColumn::new(word, t_discharge, t_precharge),
         &inputs,
         &[rbl, rblb],
     );
     // RCD: NAND(RBL, RBLB) rises as soon as either precharged rail falls
     // (Fig. 5 A): both high (precharged) → 0; one low (read done) → 1.
-    let rcd_col = b.nand2(&format!("{name}.rcd"), [rbl, rblb]);
+    let rcd_col = b.nand2(format_args!("{name}.rcd"), [rbl, rblb]);
     ColumnPorts {
         rbl,
         rblb,
@@ -123,7 +124,9 @@ mod tests {
         );
         let mut b = CircuitBuilder::new(lib);
         let pche = b.input("pche");
-        let rwl: Vec<NetId> = (0..ROWS).map(|i| b.input(format!("rwl[{i}]"))).collect();
+        let rwl: Vec<NetId> = (0..ROWS)
+            .map(|i| b.input(format_args!("rwl[{i}]")))
+            .collect();
         let word = bits
             .iter()
             .enumerate()

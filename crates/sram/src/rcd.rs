@@ -8,6 +8,7 @@
 //! wide gate).
 
 use maddpipe_sim::circuit::{CircuitBuilder, NetId};
+use std::fmt;
 
 /// Builds an active-high completion tree: the output rises only after
 /// *every* input is high.
@@ -21,7 +22,11 @@ use maddpipe_sim::circuit::{CircuitBuilder, NetId};
 /// # Panics
 ///
 /// Panics if `inputs` is empty.
-pub fn build_completion_tree(b: &mut CircuitBuilder, name: &str, inputs: &[NetId]) -> NetId {
+pub fn build_completion_tree(
+    b: &mut CircuitBuilder,
+    name: impl fmt::Display,
+    inputs: &[NetId],
+) -> NetId {
     assert!(
         !inputs.is_empty(),
         "completion tree needs at least one input"
@@ -35,21 +40,21 @@ pub fn build_completion_tree(b: &mut CircuitBuilder, name: &str, inputs: &[NetId
         while i + 1 < level.len() {
             let (a, pa) = level[i];
             let (c, pc) = level[i + 1];
-            let gate_name = format!("{name}.t{stage}_{}", i / 2);
+            let gate_name = format_args!("{name}.t{stage}_{}", i / 2);
             let merged = match (pa, pc) {
                 (true, true) => {
                     // AND of two active-high → NAND, result active-low.
-                    (b.nand2(&gate_name, [a, c]), false)
+                    (b.nand2(gate_name, [a, c]), false)
                 }
                 (false, false) => {
                     // AND of two active-low  → NOR, result active-high.
-                    (b.nor2(&gate_name, [a, c]), true)
+                    (b.nor2(gate_name, [a, c]), true)
                 }
                 (true, false) | (false, true) => {
                     // Mixed polarity: invert the active-low one first.
                     let (lo, hi) = if pa { (c, a) } else { (a, c) };
-                    let fixed = b.inv(&format!("{gate_name}.fix"), lo);
-                    (b.nand2(&gate_name, [fixed, hi]), false)
+                    let fixed = b.inv(format_args!("{gate_name}.fix"), lo);
+                    (b.nand2(gate_name, [fixed, hi]), false)
                 }
             };
             next.push(merged);
@@ -60,7 +65,7 @@ pub fn build_completion_tree(b: &mut CircuitBuilder, name: &str, inputs: &[NetId
         }
         // A single active-low survivor needs a final inverter.
         if next.len() == 1 && !next[0].1 {
-            let inv = b.inv(&format!("{name}.t{stage}_out"), next[0].0);
+            let inv = b.inv(format_args!("{name}.t{stage}_out"), next[0].0);
             next[0] = (inv, true);
         }
         level = next;
@@ -90,7 +95,7 @@ mod tests {
     fn tree_sim(n: usize) -> (Simulator, Vec<NetId>, NetId) {
         let lib = CellLibrary::new(Technology::n22(), OperatingPoint::default());
         let mut b = CircuitBuilder::new(lib);
-        let inputs: Vec<NetId> = (0..n).map(|i| b.input(format!("in{i}"))).collect();
+        let inputs: Vec<NetId> = (0..n).map(|i| b.input(format_args!("in{i}"))).collect();
         let out = build_completion_tree(&mut b, "rcd", &inputs);
         let sim = Simulator::new(b.build());
         (sim, inputs, out)

@@ -142,8 +142,12 @@ pub struct MismatchSampler {
 
 impl MismatchSampler {
     /// Next delay multiplier. Clamped below at 0.05 so a pathological tail
-    /// sample can never produce a non-physical negative delay.
+    /// sample can never produce a non-physical negative delay. Without
+    /// mismatch every multiplier is exactly 1, so no normal is drawn.
     pub fn sample(&mut self) -> f64 {
+        if self.sigma == 0.0 {
+            return 1.0;
+        }
         (1.0 + self.sigma * self.rng.next_standard_normal()).max(0.05)
     }
 }

@@ -146,26 +146,26 @@ fn build(n_inputs: usize, ops: &[(GateOp, usize)]) -> (Circuit, Vec<NetId>, Vec<
     for (k, (op, domain)) in ops.iter().enumerate() {
         b.set_domain(DOMAINS[domain % DOMAINS.len()]);
         let out = match *op {
-            GateOp::Inv(a) => b.inv(&format!("g{k}"), pick(&pool, a)),
-            GateOp::Buf(a) => b.buf_gate(&format!("g{k}"), [pick(&pool, a)]),
-            GateOp::Nand2(a, c) => b.nand2(&format!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
-            GateOp::Nor2(a, c) => b.nor2(&format!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
-            GateOp::And2(a, c) => b.and2(&format!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
-            GateOp::Or2(a, c) => b.or2(&format!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
-            GateOp::Xor2(a, c) => b.xor2(&format!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
+            GateOp::Inv(a) => b.inv(format_args!("g{k}"), pick(&pool, a)),
+            GateOp::Buf(a) => b.buf_gate(format_args!("g{k}"), [pick(&pool, a)]),
+            GateOp::Nand2(a, c) => b.nand2(format_args!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
+            GateOp::Nor2(a, c) => b.nor2(format_args!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
+            GateOp::And2(a, c) => b.and2(format_args!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
+            GateOp::Or2(a, c) => b.or2(format_args!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
+            GateOp::Xor2(a, c) => b.xor2(format_args!("g{k}"), [pick(&pool, a), pick(&pool, c)]),
             GateOp::Nand3(a, c, d) => b.nand3(
-                &format!("g{k}"),
+                format_args!("g{k}"),
                 [pick(&pool, a), pick(&pool, c), pick(&pool, d)],
             ),
             GateOp::Mux2(a, c, s) => b.mux2(
-                &format!("g{k}"),
+                format_args!("g{k}"),
                 pick(&pool, a),
                 pick(&pool, c),
                 pick(&pool, s),
             ),
             GateOp::FullAdder(a, c, d) => {
                 let (s, carry) = b.full_adder(
-                    &format!("g{k}"),
+                    format_args!("g{k}"),
                     pick(&pool, a),
                     pick(&pool, c),
                     pick(&pool, d),
@@ -173,7 +173,7 @@ fn build(n_inputs: usize, ops: &[(GateOp, usize)]) -> (Circuit, Vec<NetId>, Vec<
                 pool.push(s);
                 carry
             }
-            GateOp::Latch(d, g) => b.latch(&format!("g{k}"), pick(&pool, d), pick(&pool, g)),
+            GateOp::Latch(d, g) => b.latch(format_args!("g{k}"), pick(&pool, d), pick(&pool, g)),
             GateOp::CElement(a, c) => {
                 let t = b.library_mut().timing(CellClass::CElement);
                 let q = b.net(format!("g{k}.q"));
@@ -182,7 +182,7 @@ fn build(n_inputs: usize, ops: &[(GateOp, usize)]) -> (Circuit, Vec<NetId>, Vec<
                 q
             }
             GateOp::DelayLine(a, d) => b.delay_line(
-                &format!("g{k}"),
+                format_args!("g{k}"),
                 pick(&pool, a),
                 SimTime::from_femtos(d as u64 * 10),
             ),
@@ -228,7 +228,7 @@ fn build(n_inputs: usize, ops: &[(GateOp, usize)]) -> (Circuit, Vec<NetId>, Vec<
                 for (i, &r) in rows.iter().enumerate() {
                     let row = pick(&pool, r);
                     ins.push(if inverted {
-                        b.inv(&format!("g{k}.rwl{i}"), row)
+                        b.inv(format_args!("g{k}.rwl{i}"), row)
                     } else {
                         row
                     });
