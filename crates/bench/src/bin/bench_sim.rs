@@ -1,6 +1,8 @@
 //! Machine-readable performance ledger: event-kernel and macro rates,
-//! plus the backend and serving rows the repository benchmark
-//! (`perfbench/`) does not run, written to `results/BENCH_sim.json`.
+//! MADDNESS against exact GEMM, the analytic model, plus the backend and
+//! serving rows the repository benchmark (`perfbench/`) does not run,
+//! written to `results/BENCH_sim.json`. It is the workspace's one
+//! harness for host timings.
 //!
 //! Every row is the nearest-rank median and quartiles of `n` samples
 //! taken in one run, so a row is read against the spread of its own
@@ -16,16 +18,21 @@
 //! nothing — the CI sanity check that the serving path still moves
 //! tokens.
 
+use maddpipe_amm::prelude::{
+    AmmOperator, BdtEncoder, ExactMatmul, MaddnessMatmul, MaddnessParams, Mat,
+};
 use maddpipe_bench::kernel_workloads::{
     bus_fanout_sim, completion_tree_sim, flagship_testbench, inverter_chain, macro_testbench,
 };
 use maddpipe_bench::load_gen::{drive, LoadMode, LoadScenario};
 use maddpipe_core::config::MacroConfig;
 use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram};
+use maddpipe_core::model::MacroModel;
 use maddpipe_nn::network::Network;
 use maddpipe_runtime::prelude::*;
 use maddpipe_sim::prelude::*;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const SCHEMA: &str = "maddpipe-bench-sim/v2";
@@ -198,10 +205,10 @@ fn bus_fanout_events_per_sec() -> Spread {
     })
 }
 
-/// Tokens and events per second through the small reference macro, 64
-/// tokens one at a time through `run_token` per sample.
-fn macro_rates() -> [Spread; 2] {
-    let (mut rtl, tokens) = macro_testbench();
+/// Tokens and events per second through an `ndec` × `ns` macro at
+/// 0.8 V TTG, 64 tokens one at a time through `run_token` per sample.
+fn macro_rates(ndec: usize, ns: usize) -> [Spread; 2] {
+    let (mut rtl, tokens) = macro_testbench(ndec, ns);
     let mut k = 0usize;
     sample(5, || {
         let e0 = rtl.simulator().stats().events_popped;
@@ -234,13 +241,16 @@ fn flagship_rates() -> [Spread; 2] {
 }
 
 /// Milliseconds to build a netlist (construct, seal, compile and the
-/// power-up settle), for the flagship and the small reference macro,
-/// sampled in turn. A build is what every corner, mismatch sample, RTL
-/// session and replica respawn pays; dropping the netlist is not timed.
+/// power-up settle), for the flagship, the small reference macro and a
+/// 4 × 8 macro, sampled in turn. A build is what every corner, mismatch
+/// sample, RTL session and replica respawn pays; dropping the netlist is
+/// not timed.
 fn netlist_build_rows() -> Rows {
     let (cfg, program) = flagship();
-    let small_cfg = MacroConfig::new(2, 2).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
-    let small_program = MacroProgram::random(2, 2, 7);
+    let nominal =
+        |ndec, ns| MacroConfig::new(ndec, ns).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
+    let (small_cfg, small_program) = (nominal(2, 2), MacroProgram::random(2, 2, 7));
+    let (mid_cfg, mid_program) = (nominal(4, 8), MacroProgram::random(4, 8, 3));
     let build_ms = |cfg: &MacroConfig, program: &MacroProgram| {
         let t0 = Instant::now();
         let rtl = AcceleratorRtl::build(cfg, program);
@@ -248,13 +258,102 @@ fn netlist_build_rows() -> Rows {
         drop(rtl);
         ms
     };
-    let [flagship, small] = sample(7, || {
+    let [flagship, small, mid] = sample(7, || {
         [
             build_ms(&cfg, &program),
             build_ms(&small_cfg, &small_program),
+            build_ms(&mid_cfg, &mid_program),
         ]
     });
-    vec![("flagship_ms", flagship), ("macro_ndec2_ns2_ms", small)]
+    vec![
+        ("flagship_ms", flagship),
+        ("macro_ndec2_ns2_ms", small),
+        ("macro_ndec4_ns8_ms", mid),
+    ]
+}
+
+/// A deterministic `n` × `d` calibration matrix with entries in [−1, 1].
+fn calibration(n: usize, d: usize) -> Mat {
+    let rows: Vec<Vec<f32>> = (0..n)
+        .map(|i| {
+            (0..d)
+                .map(|j| (((i * 31 + j * 17) % 23) as f32 - 11.0) / 11.0)
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+    Mat::from_rows(&refs)
+}
+
+/// MADDNESS against exact GEMM on the host, the software view of the
+/// paper's premise that table lookups replace multiplications: at the
+/// flagship macro's shape (d = 32 channels × 9 = 288 inputs, 16 outputs)
+/// the int8 LUT matmul, its encode step alone and the exact product, in
+/// rows per second over 8 calls on 512 rows, sampled in turn; then the
+/// milliseconds to train a 4-level BDT encoder on 256 and on 1,024 rows
+/// of 9 features, sampled in turn.
+fn amm_rows() -> Rows {
+    let d = 32 * 9;
+    let x = calibration(512, d);
+    let mut w = Mat::zeros(d, 16);
+    for r in 0..d {
+        for c in 0..16 {
+            w[(r, c)] = (((r * 7 + c * 13) % 19) as f32 - 9.0) / 9.0;
+        }
+    }
+    let op = MaddnessMatmul::train(&x, &w, MaddnessParams::default()).expect("MADDNESS trains");
+    let exact = ExactMatmul::new(w);
+    let rows_per_sec = |f: &dyn Fn()| {
+        rate(|| {
+            for _ in 0..8 {
+                f();
+            }
+            8 * x.rows() as u64
+        })
+    };
+    let [int8, encode, gemm] = sample(7, || {
+        [
+            rows_per_sec(&|| {
+                black_box(op.matmul(&x));
+            }),
+            rows_per_sec(&|| {
+                black_box(op.encode_quantized(&x));
+            }),
+            rows_per_sec(&|| {
+                black_box(exact.apply(&x));
+            }),
+        ]
+    });
+    let data = [calibration(256, 9), calibration(1024, 9)];
+    let [bdt256, bdt1024] = sample(7, || {
+        data.each_ref().map(|data| {
+            let t0 = Instant::now();
+            black_box(BdtEncoder::train(data, 4).expect("the BDT trains"));
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+    });
+    vec![
+        ("maddness_int8_rows_per_sec", int8),
+        ("maddness_encode_only_rows_per_sec", encode),
+        ("exact_gemm_rows_per_sec", gemm),
+        ("bdt_train_rows256_ms", bdt256),
+        ("bdt_train_rows1024_ms", bdt1024),
+    ]
+}
+
+/// Microseconds per flagship `MacroModel` evaluation (construction
+/// included), the fast path every sweep takes, over 1,000 calls per
+/// sample.
+fn analytic_model_rows() -> Rows {
+    let cfg = MacroConfig::paper_flagship();
+    let [evaluate] = sample(7, || {
+        let t0 = Instant::now();
+        for _ in 0..1000 {
+            black_box(MacroModel::new(cfg.clone()).evaluate());
+        }
+        [t0.elapsed().as_secs_f64() * 1e6 / 1000.0]
+    });
+    vec![("flagship_evaluate_us", evaluate)]
 }
 
 /// The flagship shape and the random program every flagship row serves.
@@ -536,7 +635,8 @@ fn chaos_rows() -> Rows {
 
 /// The full ledger, in the order it is measured and written.
 fn ledger(host_cpus: usize) -> Vec<Section> {
-    let [macro_tokens, macro_events] = macro_rates();
+    let [macro_tokens, macro_events] = macro_rates(2, 2);
+    let [mid_tokens, mid_events] = macro_rates(4, 8);
     let [flagship_tokens, flagship_events] = flagship_rates();
     vec![
         (
@@ -547,6 +647,7 @@ fn ledger(host_cpus: usize) -> Vec<Section> {
                 ("completion_tree_128", tree_events_per_sec()),
                 ("bus_fanout_16", bus_fanout_events_per_sec()),
                 ("macro_ndec2_ns2", macro_events),
+                ("macro_ndec4_ns8", mid_events),
                 ("macro_flagship", flagship_events),
             ],
         ),
@@ -554,10 +655,13 @@ fn ledger(host_cpus: usize) -> Vec<Section> {
             "tokens_per_sec",
             vec![
                 ("macro_ndec2_ns2", macro_tokens),
+                ("macro_ndec4_ns8", mid_tokens),
                 ("macro_flagship", flagship_tokens),
             ],
         ),
         ("netlist_build", netlist_build_rows()),
+        ("amm", amm_rows()),
+        ("analytic_model", analytic_model_rows()),
         ("backend_tokens_per_sec", backend_rows()),
         ("functional_workers", functional_workers_rows(host_cpus)),
         ("cache", cache_rows()),

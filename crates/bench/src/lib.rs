@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (run them with `cargo run -p maddpipe-bench --bin <name>
-//! --release`), the `bench_sim` performance ledger, and the Criterion
-//! micro-benchmarks `amm_throughput` and `macro_tokens`.
+//! --release`) and the `bench_sim` performance ledger, the one harness
+//! for host timings.
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -175,11 +175,14 @@ pub mod kernel_workloads {
         (Simulator::new(b.build()), bus)
     }
 
-    /// A small but complete macro (2 decoders × 2 stages) plus a bag of
-    /// random tokens to stream through it.
+    /// A small but complete macro (`ndec` decoders × `ns` stages at
+    /// 0.8 V TTG) plus a bag of 16 random tokens to stream through it.
     #[allow(clippy::type_complexity)]
-    pub fn macro_testbench() -> (AcceleratorRtl, Vec<Vec<[i8; SUBVECTOR_LEN]>>) {
-        let cfg = MacroConfig::new(2, 2).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
+    pub fn macro_testbench(
+        ndec: usize,
+        ns: usize,
+    ) -> (AcceleratorRtl, Vec<Vec<[i8; SUBVECTOR_LEN]>>) {
+        let cfg = MacroConfig::new(ndec, ns).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
         testbench(&cfg, 16)
     }
 

@@ -19,22 +19,17 @@
 //!   queue; whichever wakes first takes the next micro-batch, so
 //!   independent micro-batches run concurrently on different replicas.
 //! * **Per-client fairness.** Under [`Fairness::RoundRobin`], requests
-//!   are tagged with a submitter key
-//!   ([`SubmitOptions::with_client`]) and micro-batches are filled by
-//!   cycling clients — one hot client submitting a deep backlog cannot
-//!   starve the others. [`Fairness::Fifo`] preserves strict arrival
-//!   order (the single-queue behaviour).
+//!   are tagged with a submitter key ([`SubmitOptions::with_client`])
+//!   and micro-batches are filled by cycling clients, so one hot client's
+//!   deep backlog cannot starve the others. [`Fairness::Fifo`] is the
+//!   same loop over one key for every request: strict arrival order.
 //! * **Deadline-aware batching.** Each request's dispatch deadline is
 //!   the smaller of the policy's [`QueuePolicy::max_linger`] and its
 //!   own [`SubmitOptions::with_deadline`] latency target; a replica
 //!   ships a partial micro-batch as soon as the earliest pending
-//!   deadline passes instead of lingering for a fuller batch. Never
-//!   before it, and within tens of µs after it: a timed wait on Linux
-//!   returns about 57 µs late (the default 50 µs timer slack plus the
-//!   wake-up), so a replica's wait ends 60 µs short of the deadline and
-//!   the replica yields its CPU between rescans for the rest of the way.
-//!   A wait longer than a millisecond is split in two so that its
-//!   second, short part ends inside those 60 µs.
+//!   deadline passes instead of lingering for a fuller batch: never
+//!   before it, and within tens of µs after it (see
+//!   [`QueuePolicy::max_linger`] for how the timed waits get there).
 //! * **Typed backpressure on two axes.**
 //!   [`QueuePolicy::max_depth`] bounds unresolved *requests* and
 //!   [`QueuePolicy::max_pending_tokens`] bounds queued *tokens*, each
@@ -42,22 +37,28 @@
 //!   [`BackendError::QueueFull`].
 //! * **Supervision and recovery.** Under the pool's
 //!   [`RecoveryPolicy`], a micro-batch that fails transiently
-//!   ([`BackendError::is_transient`]) is re-queued riders-intact and
-//!   held back by an exponential backoff — per-client order preserved,
-//!   no replica thread asleep — while a replica that panics is rebuilt
-//!   in place from its recipe up to a restart budget. A replica that
-//!   crashes through its budget is *quarantined*: the pool keeps
-//!   serving at reduced capacity ([`PoolHealth`] reports the
-//!   degradation) and tickets only resolve
-//!   [`BackendError::QueueClosed`] once zero replicas remain. This is
-//!   the serving stack's only retry loop: a
-//!   [`ShardedBackend`](crate::sharded::ShardedBackend) surfaces a
-//!   transient shard failure once, as a transient
+//!   ([`BackendError::is_transient`]) goes back to the front of the room
+//!   rider by rider, each held back by an exponential backoff, with no
+//!   replica thread asleep; a replica that panics is rebuilt in place
+//!   from its recipe up to a restart budget. A held rider holds its own
+//!   client's *later* requests only, which keeps per-client order; the
+//!   requests ahead of it and every other client's keep flowing. A
+//!   replica that crashes through its budget is *quarantined*: the pool
+//!   keeps serving at reduced capacity ([`PoolHealth`] reports the
+//!   degradation) and tickets only resolve [`BackendError::QueueClosed`]
+//!   once zero replicas remain. This is the serving stack's only retry
+//!   loop: a [`ShardedBackend`](crate::sharded::ShardedBackend) surfaces
+//!   a transient shard failure once, as a transient
 //!   [`BackendError::Shard`], and the pool re-runs the micro-batch.
 //!
-//! The waiting-room discipline mirrors the single queue: whole requests
-//! are never split across micro-batches or replicas, and tickets always
-//! resolve (results, a typed backend error after the retry budget, or
+//! A request is one record from submission to resolution, and the pool
+//! has one lock. Each replica turn reads the waiting room once: the read
+//! that decides to dispatch is the one the micro-batch is filled from.
+//! A finished micro-batch frees or re-queues its riders, records its
+//! stats and its replica's counters under that lock, then resolves its
+//! tickets outside it. Whole requests are never split across
+//! micro-batches or replicas, and tickets always resolve (results, a
+//! typed backend error after the retry budget, or
 //! [`BackendError::QueueClosed`] if the last replica dies first).
 //!
 //! ```
@@ -108,9 +109,10 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fairness {
     /// Strict arrival order: requests are packed front-to-back, never
-    /// reordered. (A request backing off after a transient failure
-    /// holds only its own client's later requests; other clients keep
-    /// flowing.)
+    /// reordered — round-robin's loop over one key for every request,
+    /// so client keys change nothing. (A request backing off after a
+    /// transient failure holds only its own client's later requests;
+    /// other clients keep flowing.)
     #[default]
     Fifo,
     /// Round-robin across submitter keys: micro-batches are filled by
@@ -133,10 +135,10 @@ pub enum Fairness {
 /// whose backend panicked is rebuilt in place from its
 /// [`ReplicaFactory`] recipe up to `respawn` times; past that budget it
 /// is quarantined and the pool serves on at reduced capacity. Either way
-/// the [`PoolHealth`] counters move before the crashed micro-batch's
-/// riders are re-queued, so a reply resolved after the crash always
-/// finds the respawn or the quarantine counted. This is the serving
-/// stack's one retry loop: nothing below the pool retries.
+/// the [`PoolHealth`] counters move under the lock that re-queues the
+/// crashed micro-batch's riders, so a reply resolved after the crash
+/// always finds the respawn or the quarantine counted. This is the
+/// serving stack's one retry loop: nothing below the pool retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// How many times a transiently-failed rider is re-queued before
@@ -195,12 +197,6 @@ impl RecoveryPolicy {
     pub fn with_respawn(mut self, respawn: u32) -> RecoveryPolicy {
         self.respawn = respawn;
         self
-    }
-
-    /// The hold-off before a rider that has already failed `attempts`
-    /// times may dispatch again: `backoff * 2^attempts`, saturating.
-    pub(crate) fn backoff_for(&self, attempts: u32) -> Duration {
-        self.backoff.saturating_mul(1u32 << attempts.min(16))
     }
 }
 
@@ -329,7 +325,9 @@ impl SubmitOptions {
     }
 }
 
-/// One accepted submission waiting for a replica.
+/// One accepted submission, from `admit` until its ticket resolves: it
+/// waits in the room, rides a micro-batch, and goes back to the room as
+/// it came when that micro-batch fails transiently.
 struct PendingRequest {
     batch: TokenBatch,
     ticket: Arc<TicketCell<QueueReply>>,
@@ -349,7 +347,8 @@ struct PendingRequest {
     retry_at: Option<Instant>,
 }
 
-/// The replica/submitter shared state.
+/// The replica/submitter shared state, behind the pool's one lock.
+#[derive(Default)]
 struct PoolState {
     pending: VecDeque<PendingRequest>,
     /// Tokens across `pending`, maintained on push/pop so admission and
@@ -358,9 +357,6 @@ struct PoolState {
     /// Requests accepted but not yet resolved — queued *or* executing.
     /// What [`QueuePolicy::max_depth`] bounds.
     outstanding: usize,
-    /// Deepest `outstanding` seen at submit time; it only grows, and
-    /// [`ReplicaPool::stats`] folds it into every snapshot.
-    max_depth_seen: u64,
     /// `false` once the pool stops accepting submissions.
     open: bool,
     /// Replica threads still in their serve loop. Hits 0 only when
@@ -373,8 +369,8 @@ struct PoolState {
     quarantined: usize,
     /// Successful in-place replica respawns.
     restarts: u64,
-    /// Client served last by round-robin coalescing; the next
-    /// micro-batch resumes the cycle after it.
+    /// Fairness key served last by coalescing; the next micro-batch
+    /// resumes the cycle after it.
     rr_last: Option<u64>,
     /// Replica wait-loop iterations — a scheduling diagnostic that
     /// stays flat while the pool idles (the no-busy-spin invariant,
@@ -383,13 +379,16 @@ struct PoolState {
     /// a lone request waiting out a 200 µs linger takes 13–17 turns, a
     /// 2 ms one 3–4 (its timed wait overshoots most of the window).
     wakeups: u64,
+    /// What the pool measured, recorded under this lock by whoever
+    /// changes what it describes: a submission its backlog depth, a
+    /// micro-batch its dispatch, waits, retries and cache counters.
+    stats: SessionStats,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
     /// Signalled on every submission, resolution, re-queue and close.
     work: Condvar,
-    stats: Mutex<SessionStats>,
     /// When the pool opened — the denominator of per-replica
     /// utilisation.
     started: Instant,
@@ -463,19 +462,11 @@ impl ReplicaPool {
         .normalised();
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
-                pending: VecDeque::new(),
-                pending_tokens: 0,
-                outstanding: 0,
-                max_depth_seen: 0,
                 open: true,
                 live: recipes.len(),
-                quarantined: 0,
-                restarts: 0,
-                rr_last: None,
-                wakeups: 0,
+                ..PoolState::default()
             }),
             work: Condvar::new(),
-            stats: Mutex::new(SessionStats::default()),
             started: Instant::now(),
         });
         let mut replicas = Vec::with_capacity(recipes.len());
@@ -506,17 +497,12 @@ impl ReplicaPool {
             replicas.push(handle);
             readiness.push(ready_rx);
         }
-        let mut failure = None;
-        for ready_rx in readiness {
-            let outcome = match ready_rx.recv() {
-                Ok(Ok(())) => None,
-                Ok(Err(e)) => Some(e),
-                Err(_) => Some(BackendError::QueueClosed),
-            };
-            if failure.is_none() {
-                failure = outcome;
-            }
-        }
+        // Every replica reports before the pool opens; the first failure
+        // wins.
+        let failure = readiness.into_iter().fold(None, |first, ready_rx| {
+            let ready = ready_rx.recv().unwrap_or(Err(BackendError::QueueClosed));
+            first.or(ready.err())
+        });
         if let Some(error) = failure {
             // Tear the pool down: replicas that did come up drain out of
             // their loops once the queue is closed and empty.
@@ -629,7 +615,8 @@ impl ReplicaPool {
             None => queue.max_linger,
         };
         state.outstanding += 1;
-        state.max_depth_seen = state.max_depth_seen.max(state.outstanding as u64);
+        let depth = state.outstanding as u64;
+        state.stats.record_queue_depth(depth);
         state.pending_tokens += batch.len();
         state.pending.push_back(PendingRequest {
             batch,
@@ -673,14 +660,10 @@ impl ReplicaPool {
     /// backlog observed, per-replica dispatch counts, busy time against
     /// the pool's uptime, and the [`PoolHealth`] degradation picture.
     pub fn stats(&self) -> SessionStats {
-        // Fold in the backlog high-water mark (state lock strictly
-        // before stats lock, the crate-wide order).
-        let (depth_seen, health) = {
+        let (mut stats, health) = {
             let state = self.shared.lock_state();
-            (state.max_depth_seen, state.health(self.policy.replicas))
+            (state.stats.clone(), state.health(self.policy.replicas))
         };
-        let mut stats = self.shared.stats.lock().expect("stats lock").clone();
-        stats.record_queue_depth(depth_seen);
         stats.note_pool(self.policy.replicas, self.shared.started.elapsed());
         stats.note_pool_health(health);
         stats
@@ -754,49 +737,132 @@ impl core::fmt::Debug for ReplicaPool {
     }
 }
 
-/// A replica's per-micro-batch guard: settles the backpressure
-/// accounting exactly once and, if dropped with tickets still armed (a
-/// replica unwinding out of its own scheduling code), fails them with
-/// [`BackendError::QueueClosed`] — so neither `outstanding` nor any
-/// accepted ticket can leak, whichever way the micro-batch ends.
+/// A replica's micro-batch in flight. It owns its riders from the moment
+/// they leave the waiting room until [`finish`](BatchInFlight::finish)
+/// resolves or re-queues each one. Dropped with riders aboard (a replica
+/// unwinding out of its own scheduling code), it frees the slots not yet
+/// freed and fails those riders with [`BackendError::QueueClosed`] — so
+/// neither `outstanding` nor any accepted ticket can leak, whichever way
+/// the micro-batch ends.
 struct BatchInFlight<'a> {
     shared: &'a PoolShared,
-    unsettled: usize,
-    tickets: Vec<Arc<TicketCell<QueueReply>>>,
+    riders: Vec<PendingRequest>,
+    /// When the riders left the room; each one's queue wait ends here.
+    dispatched: Instant,
+    /// Whether `outstanding` no longer counts the riders aboard.
+    settled: bool,
 }
 
 impl BatchInFlight<'_> {
-    /// Frees the whole micro-batch's backpressure capacity (idempotent).
-    fn settle(&mut self) {
-        self.settle_n(self.unsettled);
-    }
-
-    /// Frees `n` riders' backpressure slots — the riders whose tickets
-    /// are about to resolve.
-    fn settle_n(&mut self, n: usize) {
-        let n = n.min(self.unsettled);
-        if n > 0 {
-            self.shared.lock_state().outstanding -= n;
-            self.unsettled -= n;
-            // Wake drain-waiting replicas: `outstanding` reaching zero
-            // is part of their exit condition.
-            self.shared.work.notify_all();
+    /// Ends the micro-batch with its `outcome`. Under one lock: riders
+    /// that failed transiently with retry budget left go back to the
+    /// front of the room, in their order, held back by an exponential
+    /// backoff and keeping their slots (still unresolved, still counted
+    /// by `max_depth`); every other rider frees its slot; the stats
+    /// record the dispatch; and `note` moves the replica's own counters
+    /// (its cache, a respawn, a quarantine). Only then, outside the lock,
+    /// do the leaving riders' tickets resolve, so a woken submitter finds
+    /// its slot open and a reply finds every counter moved.
+    fn finish(
+        mut self,
+        policy: &ServePolicy,
+        replica: usize,
+        service: Duration,
+        outcome: Result<BatchResult, BackendError>,
+        note: impl FnOnce(&mut PoolState),
+    ) {
+        let budget = match &outcome {
+            Err(error) if error.is_transient() => policy.recovery.max_retries,
+            _ => 0,
+        };
+        let (requeued, leaving): (Vec<_>, Vec<_>) = std::mem::take(&mut self.riders)
+            .into_iter()
+            .partition(|rider| rider.attempts < budget);
+        self.riders = leaving;
+        let leaving_tokens: usize = self.riders.iter().map(|r| r.batch.len()).sum();
+        let waits: Vec<Duration> = self
+            .riders
+            .iter()
+            .map(|r| self.dispatched.saturating_duration_since(r.submitted))
+            .collect();
+        let (now, backoff) = (Instant::now(), policy.recovery.backoff);
+        {
+            let mut state = self.shared.lock_state();
+            state.outstanding -= self.riders.len();
+            self.settled = true;
+            state.pending_tokens += requeued.iter().map(|r| r.batch.len()).sum::<usize>();
+            state.stats.record_retries(requeued.len() as u64);
+            for mut rider in requeued.into_iter().rev() {
+                // `backoff * 2^attempts` after the failed attempts so far.
+                rider.retry_at =
+                    now.checked_add(backoff.saturating_mul(1 << rider.attempts.min(16)));
+                rider.attempts += 1;
+                state.pending.push_front(rider);
+            }
+            if let Ok(result) = &outcome {
+                state.stats.absorb(result, service);
+            }
+            // Only riders that resolve count queue-side; a retried rider
+            // is absorbed once, on its final attempt.
+            if leaving_tokens > 0 {
+                state.stats.absorb_queue_side(leaving_tokens, &waits);
+            }
+            state.stats.record_replica_dispatch(replica, service);
+            note(&mut state);
         }
-    }
-
-    /// Hands `n` riders' slots back to the waiting room *without*
-    /// freeing them: a re-queued rider is still unresolved and still
-    /// counted by `max_depth`.
-    fn transfer_n(&mut self, n: usize) {
-        self.unsettled = self.unsettled.saturating_sub(n);
+        self.shared.work.notify_all();
+        match outcome {
+            Ok(result) => {
+                // Hand each rider its rows, in one copy; a lone rider
+                // takes the whole result. `absorb` above has read them
+                // already.
+                let (backend, makespan) = (result.backend, result.makespan);
+                let reply = |queue_wait: Duration, tokens: Observations| {
+                    let energy = fold_all(tokens.iter().map(|o| o.energy), |a, b| a + b);
+                    Ok(QueueReply {
+                        result: BatchResult {
+                            backend,
+                            tokens,
+                            makespan,
+                            energy,
+                        },
+                        queue_wait,
+                        service,
+                        coalesced_tokens: leaving_tokens,
+                        replica,
+                    })
+                };
+                if let [rider] = self.riders.as_slice() {
+                    rider.ticket.resolve(reply(waits[0], result.tokens), || ());
+                } else {
+                    let mut start = 0;
+                    for (rider, &wait) in self.riders.iter().zip(&waits) {
+                        let end = start + rider.batch.len();
+                        rider
+                            .ticket
+                            .resolve(reply(wait, result.tokens.slice(start..end)), || ());
+                        start = end;
+                    }
+                }
+            }
+            Err(error) => {
+                for rider in &self.riders {
+                    rider.ticket.resolve(Err(error.clone()), || ());
+                }
+            }
+        }
+        self.riders.clear();
     }
 }
 
 impl Drop for BatchInFlight<'_> {
     fn drop(&mut self) {
-        self.settle();
-        for ticket in self.tickets.drain(..) {
-            ticket.resolve(Err(BackendError::QueueClosed), || ());
+        if !self.settled {
+            self.shared.lock_state().outstanding -= self.riders.len();
+            self.shared.work.notify_all();
+        }
+        for rider in self.riders.drain(..) {
+            rider.ticket.resolve(Err(BackendError::QueueClosed), || ());
         }
     }
 }
@@ -817,9 +883,8 @@ struct ReplicaExit<'a> {
 
 impl ReplicaExit<'_> {
     /// Counts the replica out of `live` (and into `quarantined`), once.
-    fn count(&mut self) {
+    fn count(&mut self, state: &mut PoolState) {
         if !std::mem::replace(&mut self.counted, true) {
-            let mut state = self.shared.lock_state();
             state.live = state.live.saturating_sub(1);
             if self.quarantine {
                 state.quarantined += 1;
@@ -830,8 +895,8 @@ impl ReplicaExit<'_> {
 
 impl Drop for ReplicaExit<'_> {
     fn drop(&mut self) {
-        self.count();
         let mut state = self.shared.lock_state();
+        self.count(&mut state);
         if state.live > 0 {
             drop(state);
             self.shared.work.notify_all();
@@ -852,204 +917,126 @@ impl Drop for ReplicaExit<'_> {
     }
 }
 
-/// What a replica's scan of the waiting room found: how many tokens are
-/// dispatchable right now, the earliest dispatch deadline among them,
-/// and the earliest instant a held (backing-off) rider matures.
+/// What a replica's read of the waiting room found at one instant: the
+/// requests dispatchable now and their tokens, the earliest dispatch
+/// deadline among them, and the earliest instant a held (backing-off)
+/// rider matures. A replica keeps one and rereads into it every turn.
+#[derive(Default)]
 struct RoomScan {
+    /// Room indices of the dispatchable requests, in room order — all
+    /// that [`coalesce`] picks from.
+    eligible: Vec<usize>,
     eligible_tokens: usize,
     next_deadline: Option<Instant>,
     next_retry: Option<Instant>,
+    /// Clients held behind one of their riders backing off.
+    held: Vec<u64>,
 }
 
-/// Scans the waiting room at `now`. A rider still inside its backoff
-/// window is *held*, and holds every later pending request of the same
-/// client with it — that is what preserves per-client order across
-/// retries. Requests of other clients stay eligible.
-fn scan_room(state: &PoolState, now: Instant) -> RoomScan {
-    let mut held_clients: Vec<u64> = Vec::new();
-    let mut scan = RoomScan {
-        eligible_tokens: 0,
-        next_deadline: None,
-        next_retry: None,
-    };
-    for request in &state.pending {
-        if held_clients.contains(&request.client) {
-            continue;
-        }
-        match request.retry_at {
-            Some(at) if at > now => {
-                held_clients.push(request.client);
-                scan.next_retry = Some(scan.next_retry.map_or(at, |b| b.min(at)));
+impl RoomScan {
+    /// Reads `room` at `now`. A rider still inside its backoff window is
+    /// *held*, and holds every later request of its client with it —
+    /// that is what keeps per-client order across retries. Requests
+    /// ahead of it in the room, and every other client's, stay eligible.
+    fn read(&mut self, room: &VecDeque<PendingRequest>, now: Instant) {
+        self.eligible.clear();
+        self.held.clear();
+        self.eligible_tokens = 0;
+        self.next_deadline = None;
+        self.next_retry = None;
+        for (index, request) in room.iter().enumerate() {
+            if self.held.contains(&request.client) {
+                continue;
             }
-            _ => {
-                scan.eligible_tokens += request.batch.len();
-                if let Some(deadline) = request.dispatch_by {
-                    scan.next_deadline =
-                        Some(scan.next_deadline.map_or(deadline, |b| b.min(deadline)));
+            match request.retry_at {
+                Some(at) if at > now => {
+                    self.held.push(request.client);
+                    self.next_retry = Some(self.next_retry.map_or(at, |b| b.min(at)));
+                }
+                _ => {
+                    self.eligible.push(index);
+                    self.eligible_tokens += request.batch.len();
+                    if let Some(deadline) = request.dispatch_by {
+                        self.next_deadline =
+                            Some(self.next_deadline.map_or(deadline, |b| b.min(deadline)));
+                    }
                 }
             }
         }
     }
-    scan
 }
 
-/// Fills one micro-batch from the waiting room under the policy's
-/// fairness discipline. Whole requests only, up to `max_batch` tokens
-/// (a single oversized request rides alone); riders still backing off —
-/// and their clients' later requests — are left queued. Returns the
-/// picked requests and their total token count.
+/// Fills one micro-batch from the `eligible` requests of the room:
+/// whole requests only, up to `max_batch` tokens (a single oversized
+/// request rides alone). Both disciplines run one loop, which cycles
+/// through fairness keys — each client under [`Fairness::RoundRobin`],
+/// one key for every request under [`Fairness::Fifo`] — taking each
+/// key's oldest eligible request per turn and resuming after the key
+/// served last. A key leaves the cycle when its next request would
+/// overfill the batch, so one key is strict arrival order. Returns the
+/// riders in room order; at least one when `eligible` is not empty.
 fn coalesce(
     state: &mut PoolState,
     policy: &ServePolicy,
-    now: Instant,
-) -> (Vec<PendingRequest>, usize) {
-    let mut held: Vec<u64> = Vec::new();
-    for request in &state.pending {
-        if request.retry_at.is_some_and(|at| at > now) && !held.contains(&request.client) {
-            held.push(request.client);
+    eligible: &[usize],
+) -> Vec<PendingRequest> {
+    let max_batch = policy.queue.max_batch;
+    let room = &state.pending;
+    let key = |index: usize| match policy.fairness {
+        Fairness::Fifo => 0,
+        Fairness::RoundRobin => room[index].client,
+    };
+    // Each key with a cursor into `eligible`, in order of the key's
+    // oldest eligible request, the cycle resumed just past the key
+    // served last.
+    let mut cycle: Vec<(u64, usize)> = Vec::new();
+    for (at, &index) in eligible.iter().enumerate() {
+        let k = key(index);
+        if cycle.iter().all(|&(c, _)| c != k) {
+            cycle.push((k, at));
         }
     }
-    let mut picked = Vec::new();
-    let mut total = 0usize;
-    match policy.fairness {
-        Fairness::Fifo => {
-            let mut index = 0usize;
-            while index < state.pending.len() {
-                let request = &state.pending[index];
-                if held.contains(&request.client) {
-                    index += 1;
-                    continue;
-                }
-                let len = request.batch.len();
-                if !picked.is_empty() && total + len > policy.queue.max_batch {
-                    break;
-                }
-                let request = state.pending.remove(index).expect("index exists");
-                state.pending_tokens -= len;
-                total += len;
-                picked.push(request);
-                // The removal shifted the next candidate into `index`.
-            }
-        }
-        Fairness::RoundRobin => {
-            // Clients in order of their oldest pending request, the
-            // cycle resumed just past the last client served.
-            let mut clients: Vec<u64> = Vec::new();
-            for request in &state.pending {
-                if !held.contains(&request.client) && !clients.contains(&request.client) {
-                    clients.push(request.client);
-                }
-            }
-            if let Some(last) = state.rr_last {
-                if let Some(pos) = clients.iter().position(|&c| c == last) {
-                    clients.rotate_left(pos + 1);
-                }
-            }
-            let mut progressed = true;
-            'fill: while progressed {
-                progressed = false;
-                for &client in &clients {
-                    let Some(index) = state.pending.iter().position(|r| r.client == client) else {
-                        continue;
-                    };
-                    let len = state.pending[index].batch.len();
-                    if !picked.is_empty() && total + len > policy.queue.max_batch {
-                        continue;
-                    }
-                    let request = state.pending.remove(index).expect("index exists");
-                    state.pending_tokens -= len;
-                    total += len;
-                    state.rr_last = Some(client);
-                    picked.push(request);
-                    progressed = true;
-                    if total >= policy.queue.max_batch {
-                        break 'fill;
-                    }
-                }
-            }
-        }
-    }
-    (picked, total)
-}
-
-/// A picked request's bookkeeping while its tokens ride a micro-batch.
-/// It keeps its own batch, so a retry re-queues it as it came.
-struct Rider {
-    batch: TokenBatch,
-    ticket: Arc<TicketCell<QueueReply>>,
-    submitted: Instant,
-    client: u64,
-    dispatch_by: Option<Instant>,
-    attempts: u32,
-    queue_wait: Duration,
-}
-
-/// The retry path: a micro-batch failed transiently (typed transient
-/// error or replica panic). Each rider with budget left is re-queued at
-/// the *front* of the waiting room — original order, original ticket,
-/// original deadline — held back by an exponential backoff; riders out
-/// of budget resolve with the typed error.
-fn retry_or_fail(
-    shared: &PoolShared,
-    policy: &ServePolicy,
-    replica: usize,
-    guard: &mut BatchInFlight<'_>,
-    riders: Vec<Rider>,
-    error: &BackendError,
-    service: Duration,
-) {
-    let recovery = &policy.recovery;
-    let now = Instant::now();
-    let mut requeued: Vec<PendingRequest> = Vec::new();
-    let mut failed: Vec<Arc<TicketCell<QueueReply>>> = Vec::new();
-    let mut failed_tokens = 0usize;
-    let mut failed_waits: Vec<Duration> = Vec::new();
-    for rider in riders {
-        if rider.attempts < recovery.max_retries {
-            requeued.push(PendingRequest {
-                batch: rider.batch,
-                ticket: rider.ticket,
-                submitted: rider.submitted,
-                client: rider.client,
-                dispatch_by: rider.dispatch_by,
-                attempts: rider.attempts + 1,
-                retry_at: now.checked_add(recovery.backoff_for(rider.attempts)),
-            });
-        } else {
-            failed_tokens += rider.batch.len();
-            failed_waits.push(rider.queue_wait);
-            failed.push(rider.ticket);
-        }
-    }
-    let retried = requeued.len() as u64;
-    // Re-queued riders keep their backpressure slots (still unresolved);
-    // failed riders free theirs before their tickets resolve, so a woken
-    // submitter deterministically finds the room open.
-    guard.transfer_n(requeued.len());
-    guard.settle_n(failed.len());
-    if !requeued.is_empty() {
-        let mut state = shared.lock_state();
-        state.pending_tokens += requeued.iter().map(|r| r.batch.len()).sum::<usize>();
-        for request in requeued.into_iter().rev() {
-            state.pending.push_front(request);
-        }
-        drop(state);
-        shared.work.notify_all();
-    }
+    if let Some(last) = state
+        .rr_last
+        .and_then(|last| cycle.iter().position(|&(k, _)| k == last))
     {
-        let mut stats = shared.stats.lock().expect("stats lock");
-        stats.record_retries(retried);
-        if failed_tokens > 0 {
-            // Only riders that actually resolve count queue-side here;
-            // a retried rider is absorbed once, on its final attempt.
-            stats.absorb_queue_side(failed_tokens, &failed_waits);
+        cycle.rotate_left(last + 1);
+    }
+    let mut picked: Vec<usize> = Vec::new();
+    let mut total = 0;
+    let mut turn = 0;
+    while total < max_batch && !cycle.is_empty() {
+        turn %= cycle.len();
+        let (k, from) = cycle[turn];
+        let next = eligible[from..]
+            .iter()
+            .position(|&index| key(index) == k)
+            .map(|p| from + p);
+        match next {
+            Some(at)
+                if picked.is_empty() || total + room[eligible[at]].batch.len() <= max_batch =>
+            {
+                picked.push(eligible[at]);
+                total += room[eligible[at]].batch.len();
+                cycle[turn].1 = at + 1;
+                state.rr_last = Some(k);
+                turn += 1;
+            }
+            // No eligible request left, or the next no longer fits.
+            _ => {
+                cycle.remove(turn);
+            }
         }
-        stats.record_replica_dispatch(replica, service);
     }
-    for ticket in failed {
-        ticket.resolve(Err(error.clone()), || ());
-    }
-    guard.tickets.clear();
+    state.pending_tokens -= total;
+    picked.sort_unstable();
+    let mut riders: Vec<PendingRequest> = picked
+        .iter()
+        .rev()
+        .map(|&index| state.pending.remove(index).expect("a scanned index"))
+        .collect();
+    riders.reverse();
+    riders
 }
 
 /// How far ahead of a wake instant (a linger deadline or a backoff
@@ -1088,9 +1075,11 @@ const LONG_WAIT: Duration = Duration::from_millis(1);
 /// wait, and more than the first part's own overshoot.
 const LAST_WAIT: Duration = Duration::from_micros(200);
 
-/// One replica's loop: collect → coalesce → run → split → resolve,
-/// retrying transient failures and surviving backend panics, until the
-/// pool is closed *and* nothing unresolved remains.
+/// One replica's loop: collect → coalesce → run → finish, retrying
+/// transient failures and surviving backend panics, until the pool is
+/// closed *and* nothing unresolved remains. Each turn reads the waiting
+/// room once: the read that decides to dispatch is the one coalescing
+/// picks from.
 fn replica_loop(
     shared: &PoolShared,
     policy: &ServePolicy,
@@ -1104,6 +1093,7 @@ fn replica_loop(
         counted: false,
     };
     let mut respawns_left = policy.recovery.respawn;
+    let mut scan = RoomScan::default();
     loop {
         // ── Collect: wait for work, linger for a fuller micro-batch ──
         let mut state = shared.lock_state();
@@ -1120,9 +1110,12 @@ fn replica_loop(
                 continue;
             }
             let now = Instant::now();
-            let scan = scan_room(&state, now);
-            if scan.eligible_tokens > 0
-                && (scan.eligible_tokens >= policy.queue.max_batch || !state.open)
+            scan.read(&state.pending, now);
+            // Dispatch once the batch is full, a deadline has passed (only
+            // eligible requests carry one) or the pool drains.
+            if scan.eligible_tokens >= policy.queue.max_batch
+                || scan.next_deadline.is_some_and(|deadline| deadline <= now)
+                || (!state.open && !scan.eligible.is_empty())
             {
                 break;
             }
@@ -1130,22 +1123,11 @@ fn replica_loop(
             // backing-off rider maturing; an unrepresentable deadline
             // across the whole room ("wait until the batch fills")
             // degrades to an untimed wait — work or close() wakes us.
-            let wake = match (scan.next_deadline, scan.next_retry) {
-                (Some(d), Some(r)) => Some(d.min(r)),
-                (d, r) => d.or(r),
-            };
-            let Some(wake) = wake else {
+            let Some(wake) = scan.next_deadline.into_iter().chain(scan.next_retry).min() else {
                 state = shared.work.wait(state).unwrap_or_else(|p| p.into_inner());
                 continue;
             };
             let left = wake.saturating_duration_since(now);
-            if left.is_zero() {
-                if scan.eligible_tokens > 0 {
-                    break;
-                }
-                // A held rider just matured; rescan makes it eligible.
-                continue;
-            }
             if left > WAKE_EARLY {
                 // Sleep until `WAKE_EARLY` short of the wake instant; the
                 // timer's lateness uses up most of the rest. A long wait
@@ -1173,198 +1155,92 @@ fn replica_loop(
         }
 
         // ── Coalesce: whole requests per the fairness discipline ──
-        let (picked, total) = coalesce(&mut state, policy, Instant::now());
+        let riders = coalesce(&mut state, policy, &scan.eligible);
         drop(state);
-        if picked.is_empty() {
-            // Another replica emptied the waiting room between our
-            // wakeup and the coalesce; go back to waiting.
-            continue;
-        }
         // Let sibling replicas pick up what this micro-batch left
         // behind, instead of lingering until their own timeouts fire.
         shared.work.notify_all();
 
         // ── Run: one backend call for the whole micro-batch ──
-        let mut guard = BatchInFlight {
+        let guard = BatchInFlight {
             shared,
-            unsettled: picked.len(),
-            tickets: picked.iter().map(|p| Arc::clone(&p.ticket)).collect(),
+            riders,
+            dispatched: Instant::now(),
+            settled: false,
         };
-        let dispatched = Instant::now();
-        let mut riders: Vec<Rider> = picked
-            .into_iter()
-            .map(|request| Rider {
-                batch: request.batch,
-                ticket: request.ticket,
-                submitted: request.submitted,
-                client: request.client,
-                dispatch_by: request.dispatch_by,
-                attempts: request.attempts,
-                queue_wait: dispatched.saturating_duration_since(request.submitted),
-            })
-            .collect();
         // One copy of every rider into the micro-batch; a lone rider's
         // batch is shared as it is.
-        let micro = TokenBatch::concat(riders.iter().map(|r| &r.batch))
+        let micro = TokenBatch::concat(guard.riders.iter().map(|r| &r.batch))
             .expect("submit checked every rider against the pool's shape");
         // A panicking backend must not take the whole pool down with it:
         // catch the unwind, re-queue the riders, and respawn or retire
         // this replica. `AssertUnwindSafe` is sound here because the
         // backend is discarded (rebuilt or retired) after any panic.
-        let outcome =
+        let ran =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| backend.run_batch(&micro)));
-        let service = dispatched.elapsed();
-        // A custom backend that broke the one-observation-per-token
-        // contract gets a typed rejection, not mis-sliced outputs —
-        // fatal, not transient: the backend would do it again.
-        let outcome = outcome.map(|ran| {
-            ran.and_then(|result| {
-                if result.tokens.len() == micro.len() {
-                    return Ok(result);
-                }
-                Err(BackendError::MalformedProgram {
-                    reason: format!(
-                        "backend returned {} observations for a {}-token micro-batch",
-                        result.tokens.len(),
-                        micro.len()
-                    ),
-                })
-            })
-        });
-        let waits: Vec<Duration> = riders.iter().map(|r| r.queue_wait).collect();
-
-        // Harvest this replica's cache counters after every non-panic
-        // attempt — failed ones included: a transient fault still
-        // counted its misses, and skipping it would understate lookups.
-        // After a panic the backend is about to be discarded, so its
-        // last snapshot is simply lost with it.
-        if outcome.is_ok() {
-            if let Some(cache) = backend.cache_stats() {
-                shared
-                    .stats
-                    .lock()
-                    .expect("stats lock")
-                    .note_cache(replica, cache);
-            }
-        }
-
-        // ── Split and resolve: each ticket gets its own token slice ──
-        match outcome {
-            Ok(Ok(result)) => {
-                // Free backpressure capacity before resolving, so a
-                // submitter woken by its ticket deterministically finds
-                // the slot open.
-                guard.settle();
-                {
-                    let mut stats = shared.stats.lock().expect("stats lock");
-                    stats.absorb_queued(&result, service, &waits);
-                    stats.record_replica_dispatch(replica, service);
-                }
-                // Hand each rider its rows, in one copy; a lone rider
-                // takes the whole result. `absorb_queued` above has read
-                // them already.
-                let (backend, makespan) = (result.backend, result.makespan);
-                let resolve = |rider: Rider, tokens: Observations| {
-                    let energy = fold_all(tokens.iter().map(|o| o.energy), |a, b| a + b);
-                    rider.ticket.resolve(
-                        Ok(QueueReply {
-                            result: BatchResult {
-                                backend,
-                                tokens,
-                                makespan,
-                                energy,
-                            },
-                            queue_wait: rider.queue_wait,
-                            service,
-                            coalesced_tokens: total,
-                            replica,
-                        }),
-                        || (),
-                    );
-                };
-                if riders.len() == 1 {
-                    resolve(riders.pop().expect("one rider"), result.tokens);
-                } else {
-                    let mut start = 0;
-                    for rider in riders {
-                        let end = start + rider.batch.len();
-                        let tokens = result.tokens.slice(start..end);
-                        start = end;
-                        resolve(rider, tokens);
+        let service = guard.dispatched.elapsed();
+        match ran {
+            Ok(ran) => {
+                // A custom backend that broke the one-observation-per-token
+                // contract gets a typed rejection, not mis-sliced outputs
+                // — fatal, not transient: the backend would do it again.
+                let outcome = ran.and_then(|result| {
+                    if result.tokens.len() == micro.len() {
+                        return Ok(result);
                     }
-                }
-                guard.tickets.clear();
-            }
-            Ok(Err(error)) if error.is_transient() => {
-                retry_or_fail(shared, policy, replica, &mut guard, riders, &error, service);
-            }
-            Ok(Err(error)) => {
-                // Whole-batch rejection with a fatal error (a broken
-                // observation count included): every rider gets it —
-                // retrying would fail identically. The queue-side stats
-                // still count the batch; only the served-token
-                // measurements are success-only.
-                guard.settle();
-                {
-                    let mut stats = shared.stats.lock().expect("stats lock");
-                    stats.absorb_queue_side(micro.len(), &waits);
-                    stats.record_replica_dispatch(replica, service);
-                }
-                for rider in riders {
-                    rider.ticket.resolve(Err(error.clone()), || ());
-                }
-                guard.tickets.clear();
+                    Err(BackendError::MalformedProgram {
+                        reason: format!(
+                            "backend returned {} observations for a {}-token micro-batch",
+                            result.tokens.len(),
+                            micro.len()
+                        ),
+                    })
+                });
+                // Harvest this replica's cache counters after every
+                // attempt that returned — failed ones included: a
+                // transient fault still counted its misses.
+                let cache = backend.cache_stats();
+                guard.finish(policy, replica, service, outcome, |state| {
+                    if let Some(cache) = cache {
+                        state.stats.note_cache(replica, cache);
+                    }
+                });
             }
             Err(_panic) => {
-                // The panicked backend is poisoned, and its cache stores
-                // die with it: retire its slot, so a rebuilt backend's
-                // fresh stores count from zero beside the dead ones.
-                shared
-                    .stats
-                    .lock()
-                    .expect("stats lock")
-                    .retire_cache(replica);
-                // Rebuild it from the recipe while the restart budget
-                // lasts. The riders wait for the rebuild, so a reply that
-                // resolves after the crash always finds the respawn
-                // counted.
-                let mut fresh = None;
-                while fresh.is_none() && respawns_left > 0 {
+                // The panicked backend is poisoned: rebuild it from the
+                // recipe while the restart budget lasts. A recipe that
+                // itself panics or errors burns a respawn and tries again
+                // (or falls through to quarantine).
+                let mut rebuilt = None;
+                while rebuilt.is_none() && respawns_left > 0 {
                     respawns_left -= 1;
-                    // A recipe that itself panics or errors burns a
-                    // respawn and tries again (or falls through to
-                    // quarantine).
-                    if let Ok(Ok(rebuilt)) =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| recipe()))
-                    {
-                        fresh = Some(rebuilt);
-                    }
+                    rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| recipe()))
+                        .ok()
+                        .and_then(Result::ok);
                 }
-                let respawned = match fresh {
-                    Some(rebuilt) => {
-                        backend = rebuilt;
-                        shared.lock_state().restarts += 1;
-                        true
-                    }
-                    None => {
-                        // Crash through the budget: quarantined from here
-                        // on, so a survivor's reply to a re-queued rider
-                        // finds it counted.
-                        exit.count();
-                        false
-                    }
-                };
-                // The riders are blameless until proven otherwise:
-                // re-queue them under the retry budget (another replica
-                // — or this one, rebuilt — picks them up).
-                retry_or_fail(
-                    shared,
+                let respawned = rebuilt.is_some();
+                if let Some(rebuilt) = rebuilt {
+                    backend = rebuilt;
+                }
+                // The riders are blameless until proven otherwise: they go
+                // back to the room under the retry budget in the lock that
+                // counts the respawn or the quarantine, so a reply resolved
+                // after the crash always finds it counted. The dead
+                // backend's cache stores die with it; retiring its slot
+                // lets a rebuilt backend's stores count from zero.
+                guard.finish(
                     policy,
                     replica,
-                    &mut guard,
-                    riders,
-                    &BackendError::ReplicaPanicked,
                     service,
+                    Err(BackendError::ReplicaPanicked),
+                    |state| {
+                        state.stats.retire_cache(replica);
+                        if respawned {
+                            state.restarts += 1;
+                        } else {
+                            exit.count(state);
+                        }
+                    },
                 );
                 if !respawned {
                     // The exit guard closes the pool if no replica is
@@ -1535,6 +1411,79 @@ mod tests {
         );
         let line = stats.to_string();
         assert!(line.contains("2/2 replicas healthy"), "{line}");
+    }
+
+    /// One replica turn at `now` over a room of 2-token requests, each
+    /// given as its client and, for a rider re-queued once, its backoff
+    /// end: the room positions the read counted eligible and those
+    /// coalescing took, in room order.
+    fn turn(
+        room: &[(u64, Option<Instant>)],
+        fairness: Fairness,
+        max_batch: usize,
+        now: Instant,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let mut state = PoolState::default();
+        for &(client, retry_at) in room {
+            state.pending_tokens += 2;
+            state.pending.push_back(PendingRequest {
+                batch: TokenBatch::random(2, 2, client),
+                ticket: TicketCell::new(),
+                submitted: now,
+                client,
+                dispatch_by: Some(now),
+                attempts: u32::from(retry_at.is_some()),
+                retry_at,
+            });
+        }
+        let tickets: Vec<_> = state
+            .pending
+            .iter()
+            .map(|r| Arc::clone(&r.ticket))
+            .collect();
+        let policy = ServePolicy::default()
+            .with_fairness(fairness)
+            .with_queue(QueuePolicy::default().with_max_batch(max_batch));
+        let mut scan = RoomScan::default();
+        scan.read(&state.pending, now);
+        let taken = coalesce(&mut state, &policy, &scan.eligible)
+            .iter()
+            .map(|r| tickets.iter().position(|t| Arc::ptr_eq(t, &r.ticket)))
+            .map(|at| at.expect("a rider comes from the room"))
+            .collect();
+        assert_eq!(state.pending_tokens, 2 * state.pending.len());
+        (scan.eligible, taken)
+    }
+
+    #[test]
+    fn a_turn_dispatches_what_it_counted_eligible_and_nothing_behind_a_held_rider() {
+        let now = Instant::now();
+        // A rider matured at `now`, one held for a minute, a fresh request.
+        let (m, h, f) = (Some(now), Some(now + Duration::from_secs(60)), None);
+        let (a, b) = (0, 1);
+        // Each room as (client, backoff end) in room order, with the
+        // positions a read counts eligible and those sitting behind (or
+        // being) a held rider of their own client.
+        let rooms = [
+            (vec![(a, m), (a, h)], vec![0], vec![1]),
+            (vec![(a, h), (a, m)], vec![], vec![0, 1]),
+            (vec![(a, m), (b, f), (a, h), (b, f)], vec![0, 1, 3], vec![2]),
+            (vec![(a, h), (b, f), (a, m), (b, f)], vec![1, 3], vec![0, 2]),
+        ];
+        for fairness in [Fairness::Fifo, Fairness::RoundRobin] {
+            for (room, eligible, behind_held) in &rooms {
+                // A bound every eligible request fits, and one that fits
+                // a single 2-token request.
+                for max_batch in [64, 2] {
+                    let (counted, taken) = turn(room, fairness, max_batch, now);
+                    let case = format!("{fairness:?}, max_batch {max_batch}, room {room:?}");
+                    assert_eq!(&counted, eligible, "{case}");
+                    let fit = eligible.len().min(max_batch / 2);
+                    assert_eq!(taken, &eligible[..fit], "{case}");
+                    assert!(taken.iter().all(|at| !behind_held.contains(at)), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -326,7 +326,9 @@ impl StageProfile {
 }
 
 impl SessionStats {
-    fn absorb(&mut self, result: &BatchResult, wall: Duration) {
+    /// Folds one served batch into the statistics: tokens, wall time,
+    /// energy and token latencies.
+    pub(crate) fn absorb(&mut self, result: &BatchResult, wall: Duration) {
         self.tokens += result.tokens.len() as u64;
         self.batches += 1;
         self.wall += wall;
@@ -346,19 +348,6 @@ impl SessionStats {
         for latency in result.tokens.iter().filter_map(|t| t.latency) {
             self.latencies.push(latency.value());
         }
-    }
-
-    /// Folds one *successfully served* micro-batch into the statistics:
-    /// the batch itself (tokens, wall time, energy, token latencies)
-    /// plus the queue-side view.
-    pub(crate) fn absorb_queued(
-        &mut self,
-        result: &BatchResult,
-        service: Duration,
-        waits: &[Duration],
-    ) {
-        self.absorb(result, service);
-        self.absorb_queue_side(result.tokens.len(), waits);
     }
 
     /// Folds one dispatched micro-batch's queue-side view — one wait
@@ -1087,16 +1076,14 @@ mod tests {
     #[test]
     fn queued_micro_batches_feed_queue_stats() {
         let mut stats = SessionStats::default();
-        stats.absorb_queued(
+        // A served micro-batch: the batch itself, then its queue side.
+        stats.absorb(
             &result_with_latencies(&[1.0, 2.0, 3.0]),
             Duration::from_millis(2),
-            &[Duration::from_micros(10), Duration::from_micros(30)],
         );
-        stats.absorb_queued(
-            &result_with_latencies(&[4.0]),
-            Duration::from_millis(1),
-            &[Duration::from_micros(20)],
-        );
+        stats.absorb_queue_side(3, &[Duration::from_micros(10), Duration::from_micros(30)]);
+        stats.absorb(&result_with_latencies(&[4.0]), Duration::from_millis(1));
+        stats.absorb_queue_side(1, &[Duration::from_micros(20)]);
         stats.record_queue_depth(2);
         stats.record_queue_depth(5);
         stats.record_queue_depth(3);

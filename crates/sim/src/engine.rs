@@ -280,15 +280,6 @@ impl EventQueue {
     }
 }
 
-/// Why a [`Simulator::run_to_quiescence`] call stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The event queue drained; the circuit is stable at the given time.
-    Quiescent(SimTime),
-    /// The time horizon was reached with events still pending.
-    TimeLimit,
-}
-
 /// Error signalling a circuit that would not settle (combinational loop or
 /// free-running oscillator) within the configured event budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -693,15 +684,6 @@ impl Simulator {
         self.trace.is_enabled(net)
     }
 
-    /// Enables waveform recording on every net (verbose; prefer
-    /// [`Simulator::trace_net`] on the handful of nets of interest).
-    pub fn trace_all(&mut self) {
-        for i in 0..self.circuit.nets.len() {
-            self.trace.enable(NetId(i as u32));
-        }
-        self.observers = true;
-    }
-
     /// Timing/protocol violations recorded so far.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
@@ -758,21 +740,6 @@ impl Simulator {
         }
     }
 
-    /// Processes one **delta cycle**: every queued event scheduled at the
-    /// earliest pending timestamp is drained and applied, then each
-    /// affected cell is evaluated once. Returns the current time after the
-    /// cycle, or `None` when the queue is empty.
-    ///
-    /// Useful for testbenches that must interleave stimulus with fine-
-    /// grained observation (e.g. feeding a pipelined stream).
-    pub fn step(&mut self) -> Option<SimTime> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        self.delta_cycle();
-        Some(self.now)
-    }
-
     /// Runs until the queue drains, returning the time of the last event.
     ///
     /// # Errors
@@ -791,27 +758,6 @@ impl Simulator {
             consumed += self.delta_cycle();
         }
         Ok(self.now)
-    }
-
-    /// Runs until simulation time `horizon` (inclusive). Events scheduled
-    /// later stay queued. Returns how the run ended.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        loop {
-            match self.queue.earliest_time() {
-                Some(t) if t <= horizon => {
-                    self.delta_cycle();
-                }
-                Some(_) => {
-                    self.now = horizon;
-                    return RunOutcome::TimeLimit;
-                }
-                None => {
-                    let t = self.now;
-                    self.now = horizon.max(t);
-                    return RunOutcome::Quiescent(t);
-                }
-            }
-        }
     }
 
     /// Runs until `net` takes `value` or the event queue drains.
@@ -1410,21 +1356,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_horizon() {
-        let mut b = builder();
-        let a = b.input("a");
-        let slow = b.delay_line("wire", a, SimTime::from_nanos(5.0));
-        let mut sim = Simulator::new(b.build());
-        sim.poke(a, Logic::High);
-        let outcome = sim.run_until(SimTime::from_nanos(1.0));
-        assert_eq!(outcome, RunOutcome::TimeLimit);
-        assert_eq!(sim.value(slow), Logic::X, "event still pending");
-        let outcome = sim.run_until(SimTime::from_nanos(10.0));
-        assert!(matches!(outcome, RunOutcome::Quiescent(_)));
-        assert_eq!(sim.value(slow), Logic::High);
-    }
-
-    #[test]
     fn run_until_net_finds_transition_time() {
         let mut b = builder();
         let a = b.input("a");
@@ -1506,7 +1437,7 @@ mod tests {
         sim.run_to_quiescence().unwrap();
         let e1 = sim.total_energy();
         // No stimulus, no energy.
-        sim.run_until(SimTime::from_nanos(100.0));
+        sim.run_to_quiescence().unwrap();
         assert_eq!(sim.total_energy(), e1);
         sim.poke(a, Logic::High);
         sim.run_to_quiescence().unwrap();

@@ -64,7 +64,7 @@ pub mod trace;
 pub use cell::{Cell, Drive, DriveMode, EvalCtx, Violation, ViolationKind};
 pub use cells::CellKind;
 pub use circuit::{Circuit, CircuitBuilder, DomainId, NetId};
-pub use engine::{EdgeWaitOutcome, RunOutcome, SimStats, Simulator};
+pub use engine::{EdgeWaitOutcome, SimStats, Simulator};
 pub use library::{CellClass, CellLibrary, SampledTiming};
 pub use logic::Logic;
 pub use time::SimTime;
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::cell::{Cell, EvalCtx, ViolationKind};
     pub use crate::cells::CellKind;
     pub use crate::circuit::{Circuit, CircuitBuilder, DomainId, NetId};
-    pub use crate::engine::{EdgeWaitOutcome, RunOutcome, Simulator};
+    pub use crate::engine::{EdgeWaitOutcome, Simulator};
     pub use crate::library::{CellClass, CellLibrary, SampledTiming};
     pub use crate::logic::Logic;
     pub use crate::time::SimTime;

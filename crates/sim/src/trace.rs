@@ -89,15 +89,6 @@ impl Trace {
         self.entries.clear();
     }
 
-    /// Entries for one net, in time order.
-    pub fn of_net(&self, net: NetId) -> Vec<TraceEntry> {
-        self.entries
-            .iter()
-            .copied()
-            .filter(|e| e.net == net)
-            .collect()
-    }
-
     /// Renders a VCD document (timescale 1 fs) for all enabled nets.
     pub fn to_vcd(&self, circuit: &Circuit) -> String {
         let mut out = String::new();
@@ -244,18 +235,5 @@ mod tests {
         assert!(vcd.contains("$var wire 1"));
         assert!(vcd.contains("u0.y"), "{vcd}");
         assert!(vcd.lines().any(|l| l.starts_with('#')), "has timestamps");
-    }
-
-    #[test]
-    fn of_net_filters() {
-        let mut t = Trace::new(2);
-        t.enable(NetId(0));
-        t.enable(NetId(1));
-        t.record(SimTime::from_femtos(1), NetId(0), Logic::High);
-        t.record(SimTime::from_femtos(2), NetId(1), Logic::Low);
-        t.record(SimTime::from_femtos(3), NetId(0), Logic::Low);
-        let n0 = t.of_net(NetId(0));
-        assert_eq!(n0.len(), 2);
-        assert!(n0.iter().all(|e| e.net == NetId(0)));
     }
 }

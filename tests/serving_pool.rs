@@ -7,9 +7,10 @@
 //! invisible in each request's own results. On top of that the
 //! scheduling policies are exercised deterministically with a gated
 //! backend: round-robin interleaves clients instead of serving a hot
-//! client's backlog first, a per-request deadline ships a partial
-//! micro-batch instead of waiting out the policy linger, and no partial
-//! micro-batch leaves before its linger or deadline has passed.
+//! client's backlog first, FIFO packs in arrival order whatever the
+//! client keys, a per-request deadline ships a partial micro-batch
+//! instead of waiting out the policy linger, and no partial micro-batch
+//! leaves before its linger or deadline has passed.
 
 use maddpipe::prelude::*;
 use std::sync::{mpsc, Arc, Mutex};
@@ -279,6 +280,66 @@ fn round_robin_interleaves_clients_instead_of_draining_the_hot_one() {
     assert_eq!(started.recv().expect("replica alive"), 2);
     gate.send(()).expect("release");
     a3.wait().expect("served");
+    pool.shutdown();
+}
+
+#[test]
+fn fifo_packs_in_arrival_order_across_client_keys() {
+    // The round-robin test's pool and backlog under FIFO: client keys
+    // change nothing, so the hot client's backlog leaves first.
+    let policy = ServePolicy::default()
+        .with_fairness(Fairness::Fifo)
+        .with_queue(
+            QueuePolicy::default()
+                .with_max_batch(4)
+                .with_max_linger(Duration::ZERO),
+        );
+    let (pool, started, gate) = gated_pool(2, policy);
+
+    // Park the replica on a warm-up so the backlog below queues whole.
+    let warmup = pool
+        .submit_with(
+            TokenBatch::random(2, 1, 9),
+            SubmitOptions::default().with_client(9),
+        )
+        .expect("accepted");
+    assert_eq!(started.recv().expect("replica alive"), 1);
+
+    let submit = |client: u64, seed: u64| {
+        pool.submit_with(
+            TokenBatch::random(2, 2, seed),
+            SubmitOptions::default().with_client(client),
+        )
+        .expect("accepted")
+    };
+    let a1 = submit(0, 100);
+    let a2 = submit(0, 101);
+    let a3 = submit(0, 102);
+    let b1 = submit(1, 200);
+    let c1 = submit(2, 300);
+
+    gate.send(()).expect("release warm-up");
+    warmup.wait().expect("served");
+
+    // Micro-batch 1: A's first two, in arrival order.
+    assert_eq!(started.recv().expect("replica alive"), 4);
+    gate.send(()).expect("release");
+    assert_eq!(a1.wait().expect("served").coalesced_tokens, 4);
+    a2.wait().expect("A2 rides the first micro-batch");
+    assert!(!a3.is_ready(), "A3 is next in line, not yet served");
+    assert!(!b1.is_ready(), "B arrived after A's backlog");
+
+    // Micro-batch 2: A's tail, then B.
+    assert_eq!(started.recv().expect("replica alive"), 4);
+    gate.send(()).expect("release");
+    a3.wait().expect("served");
+    b1.wait().expect("B rides the second micro-batch");
+    assert!(!c1.is_ready(), "C waits for the next micro-batch");
+
+    // Micro-batch 3: only C is left; it ships partial.
+    assert_eq!(started.recv().expect("replica alive"), 2);
+    gate.send(()).expect("release");
+    c1.wait().expect("served");
     pool.shutdown();
 }
 
