@@ -543,12 +543,14 @@ fn closed_loop(clients: usize, requests: usize, tokens: usize) -> LoadScenario {
 /// clients with 16 requests of 64 tokens each, re-driven on `pool` until
 /// at least 200 ms have passed, since one loop is only about 8K tokens
 /// and samples that short spread up to 2× between runs of the same code.
-/// Returns the goodput (tokens/s) and the failed share of requests.
+/// The requests are built once, before the clock starts. Returns the
+/// goodput (tokens/s) and the failed share of requests.
 fn closed_loop_sample(pool: &ReplicaPool) -> [f64; 2] {
+    let load = closed_loop(8, 16, 64).load(pool.ns());
     let start = Instant::now();
     let (mut served, mut offered, mut failed) = (0, 0, 0);
     while start.elapsed() < Duration::from_millis(200) {
-        let report = drive(pool, &closed_loop(8, 16, 64));
+        let report = drive(pool, &load);
         assert_eq!(report.rejected_requests, 0, "a closed loop never rejects");
         served += report.served_tokens;
         offered += report.offered_requests;
@@ -575,19 +577,18 @@ fn replica_pool_rows() -> Rows {
     }
     let offered_rps = (2.0 * r2.median / 64.0).max(50.0);
     let pool = flagship_pool(2, 64);
+    let load = LoadScenario {
+        clients: 8,
+        tokens_per_request: 64,
+        mode: LoadMode::Open {
+            offered_rps,
+            duration: Duration::from_millis(200),
+        },
+        seed: 13,
+    }
+    .load(pool.ns());
     let [goodput, p99_wait_us, rejected] = sample(5, || {
-        let report = drive(
-            &pool,
-            &LoadScenario {
-                clients: 8,
-                tokens_per_request: 64,
-                mode: LoadMode::Open {
-                    offered_rps,
-                    duration: Duration::from_millis(200),
-                },
-                seed: 13,
-            },
-        );
+        let report = drive(&pool, &load);
         [
             report.goodput_tokens_per_sec().unwrap_or(0.0),
             report.p99_wait().map_or(0.0, |d| d.as_secs_f64() * 1e6),
@@ -690,7 +691,7 @@ fn smoke() -> Vec<Section> {
     );
     // A tiny closed loop and open loop through a 2-replica pool.
     let pool = flagship_pool(2, 64);
-    let closed = drive(&pool, &closed_loop(4, 4, 16));
+    let closed = drive(&pool, &closed_loop(4, 4, 16).load(pool.ns()));
     let open = drive(
         &pool,
         &LoadScenario {
@@ -701,7 +702,8 @@ fn smoke() -> Vec<Section> {
                 duration: Duration::from_millis(100),
             },
             seed: 13,
-        },
+        }
+        .load(pool.ns()),
     );
     pool.shutdown();
     assert_eq!(closed.served_requests, closed.offered_requests);
@@ -722,7 +724,7 @@ fn smoke() -> Vec<Section> {
             .with_panic_on_call(0),
         64,
     );
-    let faulted = drive(&chaotic, &closed_loop(4, 4, 16));
+    let faulted = drive(&chaotic, &closed_loop(4, 4, 16).load(chaotic.ns()));
     let chaos_stats = chaotic.shutdown();
     assert_eq!(
         faulted.served_requests + faulted.failed_requests,

@@ -11,10 +11,12 @@
 //!   depth bound pushes back, and the interesting numbers are goodput,
 //!   the rejected share and the p99 queue wait.
 //!
-//! [`drive`] runs either mode from a [`LoadScenario`] and folds every
-//! client's replies into one [`LoadReport`]. The generator only uses
-//! the public pool API (`submit_with` + ticket waits), so what it
-//! measures is exactly what a real multi-threaded client would see.
+//! [`LoadScenario::load`] builds every client's requests before any
+//! clock starts — generating a random token costs more than the
+//! functional kernel spends serving it — and [`drive`] runs them,
+//! folding every client's replies into one [`LoadReport`]. The generator
+//! only uses the public pool API (`submit_with` + ticket waits), so what
+//! it measures is exactly what a real multi-threaded client would see.
 //!
 //! The generator is also fault-tolerant enough to drive a pool wrapped
 //! in a [`ChaosBackend`]: accepted tickets that resolve with an error
@@ -106,13 +108,16 @@ impl LoadReport {
         self.failed_requests as f64 / self.offered_requests as f64
     }
 
-    /// The `q`-quantile queue wait over served requests (`q` in 0..=1).
+    /// The nearest-rank `q`-quantile queue wait over served requests
+    /// (`q` in 0..=1): the smallest wait with at least a `q` share of the
+    /// waits at or below it, so the figure is one of the waits.
     pub fn wait_quantile(&self, q: f64) -> Option<Duration> {
         if self.waits.is_empty() {
             return None;
         }
-        let idx = ((self.waits.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(self.waits[idx])
+        let n = self.waits.len();
+        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+        Some(self.waits[rank - 1])
     }
 
     /// Median queue wait.
@@ -123,6 +128,50 @@ impl LoadReport {
     /// 99th-percentile queue wait.
     pub fn p99_wait(&self) -> Option<Duration> {
         self.wait_quantile(0.99)
+    }
+}
+
+/// A scenario's requests, built: each client's batches in submission
+/// order, and the gap between its consecutive arrivals.
+#[derive(Debug, Clone)]
+pub struct Load {
+    requests: Vec<Vec<TokenBatch>>,
+    /// Zero for a closed loop, whose requests are all due at once.
+    gap: Duration,
+}
+
+impl LoadScenario {
+    /// Builds every client's requests for a pool of `ns` stages. An open
+    /// loop's clients each own an even share of the aggregate arrival
+    /// process: arrivals one gap apart for as long as `duration` lasts.
+    pub fn load(&self, ns: usize) -> Load {
+        let clients = self.clients.max(1);
+        let (count, gap) = match self.mode {
+            LoadMode::Closed {
+                requests_per_client,
+            } => (requests_per_client, Duration::ZERO),
+            LoadMode::Open {
+                offered_rps,
+                duration,
+            } => {
+                let gap =
+                    Duration::from_secs_f64(clients as f64 / offered_rps.max(f64::MIN_POSITIVE));
+                let count = duration.as_nanos().div_ceil(gap.as_nanos().max(1));
+                let count = usize::try_from(count).expect("the arrival count fits a usize");
+                (count, gap)
+            }
+        };
+        let requests = (0..clients)
+            .map(|client| {
+                (0..count)
+                    .map(|k| {
+                        let seed = self.seed.wrapping_add((client * 1_000_000 + k) as u64);
+                        TokenBatch::random(ns, self.tokens_per_request, seed)
+                    })
+                    .collect()
+            })
+            .collect();
+        Load { requests, gap }
     }
 }
 
@@ -151,35 +200,36 @@ fn drain(tickets: Vec<BatchTicket>, tally: &mut ClientTally) {
     }
 }
 
-/// Runs `scenario` against `pool` and reports what every client saw.
-///
-/// Closed loop: each client submits its whole burst, then waits.
-/// Open loop: each client offers its share of `offered_rps` on a fixed
-/// arrival schedule (submissions never block on completions); rejected
-/// arrivals count toward [`LoadReport::rejected_requests`].
-pub fn drive(pool: &ReplicaPool, scenario: &LoadScenario) -> LoadReport {
-    let ns = pool.ns();
-    let clients = scenario.clients.max(1);
+/// Runs `load` against `pool` and reports what every client saw: each
+/// client submits its requests as they fall due (a closed loop's all at
+/// once, an open loop's one gap apart, never blocking on completions),
+/// then waits for them. Rejected arrivals count toward
+/// [`LoadReport::rejected_requests`].
+pub fn drive(pool: &ReplicaPool, load: &Load) -> LoadReport {
     let t0 = Instant::now();
     let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let pool = &pool;
+        let handles: Vec<_> = load
+            .requests
+            .iter()
+            .enumerate()
+            .map(|(client, requests)| {
                 scope.spawn(move || {
                     let opts = SubmitOptions::default().with_client(client as u64);
                     let mut tally = ClientTally {
-                        offered: 0,
+                        offered: requests.len() as u64,
                         rejected: 0,
                         failed: 0,
                         served_tokens: 0,
                         waits: Vec::new(),
                     };
-                    let mut tickets = Vec::new();
-                    let mut submit = |k: usize, tally: &mut ClientTally| {
-                        let seed = scenario.seed.wrapping_add((client * 1_000_000 + k) as u64);
-                        let batch = TokenBatch::random(ns, scenario.tokens_per_request, seed);
-                        tally.offered += 1;
-                        match pool.submit_with(batch, opts) {
+                    let mut tickets = Vec::with_capacity(requests.len());
+                    let start = Instant::now();
+                    for (k, batch) in requests.iter().enumerate() {
+                        let due = start + load.gap.saturating_mul(k as u32);
+                        if let Some(sleep) = due.checked_duration_since(Instant::now()) {
+                            std::thread::sleep(sleep);
+                        }
+                        match pool.submit_with(batch.clone(), opts) {
                             Ok(ticket) => tickets.push(ticket),
                             Err(BackendError::QueueFull { .. }) => tally.rejected += 1,
                             // A chaos run can kill the last replica while
@@ -187,38 +237,6 @@ pub fn drive(pool: &ReplicaPool, scenario: &LoadScenario) -> LoadReport {
                             // dying pool is lost goodput, not a bug.
                             Err(BackendError::QueueClosed) => tally.failed += 1,
                             Err(other) => panic!("load generator hit {other}"),
-                        }
-                    };
-                    match scenario.mode {
-                        LoadMode::Closed {
-                            requests_per_client,
-                        } => {
-                            for k in 0..requests_per_client {
-                                submit(k, &mut tally);
-                            }
-                        }
-                        LoadMode::Open {
-                            offered_rps,
-                            duration,
-                        } => {
-                            // Each client owns an even share of the
-                            // aggregate arrival process.
-                            let gap = Duration::from_secs_f64(
-                                clients as f64 / offered_rps.max(f64::MIN_POSITIVE),
-                            );
-                            let start = Instant::now();
-                            let mut k = 0usize;
-                            loop {
-                                let due = start + gap.saturating_mul(k as u32);
-                                if due.duration_since(start) >= duration {
-                                    break;
-                                }
-                                if let Some(sleep) = due.checked_duration_since(Instant::now()) {
-                                    std::thread::sleep(sleep);
-                                }
-                                submit(k, &mut tally);
-                                k += 1;
-                            }
                         }
                     }
                     drain(tickets, &mut tally);
@@ -275,6 +293,20 @@ mod tests {
     }
 
     #[test]
+    fn waits_take_nearest_ranks() {
+        let report = LoadReport {
+            waits: (1..=4).map(Duration::from_millis).collect(),
+            ..LoadReport::default()
+        };
+        let ms = |q| report.wait_quantile(q).map(|d| d.as_millis());
+        assert_eq!(ms(0.0), Some(1));
+        assert_eq!(ms(0.5), Some(2));
+        assert_eq!(ms(0.51), Some(3));
+        assert_eq!(ms(0.99), Some(4));
+        assert_eq!(LoadReport::default().p50_wait(), None);
+    }
+
+    #[test]
     fn closed_loop_serves_every_offered_request() {
         let pool = small_pool(2, 4096);
         let report = drive(
@@ -286,7 +318,8 @@ mod tests {
                     requests_per_client: 8,
                 },
                 seed: 1,
-            },
+            }
+            .load(pool.ns()),
         );
         assert_eq!(report.offered_requests, 32);
         assert_eq!(report.served_requests, 32);
@@ -314,7 +347,8 @@ mod tests {
                     duration: Duration::from_millis(50),
                 },
                 seed: 2,
-            },
+            }
+            .load(pool.ns()),
         );
         assert!(report.offered_requests > 0);
         assert_eq!(
@@ -356,7 +390,8 @@ mod tests {
                     requests_per_client: 4,
                 },
                 seed: 3,
-            },
+            }
+            .load(pool.ns()),
         );
         assert_eq!(report.offered_requests, 8);
         assert_eq!(

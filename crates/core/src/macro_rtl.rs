@@ -281,11 +281,11 @@ impl From<OscillationError> for TokenError {
 }
 
 /// Per-token observations from one pipelined streaming run
-/// ([`AcceleratorRtl::run_pipelined_observed`]).
+/// ([`AcceleratorRtl::run_pipelined`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelinedRun {
-    /// One output vector per input token, sampled at that token's
-    /// output-register strobe — not just the final token's.
+    /// One output vector per input token, sampled at the fall of that
+    /// token's output-register strobe.
     pub outputs: Vec<Vec<i16>>,
     /// Per-token latency: offer (request raised) to output-register
     /// capture, including any time spent queued behind earlier tokens.
@@ -308,7 +308,9 @@ pub struct AcceleratorRtl {
     req0: NetId,
     ack0: NetId,
     x_inputs: Vec<Vec<Vec<NetId>>>,
-    out_bus: Vec<Vec<NetId>>,
+    /// The output register, [`ACC_BITS`] bits per decoder chain, LSB
+    /// first.
+    out_bits: Vec<NetId>,
     out_strobe: NetId,
     blocks: Vec<BlockPorts>,
 }
@@ -411,8 +413,8 @@ impl AcceleratorRtl {
             .delay(cal.ge_pulse_width, DriveKind::Complementary);
         let out_strobe = b.pulse_gen("out_strobe", req_nets[cfg.ns], t_out, t_out_w);
         let last = blocks.last().expect("ns >= 1");
-        let out_bus: Vec<Vec<NetId>> = (0..cfg.ndec)
-            .map(|j| {
+        let out_bits: Vec<NetId> = (0..cfg.ndec)
+            .flat_map(|j| {
                 let sum = build_rca(
                     &mut b,
                     format_args!("rca{j}"),
@@ -423,7 +425,7 @@ impl AcceleratorRtl {
                 sum.iter()
                     .enumerate()
                     .map(|(i, &bit)| b.latch(format_args!("oreg{j}_{i}"), bit, out_strobe))
-                    .collect()
+                    .collect::<Vec<_>>()
             })
             .collect();
         b.restore_domain(prev_domain);
@@ -439,7 +441,7 @@ impl AcceleratorRtl {
             req0,
             ack0: ack_nets[0],
             x_inputs,
-            out_bus,
+            out_bits,
             out_strobe,
             blocks,
         }
@@ -473,6 +475,12 @@ impl AcceleratorRtl {
     /// The output-register strobe net (for waveform tracing).
     pub fn output_strobe(&self) -> NetId {
         self.out_strobe
+    }
+
+    /// The output register's bit nets, [`ACC_BITS`] per decoder chain,
+    /// LSB first (for waveform tracing).
+    pub fn output_bits(&self) -> &[NetId] {
+        &self.out_bits
     }
 
     /// Validates a token's shape against the macro, reporting the typed
@@ -511,15 +519,8 @@ impl AcceleratorRtl {
     }
 
     fn read_outputs(&self) -> Result<Vec<i16>, TokenError> {
-        self.out_bus
-            .iter()
-            .map(|bus| match self.sim.bus_value(bus) {
-                Some(word) => Ok(word as u16 as i16),
-                None => Err(TokenError::UnknownOutput {
-                    time: self.sim.now(),
-                }),
-            })
-            .collect()
+        let bits: Vec<Logic> = self.out_bits.iter().map(|&n| self.sim.value(n)).collect();
+        register_words(&bits, self.sim.now())
     }
 
     /// Pushes one token through the idle pipeline and waits for it to
@@ -560,10 +561,11 @@ impl AcceleratorRtl {
 
     /// Streams several tokens with pipelining: token `t+1` is offered as
     /// soon as block 0 reopens its input buffer, while token `t` is still
-    /// in flight downstream. Returns the *final* token's outputs (earlier
-    /// results are overwritten in the shared output register — use
-    /// [`AcceleratorRtl::run_token`] for per-token verification) and the
-    /// total makespan.
+    /// in flight downstream. Each token's outputs are those the shared
+    /// output register holds at the falling edge of that token's strobe
+    /// pulse (the latch capture instant), sampled by the kernel
+    /// ([`Simulator::arm_sampler`]); the waveform recorder is left as the
+    /// caller set it.
     ///
     /// Data hazards are impossible by construction: block `s` freezes its
     /// input buffer (`IBE` low) the moment it accepts token `t`, so the
@@ -575,23 +577,51 @@ impl AcceleratorRtl {
     /// Returns [`TokenError::EmptyStream`] for an empty stream,
     /// [`TokenError::ShapeMismatch`] for a malformed token,
     /// [`TokenError::Oscillation`] if the netlist fails to settle,
-    /// [`TokenError::HandshakeStall`] if the pipeline stalls and
-    /// [`TokenError::UnknownOutput`] if the output register holds an `X`
-    /// bit at the end.
+    /// [`TokenError::HandshakeStall`] if the pipeline stalls,
+    /// [`TokenError::UnknownOutput`] if the register holds an `X` bit at
+    /// a capture and [`TokenError::StrobeCount`] unless the stream
+    /// produces exactly one strobe pulse per token.
     pub fn run_pipelined<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
         &mut self,
         tokens: &[T],
-    ) -> Result<(Vec<i16>, SimTime), TokenError> {
-        let (_, makespan) = self.stream_tokens(tokens)?;
-        Ok((self.read_outputs()?, makespan))
+    ) -> Result<PipelinedRun, TokenError> {
+        let e0 = self.sim.total_energy();
+        let t_start = self.sim.now();
+        self.sim.arm_sampler(self.out_strobe, &self.out_bits);
+        let streamed = self.stream_tokens(tokens);
+        let samples = self.sim.take_samples();
+        let offers = streamed?;
+        let makespan = self.sim.now().since(t_start);
+        let energy = self.sim.total_energy() - e0;
+        let outputs = samples
+            .iter()
+            .map(|s| register_words(&s.values, s.time))
+            .collect::<Result<Vec<_>, _>>()?;
+        if outputs.len() != tokens.len() {
+            return Err(TokenError::StrobeCount {
+                tokens: tokens.len(),
+                strobes: outputs.len(),
+            });
+        }
+        Ok(PipelinedRun {
+            outputs,
+            latencies: samples
+                .iter()
+                .zip(&offers)
+                .map(|(s, &o)| s.time.since(o))
+                .collect(),
+            completions: samples.iter().map(|s| s.time.since(t_start)).collect(),
+            makespan,
+            energy,
+        })
     }
 
-    /// The shared pipelined driving loop: offers every token with overlap.
-    /// Returns the absolute offer times and the stream makespan.
+    /// The pipelined driving loop: offers every token with overlap, then
+    /// drains. Returns each token's absolute offer time.
     fn stream_tokens<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
         &mut self,
         tokens: &[T],
-    ) -> Result<(Vec<SimTime>, SimTime), TokenError> {
+    ) -> Result<Vec<SimTime>, TokenError> {
         if tokens.is_empty() {
             return Err(TokenError::EmptyStream);
         }
@@ -600,7 +630,6 @@ impl AcceleratorRtl {
         for (idx, token) in tokens.iter().enumerate() {
             self.check_token_shape(idx, token.as_ref())?;
         }
-        let t_start = self.sim.now();
         let mut offers = Vec::with_capacity(tokens.len());
         let ibe0 = self.blocks[0].ibe;
         let last_ibe = self.blocks.last().expect("ns >= 1").ibe;
@@ -628,133 +657,7 @@ impl AcceleratorRtl {
                 self.wait_edges(&conds)?;
             }
         }
-        Ok((offers, self.sim.now().since(t_start)))
-    }
-
-    /// Streams tokens with pipelining like [`AcceleratorRtl::run_pipelined`],
-    /// but captures **every** token's outputs — not just the final one — by
-    /// watching the output-register strobe: the shared register is sampled
-    /// at each strobe falling edge (the latch capture instant), one strobe
-    /// pulse per token.
-    ///
-    /// The capture rides on the waveform recorder, so this method clears
-    /// any previously recorded trace entries (traced-net selections are
-    /// kept). Enable tracing *after* an observed run when exporting VCDs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TokenError::EmptyStream`] for an empty stream,
-    /// [`TokenError::ShapeMismatch`] for a malformed token,
-    /// [`TokenError::Oscillation`] if the netlist fails to settle,
-    /// [`TokenError::HandshakeStall`] if the pipeline stalls,
-    /// [`TokenError::UnknownOutput`] if the register holds an `X` bit at
-    /// a capture and [`TokenError::StrobeCount`] unless the stream
-    /// produces exactly one strobe pulse per token.
-    pub fn run_pipelined_observed<T: AsRef<[[i8; SUBVECTOR_LEN]]>>(
-        &mut self,
-        tokens: &[T],
-    ) -> Result<PipelinedRun, TokenError> {
-        // Arm the observers: the strobe plus every output-register bit.
-        // Remember which nets this call armed so they can be disarmed
-        // afterwards — a long-lived instance must not keep paying the
-        // recording cost on runs that no longer need it.
-        self.sim.clear_trace();
-        let mut armed = Vec::new();
-        let mut arm = |sim: &mut Simulator, net: NetId| {
-            if !sim.is_traced(net) {
-                sim.trace_net(net);
-                armed.push(net);
-            }
-        };
-        arm(&mut self.sim, self.out_strobe);
-        for bus in &self.out_bus {
-            for &net in bus {
-                arm(&mut self.sim, net);
-            }
-        }
-        // Snapshot the register state *before* the stream so the trace
-        // replay below starts from the correct values (the recorder only
-        // logs changes).
-        let bit_values: Vec<Vec<Logic>> = self
-            .out_bus
-            .iter()
-            .map(|bus| bus.iter().map(|&n| self.sim.value(n)).collect())
-            .collect();
-        let e0 = self.sim.total_energy();
-        let t_start = self.sim.now();
-        let streamed = self.stream_tokens(tokens);
-        // Disarm before error propagation so a rejected stream leaves the
-        // recorder exactly as it was found.
-        for net in armed {
-            self.sim.untrace_net(net);
-        }
-        let (offers, makespan) = streamed?;
-        let energy = self.sim.total_energy() - e0;
-        let captures = self.replay_strobes(bit_values);
-        // The capture is complete; drop the recording so the next run (or
-        // a user-enabled waveform) starts clean.
-        self.sim.clear_trace();
-        let (outputs, capture_times) = captures?;
-        if outputs.len() != tokens.len() {
-            return Err(TokenError::StrobeCount {
-                tokens: tokens.len(),
-                strobes: outputs.len(),
-            });
-        }
-        let latencies = capture_times
-            .iter()
-            .zip(&offers)
-            .map(|(&c, &o)| c.since(o))
-            .collect();
-        Ok(PipelinedRun {
-            outputs,
-            latencies,
-            completions: capture_times.iter().map(|c| c.since(t_start)).collect(),
-            makespan,
-            energy,
-        })
-    }
-
-    /// Replays the recorded output-register and strobe edges from the
-    /// register image `bit_values` taken before the stream, sampling the
-    /// register at each strobe falling edge (the latch capture instant).
-    /// Latch outputs settle strictly between the strobe's rising and
-    /// falling edges (the pulse width covers the latch D→Q delay), so
-    /// in-order replay is exact. Returns each capture's outputs and time.
-    fn replay_strobes(
-        &self,
-        mut bit_values: Vec<Vec<Logic>>,
-    ) -> Result<(Vec<Vec<i16>>, Vec<SimTime>), TokenError> {
-        let net_slot: std::collections::HashMap<NetId, (usize, usize)> = self
-            .out_bus
-            .iter()
-            .enumerate()
-            .flat_map(|(j, bus)| bus.iter().enumerate().map(move |(i, &n)| (n, (j, i))))
-            .collect();
-        let mut outputs = Vec::new();
-        let mut times = Vec::new();
-        let mut strobe_level = Logic::Low;
-        for entry in self.sim.trace_entries() {
-            if entry.net == self.out_strobe {
-                let was_high = strobe_level == Logic::High;
-                strobe_level = entry.value;
-                if was_high && entry.value == Logic::Low {
-                    let sample = bit_values
-                        .iter()
-                        .map(|bits| {
-                            bits_to_u64(bits)
-                                .map(|word| word as u16 as i16)
-                                .ok_or(TokenError::UnknownOutput { time: entry.time })
-                        })
-                        .collect::<Result<Vec<i16>, TokenError>>()?;
-                    outputs.push(sample);
-                    times.push(entry.time);
-                }
-            } else if let Some(&(j, i)) = net_slot.get(&entry.net) {
-                bit_values[j][i] = entry.value;
-            }
-        }
-        Ok((outputs, times))
+        Ok(offers)
     }
 
     /// Runs the simulation until every `(net, value)` pair has been
@@ -778,6 +681,18 @@ impl AcceleratorRtl {
             EdgeWaitOutcome::Quiescent(time) => Err(TokenError::HandshakeStall { time }),
         }
     }
+}
+
+/// The output register's words from its bit values ([`ACC_BITS`] per
+/// decoder chain, LSB first), read at `time`.
+fn register_words(bits: &[Logic], time: SimTime) -> Result<Vec<i16>, TokenError> {
+    bits.chunks(ACC_BITS)
+        .map(|word| {
+            bits_to_u64(word)
+                .map(|w| w as u16 as i16)
+                .ok_or(TokenError::UnknownOutput { time })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -885,13 +800,13 @@ mod tests {
         }
         // Pipelined: same tokens with overlap.
         let mut pip = AcceleratorRtl::build(&cfg, &program);
-        let (final_out, makespan) = pip.run_pipelined(&tokens).unwrap();
+        let run = pip.run_pipelined(&tokens).unwrap();
         assert!(
-            makespan < t_seq,
-            "pipelined makespan {makespan} must beat sequential {t_seq}"
+            run.makespan < t_seq,
+            "pipelined makespan {} must beat sequential {t_seq}",
+            run.makespan
         );
-        // The last token's outputs are read after the full drain.
-        assert_eq!(final_out, program.reference_output(&tokens[2]));
+        assert_eq!(run.outputs[2], program.reference_output(&tokens[2]));
     }
 
     #[test]
@@ -901,7 +816,7 @@ mod tests {
         let mut rtl = AcceleratorRtl::build(&cfg, &program);
         let tokens: Vec<Vec<[i8; SUBVECTOR_LEN]>> =
             (0..5).map(|s| random_token(cfg.ns, 40 + s)).collect();
-        let run = rtl.run_pipelined_observed(&tokens).unwrap();
+        let run = rtl.run_pipelined(&tokens).unwrap();
         assert_eq!(run.outputs.len(), tokens.len());
         for (t, token) in tokens.iter().enumerate() {
             assert_eq!(run.outputs[t], program.reference_output(token), "token {t}");
@@ -916,19 +831,18 @@ mod tests {
         }
         assert!(run.makespan >= *run.completions.last().unwrap());
         assert!(run.energy.value() > 0.0);
-        // A second observed stream on the same instance starts clean.
-        let again = rtl.run_pipelined_observed(&tokens[..2]).unwrap();
+        // A second stream on the same instance starts clean.
+        let again = rtl.run_pipelined(&tokens[..2]).unwrap();
         assert_eq!(again.outputs[0], program.reference_output(&tokens[0]));
         assert_eq!(again.outputs[1], program.reference_output(&tokens[1]));
-        // The observers are disarmed afterwards — later runs must not keep
-        // paying the recording cost.
+        // The caller's recording survives streams: a traced strobe keeps
+        // one rise and one fall per token of both.
         let strobe = rtl.output_strobe();
-        assert!(!rtl.simulator().is_traced(strobe));
-        assert!(rtl.simulator().trace_entries().is_empty());
-        // A net the caller traced *before* an observed run stays traced.
         rtl.simulator_mut().trace_net(strobe);
-        let _ = rtl.run_pipelined_observed(&tokens[..2]).unwrap();
-        assert!(rtl.simulator().is_traced(strobe));
+        for _ in 0..2 {
+            rtl.run_pipelined(&tokens[..2]).unwrap();
+        }
+        assert_eq!(rtl.simulator().trace_entries().len(), 8);
     }
 
     #[test]

@@ -352,33 +352,27 @@ impl PipelineSpec {
     }
 }
 
-/// How one [`MacroStage`] is served: replica count, recovery budget and
-/// the queue policy of its internal [`ReplicaPool`].
+/// How one [`MacroStage`] is served: replica count and recovery budget.
+/// Its internal [`ReplicaPool`] dispatches one item per micro-batch with
+/// zero linger and admits [`PipelinePolicy::capacity`] requests. The
+/// replica that serves an item carries it on through the next hops, so
+/// coalescing items would run their downstream hops one after another on
+/// one replica instead of side by side on several; lingering would only
+/// add latency.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagePolicy {
     /// Data-parallel replicas serving this stage.
     pub replicas: usize,
     /// Retry/respawn budget for this stage's pool.
     pub recovery: RecoveryPolicy,
-    /// The stage pool's coalescing and backpressure policy. The pipeline
-    /// replaces its `max_depth` with [`PipelinePolicy::capacity`], the
-    /// per-hop credit; its other bounds apply as given.
-    pub queue: QueuePolicy,
 }
 
 impl Default for StagePolicy {
-    /// One replica, the default recovery budget, and one item per
-    /// micro-batch with zero linger. The replica that serves an item
-    /// carries it on through the next hops, so coalescing items would run
-    /// their downstream hops one after another on one replica instead of
-    /// side by side on several; lingering would only add latency.
+    /// One replica and the default recovery budget.
     fn default() -> StagePolicy {
         StagePolicy {
             replicas: 1,
             recovery: RecoveryPolicy::default(),
-            queue: QueuePolicy::default()
-                .with_max_batch(1)
-                .with_max_linger(Duration::ZERO),
         }
     }
 }
@@ -395,13 +389,6 @@ impl StagePolicy {
     #[must_use]
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> StagePolicy {
         self.recovery = recovery;
-        self
-    }
-
-    /// Sets the stage pool's queue policy.
-    #[must_use]
-    pub fn with_queue(mut self, queue: QueuePolicy) -> StagePolicy {
-        self.queue = queue;
         self
     }
 }
@@ -615,6 +602,8 @@ impl Chain {
                 return self.finish(&item.cell, Err(stage_err(stage, e)));
             }
         };
+        // A stage pool dispatches one item per micro-batch, so the reply's
+        // service time is this item's alone.
         self.stats()
             .record_stage_item(stage, reply.service, entered.elapsed());
         if let Some(error) = self.failure.get() {
@@ -685,10 +674,12 @@ impl PipelineGraph {
                     let serve = ServePolicy::default()
                         .with_replicas(replicas)
                         .with_recovery(m.policy.recovery)
-                        .with_queue(QueuePolicy {
-                            max_depth: capacity,
-                            ..m.policy.queue
-                        });
+                        .with_queue(
+                            QueuePolicy::default()
+                                .with_max_batch(1)
+                                .with_max_linger(Duration::ZERO)
+                                .with_max_depth(capacity),
+                        );
                     Step::Macro {
                         pool: ReplicaPool::from_recipes(serve, m.ns, vec![m.recipe; replicas])?,
                         encode: m.encode,
@@ -899,14 +890,37 @@ mod tests {
         assert_eq!(PipelinePolicy::default().with_capacity(0).capacity, 1);
         let policy = StagePolicy::default()
             .with_replicas(3)
-            .with_recovery(RecoveryPolicy::none())
-            .with_queue(QueuePolicy::default().with_max_batch(16));
+            .with_recovery(RecoveryPolicy::none());
         assert_eq!(policy.replicas, 3);
-        assert_eq!(policy.queue.max_batch, 16);
+        assert_eq!(policy.recovery, RecoveryPolicy::none());
+        // A built stage pool dispatches one item per micro-batch with zero
+        // linger and admits `capacity` requests.
+        let cfg = MacroConfig::new(1, 1);
+        let stage = MacroStage::new(
+            "m",
+            &cfg,
+            maddpipe_core::macro_rtl::MacroProgram::random(1, 1, 1),
+            BackendKind::Analytic,
+            |_: &[f32]| Ok(TokenBatch::random(1, 1, 0)),
+            |_: &BatchResult| Ok(Vec::new()),
+        )
+        .unwrap()
+        .with_policy(policy);
+        let pipe = PipelineGraph::build(
+            PipelineSpec::new().macro_stage(stage),
+            PipelinePolicy::default().with_capacity(4),
+        )
+        .unwrap();
+        let Step::Macro { pool, .. } = &pipe.chain.steps[0] else {
+            panic!("a macro stage deploys a pool");
+        };
+        assert_eq!(pool.policy().replicas, 3);
         assert_eq!(
-            StagePolicy::default().queue.max_linger,
-            Duration::ZERO,
-            "stage pools do not linger by default"
+            pool.policy().queue,
+            QueuePolicy::default()
+                .with_max_batch(1)
+                .with_max_linger(Duration::ZERO)
+                .with_max_depth(4)
         );
     }
 

@@ -10,10 +10,13 @@ use maddpipe_core::macro_rtl::{AcceleratorRtl, MacroProgram, TokenError};
 ///
 /// * [`Fidelity::Sequential`] drains each token completely before the
 ///   next: per-token observations carry exact latency *and* energy.
-/// * [`Fidelity::Pipelined`] streams tokens with self-synchronous overlap:
-///   per-token outputs are captured at each output-register strobe
-///   (via [`AcceleratorRtl::run_pipelined_observed`]), latency covers
+/// * [`Fidelity::Pipelined`] streams tokens with self-synchronous overlap
+///   through [`AcceleratorRtl::run_pipelined`]: per-token outputs are
+///   sampled at each output-register strobe, latency covers
 ///   offer-to-capture, and energy is reported as a batch aggregate.
+///
+/// Neither mode touches the waveform recorder: nets traced through
+/// [`RtlBackend::rtl_mut`] keep recording across batches of either.
 ///
 /// A batch that breaks the handshake protocol fails with
 /// [`BackendError::Protocol`] and leaves the netlist mid-handshake, so
@@ -114,7 +117,7 @@ impl RtlBackend {
             }
             Fidelity::Pipelined => {
                 let stream: Vec<_> = batch.tokens().iter().collect();
-                let run = self.rtl.run_pipelined_observed(&stream)?;
+                let run = self.rtl.run_pipelined(&stream)?;
                 let mut tokens =
                     Observations::with_capacity(self.rtl.program().ndec(), batch.len());
                 for (outputs, latency) in run.outputs.iter().zip(&run.latencies) {
@@ -224,6 +227,38 @@ mod tests {
                 session().run(&next).expect("a fresh netlist serves"),
                 "seed {seed}"
             );
+        }
+    }
+
+    /// A traced pipelined session keeps its waveform across batches: the
+    /// output strobe's recorded falls count every token of both batches.
+    #[test]
+    fn a_traced_pipelined_session_keeps_its_waveform() {
+        use crate::backend::BackendKind;
+        use crate::session::Session;
+        use maddpipe_sim::logic::Logic;
+        let cfg = cfg();
+        let mut session = Session::builder(cfg.clone())
+            .program(MacroProgram::random(cfg.ndec, cfg.ns, 3))
+            .backend(BackendKind::Rtl {
+                fidelity: Fidelity::Pipelined,
+            })
+            .build()
+            .expect("the program fits");
+        let rtl = session.rtl_mut().expect("an RTL session");
+        let strobe = rtl.output_strobe();
+        rtl.simulator_mut().trace_net(strobe);
+        for batches in 1..=2 {
+            session
+                .run(&TokenBatch::random(cfg.ns, 4, batches as u64))
+                .expect("the batch completes");
+            let sim = session.rtl().expect("an RTL session").simulator();
+            let falls = sim
+                .trace_entries()
+                .iter()
+                .filter(|e| e.net == strobe && e.value == Logic::Low)
+                .count();
+            assert_eq!(falls, 4 * batches, "after batch {batches}");
         }
     }
 

@@ -51,7 +51,10 @@
 //! as an escape hatch for downstream macro-cells). Testbenches that need
 //! to observe handshake edges register them with
 //! [`Simulator::run_until_edges`], which checks watched nets only when
-//! they actually transition instead of polling after every step.
+//! they actually transition instead of polling after every step; those
+//! that read a latch bank at each closing of its enable arm the strobe
+//! sampler ([`Simulator::arm_sampler`]), which compares each transition's
+//! net with the strobe and builds a sample out of line.
 //!
 //! The per-event path takes no branch on a net's level, a gate's
 //! function or an inverter flag: the [`Logic`] operators, the compiled
@@ -338,6 +341,27 @@ struct Watch {
     seen: bool,
 }
 
+/// The values of a sampler's nets at one high→low edge of its strobe
+/// (see [`Simulator::arm_sampler`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StrobeSample {
+    /// When the strobe fell.
+    pub time: SimTime,
+    /// The sampled nets' values at that instant, in the order they were
+    /// armed.
+    pub values: Vec<Logic>,
+}
+
+/// An armed strobe sampler.
+#[derive(Debug)]
+struct Sampler {
+    strobe: NetId,
+    /// The strobe's level, followed across its transitions.
+    level: Logic,
+    nets: Vec<NetId>,
+    samples: Vec<StrobeSample>,
+}
+
 /// Per-net hot record: everything a surviving transition needs, packed in
 /// one cache line instead of scattered across the `Net` table.
 #[derive(Debug, Clone, Copy)]
@@ -459,8 +483,10 @@ pub struct Simulator {
     stats: SimStats,
     event_cap: u64,
     /// `true` while anything wants per-transition callbacks (waveform
-    /// tracing or edge watches) — one branch guards both on the hot path.
+    /// tracing, the strobe sampler or edge watches) — one branch guards
+    /// them all on the hot path.
     observers: bool,
+    sampler: Option<Sampler>,
     // Reusable hot-path scratch state — nothing below is allocated per
     // event once the simulator has warmed up.
     drive_buf: Vec<Drive>,
@@ -589,6 +615,7 @@ impl Simulator {
             stats: SimStats::default(),
             event_cap: 50_000_000,
             observers: false,
+            sampler: None,
             drive_buf: Vec::new(),
             input_buf: Vec::new(),
             trigger_buf: Vec::new(),
@@ -660,28 +687,35 @@ impl Simulator {
         }
     }
 
-    /// Enables waveform recording on a net.
+    /// Enables waveform recording on a net. The recording belongs to the
+    /// caller: nothing in the kernel clears it or stops it.
     pub fn trace_net(&mut self, net: NetId) {
         self.trace.enable(net);
         self.observers = true;
     }
 
-    /// Discards the recorded waveform entries, keeping the traced-net set.
-    /// Long-lived testbenches that replay the trace after every run call
-    /// this between runs so the recording does not grow without bound.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear_entries();
+    /// Arms the strobe sampler: until [`Simulator::take_samples`], each
+    /// high→low edge of `strobe` records the values of `nets` at that
+    /// instant, after every transition applied before it — what a bank
+    /// of latches enabled by `strobe` holds as it closes. The strobe's
+    /// level is followed from its present value. Arming again discards
+    /// the samples not yet taken.
+    pub fn arm_sampler(&mut self, strobe: NetId, nets: &[NetId]) {
+        self.sampler = Some(Sampler {
+            strobe,
+            level: self.value(strobe),
+            nets: nets.to_vec(),
+            samples: Vec::new(),
+        });
+        self.observers = true;
     }
 
-    /// Stops waveform recording on a net (recorded entries are kept).
-    pub fn untrace_net(&mut self, net: NetId) {
-        self.trace.disable(net);
-        self.observers = self.trace.any_enabled() || !self.watches.is_empty();
-    }
-
-    /// `true` while the net is being recorded.
-    pub fn is_traced(&self, net: NetId) -> bool {
-        self.trace.is_enabled(net)
+    /// Disarms the strobe sampler and returns its samples in time order
+    /// (none if it was not armed).
+    pub fn take_samples(&mut self) -> Vec<StrobeSample> {
+        let samples = self.sampler.take().map_or_else(Vec::new, |s| s.samples);
+        self.observers = self.trace.any_enabled();
+        samples
     }
 
     /// Timing/protocol violations recorded so far.
@@ -828,7 +862,7 @@ impl Simulator {
             consumed += self.delta_cycle();
         };
         self.watches.clear();
-        self.observers = self.trace.any_enabled();
+        self.observers = self.trace.any_enabled() || self.sampler.is_some();
         outcome
     }
 
@@ -977,7 +1011,8 @@ impl Simulator {
     }
 
     /// Commits a surviving net change: value store, transition statistics,
-    /// energy attribution, optional waveform capture and edge watches.
+    /// energy attribution, optional waveform capture, strobe sampling and
+    /// edge watches.
     #[inline]
     fn apply_transition(&mut self, ev: &Event) {
         self.values[ev.net.index()] = ev.value;
@@ -987,11 +1022,27 @@ impl Simulator {
             if self.trace.any_enabled() {
                 self.trace.record(ev.time, ev.net, ev.value);
             }
+            if self.sampler.as_ref().is_some_and(|s| s.strobe == ev.net) {
+                self.follow_strobe(ev.time, ev.value);
+            }
             for w in &mut self.watches {
                 if !w.seen && w.net == ev.net && w.value == ev.value {
                     w.seen = true;
                 }
             }
+        }
+    }
+
+    /// Moves the sampler's strobe to `value` and, on a high→low edge,
+    /// samples its nets. Out of line: the strobe moves twice per token
+    /// against tens of thousands of other transitions.
+    #[cold]
+    #[inline(never)]
+    fn follow_strobe(&mut self, time: SimTime, value: Logic) {
+        let s = self.sampler.as_mut().expect("the sampler is armed");
+        if std::mem::replace(&mut s.level, value) == Logic::High && value == Logic::Low {
+            let values = s.nets.iter().map(|n| self.values[n.index()]).collect();
+            s.samples.push(StrobeSample { time, values });
         }
     }
 
@@ -1483,6 +1534,41 @@ mod tests {
         sim.run_to_quiescence().unwrap();
         assert_eq!(sim.value(q), Logic::High, "latch holds captured value");
         assert!(sim.violations().is_empty(), "{:?}", sim.violations());
+    }
+
+    #[test]
+    fn the_sampler_reads_its_nets_at_each_strobe_fall() {
+        let mut b = builder();
+        let d = b.input("d");
+        let g = b.input("g");
+        let q = b.latch("lat", d, g);
+        let mut sim = Simulator::new(b.build());
+        sim.arm_sampler(g, &[q, d]);
+        let mut step = |net, level| {
+            let t = sim.now();
+            sim.poke(net, level);
+            sim.run_to_quiescence().unwrap();
+            t
+        };
+        step(d, Logic::High);
+        step(g, Logic::Low); // X → low is no fall
+        step(g, Logic::High);
+        let t1 = step(g, Logic::Low);
+        step(d, Logic::Low);
+        step(g, Logic::High);
+        let t2 = step(g, Logic::Low);
+        let sample = |time, values: [Logic; 2]| StrobeSample {
+            time,
+            values: values.to_vec(),
+        };
+        assert_eq!(
+            sim.take_samples(),
+            [
+                sample(t1, [Logic::High, Logic::High]),
+                sample(t2, [Logic::Low, Logic::Low])
+            ]
+        );
+        assert!(sim.take_samples().is_empty(), "taking disarms the sampler");
     }
 
     #[test]

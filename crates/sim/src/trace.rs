@@ -3,7 +3,9 @@
 //! Tracing is opt-in per net: enable the handful of nets you care about
 //! (handshake wires, RCD signals, latch enables) and export a Value Change
 //! Dump viewable in GTKWave — the event-level stand-in for the paper's
-//! HSPICE waveforms (Fig. 5 B timing chart).
+//! HSPICE waveforms (Fig. 5 B timing chart). The recording belongs to
+//! whoever enabled it: entries accumulate across runs and a net stays
+//! recorded once enabled.
 
 use crate::circuit::{Circuit, NetId};
 use crate::logic::Logic;
@@ -24,8 +26,8 @@ pub struct TraceEntry {
 #[derive(Debug, Clone)]
 pub struct Trace {
     enabled: Vec<bool>,
-    /// How many entries of `enabled` are `true`.
-    enabled_count: usize,
+    /// `true` once any net is enabled.
+    any: bool,
     entries: Vec<TraceEntry>,
 }
 
@@ -35,38 +37,23 @@ impl Trace {
     pub fn new(net_count: usize) -> Trace {
         Trace {
             enabled: vec![false; net_count],
-            enabled_count: 0,
+            any: false,
             entries: Vec::new(),
         }
     }
 
     /// Starts recording a net.
     pub fn enable(&mut self, net: NetId) {
-        let on = &mut self.enabled[net.index()];
-        self.enabled_count += usize::from(!*on);
-        *on = true;
+        self.enabled[net.index()] = true;
+        self.any = true;
     }
 
-    /// Stops recording a net (already-recorded entries are kept). When the
-    /// last net is disabled the kernel's fully-untraced fast path is
-    /// restored.
-    pub fn disable(&mut self, net: NetId) {
-        let on = &mut self.enabled[net.index()];
-        self.enabled_count -= usize::from(*on);
-        *on = false;
-    }
-
-    /// `true` if the net is being recorded.
-    pub fn is_enabled(&self, net: NetId) -> bool {
-        self.enabled[net.index()]
-    }
-
-    /// `true` while any net is enabled. The kernel reads this single
-    /// flag per transition so fully-untraced simulations — the common
-    /// bench configuration — skip the recording path entirely.
+    /// `true` once any net is enabled. The kernel reads this single flag
+    /// per transition so fully-untraced simulations — the common bench
+    /// configuration — skip the recording path entirely.
     #[inline]
     pub fn any_enabled(&self) -> bool {
-        self.enabled_count > 0
+        self.any
     }
 
     /// Records a change if the net is enabled (called by the kernel).
@@ -80,13 +67,6 @@ impl Trace {
     /// All recorded entries in time order.
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
-    }
-
-    /// Discards the recorded entries while keeping the enabled-net set —
-    /// testbenches that observe the same nets over many runs reset the
-    /// recording between runs instead of accumulating entries forever.
-    pub fn clear_entries(&mut self) {
-        self.entries.clear();
     }
 
     /// Renders a VCD document (timescale 1 fs) for all enabled nets.
@@ -177,36 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn enabling_a_net_twice_counts_it_once() {
-        let mut t = Trace::new(3);
-        t.enable(NetId(1));
-        t.enable(NetId(1));
-        t.disable(NetId(1));
-        assert!(!t.any_enabled(), "one disable undoes a repeated enable");
-    }
-
-    #[test]
-    fn disabling_one_of_two_traced_nets_keeps_any_enabled() {
-        let mut t = Trace::new(3);
-        t.enable(NetId(0));
-        t.enable(NetId(2));
-        t.disable(NetId(0));
-        assert!(t.any_enabled());
-        assert!(t.is_enabled(NetId(2)) && !t.is_enabled(NetId(0)));
-    }
-
-    #[test]
-    fn disabling_both_traced_nets_clears_any_enabled() {
-        let mut t = Trace::new(3);
-        t.enable(NetId(0));
-        t.enable(NetId(2));
-        t.disable(NetId(0));
-        t.disable(NetId(2));
-        t.disable(NetId(2));
-        assert!(!t.any_enabled());
-    }
-
-    #[test]
     fn disabled_nets_record_nothing() {
         let mut t = Trace::new(2);
         t.enable(NetId(1));
@@ -214,7 +164,6 @@ mod tests {
         t.record(SimTime::ZERO, NetId(1), Logic::High);
         assert_eq!(t.entries().len(), 1);
         assert_eq!(t.entries()[0].net, NetId(1));
-        assert!(t.is_enabled(NetId(1)) && !t.is_enabled(NetId(0)));
     }
 
     #[test]

@@ -225,7 +225,7 @@ fn decoder_stats_are_pinned() {
 }
 
 /// The pipelined streaming mode is deterministic too — same makespan and
-/// final outputs across independent builds.
+/// outputs across independent builds.
 #[test]
 fn pipelined_streaming_is_deterministic() {
     let cfg = MacroConfig::new(2, 3).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
@@ -233,17 +233,21 @@ fn pipelined_streaming_is_deterministic() {
     let tokens: Vec<_> = (0..5u64).map(|t| token(3, 300 + t)).collect();
     let mut a = AcceleratorRtl::build(&cfg, &program);
     let mut b = AcceleratorRtl::build(&cfg, &program);
-    let (out_a, span_a) = a.run_pipelined(&tokens).expect("stream (a)");
-    let (out_b, span_b) = b.run_pipelined(&tokens).expect("stream (b)");
-    assert_eq!(out_a, out_b);
-    assert_eq!(span_a, span_b);
-    assert_eq!(out_a, program.reference_output(tokens.last().unwrap()));
+    let run_a = a.run_pipelined(&tokens).expect("stream (a)");
+    let run_b = b.run_pipelined(&tokens).expect("stream (b)");
+    assert_eq!(run_a.outputs, run_b.outputs);
+    assert_eq!(run_a.makespan, run_b.makespan);
+    assert_eq!(
+        run_a.outputs.last(),
+        Some(&program.reference_output(tokens.last().unwrap()))
+    );
     assert_eq!(a.simulator().stats(), b.simulator().stats());
 }
 
 /// The paper's flagship netlist (`Ndec` 16, `NS` 32) streaming four fixed
-/// tokens through `run_pipelined`: every kernel count, the final
-/// clock and each energy domain's energy bits and edge count are pinned.
+/// tokens through `run_pipelined`: every token's outputs, every kernel
+/// count, the final clock and each energy domain's energy bits and edge
+/// count are pinned.
 /// Both kernels share the logic tables, full adder, delay choice and
 /// latch step, so the golden sweep cannot see a change that moves them
 /// the same way; these pins can.
@@ -254,8 +258,9 @@ fn flagship_stats_are_pinned() {
     let program = MacroProgram::random(cfg.ndec, cfg.ns, 2025);
     let tokens: Vec<_> = (0..4u64).map(|t| token(cfg.ns, 500 + t)).collect();
     let mut rtl = AcceleratorRtl::build(&cfg, &program);
-    let (outputs, _) = rtl.run_pipelined(&tokens).expect("stream");
-    assert_eq!(outputs, program.reference_output(&tokens[3]));
+    let run = rtl.run_pipelined(&tokens).expect("stream");
+    let expected: Vec<_> = tokens.iter().map(|t| program.reference_output(t)).collect();
+    assert_eq!(run.outputs, expected);
     let sim = rtl.simulator();
     assert!(sim.violations().is_empty(), "{:?}", sim.violations());
     let s = sim.stats();
