@@ -14,7 +14,8 @@
 //! Run with `cargo run -p maddpipe-bench --bin bench_sim --release`.
 //! With `--smoke` it runs only tiny correctness passes over the serving
 //! path (batched kernel, closed and open loop, chaos, cache, pipeline)
-//! and prints their counts as a document of the same schema, writing
+//! and one flagship netlist build, and prints their counts (the build's
+//! as its minor page faults) as a document of the same schema, writing
 //! nothing — the CI sanity check that the serving path still moves
 //! tokens.
 
@@ -240,33 +241,57 @@ fn flagship_rates() -> [Spread; 2] {
     })
 }
 
+/// Minor page faults this process has taken so far: `minflt`, the
+/// tenth field of `/proc/self/stat`. NaN (written `null`) where that
+/// file cannot be read.
+fn minor_faults() -> f64 {
+    std::fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|stat| {
+            // Fields after the parenthesised command name start at the
+            // third, the state; `minflt` is the eighth of them.
+            let (_, fields) = stat.rsplit_once(')')?;
+            fields.split_whitespace().nth(7)?.parse::<u64>().ok()
+        })
+        .map_or(f64::NAN, |faults| faults as f64)
+}
+
+/// Builds one netlist and drops it: the build's milliseconds and the
+/// minor page faults it took (the OS mapping fresh pages for its tables).
+/// Dropping the netlist is not counted.
+fn build_cost(cfg: &MacroConfig, program: &MacroProgram) -> [f64; 2] {
+    let faults = minor_faults();
+    let t0 = Instant::now();
+    let rtl = AcceleratorRtl::build(cfg, program);
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let faults = minor_faults() - faults;
+    drop(rtl);
+    [ms, faults]
+}
+
 /// Milliseconds to build a netlist (construct, seal, compile and the
 /// power-up settle), for the flagship, the small reference macro and a
-/// 4 × 8 macro, sampled in turn. A build is what every corner, mismatch
-/// sample, RTL session and replica respawn pays; dropping the netlist is
-/// not timed.
+/// 4 × 8 macro, sampled in turn, and the minor page faults of each
+/// flagship build. A build is what every corner, mismatch sample, RTL
+/// session and replica respawn pays.
 fn netlist_build_rows() -> Rows {
     let (cfg, program) = flagship();
     let nominal =
         |ndec, ns| MacroConfig::new(ndec, ns).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
     let (small_cfg, small_program) = (nominal(2, 2), MacroProgram::random(2, 2, 7));
     let (mid_cfg, mid_program) = (nominal(4, 8), MacroProgram::random(4, 8, 3));
-    let build_ms = |cfg: &MacroConfig, program: &MacroProgram| {
-        let t0 = Instant::now();
-        let rtl = AcceleratorRtl::build(cfg, program);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        drop(rtl);
-        ms
-    };
-    let [flagship, small, mid] = sample(7, || {
+    let [flagship, flagship_faults, small, mid] = sample(7, || {
+        let [flagship_ms, flagship_faults] = build_cost(&cfg, &program);
         [
-            build_ms(&cfg, &program),
-            build_ms(&small_cfg, &small_program),
-            build_ms(&mid_cfg, &mid_program),
+            flagship_ms,
+            flagship_faults,
+            build_cost(&small_cfg, &small_program)[0],
+            build_cost(&mid_cfg, &mid_program)[0],
         ]
     });
     vec![
         ("flagship_ms", flagship),
+        ("flagship_minor_faults", flagship_faults),
         ("macro_ndec2_ns2_ms", small),
         ("macro_ndec4_ns8_ms", mid),
     ]
@@ -689,6 +714,8 @@ fn smoke() -> Vec<Section> {
         golden,
         "the batched kernel diverged from the scalar spec"
     );
+    // Netlist pass: the page faults of one flagship build.
+    let [_, flagship_faults] = build_cost(&cfg, &program);
     // A tiny closed loop and open loop through a 2-replica pool.
     let pool = flagship_pool(2, 64);
     let closed = drive(&pool, &closed_loop(4, 4, 16).load(pool.ns()));
@@ -853,6 +880,10 @@ fn smoke() -> Vec<Section> {
                 ("images", count(pipe_stats.images())),
                 ("stages", count(stages as u64)),
             ],
+        ),
+        (
+            "netlist_build",
+            vec![("flagship_minor_faults", Spread::once(flagship_faults))],
         ),
     ]
 }

@@ -426,6 +426,12 @@ impl Observations {
         self.len
     }
 
+    /// Whether a latency or an energy column exists; without one, no
+    /// token carries either.
+    pub(crate) fn is_measured(&self) -> bool {
+        self.latency.is_some() || self.energy.is_some()
+    }
+
     /// Whether no token has been observed.
     pub fn is_empty(&self) -> bool {
         self.len == 0

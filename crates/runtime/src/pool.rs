@@ -761,8 +761,11 @@ impl BatchInFlight<'_> {
     /// by `max_depth`); every other rider frees its slot; the stats
     /// record the dispatch; and `note` moves the replica's own counters
     /// (its cache, a respawn, a quarantine). Only then, outside the lock,
-    /// do the leaving riders' tickets resolve, so a woken submitter finds
-    /// its slot open and a reply finds every counter moved.
+    /// are the leaving riders' replies stored, every one of them before
+    /// the first submitter is woken: a woken submitter finds its slot
+    /// open and every counter moved, and cannot preempt this replica
+    /// while a later rider's reply is still unstored. The wakes are
+    /// delivered as they drop, so an unwind delivers them too.
     fn finish(
         mut self,
         policy: &ServePolicy,
@@ -811,7 +814,7 @@ impl BatchInFlight<'_> {
             note(&mut state);
         }
         self.shared.work.notify_all();
-        match outcome {
+        let wakes: Vec<_> = match outcome {
             Ok(result) => {
                 // Hand each rider its rows, in one copy; a lone rider
                 // takes the whole result. `absorb` above has read them
@@ -833,24 +836,29 @@ impl BatchInFlight<'_> {
                     })
                 };
                 if let [rider] = self.riders.as_slice() {
-                    rider.ticket.resolve(reply(waits[0], result.tokens), || ());
+                    vec![rider.ticket.store(reply(waits[0], result.tokens), || ())]
                 } else {
                     let mut start = 0;
-                    for (rider, &wait) in self.riders.iter().zip(&waits) {
-                        let end = start + rider.batch.len();
-                        rider
-                            .ticket
-                            .resolve(reply(wait, result.tokens.slice(start..end)), || ());
-                        start = end;
-                    }
+                    self.riders
+                        .iter()
+                        .zip(&waits)
+                        .map(|(rider, &wait)| {
+                            let rows = start..start + rider.batch.len();
+                            start = rows.end;
+                            rider
+                                .ticket
+                                .store(reply(wait, result.tokens.slice(rows)), || ())
+                        })
+                        .collect()
                 }
             }
-            Err(error) => {
-                for rider in &self.riders {
-                    rider.ticket.resolve(Err(error.clone()), || ());
-                }
-            }
-        }
+            Err(error) => self
+                .riders
+                .iter()
+                .map(|rider| rider.ticket.store(Err(error.clone()), || ()))
+                .collect(),
+        };
+        drop(wakes);
         self.riders.clear();
     }
 }
@@ -1453,6 +1461,62 @@ mod tests {
             .collect();
         assert_eq!(state.pending_tokens, 2 * state.pending.len());
         (scan.eligible, taken)
+    }
+
+    /// `finish` stores every rider's reply before it wakes any rider:
+    /// when the first rider's completion runs, the second rider's reply
+    /// is already stored.
+    #[test]
+    fn a_micro_batch_stores_every_reply_before_waking_anyone() {
+        let shared = PoolShared {
+            state: Mutex::new(PoolState {
+                outstanding: 2,
+                ..PoolState::default()
+            }),
+            work: Condvar::new(),
+            started: Instant::now(),
+        };
+        let second = TicketCell::new();
+        let probe = BatchTicket::from_cell(Arc::clone(&second));
+        let (seen, stored_first) = mpsc::channel();
+        let first = TicketCell::with_completion(move |_| {
+            seen.send(probe.is_ready()).expect("the test listens");
+        });
+        let rider = |ticket| PendingRequest {
+            batch: TokenBatch::random(2, 1, 0),
+            ticket,
+            submitted: Instant::now(),
+            client: 0,
+            dispatch_by: None,
+            attempts: 0,
+            retry_at: None,
+        };
+        let batch = BatchInFlight {
+            shared: &shared,
+            riders: vec![rider(first), rider(Arc::clone(&second))],
+            dispatched: Instant::now(),
+            settled: false,
+        };
+        let result = BatchResult {
+            backend: "probe",
+            tokens: Observations::from_outputs(2, 1, vec![3, 4]),
+            makespan: None,
+            energy: None,
+        };
+        batch.finish(
+            &ServePolicy::default(),
+            0,
+            Duration::ZERO,
+            Ok(result),
+            |_| (),
+        );
+        assert_eq!(stored_first.recv(), Ok(true), "the second reply came first");
+        let reply = BatchTicket::from_cell(second).wait().expect("served");
+        assert_eq!(
+            reply.result.tokens.get(0).map(|t| t.outputs),
+            Some(&[4][..])
+        );
+        assert_eq!(shared.lock_state().outstanding, 0);
     }
 
     #[test]

@@ -200,6 +200,9 @@ struct CellState<T> {
     value: Option<Result<T, BackendError>>,
     /// Takes the resolution instead of `value`; `None` for a ticket.
     then: Option<Completion<T>>,
+    /// Claims parked on the cell's condvar: a resolution signals only
+    /// when one is.
+    waiters: u32,
 }
 
 /// The shared cell a ticket and the serving threads communicate through.
@@ -228,6 +231,7 @@ impl<T> TicketCell<T> {
                 at: TicketState::Queued { stage: 0 },
                 value: None,
                 then,
+                waiters: 0,
             }),
             done: Condvar::new(),
         })
@@ -254,23 +258,60 @@ impl<T> TicketCell<T> {
     /// already settled when a wait returns. A cell with a completion
     /// runs it with the value once the lock is released.
     pub(crate) fn resolve(&self, value: Result<T, BackendError>, on_win: impl FnOnce()) {
-        let then = {
-            let mut state = self.lock();
-            if state.at == TicketState::Done {
-                return;
-            }
-            state.at = TicketState::Done;
-            on_win();
-            match state.then.take() {
-                Some(then) => Some((then, value)),
-                None => {
-                    state.value = Some(value);
-                    self.done.notify_all();
-                    None
+        drop(self.store(value, on_win));
+    }
+
+    /// [`resolve`](TicketCell::resolve) in two halves: stores the
+    /// resolution now and returns the wake it owes, which signals a
+    /// parked claim or runs the completion when dropped. A caller
+    /// resolving several cells stores them all before it drops the
+    /// first wake, so no woken waiter preempts it halfway.
+    pub(crate) fn store(
+        &self,
+        value: Result<T, BackendError>,
+        on_win: impl FnOnce(),
+    ) -> Wake<'_, T> {
+        let mut state = self.lock();
+        if state.at == TicketState::Done {
+            return Wake {
+                parked: None,
+                then: None,
+            };
+        }
+        state.at = TicketState::Done;
+        on_win();
+        match state.then.take() {
+            Some(then) => Wake {
+                parked: None,
+                then: Some((then, value)),
+            },
+            None => {
+                state.value = Some(value);
+                Wake {
+                    parked: (state.waiters > 0).then_some(&self.done),
+                    then: None,
                 }
             }
-        };
-        if let Some((then, value)) = then {
+        }
+    }
+}
+
+/// What a stored resolution still owes: a signal to the claim parked on
+/// its cell, or the cell's completion to run with the value. Dropping it
+/// pays, so a resolution is delivered even when the thread that stored
+/// it unwinds before it wakes anyone.
+#[must_use = "dropping the wake delivers the resolution"]
+pub(crate) struct Wake<'a, T> {
+    parked: Option<&'a Condvar>,
+    then: Option<(Completion<T>, Result<T, BackendError>)>,
+}
+
+impl<T> Drop for Wake<'_, T> {
+    fn drop(&mut self) {
+        if let Some(done) = self.parked {
+            done.notify_all();
+        }
+        if let Some((then, value)) = self.then.take() {
             then(value);
         }
     }
@@ -305,19 +346,27 @@ impl<T> BatchTicket<T> {
             if let Some(value) = state.value.take() {
                 return Some(value);
             }
-            let done = &self.cell.done;
-            state = match deadline {
-                None => done.wait(state).unwrap_or_else(|p| p.into_inner()),
+            let left = match deadline {
+                None => None,
                 Some(deadline) => {
                     let left = deadline.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         return None;
                     }
+                    Some(left)
+                }
+            };
+            let done = &self.cell.done;
+            state.waiters += 1;
+            state = match left {
+                None => done.wait(state).unwrap_or_else(|p| p.into_inner()),
+                Some(left) => {
                     done.wait_timeout(state, left)
                         .unwrap_or_else(|p| p.into_inner())
                         .0
                 }
             };
+            state.waiters -= 1;
         }
     }
 
@@ -375,5 +424,47 @@ impl<T> core::fmt::Debug for BatchTicket<T> {
         f.debug_struct("BatchTicket")
             .field("ready", &self.is_ready())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread;
+
+    #[test]
+    fn a_resolution_signals_only_a_parked_claim() {
+        let cell = TicketCell::<u32>::new();
+        let wake = cell.store(Ok(1), || ());
+        assert!(wake.parked.is_none(), "nobody waits yet");
+        drop(wake);
+        let ticket = BatchTicket::from_cell(cell);
+        assert!(matches!(ticket.wait(), Ok(1)), "a later claim finds it");
+    }
+
+    /// The wake a stored resolution owes reaches the parked claim even
+    /// when the storing thread unwinds before it wakes anyone; a lost
+    /// wake would leave the claim asleep until its deadline.
+    #[test]
+    fn a_stored_resolution_wakes_its_parked_claim_through_an_unwind() {
+        let cell = TicketCell::<u32>::new();
+        let ticket = BatchTicket::from_cell(Arc::clone(&cell));
+        let patience = Duration::from_secs(30);
+        let claim = thread::spawn(move || {
+            let t0 = Instant::now();
+            (ticket.wait_timeout(patience).ok(), t0.elapsed())
+        });
+        while cell.lock().waiters == 0 {
+            thread::yield_now();
+        }
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _wake = cell.store(Ok(7), || ());
+            panic!("the storing thread unwinds before it wakes anyone");
+        }));
+        assert!(unwound.is_err());
+        let (value, waited) = claim.join().expect("the claim returns");
+        assert!(matches!(value, Some(Ok(7))), "{value:?}");
+        assert!(waited < patience, "woken, not timed out");
     }
 }

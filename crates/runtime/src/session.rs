@@ -335,7 +335,13 @@ impl SessionStats {
         if let Some(e) = result.energy {
             self.energy += e;
             self.measured_energy = true;
-        } else {
+        }
+        // A result with neither a latency nor an energy column (a
+        // functional one) has nothing per token to fold.
+        if !result.tokens.is_measured() {
+            return;
+        }
+        if result.energy.is_none() {
             let mut any = false;
             for obs in &result.tokens {
                 if let Some(e) = obs.energy {

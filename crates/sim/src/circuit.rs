@@ -141,7 +141,9 @@ impl Names {
         match net.name {
             NetName::Stored(k) => (self.get(k), ""),
             NetName::Output(suffix) => {
-                let driver = net.driver.expect("a gate-sugar output net has its driver");
+                let driver = net
+                    .driver()
+                    .expect("a gate-sugar output net has its driver");
                 (self.get(cells[driver.index()].name), suffix.as_str())
             }
         }
@@ -156,18 +158,33 @@ impl Names {
     }
 }
 
+/// One net: 24 bytes.
 #[derive(Debug)]
 pub(crate) struct Net {
     pub(crate) name: NetName,
+    /// Total switched capacitance once sealed. Until
+    /// [`CircuitBuilder::build`] it holds only the explicit wire cap, to
+    /// which the seal adds the pin and driver loads.
     pub(crate) cap: Farads,
-    pub(crate) extra_cap: Farads,
+    /// The driving cell's index, or [`Net::UNDRIVEN`].
+    driver: u32,
     pub(crate) domain: DomainId,
-    pub(crate) driver: Option<CellId>,
     /// `true` when the same cell appears more than once in this net's
     /// fanout (it listens on several pins of this net) — the kernel's
     /// singleton-event fast path must then fall back to the dedup
     /// machinery. Sealed by [`CircuitBuilder::build`].
     pub(crate) fanout_dup: bool,
+}
+
+impl Net {
+    /// The `driver` of a net no cell drives; no cell takes this index.
+    const UNDRIVEN: u32 = u32::MAX;
+
+    /// The cell driving this net, if any.
+    #[inline]
+    pub(crate) fn driver(&self) -> Option<CellId> {
+        (self.driver != Net::UNDRIVEN).then_some(CellId(self.driver))
+    }
 }
 
 pub(crate) struct CellInstance {
@@ -327,7 +344,7 @@ impl Circuit {
 
     /// `true` if nothing drives `net` (it is a primary input).
     pub fn is_primary_input(&self, id: NetId) -> bool {
-        self.nets[id.index()].driver.is_none()
+        self.nets[id.index()].driver().is_none()
     }
 
     /// The input pins net `net` feeds, ascending by cell and then pin.
@@ -467,9 +484,8 @@ impl CircuitBuilder {
         self.nets.push(Net {
             name,
             cap: Farads::ZERO,
-            extra_cap: Farads::ZERO,
+            driver: Net::UNDRIVEN,
             domain: self.current_domain,
-            driver: None,
             fanout_dup: false,
         });
         id
@@ -491,7 +507,7 @@ impl CircuitBuilder {
     /// Adds explicit wire capacitance to a net (long routes, bitlines).
     pub fn add_wire_cap(&mut self, net: NetId, cap: Farads) {
         assert!(cap.0 >= 0.0, "wire capacitance must be non-negative");
-        self.nets[net.index()].extra_cap += cap;
+        self.nets[net.index()].cap += cap;
     }
 
     /// Instantiates an arbitrary boxed [`Cell`] through the
@@ -548,20 +564,23 @@ impl CircuitBuilder {
             cell.num_outputs(),
             outputs.len()
         );
-        let id = CellId(u32::try_from(self.cells.len()).expect("more than u32::MAX cells"));
+        let id = u32::try_from(self.cells.len())
+            .ok()
+            .filter(|&i| i != Net::UNDRIVEN)
+            .expect("more than u32::MAX - 1 cells");
         for &net in outputs {
-            let existing = self.nets[net.index()].driver;
+            let existing = self.nets[net.index()].driver();
             assert!(
                 existing.is_none(),
                 "net `{}` already driven by cell {existing:?}; cell `{name}` would double-drive it",
                 self.names.render(&self.nets[net.index()], &self.cells),
             );
-            self.nets[net.index()].driver = Some(id);
+            self.nets[net.index()].driver = id;
         }
         self.cells.push(CellInstance { name: k, cell });
         self.inputs.push_row(inputs);
         self.outputs.push_row(outputs);
-        id
+        CellId(id)
     }
 
     /// Seals the netlist: packs every net's fanout into one flat table,
@@ -621,12 +640,14 @@ impl CircuitBuilder {
         for (ni, net) in self.nets.iter_mut().enumerate() {
             let fanout = fanout.row(ni);
             let pin_cap = Farads(unit.0 * 1.2 * fanout.len() as f64);
-            let self_cap = if net.driver.is_some() {
+            let self_cap = if net.driver().is_some() {
                 Farads(unit.0 * 0.6)
             } else {
                 Farads::ZERO
             };
-            net.cap = pin_cap + self_cap + net.extra_cap;
+            // `cap` holds the wire cap until here. It is added last, after
+            // the pin and driver loads: float addition depends on order.
+            net.cap = pin_cap + self_cap + net.cap;
             // Flag nets whose fanout lists the same cell on several pins
             // (adjacent entries, as the fanout is sorted by cell); the
             // kernel's singleton-event fast path keys off this.
@@ -725,6 +746,11 @@ mod tests {
         let unloaded = c.net_cap(a);
         assert!(loaded.0 > unloaded.0);
         assert!(loaded.as_femtos() > 1.0, "includes explicit wire cap");
+    }
+
+    #[test]
+    fn nets_fit_in_24_bytes() {
+        assert!(std::mem::size_of::<Net>() <= 24);
     }
 
     #[test]

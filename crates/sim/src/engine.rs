@@ -14,9 +14,9 @@
 //! and only then evaluates each affected cell — exactly once per delta,
 //! however many of its input pins changed (a 16-bit bus landing on one
 //! listener used to cost 16 evaluations; it now costs one). The pending
-//! queue is a short list of time buckets; an event is 24 bytes and carries
-//! no sequence number, because push order within a bucket already is
-//! event order.
+//! queue is a short list of time buckets; a queued event is 12 bytes and
+//! carries neither its timestamp, which is its bucket's, nor a sequence
+//! number, because push order within a bucket already is event order.
 //!
 //! The netlist is read from flat, index-addressed tables: the
 //! [`Circuit`] packs every net's fanout list and every cell's input and
@@ -61,7 +61,11 @@
 //! gates and full adder, the delay arc
 //! ([`SampledTiming::for_value`]) and the rise or fall energy of an edge
 //! are tables indexed by the level (a transition to `X` still returns
-//! early from energy metering, since it is no edge). Nor does a push
+//! early from energy metering, since it is no edge). A net's edge
+//! energies, domain and fanout flag live in its *energy class*: nets of
+//! equal capacitance, domain and flag share one record, so each net keeps
+//! only a `u32` class index (the flagship's 62,212 nets have 32 classes).
+//! Nor does a push
 //! update the queue's high-water mark: the mark is folded once after
 //! each delta cycle's evaluations, after each poke and after the
 //! power-up evaluation. Pops happen only at the start of a delta cycle,
@@ -83,17 +87,19 @@ use crate::logic::{bits_to_u64, Logic};
 use crate::time::SimTime;
 use crate::trace::Trace;
 use maddpipe_tech::units::Joules;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
-/// A pending net update. Events at one timestamp are ordered by when they
-/// were pushed, so they carry no sequence number: 24 bytes each.
+/// A pending net update: 12 bytes. It carries no timestamp, since every
+/// event in a bucket shares the bucket's time, and no sequence number,
+/// since events at one timestamp are ordered by when they were pushed.
 #[derive(Debug, Clone, Copy)]
 struct Event {
-    time: SimTime,
     net: NetId,
-    value: Logic,
     gen: u32,
+    value: Logic,
 }
 
 /// The pending-event priority queue, organised as *time buckets*, plus the
@@ -123,8 +129,9 @@ struct EventQueue {
     /// every event pushed later comes after it, so when timestamps tie,
     /// the front event is the correct first pop. The dominant wavefront
     /// workload (pop one event, schedule its successor) lives entirely in
-    /// this slot and never touches a `Vec`.
-    front: Option<Event>,
+    /// this slot and never touches a `Vec`. It keeps its event's time,
+    /// as a bucket does.
+    front: Option<(SimTime, Event)>,
     /// `(timestamp, bucket)` pairs sorted strictly descending by time —
     /// the earliest timestamp is `entries.last()`. Each bucket holds that
     /// timestamp's events in push order.
@@ -171,12 +178,7 @@ impl EventQueue {
             *g = g.wrapping_add(1);
         }
         let gen = *g;
-        self.push(Event {
-            time: now + delay,
-            net,
-            value,
-            gen,
-        });
+        self.push(now + delay, Event { net, gen, value });
     }
 
     /// `false` when a later inertial drive superseded `ev`.
@@ -185,52 +187,53 @@ impl EventQueue {
         ev.gen == self.gens[ev.net.index()]
     }
 
+    /// Queues `ev` at `time`.
     #[inline]
-    fn push(&mut self, ev: Event) {
+    fn push(&mut self, time: SimTime, ev: Event) {
         self.len += 1;
         if self.front.is_none() && self.entries.is_empty() {
-            self.front = Some(ev);
+            self.front = Some((time, ev));
             return;
         }
         // Hot arms first: joining the earliest pending timestamp (wide
         // same-time fronts) or becoming the new earliest (a wavefront
         // scheduling its successor past a straggler).
         match self.entries.last_mut() {
-            Some((t, bucket)) if *t == ev.time => {
+            Some((t, bucket)) if *t == time => {
                 bucket.push(ev);
                 return;
             }
-            Some((t, _)) if *t < ev.time => {}
+            Some((t, _)) if *t < time => {}
             _ => {
-                // No buckets yet, or `ev` is the new earliest bucket time.
+                // No buckets yet, or `time` is the new earliest bucket time.
                 let mut bucket = self.pool.pop().unwrap_or_default();
                 bucket.push(ev);
-                self.entries.push((ev.time, bucket));
+                self.entries.push((time, bucket));
                 return;
             }
         }
-        // Cold arm: `ev.time` lies beyond the earliest pending timestamp.
+        // Cold arm: `time` lies beyond the earliest pending timestamp.
         // Scan from the earliest end — in-flight timestamp counts are
         // small, so a linear scan beats heap sifting.
         let mut j = self.entries.len() - 1;
-        while j > 0 && self.entries[j - 1].0 < ev.time {
+        while j > 0 && self.entries[j - 1].0 < time {
             j -= 1;
         }
-        if j > 0 && self.entries[j - 1].0 == ev.time {
+        if j > 0 && self.entries[j - 1].0 == time {
             self.entries[j - 1].1.push(ev);
             return;
         }
         let mut bucket = self.pool.pop().unwrap_or_default();
         bucket.push(ev);
-        self.entries.insert(j, (ev.time, bucket));
+        self.entries.insert(j, (time, bucket));
     }
 
     /// The earliest pending timestamp, without touching bucket contents.
     #[inline]
     fn earliest_time(&self) -> Option<SimTime> {
         match (&self.front, self.entries.last()) {
-            (Some(f), Some((t, _))) => Some(f.time.min(*t)),
-            (Some(f), None) => Some(f.time),
+            (Some((f, _)), Some((t, _))) => Some((*f).min(*t)),
+            (Some((f, _)), None) => Some(*f),
             (None, Some((t, _))) => Some(*t),
             (None, None) => None,
         }
@@ -240,9 +243,10 @@ impl EventQueue {
     #[inline]
     fn take_front_at(&mut self, t: SimTime) -> Option<Event> {
         match self.front {
-            Some(f) if f.time == t => {
+            Some((f, ev)) if f == t => {
                 self.len -= 1;
-                self.front.take()
+                self.front = None;
+                Some(ev)
             }
             _ => None,
         }
@@ -362,10 +366,12 @@ struct Sampler {
     samples: Vec<StrobeSample>,
 }
 
-/// Per-net hot record: everything a surviving transition needs, packed in
-/// one cache line instead of scattered across the `Net` table.
+/// A net's energy class: everything a surviving transition needs besides
+/// the value, shared by every net of equal capacitance, domain and fanout
+/// flag. Each net keeps a `u32` index into the class table, which
+/// [`energy_classes`] interns.
 #[derive(Debug, Clone, Copy)]
-struct NetHot {
+struct NetClass {
     /// Supply energy of an edge to each known level, indexed by the
     /// level: `[falling, rising]`.
     edge: [Joules; 2],
@@ -373,6 +379,82 @@ struct NetHot {
     domain: DomainId,
     /// Same cell listed on several fanout pins — see `Net::fanout_dup`.
     fanout_dup: bool,
+}
+
+/// Interns the circuit's energy classes: each net's class index, and the
+/// class table. A class is keyed on its nets' capacitance bits, domain
+/// and fanout flag, so it meters exactly the energies `edge_energy(cap)`
+/// gives each of its nets, and the energy is computed once per class.
+fn energy_classes(circuit: &Circuit) -> (Vec<u32>, Vec<NetClass>) {
+    let mut classes = Vec::new();
+    let mut index: HashMap<(u64, u64), u32, BuildHasherDefault<KeyHasher>> = HashMap::default();
+    let net_class = circuit
+        .nets
+        .iter()
+        .map(|net| {
+            let key = (
+                net.cap.0.to_bits(),
+                u64::from(net.domain.0) << 1 | u64::from(net.fanout_dup),
+            );
+            *index.entry(key).or_insert_with(|| {
+                let (rise, fall) = circuit.library.edge_energy(net.cap);
+                classes.push(NetClass {
+                    edge: [fall, rise],
+                    domain: net.domain,
+                    fanout_dup: net.fanout_dup,
+                });
+                u32::try_from(classes.len() - 1).expect("a class per net at most")
+            })
+        })
+        .collect();
+    (net_class, classes)
+}
+
+/// A multiply-rotate hash for the class interner's two-word keys, one
+/// multiply per word where the default SipHash runs several rounds; the
+/// interner looks up every net of the circuit.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A compiled cell's delay arcs in `u32` femtoseconds (up to 4.29 µs),
+/// `[fall, rise]`: half a [`SampledTiming`]. Full adders and latches hold
+/// theirs this way, which keeps a [`CellFast`] at 48 bytes (56 with
+/// `SampledTiming`); a cell with a longer arc is not compiled and takes
+/// the generic path.
+#[derive(Debug, Clone, Copy)]
+struct ShortTiming([u32; 2]);
+
+impl ShortTiming {
+    /// `timing` narrowed, or `None` if an arc does not fit.
+    fn new(timing: SampledTiming) -> Option<ShortTiming> {
+        let fs = |t: SimTime| u32::try_from(t.as_femtos()).ok();
+        Some(ShortTiming([fs(timing.fall)?, fs(timing.rise)?]))
+    }
+
+    /// The arc a transition to `value` uses, picked as
+    /// [`SampledTiming::for_value`] picks it.
+    #[inline]
+    fn for_value(self, value: Logic) -> SimTime {
+        let [fall, rise] = self.0;
+        SimTime::from_femtos(u64::from([fall, rise, rise.max(fall)][value as usize]))
+    }
 }
 
 /// Compiled form of a cell, precomputed at [`Simulator::new`] and indexed
@@ -403,14 +485,14 @@ enum CellFast {
         cin: NetId,
         sum: NetId,
         carry: NetId,
-        sum_timing: SampledTiming,
-        carry_timing: SampledTiming,
+        sum_timing: ShortTiming,
+        carry_timing: ShortTiming,
     },
     Latch {
         d: NetId,
         g: NetId,
         q: NetId,
-        timing: SampledTiming,
+        timing: ShortTiming,
         state: LatchState,
     },
     Column {
@@ -474,7 +556,9 @@ pub struct Simulator {
     queue: EventQueue,
     now: SimTime,
     energy: EnergyMeter,
-    net_hot: Vec<NetHot>,
+    /// Per net: the index of its energy class in `classes`.
+    net_class: Vec<u32>,
+    classes: Vec<NetClass>,
     fanout_fast: Vec<FanoutFast>,
     cell_fast: Vec<CellFast>,
     violations: Vec<Violation>,
@@ -510,18 +594,7 @@ impl Simulator {
         let n_nets = circuit.nets.len();
         let n_cells = circuit.cells.len();
         let n_domains = circuit.domains.len();
-        let net_hot = circuit
-            .nets
-            .iter()
-            .map(|net| {
-                let (rise, fall) = circuit.library.edge_energy(net.cap);
-                NetHot {
-                    edge: [fall, rise],
-                    domain: net.domain,
-                    fanout_dup: net.fanout_dup,
-                }
-            })
-            .collect();
+        let (net_class, classes) = energy_classes(&circuit);
         // Compile the simple gates, full adders, latches and read columns
         // into direct per-cell entries (see [`CellFast`]).
         let cell_fast = circuit
@@ -530,40 +603,44 @@ impl Simulator {
             .enumerate()
             .map(|(ci, inst)| {
                 let (ins, outs) = (circuit.cell_inputs(ci), circuit.cell_outputs(ci));
-                match inst.cell.shape() {
-                    GateShape::Unary { invert, timing } => CellFast::Unary {
+                let compiled = match inst.cell.shape() {
+                    GateShape::Unary { invert, timing } => Some(CellFast::Unary {
                         input: ins[0],
                         out: outs[0],
                         timing,
                         invert,
-                    },
-                    GateShape::Binary { op, timing } => CellFast::Binary {
+                    }),
+                    GateShape::Binary { op, timing } => Some(CellFast::Binary {
                         a: ins[0],
                         b: ins[1],
                         out: outs[0],
                         timing,
                         op,
-                    },
+                    }),
                     GateShape::FullAdder {
                         sum_timing,
                         carry_timing,
-                    } => CellFast::FullAdder {
-                        a: ins[0],
-                        b: ins[1],
-                        cin: ins[2],
-                        sum: outs[0],
-                        carry: outs[1],
-                        sum_timing,
-                        carry_timing,
-                    },
-                    GateShape::Latch { timing, state } => CellFast::Latch {
-                        d: ins[0],
-                        g: ins[1],
-                        q: outs[0],
-                        timing,
-                        state,
-                    },
-                    GateShape::Column(col) => CellFast::Column {
+                    } => ShortTiming::new(sum_timing)
+                        .zip(ShortTiming::new(carry_timing))
+                        .map(|(sum_timing, carry_timing)| CellFast::FullAdder {
+                            a: ins[0],
+                            b: ins[1],
+                            cin: ins[2],
+                            sum: outs[0],
+                            carry: outs[1],
+                            sum_timing,
+                            carry_timing,
+                        }),
+                    GateShape::Latch { timing, state } => {
+                        ShortTiming::new(timing).map(|timing| CellFast::Latch {
+                            d: ins[0],
+                            g: ins[1],
+                            q: outs[0],
+                            timing,
+                            state,
+                        })
+                    }
+                    GateShape::Column(col) => Some(CellFast::Column {
                         rails: [outs[0], outs[1]],
                         pche: ins[0],
                         rows: ins[1..]
@@ -572,9 +649,10 @@ impl Simulator {
                             .all(|(n, i)| n.0 == i)
                             .then_some(ins[1]),
                         col,
-                    },
-                    GateShape::Other => CellFast::Generic,
-                }
+                    }),
+                    GateShape::Other => None,
+                };
+                compiled.unwrap_or(CellFast::Generic)
             })
             .collect();
         // Compile the single-fanout simple-gate nets into direct table
@@ -607,7 +685,8 @@ impl Simulator {
             queue: EventQueue::new(n_nets),
             now: SimTime::ZERO,
             energy: EnergyMeter::new(n_domains),
-            net_hot,
+            net_class,
+            classes,
             fanout_fast,
             cell_fast,
             violations: Vec::new(),
@@ -671,7 +750,7 @@ impl Simulator {
     /// Panics if the net has a driver.
     pub fn poke_after(&mut self, net: NetId, value: Logic, delay: SimTime) {
         assert!(
-            self.circuit.nets[net.index()].driver.is_none(),
+            self.circuit.is_primary_input(net),
             "cannot poke net `{}`: it is driven by a cell",
             self.circuit.net_name(net)
         );
@@ -945,7 +1024,7 @@ impl Simulator {
         if self.values[ni] == ev.value {
             return;
         }
-        self.apply_transition(&ev);
+        self.apply_transition(t, &ev);
         match self.fanout_fast[ni] {
             // Compiled fanout: the whole evaluation of a single listening
             // simple gate, without touching the cell instance.
@@ -971,7 +1050,7 @@ impl Simulator {
                     .schedule(t, out, v, timing.for_value(v), DriveMode::Inertial);
             }
             FanoutFast::Generic => {
-                if self.net_hot[ni].fanout_dup {
+                if self.class_of(ni).fanout_dup {
                     // Rare: one cell listens on several pins of this net,
                     // so the dedup machinery must coalesce its
                     // evaluations.
@@ -1006,24 +1085,24 @@ impl Simulator {
         if self.values[ni] == ev.value {
             return;
         }
-        self.apply_transition(ev);
+        self.apply_transition(t, ev);
         self.mark_fanout_dirty(ni);
     }
 
-    /// Commits a surviving net change: value store, transition statistics,
-    /// energy attribution, optional waveform capture, strobe sampling and
-    /// edge watches.
+    /// Commits a surviving net change at the cycle's time `t`: value
+    /// store, transition statistics, energy attribution, optional
+    /// waveform capture, strobe sampling and edge watches.
     #[inline]
-    fn apply_transition(&mut self, ev: &Event) {
+    fn apply_transition(&mut self, t: SimTime, ev: &Event) {
         self.values[ev.net.index()] = ev.value;
         self.stats.transitions += 1;
         self.record_edge(ev.net, ev.value);
         if self.observers {
             if self.trace.any_enabled() {
-                self.trace.record(ev.time, ev.net, ev.value);
+                self.trace.record(t, ev.net, ev.value);
             }
             if self.sampler.as_ref().is_some_and(|s| s.strobe == ev.net) {
-                self.follow_strobe(ev.time, ev.value);
+                self.follow_strobe(t, ev.value);
             }
             for w in &mut self.watches {
                 if !w.seen && w.net == ev.net && w.value == ev.value {
@@ -1074,15 +1153,22 @@ impl Simulator {
         self.dirty.clear();
     }
 
-    /// Meters an edge of `net` to `new_value`: the net's rise or fall
+    /// The energy class of net `ni`.
+    #[inline]
+    fn class_of(&self, ni: usize) -> &NetClass {
+        &self.classes[self.net_class[ni] as usize]
+    }
+
+    /// Meters an edge of `net` to `new_value`: its class's rise or fall
     /// energy, indexed by the level. A transition to `X` is no edge.
     #[inline]
     fn record_edge(&mut self, net: NetId, new_value: Logic) {
         if new_value == Logic::X {
             return;
         }
-        let hot = &self.net_hot[net.index()];
-        self.energy.record(hot.domain, hot.edge[new_value as usize]);
+        let class = *self.class_of(net.index());
+        self.energy
+            .record(class.domain, class.edge[new_value as usize]);
     }
 
     /// Evaluates `cell` against the current values. A latch or a cell on
@@ -1572,8 +1658,92 @@ mod tests {
     }
 
     #[test]
-    fn events_fit_in_24_bytes() {
-        assert!(std::mem::size_of::<Event>() <= 24);
+    fn events_fit_in_12_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 12);
+    }
+
+    #[test]
+    fn per_net_and_per_cell_tables_stay_narrow() {
+        let mut b = builder();
+        let a = b.input("a");
+        let _ = b.inv("u0", a);
+        let sim = Simulator::new(b.build());
+        assert!(
+            std::mem::size_of_val(sim.net_class.as_slice()) <= 4 * sim.values.len(),
+            "a net's energy class index is at most 4 bytes"
+        );
+        assert!(std::mem::size_of::<CellFast>() <= 48);
+    }
+
+    /// Every net's class meters what its own capacitance does, bit for
+    /// bit, in its own domain and with its own fanout flag, on a netlist
+    /// of several domains, wire caps, fanouts and undriven nets.
+    #[test]
+    fn each_net_class_reproduces_its_nets_edge_energy() {
+        let mut b = builder();
+        let a = b.input("a");
+        let c = b.input("c");
+        b.set_domain("enc");
+        let x = b.inv("u0", a);
+        let y = b.nand2("u1", [x, x]);
+        b.add_wire_cap(y, Farads::from_femtos(0.7));
+        b.set_domain("dec");
+        let z = b.xor2("u2", [y, c]);
+        let w = b.inv("u3", z);
+        b.add_wire_cap(w, Farads::from_femtos(2.5));
+        b.add_wire_cap(a, Farads::from_femtos(0.7));
+        let q = b.latch("u4", w, y);
+        let _ = b.inv("u5", q);
+        let sim = Simulator::new(b.build());
+        let circuit = sim.circuit();
+        let mut seen = std::collections::HashSet::new();
+        for net in circuit.net_ids() {
+            let record = &circuit.nets[net.index()];
+            let class = sim.class_of(net.index());
+            let (rise, fall) = circuit.library.edge_energy(circuit.net_cap(net));
+            assert_eq!(
+                class.edge.map(|e| e.0.to_bits()),
+                [fall.0.to_bits(), rise.0.to_bits()],
+                "{}",
+                circuit.net_name(net)
+            );
+            assert_eq!(class.domain, record.domain);
+            assert_eq!(class.fanout_dup, record.fanout_dup);
+            seen.insert(sim.net_class[net.index()]);
+        }
+        assert!(
+            sim.classes.len() < circuit.net_count(),
+            "nets share classes"
+        );
+        assert_eq!(seen.len(), sim.classes.len(), "every class has a net");
+        assert!(circuit.nets[x.index()].fanout_dup, "u1 listens twice on x");
+        assert_eq!(circuit.domain_names().len(), 3);
+    }
+
+    /// A full adder or latch whose arc does not fit `u32` femtoseconds is
+    /// not compiled: it takes the generic path, at its full delay.
+    #[test]
+    fn a_cell_with_an_arc_past_u32_femtoseconds_takes_the_generic_path() {
+        let mut b = builder();
+        let d = b.input("d");
+        let g = b.input("g");
+        let q = b.net("q");
+        let slow = b
+            .library_mut()
+            .timing_scaled(crate::library::CellClass::Latch, 1e6);
+        assert!(slow.fall.as_femtos() > u64::from(u32::MAX));
+        let latch = crate::cells::DLatch::new(slow, slow.worst());
+        b.add_cell_kind("lat", latch, &[d, g], &[q]);
+        let mut sim = Simulator::new(b.build());
+        assert!(matches!(sim.cell_fast[0], CellFast::Generic));
+        sim.poke(d, Logic::Low);
+        sim.poke(g, Logic::High);
+        let t = sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.value(q), Logic::Low);
+        assert_eq!(
+            t, slow.fall,
+            "the transparent latch passes D after its fall arc"
+        );
     }
 
     #[test]
@@ -1600,12 +1770,14 @@ mod tests {
     fn queue_high_water_is_folded_after_each_burst_of_pushes() {
         let mut q = EventQueue::new(1);
         let push = |q: &mut EventQueue, fs: u64| {
-            q.push(Event {
-                time: SimTime::from_femtos(fs),
-                net: NetId(0),
-                value: Logic::High,
-                gen: 0,
-            })
+            q.push(
+                SimTime::from_femtos(fs),
+                Event {
+                    net: NetId(0),
+                    gen: 0,
+                    value: Logic::High,
+                },
+            )
         };
         for fs in [5, 3, 5, 9] {
             push(&mut q, fs);

@@ -140,7 +140,7 @@ impl ReferenceSimulator {
     /// Panics if the net has a driver.
     pub fn poke(&mut self, net: NetId, value: Logic) {
         assert!(
-            self.circuit.nets[net.index()].driver.is_none(),
+            self.circuit.is_primary_input(net),
             "cannot poke net `{}`: it is driven by a cell",
             self.circuit.net_name(net)
         );
