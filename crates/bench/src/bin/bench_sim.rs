@@ -15,9 +15,15 @@
 //! With `--smoke` it runs only tiny correctness passes over the serving
 //! path (batched kernel, closed and open loop, chaos, cache, pipeline)
 //! and one flagship netlist build, and prints their counts (the build's
-//! as its minor page faults) as a document of the same schema, writing
-//! nothing — the CI sanity check that the serving path still moves
-//! tokens.
+//! as its minor page faults and its host-scaled milliseconds) as a
+//! document of the same schema, writing nothing — the CI sanity check
+//! that the serving path still moves tokens.
+//!
+//! The flagship build and stream rows also carry a host-scaled twin
+//! (`_scaled`): each sample is divided by a reading of the host's speed
+//! taken just before it, the reference computation of the repository
+//! benchmark, so the twin follows the code and not a shared host's
+//! drift.
 
 use maddpipe_amm::prelude::{
     AmmOperator, BdtEncoder, ExactMatmul, MaddnessMatmul, MaddnessParams, Mat,
@@ -225,19 +231,57 @@ fn macro_rates(ndec: usize, ns: usize) -> [Spread; 2] {
     })
 }
 
+/// Rounds of the reference computation in one reading of the host speed.
+const REFERENCE_ROUNDS: usize = 1_000_000;
+/// Seconds one reading takes on an unloaded host (a 2-vCPU x86-64 VM).
+const REFERENCE_S: f64 = 2.0e-3;
+
+/// How many times slower than the unloaded host this thread runs right
+/// now: one run of the repository benchmark's reference computation,
+/// read-modify-writes at random places of a 512-byte table, so it runs
+/// from L1 and its speed is the core's. Timed by the wall clock: the
+/// thread CPU clock needs a foreign call, which this workspace's
+/// `forbid(unsafe_code)` rules out, and `/proc/thread-self/schedstat`
+/// moves in scheduler ticks of several milliseconds.
+fn slowdown() -> f64 {
+    let t0 = Instant::now();
+    let mut table = [0u64; 64];
+    let mut state = black_box(7u64);
+    for _ in 0..REFERENCE_ROUNDS {
+        // splitmix64, as the repository benchmark draws it.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = state;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^= x >> 31;
+        let i = (x & 63) as usize;
+        let j = ((x >> 32) & 63) as usize;
+        table[i] = table[i].wrapping_add(table[j] ^ x).rotate_left(7);
+    }
+    black_box(&table);
+    t0.elapsed().as_secs_f64() / REFERENCE_S
+}
+
 /// Tokens and events per second through the paper-flagship netlist, the
 /// cache-heavy case of the event kernel: 32 tokens streamed through
-/// `run_pipelined` per sample, after one untimed warm-up stream.
-fn flagship_rates() -> [Spread; 2] {
+/// `run_pipelined` per sample, after one untimed warm-up stream. The
+/// third figure is the events per host-scaled second: each stream's time
+/// divided by a reading of the host's speed taken just before it.
+fn flagship_rates() -> [Spread; 3] {
     let (mut rtl, tokens) = flagship_testbench();
     rtl.run_pipelined(&tokens).expect("stream completes");
     sample(5, || {
+        let slow = slowdown();
         let e0 = rtl.simulator().stats().events_popped;
         let t0 = Instant::now();
         rtl.run_pipelined(&tokens).expect("stream completes");
         let secs = t0.elapsed().as_secs_f64();
-        let events = rtl.simulator().stats().events_popped - e0;
-        [tokens.len() as f64 / secs, events as f64 / secs]
+        let events = (rtl.simulator().stats().events_popped - e0) as f64;
+        [
+            tokens.len() as f64 / secs,
+            events / secs,
+            events / (secs / slow),
+        ]
     })
 }
 
@@ -256,41 +300,45 @@ fn minor_faults() -> f64 {
         .map_or(f64::NAN, |faults| faults as f64)
 }
 
-/// Builds one netlist and drops it: the build's milliseconds and the
-/// minor page faults it took (the OS mapping fresh pages for its tables).
-/// Dropping the netlist is not counted.
-fn build_cost(cfg: &MacroConfig, program: &MacroProgram) -> [f64; 2] {
+/// Builds one netlist and drops it: the build's milliseconds, the minor
+/// page faults it took (the OS mapping fresh pages for its tables) and
+/// its milliseconds divided by a reading of the host's speed taken just
+/// before it. Dropping the netlist is not counted.
+fn build_cost(cfg: &MacroConfig, program: &MacroProgram) -> [f64; 3] {
+    let slow = slowdown();
     let faults = minor_faults();
     let t0 = Instant::now();
     let rtl = AcceleratorRtl::build(cfg, program);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     let faults = minor_faults() - faults;
     drop(rtl);
-    [ms, faults]
+    [ms, faults, ms / slow]
 }
 
 /// Milliseconds to build a netlist (construct, seal, compile and the
 /// power-up settle), for the flagship, the small reference macro and a
-/// 4 × 8 macro, sampled in turn, and the minor page faults of each
-/// flagship build. A build is what every corner, mismatch sample, RTL
-/// session and replica respawn pays.
+/// 4 × 8 macro, sampled in turn, and the minor page faults and the
+/// host-scaled milliseconds of each flagship build. A build is what every
+/// corner, mismatch sample, RTL session and replica respawn pays.
 fn netlist_build_rows() -> Rows {
     let (cfg, program) = flagship();
     let nominal =
         |ndec, ns| MacroConfig::new(ndec, ns).with_op(OperatingPoint::new(Volts(0.8), Corner::Ttg));
     let (small_cfg, small_program) = (nominal(2, 2), MacroProgram::random(2, 2, 7));
     let (mid_cfg, mid_program) = (nominal(4, 8), MacroProgram::random(4, 8, 3));
-    let [flagship, flagship_faults, small, mid] = sample(7, || {
-        let [flagship_ms, flagship_faults] = build_cost(&cfg, &program);
+    let [flagship, flagship_faults, flagship_scaled, small, mid] = sample(7, || {
+        let [flagship_ms, flagship_faults, flagship_scaled_ms] = build_cost(&cfg, &program);
         [
             flagship_ms,
             flagship_faults,
+            flagship_scaled_ms,
             build_cost(&small_cfg, &small_program)[0],
             build_cost(&mid_cfg, &mid_program)[0],
         ]
     });
     vec![
         ("flagship_ms", flagship),
+        ("flagship_scaled_ms", flagship_scaled),
         ("flagship_minor_faults", flagship_faults),
         ("macro_ndec2_ns2_ms", small),
         ("macro_ndec4_ns8_ms", mid),
@@ -663,7 +711,7 @@ fn chaos_rows() -> Rows {
 fn ledger(host_cpus: usize) -> Vec<Section> {
     let [macro_tokens, macro_events] = macro_rates(2, 2);
     let [mid_tokens, mid_events] = macro_rates(4, 8);
-    let [flagship_tokens, flagship_events] = flagship_rates();
+    let [flagship_tokens, flagship_events, flagship_events_scaled] = flagship_rates();
     vec![
         (
             "events_per_sec",
@@ -675,6 +723,7 @@ fn ledger(host_cpus: usize) -> Vec<Section> {
                 ("macro_ndec2_ns2", macro_events),
                 ("macro_ndec4_ns8", mid_events),
                 ("macro_flagship", flagship_events),
+                ("macro_flagship_scaled", flagship_events_scaled),
             ],
         ),
         (
@@ -714,8 +763,9 @@ fn smoke() -> Vec<Section> {
         golden,
         "the batched kernel diverged from the scalar spec"
     );
-    // Netlist pass: the page faults of one flagship build.
-    let [_, flagship_faults] = build_cost(&cfg, &program);
+    // Netlist pass: the page faults and host-scaled time of one flagship
+    // build.
+    let [_, flagship_faults, flagship_scaled_ms] = build_cost(&cfg, &program);
     // A tiny closed loop and open loop through a 2-replica pool.
     let pool = flagship_pool(2, 64);
     let closed = drive(&pool, &closed_loop(4, 4, 16).load(pool.ns()));
@@ -883,7 +933,10 @@ fn smoke() -> Vec<Section> {
         ),
         (
             "netlist_build",
-            vec![("flagship_minor_faults", Spread::once(flagship_faults))],
+            vec![
+                ("flagship_scaled_ms", Spread::once(flagship_scaled_ms)),
+                ("flagship_minor_faults", Spread::once(flagship_faults)),
+            ],
         ),
     ]
 }

@@ -10,13 +10,14 @@
 
 use crate::calib::Calibration;
 use crate::config::ACC_BITS;
-use maddpipe_sim::circuit::{CircuitBuilder, NetId};
+use maddpipe_sim::circuit::{CircuitBuilder, NameArg, NetId};
+use maddpipe_sim::leaf;
 use maddpipe_sim::logic::Logic;
-use std::fmt;
 
 /// One carry-save accumulate stage: adds the sign-extended LUT data bits
 /// onto the incoming `(s_prev, c_prev)` pair, then latches the result on
-/// `ge` (the RCD-derived strobe).
+/// `ge` (the RCD-derived strobe). Its cells are named inside a scope
+/// `name`.
 ///
 /// `data` supplies the low bits (LSB first); the top bit is sign-extended
 /// across the remaining accumulator width. Returns the latched
@@ -28,7 +29,7 @@ use std::fmt;
 /// incoming buses are not [`ACC_BITS`] wide.
 pub fn build_csa_stage(
     b: &mut CircuitBuilder,
-    name: impl fmt::Display,
+    name: impl NameArg,
     data: &[NetId],
     s_prev: &[NetId],
     c_prev: &[NetId],
@@ -43,6 +44,7 @@ pub fn build_csa_stage(
     assert_eq!(s_prev.len(), ACC_BITS, "s_prev must be {ACC_BITS} bits");
     assert_eq!(c_prev.len(), ACC_BITS, "c_prev must be {ACC_BITS} bits");
     let sign = *data.last().expect("data checked non-empty");
+    let outer = b.enter_scope(name);
     let mut s_out = Vec::with_capacity(ACC_BITS);
     let mut c_out = Vec::with_capacity(ACC_BITS);
     for i in 0..ACC_BITS {
@@ -50,15 +52,17 @@ pub fn build_csa_stage(
         // The carry input at bit i is the previous stage's carry generated
         // at bit i−1 (weight i); bit 0 has no incoming carry.
         let c_in = if i == 0 { tie_low } else { c_prev[i - 1] };
-        let (s, c) = b.full_adder(format_args!("{name}.fa{i}"), d_i, s_prev[i], c_in);
-        s_out.push(b.latch(format_args!("{name}.ls{i}"), s, ge));
-        c_out.push(b.latch(format_args!("{name}.lc{i}"), c, ge));
+        let (s, c) = b.full_adder(leaf!("fa{}", i), d_i, s_prev[i], c_in);
+        s_out.push(b.latch(leaf!("ls{}", i), s, ge));
+        c_out.push(b.latch(leaf!("lc{}", i), c, ge));
     }
+    b.restore_scope(outer);
     (s_out, c_out)
 }
 
 /// The final 16-bit ripple-carry adder: collapses a carry-save pair into a
-/// plain two's-complement word, `sum = S + (C << 1) mod 2^16`.
+/// plain two's-complement word, `sum = S + (C << 1) mod 2^16`. Its full
+/// adders are named inside a scope `name`.
 ///
 /// Returns the sum bits (LSB first). The carry out of the top bit is
 /// dropped — 16-bit wrap-around, matching
@@ -69,27 +73,29 @@ pub fn build_csa_stage(
 /// Panics if the buses are not [`ACC_BITS`] wide.
 pub fn build_rca(
     b: &mut CircuitBuilder,
-    name: impl fmt::Display,
+    name: impl NameArg,
     s: &[NetId],
     c: &[NetId],
     tie_low: NetId,
 ) -> Vec<NetId> {
     assert_eq!(s.len(), ACC_BITS, "s must be {ACC_BITS} bits");
     assert_eq!(c.len(), ACC_BITS, "c must be {ACC_BITS} bits");
+    let outer = b.enter_scope(name);
     let mut sum = Vec::with_capacity(ACC_BITS);
     let mut carry = tie_low;
     for i in 0..ACC_BITS {
         // C is shifted left by one: bit i adds c[i−1].
         let c_i = if i == 0 { tie_low } else { c[i - 1] };
-        let (s_i, c_next) = b.full_adder(format_args!("{name}.fa{i}"), s[i], c_i, carry);
+        let (s_i, c_next) = b.full_adder(leaf!("fa{}", i), s[i], c_i, carry);
         sum.push(s_i);
         carry = c_next;
     }
+    b.restore_scope(outer);
     sum
 }
 
 /// Builds a tie-low constant net (shared by CSA/RCA carry inputs).
-pub fn tie_low(b: &mut CircuitBuilder, name: impl fmt::Display) -> NetId {
+pub fn tie_low(b: &mut CircuitBuilder, name: impl NameArg) -> NetId {
     b.tie(name, Logic::Low)
 }
 

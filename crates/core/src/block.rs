@@ -20,13 +20,13 @@ use crate::decoder::{build_decoder, DecoderPorts};
 use crate::encoder::{build_encoder, EncoderPorts};
 use maddpipe_amm::bdt::QuantizedBdt;
 use maddpipe_sim::cell::{Cell, EvalCtx};
-use maddpipe_sim::circuit::{CircuitBuilder, NetId};
+use maddpipe_sim::circuit::{CircuitBuilder, NameArg, NetId};
+use maddpipe_sim::leaf;
 use maddpipe_sim::logic::Logic;
 use maddpipe_sim::time::SimTime;
 use maddpipe_sram::model::SramModel;
 use maddpipe_sram::rcd::build_completion_tree;
 use maddpipe_tech::process::DriveKind;
-use std::fmt;
 
 /// Controller state (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +172,7 @@ pub struct BlockPorts {
     pub decoders: Vec<DecoderPorts>,
 }
 
-/// Builds one compute block.
+/// Builds one compute block, its names inside a scope `name`.
 ///
 /// `x_elems` are the raw (pre-buffer) offset-binary element buses;
 /// `s_prev`/`c_prev` are the upstream carry-save buses per decoder;
@@ -185,7 +185,7 @@ pub struct BlockPorts {
 #[allow(clippy::too_many_arguments)]
 pub fn build_block(
     b: &mut CircuitBuilder,
-    name: impl fmt::Display,
+    name: impl NameArg,
     tree: &QuantizedBdt,
     luts: &[SramModel],
     x_elems: &[Vec<NetId>],
@@ -208,10 +208,11 @@ pub fn build_block(
         "the input buffer holds {SUBVECTOR_LEN} elements"
     );
 
+    let outer = b.enter_scope(name);
     let prev_domain = b.set_domain("ctrl");
-    let pche = b.net(format_args!("{name}.pche"));
-    let calce = b.net(format_args!("{name}.calce"));
-    let ibe = b.net(format_args!("{name}.ibe"));
+    let pche = b.net(leaf!("pche"));
+    let calce = b.net(leaf!("calce"));
+    let ibe = b.net(leaf!("ibe"));
 
     // Input buffer: one latch per bit, transparent while idle.
     let x_buffered: Vec<Vec<NetId>> = x_elems
@@ -220,19 +221,19 @@ pub fn build_block(
         .map(|(e, bits)| {
             bits.iter()
                 .enumerate()
-                .map(|(i, &bit)| b.latch(format_args!("{name}.ib{e}_{i}"), bit, ibe))
+                .map(|(i, &bit)| b.latch(leaf!("ib{}_{}", e, i), bit, ibe))
                 .collect()
         })
         .collect();
     b.restore_domain(prev_domain);
 
-    let encoder = build_encoder(b, format_args!("{name}.enc"), tree, &x_buffered, calce, cal);
+    let encoder = build_encoder(b, leaf!("enc"), tree, &x_buffered, calce, cal);
 
     let decoders: Vec<DecoderPorts> = (0..ndec)
         .map(|j| {
             build_decoder(
                 b,
-                format_args!("{name}.dec{j}"),
+                leaf!("dec{}", j),
                 &encoder.rwl,
                 pche,
                 &s_prev[j],
@@ -246,7 +247,7 @@ pub fn build_block(
 
     let prev_domain = b.set_domain("ctrl");
     let rcd_inputs: Vec<NetId> = decoders.iter().map(|d| d.rcd_lut).collect();
-    let rcd = build_completion_tree(b, format_args!("{name}.rcd"), &rcd_inputs);
+    let rcd = build_completion_tree(b, leaf!("rcd"), &rcd_inputs);
 
     let quarter = cal.ctrl_overhead * 0.25;
     let t_seq = b.library_mut().delay(quarter, DriveKind::Complementary);
@@ -258,12 +259,13 @@ pub fn build_block(
         .library_mut()
         .delay(cal.dlc_precharge * 6.0, DriveKind::PullUp);
     b.add_cell(
-        format_args!("{name}.ctrl"),
+        leaf!("ctrl"),
         Box::new(HandshakeCtrl::new(t_seq, t_req, t_gap)),
         &[req_in, ack_down, rcd],
         &[ack_up, req_out, pche, calce, ibe],
     );
     b.restore_domain(prev_domain);
+    b.restore_scope(outer);
 
     BlockPorts {
         x_buffered,

@@ -9,12 +9,12 @@
 
 use crate::adder::build_csa_stage;
 use crate::calib::Calibration;
-use maddpipe_sim::circuit::{CellId, CircuitBuilder, NetId};
+use maddpipe_sim::circuit::{CellId, CircuitBuilder, NameArg, NetId};
+use maddpipe_sim::leaf;
 use maddpipe_sram::column::build_column_with_timing;
 use maddpipe_sram::model::{SramModel, COLS};
 use maddpipe_sram::rcd::build_completion_tree;
 use maddpipe_tech::process::DriveKind;
-use std::fmt;
 
 /// Nets and cells exposed by a built decoder.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub struct DecoderPorts {
     pub columns: Vec<CellId>,
 }
 
-/// Builds one decoder.
+/// Builds one decoder, its names inside a scope `name`.
 ///
 /// * `rwl` — the 16 one-hot read wordlines from the block's encoder.
 /// * `pche` — precharge control from the block controller.
@@ -48,7 +48,7 @@ pub struct DecoderPorts {
 #[allow(clippy::too_many_arguments)]
 pub fn build_decoder(
     b: &mut CircuitBuilder,
-    name: impl fmt::Display,
+    name: impl NameArg,
     rwl: &[NetId],
     pche: NetId,
     s_prev: &[NetId],
@@ -57,6 +57,7 @@ pub fn build_decoder(
     cal: &Calibration,
     tie_low: NetId,
 ) -> DecoderPorts {
+    let outer = b.enter_scope(name);
     let prev_domain = b.set_domain("decoder");
     let mut columns = Vec::with_capacity(COLS);
     let mut data_bits = Vec::with_capacity(COLS);
@@ -64,7 +65,7 @@ pub fn build_decoder(
     for c in 0..COLS {
         let ports = build_column_with_timing(
             b,
-            format_args!("{name}.c{c}"),
+            leaf!("c{}", c),
             rwl,
             pche,
             lut.column_word(c),
@@ -74,27 +75,20 @@ pub fn build_decoder(
         columns.push(ports.cell);
         // Differential read: RBLB discharges for a stored 1, so the data
         // bit is the inverted RBLB rail.
-        data_bits.push(b.inv(format_args!("{name}.d{c}"), ports.rblb));
+        data_bits.push(b.inv(leaf!("d{}", c), ports.rblb));
         rcd_cols.push(ports.rcd_col);
     }
-    let rcd_lut = build_completion_tree(b, format_args!("{name}.rcd"), &rcd_cols);
+    let rcd_lut = build_completion_tree(b, leaf!("rcd"), &rcd_cols);
     let ge_delay = b
         .library_mut()
         .delay(cal.ge_pulse_delay, DriveKind::Complementary);
     let ge_width = b
         .library_mut()
         .delay(cal.ge_pulse_width, DriveKind::Complementary);
-    let ge = b.pulse_gen(format_args!("{name}.gegen"), rcd_lut, ge_delay, ge_width);
-    let (s_out, c_out) = build_csa_stage(
-        b,
-        format_args!("{name}.csa"),
-        &data_bits,
-        s_prev,
-        c_prev,
-        ge,
-        tie_low,
-    );
+    let ge = b.pulse_gen(leaf!("gegen"), rcd_lut, ge_delay, ge_width);
+    let (s_out, c_out) = build_csa_stage(b, leaf!("csa"), &data_bits, s_prev, c_prev, ge, tie_low);
     b.restore_domain(prev_domain);
+    b.restore_scope(outer);
     DecoderPorts {
         rcd_lut,
         ge,

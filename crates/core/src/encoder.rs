@@ -11,9 +11,9 @@ use crate::calib::Calibration;
 use crate::config::LEVELS;
 use crate::dlc::{to_offset_binary, DlcCell};
 use maddpipe_amm::bdt::QuantizedBdt;
-use maddpipe_sim::circuit::{CircuitBuilder, NetId};
+use maddpipe_sim::circuit::{CircuitBuilder, NameArg, NetId};
+use maddpipe_sim::leaf;
 use maddpipe_tech::process::DriveKind;
-use std::fmt;
 
 /// Nets exposed by a built encoder.
 #[derive(Debug, Clone)]
@@ -26,7 +26,8 @@ pub struct EncoderPorts {
     pub rails: Vec<(NetId, NetId)>,
 }
 
-/// Builds the 4-level encoder for one compute block.
+/// Builds the 4-level encoder for one compute block, its names inside a
+/// scope `name`.
 ///
 /// * `tree` — the trained, quantised hash function (must be 4 levels).
 /// * `x_bits` — per subvector element, the 8 offset-binary bit nets (LSB
@@ -39,7 +40,7 @@ pub struct EncoderPorts {
 /// corresponding element, or if an element has a width other than 8 bits.
 pub fn build_encoder(
     b: &mut CircuitBuilder,
-    name: impl fmt::Display,
+    name: impl NameArg,
     tree: &QuantizedBdt,
     x_bits: &[Vec<NetId>],
     calce: NetId,
@@ -60,6 +61,7 @@ pub fn build_encoder(
             x_bits.len()
         );
     }
+    let outer = b.enter_scope(name);
     let prev_domain = b.set_domain("encoder");
     let n_internal = (1usize << LEVELS) - 1;
     let thresholds = tree.thresholds();
@@ -72,8 +74,8 @@ pub fn build_encoder(
         let t_bit = b.library_mut().delay(cal.dlc_per_bit, DriveKind::PullDown);
         let t_pchg = b.library_mut().delay(cal.dlc_precharge, DriveKind::PullUp);
         let cell = DlcCell::new(to_offset_binary(thresholds[node]), t_base, t_bit, t_pchg);
-        let yp = b.net(format_args!("{name}.n{node}.yp"));
-        let yn = b.net(format_args!("{name}.n{node}.yn"));
+        let yp = b.net(leaf!("n{}.yp", node));
+        let yn = b.net(leaf!("n{}.yn", node));
         // Dual-rail dynamic nodes carry the 8-stage comparator chain's
         // internal diffusion load.
         let rail_cap = maddpipe_tech::units::Farads::from_femtos(2.5);
@@ -81,18 +83,13 @@ pub fn build_encoder(
         b.add_wire_cap(yn, rail_cap);
         let mut inputs = vec![clks[node]];
         inputs.extend(&x_bits[dim]);
-        b.add_cell(
-            format_args!("{name}.dlc{node}"),
-            Box::new(cell),
-            &inputs,
-            &[yp, yn],
-        );
+        b.add_cell(leaf!("dlc{}", node), Box::new(cell), &inputs, &[yp, yn]);
         rails.push((yp, yn));
         // Children (if any) evaluate when a rail discharges: the inverter
         // turns the active-low rail into an active-high clock.
         if 2 * node + 2 < n_internal + (1 << LEVELS) {
-            let clk_left = b.inv(format_args!("{name}.en{}", 2 * node + 1), yp);
-            let clk_right = b.inv(format_args!("{name}.en{}", 2 * node + 2), yn);
+            let clk_left = b.inv(leaf!("en{}", 2 * node + 1), yp);
+            let clk_right = b.inv(leaf!("en{}", 2 * node + 2), yn);
             // Heap order: children of `node` are 2n+1 and 2n+2.
             debug_assert_eq!(clks.len(), 2 * node + 1);
             clks.push(clk_left);
@@ -105,10 +102,11 @@ pub fn build_encoder(
     let mut rwl = Vec::with_capacity(1 << LEVELS);
     for j in 0..(1usize << (LEVELS - 1)) {
         let (yp, yn) = rails[first_leaf_node + j];
-        rwl.push(b.inv(format_args!("{name}.rwl{}", 2 * j), yp));
-        rwl.push(b.inv(format_args!("{name}.rwl{}", 2 * j + 1), yn));
+        rwl.push(b.inv(leaf!("rwl{}", 2 * j), yp));
+        rwl.push(b.inv(leaf!("rwl{}", 2 * j + 1), yn));
     }
     b.restore_domain(prev_domain);
+    b.restore_scope(outer);
     EncoderPorts { rwl, rails }
 }
 

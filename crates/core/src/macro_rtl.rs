@@ -21,6 +21,7 @@ use maddpipe_amm::maddness::MaddnessMatmul;
 use maddpipe_sim::cells::DelayLine;
 use maddpipe_sim::circuit::{CircuitBuilder, NetId};
 use maddpipe_sim::engine::{EdgeWaitOutcome, OscillationError, Simulator};
+use maddpipe_sim::leaf;
 use maddpipe_sim::library::CellLibrary;
 use maddpipe_sim::logic::{bits_to_u64, u64_to_bits, Logic};
 use maddpipe_sim::time::SimTime;
@@ -328,25 +329,19 @@ impl AcceleratorRtl {
         let lib =
             CellLibrary::with_mismatch(maddpipe_tech::Technology::n22(), cfg.op, &cfg.mismatch);
         let mut b = CircuitBuilder::new(lib);
-        let tie = tie_low(&mut b, "tie0");
+        let tie = tie_low(&mut b, leaf!("tie0"));
 
         // Handshake wiring, pre-created so blocks can cross-reference.
-        let req0 = b.input("req[0]");
-        let mut req_nets = vec![req0];
-        for s in 1..=cfg.ns {
-            let n = b.net(format_args!("req[{s}]"));
-            req_nets.push(n);
-        }
-        let ack_nets: Vec<NetId> = (0..cfg.ns)
-            .map(|s| b.net(format_args!("ack[{s}]")))
-            .collect();
-        let ack_sink = b.net("ack_sink");
+        let req_nets: Vec<NetId> = (0..=cfg.ns).map(|s| b.net(leaf!("req[{}]", s))).collect();
+        let req0 = req_nets[0];
+        let ack_nets: Vec<NetId> = (0..cfg.ns).map(|s| b.net(leaf!("ack[{}]", s))).collect();
+        let ack_sink = b.net(leaf!("ack_sink"));
 
         // Per-block raw inputs.
         let x_inputs: Vec<Vec<Vec<NetId>>> = (0..cfg.ns)
             .map(|s| {
                 (0..SUBVECTOR_LEN)
-                    .map(|e| b.bus(format_args!("x{s}_{e}"), 8))
+                    .map(|e| b.bus(leaf!("x{}_{}", s, e), 8))
                     .collect()
             })
             .collect();
@@ -375,7 +370,7 @@ impl AcceleratorRtl {
             };
             let ports = build_block(
                 &mut b,
-                format_args!("blk{s}"),
+                leaf!("blk{}", s),
                 &program.trees[s],
                 &luts,
                 &x_inputs[s],
@@ -399,7 +394,7 @@ impl AcceleratorRtl {
             .library_mut()
             .delay(cal.ctrl_overhead * 0.25, DriveKind::Complementary);
         b.add_cell(
-            "ack_sink_dl",
+            leaf!("ack_sink_dl"),
             Box::new(DelayLine::new(t_sink)),
             &[req_nets[cfg.ns]],
             &[ack_sink],
@@ -411,20 +406,20 @@ impl AcceleratorRtl {
         let t_out_w = b
             .library_mut()
             .delay(cal.ge_pulse_width, DriveKind::Complementary);
-        let out_strobe = b.pulse_gen("out_strobe", req_nets[cfg.ns], t_out, t_out_w);
+        let out_strobe = b.pulse_gen(leaf!("out_strobe"), req_nets[cfg.ns], t_out, t_out_w);
         let last = blocks.last().expect("ns >= 1");
         let out_bits: Vec<NetId> = (0..cfg.ndec)
             .flat_map(|j| {
                 let sum = build_rca(
                     &mut b,
-                    format_args!("rca{j}"),
+                    leaf!("rca{}", j),
                     &last.decoders[j].s_out,
                     &last.decoders[j].c_out,
                     tie,
                 );
                 sum.iter()
                     .enumerate()
-                    .map(|(i, &bit)| b.latch(format_args!("oreg{j}_{i}"), bit, out_strobe))
+                    .map(|(i, &bit)| b.latch(leaf!("oreg{}_{}", j, i), bit, out_strobe))
                     .collect::<Vec<_>>()
             })
             .collect();

@@ -7,6 +7,7 @@
 //! (`maddpipe-core` models the DLC and the handshake controller as one
 //! cell each), so the trait and its evaluation context are public.
 
+use crate::circuit::Names;
 use crate::logic::Logic;
 use crate::time::SimTime;
 use core::fmt;
@@ -103,7 +104,26 @@ pub struct EvalCtx<'a> {
     pub(crate) triggers: &'a [usize],
     pub(crate) drives: &'a mut Vec<Drive>,
     pub(crate) violations: &'a mut Vec<Violation>,
-    pub(crate) cell_name: &'a str,
+    pub(crate) cell_name: CellName<'a>,
+}
+
+/// The name of the cell an [`EvalCtx`] evaluates, kept unrendered: it is
+/// rendered only when the cell reports a violation.
+#[derive(Clone, Copy)]
+pub(crate) enum CellName<'a> {
+    /// A name given as text ([`EvalCtx::for_test`]).
+    Text(&'a str),
+    /// Node `k` of a circuit's name table.
+    Recorded(&'a Names, u32),
+}
+
+impl CellName<'_> {
+    fn render(self) -> String {
+        match self {
+            CellName::Text(name) => name.to_owned(),
+            CellName::Recorded(names, k) => names.render(k).into_owned(),
+        }
+    }
 }
 
 impl<'a> EvalCtx<'a> {
@@ -125,7 +145,7 @@ impl<'a> EvalCtx<'a> {
             triggers,
             drives,
             violations,
-            cell_name,
+            cell_name: CellName::Text(cell_name),
         }
     }
 
@@ -208,7 +228,7 @@ impl<'a> EvalCtx<'a> {
     pub fn report(&mut self, kind: ViolationKind, detail: impl Into<String>) {
         self.violations.push(Violation {
             time: self.now,
-            cell: self.cell_name.to_owned(),
+            cell: self.cell_name.render(),
             kind,
             detail: detail.into(),
         });
@@ -219,7 +239,7 @@ impl fmt::Debug for EvalCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EvalCtx")
             .field("now", &self.now)
-            .field("cell", &self.cell_name)
+            .field("cell", &self.cell_name.render())
             .field("inputs", &self.input_values)
             .field("triggers", &self.triggers)
             .finish()
@@ -278,7 +298,7 @@ mod tests {
             triggers: &[0],
             drives: &mut drives,
             violations: &mut violations,
-            cell_name: "t",
+            cell_name: CellName::Text("t"),
         };
         assert!(ctx.is_edge(0, Logic::High));
         assert!(!ctx.is_edge(0, Logic::Low));
@@ -298,7 +318,7 @@ mod tests {
             triggers: &[0, 2],
             drives: &mut drives,
             violations: &mut violations,
-            cell_name: "t",
+            cell_name: CellName::Text("t"),
         };
         assert_eq!(ctx.trigger(), Some(0), "first changed pin");
         assert_eq!(ctx.triggers(), &[0, 2]);
@@ -317,7 +337,7 @@ mod tests {
             triggers: &[],
             drives: &mut drives,
             violations: &mut violations,
-            cell_name: "t",
+            cell_name: CellName::Text("t"),
         };
         ctx.drive(0, Logic::High, SimTime::from_picos(5.0));
         ctx.drive_transport(0, Logic::Low, SimTime::from_picos(9.0));

@@ -17,11 +17,10 @@
 //! trigger list.
 
 use crate::cell::{Cell, EvalCtx, ViolationKind};
-use crate::circuit::{CircuitBuilder, NetId, OutputSuffix};
+use crate::circuit::{CircuitBuilder, NameArg, NetId, OutputSuffix};
 use crate::library::{CellClass, SampledTiming};
 use crate::logic::{Logic, AND, NOT, OR, XOR};
 use crate::time::SimTime;
-use std::fmt;
 
 /// Drives the output according to the cell's sampled arcs: known values use
 /// the matching edge arc, `X` uses the worst arc.
@@ -878,7 +877,7 @@ impl GateShape {
 macro_rules! builder_gate {
     ($(#[$meta:meta])* $fn_name:ident, $cell:ident, $class:ident, $n:expr) => {
         $(#[$meta])*
-        pub fn $fn_name(&mut self, name: impl fmt::Display, inputs: [NetId; $n]) -> NetId {
+        pub fn $fn_name(&mut self, name: impl NameArg, inputs: [NetId; $n]) -> NetId {
             let t = self.library_mut().timing(CellClass::$class);
             let y = self.output_net(OutputSuffix::Y);
             self.add_cell_kind(name, $cell::new(t), &inputs, &[y]);
@@ -934,12 +933,12 @@ impl CircuitBuilder {
     );
 
     /// Adds an inverter (short alias for [`CircuitBuilder::inv_gate`]).
-    pub fn inv(&mut self, name: impl fmt::Display, a: NetId) -> NetId {
+    pub fn inv(&mut self, name: impl NameArg, a: NetId) -> NetId {
         self.inv_gate(name, [a])
     }
 
     /// Adds a 2:1 mux (`sel ? b : a`); returns its output net.
-    pub fn mux2(&mut self, name: impl fmt::Display, a: NetId, b: NetId, sel: NetId) -> NetId {
+    pub fn mux2(&mut self, name: impl NameArg, a: NetId, b: NetId, sel: NetId) -> NetId {
         let t = self.library_mut().timing(CellClass::Mux2);
         let y = self.output_net(OutputSuffix::Y);
         self.add_cell_kind(name, Mux2::new(t), &[a, b, sel], &[y]);
@@ -949,7 +948,7 @@ impl CircuitBuilder {
     /// Adds a full adder; returns `(sum, carry)` nets.
     pub fn full_adder(
         &mut self,
-        name: impl fmt::Display,
+        name: impl NameArg,
         a: NetId,
         b: NetId,
         cin: NetId,
@@ -963,7 +962,7 @@ impl CircuitBuilder {
 
     /// Adds a level-sensitive D-latch with the library's default setup
     /// window (one latch delay); returns the Q net.
-    pub fn latch(&mut self, name: impl fmt::Display, d: NetId, g: NetId) -> NetId {
+    pub fn latch(&mut self, name: impl NameArg, d: NetId, g: NetId) -> NetId {
         let t = self.library_mut().timing(CellClass::Latch);
         let setup = t.worst();
         let q = self.output_net(OutputSuffix::Q);
@@ -974,7 +973,7 @@ impl CircuitBuilder {
     /// Adds a Muller C-element reset to `reset_state`; returns its output.
     pub fn c_element(
         &mut self,
-        name: impl fmt::Display,
+        name: impl NameArg,
         a: NetId,
         b: NetId,
         reset_state: Logic,
@@ -988,7 +987,7 @@ impl CircuitBuilder {
     /// Adds a pulse generator; returns the pulse net.
     pub fn pulse_gen(
         &mut self,
-        name: impl fmt::Display,
+        name: impl NameArg,
         trigger: NetId,
         delay: SimTime,
         width: SimTime,
@@ -999,14 +998,14 @@ impl CircuitBuilder {
     }
 
     /// Adds a transport delay line; returns the delayed net.
-    pub fn delay_line(&mut self, name: impl fmt::Display, input: NetId, delay: SimTime) -> NetId {
+    pub fn delay_line(&mut self, name: impl NameArg, input: NetId, delay: SimTime) -> NetId {
         let y = self.output_net(OutputSuffix::Y);
         self.add_cell_kind(name, DelayLine::new(delay), &[input], &[y]);
         y
     }
 
     /// Adds a constant tie cell; returns the constant net.
-    pub fn tie(&mut self, name: impl fmt::Display, level: Logic) -> NetId {
+    pub fn tie(&mut self, name: impl NameArg, level: Logic) -> NetId {
         let y = self.output_net(OutputSuffix::Y);
         self.add_cell_kind(name, Tie::new(level), &[], &[y]);
         y
@@ -1031,14 +1030,14 @@ mod tests {
     ) -> Vec<crate::cell::Drive> {
         let mut drives = Vec::new();
         let mut violations = Vec::new();
-        let mut ctx = EvalCtx {
-            now: SimTime::from_picos(100.0),
-            input_values: inputs,
+        let mut ctx = EvalCtx::for_test(
+            SimTime::from_picos(100.0),
+            inputs,
             triggers,
-            drives: &mut drives,
-            violations: &mut violations,
-            cell_name: "dut",
-        };
+            &mut drives,
+            &mut violations,
+            "dut",
+        );
         cell.eval(&mut ctx);
         drives
     }
@@ -1237,26 +1236,26 @@ mod tests {
         let mut violations = Vec::new();
         // D changes at t=100 ps...
         {
-            let mut ctx = EvalCtx {
-                now: SimTime::from_picos(100.0),
-                input_values: &[Logic::High, Logic::High],
-                triggers: &[0],
-                drives: &mut drives,
-                violations: &mut violations,
-                cell_name: "lat",
-            };
+            let mut ctx = EvalCtx::for_test(
+                SimTime::from_picos(100.0),
+                &[Logic::High, Logic::High],
+                &[0],
+                &mut drives,
+                &mut violations,
+                "lat",
+            );
             latch.eval(&mut ctx);
         }
         // ...and G falls at t=110 ps — only 10 ps of stability, needs 50.
         {
-            let mut ctx = EvalCtx {
-                now: SimTime::from_picos(110.0),
-                input_values: &[Logic::High, Logic::Low],
-                triggers: &[1],
-                drives: &mut drives,
-                violations: &mut violations,
-                cell_name: "lat",
-            };
+            let mut ctx = EvalCtx::for_test(
+                SimTime::from_picos(110.0),
+                &[Logic::High, Logic::Low],
+                &[1],
+                &mut drives,
+                &mut violations,
+                "lat",
+            );
             latch.eval(&mut ctx);
         }
         assert_eq!(violations.len(), 1);

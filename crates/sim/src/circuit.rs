@@ -9,14 +9,19 @@
 //! nets live in flat, index-addressed tables rather than per-net and
 //! per-cell lists.
 //!
-//! Names live in one text buffer per circuit, the *name arena*: a cell or
-//! a named net holds a `u32` index into it, and the builder writes each
-//! name (any [`fmt::Display`], typically a `format_args!`) straight into
-//! the buffer, so building a netlist allocates no string per name. The
-//! output net of a gate made by the builder's gate sugar (`inv`, `latch`,
-//! `full_adder`, …) stores no text at all: it renders as its driver
-//! cell's name plus the pin suffix (`.y`, `.q`, `.s`, `.c` or `.p`), so
-//! [`Circuit::net_name`] may return an owned string.
+//! A name is a *scope* plus a *leaf*, and the builder records it without
+//! rendering it: [`CircuitBuilder::enter_scope`] opens a scope once (say
+//! `blk3`, then `blk3.dec5` inside it), and each cell or net inside is
+//! named by a [`Leaf`], a static pattern plus its integers such as
+//! `fa{}` with 5. Scopes and names are nodes of one table per circuit,
+//! 16 bytes each, and a name renders only when it is read
+//! ([`Circuit::net_name`], [`Circuit::cell_name`], [`Circuit::find_net`],
+//! VCD export and violation records). A name given as any other
+//! [`fmt::Display`] value is formatted into the table's one text buffer
+//! instead. The output net of a gate made by the builder's gate sugar
+//! (`inv`, `latch`, `full_adder`, …) has no node at all: it renders as
+//! its driver cell's name plus the pin suffix (`.y`, `.q`, `.s`, `.c` or
+//! `.p`).
 
 use crate::cell::Cell;
 use crate::cells::CellKind;
@@ -25,6 +30,7 @@ use maddpipe_tech::units::Farads;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// Identifier of a net within one circuit.
@@ -69,7 +75,7 @@ impl DomainId {
 /// Where a net's name comes from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum NetName {
-    /// Name `k` of the circuit's [`Names`] arena.
+    /// Node `k` of the circuit's [`Names`] table.
     Stored(u32),
     /// The driving cell's name followed by this suffix: the output of a
     /// gate made by the builder's gate sugar.
@@ -103,58 +109,353 @@ impl OutputSuffix {
     }
 }
 
-/// The name arena: every stored name of a circuit in one text buffer,
-/// name `k` being `text[start[k]..start[k + 1]]`.
+/// One segment of a netlist name: a static pattern whose `{}` holes take
+/// the leaf's integers in order, so `fa{}` with 5 reads `fa5`. The
+/// builder records the pattern and the integers, not the text. Make one
+/// with [`leaf!`](crate::leaf).
+#[derive(Debug, Clone, Copy)]
+pub struct Leaf {
+    pattern: &'static str,
+    ints: [u32; 2],
+    holes: u8,
+}
+
+impl Leaf {
+    /// `pattern` with its `{}` holes filled by `ints`, in order. A leaf
+    /// takes at most two integers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an integer exceeds `u32::MAX`. Recording the leaf panics
+    /// if the pattern's holes do not match the integers.
+    #[inline]
+    pub fn new<const N: usize>(pattern: &'static str, ints: [usize; N]) -> Leaf {
+        const { assert!(N <= 2, "a leaf takes at most two integers") };
+        let mut packed = [0; 2];
+        for (slot, int) in packed.iter_mut().zip(ints) {
+            *slot = u32::try_from(int).expect("a name's integer fits u32");
+        }
+        Leaf {
+            pattern,
+            ints: packed,
+            holes: N as u8,
+        }
+    }
+}
+
+/// Builds a [`Leaf`], taking its integers as `format_args!` takes its
+/// arguments: `leaf!("ib{}_{}", e, i)` reads `ib2_7` for `e = 2`,
+/// `i = 7`, and `leaf!("pche")` has no holes.
+#[macro_export]
+macro_rules! leaf {
+    ($pattern:literal $(, $int:expr)* $(,)?) => {
+        $crate::circuit::Leaf::new($pattern, [$($int),*])
+    };
+}
+
+/// A naming scope of a [`CircuitBuilder`]: the names recorded inside it
+/// render as the scope's name, a dot and their leaf (see
+/// [`CircuitBuilder::enter_scope`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scope(u32);
+
+impl Scope {
+    /// The outermost scope, where a name renders as its leaf alone.
+    pub const ROOT: Scope = Scope(u32::MAX);
+}
+
+/// A name as the builder takes it. A [`Leaf`] is recorded as its pattern
+/// and integers; any other [`fmt::Display`] value is formatted into the
+/// name table's text.
+pub trait NameArg {
+    /// Records this name inside `scope` and returns its node.
+    #[doc(hidden)]
+    fn record(self, names: &mut Names, scope: Scope) -> u32;
+}
+
+impl NameArg for Leaf {
+    #[inline]
+    fn record(self, names: &mut Names, scope: Scope) -> u32 {
+        let pattern = names.intern(self.pattern, self.holes);
+        names.push(Node {
+            scope,
+            pattern,
+            ints: self.ints,
+        })
+    }
+}
+
+impl<T: fmt::Display> NameArg for T {
+    fn record(self, names: &mut Names, scope: Scope) -> u32 {
+        let start = names.text_len();
+        write!(names.text, "{self}").expect("writing to a String cannot fail");
+        let end = names.text_len();
+        names.push(Node {
+            scope,
+            pattern: Node::TEXT,
+            ints: [start, end],
+        })
+    }
+}
+
+/// One node of the name table: a scope, or the name of a cell or net,
+/// each a leaf inside its enclosing scope.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    scope: Scope,
+    /// Index of the leaf's pattern in [`Names::patterns`], or
+    /// [`Node::TEXT`] for a formatted leaf, whose `ints` are then its
+    /// byte range in [`Names::text`].
+    pattern: u32,
+    ints: [u32; 2],
+}
+
+impl Node {
+    /// The `pattern` of a formatted leaf.
+    const TEXT: u32 = u32::MAX;
+}
+
+/// A leaf pattern of the name table, and the number of its holes.
 #[derive(Debug)]
-pub(crate) struct Names {
+struct Pattern {
+    text: &'static str,
+    holes: u8,
+}
+
+/// A leaf as the table holds it: formatted text, or a pattern and its
+/// integers.
+enum LeafParts<'a> {
+    Text(&'a str),
+    Pattern(&'static str, &'a [u32]),
+}
+
+/// A circuit's name table: every scope and every recorded cell and net
+/// name as a node, rendered only when it is read.
+#[derive(Debug)]
+pub struct Names {
+    nodes: Vec<Node>,
+    /// Every pattern the nodes use.
+    patterns: Vec<Pattern>,
+    /// A pattern's index by its address, length and holes.
+    pattern_index: HashMap<(usize, usize, u8), u32, BuildHasherDefault<KeyHasher>>,
+    /// The text of every formatted leaf.
     text: String,
-    start: Vec<u32>,
 }
 
 impl Names {
     fn new() -> Names {
         Names {
+            nodes: Vec::new(),
+            patterns: Vec::new(),
+            pattern_index: HashMap::default(),
             text: String::new(),
-            start: vec![0],
         }
     }
 
-    /// Writes `name` at the end of the buffer and returns its index.
-    fn push(&mut self, name: impl fmt::Display) -> u32 {
-        let k = u32::try_from(self.start.len() - 1).expect("more than u32::MAX names");
-        write!(self.text, "{name}").expect("writing to a String cannot fail");
-        self.start
-            .push(u32::try_from(self.text.len()).expect("more than 4 GiB of names"));
+    /// Appends `node` and returns its index.
+    #[inline]
+    fn push(&mut self, node: Node) -> u32 {
+        let k = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&k| k != Scope::ROOT.0)
+            .expect("more than u32::MAX - 1 names");
+        self.nodes.push(node);
         k
     }
 
-    /// Name `k`.
-    #[inline]
-    pub(crate) fn get(&self, k: u32) -> &str {
-        let k = k as usize;
-        &self.text[self.start[k] as usize..self.start[k + 1] as usize]
+    fn text_len(&self) -> u32 {
+        u32::try_from(self.text.len()).expect("more than 4 GiB of names")
     }
 
-    /// A net's name as a stem plus a suffix: a stored name is all stem; a
-    /// gate-sugar output is its driver's name plus the pin suffix.
-    fn parts<'a>(&'a self, net: &Net, cells: &[CellInstance]) -> (&'a str, &'static str) {
-        match net.name {
-            NetName::Stored(k) => (self.get(k), ""),
-            NetName::Output(suffix) => {
-                let driver = net
-                    .driver()
-                    .expect("a gate-sugar output net has its driver");
-                (self.get(cells[driver.index()].name), suffix.as_str())
+    /// The index of `pattern`, added on its first use.
+    #[inline]
+    fn intern(&mut self, pattern: &'static str, holes: u8) -> u32 {
+        let key = (pattern.as_ptr() as usize, pattern.len(), holes);
+        if let Some(&k) = self.pattern_index.get(&key) {
+            return k;
+        }
+        assert_eq!(
+            pattern.matches("{}").count(),
+            usize::from(holes),
+            "leaf pattern `{pattern}` given {holes} integers"
+        );
+        let k = u32::try_from(self.patterns.len()).expect("fewer patterns than names");
+        self.patterns.push(Pattern {
+            text: pattern,
+            holes,
+        });
+        self.pattern_index.insert(key, k);
+        k
+    }
+
+    fn leaf<'a>(&'a self, node: &'a Node) -> LeafParts<'a> {
+        let [start, end] = node.ints;
+        match self.patterns.get(node.pattern as usize) {
+            Some(p) => LeafParts::Pattern(p.text, &node.ints[..usize::from(p.holes)]),
+            None => LeafParts::Text(&self.text[start as usize..end as usize]),
+        }
+    }
+
+    /// `true` when `node`'s leaf joins its scope without a dot: it opens
+    /// with `[`, as a bus index does.
+    fn joins(&self, node: &Node) -> bool {
+        match self.leaf(node) {
+            LeafParts::Text(text) | LeafParts::Pattern(text, _) => text.starts_with('['),
+        }
+    }
+
+    /// Appends the full name of node `k` to `out`: the leaves of its
+    /// scopes, outermost first, then its own, joined by dots.
+    fn write(&self, k: u32, out: &mut String) {
+        let node = &self.nodes[k as usize];
+        if node.scope != Scope::ROOT {
+            self.write(node.scope.0, out);
+            if !self.joins(node) {
+                out.push('.');
+            }
+        }
+        match self.leaf(node) {
+            LeafParts::Text(text) => out.push_str(text),
+            LeafParts::Pattern(pattern, ints) => {
+                let mut pieces = pattern.split("{}");
+                out.push_str(pieces.next().unwrap_or_default());
+                for (int, piece) in ints.iter().zip(pieces) {
+                    write!(out, "{int}{piece}").expect("writing to a String cannot fail");
+                }
             }
         }
     }
 
-    /// The rendered name of `net`.
-    fn render<'a>(&'a self, net: &Net, cells: &[CellInstance]) -> Cow<'a, str> {
-        match self.parts(net, cells) {
-            (stem, "") => Cow::Borrowed(stem),
-            (stem, suffix) => Cow::Owned([stem, suffix].concat()),
+    /// The full name of node `k`, borrowed when it is one formatted leaf
+    /// in the outermost scope.
+    pub(crate) fn render(&self, k: u32) -> Cow<'_, str> {
+        let node = &self.nodes[k as usize];
+        match self.leaf(node) {
+            LeafParts::Text(text) if node.scope == Scope::ROOT => Cow::Borrowed(text),
+            _ => {
+                let mut out = String::new();
+                self.write(k, &mut out);
+                Cow::Owned(out)
+            }
         }
+    }
+
+    /// A net's name as a node plus a suffix: a recorded name is its node
+    /// alone; a gate-sugar output is its driver's node plus the pin
+    /// suffix.
+    fn net_parts(net: &Net, cells: &[CellInstance]) -> (u32, &'static str) {
+        match net.name {
+            NetName::Stored(k) => (k, ""),
+            NetName::Output(suffix) => {
+                let driver = net
+                    .driver()
+                    .expect("a gate-sugar output net has its driver");
+                (cells[driver.index()].name, suffix.as_str())
+            }
+        }
+    }
+
+    /// The full name of `net`.
+    fn net_name(&self, net: &Net, cells: &[CellInstance]) -> Cow<'_, str> {
+        match Names::net_parts(net, cells) {
+            (k, "") => self.render(k),
+            (k, suffix) => Cow::Owned(self.render(k).into_owned() + suffix),
+        }
+    }
+
+    /// `name` without the full name of node `k` at its end, if it ends
+    /// with it; nothing is rendered.
+    fn strip<'n>(&self, k: u32, name: &'n str) -> Option<&'n str> {
+        let node = &self.nodes[k as usize];
+        let rest = match self.leaf(node) {
+            LeafParts::Text(text) => name.strip_suffix(text)?,
+            LeafParts::Pattern(pattern, ints) => {
+                let mut rest = name;
+                let mut ints = ints.iter().rev();
+                for (i, piece) in pattern.rsplit("{}").enumerate() {
+                    if i > 0 {
+                        rest = strip_decimal(rest, *ints.next()?)?;
+                    }
+                    rest = rest.strip_suffix(piece)?;
+                }
+                rest
+            }
+        };
+        if node.scope == Scope::ROOT {
+            return Some(rest);
+        }
+        let rest = if self.joins(node) {
+            rest
+        } else {
+            rest.strip_suffix('.')?
+        };
+        self.strip(node.scope.0, rest)
+    }
+
+    /// `true` when node `k`'s full name followed by `suffix` is `name`.
+    fn matches(&self, k: u32, suffix: &str, name: &str) -> bool {
+        name.strip_suffix(suffix)
+            .and_then(|rest| self.strip(k, rest))
+            .is_some_and(str::is_empty)
+    }
+
+    /// Bytes the table holds: its node and pattern records, its index and
+    /// its text, as allocated.
+    fn bytes(&self) -> usize {
+        let index_entry = std::mem::size_of::<((usize, usize, u8), u32)>() + 1;
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.patterns.capacity() * std::mem::size_of::<Pattern>()
+            + self.pattern_index.capacity() * index_entry
+            + self.text.capacity()
+    }
+}
+
+/// `s` without the decimal digits of `n` at its end, if it ends with them.
+fn strip_decimal(s: &str, mut n: u32) -> Option<&str> {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    s.strip_suffix(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+}
+
+/// A multiply-rotate hash for small keys of whole words, one multiply per
+/// word where the default SipHash runs several rounds: the name table
+/// looks up the pattern of every leaf it records, and the kernel's class
+/// interner every net.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, byte: u8) {
+        self.write_u64(u64::from(byte));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -188,7 +489,7 @@ impl Net {
 }
 
 pub(crate) struct CellInstance {
-    /// Index into the circuit's [`Names`] arena.
+    /// Node of the circuit's [`Names`] table.
     pub(crate) name: u32,
     pub(crate) cell: CellKind,
 }
@@ -306,30 +607,41 @@ impl Circuit {
         (0..self.cells.len() as u32).map(CellId)
     }
 
-    /// Name of a net. Borrowed from the name arena, except for a gate's
-    /// output net made by the builder's gate sugar, which is rendered
-    /// from its driver's name.
+    /// Name of a net, rendered from the name table. A gate's output net
+    /// made by the builder's gate sugar renders as its driver's name plus
+    /// the pin suffix.
     pub fn net_name(&self, id: NetId) -> Cow<'_, str> {
-        self.names.render(&self.nets[id.index()], &self.cells)
+        self.names.net_name(&self.nets[id.index()], &self.cells)
     }
 
-    /// Name of a cell instance.
-    pub fn cell_name(&self, id: CellId) -> &str {
-        self.names.get(self.cells[id.index()].name)
+    /// Name of a cell instance, rendered from the name table.
+    pub fn cell_name(&self, id: CellId) -> Cow<'_, str> {
+        self.names.render(self.cells[id.index()].name)
     }
 
     /// Looks a net up by exact name, returning the first net that carries
-    /// it. Linear scan — intended for tests and debugging, not hot paths.
+    /// it. A linear scan that matches each name from its end without
+    /// rendering it — intended for tests and debugging, not hot paths.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
         self.nets
             .iter()
             .position(|net| {
-                let (stem, suffix) = self.names.parts(net, &self.cells);
-                name.len() == stem.len() + suffix.len()
-                    && name.starts_with(stem)
-                    && name.ends_with(suffix)
+                let (k, suffix) = Names::net_parts(net, &self.cells);
+                self.names.matches(k, suffix, name)
             })
             .map(|i| NetId(i as u32))
+    }
+
+    /// Bytes of name text the circuit holds: the formatted leaves. A
+    /// netlist named by [`Leaf`]s alone holds none.
+    pub fn name_text_bytes(&self) -> usize {
+        self.names.text.len()
+    }
+
+    /// Bytes the name table holds, as allocated: its node and pattern
+    /// records, its pattern index and its text.
+    pub fn name_table_bytes(&self) -> usize {
+        self.names.bytes()
     }
 
     /// Names of all registered energy domains, indexed by [`DomainId`].
@@ -388,15 +700,19 @@ impl Circuit {
 /// Incremental netlist builder.
 ///
 /// ```
+/// use maddpipe_sim::leaf;
 /// use maddpipe_sim::prelude::*;
 ///
 /// let lib = CellLibrary::new(Technology::n22(), OperatingPoint::default());
 /// let mut b = CircuitBuilder::new(lib);
 /// let a = b.input("a");
-/// let y = b.inv("u0", a);
+/// let outer = b.enter_scope(leaf!("blk{}", 3));
+/// let y = b.inv(leaf!("u{}", 0), a);
+/// b.restore_scope(outer);
 /// let c = b.build();
 /// assert_eq!(c.cell_count(), 1);
 /// assert!(c.is_primary_input(a) && !c.is_primary_input(y));
+/// assert_eq!(c.net_name(y), "blk3.u0.y");
 /// ```
 #[derive(Debug)]
 pub struct CircuitBuilder {
@@ -408,6 +724,7 @@ pub struct CircuitBuilder {
     domains: Vec<String>,
     domain_index: HashMap<String, DomainId>,
     current_domain: DomainId,
+    scope: Scope,
     pub(crate) library: CellLibrary,
 }
 
@@ -425,6 +742,7 @@ impl CircuitBuilder {
             domains: vec!["top".to_owned()],
             domain_index,
             current_domain: DomainId::TOP,
+            scope: Scope::ROOT,
             library,
         }
     }
@@ -467,9 +785,33 @@ impl CircuitBuilder {
         self.current_domain = id;
     }
 
+    /// Opens a scope named `name` inside the current one: until
+    /// [`CircuitBuilder::restore_scope`], every name recorded renders as
+    /// the scope's full name, a dot and its own leaf. Returns the
+    /// enclosing scope, to restore.
+    pub fn enter_scope(&mut self, name: impl NameArg) -> Scope {
+        let scope = Scope(name.record(&mut self.names, self.scope));
+        std::mem::replace(&mut self.scope, scope)
+    }
+
+    /// Restores a scope previously returned by
+    /// [`CircuitBuilder::enter_scope`].
+    pub fn restore_scope(&mut self, scope: Scope) {
+        assert!(
+            scope == Scope::ROOT || (scope.0 as usize) < self.names.nodes.len(),
+            "unknown scope {scope:?}"
+        );
+        self.scope = scope;
+    }
+
+    /// Records `name` in the current scope and returns its node.
+    fn record(&mut self, name: impl NameArg) -> u32 {
+        name.record(&mut self.names, self.scope)
+    }
+
     /// Creates a fresh undriven net named `name`.
-    pub fn net(&mut self, name: impl fmt::Display) -> NetId {
-        let name = NetName::Stored(self.names.push(name));
+    pub fn net(&mut self, name: impl NameArg) -> NetId {
+        let name = NetName::Stored(self.record(name));
         self.push_net(name)
     }
 
@@ -493,14 +835,18 @@ impl CircuitBuilder {
 
     /// Creates a named primary input (alias of [`CircuitBuilder::net`],
     /// kept for intent).
-    pub fn input(&mut self, name: impl fmt::Display) -> NetId {
+    pub fn input(&mut self, name: impl NameArg) -> NetId {
         self.net(name)
     }
 
     /// Creates a bus of `width` nets named `name[0..width]`, LSB first.
-    pub fn bus(&mut self, name: impl fmt::Display, width: usize) -> Vec<NetId> {
+    pub fn bus(&mut self, name: impl NameArg, width: usize) -> Vec<NetId> {
+        let bus = Scope(self.record(name));
         (0..width)
-            .map(|i| self.net(format_args!("{name}[{i}]")))
+            .map(|i| {
+                let name = NetName::Stored(crate::leaf!("[{}]", i).record(&mut self.names, bus));
+                self.push_net(name)
+            })
             .collect()
     }
 
@@ -524,7 +870,7 @@ impl CircuitBuilder {
     /// shared dynamic nodes as a single behavioural cell instead).
     pub fn add_cell(
         &mut self,
-        name: impl fmt::Display,
+        name: impl NameArg,
         cell: Box<dyn Cell>,
         inputs: &[NetId],
         outputs: &[NetId],
@@ -542,25 +888,26 @@ impl CircuitBuilder {
     /// already has a driver.
     pub fn add_cell_kind(
         &mut self,
-        name: impl fmt::Display,
+        name: impl NameArg,
         cell: impl Into<CellKind>,
         inputs: &[NetId],
         outputs: &[NetId],
     ) -> CellId {
-        let k = self.names.push(name);
-        let name = self.names.get(k);
+        let k = self.record(name);
         let cell = cell.into();
         assert_eq!(
             cell.num_inputs(),
             inputs.len(),
-            "cell `{name}` expects {} inputs, got {}",
+            "cell `{}` expects {} inputs, got {}",
+            self.names.render(k),
             cell.num_inputs(),
             inputs.len()
         );
         assert_eq!(
             cell.num_outputs(),
             outputs.len(),
-            "cell `{name}` expects {} outputs, got {}",
+            "cell `{}` expects {} outputs, got {}",
+            self.names.render(k),
             cell.num_outputs(),
             outputs.len()
         );
@@ -572,8 +919,9 @@ impl CircuitBuilder {
             let existing = self.nets[net.index()].driver();
             assert!(
                 existing.is_none(),
-                "net `{}` already driven by cell {existing:?}; cell `{name}` would double-drive it",
-                self.names.render(&self.nets[net.index()], &self.cells),
+                "net `{}` already driven by cell {existing:?}; cell `{}` would double-drive it",
+                self.names.net_name(&self.nets[net.index()], &self.cells),
+                self.names.render(k),
             );
             self.nets[net.index()].driver = id;
         }
@@ -701,6 +1049,65 @@ mod tests {
         assert_eq!(c.find_net("u0.y"), Some(y));
         assert_eq!(c.find_net("u0"), None, "a cell's name names no net");
         assert_eq!(c.find_net("u0.yy"), None);
+    }
+
+    /// Names recorded inside scopes render as the scopes' leaves and their
+    /// own, joined by dots, a bus index without one; `find_net` matches
+    /// them from their end without rendering.
+    #[test]
+    fn scoped_names_render_in_full_and_are_found() {
+        let mut b = builder();
+        let blk = b.enter_scope(crate::leaf!("blk{}", 12));
+        let x = b.bus(crate::leaf!("x{}_{}", 3, 4), 2);
+        let dec = b.enter_scope("dec");
+        let out = b.net(crate::leaf!("t{}_out", 1));
+        let y = b.inv(crate::leaf!("u{}", 7), out);
+        let text = b.net(format_args!("n{}", 40));
+        b.restore_scope(dec);
+        let data = b.bus("data", 1);
+        b.restore_scope(blk);
+        let top = b.net("top");
+        let c = b.build();
+        let nets = [
+            (x[1], "blk12.x3_4[1]"),
+            (out, "blk12.dec.t1_out"),
+            (y, "blk12.dec.u7.y"),
+            (text, "blk12.dec.n40"),
+            (data[0], "blk12.data[0]"),
+            (top, "top"),
+        ];
+        for (net, name) in nets {
+            assert_eq!(c.net_name(net), name);
+            assert_eq!(c.find_net(name), Some(net), "{name}");
+        }
+        assert_eq!(c.cell_name(CellId(0)), "blk12.dec.u7");
+        assert!(matches!(c.net_name(top), Cow::Borrowed(_)));
+        for miss in [
+            "blk12.x3_4[2]",
+            "blk12.x3_4.[1]",
+            "x3_4[1]",
+            "blk1.dec.t1_out",
+            "blk12.dect1_out",
+            "blk12.dec.t1_outs",
+            "2.dec.t1_out",
+            "blk12.dec.u7",
+            "blk12.dec.u7.q",
+            "blk12.dec",
+        ] {
+            assert_eq!(c.find_net(miss), None, "{miss}");
+        }
+        assert_eq!(c.name_text_bytes(), "decn40datatop".len());
+    }
+
+    #[test]
+    #[should_panic(expected = "given 2 integers")]
+    fn a_leaf_fills_exactly_its_holes() {
+        builder().net(crate::leaf!("x{}", 1, 2));
+    }
+
+    #[test]
+    fn name_nodes_fit_in_16_bytes() {
+        assert!(std::mem::size_of::<Node>() <= 16);
     }
 
     #[test]

@@ -75,12 +75,12 @@
 //! A deliberately naive implementation of the same semantics lives in
 //! [`crate::reference`]; a property test keeps the two in agreement.
 
-use crate::cell::{Drive, DriveMode, EvalCtx, Violation, ViolationKind};
+use crate::cell::{CellName, Drive, DriveMode, EvalCtx, Violation, ViolationKind};
 use crate::cells::{
     full_adder, unary, ColumnStep, Gate2, GateShape, LatchState, LatchStep, ReadColumn,
     READ_COLUMN_ROWS,
 };
-use crate::circuit::{CellId, Circuit, DomainId, NetId};
+use crate::circuit::{CellId, Circuit, DomainId, KeyHasher, NetId};
 use crate::energy::{EnergyMeter, EnergyReport};
 use crate::library::SampledTiming;
 use crate::logic::{bits_to_u64, Logic};
@@ -89,7 +89,7 @@ use crate::trace::Trace;
 use maddpipe_tech::units::Joules;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 
 /// A pending net update: 12 bytes. It carries no timestamp, since every
@@ -410,35 +410,13 @@ fn energy_classes(circuit: &Circuit) -> (Vec<u32>, Vec<NetClass>) {
     (net_class, classes)
 }
 
-/// A multiply-rotate hash for the class interner's two-word keys, one
-/// multiply per word where the default SipHash runs several rounds; the
-/// interner looks up every net of the circuit.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A compiled cell's delay arcs in `u32` femtoseconds (up to 4.29 µs),
 /// `[fall, rise]`: half a [`SampledTiming`]. Full adders and latches hold
 /// theirs this way, which keeps a [`CellFast`] at 48 bytes (56 with
-/// `SampledTiming`); a cell with a longer arc is not compiled and takes
-/// the generic path.
-#[derive(Debug, Clone, Copy)]
+/// `SampledTiming`), and so does every [`FanoutFast`] entry (20 bytes, 32
+/// with `SampledTiming`); a cell with a longer arc is not compiled and
+/// takes the generic path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ShortTiming([u32; 2]);
 
 impl ShortTiming {
@@ -508,28 +486,30 @@ enum CellFast {
     },
 }
 
-/// Compiled fanout of a net, precomputed at [`Simulator::new`].
+/// Compiled fanout of a net, derived at [`Simulator::new`] from the
+/// [`CellFast`] entry of its one listener.
 ///
 /// Most nets drive exactly one simple gate; for those the evaluation is
 /// folded into a table entry the kernel can execute without touching the
 /// cell instance at all: no input gathering, no dispatch, no drive buffer.
 /// The result is bit-identical to the generic path — same logic function,
-/// same `SampledTiming::for_value` delay, same inertial scheduling.
-#[derive(Debug, Clone, Copy)]
+/// same delay arc, same inertial scheduling. A gate with an arc past
+/// 4.29 µs, which [`ShortTiming`] cannot hold, leaves its net `Generic`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FanoutFast {
     /// Evaluate each fanout cell through its [`CellFast`] entry.
     Generic,
     /// One fanout: a 1-input gate (inverter/buffer) driving `out`.
     Unary {
         out: NetId,
-        timing: SampledTiming,
+        timing: ShortTiming,
         invert: bool,
     },
     /// One fanout: a commutative 2-input gate whose other input is
     /// `other`, driving `out`.
     Binary {
         out: NetId,
-        timing: SampledTiming,
+        timing: ShortTiming,
         op: Gate2,
         other: NetId,
     },
@@ -597,7 +577,7 @@ impl Simulator {
         let (net_class, classes) = energy_classes(&circuit);
         // Compile the simple gates, full adders, latches and read columns
         // into direct per-cell entries (see [`CellFast`]).
-        let cell_fast = circuit
+        let cell_fast: Vec<CellFast> = circuit
             .cells
             .iter()
             .enumerate()
@@ -655,29 +635,39 @@ impl Simulator {
                 compiled.unwrap_or(CellFast::Generic)
             })
             .collect();
-        // Compile the single-fanout simple-gate nets into direct table
-        // entries (see [`FanoutFast`]).
+        // Fold each single-fanout net's simple gate into a direct table
+        // entry (see [`FanoutFast`]), from that gate's compiled entry.
         let fanout_fast = (0..n_nets)
             .map(|ni| {
                 let &[f] = circuit.fanout(ni) else {
                     return FanoutFast::Generic;
                 };
-                let ci = f.cell.index();
-                let outs = circuit.cell_outputs(ci);
-                match circuit.cells[ci].cell.shape() {
-                    GateShape::Unary { invert, timing } => FanoutFast::Unary {
-                        out: outs[0],
+                let compiled = match cell_fast[f.cell.index()] {
+                    CellFast::Unary {
+                        out,
                         timing,
                         invert,
-                    },
-                    GateShape::Binary { op, timing } => FanoutFast::Binary {
-                        out: outs[0],
+                        ..
+                    } => ShortTiming::new(timing).map(|timing| FanoutFast::Unary {
+                        out,
+                        timing,
+                        invert,
+                    }),
+                    CellFast::Binary {
+                        a,
+                        b,
+                        out,
                         timing,
                         op,
-                        other: circuit.cell_inputs(ci)[1 - circuit.pin_of(f)],
-                    },
-                    _ => FanoutFast::Generic,
-                }
+                    } => ShortTiming::new(timing).map(|timing| FanoutFast::Binary {
+                        out,
+                        timing,
+                        op,
+                        other: if circuit.pin_of(f) == 0 { b } else { a },
+                    }),
+                    _ => None,
+                };
+                compiled.unwrap_or(FanoutFast::Generic)
             })
             .collect();
         let mut sim = Simulator {
@@ -1253,7 +1243,7 @@ impl Simulator {
                     LatchStep::SetupViolation(detail) => {
                         self.violations.push(Violation {
                             time: now,
-                            cell: self.circuit.cell_name(CellId(ci as u32)).to_owned(),
+                            cell: self.circuit.cell_name(CellId(ci as u32)).into_owned(),
                             kind: ViolationKind::Setup,
                             detail,
                         });
@@ -1289,7 +1279,7 @@ impl Simulator {
                 if let Some(detail) = violation {
                     self.violations.push(Violation {
                         time: now,
-                        cell: self.circuit.cell_name(CellId(ci as u32)).to_owned(),
+                        cell: self.circuit.cell_name(CellId(ci as u32)).into_owned(),
                         kind: ViolationKind::Protocol,
                         detail,
                     });
@@ -1352,7 +1342,7 @@ impl Simulator {
             triggers: &self.trigger_buf,
             drives: &mut self.drive_buf,
             violations: &mut self.violations,
-            cell_name: self.circuit.names.get(inst.name),
+            cell_name: CellName::Recorded(&self.circuit.names, inst.name),
         };
         inst.cell.eval(&mut ctx);
         // Drain the requested drives. `add_cell` validated the pin counts
@@ -1673,6 +1663,80 @@ mod tests {
             "a net's energy class index is at most 4 bytes"
         );
         assert!(std::mem::size_of::<CellFast>() <= 48);
+    }
+
+    #[test]
+    fn fanout_entries_fit_in_20_bytes() {
+        assert!(std::mem::size_of::<FanoutFast>() <= 20);
+    }
+
+    /// The fanout table derived from the compiled cells equals one read
+    /// from each listener's `shape()`, on a netlist of inverters, a
+    /// buffer, a 2-input gate heard on either pin, a net with two
+    /// listeners, a latch listener and an inverter whose arc does not fit
+    /// `u32` femtoseconds.
+    #[test]
+    fn the_fanout_table_is_the_one_the_cell_shapes_give() {
+        let mut b = builder();
+        let a = b.input("a");
+        let c = b.input("c");
+        let g = b.input("g");
+        let x = b.inv("u0", a);
+        let y = b.nand2("u1", [x, c]);
+        let w = b.buf_gate("u2", [y]);
+        let _ = b.inv("u3", w);
+        let q = b.latch("u4", w, g);
+        let slow = b
+            .library_mut()
+            .timing_scaled(crate::library::CellClass::Inv, 1e6);
+        assert!(slow.rise.as_femtos() > u64::from(u32::MAX));
+        let out = b.net("out");
+        b.add_cell_kind("u5", crate::cells::Inverter::new(slow), &[q], &[out]);
+        let mut sim = Simulator::new(b.build());
+        let circuit = sim.circuit();
+        let expected: Vec<FanoutFast> = (0..circuit.net_count())
+            .map(|ni| {
+                let &[f] = circuit.fanout(ni) else {
+                    return FanoutFast::Generic;
+                };
+                let ci = f.cell.index();
+                let outs = circuit.cell_outputs(ci);
+                let compiled = match circuit.cells[ci].cell.shape() {
+                    GateShape::Unary { invert, timing } => {
+                        ShortTiming::new(timing).map(|timing| FanoutFast::Unary {
+                            out: outs[0],
+                            timing,
+                            invert,
+                        })
+                    }
+                    GateShape::Binary { op, timing } => {
+                        ShortTiming::new(timing).map(|timing| FanoutFast::Binary {
+                            out: outs[0],
+                            timing,
+                            op,
+                            other: circuit.cell_inputs(ci)[1 - circuit.pin_of(f)],
+                        })
+                    }
+                    _ => None,
+                };
+                compiled.unwrap_or(FanoutFast::Generic)
+            })
+            .collect();
+        assert_eq!(sim.fanout_fast, expected);
+        let entry = |net: NetId| sim.fanout_fast[net.index()];
+        assert!(matches!(entry(a), FanoutFast::Unary { invert: true, .. }));
+        assert!(matches!(entry(x), FanoutFast::Binary { other, .. } if other == c));
+        assert!(matches!(entry(c), FanoutFast::Binary { other, .. } if other == x));
+        assert!(matches!(entry(y), FanoutFast::Unary { invert: false, .. }));
+        for net in [w, g, q, out] {
+            assert_eq!(entry(net), FanoutFast::Generic, "{}", circuit.net_name(net));
+        }
+        sim.poke(g, Logic::High);
+        sim.poke(c, Logic::High);
+        sim.poke(a, Logic::Low);
+        let t = sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.value(out), Logic::High, "the slow inverter still fires");
+        assert!(t > slow.rise, "after its full rise arc");
     }
 
     /// Every net's class meters what its own capacitance does, bit for

@@ -22,7 +22,7 @@
 //! collection, and the attribution of energy and edges to domains, in
 //! transition order.
 
-use crate::cell::{Drive, DriveMode, EvalCtx, Violation};
+use crate::cell::{CellName, Drive, DriveMode, EvalCtx, Violation};
 use crate::circuit::{CellId, Circuit, NetId};
 use crate::energy::{EnergyReport, EnergyRow};
 use crate::engine::OscillationError;
@@ -241,14 +241,14 @@ impl ReferenceSimulator {
                 .map(|n| self.values[n.index()])
                 .collect();
             let inst = &mut self.circuit.cells[cell.index()];
-            let mut ctx = EvalCtx::for_test(
-                self.now,
-                &input_values,
+            let mut ctx = EvalCtx {
+                now: self.now,
+                input_values: &input_values,
                 triggers,
-                &mut drives,
-                &mut self.violations,
-                self.circuit.names.get(inst.name),
-            );
+                drives: &mut drives,
+                violations: &mut self.violations,
+                cell_name: CellName::Recorded(&self.circuit.names, inst.name),
+            };
             inst.cell.eval(&mut ctx);
         }
         for d in drives {

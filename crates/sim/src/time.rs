@@ -70,7 +70,11 @@ impl SimTime {
         Seconds(self.0 as f64 * 1e-15)
     }
 
-    /// Rounds a physical duration to simulator resolution.
+    /// Rounds a physical duration to simulator resolution, halves away
+    /// from zero, as `(s * 1e15).round() as u64` does, but without a libm
+    /// call: it truncates, then adds one when the remainder, which the
+    /// subtraction computes exactly, is at least one half. Past `u64::MAX`
+    /// femtoseconds it saturates.
     ///
     /// # Panics
     ///
@@ -82,7 +86,9 @@ impl SimTime {
             s.value().is_finite() && s.value() >= 0.0,
             "cannot convert {s} to simulation time"
         );
-        SimTime((s.value() * 1e15).round() as u64)
+        let fs = s.value() * 1e15;
+        let whole = fs as u64;
+        SimTime(whole.saturating_add(u64::from(fs - whole as f64 >= 0.5)))
     }
 
     /// Saturating difference `self - earlier`.
@@ -178,6 +184,53 @@ mod tests {
     #[should_panic(expected = "underflow")]
     fn sub_underflow_panics() {
         let _ = SimTime::from_femtos(1) - SimTime::from_femtos(2);
+    }
+
+    /// `from_seconds` rounds as `(s * 1e15).round() as u64` does: at
+    /// ties, which round away from zero, just below them, at zero, past
+    /// 2^53 fs, where every float is whole, and past 2^64 fs, where both
+    /// saturate.
+    #[test]
+    fn from_seconds_rounds_as_round_does() {
+        let round = |s: f64| (s * 1e15).round() as u64;
+        let mut cases = vec![0.0, f64::MIN_POSITIVE, 0.49e-15, 0.5e-15, 0.51e-15];
+        // Seconds whose femtosecond product is exactly a tie, or exactly
+        // the float just below one.
+        let (mut ties, mut below) = (0, 0);
+        for k in 0..4096u32 {
+            let tie = f64::from(k) + 0.5;
+            for (fs, hits) in [
+                (tie, &mut ties),
+                (f64::from_bits(tie.to_bits() - 1), &mut below),
+            ] {
+                let s = fs / 1e15;
+                if s * 1e15 == fs {
+                    *hits += 1;
+                    cases.push(s);
+                }
+            }
+        }
+        assert!(ties > 1000 && below > 1000, "{ties} ties, {below} below");
+        for fs in [
+            2f64.powi(53) + 2.0,
+            3.0 * 2f64.powi(60),
+            2f64.powi(64),
+            1e30,
+        ] {
+            cases.push(fs / 1e15);
+        }
+        for s in cases {
+            assert_eq!(
+                SimTime::from_seconds(Seconds(s)).as_femtos(),
+                round(s),
+                "{s:e} s"
+            );
+        }
+        assert_eq!(SimTime::from_seconds(Seconds(2.5e-15)).as_femtos(), 3);
+        assert_eq!(
+            SimTime::from_seconds(Seconds(1.0)).as_femtos(),
+            1_000_000_000_000_000
+        );
     }
 
     #[test]

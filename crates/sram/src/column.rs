@@ -21,10 +21,10 @@
 
 use crate::model::ROWS;
 use maddpipe_sim::cells::ReadColumn;
-use maddpipe_sim::circuit::{CellId, CircuitBuilder, NetId};
+use maddpipe_sim::circuit::{CellId, CircuitBuilder, NameArg, NetId};
+use maddpipe_sim::leaf;
 use maddpipe_tech::process::DriveKind;
 use maddpipe_tech::units::{Farads, Seconds};
-use std::fmt;
 
 /// Nominal (0.8 V / TTG) read-bitline discharge delay of a 16-row column.
 pub const NOMINAL_DISCHARGE_PS: f64 = 380.0;
@@ -46,7 +46,7 @@ pub struct ColumnPorts {
 }
 
 /// Instantiates one SRAM column storing `word` (bit `r` is row `r`) plus
-/// its RCD NAND in the builder's current domain, with explicit nominal
+/// its RCD NAND in the builder's current domain, inside a scope `name`, with explicit nominal
 /// (0.8 V / TTG) discharge and precharge delays — [`NOMINAL_DISCHARGE_PS`]
 /// and [`NOMINAL_PRECHARGE_PS`] unless the caller carries its own
 /// calibration.
@@ -59,7 +59,7 @@ pub struct ColumnPorts {
 /// Panics if `rwl.len() != 16`.
 pub fn build_column_with_timing(
     b: &mut CircuitBuilder,
-    name: impl fmt::Display,
+    name: impl NameArg,
     rwl: &[NetId],
     pche: NetId,
     word: u16,
@@ -72,8 +72,9 @@ pub fn build_column_with_timing(
         .library_mut()
         .delay(discharge_nominal, DriveKind::PullDown);
     let t_precharge = b.library_mut().delay(precharge_nominal, DriveKind::PullUp);
-    let rbl = b.net(format_args!("{name}.rbl"));
-    let rblb = b.net(format_args!("{name}.rblb"));
+    let outer = b.enter_scope(name);
+    let rbl = b.net(leaf!("rbl"));
+    let rblb = b.net(leaf!("rblb"));
     // Bitline load: 16 cell junctions plus the vertical wire.
     let bl_cap = Farads(tech.cap_bitcell_bl.0 * ROWS as f64) + tech.wire_cap(8.0);
     b.add_wire_cap(rbl, bl_cap);
@@ -82,14 +83,15 @@ pub fn build_column_with_timing(
     inputs.push(pche);
     inputs.extend_from_slice(rwl);
     let cell = b.add_cell_kind(
-        format_args!("{name}.col"),
+        leaf!("col"),
         ReadColumn::new(word, t_discharge, t_precharge),
         &inputs,
         &[rbl, rblb],
     );
     // RCD: NAND(RBL, RBLB) rises as soon as either precharged rail falls
     // (Fig. 5 A): both high (precharged) → 0; one low (read done) → 1.
-    let rcd_col = b.nand2(format_args!("{name}.rcd"), [rbl, rblb]);
+    let rcd_col = b.nand2(leaf!("rcd"), [rbl, rblb]);
+    b.restore_scope(outer);
     ColumnPorts {
         rbl,
         rblb,

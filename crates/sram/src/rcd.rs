@@ -7,8 +7,8 @@
 //! wide AND with two-input standard cells (cheaper and faster than a single
 //! wide gate).
 
-use maddpipe_sim::circuit::{CircuitBuilder, NetId};
-use std::fmt;
+use maddpipe_sim::circuit::{CircuitBuilder, NameArg, NetId};
+use maddpipe_sim::leaf;
 
 /// Builds an active-high completion tree: the output rises only after
 /// *every* input is high.
@@ -17,20 +17,21 @@ use std::fmt;
 /// depth leaves the result active-low. Odd leftover signals at a level are
 /// carried to the next level unchanged (with their polarity tracked).
 ///
-/// Returns the completion net.
+/// Its gates are named inside a scope `name`. Returns the completion net.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` is empty.
 pub fn build_completion_tree(
     b: &mut CircuitBuilder,
-    name: impl fmt::Display,
+    name: impl NameArg,
     inputs: &[NetId],
 ) -> NetId {
     assert!(
         !inputs.is_empty(),
         "completion tree needs at least one input"
     );
+    let outer = b.enter_scope(name);
     // Track (net, active_high) pairs per level.
     let mut level: Vec<(NetId, bool)> = inputs.iter().map(|&n| (n, true)).collect();
     let mut stage = 0usize;
@@ -40,7 +41,7 @@ pub fn build_completion_tree(
         while i + 1 < level.len() {
             let (a, pa) = level[i];
             let (c, pc) = level[i + 1];
-            let gate_name = format_args!("{name}.t{stage}_{}", i / 2);
+            let gate_name = leaf!("t{}_{}", stage, i / 2);
             let merged = match (pa, pc) {
                 (true, true) => {
                     // AND of two active-high → NAND, result active-low.
@@ -53,7 +54,7 @@ pub fn build_completion_tree(
                 (true, false) | (false, true) => {
                     // Mixed polarity: invert the active-low one first.
                     let (lo, hi) = if pa { (c, a) } else { (a, c) };
-                    let fixed = b.inv(format_args!("{gate_name}.fix"), lo);
+                    let fixed = b.inv(leaf!("t{}_{}.fix", stage, i / 2), lo);
                     (b.nand2(gate_name, [fixed, hi]), false)
                 }
             };
@@ -65,13 +66,14 @@ pub fn build_completion_tree(
         }
         // A single active-low survivor needs a final inverter.
         if next.len() == 1 && !next[0].1 {
-            let inv = b.inv(format_args!("{name}.t{stage}_out"), next[0].0);
+            let inv = b.inv(leaf!("t{}_out", stage), next[0].0);
             next[0] = (inv, true);
         }
         level = next;
         stage += 1;
         assert!(stage < 64, "completion tree failed to converge");
     }
+    b.restore_scope(outer);
     level[0].0
 }
 

@@ -1,9 +1,11 @@
 //! Netlist names are part of what the simulator reports: violation
 //! records name cells, and waveform exports and `find_net` lookups name
-//! nets. These pins hold every name of two small macros, in id order,
-//! against the files under `tests/golden/` (captured from the netlist
-//! builder before names moved into the per-circuit name arena), and an
-//! FNV-1a digest over all 108,967 names of the flagship.
+//! nets. A build records each name as a scope plus a leaf and renders it
+//! only when it is read, so these pins read every name back rendered:
+//! every name of two small macros, in id order, against the files under
+//! `tests/golden/` (captured from the netlist builder when it still
+//! formatted each name in full), and an FNV-1a digest over all 108,967
+//! names of the flagship.
 
 use maddpipe::prelude::*;
 use maddpipe::sim::{Circuit, NetId};
@@ -17,7 +19,7 @@ fn names(circuit: &Circuit) -> (Vec<String>, Vec<String>) {
         .collect();
     let cells = circuit
         .cell_ids()
-        .map(|c| circuit.cell_name(c).to_owned())
+        .map(|c| circuit.cell_name(c).into_owned())
         .collect();
     (nets, cells)
 }
